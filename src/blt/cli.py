@@ -160,7 +160,7 @@ def _quad_spec(args, d: int | None = None) -> quadrature.QuadratureSpec:
 
 
 def _resolved_config(args) -> dict:
-    keys = ("input", "output", "seed", "threads", "samples", "resolution", "tol", "mode")
+    keys = ("input", "output", "seed", "samples", "resolution", "tol", "mode")
     config = {k: getattr(args, k, None) for k in keys}
     for extra in ("budget", "beta", "kappa", "alpha0", "alpha1", "d", "m",
                   "freq_halfwidth", "max_cells", "x"):
@@ -178,7 +178,6 @@ def build_parser() -> Parser:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", default=None, help="report path (stdout if omitted)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--samples", type=int, default=1_000_000)
         p.add_argument("--resolution", type=int, default=64)
         p.add_argument("--tol", type=float, default=None)
@@ -387,6 +386,10 @@ def cmd_delta0(args):
 
 def _scales_setup(payload, args):
     maps = [_parse_map_family(mp) for mp in payload["maps"]]
+    if not maps:
+        raise UsageError("scales input needs at least one map")
+    if len(payload["inputs"]) != len(maps):
+        raise UsageError(f"{len(payload['inputs'])} inputs for {len(maps)} maps: one per map")
     params_payload = payload["params"]
     params = scales.compute_delta0(
         float(params_payload["beta"]),
@@ -402,6 +405,9 @@ def _scales_setup(payload, args):
     side = float(cube_payload.get("side", params.delta0))
     cube = scales.Cube(center, side)
     inputs_list = [_parse_grid(g) for g in payload["inputs"]]
+    for j, (fam, g) in enumerate(zip(maps, inputs_list)):
+        if g.dim != fam.d_out:
+            raise UsageError(f"input {j} is a {g.dim}-d grid, map {j} has {fam.d_out} outputs")
     return maps, params, cube, inputs_list
 
 

@@ -592,17 +592,7 @@ def extension_operator(
         raise ResolutionBudgetError(
             f"requested {res} points per axis, budget {max_resolution}"
         )
-    axes = [
-        surface.lo[a] + (surface.hi[a] - surface.lo[a]) * (np.arange(res) + 0.5) / res
-        for a in range(k)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    cell = float(np.prod((surface.hi - surface.lo) / res))
-    graph = surface.graph(pts)
-    phases = graph @ xi
-    weights = g.evaluate(pts) if g is not None else np.ones(pts.shape[0])
-    return complex((weights * np.exp(1j * phases)).sum() * cell)
+    return complex(extension_on_grid(surface, g, xi[None, :], res)[0])
 
 
 def _required_resolution(surface: Hypersurface, xi_max: float, min_resolution: int) -> int:

@@ -181,6 +181,34 @@ def _midpoint_integral(integrand, lo, hi, resolution: int, d: int) -> float:
     return total * cell
 
 
+def lattice_product_sum(blocks, exponents, d: int) -> float:
+    """Sum of prod_j values_j^{p_j} over the intersection of the blocks'
+    lattice boxes (0 when it is empty), as one einsum over the d axes.
+
+    Block j is (values, axes, offset): values[i] sits at lattice index
+    offset + i along the listed axes.  einsum's default unoptimised
+    contraction is deliberate: optimize=True searches for a path on
+    every call, which costs more than it saves at these sizes.
+    """
+    lo = np.full(d, np.iinfo(np.int64).min, dtype=np.int64)
+    hi = np.full(d, np.iinfo(np.int64).max, dtype=np.int64)
+    for values, axes, offset in blocks:
+        for pos, k in enumerate(axes):
+            lo[k] = max(lo[k], offset[pos])
+            hi[k] = min(hi[k], offset[pos] + values.shape[pos])
+    if lo.min() == np.iinfo(np.int64).min:
+        raise ValueError("every lattice axis must be spanned by some block")
+    if np.any(hi <= lo):
+        return 0.0
+    operands = []
+    for (values, axes, offset), p in zip(blocks, exponents):
+        window = tuple(
+            slice(int(lo[k] - offset[pos]), int(hi[k] - offset[pos])) for pos, k in enumerate(axes)
+        )
+        operands += [np.power(values[window], p), list(axes)]
+    return float(np.einsum(*operands, []))
+
+
 def discrete_finner(
     inputs: list[np.ndarray], scheme: ProjectionScheme
 ) -> tuple[float, float]:
@@ -191,6 +219,8 @@ def discrete_finner(
     summation here is the brute-force oracle itself.
     """
     m = scheme.m
+    if m < 2:
+        raise ValueError("the inequality needs at least two blocks")
     if len(inputs) != m:
         raise ValueError("one array per block is required")
     arrays = [np.asarray(f, dtype=float) for f in inputs]
@@ -200,20 +230,10 @@ def discrete_finner(
         if f.ndim != scheme.d - scheme.block_sizes[j]:
             raise ValueError(f"input {j} has rank {f.ndim}, expected {scheme.d - scheme.block_sizes[j]}")
     p = 1.0 / (m - 1)
-    # common box: axis k is constrained by every input whose complement contains k
-    extent = np.full(scheme.d, np.iinfo(np.int64).max, dtype=np.int64)
-    for j, f in enumerate(arrays):
-        comp = scheme.complement(j)
-        for pos, k in enumerate(comp):
-            extent[k] = min(extent[k], f.shape[pos])
-    lhs_field = np.ones(tuple(int(e) for e in extent))
-    for j, f in enumerate(arrays):
-        comp = scheme.complement(j)
-        sliced = f[tuple(slice(0, int(extent[k])) for k in comp)]
-        powered = np.power(sliced, p)
-        expanded = np.expand_dims(powered, axis=tuple(scheme.blocks[j]))
-        lhs_field = lhs_field * expanded
-    lhs = float(lhs_field.sum())
+    blocks = [
+        (f, scheme.complement(j), np.zeros(f.ndim, dtype=np.int64)) for j, f in enumerate(arrays)
+    ]
+    lhs = lattice_product_sum(blocks, [p] * m, scheme.d)
     rhs = float(np.prod([f.sum() ** p for f in arrays]))
     return lhs, rhs
 
@@ -262,33 +282,11 @@ def _lattice_bl_exact(datum: BLDatum, grids: list[GridFunction]) -> float:
     exact finite sum; this is the midpoint rule at lattice resolution.
     """
     h = grids[0].spacing
-    # per-axis index ranges of the composite support
-    axis_lo = np.full(datum.d, -(2**62), dtype=np.int64)
-    axis_hi = np.full(datum.d, 2**62, dtype=np.int64)
-    comps = []
-    for B, g in zip(datum.maps, grids):
-        comp = [int(np.argmax(row)) for row in B]
-        comps.append(comp)
-        off = np.round(g.origin / h).astype(np.int64)
-        for pos, k in enumerate(comp):
-            axis_lo[k] = max(axis_lo[k], off[pos])
-            axis_hi[k] = min(axis_hi[k], off[pos] + g.values.shape[pos])
-    if np.any(axis_hi <= axis_lo):
-        return 0.0
-    shape = tuple(int(axis_hi[a] - axis_lo[a]) for a in range(datum.d))
-    field = np.ones(shape)
-    for j, (B, g) in enumerate(zip(datum.maps, grids)):
-        comp = comps[j]
-        off = np.round(g.origin / h).astype(np.int64)
-        slices = tuple(
-            slice(int(axis_lo[k] - off[pos]), int(axis_hi[k] - off[pos]))
-            for pos, k in enumerate(comp)
-        )
-        block = np.power(g.values[slices], datum.p[j])
-        other_axes = tuple(a for a in range(datum.d) if a not in comp)
-        expanded = np.expand_dims(block, axis=other_axes)
-        field = field * expanded
-    numerator = float(field.sum() * h**datum.d)
+    blocks = [
+        (g.values, [int(np.argmax(row)) for row in B], np.round(g.origin / h).astype(np.int64))
+        for B, g in zip(datum.maps, grids)
+    ]
+    numerator = lattice_product_sum(blocks, datum.p, datum.d) * h**datum.d
     denom = float(np.prod([integrate(g) ** pj for g, pj in zip(grids, datum.p)]))
     return numerator / denom
 
@@ -394,13 +392,16 @@ def _localised_product(
     if np.any(np.abs(np.round(shift) - shift) > 1e-9):
         return None
     K = np.round(shift).astype(np.int64)
+    # vals[i] = f[K-1-i] f'[i] where 0 <= K-1-i < len(f), i.e. f[::-1][i + len(f) - K]
+    n_f = np.asarray(fj.values.shape)
+    lo = np.clip(K - n_f, 0, fpj.values.shape)
+    hi = np.clip(K, 0, fpj.values.shape)
+    if np.any(hi <= lo):
+        return None
+    flipped = fj.values[(slice(None, None, -1),) * K.size]
+    out = tuple(map(slice, lo, hi))
     vals = np.zeros_like(fpj.values)
-    it = np.ndindex(fpj.values.shape)
-    shape_f = fj.values.shape
-    for idx in it:
-        src = tuple(int(K[a]) - 1 - idx[a] for a in range(len(idx)))
-        if all(0 <= s < shape_f[a] for a, s in enumerate(src)):
-            vals[idx] = fj.values[src] * fpj.values[idx]
+    vals[out] = flipped[tuple(map(slice, lo + n_f - K, hi + n_f - K))] * fpj.values[out]
     if vals.sum() == 0.0:
         return None
     return GridFunction(fpj.origin.copy(), h, vals)

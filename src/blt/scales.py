@@ -22,7 +22,7 @@ from .exterior import cross_like, transversality_quantity
 from .geometry import grid_polygon_mass, grid_slab_mass
 from .inputs import GridFunction, integrate
 from .nonlinear import NonlinearMapFamily
-from .quadrature import QuadratureSpec, _midpoint_integral
+from .quadrature import QuadratureSpec, _midpoint_integral, lattice_product_sum
 
 
 class ScaleError(ValueError):
@@ -348,7 +348,7 @@ class PigeonholeSequence:
     t_hi: float
     drift: float
 
-    def certificates_hold(self, rel_slack: float = 1e-12) -> bool:
+    def certificates_hold(self) -> bool:
         return all(
             st.gap_lower_ok and st.gap_upper_ok and st.mass_bound_ok for st in self.steps
         )
@@ -778,6 +778,18 @@ def _subdivided_measure(f: GridFunction, q: int = 3):
     return pts, weights
 
 
+def _composite_integrand(maps: list[NonlinearMapFamily], inputs: list[GridFunction], p: float):
+    """x -> prod_j f_j(B_j(x))^p over a batch of points."""
+
+    def integrand(points: np.ndarray) -> np.ndarray:
+        out = np.ones(points.shape[0])
+        for fam, f in zip(maps, inputs):
+            out *= np.power(f.evaluate(fam.value(points)), p)
+        return out
+
+    return integrand
+
+
 @dataclass
 class InductionStepReport:
     delta: float
@@ -833,12 +845,7 @@ def verify_induction_step(
     deco = decompose_cube(cube, frame, sigma, sequences, params)
 
     masses = [integrate(f) for f in inputs]
-
-    def integrand(points: np.ndarray) -> np.ndarray:
-        out = np.ones(points.shape[0])
-        for fam, f in zip(maps, inputs):
-            out *= np.power(f.evaluate(fam.value(points)), p)
-        return out
+    integrand = _composite_integrand(maps, inputs, p)
 
     half = delta / 2.0
     lo = cube.center - half
@@ -874,17 +881,10 @@ def verify_induction_step(
             )
         tube_arrays.append(F)
     # main sum through the discrete inequality on the tube masses
-    extent = [deco.main_count(i) for i in range(d)]
-    field_shape = tuple(extent)
-    field_main = np.ones(field_shape)
-    for j in range(m):
-        transverse = scheme.complement(j)
-        F = tube_arrays[j]
-        sliced = F[tuple(slice(0, extent[i]) for i in transverse)]
-        powered = np.power(sliced, p)
-        expanded = np.expand_dims(powered, axis=tuple(scheme.blocks[j]))
-        field_main = field_main * expanded
-    main_sum = float(field_main.sum())
+    zero = np.zeros(d, dtype=np.int64)
+    main_sum = lattice_product_sum(
+        [(F, scheme.complement(j), zero) for j, F in enumerate(tube_arrays)], [p] * m, d
+    )
     tube_norms = {j: float(tube_arrays[j].sum()) for j in range(m)}
     finner_rhs = float(np.prod([tube_norms[j] ** p for j in range(m)]))
     input_rhs = float(np.prod([mass**p for mass in masses]))
@@ -898,20 +898,24 @@ def verify_induction_step(
     buffer_ok = True
     certified_factor = 1.0
     d_a1 = delta**params.alpha1
-    for code in range(1, 2**d):
-        chi = np.array([(code >> i) & 1 for i in range(d)], dtype=np.int8)
-        i_star = int(np.argmax(chi == 1))
-        j = int(sigma[i_star])
-        seq = sequences[i_star]
+    # each pattern's total depends only on its lowest set axis i_star, so
+    # sweep the buffer slabs once per axis
+    axis_totals = []
+    for seq in sequences:
+        fW = fWs[seq.map_index]
         func = seq.functional
         total = 0.0
         # the n = 0 buffer sits strictly below the cube's parameter range by
         # the choice of s_1, so its tubes are empty and the sum starts at 1
-        for n in range(1, len(seq.s)):
-            im_lo, im_hi = func.image_interval(seq.s[n], seq.s[n] + d_a1)
-            total += grid_slab_mass(
-                fWs[j].values, fWs[j].origin, fWs[j].spacing, func.w, im_lo, im_hi
-            )
+        for s_n in seq.s[1:]:
+            im_lo, im_hi = func.image_interval(s_n, s_n + d_a1)
+            total += grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
+        axis_totals.append(total)
+    for code in range(1, 2**d):
+        chi = np.array([(code >> i) & 1 for i in range(d)], dtype=np.int8)
+        i_star = int(np.argmax(chi == 1))
+        j = int(sigma[i_star])
+        total = axis_totals[i_star]
         bound = gain * masses[j]
         ok = total <= bound * (1 + 1e-9) + 1e-300
         buffer_ok &= ok
@@ -980,12 +984,7 @@ def verify_nonlinear_bl(
     if any(mass <= 0 for mass in masses):
         raise ScaleError("all input masses must be positive")
     cube = Cube(x0, params.delta0)
-
-    def integrand(points: np.ndarray) -> np.ndarray:
-        out = np.ones(points.shape[0])
-        for fam, f in zip(maps, inputs):
-            out *= np.power(f.evaluate(fam.value(points)), p)
-        return out
+    integrand = _composite_integrand(maps, inputs, p)
 
     half = params.delta0 / 2.0
     numerator = _midpoint_integral(integrand, x0 - half, x0 + half, spec.resolution, d)

@@ -323,7 +323,6 @@ class TestDeterminism:
     def test_reports_embed_config(self, tmp_path, lw_file):
         report = run(tmp_path, "cfg", ["bl-constant", "--input", lw_file, "--tol", "0.5"])
         assert report["config"]["tol"] == 0.5
-        assert report["config"]["threads"] == 1
 
 
 class TestScalesCommands:
@@ -370,6 +369,24 @@ class TestScalesCommands:
             assert all(c["gap_ok"] and c["mass_bound_ok"] for c in seq["certificates"])
         assert result["cells_listed"] == 8
         assert result["cell_count_total"] > 8
+
+    @pytest.mark.parametrize("command", ["verify-step", "decompose", "verify-nonlinear"])
+    @pytest.mark.parametrize("defect", ["no maps", "too few inputs", "grid rank"])
+    def test_malformed_scales_input_is_usage_error(self, tmp_path, capsys, command, defect):
+        payload = self.scales_payload()
+        if defect == "no maps":
+            payload["maps"] = []
+        elif defect == "too few inputs":
+            payload["inputs"] = payload["inputs"][:2]
+        else:
+            grid = payload["inputs"][0]
+            payload["inputs"][0] = {**grid, "origin": grid["origin"][:1], "values": grid["values"][0]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = main([command, "--input", str(path), "--seed", "1", "--output", str(tmp_path / "o.json")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
     def test_verify_step_certifies(self, tmp_path):
         path = tmp_path / "scales.json"

@@ -22,6 +22,7 @@ from blt.convext import (
 from blt.datum import block_index_tuples
 from blt.geometry import polytope_volume
 from blt.ift import ScalarField
+from blt.inputs import GridFunction
 from blt.polynomials import Polynomial
 from blt.quadrature import QuadratureSpec
 
@@ -192,8 +193,6 @@ class TestSurfaceConvolution:
 
     def test_zero_density_vanishes(self):
         sfuncs, slopes, r = orthogonal_planes()
-        from blt.inputs import GridFunction
-
         zero = GridFunction(np.array([-r, -r]), r, np.zeros((2, 2)))
         sfuncs[0] = SurfaceFunction(sfuncs[0].surface, zero)
         spec = QuadratureSpec("monte-carlo", samples=20_000, seed=8)
@@ -247,6 +246,23 @@ class TestExtensionOperator:
             re = quad(lambda x: math.cos(lam * x * x), 0, 1, limit=400)[0]
             im = quad(lambda x: math.sin(lam * x * x), 0, 1, limit=400)[0]
             assert abs(val - complex(re, im)) <= 1e-6
+
+    def test_single_frequency_matches_dense_midpoint_sum(self):
+        surf = Hypersurface([-0.5, 0.0], [0.5, 1.0], Polynomial(2, {(2, 0): 0.3, (1, 1): -0.2}), 1.0, 2.0)
+        rng = np.random.default_rng(4)
+        g = GridFunction(np.array([-0.5, 0.0]), 0.25, rng.uniform(0.2, 1.0, (4, 4)))
+        xi = np.array([3.0, -2.0, 5.0])
+        res = 40
+        val = extension_operator(surf, g, xi, resolution=res)
+        axes = [lo + (hi - lo) * (np.arange(res) + 0.5) / res for lo, hi in zip(surf.lo, surf.hi)]
+        total = 0j
+        for x0 in axes[0]:
+            for x1 in axes[1]:
+                x = np.array([x0, x1])
+                phase = xi[:2] @ x + xi[2] * surf.graph(x[None, :])[0, 2]
+                total += g.evaluate(x[None, :])[0] * complex(math.cos(phase), math.sin(phase))
+        dense = total * (1.0 / res) ** 2
+        assert abs(val - dense) <= 1e-13 * abs(dense)
 
     def test_refuses_undersampled_frequency(self):
         surf = linear_surface([0.0], [1.0], [0.0], kappa=1.0)

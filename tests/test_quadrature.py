@@ -20,7 +20,9 @@ from blt.quadrature import (
     ball_inequality_report,
     bl_ratio,
     canonical_extremizer,
+    _localised_product,
     discrete_finner,
+    lattice_product_sum,
 )
 from tests.conftest import loomis_whitney_maps, random_class_c_datum
 
@@ -144,6 +146,10 @@ class TestDiscreteFinner:
         with pytest.raises(ValueError):
             discrete_finner(bad, lw_scheme())
 
+    def test_single_block_rejected(self):
+        with pytest.raises(ValueError):
+            discrete_finner([np.ones(())], ProjectionScheme(3, [3]))
+
     def test_mixed_kernel_dimensions(self):
         # one array per block on a [1, 2] split of three axes
         scheme = ProjectionScheme(3, [1, 2])
@@ -162,6 +168,113 @@ class TestDiscreteFinner:
         arrays = [rng.uniform(0, 2, (3, 3)) for _ in range(3)]
         lhs, rhs = discrete_finner(arrays, lw_scheme())
         assert lhs <= rhs * (1 + 1e-12)
+
+
+def expand_dims_product_sum(blocks, exponents, d):
+    """Reference for lattice_product_sum: forms the whole d-dimensional field."""
+    axis_lo = np.full(d, -(2**62), dtype=np.int64)
+    axis_hi = np.full(d, 2**62, dtype=np.int64)
+    for values, axes, off in blocks:
+        for pos, k in enumerate(axes):
+            axis_lo[k] = max(axis_lo[k], off[pos])
+            axis_hi[k] = min(axis_hi[k], off[pos] + values.shape[pos])
+    if np.any(axis_hi <= axis_lo):
+        return 0.0
+    field = np.ones(tuple(int(axis_hi[a] - axis_lo[a]) for a in range(d)))
+    for (values, axes, off), p in zip(blocks, exponents):
+        slices = tuple(
+            slice(int(axis_lo[k] - off[pos]), int(axis_hi[k] - off[pos]))
+            for pos, k in enumerate(axes)
+        )
+        other_axes = tuple(a for a in range(d) if a not in axes)
+        field = field * np.expand_dims(np.power(values[slices], p), axis=other_axes)
+    return float(field.sum())
+
+
+class TestLatticeProductSum:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_expand_dims_field(self, data):
+        sizes = data.draw(st.sampled_from([[1, 1, 1], [1, 2], [2, 1, 1]]))
+        scheme = ProjectionScheme(sum(sizes), sizes)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        blocks, exponents = [], []
+        for j in range(scheme.m):
+            axes = scheme.complement(j)
+            shape = data.draw(st.lists(st.integers(1, 4), min_size=len(axes), max_size=len(axes)))
+            values = rng.uniform(0.0, 2.0, shape) * (rng.uniform(size=shape) > 0.2)
+            offset = np.array(
+                data.draw(st.lists(st.integers(-3, 3), min_size=len(axes), max_size=len(axes))),
+                dtype=np.int64,
+            )
+            blocks.append((values, axes, offset))
+            exponents.append(data.draw(st.floats(0.0, 1.0)))
+        got = lattice_product_sum(blocks, exponents, scheme.d)
+        want = expand_dims_product_sum(blocks, exponents, scheme.d)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_disjoint_boxes_sum_to_zero(self):
+        scheme = lw_scheme()
+        blocks = [
+            (np.ones((2, 2)), scheme.complement(0), np.array([0, 0])),
+            (np.ones((2, 2)), scheme.complement(1), np.array([0, 0])),
+            (np.ones((2, 2)), scheme.complement(2), np.array([0, 5])),
+        ]
+        assert lattice_product_sum(blocks, [0.5] * 3, 3) == 0.0
+
+    def test_uncovered_axis_rejected(self):
+        with pytest.raises(ValueError):
+            lattice_product_sum([(np.ones(2), [0], np.zeros(1, dtype=np.int64))], [1.0], 2)
+
+
+def loop_localised_product(fj, fpj, c):
+    """Reference for _localised_product: one cell at a time."""
+    h = fj.spacing
+    shift = (c - fj.origin - fpj.origin) / h
+    if np.any(np.abs(np.round(shift) - shift) > 1e-9):
+        return None
+    K = np.round(shift).astype(np.int64)
+    vals = np.zeros_like(fpj.values)
+    for idx in np.ndindex(fpj.values.shape):
+        src = tuple(int(K[a]) - 1 - idx[a] for a in range(len(idx)))
+        if all(0 <= s < fj.values.shape[a] for a, s in enumerate(src)):
+            vals[idx] = fj.values[src] * fpj.values[idx]
+    if vals.sum() == 0.0:
+        return None
+    return GridFunction(fpj.origin.copy(), h, vals)
+
+
+class TestLocalisedProduct:
+    def test_matches_cell_loop_for_every_integer_shift(self):
+        # shifts run from no overlap through partial to full overlap and out again
+        rng = np.random.default_rng(8)
+        fj = GridFunction(np.array([1.0, -1.0]), 0.5, rng.uniform(0.1, 1.0, (3, 4)))
+        fpj = GridFunction(np.array([-0.5, 0.0]), 0.5, rng.uniform(0.1, 1.0, (4, 2)))
+        seen_none = 0
+        for K0 in range(-2, 10):
+            for K1 in range(-2, 9):
+                c = fj.origin + fpj.origin + 0.5 * np.array([K0, K1])
+                got = _localised_product(fj, fpj, c)
+                want = loop_localised_product(fj, fpj, c)
+                if want is None:
+                    seen_none += 1
+                    assert got is None
+                    continue
+                np.testing.assert_array_equal(got.values, want.values)
+                np.testing.assert_array_equal(got.origin, want.origin)
+                assert got.spacing == want.spacing
+        assert seen_none > 0
+
+    def test_zero_cells_in_overlap_give_none(self):
+        fj = GridFunction(np.zeros(1), 1.0, np.array([0.0, 0.0, 1.0]))
+        fpj = GridFunction(np.zeros(1), 1.0, np.array([1.0, 1.0, 0.0]))
+        # K = 1 pairs only f[0] with f'[0]; f[0] is 0
+        assert loop_localised_product(fj, fpj, np.array([1.0])) is None
+        assert _localised_product(fj, fpj, np.array([1.0])) is None
+
+    def test_off_lattice_shift_gives_none(self):
+        fj = GridFunction(np.zeros(2), 1.0, np.ones((2, 2)))
+        assert _localised_product(fj, fj, np.array([1.5, 2.0])) is None
 
 
 class TestCanonicalExtremizer:
