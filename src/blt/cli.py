@@ -24,7 +24,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFUSED = 2
 
-SEEDED_COMMANDS = {"gaussian-search", "decompose", "verify-step", "ball-check"}
+SEEDED_COMMANDS = {"gaussian-search", "verify-step", "ball-check"}
 
 
 class UsageError(Exception):
@@ -148,9 +148,15 @@ def _parse_surface(payload) -> convext.SurfaceFunction:
 
 
 def _quad_spec(args, d: int | None = None) -> quadrature.QuadratureSpec:
+    """The requested rule, else the midpoint rule up to 3 axes and Monte
+    Carlo above; d=None keeps the midpoint rule at every dimension."""
     mode = args.mode
     if mode is None:
-        mode = "tensor-midpoint" if (d or 3) <= 3 else "monte-carlo"
+        mode = "monte-carlo" if d is not None and d > 3 else "tensor-midpoint"
+    if mode == "monte-carlo" and args.seed is None:
+        raise UsageError(
+            f"{args.command} integrates by Monte Carlo here: provide --seed or set BLT_DEFAULT_SEED"
+        )
     return quadrature.QuadratureSpec(
         mode=mode,
         resolution=args.resolution,
@@ -222,8 +228,7 @@ def _resolve_seed(args) -> None:
         env = os.environ.get("BLT_DEFAULT_SEED")
         if env is not None:
             args.seed = int(env)
-    stochastic = args.command in SEEDED_COMMANDS or args.mode == "monte-carlo"
-    if stochastic and args.seed is None:
+    if args.command in SEEDED_COMMANDS and args.seed is None:
         raise UsageError(
             f"{args.command} is stochastic: provide --seed or set BLT_DEFAULT_SEED"
         )
@@ -414,16 +419,7 @@ def _scales_setup(payload, args):
 def cmd_decompose(args):
     payload = _load_json(args.input)
     maps, params, cube, inputs_list = _scales_setup(payload, args)
-    scheme = datum_mod.ProjectionScheme(cube.d, [cube.d - fam.d_out for fam in maps])
-    sigma = scales.sigma_map(scheme)
-    frame = scales.build_frame(maps, cube.center, scheme)
-    sequences = [
-        scales.pigeonhole_sequences(
-            inputs_list[int(sigma[i])], cube, i, frame, sigma, params, maps[int(sigma[i])]
-        )
-        for i in range(cube.d)
-    ]
-    deco = scales.decompose_cube(cube, frame, sigma, sequences, params)
+    deco = scales.decompose(maps, cube, inputs_list, params)
     cells = []
     total = 1
     for i in range(cube.d):
@@ -448,9 +444,9 @@ def cmd_decompose(args):
         if count >= args.max_cells:
             break
     result = {
-        "frame": frame.a,
-        "normals": frame.v,
-        "sigma": sigma,
+        "frame": deco.frame.a,
+        "normals": deco.frame.v,
+        "sigma": deco.sigma,
         "delta": cube.side,
         "delta0": params.delta0,
         "sequences": [
@@ -470,14 +466,13 @@ def cmd_decompose(args):
                     for st in seq.steps
                 ],
             }
-            for seq in sequences
+            for seq in deco.sequences
         ],
         "cell_count_total": total,
         "cells_listed": len(cells),
         "cells": cells,
     }
-    ok = all(seq.certificates_hold() for seq in sequences)
-    return result, (EXIT_OK if ok else EXIT_REFUSED)
+    return result, (EXIT_OK if deco.certificates_hold() else EXIT_REFUSED)
 
 
 def _params_block(params: scales.ScaleParams) -> dict:
@@ -495,7 +490,7 @@ def _params_block(params: scales.ScaleParams) -> dict:
 def cmd_verify_step(args):
     payload = _load_json(args.input)
     maps, params, cube, inputs_list = _scales_setup(payload, args)
-    spec = _quad_spec(args, cube.d)
+    spec = _quad_spec(args)
     report = scales.verify_induction_step(maps, cube, inputs_list, params, spec, args.seed or 0)
     ok = report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
     return {
@@ -518,7 +513,7 @@ def cmd_verify_step(args):
 def cmd_verify_nonlinear(args):
     payload = _load_json(args.input)
     maps, params, cube, inputs_list = _scales_setup(payload, args)
-    spec = _quad_spec(args, cube.d)
+    spec = _quad_spec(args)
     x0 = np.asarray(payload.get("x0", [0.0] * maps[0].d), dtype=float)
     report = scales.verify_nonlinear_bl(maps, x0, inputs_list, params, spec)
     return {

@@ -75,10 +75,6 @@ class Hypersurface:
         points = np.atleast_2d(points)
         return np.stack([g.evaluate(points) for g in self.grad_polys], axis=1)
 
-    def normal_at_zero(self) -> np.ndarray:
-        g0 = self.grad(np.zeros((1, self.base_dim)))[0]
-        return np.concatenate([-g0, [1.0]])
-
     def audit_regularity(self, seed: int = 0, pairs: int = 1000) -> float:
         rng = np.random.default_rng(seed)
         X = rng.uniform(self.lo, self.hi, size=(pairs, self.base_dim))

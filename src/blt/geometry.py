@@ -3,8 +3,10 @@
 Covers the measure of axis boxes against halfspaces and slabs (exact in
 1D/2D, midpoint-subdivision in higher rank), convex polygon clipping,
 and polytope volume via halfspace intersection.  These back the slab
-masses of the scale decomposition and the exact-indicator path of the
-ratio quadrature.
+and tube masses of the scale decomposition and the exact-indicator path
+of the ratio quadrature.  Every grid mass, at every rank, goes through
+one dispatch (`_halfplane_mass`); `grid_slab_mass` adds only the rank-2
+closed form, which is much faster than clipping on slabs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+# Midpoint subdivisions per cell axis in the rank >= 3 grid-mass measure.
+SUBDIVISION = 4
 
 
 def box_halfspace_area_2d(
@@ -63,54 +68,24 @@ def grid_slab_mass(
     w: np.ndarray,
     lo: float,
     hi: float,
-    subdivision: int = 4,
 ) -> float:
     """Integral of a grid function over the slab {lo <= <y, w> <= hi}.
 
-    Exact for rank 1 and 2 grids; for rank >= 3 each cell is subdivided
-    and midpoints are binned, which is additive across disjoint slabs by
-    construction.
+    Rank 2 uses the closed-form cell areas; every other rank measures the
+    slab as the two halfplanes <y, w> <= hi and <y, -w> <= -lo, exactly
+    as `grid_polygon_mass` does.
     """
-    values = np.asarray(values, dtype=float)
-    origin = np.asarray(origin, dtype=float)
-    w = np.asarray(w, dtype=float)
     if hi < lo:
         return 0.0
-    k = values.ndim
-    idx = np.indices(values.shape).reshape(k, -1).T
-    origins = origin + h * idx
-    vals = values.ravel()
-    mask = vals > 0
-    if not np.any(mask):
+    origins, vals = _positive_cells(values, origin, h)
+    if len(vals) == 0:
         return 0.0
-    origins = origins[mask]
-    vals = vals[mask]
-    if k == 1:
-        wx = float(w[0])
-        if wx == 0.0:
-            inside = (lo <= 0.0) & (0.0 <= hi)
-            return float(vals.sum() * h) if inside else 0.0
-        a = origins[:, 0]
-        b = a + h
-        seg_lo = (np.minimum(wx * a, wx * b) - 0.0)
-        seg_hi = np.maximum(wx * a, wx * b)
-        overlap = np.clip(np.minimum(seg_hi, hi) - np.maximum(seg_lo, lo), 0.0, None)
-        return float(np.dot(vals, overlap / abs(wx)))
-    if k == 2:
-        area_hi = box_halfspace_area_2d(origins, h, w, np.full(len(vals), hi))
-        area_lo = box_halfspace_area_2d(origins, h, w, np.full(len(vals), lo))
-        return float(np.dot(vals, np.clip(area_hi - area_lo, 0.0, None)))
-    # midpoint subdivision fallback, consistent point measure
-    q = subdivision
-    offsets = (np.indices((q,) * k).reshape(k, -1).T + 0.5) * (h / q)
-    total = 0.0
-    sub_weight = (h / q) ** k
-    for shift in offsets:
-        pts = origins + shift
-        proj = pts @ w
-        inside = (proj >= lo) & (proj <= hi)
-        total += float(np.dot(vals, inside) * sub_weight)
-    return total
+    w = np.asarray(w, dtype=float)
+    if origins.shape[1] != 2:
+        return _halfplane_mass(origins, vals, h, [(w, hi), (-w, -lo)])
+    area_hi = box_halfspace_area_2d(origins, h, w, np.full(len(vals), hi))
+    area_lo = box_halfspace_area_2d(origins, h, w, np.full(len(vals), lo))
+    return float(np.dot(vals, np.clip(area_hi - area_lo, 0.0, None)))
 
 
 def clip_polygon_halfplane(vertices: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
@@ -152,22 +127,41 @@ def grid_polygon_mass(
     h: float,
     halfplanes: list[tuple[np.ndarray, float]],
 ) -> float:
-    """Integral of a rank-2 grid function over an intersection of halfplanes.
+    """Integral of a grid function over an intersection of halfspaces
+    {<y, n> <= c}, one (n, c) per entry of `halfplanes`.
 
-    Exact: every positive cell is clipped against all halfplanes.
-    Candidate cells are pre-filtered with the cell bounding values of
-    each functional.
+    Exact at rank 1 (interval overlap) and rank 2 (every candidate cell
+    is clipped); rank >= 3 uses the midpoint-subdivision measure.
     """
-    values = np.asarray(values, dtype=float)
-    origin = np.asarray(origin, dtype=float)
-    idx = np.indices(values.shape).reshape(2, -1).T
-    vals = values.ravel()
-    mask = vals > 0
-    idx = idx[mask]
-    vals = vals[mask]
+    origins, vals = _positive_cells(values, origin, h)
     if len(vals) == 0:
         return 0.0
-    origins = origin + h * idx
+    return _halfplane_mass(origins, vals, h, halfplanes)
+
+
+def _positive_cells(values: np.ndarray, origin: np.ndarray, h: float):
+    """Lower corners (N, k) and values (N,) of the cells with positive value."""
+    values = np.asarray(values, dtype=float)
+    k = values.ndim
+    idx = np.indices(values.shape).reshape(k, -1).T
+    vals = values.ravel()
+    mask = vals > 0
+    return np.asarray(origin, dtype=float) + h * idx[mask], vals[mask]
+
+
+def _halfplane_mass(origins, vals, h: float, halfplanes) -> float:
+    """The one rank dispatch behind `grid_polygon_mass` and `grid_slab_mass`."""
+    k = origins.shape[1]
+    if k == 1:
+        return _interval_mass(origins[:, 0], vals, h, halfplanes)
+    if k == 2:
+        return _clip_mass(origins, vals, h, halfplanes)
+    return _subdivision_mass(origins, vals, h, halfplanes)
+
+
+def _clip_mass(origins, vals, h: float, halfplanes) -> float:
+    """Rank 2: every candidate cell is clipped against all halfplanes.
+    Candidates are pre-filtered with the corner values of each functional."""
     # prefilter: a cell is out if some halfplane excludes all 4 corners,
     # fully in for a plane if all corners satisfy it
     corner_off = np.array([[0.0, 0.0], [h, 0.0], [0.0, h], [h, h]])
@@ -194,6 +188,38 @@ def grid_polygon_mass(
         else:
             total += vals[i] * polygon_area(poly)
     return float(total)
+
+
+def _interval_mass(lows: np.ndarray, vals: np.ndarray, h: float, halfplanes) -> float:
+    """Rank 1: exact overlap of the cells [a, a + h] with the interval
+    cut out by the halfplanes n y <= c."""
+    lo, hi = -np.inf, np.inf
+    for normal, offset in halfplanes:
+        n = float(np.asarray(normal, dtype=float)[0])
+        if n > 0.0:
+            hi = min(hi, offset / n)
+        elif n < 0.0:
+            lo = max(lo, offset / n)
+        elif offset < 0.0:
+            return 0.0
+    overlap = np.clip(np.minimum(lows + h, hi) - np.maximum(lows, lo), 0.0, None)
+    return float(np.dot(vals, overlap))
+
+
+def _subdivision_mass(origins, vals, h: float, halfplanes) -> float:
+    """Rank >= 3: each cell is cut into SUBDIVISION^k sub-cells, and a
+    sub-cell counts in full when its midpoint satisfies every halfplane.
+    Additive across disjoint slabs, but not a one-sided bound."""
+    k = origins.shape[1]
+    q = SUBDIVISION
+    normals = np.asarray([n for n, _ in halfplanes], dtype=float).reshape(-1, k)
+    offsets = np.asarray([c for _, c in halfplanes], dtype=float)
+    shifts = (np.indices((q,) * k).reshape(k, -1).T + 0.5) * (h / q)
+    total = 0.0
+    for shift in shifts:
+        inside = np.all((origins + shift) @ normals.T <= offsets, axis=1)
+        total += float(np.dot(vals, inside))
+    return total * (h / q) ** k
 
 
 def chebyshev_center(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

@@ -69,6 +69,12 @@ class NonlinearMapFamily:
         """kappa used in drift allowances: 0 for exactly linear maps."""
         return 0.0 if self.is_linear() else self.kappa
 
+    def drift_allowance(self, side: float) -> float:
+        """4 d kappa_eff side^{1+beta}: how far the map's nonlinearity can
+        move a point of a cube of this side off its linearisation, the
+        inflation of every slab and tube image of the decomposition."""
+        return 4.0 * self.d * self.holder_constant_effective() * side ** (1.0 + self.beta)
+
     def compose_affine(self, A: np.ndarray, b: np.ndarray | None = None) -> list[Polynomial]:
         return [comp.substitute_affine(A, b) for comp in self.components]
 
@@ -104,19 +110,13 @@ class NonlinearMapFamily:
         Y = center + rng.uniform(-half, half, size=(pairs, self.d))
         JX = self.jacobian(X)
         JY = self.jacobian(Y)
-        min_sv = np.inf
-        for J in JX[: min(pairs, 100)]:
-            sv = np.linalg.svd(J, compute_uv=False)
-            min_sv = min(min_sv, sv[-1])
+        min_sv = np.linalg.svd(JX[:100], compute_uv=False)[:, -1].min(initial=np.inf)
         if min_sv <= rank_tol:
             raise RegularityError(f"Jacobian rank deficiency: min singular value {min_sv:.3e}")
         diffs = np.linalg.norm(X - Y, axis=1)
         keep = diffs > 0
-        quotients = np.array(
-            [
-                np.linalg.norm(JX[i] - JY[i], ord=2) / diffs[i] ** self.beta
-                for i in np.nonzero(keep)[0]
-            ]
+        quotients = (
+            np.linalg.norm(JX[keep] - JY[keep], ord=2, axis=(1, 2)) / diffs[keep] ** self.beta
         )
         worst = float(quotients.max(initial=0.0))
         if worst > self.kappa * (1 + 1e-9):

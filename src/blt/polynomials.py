@@ -112,12 +112,6 @@ class Polynomial:
     def translate(self, shift: np.ndarray) -> "Polynomial":
         return self.substitute_affine(np.eye(self.n), np.asarray(shift, dtype=float))
 
-    def to_terms(self) -> list[dict]:
-        return [
-            {"powers": list(k), "c": c}
-            for k, c in sorted(self.coeffs.items())
-        ]
-
     @staticmethod
     def from_terms(n: int, terms: list[dict]) -> "Polynomial":
         return Polynomial(n, {tuple(t["powers"]): float(t["c"]) for t in terms})

@@ -47,13 +47,8 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature mode {self.mode!r}")
         if self.resolution < 1 or self.samples < 1:
             raise ValueError("sample count and resolution must be >= 1")
-
-    @staticmethod
-    def default_for_dimension(d: int, seed: int | None = None) -> "QuadratureSpec":
-        # curse of dimensionality: midpoint only up to 3 axes
-        if d <= 3:
-            return QuadratureSpec("tensor-midpoint", resolution=64, seed=seed)
-        return QuadratureSpec("monte-carlo", samples=1_000_000, seed=seed)
+        if self.mode == "monte-carlo" and self.seed is None:
+            raise ValueError("monte-carlo quadrature needs a seed")
 
 
 class UnboundedDomainError(ValueError):
@@ -164,7 +159,13 @@ def bl_ratio(
     return value / denom, err / denom
 
 
-def _midpoint_integral(integrand, lo, hi, resolution: int, d: int) -> float:
+def _midpoint_integral(integrand, lo, hi, resolution: int, d: int):
+    """Tensor midpoint rule on the box [lo, hi].
+
+    The integrand maps (n, d) points to (n,) values, or to (k, n) values
+    for k integrals that share one evaluation per chunk; the result is a
+    float or a (k,) array.
+    """
     axes = [lo[a] + (hi[a] - lo[a]) * (np.arange(resolution) + 0.5) / resolution for a in range(d)]
     cell = float(np.prod((hi - lo) / resolution))
     total = 0.0
@@ -177,8 +178,8 @@ def _midpoint_integral(integrand, lo, hi, resolution: int, d: int) -> float:
         pts[:, 0] = x0
         for a, col in enumerate(rest_flat):
             pts[:, a + 1] = col
-        total += float(integrand(pts).sum())
-    return total * cell
+        total = total + integrand(pts).sum(axis=-1)
+    return total * cell if np.ndim(total) else float(total * cell)
 
 
 def lattice_product_sum(blocks, exponents, d: int) -> float:

@@ -384,7 +384,7 @@ def pigeonhole_sequences(
     corners_local = cube.corners() - cube.center
     t_corner = frame.t_values(corners_local)[:, axis]
     t_lo, t_hi = float(t_corner.min()), float(t_corner.max())
-    drift = 4.0 * cube.d * fam.holder_constant_effective() * delta ** (1.0 + fam.beta)
+    drift = fam.drift_allowance(delta)
 
     def mass(lo: float, hi: float) -> float:
         im_lo, im_hi = func.image_interval(lo, hi)
@@ -468,11 +468,11 @@ class Decomposition:
         return len(self.sequences[axis].s) - 1
 
     def interval_bounds(self, axis: int, n: int, chi: int) -> tuple[float, float]:
-        s = self.sequences[axis].s
-        third = self.cube.side**self.params.alpha1 / 3.0
-        if chi == 1:
-            return s[n] + third, s[n] + 2 * third
-        return s[n] + 2 * third, s[n + 1] + third
+        e = self.edges[axis]
+        return e[2 * n + 1 - chi], e[2 * n + 2 - chi]
+
+    def certificates_hold(self) -> bool:
+        return all(seq.certificates_hold() for seq in self.sequences)
 
     def locate_points(self, points: np.ndarray):
         """Cell assignment of global points.
@@ -556,16 +556,21 @@ class Decomposition:
         return points[:count], labels[:count]
 
 
-def decompose_cube(
+def decompose(
+    maps: list[NonlinearMapFamily],
     cube: Cube,
-    frame: DecompositionFrame,
-    sigma: np.ndarray,
-    sequences: list[PigeonholeSequence],
+    inputs: list[GridFunction],
     params: ScaleParams,
 ) -> Decomposition:
-    """Assemble the cell ladder; validates the per-axis frame bounds."""
-    if len(sequences) != cube.d:
-        raise ScaleError("one parameter sequence per axis is required")
+    """Build the scheme, sigma, the kernel frame and one pigeonholed
+    ladder per axis; axis i is cut against the input of map sigma(i)."""
+    scheme = ProjectionScheme(cube.d, [cube.d - fam.d_out for fam in maps])
+    sigma = sigma_map(scheme)
+    frame = build_frame(maps, cube.center, scheme)
+    sequences = [
+        pigeonhole_sequences(inputs[j], cube, i, frame, sigma, params, maps[j])
+        for i, j in enumerate(sigma.tolist())
+    ]
     return Decomposition(cube, frame, sigma, sequences, params)
 
 
@@ -693,8 +698,7 @@ def verify_disjointness(
     scheme = decomposition.frame.scheme
     transverse = scheme.complement(j)
     v = decomposition.frame.v
-    kappa_eff = fam.holder_constant_effective()
-    allowance = 4.0 * cube.d * kappa_eff * delta ** (1.0 + fam.beta)
+    allowance = fam.drift_allowance(delta)
     margin_chunks = []
     collected = 0
     guard = 0
@@ -735,47 +739,25 @@ def verify_disjointness(
     )
 
 
-def _tube_mass_exact(
-    fW: GridFunction,
+def _tube_halfplanes(
     functionals: list[AxisImageFunctional],
     intervals: list[tuple[float, float]],
     drift: float,
-) -> float:
-    """Upper bound of the input mass on a tube image: the intersection of
-    drift-inflated image slabs, exact on the clipped grid."""
-    if fW.dim == 1:
-        func = functionals[0]
-        lo, hi = intervals[0]
-        im_lo, im_hi = func.image_interval(lo - drift, hi + drift)
-        return grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
-    if fW.dim == 2:
-        halfplanes = []
-        for func, (lo, hi) in zip(functionals, intervals):
-            im_lo, im_hi = func.image_interval(lo - drift, hi + drift)
-            halfplanes.append((func.w, im_hi))
-            halfplanes.append((-func.w, -im_lo))
-        return grid_polygon_mass(fW.values, fW.origin, fW.spacing, halfplanes)
-    # consistent midpoint-subdivision measure for rank >= 3 images
-    pts, weights = _subdivided_measure(fW)
-    keep = np.ones(len(weights), dtype=bool)
+) -> list[tuple[np.ndarray, float]]:
+    """A tube image as the intersection of its drift-inflated image slabs."""
+    halfplanes = []
     for func, (lo, hi) in zip(functionals, intervals):
         im_lo, im_hi = func.image_interval(lo - drift, hi + drift)
-        proj = pts @ func.w
-        keep &= (proj >= im_lo) & (proj <= im_hi)
-    return float(weights[keep].sum())
+        halfplanes.append((func.w, im_hi))
+        halfplanes.append((-func.w, -im_lo))
+    return halfplanes
 
 
-def _subdivided_measure(f: GridFunction, q: int = 3):
-    k = f.dim
-    idx = np.indices(f.values.shape).reshape(k, -1).T
-    vals = f.values.ravel()
-    mask = vals > 0
-    idx, vals = idx[mask], vals[mask]
-    offs = (np.indices((q,) * k).reshape(k, -1).T + 0.5) * (f.spacing / q)
-    pts = (f.origin + f.spacing * idx)[:, None, :] + offs[None, :, :]
-    pts = pts.reshape(-1, k)
-    weights = np.repeat(vals * (f.spacing / q) ** k, q**k)
-    return pts, weights
+def _require_midpoint(spec: QuadratureSpec) -> None:
+    if spec.mode != "tensor-midpoint":
+        raise ValueError(
+            f"the scale verifiers integrate by the midpoint rule only, not {spec.mode!r}"
+        )
 
 
 def _composite_integrand(maps: list[NonlinearMapFamily], inputs: list[GridFunction], p: float):
@@ -828,57 +810,45 @@ def verify_induction_step(
         for j, f in enumerate(inputs):
             if f.spacing > 1.0 / params.M * (1 + 1e-12):
                 raise ScaleError(f"input {j} spacing {f.spacing:.3e} coarser than 1/M")
+    _require_midpoint(spec)
     audit_rng = np.random.default_rng(seed)
     for fam in maps:
         fam.validate(cube.center, cube.side, audit_rng)
     d = cube.d
     m = len(maps)
     p = 1.0 / (m - 1)
-    scheme = ProjectionScheme(d, [d - fam.d_out for fam in maps])
-    sigma = sigma_map(scheme)
-    frame = build_frame(maps, cube.center, scheme)
-    sequences = [
-        pigeonhole_sequences(inputs[int(sigma[i])], cube, i, frame, sigma, params, maps[int(sigma[i])])
-        for i in range(d)
-    ]
-    pigeonhole_ok = all(seq.certificates_hold() for seq in sequences)
-    deco = decompose_cube(cube, frame, sigma, sequences, params)
+    deco = decompose(maps, cube, inputs, params)
+    scheme = deco.frame.scheme
+    pigeonhole_ok = deco.certificates_hold()
 
     masses = [integrate(f) for f in inputs]
     integrand = _composite_integrand(maps, inputs, p)
 
-    half = delta / 2.0
-    lo = cube.center - half
-    hi = cube.center + half
-    lhs = _midpoint_integral(integrand, lo, hi, spec.resolution, d)
-
-    def main_integrand(points: np.ndarray) -> np.ndarray:
+    def cube_and_main(points: np.ndarray) -> np.ndarray:
         vals = integrand(points)
         _, chi, valid, _ = deco.locate_points(points)
-        mask = valid & np.all(chi == 0, axis=1)
-        return vals * mask
+        return np.stack([vals, vals * (valid & np.all(chi == 0, axis=1))])
 
-    main_lhs = _midpoint_integral(main_integrand, lo, hi, spec.resolution, d)
+    half = delta / 2.0
+    lhs, main_lhs = _midpoint_integral(
+        cube_and_main, cube.center - half, cube.center + half, spec.resolution, d
+    )
 
     # chi = 0 tube masses, one array per map over the transverse main indices;
     # each axis slab must be expressed in the acting map's own image space
     fWs = [image_window(fam, cube, f) for fam, f in zip(maps, inputs)]
-    drifts = [
-        4.0 * d * fam.holder_constant_effective() * delta ** (1.0 + fam.beta) for fam in maps
-    ]
     tube_arrays = []
     for j, fam in enumerate(maps):
         transverse = scheme.complement(j)
-        funcs = {
-            i: axis_image_functional(fam, frame, i, j, cube.center) for i in transverse
-        }
+        funcs = [axis_image_functional(fam, deco.frame, i, j, cube.center) for i in transverse]
+        drift = fam.drift_allowance(delta)
+        fW = fWs[j]
         shape = tuple(deco.main_count(i) for i in transverse)
         F = np.zeros(shape)
         for ell in np.ndindex(shape):
             intervals = [deco.interval_bounds(i, ell[pos], 0) for pos, i in enumerate(transverse)]
-            F[ell] = _tube_mass_exact(
-                fWs[j], [funcs[i] for i in transverse], intervals, drifts[j]
-            )
+            halfplanes = _tube_halfplanes(funcs, intervals, drift)
+            F[ell] = grid_polygon_mass(fW.values, fW.origin, fW.spacing, halfplanes)
         tube_arrays.append(F)
     # main sum through the discrete inequality on the tube masses
     zero = np.zeros(d, dtype=np.int64)
@@ -901,7 +871,7 @@ def verify_induction_step(
     # each pattern's total depends only on its lowest set axis i_star, so
     # sweep the buffer slabs once per axis
     axis_totals = []
-    for seq in sequences:
+    for seq in deco.sequences:
         fW = fWs[seq.map_index]
         func = seq.functional
         total = 0.0
@@ -914,7 +884,7 @@ def verify_induction_step(
     for code in range(1, 2**d):
         chi = np.array([(code >> i) & 1 for i in range(d)], dtype=np.int8)
         i_star = int(np.argmax(chi == 1))
-        j = int(sigma[i_star])
+        j = int(deco.sigma[i_star])
         total = axis_totals[i_star]
         bound = gain * masses[j]
         ok = total <= bound * (1 + 1e-9) + 1e-300
@@ -930,11 +900,11 @@ def verify_induction_step(
     factor_bound = 1.0 + 10.0**d * delta ** params.gain_exponent()
     return InductionStepReport(
         delta=delta,
-        lhs=lhs,
+        lhs=float(lhs),
         main_sum=main_sum,
         finner_rhs=finner_rhs,
         input_rhs=input_rhs,
-        main_fraction=(main_lhs / lhs if lhs > 0 else 1.0),
+        main_fraction=float(main_lhs / lhs if lhs > 0 else 1.0),
         buffer_totals=buffer_totals,
         buffer_bounds_ok=bool(buffer_ok),
         certified_factor=float(certified_factor),
@@ -969,6 +939,7 @@ def verify_nonlinear_bl(
     The bound overflows double precision for realistic parameters, so
     the comparison is carried out in logarithms.
     """
+    _require_midpoint(spec)
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
     m = len(maps)
@@ -983,7 +954,6 @@ def verify_nonlinear_bl(
     masses = [integrate(f) for f in inputs]
     if any(mass <= 0 for mass in masses):
         raise ScaleError("all input masses must be positive")
-    cube = Cube(x0, params.delta0)
     integrand = _composite_integrand(maps, inputs, p)
 
     half = params.delta0 / 2.0

@@ -22,7 +22,7 @@ from blt.datum import (
     tensor_lift,
     transform_datum,
 )
-from blt.geometry import grid_slab_mass
+from blt.geometry import grid_polygon_mass
 from blt.ift import ScalarField, eta_gradient, ift_radii, solve_eta
 from blt.inputs import GridFunction
 from blt.polynomials import Polynomial
@@ -33,11 +33,8 @@ from blt.quadrature import (
     discrete_finner,
 )
 from blt.scales import (
-    build_frame,
-    decompose_cube,
+    decompose,
     phi_factorization,
-    pigeonhole_sequences,
-    sigma_map,
     verify_disjointness,
     verify_nonlinear_bl,
 )
@@ -164,15 +161,11 @@ def test_criterion_06_decomposition_certificates():
     start = time.perf_counter()
     maps, params, cube, inputs = flagship_scale_setup(seed=1006)
     scheme = ProjectionScheme(3, [1, 1, 1])
-    sigma = sigma_map(scheme)
-    frame = build_frame(maps, cube.center, scheme)
-    sequences = [
-        pigeonhole_sequences(inputs[int(sigma[i])], cube, i, frame, sigma, params,
-                             maps[int(sigma[i])])
-        for i in range(3)
-    ]
+    deco = decompose(maps, cube, inputs, params)
+    sequences = deco.sequences
     pigeon_ok = all(seq.certificates_hold() for seq in sequences)
-    # independent recheck of the recorded masses by the subdivision measure
+    # independent recheck of the recorded closed-form slab masses by
+    # clipping every cell against the slab's two halfplanes
     recheck_ok = True
     for seq in sequences:
         d_a1 = cube.side**params.alpha1
@@ -183,8 +176,8 @@ def test_criterion_06_decomposition_certificates():
         func = seq.functional
         for step in seq.steps[:: max(1, len(seq.steps) // 6)]:
             im_lo, im_hi = func.image_interval(step.s_next, step.s_next + d_a1)
-            indep = grid_slab_mass(
-                fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi, subdivision=5
+            indep = grid_polygon_mass(
+                fW.values, fW.origin, fW.spacing, [(func.w, im_hi), (-func.w, -im_lo)]
             )
             recheck_ok &= abs(indep - step.selected_mass) <= 1e-9 * max(
                 1e-300, step.window_mass
@@ -192,7 +185,6 @@ def test_criterion_06_decomposition_certificates():
             recheck_ok &= step.selected_mass <= 4.0 * cube.side ** (
                 params.alpha1 - params.alpha0
             ) * step.window_mass + 1e-12 * (step.window_mass + 1e-300)
-    deco = decompose_cube(cube, frame, sigma, sequences, params)
     rng = np.random.default_rng(1066)
     pts = cube.sample(rng, 10000)
     n, chi, valid, dist = deco.locate_points(pts)

@@ -143,6 +143,40 @@ class TestBasicCommands:
         report = run(tmp_path, "di", ["delta-integral", "--input", str(path), "--resolution", "8"])
         assert report["result"]["value"] == pytest.approx((4e-4) ** 2, rel=1e-12)
 
+    def mc_delta_integral_file(self, tmp_path):
+        # n = 4 resolves to Monte Carlo
+        path = tmp_path / "di4.json"
+        payload = {
+            "field": {
+                "n": 4,
+                "terms": [{"powers": [0, 0, 0, 0, 1], "c": 1.0}],
+                "beta": 1.0,
+                "kappa": 1.0,
+            },
+            "window": {"lo": [-2e-4] * 4, "hi": [2e-4] * 4},
+            "integrand": {"lo": [-1e-4] * 5, "hi": [1e-4] * 5},
+        }
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_unseeded_monte_carlo_is_usage_error(self, tmp_path, capsys):
+        path = self.mc_delta_integral_file(tmp_path)
+        out = tmp_path / "o.json"
+        code = main(["delta-integral", "--input", path, "--samples", "1000", "--output", str(out)])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeded_monte_carlo_is_reproducible(self, tmp_path):
+        path = self.mc_delta_integral_file(tmp_path)
+        out = tmp_path / "o.json"
+        argv = ["delta-integral", "--input", path, "--samples", "1000", "--seed", "4",
+                "--output", str(out)]
+        assert main(argv) == 0
+        first = out.read_bytes()
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+
     def test_extension(self, tmp_path):
         path = tmp_path / "ext.json"
         payload = {
@@ -387,6 +421,25 @@ class TestScalesCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
+
+    def test_decompose_needs_no_seed(self, tmp_path):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(self.scales_payload()))
+        argv = ["decompose", "--input", str(path), "--max-cells", "8"]
+        unseeded = run(tmp_path, "dec0", argv)
+        seeded = run(tmp_path, "dec1", argv + ["--seed", "1"])
+        assert unseeded["result"] == seeded["result"]
+
+    @pytest.mark.parametrize("command", ["verify-step", "verify-nonlinear"])
+    def test_scale_verifiers_refuse_monte_carlo(self, tmp_path, capsys, command):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(self.scales_payload()))
+        out = tmp_path / "o.json"
+        code = main([command, "--input", str(path), "--seed", "1", "--mode", "monte-carlo",
+                     "--samples", "10", "--output", str(out)])
+        assert code == 1
+        assert "midpoint" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_step_certifies(self, tmp_path):
         path = tmp_path / "scales.json"

@@ -79,6 +79,55 @@ class TestGridSlabMass:
         assert mid + rest == pytest.approx(full, rel=1e-12)
 
 
+def slab_halfplanes(w, lo, hi):
+    return [(w, hi), (-w, -lo)]
+
+
+class TestOneMassRoutine:
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_exact_ranks_match_slab_mass(self, rank):
+        rng = np.random.default_rng(6 + rank)
+        values = rng.uniform(0, 1, (5,) * rank)
+        origin = np.full(rank, -0.3)
+        for w in (rng.standard_normal(rank), -rng.standard_normal(rank)):
+            for lo, hi in ((-1.0, 0.45), (0.1, 0.12), (-5.0, 5.0), (3.0, 4.0)):
+                slab = grid_slab_mass(values, origin, 0.5, w, lo, hi)
+                poly = grid_polygon_mass(values, origin, 0.5, slab_halfplanes(w, lo, hi))
+                assert poly == pytest.approx(slab, rel=1e-12, abs=1e-300)
+
+    def test_rank1_interval_overlap(self):
+        values = np.array([2.0, 4.0])
+        halfplanes = [(np.array([2.0]), 3.0), (np.array([-1.0]), -0.5)]  # 0.5 <= y <= 1.5
+        mass = grid_polygon_mass(values, np.zeros(1), 1.0, halfplanes)
+        assert mass == pytest.approx(2.0 * 0.5 + 4.0 * 0.5, rel=1e-15)
+        assert grid_polygon_mass(values, np.zeros(1), 1.0, [(np.array([0.0]), -1.0)]) == 0.0
+
+    def test_rank3_slab_is_the_same_measure(self):
+        rng = np.random.default_rng(8)
+        values = rng.uniform(0, 1, (3, 4, 3))
+        w = np.array([1.0, 0.5, -0.25])
+        for lo, hi in ((-10.0, 10.0), (-0.3, 1.1), (0.2, 0.9)):
+            slab = grid_slab_mass(values, np.zeros(3), 1.0, w, lo, hi)
+            poly = grid_polygon_mass(values, np.zeros(3), 1.0, slab_halfplanes(w, lo, hi))
+            assert poly == slab
+        assert grid_polygon_mass(values, np.zeros(3), 1.0, slab_halfplanes(w, -10.0, 10.0)) == (
+            pytest.approx(values.sum(), rel=1e-12)
+        )
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_additive_across_a_split(self, rank):
+        rng = np.random.default_rng(9 + rank)
+        values = rng.uniform(0, 1, (4,) * rank)
+        origin = np.full(rank, -0.1)
+        region = [(rng.standard_normal(rank), 1.3), (rng.standard_normal(rank), 0.9)]
+        cut = rng.standard_normal(rank)
+        whole = grid_polygon_mass(values, origin, 0.5, region)
+        below = grid_polygon_mass(values, origin, 0.5, region + [(cut, 0.17)])
+        above = grid_polygon_mass(values, origin, 0.5, region + [(-cut, -0.17)])
+        assert whole > 0
+        assert below + above == pytest.approx(whole, rel=1e-12)
+
+
 class TestPolygonMass:
     def test_clip_square_to_triangle(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

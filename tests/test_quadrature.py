@@ -97,6 +97,10 @@ class TestBlRatio:
         b = bl_ratio(lw_datum, inputs, region, spec)
         assert a == b  # bitwise
 
+    def test_monte_carlo_needs_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            QuadratureSpec("monte-carlo", samples=100)
+
     def test_grid_refinement_within_error_estimate(self, lw_datum):
         # fixed smooth data sampled on successively finer grids
         def sampled_grid(spacing):

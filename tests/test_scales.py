@@ -7,7 +7,7 @@ import pytest
 
 from blt.datum import ProjectionScheme
 from blt.inputs import GridFunction, integrate
-from blt.nonlinear import linear_family
+from blt.nonlinear import linear_family, perturbed_projection
 from blt.quadrature import QuadratureSpec
 from blt.scales import (
     Cube,
@@ -16,7 +16,7 @@ from blt.scales import (
     build_frame,
     canonicalize_nonlinear,
     compute_delta0,
-    decompose_cube,
+    decompose,
     phi_factorization,
     pigeonhole_sequences,
     sigma_map,
@@ -26,6 +26,7 @@ from blt.scales import (
 )
 from tests.conftest import (
     flagship_scale_setup,
+    l1m_grid_for_map,
     loomis_whitney_maps,
     perturbed_lw_maps,
 )
@@ -229,15 +230,8 @@ class TestDecomposition:
         maps = maps or linear_lw_families()
         params = params or gentle_params()
         cube = Cube(np.zeros(3), params.delta0)
-        scheme = ProjectionScheme(3, [1, 1, 1])
-        frame = build_frame(maps, cube.center, scheme)
-        sigma = sigma_map(scheme)
         inputs = uniform_inputs_for(maps, cube, input_value)
-        seqs = [
-            pigeonhole_sequences(inputs[int(sigma[i])], cube, i, frame, sigma, params, maps[int(sigma[i])])
-            for i in range(3)
-        ]
-        return decompose_cube(cube, frame, sigma, seqs, params), inputs
+        return decompose(maps, cube, inputs, params), inputs
 
     def test_linear_cells_are_axis_boxes(self):
         deco, _ = self.build()
@@ -331,15 +325,8 @@ class TestDisjointness:
         params = gentle_params()
         maps = linear_lw_families()
         cube = Cube(np.zeros(3), params.delta0)
-        scheme = ProjectionScheme(3, [1, 1, 1])
-        frame = build_frame(maps, cube.center, scheme)
-        sigma = sigma_map(scheme)
         inputs = uniform_inputs_for(maps, cube)
-        seqs = [
-            pigeonhole_sequences(inputs[int(sigma[i])], cube, i, frame, sigma, params, maps[int(sigma[i])])
-            for i in range(3)
-        ]
-        deco = decompose_cube(cube, frame, sigma, seqs, params)
+        deco = decompose(maps, cube, inputs, params)
         report = verify_disjointness(maps[0], deco, 0, np.zeros(3, dtype=int), 3000, seed=5)
         assert report.violations == 0
         assert report.allowance_term == 0.0
@@ -347,14 +334,7 @@ class TestDisjointness:
 
     def test_perturbed_buffer_pattern(self):
         maps, params, cube, inputs = flagship_scale_setup()
-        scheme = ProjectionScheme(3, [1, 1, 1])
-        frame = build_frame(maps, cube.center, scheme)
-        sigma = sigma_map(scheme)
-        seqs = [
-            pigeonhole_sequences(inputs[int(sigma[i])], cube, i, frame, sigma, params, maps[int(sigma[i])])
-            for i in range(3)
-        ]
-        deco = decompose_cube(cube, frame, sigma, seqs, params)
+        deco = decompose(maps, cube, inputs, params)
         report = verify_disjointness(maps[1], deco, 1, np.array([0, 1, 0]), 3000, seed=6)
         assert report.violations == 0
         assert report.min_margin > 0
@@ -362,14 +342,7 @@ class TestDisjointness:
     def test_inflated_kappa_reports_negative_margin(self):
         # constraint (b) deliberately broken: the report flags, not raises
         maps, params, cube, inputs = flagship_scale_setup()
-        scheme = ProjectionScheme(3, [1, 1, 1])
-        frame = build_frame(maps, cube.center, scheme)
-        sigma = sigma_map(scheme)
-        seqs = [
-            pigeonhole_sequences(inputs[int(sigma[i])], cube, i, frame, sigma, params, maps[int(sigma[i])])
-            for i in range(3)
-        ]
-        deco = decompose_cube(cube, frame, sigma, seqs, params)
+        deco = decompose(maps, cube, inputs, params)
         from blt.nonlinear import NonlinearMapFamily
 
         inflated = NonlinearMapFamily(
@@ -449,6 +422,51 @@ class TestInductionStep:
         assert report.finner_rhs <= report.input_rhs * (1 + 1e-9)
 
 
+    def test_rank_one_tubes_d2(self):
+        # two perturbed rank-1 projections: every tube and slab mass takes
+        # the exact interval-overlap route; the reference numbers were
+        # computed by the earlier per-rank tube-mass code
+        maps = [
+            perturbed_projection(np.array([[0.0, 1.0]]), [{(2, 0): 0.3}], 1.0, 1.0),
+            perturbed_projection(np.array([[1.0, 0.0]]), [{(0, 2): 0.3}], 1.0, 1.0),
+        ]
+        params = compute_delta0(1.0, 1.0, 1.25, 1.5, 2, 2)
+        cube = Cube(np.zeros(2), params.delta0)
+        rng = np.random.default_rng(2)
+        inputs = [l1m_grid_for_map(fam, cube, rng) for fam in maps]
+        params.M = 1.0 / max(f.spacing for f in inputs)
+        spec = QuadratureSpec("tensor-midpoint", resolution=32)
+        report = verify_induction_step(maps, cube, inputs, params, spec, seed=3)
+        assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
+        expected = {
+            "lhs": 1.0325113999775738e-08,
+            "main_sum": 1.1120511814416179e-08,
+            "finner_rhs": 1.1120511814416179e-08,
+            "input_rhs": 2.5679993838713982e-08,
+            "main_fraction": 0.8435601032170764,
+            "certified_factor": 1.293690938816278,
+        }
+        for key, value in expected.items():
+            assert getattr(report, key) == pytest.approx(value, rel=1e-12), key
+        assert report.tube_norms[0] == pytest.approx(0.00010420285443488479, rel=1e-12)
+        assert report.tube_norms[1] == pytest.approx(0.00010671983867164852, rel=1e-12)
+        totals = {chi: info["total"] for chi, info in report.buffer_totals.items()}
+        assert totals[(1, 0)] == pytest.approx(1.6219488544595507e-05, rel=1e-12)
+        assert totals[(0, 1)] == pytest.approx(1.466018852960327e-05, rel=1e-12)
+        assert totals[(1, 1)] == totals[(1, 0)]
+
+    def test_rejects_monte_carlo(self):
+        maps = linear_lw_families()
+        params = gentle_params()
+        cube = Cube(np.zeros(3), params.delta0)
+        inputs = uniform_inputs_for(maps, cube)
+        spec = QuadratureSpec("monte-carlo", samples=10, seed=1)
+        with pytest.raises(ValueError, match="midpoint"):
+            verify_induction_step(maps, cube, inputs, params, spec)
+        with pytest.raises(ValueError, match="midpoint"):
+            verify_nonlinear_bl(maps, np.zeros(3), inputs, params, spec)
+
+
 class TestNonlinearBL:
     def test_linear_ratio_below_one(self):
         maps = linear_lw_families()
@@ -486,26 +504,19 @@ class TestSlabContainment:
     def test_triple_slab_contains_buffer_image(self):
         # sampled points of a buffer pull-back map into the concentric triple
         maps, params, cube, inputs = flagship_scale_setup(seed=4)
-        scheme = ProjectionScheme(3, [1, 1, 1])
-        frame = build_frame(maps, cube.center, scheme)
-        sigma = sigma_map(scheme)
-        seqs = [
-            pigeonhole_sequences(inputs[int(sigma[i])], cube, i, frame, sigma, params, maps[int(sigma[i])])
-            for i in range(3)
-        ]
-        deco = decompose_cube(cube, frame, sigma, seqs, params)
+        deco = decompose(maps, cube, inputs, params)
         rng = np.random.default_rng(13)
         i = 0
         chi = np.array([1, 0, 0], dtype=np.int8)
         pts, labels = deco.sample_cells(rng, chi, 2000)
-        fam = maps[int(sigma[i])]
-        func = seqs[i].functional
+        fam = maps[int(deco.sigma[i])]
+        func = deco.sequences[i].functional
         d_a1 = cube.side**params.alpha1
         values = fam.value(pts)
         s_img = (values @ func.w - func.offset) / func.c
         for n in np.unique(labels[:, i]):
             sel = labels[:, i] == n
-            lo, hi = seqs[i].s[n], seqs[i].s[n] + d_a1
+            lo, hi = deco.sequences[i].s[n], deco.sequences[i].s[n] + d_a1
             assert np.all(s_img[sel] >= lo - 1e-18)
             assert np.all(s_img[sel] <= hi + 1e-18)
 
@@ -540,14 +551,7 @@ def test_canonicalize_then_decompose_end_to_end():
     report = verify_induction_step(canon, cube, inputs, params, spec, seed=9)
     assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
     assert report.certified_factor <= report.factor_bound
-    scheme = ProjectionScheme(3, [1, 1, 1])
-    frame = build_frame(canon, cube.center, scheme)
-    sigma = sigma_map(scheme)
-    seqs = [
-        pigeonhole_sequences(inputs[int(sigma[i])], cube, i, frame, sigma, params, canon[int(sigma[i])])
-        for i in range(3)
-    ]
-    deco = decompose_cube(cube, frame, sigma, seqs, params)
+    deco = decompose(canon, cube, inputs, params)
     for j in range(3):
         drep = verify_disjointness(canon[j], deco, j, np.zeros(3, dtype=int), 5000, seed=j)
         assert drep.violations == 0
