@@ -166,28 +166,30 @@ def _quad_spec(args, d: int | None = None) -> quadrature.QuadratureSpec:
 
 
 def _resolved_config(args) -> dict:
-    keys = ("input", "output", "seed", "samples", "resolution", "tol", "mode")
-    config = {k: getattr(args, k, None) for k in keys}
-    for extra in ("budget", "beta", "kappa", "alpha0", "alpha1", "d", "m",
-                  "freq_halfwidth", "max_cells", "x"):
-        if hasattr(args, extra):
-            config[extra] = getattr(args, extra)
-    return _jsonable(config)
+    keys = ("input", "output", "seed", "samples", "resolution", "tol", "mode", "budget",
+            "beta", "kappa", "alpha0", "alpha1", "d", "m", "freq_halfwidth", "max_cells", "x")
+    return _jsonable({k: getattr(args, k) for k in keys if hasattr(args, k)})
 
 
 def build_parser() -> Parser:
     parser = Parser(prog="blt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: Parser, needs_input: bool = True) -> None:
+    def common(p: Parser, needs_input: bool = True, quad: bool = False, tol: bool = False) -> None:
+        """Options every command takes, plus the quadrature options for
+        commands that integrate (quad) and --tol for those that read it."""
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", default=None, help="report path (stdout if omitted)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=1_000_000)
-        p.add_argument("--resolution", type=int, default=64)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--mode", choices=["tensor-midpoint", "monte-carlo"], default=None)
+        if quad:
+            p.add_argument("--mode", choices=["tensor-midpoint", "monte-carlo"], default=None)
+            p.add_argument("--samples", type=int, default=1_000_000,
+                           help="Monte Carlo sample count")
+            p.add_argument("--resolution", type=int, default=64,
+                           help="midpoint-rule points per axis")
+        if tol:
+            p.add_argument("--tol", type=float, default=None)
 
     common(sub.add_parser("bl-constant"))
     common(sub.add_parser("check-class-c"))
@@ -195,9 +197,9 @@ def build_parser() -> Parser:
     p = sub.add_parser("gaussian-search")
     common(p)
     p.add_argument("--budget", type=int, default=2000)
-    common(sub.add_parser("finner-discrete"))
-    common(sub.add_parser("extremizer"))
-    common(sub.add_parser("ball-check"))
+    common(sub.add_parser("finner-discrete"), tol=True)
+    common(sub.add_parser("extremizer"), tol=True)
+    common(sub.add_parser("ball-check"), quad=True, tol=True)
     p = sub.add_parser("delta0")
     common(p, needs_input=False)
     p.add_argument("--beta", type=float, required=True)
@@ -209,16 +211,19 @@ def build_parser() -> Parser:
     p = sub.add_parser("decompose")
     common(p)
     p.add_argument("--max-cells", type=int, default=512)
-    common(sub.add_parser("verify-step"))
-    common(sub.add_parser("verify-nonlinear"))
+    common(sub.add_parser("verify-step"), quad=True)
+    common(sub.add_parser("verify-nonlinear"), quad=True)
     p = sub.add_parser("ift-solve")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--x", type=str, default=None, help="JSON list overriding the input point")
-    common(sub.add_parser("delta-integral"))
-    common(sub.add_parser("convolve-surfaces"))
-    common(sub.add_parser("extension"))
-    p = sub.add_parser("verify-thm74")
+    common(sub.add_parser("delta-integral"), quad=True)
+    common(sub.add_parser("convolve-surfaces"), quad=True)
+    p = sub.add_parser("extension")
     common(p)
+    p.add_argument("--resolution", type=int, default=64,
+                   help="per-axis budget (max_resolution): refuse when the rule needs more points")
+    p = sub.add_parser("verify-thm74")
+    common(p, quad=True)
     p.add_argument("--freq-halfwidth", type=float, default=40.0)
     return parser
 

@@ -32,6 +32,10 @@ from .polynomials import Polynomial
 from .quadrature import QuadratureSpec
 
 
+# Largest intermediate, in complex entries, of one extension_on_grid chunk.
+_CHUNK_ENTRIES = 4_000_000
+
+
 class TransversalityError(ValueError):
     """Surface normals fail the required transversality bound."""
 
@@ -588,7 +592,7 @@ def extension_operator(
         raise ResolutionBudgetError(
             f"requested {res} points per axis, budget {max_resolution}"
         )
-    return complex(extension_on_grid(surface, g, xi[None, :], res)[0])
+    return complex(extension_on_grid(surface, g, xi[None, :], res).item())
 
 
 def _required_resolution(surface: Hypersurface, xi_max: float, min_resolution: int) -> int:
@@ -604,26 +608,51 @@ def _required_resolution(surface: Hypersurface, xi_max: float, min_resolution: i
 def extension_on_grid(
     surface: Hypersurface,
     g: GridFunction | None,
-    Xi: np.ndarray,
+    nodes: np.ndarray,
     u_resolution: int,
 ) -> np.ndarray:
-    """Vectorised extension values over a frequency array Xi (N, k+1)."""
+    """Midpoint-rule extension values over a tensor grid of frequencies.
+
+    Column a of ``nodes`` (n, k+1) holds the frequency nodes of ambient
+    axis a; the result holds E g(xi) at every xi of their product grid,
+    shape (n,)*(k+1) in ``meshgrid(..., indexing="ij")`` order.  The
+    parameter box carries u_resolution midpoints per axis.
+
+    The phase <xi, (x, phi(x))> is linear in each base coordinate, so
+    it splits into exp(i xi_last phi(x)) times one factor exp(i xi_a x_a)
+    per base axis.  Per last-axis node the weighted phi factor is
+    formed once and each base axis is contracted with its factor matrix:
+    n u^k phase factors plus k tensor contractions, where a dense
+    frequency-by-parameter sum would form n^{k+1} u^k.  Last-axis nodes
+    go in chunks so no intermediate exceeds _CHUNK_ENTRIES complex
+    entries.
+    """
     k = surface.base_dim
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] != k + 1:
+        raise ValueError(f"nodes must be an (n, {k + 1}) array, one column per ambient axis")
+    n = nodes.shape[0]
+    u = u_resolution
     axes = [
-        surface.lo[a] + (surface.hi[a] - surface.lo[a]) * (np.arange(u_resolution) + 0.5) / u_resolution
+        surface.lo[a] + (surface.hi[a] - surface.lo[a]) * (np.arange(u) + 0.5) / u
         for a in range(k)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    cell = float(np.prod((surface.hi - surface.lo) / u_resolution))
-    graph = surface.graph(pts)
+    cell = float(np.prod((surface.hi - surface.lo) / u))
     weights = (g.evaluate(pts) if g is not None else np.ones(pts.shape[0])) * cell
-    out = np.empty(Xi.shape[0], dtype=complex)
-    chunk = max(1, int(4_000_000 // max(graph.shape[0], 1)))
-    for start in range(0, Xi.shape[0], chunk):
-        block = Xi[start : start + chunk]
-        phases = block @ graph.T
-        out[start : start + chunk] = (np.exp(1j * phases) * weights).sum(axis=1)
+    phi = surface.phi.evaluate(pts)
+    factors = [np.exp(1j * np.outer(nodes[:, a], axes[a])) for a in range(k)]
+    out = np.empty((n,) * (k + 1), dtype=complex)
+    chunk = max(1, _CHUNK_ENTRIES // max(n, u) ** k)
+    for start in range(0, n, chunk):
+        last = nodes[start : start + chunk, k]
+        block = (np.exp(1j * np.outer(last, phi)) * weights).reshape((last.size,) + (u,) * k)
+        # axis 1 is the next base axis: (c, u_a, ..., u_{k-1}, n_0, ..., n_{a-1})
+        # becomes (c, u_{a+1}, ..., u_{k-1}, n_0, ..., n_a)
+        for factor in factors:
+            block = np.tensordot(block, factor, axes=([1], [1]))
+        out[..., start : start + chunk] = np.moveaxis(block, 0, -1)
     return out
 
 
@@ -684,17 +713,16 @@ def verify_thm74(
         sf.surface.audit_regularity(seed=0)
     R = float(frequency_halfwidth)
     axes = [(-R + 2 * R * (np.arange(resolution) + 0.5) / resolution) for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Xi = np.stack([m.ravel() for m in mesh], axis=1)
+    nodes = np.stack(axes, axis=1)
     cell = (2.0 * R / resolution) ** d
     xi_max = R
     u_res = resolution
     for sf in surface_functions:
         need = _required_resolution(sf.surface, xi_max * math.sqrt(d), 16)
         u_res = max(u_res, need)
-    prod = np.ones(Xi.shape[0], dtype=complex)
+    prod = np.ones((resolution,) * d, dtype=complex)
     for sf in surface_functions:
-        prod *= extension_on_grid(sf.surface, sf.values, Xi, u_res)
+        prod *= extension_on_grid(sf.surface, sf.values, nodes, u_res)
     lhs_sq = float((np.abs(prod) ** 2).sum() * cell)
     lhs = math.sqrt(lhs_sq)
 

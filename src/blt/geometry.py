@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 # Midpoint subdivisions per cell axis in the rank >= 3 grid-mass measure.
 SUBDIVISION = 4
@@ -223,7 +223,12 @@ def _subdivision_mass(origins, vals, h: float, halfplanes) -> float:
 
 
 def chebyshev_center(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Interior point of {x : A x <= b} via the Chebyshev-center LP."""
+    """Interior point of {x : A x <= b} via the Chebyshev-center LP.
+
+    None when the LP certifies the set empty (infeasible) or flat (no
+    ball of positive radius fits); ValueError on any other LP failure,
+    such as a set holding arbitrarily large balls.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     norms = np.linalg.norm(A, axis=1)
@@ -232,22 +237,39 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     c[-1] = -1.0
     A_ub = np.hstack([A, norms[:, None]])
     res = linprog(c, A_ub=A_ub, b_ub=b, bounds=[(None, None)] * n + [(0, None)], method="highs")
-    if not res.success or res.x[-1] <= 0:
+    if res.status == 2 or (res.success and res.x[-1] <= 0):
         return None
+    if not res.success:
+        raise ValueError(f"Chebyshev-center LP failed: {res.message}")
     return res.x[:n]
 
 
 def polytope_volume(A: np.ndarray, b: np.ndarray) -> float:
-    """Volume of the bounded polytope {x : A x <= b}; 0 if empty or flat."""
+    """Volume of the bounded polytope {x : A x <= b}; 0 only when the
+    Chebyshev-center LP certifies it empty or flat.
+
+    Exact interval length in one dimension, a Qhull halfspace
+    intersection above; a Qhull failure (an unbounded set, say) raises
+    ValueError rather than reading as zero volume.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     interior = chebyshev_center(A, b)
     if interior is None:
         return 0.0
-    halfspaces = np.hstack([A, -np.asarray(b, dtype=float)[:, None]])
+    if A.shape[1] == 1:
+        a = A[:, 0]
+        return float(np.min(b[a > 0] / a[a > 0]) - np.max(b[a < 0] / a[a < 0]))
+    halfspaces = np.hstack([A, -b[:, None]])
     try:
-        hs = HalfspaceIntersection(halfspaces, interior)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hs = HalfspaceIntersection(halfspaces, interior)
+        if not np.all(np.isfinite(hs.intersections)):
+            raise ValueError("halfspace intersection has vertices at infinity")
         hull = ConvexHull(hs.intersections)
-    except Exception:
-        return 0.0
+    except (QhullError, ValueError) as exc:
+        reason = str(exc).strip().splitlines()[0]
+        raise ValueError(f"polytope volume failed in Qhull: {reason}") from exc
     return float(hull.volume)
 
 

@@ -354,9 +354,45 @@ class TestDeterminism:
         assert main(argv) == 0
         assert out.read_bytes() == first
 
-    def test_reports_embed_config(self, tmp_path, lw_file):
-        report = run(tmp_path, "cfg", ["bl-constant", "--input", lw_file, "--tol", "0.5"])
+    def test_reports_embed_config(self, tmp_path):
+        path = tmp_path / "f.json"
+        payload = {"d": 3, "block_sizes": [1, 1, 1], "inputs": [[[1, 1], [1, 1]]] * 3}
+        path.write_text(json.dumps(payload))
+        report = run(tmp_path, "cfg", ["finner-discrete", "--input", str(path), "--tol", "0.5"])
         assert report["config"]["tol"] == 0.5
+
+    def test_config_records_only_options_the_command_takes(self, tmp_path, lw_file):
+        report = run(tmp_path, "cfg", ["bl-constant", "--input", lw_file])
+        assert set(report["config"]) == {"input", "output", "seed"}
+
+
+class TestUnreadOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bl-constant", "--mode", "monte-carlo"],
+            ["bl-constant", "--samples", "10"],
+            ["bl-constant", "--resolution", "3"],
+            ["bl-constant", "--tol", "0.5"],
+            ["decompose", "--resolution", "8"],
+            ["decompose", "--samples", "10"],
+            ["gaussian-search", "--tol", "0.1"],
+            ["extension", "--mode", "monte-carlo"],
+            ["verify-step", "--tol", "0.1"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_option_a_command_never_reads_is_usage_error(self, tmp_path, capsys, lw_file, argv):
+        out = tmp_path / "o.json"
+        code = main([argv[0], "--input", lw_file] + argv[1:] + ["--output", str(out)])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_extension_resolution_is_the_budget(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["extension", "--help"])
+        assert "max_resolution" in capsys.readouterr().out
 
 
 class TestScalesCommands:

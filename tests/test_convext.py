@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import qr
 
+from blt import convext
 from blt.convext import (
     Hypersurface,
     ResolutionBudgetError,
@@ -15,6 +16,7 @@ from blt.convext import (
     block_lift,
     build_corollary_maps,
     delta_integral,
+    extension_on_grid,
     extension_operator,
     surface_convolution,
     verify_thm74,
@@ -270,6 +272,68 @@ class TestExtensionOperator:
             extension_operator(surf, None, np.array([0.0, 1e7]), max_resolution=128)
 
 
+def dense_extension(surface, g, nodes, u):
+    """The dense frequency-by-parameter phase sum over the product grid
+    of the node columns, flattened in ij order."""
+    axes = [lo + (hi - lo) * (np.arange(u) + 0.5) / u for lo, hi in zip(surface.lo, surface.hi)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    graph = surface.graph(pts)
+    cell = float(np.prod((surface.hi - surface.lo) / u))
+    w = (g.evaluate(pts) if g is not None else np.ones(pts.shape[0])) * cell
+    Xi = np.stack([m.ravel() for m in np.meshgrid(*nodes.T, indexing="ij")], axis=1)
+    return (np.exp(1j * Xi @ graph.T) * w).sum(axis=1)
+
+
+class TestSeparableExtension:
+    def check(self, surface, g, nodes, u):
+        got = extension_on_grid(surface, g, nodes, u)
+        assert got.shape == (nodes.shape[0],) * nodes.shape[1]
+        want = dense_extension(surface, g, nodes, u)
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+        return got
+
+    def test_flat_d2_without_density(self):
+        rng = np.random.default_rng(21)
+        nodes = rng.uniform(-30.0, 30.0, (9, 2))
+        self.check(linear_surface([-1.0], [1.0], [1.0]), None, nodes, 120)
+
+    def test_curved_d2_with_density(self):
+        surf = Hypersurface([-0.5], [0.5], Polynomial(1, {(1,): -1.0, (2,): 0.5}), 1.0, 2.0)
+        rng = np.random.default_rng(22)
+        g = GridFunction(np.array([-0.5]), 0.25, rng.uniform(0.2, 1.0, 4))
+        nodes = rng.uniform(-40.0, 40.0, (11, 2))
+        self.check(surf, g, nodes, 96)
+
+    def test_d3_nonseparable_phi_on_unequal_box(self):
+        # the x1 x2 term couples the base axes inside the last-axis factor
+        phi = Polynomial(2, {(2, 0): 0.3, (1, 1): -0.7, (0, 1): 0.2, (0, 2): 0.1})
+        surf = Hypersurface([-0.5, 0.0], [0.5, 2.0], phi, 1.0, 2.0)
+        rng = np.random.default_rng(23)
+        g = GridFunction(np.array([-0.5, 0.0]), 0.5, rng.uniform(0.2, 1.0, (2, 4)))
+        nodes = np.column_stack([
+            np.linspace(-6.0, 6.0, 5), np.linspace(0.5, 9.0, 5), np.linspace(-12.0, -1.0, 5)
+        ])
+        got = self.check(surf, g, nodes, 14)
+        # ij order: entry (i, j, l) is the extension at (nodes[i,0], nodes[j,1], nodes[l,2])
+        xi = np.array([nodes[3, 0], nodes[1, 1], nodes[4, 2]])
+        single = extension_on_grid(surf, g, xi[None, :], 14)
+        assert single.shape == (1, 1, 1)
+        assert abs(got[3, 1, 4] - single.item()) <= 1e-13 * abs(single.item())
+
+    def test_last_axis_nodes_span_several_chunks(self, monkeypatch):
+        # three last-axis nodes per chunk: chunks of 3, 3 and 2 over 8 nodes
+        monkeypatch.setattr(convext, "_CHUNK_ENTRIES", 3 * 10**2)
+        phi = Polynomial(2, {(1, 1): 0.5, (0, 2): -0.3})
+        surf = Hypersurface([0.0, -1.0], [1.0, 0.5], phi, 1.0, 2.0)
+        rng = np.random.default_rng(24)
+        nodes = rng.uniform(-8.0, 8.0, (8, 3))
+        self.check(surf, None, nodes, 10)
+
+    def test_nodes_must_have_one_column_per_axis(self):
+        with pytest.raises(ValueError):
+            extension_on_grid(linear_surface([-1.0], [1.0], [1.0]), None, np.zeros((4, 3)), 8)
+
+
 class TestThm74:
     def segments(self):
         s0 = linear_surface([-1.0], [1.0], [1.0])
@@ -284,9 +348,20 @@ class TestThm74:
         rep512 = verify_thm74(self.segments(), 45.0, 512, spec)
         assert rep512.bridge_error < rep256.bridge_error
 
-    def test_zero_density_gives_zero(self):
-        from blt.inputs import GridFunction
+    def test_bridge_matches_recorded_dense_route(self):
+        # criterion 10's numbers from the dense frequency-by-parameter sum
+        spec = QuadratureSpec("tensor-midpoint", resolution=64)
+        recorded = {
+            256: (8.854094535712349, 8.88662850054308, 0.003661002013164324),
+            512: (8.853906868561026, 8.881859716459113, 0.0031471841247714114),
+        }
+        for res, (lhs, conv_route, bridge_error) in recorded.items():
+            rep = verify_thm74(self.segments(), 45.0, res, spec)
+            assert rep.lhs == pytest.approx(lhs, rel=1e-12)
+            assert rep.conv_route == pytest.approx(conv_route, rel=1e-12)
+            assert rep.bridge_error == pytest.approx(bridge_error, rel=1e-12)
 
+    def test_zero_density_gives_zero(self):
         sfuncs = self.segments()
         zero = GridFunction(np.array([-1.0]), 1.0, np.zeros(2))
         sfuncs[0] = SurfaceFunction(sfuncs[0].surface, zero)

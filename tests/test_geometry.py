@@ -163,6 +163,32 @@ class TestPolytopeVolume:
         b = np.array([-1.0, 0.0])  # x <= -1 and x >= 0
         assert polytope_volume(A, b) == 0.0
 
+    def test_flat(self):
+        A = np.vstack([np.eye(2), -np.eye(2)])
+        b = np.array([1.0, 0.0, 0.0, 0.0])  # 0 <= x <= 1, y = 0
+        assert polytope_volume(A, b) == 0.0
+
+    def test_interval_has_its_length(self):
+        A = np.array([[1.0], [-1.0]])
+        b = np.array([1.0, 0.0])  # 0 <= x <= 1
+        assert polytope_volume(A, b) == 1.0
+        A = np.array([[2.0], [-0.5], [0.0]])
+        b = np.array([3.0, 1.0, 1.0])  # -2 <= x <= 1.5, plus a void row
+        assert polytope_volume(A, b) == 3.5
+
+    @pytest.mark.parametrize(
+        "A, b, reason",
+        [
+            (np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 0.0]), "Qhull"),
+            (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0, 1.0]), "Qhull"),
+            (np.array([[1.0], [0.0]]), np.array([1.0, 1.0]), "LP"),
+        ],
+        ids=["strip", "half-strip", "half-line"],
+    )
+    def test_unbounded_raises_instead_of_zero(self, A, b, reason):
+        with pytest.raises(ValueError, match=reason):
+            polytope_volume(A, b)
+
 
 class TestBoundingBox:
     def test_loomis_whitney_box(self):
