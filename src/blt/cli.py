@@ -220,8 +220,9 @@ def build_parser() -> Parser:
     common(sub.add_parser("convolve-surfaces"), quad=True)
     p = sub.add_parser("extension")
     common(p)
-    p.add_argument("--resolution", type=int, default=64,
-                   help="per-axis budget (max_resolution): refuse when the rule needs more points")
+    p.add_argument("--resolution", type=int, default=None,
+                   help="per-axis budget (max_resolution): refuse when the rule needs more "
+                        "points; extension_operator's own budget when omitted")
     p = sub.add_parser("verify-thm74")
     common(p, quad=True)
     p.add_argument("--freq-halfwidth", type=float, default=40.0)
@@ -590,7 +591,8 @@ def cmd_extension(args):
     payload = _load_json(args.input)
     sf = _parse_surface(payload["surface"] if "surface" in payload else payload)
     xi = np.asarray(payload["xi"], dtype=float)
-    value = convext.extension_operator(sf.surface, sf.values, xi, max_resolution=args.resolution)
+    budget = {} if args.resolution is None else {"max_resolution": args.resolution}
+    value = convext.extension_operator(sf.surface, sf.values, xi, **budget)
     return {"real": value.real, "imag": value.imag}, EXIT_OK
 
 

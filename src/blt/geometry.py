@@ -1,12 +1,14 @@
 """Exact low-dimensional geometry primitives.
 
 Covers the measure of axis boxes against halfspaces and slabs (exact in
-1D/2D, midpoint-subdivision in higher rank), convex polygon clipping,
-and polytope volume via halfspace intersection.  These back the slab
-and tube masses of the scale decomposition and the exact-indicator path
-of the ratio quadrature.  Every grid mass, at every rank, goes through
-one dispatch (`_halfplane_mass`); `grid_slab_mass` adds only the rank-2
-closed form, which is much faster than clipping on slabs.
+1D/2D, midpoint-subdivision in higher rank) and polytope volume via
+halfspace intersection.  These back the slab and tube masses of the
+scale decomposition and the exact-indicator path of the ratio
+quadrature.  Every grid mass, at every rank, goes through one dispatch
+(`_halfplane_mass`); `grid_slab_mass` adds only the rank-2 closed form,
+which is much faster than clipping on slabs.  Both grid-mass routines
+measure many regions of one grid in one call: a region's mass does not
+depend on the other regions of its call.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 # Midpoint subdivisions per cell axis in the rank >= 3 grid-mass measure.
 SUBDIVISION = 4
+# Entries of any (region, cell) or clipped-vertex temporary of the batched
+# grid masses; larger batches are measured in blocks of regions and of
+# clipped (region, cell) pairs.
+BLOCK_ENTRIES = 2**16
 
 
 def box_halfspace_area_2d(
@@ -25,8 +31,9 @@ def box_halfspace_area_2d(
     """Area of cell_k intersected with {y : <y, w> <= c_k}, exactly.
 
     origins: (N, 2) lower corners of square cells of side h; c: (N,)
-    thresholds.  Vectorised piecewise-quadratic evaluation; axis-aligned
-    and degenerate normals are handled by explicit branches.
+    thresholds, or (T, 1) thresholds for a (T, N) table of areas.
+    Vectorised piecewise-quadratic evaluation; axis-aligned and
+    degenerate normals are handled by explicit branches.
     """
     origins = np.asarray(origins, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -66,160 +73,201 @@ def grid_slab_mass(
     origin: np.ndarray,
     h: float,
     w: np.ndarray,
-    lo: float,
-    hi: float,
-) -> float:
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
+) -> float | np.ndarray:
     """Integral of a grid function over the slab {lo <= <y, w> <= hi}.
 
-    Rank 2 uses the closed-form cell areas; every other rank measures the
-    slab as the two halfplanes <y, w> <= hi and <y, -w> <= -lo, exactly
-    as `grid_polygon_mass` does.
+    `lo` and `hi` are floats, or (T,) arrays for T slabs of one normal;
+    the result is a float, or the (T,) masses.  A slab with hi < lo has
+    mass 0.  Rank 2 uses the closed-form cell areas; every other rank
+    measures the slab as the two halfplanes <y, w> <= hi and
+    <y, -w> <= -lo, exactly as `grid_polygon_mass` does.
     """
-    if hi < lo:
-        return 0.0
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
     origins, vals = _positive_cells(values, origin, h)
-    if len(vals) == 0:
-        return 0.0
     w = np.asarray(w, dtype=float)
-    if origins.shape[1] != 2:
-        return _halfplane_mass(origins, vals, h, [(w, hi), (-w, -lo)])
-    area_hi = box_halfspace_area_2d(origins, h, w, np.full(len(vals), hi))
-    area_lo = box_halfspace_area_2d(origins, h, w, np.full(len(vals), lo))
-    return float(np.dot(vals, np.clip(area_hi - area_lo, 0.0, None)))
-
-
-def clip_polygon_halfplane(vertices: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon against {<y, n> <= c}."""
-    vertices = np.asarray(vertices, dtype=float)
-    if len(vertices) == 0:
-        return vertices
-    dist = vertices @ normal - offset
-    keep = dist <= 0.0
-    if np.all(keep):
-        return vertices
-    if not np.any(keep):
-        return vertices[:0]
-    out = []
-    n = len(vertices)
-    for i in range(n):
-        j = (i + 1) % n
-        vi, vj = vertices[i], vertices[j]
-        di, dj = dist[i], dist[j]
-        if di <= 0.0:
-            out.append(vi)
-        if (di <= 0.0) != (dj <= 0.0):
-            t = di / (di - dj)
-            out.append(vi + t * (vj - vi))
-    return np.asarray(out)
-
-
-def polygon_area(vertices: np.ndarray) -> float:
-    """Shoelace area of a (convex) polygon given in order."""
-    if len(vertices) < 3:
-        return 0.0
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    if origins.shape[1] == 2:
+        masses = np.zeros(lo.size)
+        for block in _blocks(lo.size, len(vals)):
+            area_hi = box_halfspace_area_2d(origins, h, w, hi[block, None])
+            area_lo = box_halfspace_area_2d(origins, h, w, lo[block, None])
+            masses[block] = _weighted_sums(np.clip(area_hi - area_lo, 0.0, None), vals)
+    else:
+        masses = _halfplane_mass(origins, vals, h, np.stack([w, -w]), np.stack([hi, -lo]))
+    masses[hi < lo] = 0.0
+    return float(masses[0]) if scalar else masses
 
 
 def grid_polygon_mass(
     values: np.ndarray,
     origin: np.ndarray,
     h: float,
-    halfplanes: list[tuple[np.ndarray, float]],
-) -> float:
+    halfplanes: list[tuple[np.ndarray, float | np.ndarray]],
+) -> float | np.ndarray:
     """Integral of a grid function over an intersection of halfspaces
     {<y, n> <= c}, one (n, c) per entry of `halfplanes`.
 
-    Exact at rank 1 (interval overlap) and rank 2 (every candidate cell
-    is clipped); rank >= 3 uses the midpoint-subdivision measure.
+    Each offset c is a float or a (T,) array; with any array offset the
+    call measures T regions that share the normals and returns their
+    (T,) masses, else it returns a float.  Exact at rank 1 (interval
+    overlap) and rank 2 (every candidate cell is clipped); rank >= 3
+    uses the midpoint-subdivision measure.
     """
+    k = np.ndim(values)
+    scalar = all(np.ndim(c) == 0 for _, c in halfplanes)
+    normals = np.array([n for n, _ in halfplanes], dtype=float).reshape(-1, k)
+    columns = [np.atleast_1d(np.asarray(c, dtype=float)) for _, c in halfplanes]
+    offsets = np.array(np.broadcast_arrays(*columns)) if columns else np.zeros((0, 1))
     origins, vals = _positive_cells(values, origin, h)
-    if len(vals) == 0:
-        return 0.0
-    return _halfplane_mass(origins, vals, h, halfplanes)
+    masses = _halfplane_mass(origins, vals, h, normals, offsets)
+    return float(masses[0]) if scalar else masses
 
 
 def _positive_cells(values: np.ndarray, origin: np.ndarray, h: float):
-    """Lower corners (N, k) and values (N,) of the cells with positive value."""
+    """Lower corners (N, k) and values (N,) of the cells with positive
+    value, in row-major cell order."""
     values = np.asarray(values, dtype=float)
-    k = values.ndim
-    idx = np.indices(values.shape).reshape(k, -1).T
-    vals = values.ravel()
-    mask = vals > 0
-    return np.asarray(origin, dtype=float) + h * idx[mask], vals[mask]
+    positive = values > 0
+    return np.asarray(origin, dtype=float) + h * np.argwhere(positive), values[positive]
 
 
-def _halfplane_mass(origins, vals, h: float, halfplanes) -> float:
-    """The one rank dispatch behind `grid_polygon_mass` and `grid_slab_mass`."""
+def _blocks(count: int, entries_per_item: int) -> list[slice]:
+    """Consecutive slices of range(count) holding at most BLOCK_ENTRIES
+    entries each (at least one item)."""
+    step = max(1, BLOCK_ENTRIES // max(1, entries_per_item))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _weighted_sums(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Row-wise dot products weights[t] . vals.  One dot per row, so a
+    region's mass is the same bits whatever other regions share its block
+    (a matrix-vector product sums in a batch-dependent order)."""
+    return np.array([np.dot(vals, row) for row in weights], dtype=float)
+
+
+def _halfplane_mass(origins, vals, h: float, normals, offsets) -> np.ndarray:
+    """The one rank dispatch behind `grid_polygon_mass` and `grid_slab_mass`:
+    (T,) masses of the regions {<y, normals[p]> <= offsets[p, t] for all p}."""
+    if len(vals) == 0:
+        return np.zeros(offsets.shape[1])
     k = origins.shape[1]
     if k == 1:
-        return _interval_mass(origins[:, 0], vals, h, halfplanes)
+        return _interval_mass(origins[:, 0], vals, h, normals[:, 0], offsets)
     if k == 2:
-        return _clip_mass(origins, vals, h, halfplanes)
-    return _subdivision_mass(origins, vals, h, halfplanes)
+        return _clip_mass(origins, vals, h, normals, offsets)
+    return _subdivision_mass(origins, vals, h, normals, offsets)
 
 
-def _clip_mass(origins, vals, h: float, halfplanes) -> float:
-    """Rank 2: every candidate cell is clipped against all halfplanes.
-    Candidates are pre-filtered with the corner values of each functional."""
-    # prefilter: a cell is out if some halfplane excludes all 4 corners,
-    # fully in for a plane if all corners satisfy it
-    corner_off = np.array([[0.0, 0.0], [h, 0.0], [0.0, h], [h, h]])
-    candidate = np.ones(len(vals), dtype=bool)
-    clip_needed = np.zeros(len(vals), dtype=bool)
-    for normal, offset in halfplanes:
-        proj = origins @ normal
-        corner_vals = proj[:, None] + corner_off @ normal
-        cmin = corner_vals.min(axis=1)
-        cmax = corner_vals.max(axis=1)
-        candidate &= cmin <= offset
-        clip_needed |= cmax > offset
-    total = 0.0
-    square = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
-    for i in np.nonzero(candidate)[0]:
-        if not clip_needed[i]:
-            total += vals[i] * h * h
-            continue
-        poly = square + origins[i]
-        for normal, offset in halfplanes:
-            poly = clip_polygon_halfplane(poly, np.asarray(normal, dtype=float), offset)
-            if len(poly) == 0:
-                break
-        else:
-            total += vals[i] * polygon_area(poly)
-    return float(total)
-
-
-def _interval_mass(lows: np.ndarray, vals: np.ndarray, h: float, halfplanes) -> float:
-    """Rank 1: exact overlap of the cells [a, a + h] with the interval
+def _interval_mass(lows, vals, h: float, normals, offsets) -> np.ndarray:
+    """Rank 1: exact overlap of the cells [a, a + h] with the intervals
     cut out by the halfplanes n y <= c."""
-    lo, hi = -np.inf, np.inf
-    for normal, offset in halfplanes:
-        n = float(np.asarray(normal, dtype=float)[0])
-        if n > 0.0:
-            hi = min(hi, offset / n)
-        elif n < 0.0:
-            lo = max(lo, offset / n)
-        elif offset < 0.0:
-            return 0.0
-    overlap = np.clip(np.minimum(lows + h, hi) - np.maximum(lows, lo), 0.0, None)
-    return float(np.dot(vals, overlap))
+    up, down = normals > 0.0, normals < 0.0
+    hi = np.min(offsets[up] / normals[up, None], axis=0, initial=np.inf)
+    lo = np.max(offsets[down] / normals[down, None], axis=0, initial=-np.inf)
+    void = np.any(offsets[normals == 0.0] < 0.0, axis=0)
+    masses = np.zeros(offsets.shape[1])
+    for block in _blocks(len(masses), len(vals)):
+        overlap = np.minimum(lows + h, hi[block, None]) - np.maximum(lows, lo[block, None])
+        masses[block] = _weighted_sums(np.clip(overlap, 0.0, None), vals)
+    masses[void] = 0.0
+    return masses
 
 
-def _subdivision_mass(origins, vals, h: float, halfplanes) -> float:
+def _clip_mass(origins, vals, h: float, normals, offsets) -> np.ndarray:
+    """Rank 2: every candidate (region, cell) pair is clipped.
+
+    A corner-projection prefilter drops the cells some halfplane excludes
+    whole and counts in full the cells every halfplane contains; the
+    remaining pairs are clipped in batches (`_clipped_square_areas`).
+    Per region, the cell masses are summed in row-major cell order.
+    """
+    corners = np.array([[0.0, 0.0], [h, 0.0], [0.0, h], [h, h]])
+    proj = np.array([origins @ n for n in normals]).reshape(len(normals), len(vals))
+    reach = corners @ normals.T  # (4, P)
+    cmin = proj + reach.min(axis=0)[:, None]
+    cmax = proj + reach.max(axis=0)[:, None]
+    full_mass = vals * h * h
+    clip_batch = max(1, BLOCK_ENTRIES // (8 * (4 + len(normals))))
+    masses = np.zeros(offsets.shape[1])
+    for block in _blocks(len(masses), len(vals)):
+        candidate = np.ones((block.stop - block.start, len(vals)), dtype=bool)
+        partial = np.zeros_like(candidate)
+        for lowest, highest, cut in zip(cmin, cmax, offsets[:, block, None]):
+            candidate &= lowest <= cut
+            partial |= highest > cut
+        region, cell = np.nonzero(candidate)
+        weights = full_mass[cell]
+        pairs = np.nonzero(partial[region, cell])[0]
+        for start in range(0, len(pairs), clip_batch):
+            sel = pairs[start : start + clip_batch]
+            local = offsets[:, block][:, region[sel]] - proj[:, cell[sel]]
+            weights[sel] = vals[cell[sel]] * _clipped_square_areas(h, normals, local)
+        masses[block] = np.bincount(region, weights, minlength=len(candidate))
+    return masses
+
+
+def _clipped_square_areas(h: float, normals, offsets) -> np.ndarray:
+    """(B,) areas of [0, h]^2 ∩ {<y, normals[p]> <= offsets[p, b] for all p}.
+
+    Batched Sutherland-Hodgman: the B polygons live in one vertex array
+    of 4 + P slots with a vertex count each (a convex polygon gains at
+    most one vertex per clip; the array widens only if rounding ever
+    breaks that).  Every step is elementwise or a fixed-order sum, so a
+    polygon's area does not depend on the rest of its batch.
+    """
+    count = np.full(offsets.shape[1], 4)
+    verts = np.zeros((len(count), 4 + len(normals), 2))
+    verts[:, :4] = [[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]]
+    for normal, offset in zip(normals, offsets):
+        slots = np.arange(verts.shape[1])
+        live = slots < count[:, None]
+        succ = np.where(slots + 1 < count[:, None], slots + 1, 0)
+        dist = verts[..., 0] * normal[0] + verts[..., 1] * normal[1] - offset[:, None]
+        dist_next = np.take_along_axis(dist, succ, axis=1)
+        inside = dist <= 0.0
+        crossing = live & (inside != (dist_next <= 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(crossing, dist / (dist - dist_next), 0.0)
+        nxt = np.take_along_axis(verts, succ[..., None], axis=1)
+        emitted = np.stack([verts, verts + t[..., None] * (nxt - verts)], axis=2)
+        keep = np.stack([live & inside, crossing], axis=2).reshape(len(count), -1)
+        count = keep.sum(axis=1)
+        rows, cols = np.nonzero(keep)
+        verts = np.zeros((len(count), max(verts.shape[1], int(count.max(initial=0))), 2))
+        verts[rows, np.cumsum(keep, axis=1)[rows, cols] - 1] = emitted.reshape(
+            len(count), -1, 2
+        )[rows, cols]
+    # shoelace over the slots, each padded with the polygon's first vertex
+    live = np.arange(verts.shape[1]) < count[:, None]
+    verts = np.where(live[..., None], verts, verts[:, :1])
+    x, y = verts[..., 0], verts[..., 1]
+    cross = x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1)
+    twice = np.zeros(len(count))
+    for column in cross.T:
+        twice += column
+    return np.where(count >= 3, 0.5 * np.abs(twice), 0.0)
+
+
+def _subdivision_mass(origins, vals, h: float, normals, offsets) -> np.ndarray:
     """Rank >= 3: each cell is cut into SUBDIVISION^k sub-cells, and a
     sub-cell counts in full when its midpoint satisfies every halfplane.
     Additive across disjoint slabs, but not a one-sided bound."""
     k = origins.shape[1]
     q = SUBDIVISION
-    normals = np.asarray([n for n, _ in halfplanes], dtype=float).reshape(-1, k)
-    offsets = np.asarray([c for _, c in halfplanes], dtype=float)
     shifts = (np.indices((q,) * k).reshape(k, -1).T + 0.5) * (h / q)
-    total = 0.0
-    for shift in shifts:
-        inside = np.all((origins + shift) @ normals.T <= offsets, axis=1)
-        total += float(np.dot(vals, inside))
-    return total * (h / q) ** k
+    masses = np.zeros(offsets.shape[1])
+    for block in _blocks(len(masses), len(vals)):
+        inside_count = np.zeros((block.stop - block.start, len(vals)))
+        for shift in shifts:
+            inside = np.ones(inside_count.shape, dtype=bool)
+            for proj, cut in zip(((origins + shift) @ normals.T).T, offsets[:, block, None]):
+                inside &= proj <= cut
+            inside_count += inside
+        masses[block] = _weighted_sums(inside_count, vals)
+    return masses * (h / q) ** k
 
 
 def chebyshev_center(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

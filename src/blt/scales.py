@@ -385,10 +385,7 @@ def pigeonhole_sequences(
     t_corner = frame.t_values(corners_local)[:, axis]
     t_lo, t_hi = float(t_corner.min()), float(t_corner.max())
     drift = fam.drift_allowance(delta)
-
-    def mass(lo: float, hi: float) -> float:
-        im_lo, im_hi = func.image_interval(lo, hi)
-        return grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
+    ladder = np.arange(N + 1) * d_a1
 
     s = [t_lo - drift - (4.0 / 3.0) * d_a1]
     steps: list[PigeonholeStep] = []
@@ -397,10 +394,14 @@ def pigeonhole_sequences(
     while s[-1] < limit:
         s_n = s[-1]
         zeta0 = s_n + 0.5 * d_a0
-        cand = np.array([mass(zeta0 + r * d_a1, zeta0 + (r + 1) * d_a1) for r in range(N)])
+        # the N candidate intervals, then the whole window, in one call
+        im_lo, im_hi = func.image_interval(
+            np.append(zeta0 + ladder[:-1], zeta0), np.append(zeta0 + ladder[1:], s_n + d_a0)
+        )
+        masses = grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
+        cand, window = masses[:N], masses[N]
         r_star = int(np.argmin(cand))
         s_next = zeta0 + r_star * d_a1
-        window = mass(s_n + 0.5 * d_a0, s_n + d_a0)
         gap = s_next - s_n
         tol = 1e-12 * d_a0
         step = PigeonholeStep(
@@ -467,7 +468,8 @@ class Decomposition:
     def main_count(self, axis: int) -> int:
         return len(self.sequences[axis].s) - 1
 
-    def interval_bounds(self, axis: int, n: int, chi: int) -> tuple[float, float]:
+    def interval_bounds(self, axis: int, n, chi: int):
+        """(lo, hi) of interval (n, chi) on the axis; n may be an index array."""
         e = self.edges[axis]
         return e[2 * n + 1 - chi], e[2 * n + 2 - chi]
 
@@ -741,15 +743,23 @@ def verify_disjointness(
 
 def _tube_halfplanes(
     functionals: list[AxisImageFunctional],
-    intervals: list[tuple[float, float]],
+    intervals: list[tuple[np.ndarray, np.ndarray]],
     drift: float,
-) -> list[tuple[np.ndarray, float]]:
-    """A tube image as the intersection of its drift-inflated image slabs."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every tube image of one map as the intersection of its
+    drift-inflated image slabs.
+
+    intervals[pos] holds the (lo, hi) bounds of the main intervals along
+    the pos-th transverse axis; the tubes are their products, and each
+    offset is a flat array over the tubes in row-major order.
+    """
+    shape = tuple(len(lo) for lo, _ in intervals)
+    tube_index = np.indices(shape).reshape(len(shape), -1)
     halfplanes = []
-    for func, (lo, hi) in zip(functionals, intervals):
+    for func, (lo, hi), index in zip(functionals, intervals, tube_index):
         im_lo, im_hi = func.image_interval(lo - drift, hi + drift)
-        halfplanes.append((func.w, im_hi))
-        halfplanes.append((-func.w, -im_lo))
+        halfplanes.append((func.w, im_hi[index]))
+        halfplanes.append((-func.w, -im_lo[index]))
     return halfplanes
 
 
@@ -844,12 +854,10 @@ def verify_induction_step(
         drift = fam.drift_allowance(delta)
         fW = fWs[j]
         shape = tuple(deco.main_count(i) for i in transverse)
-        F = np.zeros(shape)
-        for ell in np.ndindex(shape):
-            intervals = [deco.interval_bounds(i, ell[pos], 0) for pos, i in enumerate(transverse)]
-            halfplanes = _tube_halfplanes(funcs, intervals, drift)
-            F[ell] = grid_polygon_mass(fW.values, fW.origin, fW.spacing, halfplanes)
-        tube_arrays.append(F)
+        intervals = [deco.interval_bounds(i, np.arange(n), 0) for i, n in zip(transverse, shape)]
+        halfplanes = _tube_halfplanes(funcs, intervals, drift)
+        F = grid_polygon_mass(fW.values, fW.origin, fW.spacing, halfplanes)
+        tube_arrays.append(F.reshape(shape))
     # main sum through the discrete inequality on the tube masses
     zero = np.zeros(d, dtype=np.int64)
     main_sum = lattice_product_sum(
@@ -874,13 +882,11 @@ def verify_induction_step(
     for seq in deco.sequences:
         fW = fWs[seq.map_index]
         func = seq.functional
-        total = 0.0
         # the n = 0 buffer sits strictly below the cube's parameter range by
         # the choice of s_1, so its tubes are empty and the sum starts at 1
-        for s_n in seq.s[1:]:
-            im_lo, im_hi = func.image_interval(s_n, s_n + d_a1)
-            total += grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
-        axis_totals.append(total)
+        im_lo, im_hi = func.image_interval(seq.s[1:], seq.s[1:] + d_a1)
+        buffers = grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
+        axis_totals.append(float(buffers.sum()))
     for code in range(1, 2**d):
         chi = np.array([(code >> i) & 1 for i in range(d)], dtype=np.int8)
         i_star = int(np.argmax(chi == 1))

@@ -394,6 +394,22 @@ class TestUnreadOptions:
             main(["extension", "--help"])
         assert "max_resolution" in capsys.readouterr().out
 
+    def test_extension_default_budget_is_the_library_default(self, tmp_path, capsys):
+        # phi(x) = x over [-1, 1] at xi = (30, 10) needs 191 points per axis
+        path = tmp_path / "line.json"
+        surface = {"U": {"lo": [-1.0], "hi": [1.0]}, "phi": {"terms": [{"powers": [1], "c": 1.0}]},
+                   "beta": 1.0, "kappa": 1.0}
+        path.write_text(json.dumps({"surface": surface, "xi": [30.0, 10.0]}))
+        default = run(tmp_path, "default", ["extension", "--input", str(path)])
+        wide = run(tmp_path, "wide", ["extension", "--input", str(path), "--resolution", "1024"])
+        assert default["result"] == wide["result"]
+        assert default["config"]["resolution"] is None
+        out = tmp_path / "narrow.json"
+        argv = ["extension", "--input", str(path), "--resolution", "64", "--output", str(out)]
+        assert main(argv) == 1
+        assert "needs 191 points per axis, budget 64" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScalesCommands:
     def scales_payload(self):

@@ -3,15 +3,86 @@
 import numpy as np
 import pytest
 
+from blt import geometry
 from blt.geometry import (
+    SUBDIVISION,
     bounding_box_from_linear_constraints,
     box_halfspace_area_2d,
-    clip_polygon_halfplane,
     grid_polygon_mass,
     grid_slab_mass,
-    polygon_area,
     polytope_volume,
 )
+
+
+def clip_polygon_halfplane(vertices: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
+    """Scalar Sutherland-Hodgman clip of a convex polygon against {<y, n> <= c}."""
+    vertices = np.asarray(vertices, dtype=float)
+    if len(vertices) == 0:
+        return vertices
+    dist = vertices @ normal - offset
+    keep = dist <= 0.0
+    if np.all(keep):
+        return vertices
+    if not np.any(keep):
+        return vertices[:0]
+    out = []
+    n = len(vertices)
+    for i in range(n):
+        j = (i + 1) % n
+        vi, vj = vertices[i], vertices[j]
+        di, dj = dist[i], dist[j]
+        if di <= 0.0:
+            out.append(vi)
+        if (di <= 0.0) != (dj <= 0.0):
+            t = di / (di - dj)
+            out.append(vi + t * (vj - vi))
+    return np.asarray(out)
+
+
+def polygon_area(vertices: np.ndarray) -> float:
+    """Shoelace area of a (convex) polygon given in order."""
+    if len(vertices) < 3:
+        return 0.0
+    x, y = vertices[:, 0], vertices[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def oracle_mass(values, origin, h, halfplanes) -> float:
+    """One region's grid mass, cell by cell: interval overlap at rank 1,
+    a scalar polygon clip at rank 2, SUBDIVISION^k sub-cell midpoints at
+    rank >= 3 (the route the batched masses replaced)."""
+    values = np.asarray(values, dtype=float)
+    k = values.ndim
+    q = SUBDIVISION
+    total = 0.0
+    for idx in np.ndindex(values.shape):
+        if values[idx] <= 0:
+            continue
+        corner = np.asarray(origin, dtype=float) + h * np.array(idx)
+        if k == 1:
+            lo, hi = corner[0], corner[0] + h
+            for normal, offset in halfplanes:
+                n = float(normal[0])
+                if n > 0:
+                    hi = min(hi, offset / n)
+                elif n < 0:
+                    lo = max(lo, offset / n)
+                elif offset < 0:
+                    hi = lo
+            measure = max(hi - lo, 0.0)
+        elif k == 2:
+            poly = corner + np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
+            for normal, offset in halfplanes:
+                poly = clip_polygon_halfplane(poly, np.asarray(normal, dtype=float), offset)
+            measure = polygon_area(poly)
+        else:
+            inside = 0
+            for sub in np.ndindex((q,) * k):
+                mid = corner + (np.array(sub) + 0.5) * (h / q)
+                inside += all(mid @ normal <= offset for normal, offset in halfplanes)
+            measure = inside * (h / q) ** k
+        total += values[idx] * measure
+    return total
 
 
 class TestBoxHalfspaceArea:
@@ -126,6 +197,89 @@ class TestOneMassRoutine:
         above = grid_polygon_mass(values, origin, 0.5, region + [(-cut, -0.17)])
         assert whole > 0
         assert below + above == pytest.approx(whole, rel=1e-12)
+
+
+def tube_regions(rng, rank):
+    """Two slabs per region, as a map's tubes are cut: the normals w1, w2
+    and (T,) bounds, with the edge cases in the first rows: an empty
+    region (hi < lo on one slab), the whole grid, a region disjoint from
+    the grid, a zero-width slab; random regions after them."""
+    w1, w2 = rng.standard_normal(rank), rng.standard_normal(rank)
+    lo1 = np.concatenate([[0.3, -1e3, 50.0, 0.2], rng.uniform(-1.5, 1.0, 9)])
+    hi1 = np.concatenate([[0.1, 1e3, 51.0, 0.2], lo1[4:] + rng.uniform(0.05, 1.5, 9)])
+    lo2 = np.concatenate([[-1.0, -1e3, -1.0, -1.0], rng.uniform(-1.5, 1.0, 9)])
+    hi2 = np.concatenate([[1.0, 1e3, 1.0, 1.0], lo2[4:] + rng.uniform(0.05, 1.5, 9)])
+    return [(w1, hi1), (-w1, -lo1), (w2, hi2), (-w2, -lo2)]
+
+
+def sparse_grid(rng, rank):
+    shape = (6,) if rank == 1 else (5, 4) if rank == 2 else (3, 4, 3)
+    return np.clip(rng.uniform(-0.3, 1.0, shape), 0.0, None)
+
+
+class TestBatchedMasses:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_polygon_batch_matches_scalar_oracle(self, rank, seed):
+        rng = np.random.default_rng(100 * rank + seed)
+        values = sparse_grid(rng, rank)
+        origin = rng.uniform(-1.2, -0.8, rank)
+        halfplanes = tube_regions(rng, rank)
+        masses = grid_polygon_mass(values, origin, 0.5, halfplanes)
+        oracle = [
+            oracle_mass(values, origin, 0.5, [(n, c[t]) for n, c in halfplanes])
+            for t in range(len(masses))
+        ]
+        scale = max(oracle)
+        assert scale > 0
+        assert masses.shape == (len(oracle),)
+        assert np.all(np.abs(masses - oracle) <= 1e-12 * scale)
+        assert masses[0] == 0.0 and masses[2] == 0.0
+        assert masses[1] == pytest.approx(values.sum() * 0.5**rank, rel=1e-12)
+        # a region's mass is the same bits alone as in its batch
+        for t in (0, 1, 5, len(masses) - 1):
+            alone = grid_polygon_mass(values, origin, 0.5, [(n, c[t]) for n, c in halfplanes])
+            assert isinstance(alone, float) and alone == masses[t]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_slab_batch_matches_scalar_oracle(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        values = sparse_grid(rng, rank)
+        origin = rng.uniform(-1.2, -0.8, rank)
+        w = rng.standard_normal(rank)
+        lo = np.array([0.3, -1e3, 50.0, 0.2, *rng.uniform(-1.5, 1.0, 9)])
+        hi = np.array([0.1, 1e3, 51.0, 0.2, *(lo[4:] + rng.uniform(0.05, 1.5, 9))])
+        masses = grid_slab_mass(values, origin, 0.5, w, lo, hi)
+        oracle = [oracle_mass(values, origin, 0.5, [(w, b), (-w, -a)]) for a, b in zip(lo, hi)]
+        assert np.all(np.abs(masses - oracle) <= 1e-12 * max(oracle))
+        assert masses[0] == 0.0 and masses[2] == 0.0 and masses[3] == 0.0
+        for t in range(len(lo)):
+            assert grid_slab_mass(values, origin, 0.5, w, lo[t], hi[t]) == masses[t]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_block_seams(self, rank, monkeypatch):
+        rng = np.random.default_rng(70 + rank)
+        values = sparse_grid(rng, rank)
+        origin = rng.uniform(-1.2, -0.8, rank)
+        halfplanes = tube_regions(rng, rank)
+        w, lo, hi = halfplanes[0][0], -halfplanes[1][1], halfplanes[0][1]
+        whole_poly = grid_polygon_mass(values, origin, 0.5, halfplanes)
+        whole_slab = grid_slab_mass(values, origin, 0.5, w, lo, hi)
+        # two regions' cells per block, and a few clipped pairs per batch
+        cells = int(np.count_nonzero(values))
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 2 * cells)
+        assert len(geometry._blocks(len(lo), cells)) >= 3
+        assert np.array_equal(grid_polygon_mass(values, origin, 0.5, halfplanes), whole_poly)
+        assert np.array_equal(grid_slab_mass(values, origin, 0.5, w, lo, hi), whole_slab)
+
+    def test_empty_grid_and_empty_batch(self):
+        zeros = np.zeros((3, 3))
+        halfplanes = [(np.array([1.0, 0.0]), np.array([0.5, 2.0]))]
+        assert np.array_equal(grid_polygon_mass(zeros, np.zeros(2), 1.0, halfplanes), [0.0, 0.0])
+        values = np.ones((3, 3))
+        none = grid_polygon_mass(values, np.zeros(2), 1.0, [(np.array([1.0, 0.0]), np.zeros(0))])
+        assert none.shape == (0,)
+        assert grid_slab_mass(values, np.zeros(2), 1.0, np.array([0.0, 1.0]), 3.0, 1.0) == 0.0
 
 
 class TestPolygonMass:

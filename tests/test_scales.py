@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blt.datum import ProjectionScheme
+from blt.geometry import grid_slab_mass
 from blt.inputs import GridFunction, integrate
 from blt.nonlinear import linear_family, perturbed_projection
 from blt.quadrature import QuadratureSpec
@@ -17,6 +18,7 @@ from blt.scales import (
     canonicalize_nonlinear,
     compute_delta0,
     decompose,
+    image_window,
     phi_factorization,
     pigeonhole_sequences,
     sigma_map,
@@ -212,6 +214,39 @@ class TestPigeonhole:
         for n in range(1, len(seq.s)):
             lo, hi = seq.s[n] - margin, seq.s[n] + d_a1 + margin
             assert not (lo <= spike_s <= hi)
+
+    def test_batched_candidates_match_single_slab_calls(self):
+        # each step measures its N candidates and its window in one call;
+        # one call per slab gives the same bits, and the selected candidate
+        # is the lowest index of least mass (many exact ties in the zero
+        # half of the second input)
+        linear, gentle = linear_lw_families(), gentle_params()
+        small = Cube(np.zeros(3), gentle.delta0)
+        half = uniform_inputs_for(linear, small)[1]
+        half.values[: half.values.shape[0] // 2] = 0.0
+        cases = [flagship_scale_setup(seed=2), (linear, gentle, small, [half] * 3)]
+        ties = 0
+        for fams, prm, cb, ins in cases:
+            d_a0, d_a1 = cb.side**prm.alpha0, cb.side**prm.alpha1
+            for seq in decompose(fams, cb, ins, prm).sequences:
+                fW = image_window(fams[seq.map_index], cb, ins[seq.map_index])
+                func = seq.functional
+
+                def single(lo, hi):
+                    im_lo, im_hi = func.image_interval(lo, hi)
+                    return grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
+
+                for step in seq.steps:
+                    zeta0 = step.s_current + 0.5 * d_a0
+                    cand = step.candidate_masses
+                    expected = [single(zeta0 + r * d_a1, zeta0 + (r + 1) * d_a1)
+                                for r in range(len(cand))]
+                    assert np.array_equal(cand, expected)
+                    assert step.window_mass == single(zeta0, step.s_current + d_a0)
+                    least = np.flatnonzero(cand == cand.min())
+                    ties += len(least) > 1
+                    assert step.s_next == zeta0 + int(least[0]) * d_a1
+        assert ties > 0
 
     def test_too_large_delta_rejected(self):
         maps = linear_lw_families()
@@ -454,6 +489,30 @@ class TestInductionStep:
         assert totals[(1, 0)] == pytest.approx(1.6219488544595507e-05, rel=1e-12)
         assert totals[(0, 1)] == pytest.approx(1.466018852960327e-05, rel=1e-12)
         assert totals[(1, 1)] == totals[(1, 0)]
+
+    def test_flagship_step_matches_recorded_numbers(self):
+        # recorded from the route that measured one tube and one candidate
+        # slab per call; the batched masses must reproduce it
+        maps, params, cube, inputs = flagship_scale_setup(seed=1)
+        spec = QuadratureSpec("tensor-midpoint", resolution=32)
+        report = verify_induction_step(maps, cube, inputs, params, spec, seed=5)
+        assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
+        expected = {
+            "lhs": 1.0083988383256997e-18,
+            "main_sum": 1.0931841985067378e-18,
+            "finner_rhs": 1.0963658944476828e-18,
+            "input_rhs": 4.069951343517514e-18,
+            "main_fraction": 0.9076030460154925,
+            "certified_factor": 2.0802995418317787,
+        }
+        for key, value in expected.items():
+            assert getattr(report, key) == pytest.approx(value, rel=1e-12), key
+        norms = [1.0672916318417097e-12, 1.0490457929176055e-12, 1.0735777039574522e-12]
+        for j, value in enumerate(norms):
+            assert report.tube_norms[j] == pytest.approx(value, rel=1e-12)
+        per_axis = [6.250106978245369e-14, 5.807340280566401e-14, 5.912642129596822e-14]
+        for chi, info in report.buffer_totals.items():
+            assert info["total"] == pytest.approx(per_axis[info["axis"]], rel=1e-12), chi
 
     def test_rejects_monte_carlo(self):
         maps = linear_lw_families()
