@@ -165,6 +165,12 @@ def _quad_spec(args, d: int | None = None) -> quadrature.QuadratureSpec:
     )
 
 
+def _convolution_spec(args, surface_count: int) -> quadrature.QuadratureSpec:
+    """The rule for the delta integral behind a convolution of d surfaces,
+    chosen by its base dimension (d - 1)^2 - 1."""
+    return _quad_spec(args, (surface_count - 1) ** 2 - 1)
+
+
 def _resolved_config(args) -> dict:
     keys = ("input", "output", "seed", "samples", "resolution", "tol", "mode", "budget",
             "beta", "kappa", "alpha0", "alpha1", "d", "m", "freq_halfwidth", "max_cells", "x")
@@ -583,7 +589,9 @@ def cmd_convolve_surfaces(args):
     payload = _load_json(args.input)
     sfuncs = [_parse_surface(s) for s in payload["surfaces"]]
     y = np.asarray(payload["y"], dtype=float)
-    value, err = convext.surface_convolution(sfuncs, y, _quad_spec(args, len(sfuncs) - 1))
+    if y.shape != (len(sfuncs),):
+        raise UsageError("y must be one point of the ambient space R^d")
+    value, err = convext.surface_convolution(sfuncs, y, _convolution_spec(args, len(sfuncs)))
     return {"value": value, "error_estimate": err}, EXIT_OK
 
 
@@ -600,7 +608,7 @@ def cmd_verify_thm74(args):
     payload = _load_json(args.input)
     sfuncs = [_parse_surface(s) for s in payload["surfaces"]]
     report = convext.verify_thm74(
-        sfuncs, args.freq_halfwidth, args.resolution, _quad_spec(args, len(sfuncs))
+        sfuncs, args.freq_halfwidth, args.resolution, _convolution_spec(args, len(sfuncs))
     )
     return {
         "lhs": report.lhs,

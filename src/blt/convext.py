@@ -13,18 +13,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 from scipy.linalg import null_space, subspace_angles
 
 from .datum import block_index_tuples
 from .exterior import MAX_DIMENSION, transversality_quantity
+from . import ift
 from .ift import (
     DomainError,
     FieldDeclarationError,
     ScalarField,
+    contract,
     eta_gradient,
     ift_radii,
+    iteration_cap,
     solve_eta,
 )
 from .inputs import BoxIndicator, GridFunction, InputFunction, integrate
@@ -34,6 +38,11 @@ from .quadrature import QuadratureSpec
 
 # Largest intermediate, in complex entries, of one extension_on_grid chunk.
 _CHUNK_ENTRIES = 4_000_000
+# Largest argument array, in float entries, of one block of convolution
+# points: points x kappa samples, or points x quadrature nodes, times the
+# arguments of the reduction polynomial.  A block's temporaries then take
+# about a MiB, so a batch of points needs no more memory than one point.
+_BLOCK_ENTRIES = 2**16
 
 
 class TransversalityError(ValueError):
@@ -134,140 +143,261 @@ def delta_integral(
     For a zero-dimensional base the value is a single weighted sample.
     """
     n = field.n
-    R1, _ = ift_radii(field.beta, field.kappa)
+    if n > 0:
+        if window is None:
+            raise ValueError("a window box is required for a positive-dimensional base")
+        lo = np.asarray(window[0], dtype=float)
+        hi = np.asarray(window[1], dtype=float)
+        if lo.shape != (n,) or np.any(hi <= lo):
+            raise ValueError("window must be a nondegenerate box in the base space")
+        R1, _ = ift_radii(field.beta, field.kappa)
+        corner_radius = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
+        if corner_radius >= R1:
+            raise DomainError(
+                f"window corner radius {corner_radius:.3e} escapes B(0, R1), R1 = {R1:.3e}"
+            )
+        window = (lo, hi)
+
+    def fail(rows: np.ndarray, message: str) -> None:
+        if np.any(rows):
+            raise FieldDeclarationError(message)
+
+    values, errors = _coarea(
+        n,
+        lambda x: solve_eta(field, x).eta[None],
+        lambda x, eta: field.partial_t(x, eta[0])[None],
+        lambda x, eta: integrand(np.column_stack([x, eta[0]]))[None],
+        window,
+        spec,
+        fail,
+    )
+    return float(values[0]), float(errors[0])
+
+
+def _coarea(n: int, solve, partial_t, integrand, window, spec: QuadratureSpec, fail):
+    """The delta integrals of P fields over one shared base window.
+
+    solve(x) gives the implicit solutions eta, shape (P, M), at the base
+    points x, shape (M, n); partial_t(x, eta) and integrand(x, eta) give
+    (P, M) values there.  fail(rows, message) hears of the fields whose
+    |d_last F| falls below 1/2.  Returns (values, error estimates), each
+    of shape (P,).
+    """
     if n == 0:
-        sol = solve_eta(field, np.zeros((1, 0)))
-        weight = np.abs(field.partial_t(np.zeros((1, 0)), sol.eta))
-        if weight[0] < 0.5:
-            raise FieldDeclarationError("|d_last F| fell below 1/2 at the root")
-        u = np.array([[sol.eta[0]]])
-        return float(integrand(u)[0] / weight[0]), 0.0
-    if window is None:
-        raise ValueError("a window box is required for a positive-dimensional base")
-    lo = np.asarray(window[0], dtype=float)
-    hi = np.asarray(window[1], dtype=float)
-    if lo.shape != (n,) or np.any(hi <= lo):
-        raise ValueError("window must be a nondegenerate box in the base space")
-    corner_radius = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-    if corner_radius >= R1:
-        raise DomainError(
-            f"window corner radius {corner_radius:.3e} escapes B(0, R1), R1 = {R1:.3e}"
-        )
+        x = np.zeros((1, 0))
+        eta = solve(x)
+        weight = np.abs(partial_t(x, eta))[:, 0]
+        fail(weight < 0.5, "|d_last F| fell below 1/2 at the root")
+        return integrand(x, eta)[:, 0] / weight, np.zeros(weight.size)
+    lo, hi = window
 
     def weighted(points: np.ndarray) -> np.ndarray:
-        sol = solve_eta(field, points)
-        denom = np.abs(field.partial_t(points, sol.eta))
-        if np.any(denom < 0.5):
-            raise FieldDeclarationError("|d_last F| fell below 1/2 on the window")
-        u = np.column_stack([points, sol.eta])
-        return integrand(u) / denom
+        eta = solve(points)
+        denom = np.abs(partial_t(points, eta))
+        fail(np.any(denom < 0.5, axis=1), "|d_last F| fell below 1/2 on the window")
+        return integrand(points, eta) / denom
 
     if spec.mode == "monte-carlo":
         rng = np.random.default_rng(spec.seed)
-        pts = rng.uniform(lo, hi, size=(spec.samples, n))
-        vals = weighted(pts)
+        vals = weighted(rng.uniform(lo, hi, size=(spec.samples, n)))
         vol = float(np.prod(hi - lo))
-        value = vol * float(vals.mean())
-        err = vol * float(vals.std(ddof=1) / math.sqrt(spec.samples))
-        return value, err
+        return vol * vals.mean(axis=1), vol * (vals.std(ddof=1, axis=1) / math.sqrt(spec.samples))
     from .quadrature import _midpoint_integral
 
     value = _midpoint_integral(weighted, lo, hi, spec.resolution, n)
     coarse = _midpoint_integral(weighted, lo, hi, max(1, spec.resolution // 2), n)
-    return value, abs(value - coarse)
+    return value, np.abs(value - coarse)
 
 
-def _embed_block(poly: Polynomial, block: int, n_blocks: int, width: int) -> Polynomial:
-    total = n_blocks * width
-    A = np.zeros((poly.n, total))
-    for a in range(width):
-        A[a, block * width + a] = 1.0
-    return poly.substitute_affine(A)
+# Sample pairs per pass of the kappa sampler.
+_KAPPA_SAMPLES = 400
 
 
-def _embed_negated_sum(poly: Polynomial, shift: np.ndarray, n_blocks: int, width: int) -> Polynomial:
-    total = n_blocks * width
-    A = np.zeros((poly.n, total))
-    for a in range(width):
-        for blk in range(n_blocks):
-            A[a, blk * width + a] = -1.0
-    return poly.substitute_affine(A, shift)
+@dataclass
+class ReductionFields:
+    """The normalised reduction fields of one surface ordering at a batch
+    of points: G_p(x, t) = F(x, root_p + t; y_p) / scale_p, where F is the
+    polynomial of build_reduction_field in the base coordinates (the
+    solved one last) followed by y."""
+
+    poly: Polynomial
+    grad_polys: list[Polynomial]
+    Y: np.ndarray
+    root: np.ndarray
+    scale: np.ndarray
+    beta: float
+    kappa: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.n = len(self.grad_polys) - 1
+        self.inv_scale = 1.0 / self.scale
+
+    def evaluate(self, poly: Polynomial, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
+        """poly / scale_p at the base points x, (M, n) or (R, M, n), and
+        solved coordinates t, (R, M), of the fields ``rows``: (R, M)."""
+        R, M = t.shape
+        args = np.empty((R, M, self.poly.n))
+        args[..., : self.n] = x
+        args[..., self.n] = t + self.root[rows, None]
+        args[..., self.n + 1 :] = self.Y[rows, None, :]
+        values = poly.evaluate(args.reshape(R * M, self.poly.n)).reshape(R, M)
+        return values * self.inv_scale[rows, None]
+
+    def value(self, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
+        return self.evaluate(self.poly, x, t, rows)
+
+    def partial_t(self, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
+        return self.evaluate(self.grad_polys[-1], x, t, rows)
+
+    def gradient(self, U: np.ndarray, rows) -> np.ndarray:
+        """Full gradients at the points U, (R, M, n + 1): (R, M, n + 1)."""
+        x, t = U[..., : self.n], U[..., self.n]
+        return np.stack([self.evaluate(g, x, t, rows) for g in self.grad_polys], axis=-1)
 
 
 def build_reduction_field(
-    surfaces: list[Hypersurface], y: np.ndarray, seed: int = 0
-) -> tuple[ScalarField, float, float]:
-    """Scalar field for the convolution of d graph measures at the point y.
+    surfaces: list[Hypersurface], Y: np.ndarray
+) -> tuple[ReductionFields, list[Exception | None]]:
+    """Reduction fields for the convolution of d graph measures at the
+    points Y, shape (P, d).
 
-    F(x_1', ..., x_{d-1}') = sum_j phi_j(x_j') + phi_d(y' - sum x_j') - y_d.
-    The returned field is translated to a root in the last coordinate and
-    scaled to unit last-partial there; also returns (root, scale).
+    F(x_1', ..., x_{d-1}'; y) = sum_j phi_j(x_j') + phi_d(y' - sum x_j') - y_d
+    is built once as a polynomial in the base coordinates and y.  Per
+    point, F is translated to the real root nearest the origin along the
+    last coordinate (as np.roots finds it), scaled to unit last partial
+    there and given the sampled kappa of _sampled_kappa.  Also returns
+    each point's failure, None where its field is valid: ValidityError
+    (no root near the origin), TransversalityError (last partial below
+    1/2 at the root), or the ScalarField checks (degree, beta,
+    normalisation).
     """
     d = len(surfaces)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (d,):
-        raise ValueError("y must live in the ambient space R^d")
+    Y = np.asarray(Y, dtype=float)
     width = d - 1
-    n_blocks = d - 1
-    total = width * n_blocks
-    F = Polynomial.constant(total, -float(y[-1]))
-    for j in range(n_blocks):
-        F = F + _embed_block(surfaces[j].phi, j, n_blocks, width)
-    F = F + _embed_negated_sum(surfaces[d - 1].phi, y[:-1], n_blocks, width)
-    # root of F along the last coordinate with all base coordinates at zero
-    e_last = np.zeros((total, 1))
-    e_last[-1, 0] = 1.0
-    g = F.substitute_affine(e_last)
-    coeffs = np.zeros(max((sum(k) for k in g.coeffs), default=0) + 1)
-    for k, c in g.coeffs.items():
-        coeffs[sum(k)] += c
-    roots = np.roots(coeffs[::-1]) if coeffs.size > 1 else np.array([])
-    real = roots[np.abs(roots.imag) < 1e-9].real if roots.size else np.array([])
+    total = width * width
+    n_vars = total + d
+    F = Polynomial.linear_form(-np.eye(n_vars)[-1])
+    for j in range(width):
+        F = F + surfaces[j].phi.substitute_affine(np.eye(width, n_vars, k=j * width))
+    negated_sum = np.hstack([-np.eye(width)] * width + [np.eye(width), np.zeros((width, 1))])
+    F = F + surfaces[-1].phi.substitute_affine(negated_sum)
+
+    # coefficients of F along the last base coordinate, polynomials in y
+    line: dict[int, dict] = {}
+    for key, c in F.coeffs.items():
+        if not any(key[: total - 1]):
+            line.setdefault(key[total - 1], {})[key[total:]] = c
+    C = np.zeros((Y.shape[0], max(line, default=0) + 1))
+    for k, terms in line.items():
+        C[:, k] = Polynomial(d, terms).evaluate(Y)
+    root = _nearest_real_root(C)
     validity_radius = 0.5 * float(np.max(np.concatenate([s.hi - s.lo for s in surfaces])) + 1.0)
-    if real.size == 0 or np.min(np.abs(real)) > validity_radius:
-        raise ValidityError("no root of the reduction field near the origin")
-    root = float(real[np.argmin(np.abs(real))])
-    shift = np.zeros(total)
-    shift[-1] = root
-    F_t = F.translate(shift)
-    scale = float(F_t.partial(total - 1).evaluate(np.zeros((1, total)))[0])
-    if abs(scale) < 0.5:
-        raise TransversalityError(
-            f"last partial derivative {scale:.3e} below 1/2 at the root"
+    failures: list[Exception | None] = [None] * Y.shape[0]
+    valid = np.abs(root) <= validity_radius
+    for p in np.flatnonzero(~valid):
+        failures[p] = ValidityError("no root of the reduction field near the origin")
+    root[~valid] = 0.0
+
+    grads = [F.partial(a) for a in range(total)]
+    at_root = np.column_stack([np.zeros((Y.shape[0], total - 1)), root, Y])
+    scale = np.ones(Y.shape[0])
+    scale[valid] = grads[-1].evaluate(at_root[valid])
+    for p in np.flatnonzero(valid & (np.abs(scale) < 0.5)):
+        failures[p] = TransversalityError(
+            f"last partial derivative {scale[p]:.3e} below 1/2 at the root"
         )
-    G = F_t.scale(1.0 / scale)
-    kappa = _declare_kappa(G, total, seed)
-    field = ScalarField(total - 1, G, beta=min(s.beta for s in surfaces), kappa=kappa)
-    return field, root, scale
+    valid &= np.abs(scale) >= 0.5
+    scale[~valid] = 1.0
+    live = np.flatnonzero(valid)
+    beta = min(s.beta for s in surfaces)
+    fields = ReductionFields(F, grads, Y, root, scale, beta, np.ones(Y.shape[0]))
+    step = _block_rows(2 * _KAPPA_SAMPLES * n_vars)
+    for start in range(0, live.size, step):
+        rows = live[start : start + step]
+        fields.kappa[rows] = _sampled_kappa(fields, rows)
+
+    # the ScalarField checks, in its order
+    f0 = F.evaluate(at_root) * fields.inv_scale
+    d0 = scale * fields.inv_scale
+    degree = max((sum(k[:total]) for k in F.coeffs), default=0)
+    for p in live:
+        if degree > 4:
+            failures[p] = ValueError("fields are restricted to degree <= 4")
+        elif not 0 < beta <= 1:
+            failures[p] = ValueError("beta must lie in (0, 1]")
+        elif abs(f0[p]) > ift.NORMALISATION_TOL:
+            failures[p] = FieldDeclarationError(f"F(0,0) = {f0[p]:.3e}, expected 0")
+        elif abs(d0[p] - 1.0) > ift.NORMALISATION_TOL:
+            failures[p] = FieldDeclarationError(f"d_(n+1)F(0,0) = {d0[p]:.16g}, expected 1")
+    return fields, failures
 
 
-def _declare_kappa(poly: Polynomial, total: int, seed: int) -> float:
-    """Conservative C^{1,beta} bound for a normalised polynomial field.
+def _nearest_real_root(C: np.ndarray) -> np.ndarray:
+    """Per row of ascending coefficients C, shape (P, D + 1): the real root
+    nearest the origin among those np.roots returns, NaN where none is.
+
+    A zero constant term makes 0 a root, and the nearest.  Otherwise, as
+    in np.roots, the roots are the eigenvalues of the companion matrix of
+    the coefficients up to the highest nonzero one; those are found in
+    stacks of rows of one degree.
+    """
+    nonzero = C != 0
+    degree = C.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    root = np.where(nonzero.any(axis=1) & ~nonzero[:, 0], 0.0, np.nan)
+    for m in np.unique(degree[nonzero[:, 0] & (degree > 0)]):
+        rows = np.flatnonzero(nonzero[:, 0] & (degree == m))
+        p = C[rows, m::-1]
+        companion = np.zeros((rows.size, m, m))
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        roots = np.linalg.eigvals(companion)
+        real = np.abs(roots.imag) < 1e-9
+        best = np.argmin(np.where(real, np.abs(roots.real), np.inf), axis=1)
+        root[rows] = np.where(real.any(axis=1), roots.real[np.arange(rows.size), best], np.nan)
+    return root
+
+
+def _kappa_draws(total: int) -> list[list[np.ndarray]]:
+    """The seed-0 draws of the kappa sampler in ``total`` variables: per
+    pass, unit directions and radius fractions [U, u, V, v]; a field's
+    samples are U * (R2 * u) and V * (R2 * v)."""
+    rng = np.random.default_rng(0)
+    passes = []
+    for _ in range(2):
+        draws = []
+        for _ in range(2):
+            D = rng.standard_normal((_KAPPA_SAMPLES, total))
+            D /= np.linalg.norm(D, axis=1, keepdims=True)
+            draws += [D, rng.uniform(0, 1, size=(_KAPPA_SAMPLES, 1)) ** (1 / total)]
+        passes.append(draws)
+    return passes
+
+
+def _sampled_kappa(fields: ReductionFields, rows: np.ndarray) -> np.ndarray:
+    """Conservative C^{1,beta} bound for each normalised field of ``rows``.
 
     Sampled on the ball the radii induce, with a refinement pass and a
     x2 safety factor; the solver's runtime checks will still indict an
-    inadequate declaration.
+    inadequate declaration.  Every field uses the same seed-0 draws,
+    scaled by its own R2.
     """
-    grads = [poly.partial(a) for a in range(total)]
-    g0 = np.array([float(g.evaluate(np.zeros((1, total)))[0]) for g in grads])
-    kappa = max(float(np.linalg.norm(g0)), 1.0)
-    rng = np.random.default_rng(seed)
-    for _ in range(2):
-        R2 = (100.0 * kappa) ** (-1.0)
-        U = rng.standard_normal((400, total))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        U *= R2 * rng.uniform(0, 1, size=(400, 1)) ** (1 / total)
-        V = rng.standard_normal((400, total))
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
-        V *= R2 * rng.uniform(0, 1, size=(400, 1)) ** (1 / total)
-        dU = np.stack([g.evaluate(U) for g in grads], axis=1)
-        dV = np.stack([g.evaluate(V) for g in grads], axis=1)
-        gaps = np.linalg.norm(U - V, axis=1)
-        keep = gaps > 0
-        quot = np.linalg.norm(dU[keep] - dV[keep], axis=1) / gaps[keep]
-        sup_grad = float(np.linalg.norm(dU, axis=1).max())
-        kappa = max(2.0 * float(quot.max(initial=0.0)), sup_grad, 1.0)
+    total = fields.n + 1
+    kappa = np.maximum(_norm(fields.gradient(np.zeros((rows.size, 1, total)), rows))[:, 0], 1.0)
+    for U, u, V, v in _kappa_draws(total):
+        R2 = np.array([(100.0 * k) ** (-1.0) for k in kappa.tolist()])[:, None, None]
+        U = U * (R2 * u)
+        V = V * (R2 * v)
+        dU, dV = np.split(fields.gradient(np.concatenate([U, V], axis=1), rows), 2, axis=1)
+        gaps = _norm(U - V)
+        quot = np.divide(_norm(dU - dV), gaps, out=np.zeros_like(gaps), where=gaps > 0)
+        sup_grad = _norm(dU).max(axis=1)
+        kappa = np.maximum(np.maximum(2.0 * quot.max(axis=1), sup_grad), 1.0)
     return kappa
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, as np.linalg.norm computes them."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
 def surface_convolution(
@@ -275,117 +405,190 @@ def surface_convolution(
     y: np.ndarray,
     spec: QuadratureSpec,
     transversality_floor: float = 1e-6,
-) -> tuple[float, float]:
-    """Convolution of the d surface-carried densities evaluated at y.
+):
+    """Convolution of the d surface-carried densities at y, one point of
+    shape (d,) or a batch of shape (P, d).
 
     Reduces to a delta_integral of the product of the densities against
     the reduction field.  The convolution is permutation invariant, so
-    the surfaces are reordered until the solved coordinate carries a
-    last-partial of size at least 1/2; transversality guarantees some
-    ordering works when the normals are in general position.
-    Returns (value, error_estimate).
+    each point walks the surface orderings by a descending proxy of its
+    last partial and takes the first ordering whose solved coordinate
+    carries a last-partial of size at least 1/2; transversality
+    guarantees some ordering works when the normals are in general
+    position.  Returns (value, error_estimate): floats for one point,
+    (P,) arrays for a batch.  One point raises its failure.  In a batch a
+    point whose level set misses the controlled neighbourhood
+    (ValidityError) gives 0, and any other failure raises the exception
+    of the first failing point.
     """
-    from itertools import permutations
-
     d = len(surface_functions)
     y = np.asarray(y, dtype=float)
-    det = _reduction_det([sf.surface for sf in surface_functions], y)
-    if abs(det) < transversality_floor:
-        raise TransversalityError(f"reduction determinant {det:.3e} below the floor")
-
-    def last_partial_proxy(order) -> float:
-        # steeper solved coordinate means a larger guaranteed neighbourhood
-        s_pen = surface_functions[order[d - 2]].surface
-        s_last = surface_functions[order[d - 1]].surface
-        g_pen = s_pen.grad(np.zeros((1, d - 1)))[0][-1]
-        g_last = s_last.grad(np.atleast_2d(y[: d - 1]))[0][-1]
-        return abs(g_pen - g_last)
-
-    orders = sorted(permutations(range(d)), key=last_partial_proxy, reverse=True)
-    last_error: Exception | None = None
-    for order in orders:
-        try:
-            return _surface_convolution_ordered(
-                [surface_functions[i] for i in order], y, spec
-            )
-        except (TransversalityError, ValidityError, DomainError) as exc:
-            last_error = exc
-    assert last_error is not None
-    raise last_error
+    Y = np.atleast_2d(y)
+    if Y.ndim != 2 or Y.shape[1] != d:
+        raise ValueError("y must live in the ambient space R^d")
+    values, errors, failures = _convolve_points(surface_functions, Y, spec, transversality_floor)
+    if y.ndim == 1:
+        if failures[0] is not None:
+            raise failures[0]
+        return float(values[0]), float(errors[0])
+    for failure in failures:
+        if failure is not None and not isinstance(failure, ValidityError):
+            raise failure
+    return values, errors
 
 
-def _surface_convolution_ordered(
-    surface_functions: list[SurfaceFunction],
-    y: np.ndarray,
-    spec: QuadratureSpec,
-) -> tuple[float, float]:
+def _convolve_points(surface_functions, Y, spec, transversality_floor):
+    """Values, error estimates and failures of the convolution at the
+    points Y: each point tries its orderings in turn until one succeeds
+    or fails with other than a Transversality, Validity or DomainError;
+    a point that no ordering serves keeps the last ordering's failure."""
     d = len(surface_functions)
     surfaces = [sf.surface for sf in surface_functions]
-    y = np.asarray(y, dtype=float)
-    densities = [sf.input_function() for sf in surface_functions]
-    width = d - 1
-    field, root, scale = build_reduction_field(surfaces, y)
+    P = Y.shape[0]
+    values = np.zeros(P)
+    errors = np.zeros(P)
+    failures: list[Exception | None] = [None] * P
+    at_zero = [s.grad(np.zeros((1, d - 1)))[0] for s in surfaces]
+    at_y = [s.grad(Y[:, : d - 1]) for s in surfaces]
+    det = _reduction_det(at_zero[:-1], at_y[-1])
+    flat = np.abs(det) < transversality_floor
+    for p in np.flatnonzero(flat):
+        failures[p] = TransversalityError(f"reduction determinant {det[p]:.3e} below the floor")
 
-    def integrand(U: np.ndarray) -> np.ndarray:
-        # U carries base coordinates plus the solved last coordinate,
-        # shifted back by the root translation
-        U = np.atleast_2d(U)
-        full = U.copy()
-        full[:, -1] += root
-        out = np.ones(U.shape[0])
-        acc = np.zeros((U.shape[0], width))
-        for j in range(d - 1):
-            block = full[:, j * width : (j + 1) * width]
-            out *= densities[j].evaluate(block)
-            acc += block
-        out *= densities[d - 1].evaluate(y[:-1] - acc)
-        return out
+    # steeper solved coordinate means a larger guaranteed neighbourhood
+    orders = list(permutations(range(d)))
+    proxy = np.column_stack(
+        [np.abs(at_zero[o[d - 2]][-1] - at_y[o[d - 1]][:, -1]) for o in orders]
+    )
+    preference = np.argsort(-proxy, axis=1, kind="stable")
 
-    # delta_integral weights by 1/|d_t G| with G = F/scale, so the raw value
-    # carries an extra |scale| against the 1/|d_t F| convention
-    if field.n == 0:
-        value, err = delta_integral(field, integrand, None, spec)
-        return value / abs(scale), err / abs(scale)
-    window = _support_window(surface_functions, field, root)
-    if window is None:
-        return 0.0, 0.0
-    value, err = delta_integral(field, integrand, window, spec)
-    return value / abs(scale), err / abs(scale)
-
-
-def _reduction_det(surfaces: list[Hypersurface], y: np.ndarray) -> float:
-    d = len(surfaces)
-    rows = [np.ones(d)]
-    grads = [s.grad(np.zeros((1, s.base_dim)))[0] for s in surfaces[:-1]]
-    grads.append(surfaces[-1].grad(np.atleast_2d(y[: d - 1]))[0])
-    rows.extend([np.array([g[a] for g in grads]) for a in range(d - 1)])
-    return float(np.linalg.det(np.vstack(rows)))
+    retry = (TransversalityError, ValidityError, DomainError)
+    pending = np.flatnonzero(~flat)
+    for k in range(len(orders)):
+        choice = preference[pending, k]
+        for order in np.unique(choice):
+            rows = pending[choice == order]
+            ordered = [surface_functions[i] for i in orders[order]]
+            values[rows], errors[rows], fails = _convolve_ordered(ordered, Y[rows], spec)
+            for p, failure in zip(rows, fails):
+                failures[p] = failure
+        pending = np.array(
+            [p for p in pending if isinstance(failures[p], retry)], dtype=np.int64
+        )
+    return values, errors, failures
 
 
-def _support_window(
-    surface_functions: list[SurfaceFunction], field: ScalarField, root: float
-):
-    """Box in base coordinates covering the integrand support, clipped to
-    fit strictly inside B(0, R1)."""
+def _convolve_ordered(surface_functions, Y, spec):
+    """Values, error estimates and failures at the points Y with the
+    surfaces in the given order; a failed point has value 0."""
     d = len(surface_functions)
     width = d - 1
-    los, his = [], []
-    for j in range(d - 1):
-        sf = surface_functions[j]
-        lo, hi = sf.surface.lo.copy(), sf.surface.hi.copy()
-        los.append(lo)
-        his.append(hi)
-    lo = np.concatenate(los)[: field.n]
-    hi = np.concatenate(his)[: field.n]
-    R1, _ = ift_radii(field.beta, field.kappa)
-    corner = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-    if corner >= R1:
-        raise DomainError(
-            f"support radius {corner:.3e} exceeds the guaranteed neighbourhood R1 = {R1:.3e};"
-            " rescale the surfaces"
+    P = Y.shape[0]
+    surfaces = [sf.surface for sf in surface_functions]
+    densities = [sf.input_function() for sf in surface_functions]
+    fields, failures = build_reduction_field(surfaces, Y)
+    n = fields.n
+    live = np.array([p for p, f in enumerate(failures) if f is None], dtype=np.int64)
+    radii = np.zeros((P, 2))
+    caps = np.zeros(P, dtype=np.int64)
+    for p in live:
+        radii[p] = ift_radii(fields.beta, float(fields.kappa[p]))
+        caps[p] = iteration_cap(fields.beta, float(fields.kappa[p]), 1e-12)
+    window = None
+    if n > 0:
+        window = _support_window(surfaces, n)
+        corner = float(np.linalg.norm(np.maximum(np.abs(window[0]), np.abs(window[1]))))
+        for p in live[corner >= radii[live, 0]]:
+            failures[p] = DomainError(
+                f"support radius {corner:.3e} exceeds the guaranteed neighbourhood"
+                f" R1 = {radii[p, 0]:.3e}; rescale the surfaces"
+            )
+        live = live[corner < radii[live, 0]]
+
+    def record(rows, error) -> None:
+        for p in rows:
+            if failures[p] is None:
+                failures[p] = error
+
+    def coarea(rows: np.ndarray):
+        def solve(x: np.ndarray) -> np.ndarray:
+            run = contract(lambda eta, sub: fields.value(x, eta, rows[sub]),
+                           radii[rows, 1], caps[rows], 1e-12, x.shape[0])
+            for r in np.flatnonzero(run.escaped | ~run.converged):
+                record([rows[r]], run.error(r))
+            return run.eta
+
+        def integrand(x: np.ndarray, eta: np.ndarray) -> np.ndarray:
+            # base coordinates plus the solved last coordinate, shifted
+            # back by the root translation
+            R, M = eta.shape
+            full = np.empty((R, M, n + 1))
+            full[..., :n] = x
+            full[..., n] = eta + fields.root[rows, None]
+            out = np.ones((R, M))
+            acc = np.zeros((R, M, width))
+            for j in range(d - 1):
+                block = full[..., j * width : (j + 1) * width]
+                out *= densities[j].evaluate(block.reshape(-1, width)).reshape(R, M)
+                acc += block
+            last = fields.Y[rows, None, :-1] - acc
+            return out * densities[d - 1].evaluate(last.reshape(-1, width)).reshape(R, M)
+
+        return _coarea(
+            n,
+            solve,
+            lambda x, eta: fields.partial_t(x, eta, rows),
+            integrand,
+            window,
+            spec,
+            lambda mask, message: record(rows[mask], FieldDeclarationError(message)),
         )
-    if np.any(hi <= lo):
-        return None
+
+    if n == 0:
+        nodes = 1
+    elif spec.mode == "monte-carlo":
+        nodes = spec.samples
+    else:
+        nodes = spec.resolution ** (n - 1)
+    values = np.zeros(P)
+    errors = np.zeros(P)
+    step = _block_rows(nodes * fields.poly.n)
+    for start in range(0, live.size, step):
+        rows = live[start : start + step]
+        vals, errs = coarea(rows)
+        # the co-area weight is 1/|d_t G| with G = F/scale, so the raw value
+        # carries an extra |scale| against the 1/|d_t F| convention
+        values[rows] = vals / np.abs(fields.scale[rows])
+        errors[rows] = errs / np.abs(fields.scale[rows])
+    failed = np.array([f is not None for f in failures], dtype=bool)
+    values[failed] = 0.0
+    errors[failed] = 0.0
+    return values, errors, failures
+
+
+def _block_rows(entries_per_point: int) -> int:
+    """Points per block when each point adds this many float entries to
+    the largest argument array."""
+    return max(1, _BLOCK_ENTRIES // entries_per_point)
+
+
+def _reduction_det(at_zero: list[np.ndarray], at_y: np.ndarray) -> np.ndarray:
+    """Per point, the determinant with a row of ones over the columns
+    grad phi_j(0) of the first d - 1 surfaces and grad phi_d(y') of the
+    last, at_y holding the latter for every point, shape (P, d - 1)."""
+    d = len(at_zero) + 1
+    M = np.ones((at_y.shape[0], d, d))
+    M[:, 1:, :-1] = np.stack(at_zero, axis=1)
+    M[:, 1:, -1] = at_y
+    return np.linalg.det(M)
+
+
+def _support_window(surfaces: list[Hypersurface], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Box in base coordinates covering the integrand support: the
+    parameter boxes of all surfaces but the last, less the solved
+    coordinate."""
+    lo = np.concatenate([s.lo for s in surfaces[:-1]])[:n]
+    hi = np.concatenate([s.hi for s in surfaces[:-1]])[:n]
     return lo, hi
 
 
@@ -679,6 +882,30 @@ def _surfaces_flat(surfaces: list[Hypersurface]) -> bool:
     return all(s.phi.degree() <= 1 for s in surfaces)
 
 
+def _spatial_grid(
+    surface_functions: list[SurfaceFunction], points_per_axis: int
+) -> tuple[np.ndarray, float]:
+    """Midpoint grid, in ij order, over the summed support box of the
+    graphs padded by 5 % per side, and its cell volume."""
+    d = len(surface_functions)
+    lo = np.zeros(d)
+    hi = np.zeros(d)
+    for sf in surface_functions:
+        s = sf.surface
+        corners = np.array(
+            np.meshgrid(*[[s.lo[a], s.hi[a]] for a in range(d - 1)], indexing="ij")
+        ).reshape(d - 1, -1).T
+        graphs = s.graph(corners)
+        lo += graphs.min(axis=0)
+        hi += graphs.max(axis=0)
+    pad = 0.05 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+    axes = [lo[a] + (hi[a] - lo[a]) * (np.arange(points_per_axis) + 0.5) / points_per_axis
+            for a in range(d)]
+    Y = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return Y, float(np.prod((hi - lo) / points_per_axis))
+
+
 @dataclass
 class Thm74Report:
     lhs: float
@@ -726,34 +953,11 @@ def verify_thm74(
     lhs_sq = float((np.abs(prod) ** 2).sum() * cell)
     lhs = math.sqrt(lhs_sq)
 
-    # spatial route over the summed support box
-    lo = np.zeros(d)
-    hi = np.zeros(d)
-    for sf in surface_functions:
-        s = sf.surface
-        corners = np.array(
-            np.meshgrid(*[[s.lo[a], s.hi[a]] for a in range(d - 1)], indexing="ij")
-        ).reshape(d - 1, -1).T
-        graphs = s.graph(corners)
-        lo += graphs.min(axis=0)
-        hi += graphs.max(axis=0)
-    pad = 0.05 * (hi - lo)
-    lo, hi = lo - pad, hi + pad
-    sres = spatial_multiplier * resolution
-    axes_y = [lo[a] + (hi[a] - lo[a]) * (np.arange(sres) + 0.5) / sres for a in range(d)]
-    mesh_y = np.meshgrid(*axes_y, indexing="ij")
-    Y = np.stack([m.ravel() for m in mesh_y], axis=1)
+    Y, cell_y = _spatial_grid(surface_functions, spatial_multiplier * resolution)
     if d == 2 and _surfaces_flat([sf.surface for sf in surface_functions]):
         conv = _flat_convolution_2d(surface_functions, Y)
     else:
-        vals = []
-        for y in Y:
-            try:
-                vals.append(surface_convolution(surface_functions, y, spec)[0])
-            except ValidityError:
-                vals.append(0.0)  # level set misses the controlled neighbourhood
-        conv = np.array(vals)
-    cell_y = float(np.prod((hi - lo) / sres))
+        conv = surface_convolution(surface_functions, Y, spec)[0]
     conv_sq = float((conv**2).sum() * cell_y)
     constant = (2.0 * math.pi) ** (d / 2.0)
     conv_route = constant * math.sqrt(conv_sq)

@@ -155,7 +155,8 @@ def solve_eta(
     Iterates eta <- eta - F(x, eta).  Convergence at rate 1/2 is
     guaranteed for |x| < R1; iterates must stay in the closed R2 ball
     and the residual must pass tol within the derived cap, otherwise the
-    field's declaration is indicted.
+    field's declaration is indicted.  This is the one-field case of
+    contract.
     """
     R1, R2 = ift_radii(field.beta, field.kappa)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -167,31 +168,83 @@ def solve_eta(
     if np.any(radii >= R1):
         raise DomainError(f"|x| = {radii.max():.3e} outside B(0, R1), R1 = {R1:.3e}")
     cap = iteration_cap(field.beta, field.kappa, tol) if max_iter is None else max_iter
-    eta = np.zeros(x.shape[0])
-    prev_step = None
-    max_ratio = 0.0
-    iterations = 0
-    for iterations in range(1, cap + 1):
-        resid = field.value(x, eta)
-        step = -resid
-        eta = eta + step
-        if np.any(np.abs(eta) > R2 * (1 + 1e-12)):
-            raise FieldDeclarationError(
+    run = contract(lambda eta, rows: field.value(x, eta[0])[None], [R2], [cap], tol, x.shape[0])
+    error = run.error(0)
+    if error is not None:
+        raise error
+    return EtaSolution(
+        run.eta[0], run.residual[0], int(run.iterations[0]), float(run.max_ratio[0]), cap
+    )
+
+
+@dataclass
+class Contraction:
+    """Outcome of contract: row p holds field p's iterates at its m points."""
+
+    eta: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    max_ratio: np.ndarray
+    escaped: np.ndarray
+    converged: np.ndarray
+    cap: np.ndarray
+
+    def error(self, row: int) -> FieldDeclarationError | None:
+        """The failure of one row's solve, None when it converged."""
+        if self.escaped[row]:
+            return FieldDeclarationError(
                 "iterate escaped the closed R2 ball; declared (beta, kappa) is invalid"
             )
-        if prev_step is not None:
-            nonzero = np.abs(prev_step) > 0
-            if np.any(nonzero):
-                ratios = np.abs(step[nonzero]) / np.abs(prev_step[nonzero])
-                max_ratio = max(max_ratio, float(ratios.max()))
-        prev_step = step
-        resid_now = field.value(x, eta)
-        if np.all(np.abs(resid_now) <= tol):
-            return EtaSolution(eta, resid_now, iterations, max_ratio, cap)
-    raise FieldDeclarationError(
-        f"residual {np.abs(field.value(x, eta)).max():.3e} above tol after the "
-        f"guaranteed cap of {cap} iterations; declared (beta, kappa) is invalid"
-    )
+        if not self.converged[row]:
+            return FieldDeclarationError(
+                f"residual {np.abs(self.residual[row]).max():.3e} above tol after the "
+                f"guaranteed cap of {self.cap[row]} iterations; declared (beta, kappa) is invalid"
+            )
+        return None
+
+
+def contract(residual, R2, cap, tol: float, m: int) -> Contraction:
+    """Iterate eta <- eta - F_p(x, eta) from eta = 0 for P fields at once.
+
+    residual(eta, rows) evaluates the fields of ``rows`` (an index array)
+    at their iterates eta, shape (len(rows), m).  Row p stops at the
+    first iteration where all its residuals pass tol.  It fails, and the
+    other rows go on, when an iterate leaves the closed ball of radius
+    R2[p] or cap[p] iterations pass first.  Every row does exactly the
+    arithmetic a run of its field alone would do.
+    """
+    R2 = np.asarray(R2, dtype=float)
+    cap = np.asarray(cap)
+    count = R2.size
+    eta = np.zeros((count, m))
+    prev = np.zeros((count, m))
+    resid = residual(eta, np.arange(count))
+    iterations = np.zeros(count, dtype=np.int64)
+    max_ratio = np.zeros(count)
+    escaped = np.zeros(count, dtype=bool)
+    converged = np.zeros(count, dtype=bool)
+    active = np.flatnonzero(cap >= 1)
+    it = 0
+    while active.size:
+        it += 1
+        step = -resid[active]
+        eta[active] += step
+        out = np.any(np.abs(eta[active]) > R2[active, None] * (1 + 1e-12), axis=1)
+        escaped[active[out]] = True
+        if it > 1:
+            before = np.abs(prev[active])
+            ratios = np.divide(np.abs(step), before, out=np.zeros_like(step), where=before > 0)
+            max_ratio[active] = np.maximum(max_ratio[active], ratios.max(axis=1, initial=0.0))
+        prev[active] = step
+        active = active[~out]
+        if not active.size:
+            break
+        resid[active] = residual(eta[active], active)
+        iterations[active] = it
+        done = np.all(np.abs(resid[active]) <= tol, axis=1)
+        converged[active[done]] = True
+        active = active[~done & (it < cap[active])]
+    return Contraction(eta, resid, iterations, max_ratio, escaped, converged, cap)
 
 
 def eta_gradient(field: ScalarField, x: np.ndarray, eta: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -411,6 +411,50 @@ class TestUnreadOptions:
         assert not out.exists()
 
 
+class TestConvolutionRule:
+    """convolve-surfaces and verify-thm74 integrate the same delta integral,
+    whose base has (d - 1)^2 - 1 axes: 0, 3 and 8 at d = 2, 3, 4."""
+
+    def surfaces_file(self, tmp_path, d):
+        surface = {"U": {"lo": [-1e-4] * (d - 1), "hi": [1e-4] * (d - 1)},
+                   "phi": {"terms": [{"powers": [1] + [0] * (d - 2), "c": 1.0}]},
+                   "beta": 1.0, "kappa": 2.5}
+        path = tmp_path / f"surfaces{d}.json"
+        path.write_text(json.dumps({"surfaces": [surface] * d, "y": [0.0] * d}))
+        return str(path)
+
+    @pytest.mark.parametrize("d, mode", [(2, "tensor-midpoint"), (3, "tensor-midpoint"),
+                                         (4, "monte-carlo")])
+    def test_both_commands_resolve_the_same_rule(self, tmp_path, monkeypatch, d, mode):
+        from blt import convext
+
+        seen = {}
+
+        def convolution(sfuncs, y, spec):
+            seen["convolve-surfaces"] = spec.mode
+            return 0.0, 0.0
+
+        def thm74(sfuncs, halfwidth, resolution, spec):
+            seen["verify-thm74"] = spec.mode
+            return convext.Thm74Report(1.0, 1.0, 0.0, 1.0, [1.0] * d, halfwidth, resolution,
+                                       1.0, False)
+
+        monkeypatch.setattr(convext, "surface_convolution", convolution)
+        monkeypatch.setattr(convext, "verify_thm74", thm74)
+        path = self.surfaces_file(tmp_path, d)
+        for command in ("convolve-surfaces", "verify-thm74"):
+            run(tmp_path, command, [command, "--input", path, "--seed", "3"])
+        assert seen == {"convolve-surfaces": mode, "verify-thm74": mode}
+
+    def test_convolve_d4_without_seed_asks_for_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("BLT_DEFAULT_SEED", raising=False)
+        out = tmp_path / "o.json"
+        argv = ["convolve-surfaces", "--input", self.surfaces_file(tmp_path, 4), "--output", str(out)]
+        assert main(argv) == 1
+        assert "provide --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestScalesCommands:
     def scales_payload(self):
         c = 0.3

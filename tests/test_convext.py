@@ -1,18 +1,22 @@
 """Singular convolution, block lift, extension operator, two-route check."""
 
+import json
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import qr
 
-from blt import convext
+from blt import convext, ift
+from blt.cli import main
 from blt.convext import (
     Hypersurface,
     ResolutionBudgetError,
     SurfaceFunction,
     TransversalityError,
+    ValidityError,
     block_lift,
     build_corollary_maps,
     delta_integral,
@@ -23,7 +27,7 @@ from blt.convext import (
 )
 from blt.datum import block_index_tuples
 from blt.geometry import polytope_volume
-from blt.ift import ScalarField
+from blt.ift import DomainError, FieldDeclarationError, ScalarField
 from blt.inputs import GridFunction
 from blt.polynomials import Polynomial
 from blt.quadrature import QuadratureSpec
@@ -227,6 +231,347 @@ class TestSurfaceConvolution:
         spec = QuadratureSpec("tensor-midpoint", resolution=8)
         with pytest.raises(TransversalityError):
             surface_convolution([SurfaceFunction(s0), SurfaceFunction(s1)], np.array([0.0, 0.0]), spec)
+
+
+def curved_bridge(seed=1, index=0):
+    """The benchmark's curved bridge input: graphs +-x + 0.5 x^2 over
+    [-0.05, 0.05] with seeded densities in [0.8, 1.2] on 8 cells."""
+    rng = np.random.default_rng([seed, index, 2])
+    out = []
+    for slope in (1.0, -1.0):
+        density = rng.uniform(0.8, 1.2, 8)
+        surf = Hypersurface([-0.05], [0.05], Polynomial(1, {(1,): slope, (2,): 0.5}), 1.0, 2.5)
+        out.append(SurfaceFunction(surf, GridFunction(np.array([-0.05]), 0.1 / 8, density)))
+    return out
+
+
+# The per-point route the batched surface_convolution replaced, kept as
+# its oracle: one dict-algebra field, np.roots root, sampled kappa and
+# delta_integral per point and ordering.
+
+def _oracle_embed(poly, shift, blocks, n_blocks, width, sign):
+    A = np.zeros((poly.n, n_blocks * width))
+    for a in range(width):
+        for blk in blocks:
+            A[a, blk * width + a] = sign
+    return poly.substitute_affine(A, shift)
+
+
+def oracle_declare_kappa(poly, total, seed=0):
+    grads = [poly.partial(a) for a in range(total)]
+    g0 = np.array([float(g.evaluate(np.zeros((1, total)))[0]) for g in grads])
+    kappa = max(float(np.linalg.norm(g0)), 1.0)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        R2 = (100.0 * kappa) ** (-1.0)
+        U = rng.standard_normal((400, total))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        U *= R2 * rng.uniform(0, 1, size=(400, 1)) ** (1 / total)
+        V = rng.standard_normal((400, total))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        V *= R2 * rng.uniform(0, 1, size=(400, 1)) ** (1 / total)
+        dU = np.stack([g.evaluate(U) for g in grads], axis=1)
+        dV = np.stack([g.evaluate(V) for g in grads], axis=1)
+        gaps = np.linalg.norm(U - V, axis=1)
+        keep = gaps > 0
+        quot = np.linalg.norm(dU[keep] - dV[keep], axis=1) / gaps[keep]
+        sup_grad = float(np.linalg.norm(dU, axis=1).max())
+        kappa = max(2.0 * float(quot.max(initial=0.0)), sup_grad, 1.0)
+    return kappa
+
+
+def oracle_field(surfaces, y):
+    d = len(surfaces)
+    width = n_blocks = d - 1
+    total = width * n_blocks
+    F = Polynomial.constant(total, -float(y[-1]))
+    for j in range(n_blocks):
+        F = F + _oracle_embed(surfaces[j].phi, None, [j], n_blocks, width, 1.0)
+    F = F + _oracle_embed(surfaces[d - 1].phi, y[:-1], range(n_blocks), n_blocks, width, -1.0)
+    e_last = np.zeros((total, 1))
+    e_last[-1, 0] = 1.0
+    g = F.substitute_affine(e_last)
+    coeffs = np.zeros(max((sum(k) for k in g.coeffs), default=0) + 1)
+    for k, c in g.coeffs.items():
+        coeffs[sum(k)] += c
+    roots = np.roots(coeffs[::-1]) if coeffs.size > 1 else np.array([])
+    real = roots[np.abs(roots.imag) < 1e-9].real if roots.size else np.array([])
+    validity_radius = 0.5 * float(np.max(np.concatenate([s.hi - s.lo for s in surfaces])) + 1.0)
+    if real.size == 0 or np.min(np.abs(real)) > validity_radius:
+        raise ValidityError("no root of the reduction field near the origin")
+    root = float(real[np.argmin(np.abs(real))])
+    shift = np.zeros(total)
+    shift[-1] = root
+    F_t = F.translate(shift)
+    scale = float(F_t.partial(total - 1).evaluate(np.zeros((1, total)))[0])
+    if abs(scale) < 0.5:
+        raise TransversalityError(f"last partial derivative {scale:.3e} below 1/2 at the root")
+    G = F_t.scale(1.0 / scale)
+    kappa = oracle_declare_kappa(G, total)
+    field = ScalarField(total - 1, G, beta=min(s.beta for s in surfaces), kappa=kappa)
+    return field, root, scale
+
+
+def oracle_ordered(surface_functions, y, spec):
+    d = len(surface_functions)
+    surfaces = [sf.surface for sf in surface_functions]
+    densities = [sf.input_function() for sf in surface_functions]
+    width = d - 1
+    field, root, scale = oracle_field(surfaces, y)
+
+    def integrand(U):
+        full = np.atleast_2d(U).copy()
+        full[:, -1] += root
+        out = np.ones(full.shape[0])
+        acc = np.zeros((full.shape[0], width))
+        for j in range(d - 1):
+            block = full[:, j * width : (j + 1) * width]
+            out *= densities[j].evaluate(block)
+            acc += block
+        return out * densities[d - 1].evaluate(y[:-1] - acc)
+
+    window = None
+    if field.n > 0:
+        lo = np.concatenate([s.lo for s in surfaces[:-1]])[: field.n]
+        hi = np.concatenate([s.hi for s in surfaces[:-1]])[: field.n]
+        R1, _ = ift.ift_radii(field.beta, field.kappa)
+        if float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))) >= R1:
+            raise DomainError("support radius exceeds the guaranteed neighbourhood")
+        window = (lo, hi)
+    value, err = delta_integral(field, integrand, window, spec)
+    return value / abs(scale), err / abs(scale)
+
+
+def oracle_convolution(surface_functions, y, spec, floor=1e-6):
+    """(value, error, orderings tried) at one point, raising as the
+    per-point route did."""
+    d = len(surface_functions)
+    y = np.asarray(y, dtype=float)
+    surfaces = [sf.surface for sf in surface_functions]
+    rows = [np.ones(d)]
+    grads = [s.grad(np.zeros((1, s.base_dim)))[0] for s in surfaces[:-1]]
+    grads.append(surfaces[-1].grad(np.atleast_2d(y[: d - 1]))[0])
+    rows.extend([np.array([g[a] for g in grads]) for a in range(d - 1)])
+    det = float(np.linalg.det(np.vstack(rows)))
+    if abs(det) < floor:
+        raise TransversalityError(f"reduction determinant {det:.3e} below the floor")
+
+    def proxy(order):
+        g_pen = surfaces[order[d - 2]].grad(np.zeros((1, d - 1)))[0][-1]
+        g_last = surfaces[order[d - 1]].grad(np.atleast_2d(y[: d - 1]))[0][-1]
+        return abs(g_pen - g_last)
+
+    last_error = None
+    for tried, order in enumerate(sorted(permutations(range(d)), key=proxy, reverse=True), 1):
+        try:
+            value, err = oracle_ordered([surface_functions[i] for i in order], y, spec)
+            return value, err, tried
+        except (TransversalityError, ValidityError, DomainError) as exc:
+            last_error = exc
+    raise last_error
+
+
+def oracle_batch(surface_functions, Y, spec):
+    """The per-point loop verify_thm74 ran: ValidityError gives 0, any
+    other failure propagates."""
+    values, tried = [], []
+    for y in Y:
+        try:
+            value, _, count = oracle_convolution(surface_functions, y, spec)
+        except ValidityError:
+            value, count = 0.0, 0
+        values.append(value)
+        tried.append(count)
+    return np.array(values), np.array(tried)
+
+
+def far_and_near_curves():
+    """Curved graphs over [-0.05, 0.05] and [0.9, 1.0]: where the proxy
+    prefers solving for the far curve's parameter, its root lies outside
+    the validity radius and the other ordering serves the point."""
+    s0 = Hypersurface([-0.05], [0.05], Polynomial(1, {(1,): 1.0, (2,): 0.5}), 1.0, 2.5)
+    s1 = Hypersurface([0.9], [1.0], Polynomial(1, {(1,): -1.0, (2,): 0.5}), 1.0, 2.5)
+    rng = np.random.default_rng(5)
+    return [
+        SurfaceFunction(s0, GridFunction(np.array([-0.05]), 0.025, rng.uniform(0.5, 1.5, 4))),
+        SurfaceFunction(s1, GridFunction(np.array([0.9]), 0.025, rng.uniform(0.5, 1.5, 4))),
+    ]
+
+
+def assert_matches_oracle(got, want):
+    scale = np.max(np.abs(want))
+    assert scale > 0
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+class TestBatchedConvolution:
+    spec = QuadratureSpec("tensor-midpoint", resolution=8)
+
+    def test_curved_bridge_grid_matches_oracle(self):
+        sfuncs = curved_bridge()
+        Y, _ = convext._spatial_grid(sfuncs, 32)
+        want, _ = oracle_batch(sfuncs, Y, self.spec)
+        got, _ = surface_convolution(sfuncs, Y, self.spec)
+        assert got.shape == (1024,)
+        assert np.count_nonzero(want == 0.0) > 0  # points outside the support
+        assert_matches_oracle(got, want)
+
+    def test_second_ordering_serves_where_the_first_fails(self):
+        sfuncs = far_and_near_curves()
+        Y, _ = convext._spatial_grid(sfuncs, 12)
+        want, tried = oracle_batch(sfuncs, Y, self.spec)
+        assert np.count_nonzero(tried == 2) > 0
+        got, _ = surface_convolution(sfuncs, Y, self.spec)
+        assert_matches_oracle(got, want)
+
+    def test_d3_planes_midpoint_match_oracle(self):
+        sfuncs, slopes, r = orthogonal_planes()
+        spec = QuadratureSpec("tensor-midpoint", resolution=6)
+        axes = [np.linspace(-r, r, 3), np.linspace(-r, r, 3), np.linspace(-2 * r, 2 * r, 3)]
+        Y = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        want, _ = oracle_batch(sfuncs, Y, spec)
+        got, _ = surface_convolution(sfuncs, Y, spec)
+        assert_matches_oracle(got, want)
+
+    @pytest.mark.parametrize("spec", [QuadratureSpec("tensor-midpoint", resolution=4),
+                                      QuadratureSpec("monte-carlo", samples=500, seed=3)],
+                             ids=["midpoint", "monte-carlo"])
+    def test_d3_curved_planes_match_oracle(self, spec):
+        sfuncs, slopes, r = orthogonal_planes(r=3e-5)
+        rng = np.random.default_rng(9)
+        curved = []
+        for sf in sfuncs:
+            s = sf.surface
+            phi = s.phi + Polynomial(2, {(2, 0): 0.5, (1, 1): -0.3, (0, 2): 0.4})
+            density = GridFunction(np.array([-r, -r]), r, rng.uniform(0.5, 1.5, (2, 2)))
+            curved.append(SurfaceFunction(Hypersurface(s.lo, s.hi, phi, 1.0, s.kappa), density))
+        Y, _ = convext._spatial_grid(curved, 3)
+        want, _ = oracle_batch(curved, Y, spec)
+        got, _ = surface_convolution(curved, Y, spec)
+        assert_matches_oracle(got, want)
+
+    def test_fields_match_oracle_fields(self):
+        # root, scale and the sampled kappa of every point, for both
+        # orderings; kappa's quotients |dU - dV| / |U - V| cancel about two
+        # digits, hence the wider tolerance
+        # cubic graphs: three roots per point, and sampled quotients that
+        # depend on where the samples fall
+        cubic = [
+            Hypersurface([-0.05], [0.05], Polynomial(1, {(1,): 1.0, (2,): 0.5, (3,): 40.0}), 1.0, 2.5),
+            Hypersurface([-0.05], [0.05], Polynomial(1, {(1,): -1.0, (2,): 0.5, (3,): -30.0}), 1.0, 2.5),
+        ]
+        Y, _ = convext._spatial_grid([SurfaceFunction(s) for s in cubic], 8)
+        for surfaces in (cubic, cubic[::-1]):
+            fields, failures = convext.build_reduction_field(surfaces, Y)
+            assert failures == [None] * len(Y)
+            for p, y in enumerate(Y):
+                field, root, scale = oracle_field(surfaces, y)
+                assert fields.root[p] == pytest.approx(root, rel=1e-12, abs=1e-15)
+                assert fields.scale[p] == pytest.approx(scale, rel=1e-12)
+                assert fields.kappa[p] == pytest.approx(field.kappa, rel=1e-9)
+
+    def test_one_point_is_the_batch_of_one(self):
+        sfuncs = curved_bridge()
+        Y, _ = convext._spatial_grid(sfuncs, 32)
+        values, errors = surface_convolution(sfuncs, Y[500:503], self.spec)
+        for y, value, error in zip(Y[500:503], values, errors):
+            assert surface_convolution(sfuncs, y, self.spec) == (value, error)
+
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(convext, name)
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(convext, name, counted)
+        return calls
+
+    def test_kappa_blocks_change_no_value(self, monkeypatch):
+        sfuncs = curved_bridge()
+        Y, _ = convext._spatial_grid(sfuncs, 32)
+        whole = surface_convolution(sfuncs, Y, self.spec)
+        # 100 points per kappa block, at least three per ordering group
+        monkeypatch.setattr(convext, "_BLOCK_ENTRIES", 100 * 800 * 3)
+        calls = self.count_calls(monkeypatch, "_sampled_kappa")
+        split = surface_convolution(sfuncs, Y, self.spec)
+        assert len(calls) >= 6
+        assert np.array_equal(split[0], whole[0])
+        assert np.array_equal(split[1], whole[1])
+
+    def test_quadrature_blocks_change_no_value(self, monkeypatch):
+        sfuncs, slopes, r = orthogonal_planes()
+        spec = QuadratureSpec("tensor-midpoint", resolution=6)
+        Y = np.random.default_rng(3).uniform(-r, r, (10, 3))
+        whole = surface_convolution(sfuncs, Y, spec)
+        # 3 points per quadrature chunk of 6^2 nodes and 7 arguments
+        monkeypatch.setattr(convext, "_BLOCK_ENTRIES", 3 * 36 * 7)
+        calls = self.count_calls(monkeypatch, "_coarea")
+        split = surface_convolution(sfuncs, Y, spec)
+        assert len(calls) >= 3
+        assert np.array_equal(split[0], whole[0])
+        assert np.array_equal(split[1], whole[1])
+
+    def test_curved_thm74_matches_recorded_numbers(self):
+        # the per-point route's numbers for the seed-1 curved bridge
+        rep = verify_thm74(curved_bridge(), 40.0, 8, self.spec)
+        assert rep.lhs == pytest.approx(0.3827353444508662, rel=1e-12)
+        assert rep.conv_route == pytest.approx(0.43121952071631897, rel=1e-12)
+        assert rep.bridge_error == pytest.approx(0.1124350219232038, rel=1e-12)
+
+
+def scalar_failure(sfuncs, Y, spec):
+    with pytest.raises(ValueError) as info:
+        oracle_batch(sfuncs, Y, spec)
+    return type(info.value)
+
+
+class TestBatchedFailures:
+    spec = QuadratureSpec("tensor-midpoint", resolution=8)
+
+    def points(self):
+        # a served point, a point whose field has no real root and a point
+        # on the determinant's zero set (phi_1'(y_0) = phi_0'(0) at y_0 = 2)
+        return np.array([[0.01, 0.0], [0.0, -2.0], [2.0, 0.0]])
+
+    def check(self, Y, expected):
+        sfuncs = curved_bridge()
+        assert scalar_failure(sfuncs, Y, self.spec) is expected
+        with pytest.raises(expected):
+            surface_convolution(sfuncs, Y, self.spec)
+
+    def test_determinant_floor(self):
+        ok, missed, flat = self.points()
+        with pytest.raises(ValidityError):
+            oracle_convolution(curved_bridge(), missed, self.spec)
+        self.check(np.array([ok, missed, flat, ok]), TransversalityError)
+
+    def test_first_failing_point_decides(self, monkeypatch):
+        ok, missed, flat = self.points()
+        monkeypatch.setattr(ift, "NORMALISATION_TOL", -1.0)
+        self.check(np.array([missed, flat, ok]), TransversalityError)
+        self.check(np.array([missed, ok, flat]), FieldDeclarationError)
+
+    def test_one_point_raises_its_validity_error(self):
+        with pytest.raises(ValidityError):
+            surface_convolution(curved_bridge(), self.points()[1], self.spec)
+
+    def test_parallel_curves_exit_one(self, tmp_path, capsys):
+        curve = {"U": {"lo": [-1e-4], "hi": [1e-4]},
+                 "phi": {"terms": [{"powers": [1], "c": 0.5}]}, "beta": 1.0, "kappa": 2.5}
+        path = tmp_path / "parallel.json"
+        path.write_text(json.dumps({"surfaces": [curve, curve], "y": [0.0, 0.0]}))
+        assert main(["convolve-surfaces", "--input", str(path)]) == 1
+        assert "reduction determinant" in capsys.readouterr().err
+
+    def test_convolve_surfaces_takes_one_point(self, tmp_path, capsys):
+        curve = {"U": {"lo": [-1e-4], "hi": [1e-4]},
+                 "phi": {"terms": [{"powers": [1], "c": 1.0}]}, "beta": 1.0, "kappa": 2.5}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"surfaces": [curve, curve], "y": [[0.0, 0.0], [1e-5, 0.0]]}))
+        assert main(["convolve-surfaces", "--input", str(path)]) == 1
+        assert "one point" in capsys.readouterr().err
 
 
 class TestExtensionOperator:

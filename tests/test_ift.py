@@ -9,6 +9,7 @@ from blt.ift import (
     DomainError,
     FieldDeclarationError,
     ScalarField,
+    contract,
     eta_gradient,
     hoelder_estimate,
     ift_radii,
@@ -120,6 +121,35 @@ class TestSolveEta:
         grad_t = field.partial_t(X, sol.eta)
         polished = sol.eta - field.value(X, sol.eta) / grad_t
         assert np.all(np.abs(field.value(X, polished)) <= 1e-12)
+
+
+class TestContract:
+    def test_rows_match_single_field_solves(self):
+        # a converging field, an escaping one and one capped at one
+        # iteration: each row matches its own solve, bit for bit
+        fields = [
+            quadratic_field(),
+            ScalarField(1, Polynomial(2, {(0, 1): 1.0, (1, 0): 500.0}), 1.0, 1.0),
+            quadratic_field(),
+        ]
+        x = [np.array([[2e-4, -1e-4], [-1e-4, 1.5e-4]]), np.array([[9e-4], [1e-4]]),
+             np.array([[1.7e-4, 1.7e-4], [1e-4, 0.0]])]
+        caps = [iteration_cap(f.beta, f.kappa, 1e-18) for f in fields[:2]] + [1]
+        R2 = [ift_radii(f.beta, f.kappa)[1] for f in fields]
+
+        def residual(eta, rows):
+            return np.stack([fields[r].value(x[r], e) for r, e in zip(rows, eta)])
+
+        run = contract(residual, R2, caps, 1e-18, 2)
+        sol = solve_eta(fields[0], x[0], tol=1e-18)
+        assert np.array_equal(run.eta[0], sol.eta)
+        assert run.iterations[0] == sol.iterations
+        assert run.max_ratio[0] == sol.max_ratio
+        assert run.error(0) is None
+        assert run.escaped[1] and isinstance(run.error(1), FieldDeclarationError)
+        assert not run.converged[2] and "cap of 1 iterations" in str(run.error(2))
+        with pytest.raises(FieldDeclarationError, match="cap of 1 iterations"):
+            solve_eta(fields[2], x[2], tol=1e-18, max_iter=1)
 
 
 class TestEtaGradient:
