@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -76,21 +77,29 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _parse_datum(payload) -> datum_mod.BLDatum:
+@contextmanager
+def _input_errors(kind: str):
+    """Report a malformed payload (a missing key, a bad value or type) as a
+    usage error."""
     try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"{kind} JSON missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"invalid {kind}: {exc}") from exc
+
+
+def _parse_datum(payload) -> datum_mod.BLDatum:
+    with _input_errors("datum"):
         return datum_mod.BLDatum(
             int(payload["d"]),
             [np.asarray(M, dtype=float) for M in payload["maps"]],
             np.asarray(payload["p"], dtype=float),
         )
-    except KeyError as exc:
-        raise UsageError(f"datum JSON missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"invalid datum: {exc}") from exc
 
 
 def _parse_grid(payload) -> inputs_mod.GridFunction:
-    try:
+    with _input_errors("grid"):
         values = np.asarray(payload["values"], dtype=float)
         if "shape" in payload:
             values = values.reshape(tuple(int(s) for s in payload["shape"]))  # row-major
@@ -99,10 +108,6 @@ def _parse_grid(payload) -> inputs_mod.GridFunction:
             float(payload["spacing"]),
             values,
         )
-    except KeyError as exc:
-        raise UsageError(f"grid JSON missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"invalid grid: {exc}") from exc
 
 
 def _parse_poly(payload, n: int) -> Polynomial:
@@ -110,7 +115,7 @@ def _parse_poly(payload, n: int) -> Polynomial:
 
 
 def _parse_map_family(payload) -> scales.NonlinearMapFamily:
-    try:
+    with _input_errors("map"):
         d = int(payload["d"])
         comps = []
         for row in payload["rows"]:
@@ -122,29 +127,23 @@ def _parse_map_family(payload) -> scales.NonlinearMapFamily:
             d, comps, float(payload["beta"]), float(payload["kappa"]),
             payload.get("tag", "linear-plus-polynomial-perturbation"),
         )
-    except KeyError as exc:
-        raise UsageError(f"map JSON missing field {exc}") from exc
 
 
 def _parse_field(payload) -> ift.ScalarField:
-    try:
+    with _input_errors("field"):
         n = int(payload["n"])
         poly = _parse_poly(payload, n + 1)
         return ift.ScalarField(n, poly, float(payload["beta"]), float(payload["kappa"]))
-    except KeyError as exc:
-        raise UsageError(f"field JSON missing field {exc}") from exc
 
 
 def _parse_surface(payload) -> convext.SurfaceFunction:
-    try:
+    with _input_errors("surface"):
         lo = np.asarray(payload["U"]["lo"], dtype=float)
         hi = np.asarray(payload["U"]["hi"], dtype=float)
         phi = _parse_poly(payload["phi"], lo.size)
         surf = convext.Hypersurface(lo, hi, phi, float(payload["beta"]), float(payload["kappa"]))
         values = _parse_grid(payload["values"]) if payload.get("values") else None
         return convext.SurfaceFunction(surf, values)
-    except KeyError as exc:
-        raise UsageError(f"surface JSON missing field {exc}") from exc
 
 
 def _quad_spec(args, d: int | None = None) -> quadrature.QuadratureSpec:

@@ -12,7 +12,7 @@ against the convolution route through the Plancherel constant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -22,6 +22,7 @@ from .datum import block_index_tuples
 from .exterior import MAX_DIMENSION, transversality_quantity
 from . import ift
 from .ift import (
+    AUDIT_PAIRS,
     DomainError,
     FieldDeclarationError,
     ScalarField,
@@ -33,7 +34,7 @@ from .ift import (
 )
 from .inputs import BoxIndicator, GridFunction, InputFunction, integrate
 from .polynomials import Polynomial
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, midpoint_axes
 
 
 # Largest intermediate, in complex entries, of one extension_on_grid chunk.
@@ -43,6 +44,12 @@ _CHUNK_ENTRIES = 4_000_000
 # arguments of the reduction polynomial.  A block's temporaries then take
 # about a MiB, so a batch of points needs no more memory than one point.
 _BLOCK_ENTRIES = 2**16
+# Reduction determinants below this floor fail transversality.
+_TRANSVERSALITY_FLOOR = 1e-6
+# Fewest midpoints per axis of an extension integral.
+_MIN_EXTENSION_RESOLUTION = 16
+# Spatial midpoints per axis of verify_thm74, per frequency node per axis.
+_SPATIAL_MULTIPLIER = 4
 
 
 class TransversalityError(ValueError):
@@ -88,10 +95,10 @@ class Hypersurface:
         points = np.atleast_2d(points)
         return np.stack([g.evaluate(points) for g in self.grad_polys], axis=1)
 
-    def audit_regularity(self, seed: int = 0, pairs: int = 1000) -> float:
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(self.lo, self.hi, size=(pairs, self.base_dim))
-        Y = rng.uniform(self.lo, self.hi, size=(pairs, self.base_dim))
+    def audit_regularity(self) -> float:
+        rng = np.random.default_rng(0)
+        X = rng.uniform(self.lo, self.hi, size=(AUDIT_PAIRS, self.base_dim))
+        Y = rng.uniform(self.lo, self.hi, size=(AUDIT_PAIRS, self.base_dim))
         gaps = np.linalg.norm(X - Y, axis=1)
         keep = gaps > 0
         quot = (
@@ -189,7 +196,6 @@ def _coarea(n: int, solve, partial_t, integrand, window, spec: QuadratureSpec, f
         weight = np.abs(partial_t(x, eta))[:, 0]
         fail(weight < 0.5, "|d_last F| fell below 1/2 at the root")
         return integrand(x, eta)[:, 0] / weight, np.zeros(weight.size)
-    lo, hi = window
 
     def weighted(points: np.ndarray) -> np.ndarray:
         eta = solve(points)
@@ -197,16 +203,7 @@ def _coarea(n: int, solve, partial_t, integrand, window, spec: QuadratureSpec, f
         fail(np.any(denom < 0.5, axis=1), "|d_last F| fell below 1/2 on the window")
         return integrand(points, eta) / denom
 
-    if spec.mode == "monte-carlo":
-        rng = np.random.default_rng(spec.seed)
-        vals = weighted(rng.uniform(lo, hi, size=(spec.samples, n)))
-        vol = float(np.prod(hi - lo))
-        return vol * vals.mean(axis=1), vol * (vals.std(ddof=1, axis=1) / math.sqrt(spec.samples))
-    from .quadrature import _midpoint_integral
-
-    value = _midpoint_integral(weighted, lo, hi, spec.resolution, n)
-    coarse = _midpoint_integral(weighted, lo, hi, max(1, spec.resolution // 2), n)
-    return value, np.abs(value - coarse)
+    return spec.integrate(weighted, *window)
 
 
 # Sample pairs per pass of the kappa sampler.
@@ -404,7 +401,6 @@ def surface_convolution(
     surface_functions: list[SurfaceFunction],
     y: np.ndarray,
     spec: QuadratureSpec,
-    transversality_floor: float = 1e-6,
 ):
     """Convolution of the d surface-carried densities at y, one point of
     shape (d,) or a batch of shape (P, d).
@@ -426,7 +422,7 @@ def surface_convolution(
     Y = np.atleast_2d(y)
     if Y.ndim != 2 or Y.shape[1] != d:
         raise ValueError("y must live in the ambient space R^d")
-    values, errors, failures = _convolve_points(surface_functions, Y, spec, transversality_floor)
+    values, errors, failures = _convolve_points(surface_functions, Y, spec)
     if y.ndim == 1:
         if failures[0] is not None:
             raise failures[0]
@@ -437,7 +433,7 @@ def surface_convolution(
     return values, errors
 
 
-def _convolve_points(surface_functions, Y, spec, transversality_floor):
+def _convolve_points(surface_functions, Y, spec):
     """Values, error estimates and failures of the convolution at the
     points Y: each point tries its orderings in turn until one succeeds
     or fails with other than a Transversality, Validity or DomainError;
@@ -451,7 +447,7 @@ def _convolve_points(surface_functions, Y, spec, transversality_floor):
     at_zero = [s.grad(np.zeros((1, d - 1)))[0] for s in surfaces]
     at_y = [s.grad(Y[:, : d - 1]) for s in surfaces]
     det = _reduction_det(at_zero[:-1], at_y[-1])
-    flat = np.abs(det) < transversality_floor
+    flat = np.abs(det) < _TRANSVERSALITY_FLOOR
     for p in np.flatnonzero(flat):
         failures[p] = TransversalityError(f"reduction determinant {det[p]:.3e} below the floor")
 
@@ -544,15 +540,9 @@ def _convolve_ordered(surface_functions, Y, spec):
             lambda mask, message: record(rows[mask], FieldDeclarationError(message)),
         )
 
-    if n == 0:
-        nodes = 1
-    elif spec.mode == "monte-carlo":
-        nodes = spec.samples
-    else:
-        nodes = spec.resolution ** (n - 1)
     values = np.zeros(P)
     errors = np.zeros(P)
-    step = _block_rows(nodes * fields.poly.n)
+    step = _block_rows(spec.points_per_call(n) * fields.poly.n)
     for start in range(0, live.size, step):
         rows = live[start : start + step]
         vals, errs = coarea(rows)
@@ -773,7 +763,6 @@ def extension_operator(
     xi: np.ndarray,
     resolution: int | None = None,
     max_resolution: int = 4096,
-    min_resolution: int = 16,
 ) -> complex:
     """Oscillatory integral int_U g(x) e^{i <xi, (x, phi(x))>} dx.
 
@@ -785,7 +774,7 @@ def extension_operator(
     k = surface.base_dim
     if xi.shape != (k + 1,):
         raise ValueError("frequency must live in the ambient space")
-    floor = _required_resolution(surface, float(np.max(np.abs(xi))), min_resolution)
+    floor = _required_resolution(surface, float(np.max(np.abs(xi))))
     if floor > max_resolution:
         raise ResolutionBudgetError(
             f"needs {floor} points per axis, budget {max_resolution}; raise the budget"
@@ -798,14 +787,14 @@ def extension_operator(
     return complex(extension_on_grid(surface, g, xi[None, :], res).item())
 
 
-def _required_resolution(surface: Hypersurface, xi_max: float, min_resolution: int) -> int:
+def _required_resolution(surface: Hypersurface, xi_max: float) -> int:
     widths = surface.hi - surface.lo
     # phase derivative bound per axis: |xi| (1 + Lip(phi))
     sample = np.linspace(surface.lo, surface.hi, 9)
     lip = float(np.abs(surface.grad(sample.reshape(-1, surface.base_dim))).max(initial=0.0))
     rate = xi_max * (1.0 + lip)
     need = int(np.ceil(10.0 * rate * float(widths.max()) / (2.0 * math.pi)))
-    return max(min_resolution, need)
+    return max(_MIN_EXTENSION_RESOLUTION, need)
 
 
 def extension_on_grid(
@@ -836,13 +825,9 @@ def extension_on_grid(
         raise ValueError(f"nodes must be an (n, {k + 1}) array, one column per ambient axis")
     n = nodes.shape[0]
     u = u_resolution
-    axes = [
-        surface.lo[a] + (surface.hi[a] - surface.lo[a]) * (np.arange(u) + 0.5) / u
-        for a in range(k)
-    ]
+    axes, cell = midpoint_axes(surface.lo, surface.hi, u)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    cell = float(np.prod((surface.hi - surface.lo) / u))
     weights = (g.evaluate(pts) if g is not None else np.ones(pts.shape[0])) * cell
     phi = surface.phi.evaluate(pts)
     factors = [np.exp(1j * np.outer(nodes[:, a], axes[a])) for a in range(k)]
@@ -900,10 +885,9 @@ def _spatial_grid(
         hi += graphs.max(axis=0)
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    axes = [lo[a] + (hi[a] - lo[a]) * (np.arange(points_per_axis) + 0.5) / points_per_axis
-            for a in range(d)]
+    axes, cell = midpoint_axes(lo, hi, points_per_axis)
     Y = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return Y, float(np.prod((hi - lo) / points_per_axis))
+    return Y, cell
 
 
 @dataclass
@@ -924,7 +908,6 @@ def verify_thm74(
     frequency_halfwidth: float,
     resolution: int,
     spec: QuadratureSpec,
-    spatial_multiplier: int = 4,
 ) -> Thm74Report:
     """Two-route check of the product-extension estimate in L^2.
 
@@ -937,27 +920,24 @@ def verify_thm74(
     if len(surface_functions) != d:
         raise ValueError("need d surfaces in ambient dimension d")
     for sf in surface_functions:
-        sf.surface.audit_regularity(seed=0)
+        sf.surface.audit_regularity()
     R = float(frequency_halfwidth)
-    axes = [(-R + 2 * R * (np.arange(resolution) + 0.5) / resolution) for _ in range(d)]
+    axes, cell = midpoint_axes(np.full(d, -R), np.full(d, R), resolution)
     nodes = np.stack(axes, axis=1)
-    cell = (2.0 * R / resolution) ** d
-    xi_max = R
     u_res = resolution
     for sf in surface_functions:
-        need = _required_resolution(sf.surface, xi_max * math.sqrt(d), 16)
-        u_res = max(u_res, need)
+        u_res = max(u_res, _required_resolution(sf.surface, R * math.sqrt(d)))
     prod = np.ones((resolution,) * d, dtype=complex)
     for sf in surface_functions:
         prod *= extension_on_grid(sf.surface, sf.values, nodes, u_res)
     lhs_sq = float((np.abs(prod) ** 2).sum() * cell)
     lhs = math.sqrt(lhs_sq)
 
-    Y, cell_y = _spatial_grid(surface_functions, spatial_multiplier * resolution)
+    Y, cell_y = _spatial_grid(surface_functions, _SPATIAL_MULTIPLIER * resolution)
     if d == 2 and _surfaces_flat([sf.surface for sf in surface_functions]):
         conv = _flat_convolution_2d(surface_functions, Y)
     else:
-        conv = surface_convolution(surface_functions, Y, spec)[0]
+        conv = surface_convolution(surface_functions, Y, replace(spec, error_estimate=False))[0]
     conv_sq = float((conv**2).sum() * cell_y)
     constant = (2.0 * math.pi) ** (d / 2.0)
     conv_route = constant * math.sqrt(conv_sq)

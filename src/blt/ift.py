@@ -22,6 +22,8 @@ import numpy as np
 from .polynomials import Polynomial
 
 NORMALISATION_TOL = 1e-12
+# Sample pairs of every sampled Hoelder audit.
+AUDIT_PAIRS = 1000
 DERIVATIVE_FLOOR = 0.75
 
 
@@ -38,15 +40,14 @@ class ScalarField:
     """Polynomial scalar field F(x, t), x in R^n, t scalar, degree <= 4.
 
     beta, kappa declare the C^{1,beta} bound used by the radii.  The
-    normalisation flags F(0,0)=0 and d_{n+1}F(0,0)=1 are validated on
-    construction when `normalised` is requested.
+    normalisation F(0,0)=0 and d_{n+1}F(0,0)=1 is validated on
+    construction.
     """
 
     n: int
     poly: Polynomial
     beta: float
     kappa: float
-    normalised: bool = True
     grad_polys: list[Polynomial] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -59,14 +60,13 @@ class ScalarField:
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         self.grad_polys = [self.poly.partial(a) for a in range(self.n + 1)]
-        if self.normalised:
-            origin = np.zeros((1, self.n + 1))
-            f0 = float(self.poly.evaluate(origin)[0])
-            d0 = float(self.grad_polys[-1].evaluate(origin)[0])
-            if abs(f0) > NORMALISATION_TOL:
-                raise FieldDeclarationError(f"F(0,0) = {f0:.3e}, expected 0")
-            if abs(d0 - 1.0) > NORMALISATION_TOL:
-                raise FieldDeclarationError(f"d_(n+1)F(0,0) = {d0:.16g}, expected 1")
+        origin = np.zeros((1, self.n + 1))
+        f0 = float(self.poly.evaluate(origin)[0])
+        d0 = float(self.grad_polys[-1].evaluate(origin)[0])
+        if abs(f0) > NORMALISATION_TOL:
+            raise FieldDeclarationError(f"F(0,0) = {f0:.3e}, expected 0")
+        if abs(d0 - 1.0) > NORMALISATION_TOL:
+            raise FieldDeclarationError(f"d_(n+1)F(0,0) = {d0:.16g}, expected 1")
 
     def value(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         pts = _join(x, t, self.n)
@@ -80,13 +80,13 @@ class ScalarField:
         pts = _join(x, t, self.n)
         return self.grad_polys[-1].evaluate(pts)
 
-    def sampled_holder_audit(self, seed: int, pairs: int = 1000) -> float:
+    def sampled_holder_audit(self, seed: int) -> float:
         """Max sampled Hoelder quotient of dF over the R2 ball; raises if it
         exceeds the declared kappa."""
         _, R2 = ift_radii(self.beta, self.kappa)
         rng = np.random.default_rng(seed)
-        U = _ball_samples(rng, pairs, self.n + 1, R2)
-        V = _ball_samples(rng, pairs, self.n + 1, R2)
+        U = _ball_samples(rng, AUDIT_PAIRS, self.n + 1, R2)
+        V = _ball_samples(rng, AUDIT_PAIRS, self.n + 1, R2)
         dU = np.stack([g.evaluate(U) for g in self.grad_polys], axis=1)
         dV = np.stack([g.evaluate(V) for g in self.grad_polys], axis=1)
         gaps = np.linalg.norm(U - V, axis=1)

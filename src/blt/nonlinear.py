@@ -11,7 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ift import AUDIT_PAIRS
 from .polynomials import Polynomial
+
+# Smallest Jacobian singular value the audit accepts as full rank.
+RANK_TOL = 1e-8
 
 
 class RegularityError(ValueError):
@@ -95,8 +99,6 @@ class NonlinearMapFamily:
         cube_center: np.ndarray,
         cube_side: float,
         rng: np.random.Generator,
-        pairs: int = 1000,
-        rank_tol: float = 1e-8,
     ) -> dict:
         """Sampled regularity audit on the working cube.
 
@@ -106,12 +108,12 @@ class NonlinearMapFamily:
         """
         center = np.asarray(cube_center, dtype=float)
         half = cube_side / 2.0
-        X = center + rng.uniform(-half, half, size=(pairs, self.d))
-        Y = center + rng.uniform(-half, half, size=(pairs, self.d))
+        X = center + rng.uniform(-half, half, size=(AUDIT_PAIRS, self.d))
+        Y = center + rng.uniform(-half, half, size=(AUDIT_PAIRS, self.d))
         JX = self.jacobian(X)
         JY = self.jacobian(Y)
         min_sv = np.linalg.svd(JX[:100], compute_uv=False)[:, -1].min(initial=np.inf)
-        if min_sv <= rank_tol:
+        if min_sv <= RANK_TOL:
             raise RegularityError(f"Jacobian rank deficiency: min singular value {min_sv:.3e}")
         diffs = np.linalg.norm(X - Y, axis=1)
         keep = diffs > 0

@@ -1,16 +1,17 @@
 """Quadrature of the multilinear functional and the ratio it defines.
 
-The numerator integral of prod_j f_j(B_j x)^{p_j} is computed by tensor
-midpoint rule or seeded Monte Carlo over an axis box; when every input
-is a box indicator and no region is given, the composite support is a
-polytope and the value is exact.  Also hosts the discrete
+QuadratureSpec owns the one box rule of the package: tensor midpoint or
+seeded Monte Carlo, each with its error estimate.  The numerator integral
+of prod_j f_j(B_j x)^{p_j} is computed by it over an axis box; when every
+input is a box indicator and no region is given, the composite support
+is a polytope and the value is exact.  Also hosts the discrete
 product-projection inequality, exact parallelepiped extremizers, and
 the convolution self-similarity report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +34,8 @@ class QuadratureSpec:
 
     mode is 'tensor-midpoint' or 'monte-carlo'; resolution is points per
     axis for the midpoint rule, samples the Monte Carlo count.  The seed
-    is mandatory for Monte Carlo.
+    and at least two samples (for the standard error) are mandatory for
+    Monte Carlo.  error_estimate=False skips the error estimate.
     """
 
     mode: str = "tensor-midpoint"
@@ -47,8 +49,45 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature mode {self.mode!r}")
         if self.resolution < 1 or self.samples < 1:
             raise ValueError("sample count and resolution must be >= 1")
-        if self.mode == "monte-carlo" and self.seed is None:
-            raise ValueError("monte-carlo quadrature needs a seed")
+        if self.mode == "monte-carlo" and (self.seed is None or self.samples < 2):
+            raise ValueError("monte-carlo quadrature needs a seed and at least 2 samples")
+
+    def points_per_call(self, n: int) -> int:
+        """Most points one integrand call receives from integrate on an
+        n-dimensional box; a zero-dimensional box is one point."""
+        if n == 0:
+            return 1
+        if self.mode == "monte-carlo":
+            return self.samples
+        return self.resolution ** (n - 1)
+
+    def integrate(self, integrand, lo: np.ndarray, hi: np.ndarray):
+        """Integral of integrand over the box [lo, hi] and its error estimate.
+
+        The integrand maps (N, n) points to (N,) values, or to (k, N)
+        values for k integrals sharing each call (value and error are then
+        (k,) arrays).  Monte Carlo reports the standard error of samples
+        points from default_rng(seed), the midpoint rule the change against
+        half the resolution (0 at one point per axis).
+        """
+        n = lo.size
+        if self.mode == "monte-carlo":
+            rng = np.random.default_rng(self.seed)
+            vals = integrand(rng.uniform(lo, hi, size=(self.samples, n)))
+            volume = float(np.prod(hi - lo))
+            value = volume * vals.mean(axis=-1)
+            error = volume * (vals.std(ddof=1, axis=-1) / np.sqrt(self.samples))
+        else:
+            value = _midpoint_integral(integrand, lo, hi, self.resolution, n)
+            error = np.zeros(np.shape(value))
+            if self.error_estimate and self.resolution >= 2:
+                coarse = _midpoint_integral(integrand, lo, hi, self.resolution // 2, n)
+                error = np.abs(value - coarse)
+        if not self.error_estimate:
+            error = np.zeros(np.shape(value))
+        if np.ndim(value):
+            return value, error
+        return float(value), float(error)
 
 
 class UnboundedDomainError(ValueError):
@@ -141,22 +180,15 @@ def bl_ratio(
     hi = np.asarray(region[1], dtype=float)
     if lo.shape != (datum.d,) or hi.shape != (datum.d,) or np.any(hi <= lo):
         raise ValueError("region must be a nondegenerate axis box (lo, hi)")
-    integrand = _product_integrand(datum, inputs)
-    volume = float(np.prod(hi - lo))
-    if spec.mode == "monte-carlo":
-        rng = np.random.default_rng(spec.seed)
-        points = rng.uniform(lo, hi, size=(spec.samples, datum.d))
-        vals = integrand(points)
-        numerator = volume * float(vals.mean())
-        stderr = volume * float(vals.std(ddof=1) / np.sqrt(spec.samples))
-        return numerator / denom, stderr / denom
-    value = _midpoint_integral(integrand, lo, hi, spec.resolution, datum.d)
-    if spec.error_estimate and spec.resolution >= 2:
-        coarse = _midpoint_integral(integrand, lo, hi, max(1, spec.resolution // 2), datum.d)
-        err = abs(value - coarse)
-    else:
-        err = 0.0
-    return value / denom, err / denom
+    value, error = spec.integrate(_product_integrand(datum, inputs), lo, hi)
+    return value / denom, error / denom
+
+
+def midpoint_axes(lo: np.ndarray, hi: np.ndarray, count: int) -> tuple[list[np.ndarray], float]:
+    """The midpoints of count equal cells along each axis of the box
+    [lo, hi] (float arrays), and the volume of one cell."""
+    axes = [lo[a] + (hi[a] - lo[a]) * (np.arange(count) + 0.5) / count for a in range(lo.size)]
+    return axes, float(np.prod((hi - lo) / count))
 
 
 def _midpoint_integral(integrand, lo, hi, resolution: int, d: int):
@@ -166,8 +198,7 @@ def _midpoint_integral(integrand, lo, hi, resolution: int, d: int):
     for k integrals that share one evaluation per chunk; the result is a
     float or a (k,) array.
     """
-    axes = [lo[a] + (hi[a] - lo[a]) * (np.arange(resolution) + 0.5) / resolution for a in range(d)]
-    cell = float(np.prod((hi - lo) / resolution))
+    axes, cell = midpoint_axes(lo, hi, resolution)
     total = 0.0
     # chunk the first axis so the point array stays modest
     rest = np.meshgrid(*axes[1:], indexing="ij") if d > 1 else []
@@ -323,6 +354,10 @@ def ball_inequality_report(
     inconclusive rather than failed.  Grid points where some g_j^x has
     zero mass are excluded from the sup.
     """
+    if len(f) != datum.m or len(fprime) != datum.m:
+        raise ValueError(
+            f"{len(f)} f and {len(fprime)} f' for {datum.m} maps: one of each per map"
+        )
     if not all(isinstance(g, GridFunction) for g in f + fprime):
         raise ValueError("the convolution report requires grid inputs")
     for g in f + fprime:
@@ -334,11 +369,12 @@ def ball_inequality_report(
         and _lattice_aligned(datum, f + fprime)
         and _x_grid_on_lattice(x_grid, f[0].spacing)
     )
+    value_only = replace(spec, error_estimate=False)
 
     def ratio(inputs: list[InputFunction]) -> float:
         if fast and all(isinstance(g, GridFunction) for g in inputs):
             return _lattice_bl_exact(datum, inputs)  # exact piecewise path
-        return bl_ratio(datum, inputs, None, spec)[0]
+        return bl_ratio(datum, inputs, None, value_only)[0]
 
     bl_f = ratio(f)
     bl_fp = ratio(fprime)
@@ -411,22 +447,17 @@ def _localised_product(
 def _conv_ratio(
     datum: BLDatum, conv_inputs: list[PiecewiseLinearGridFunction], spec: QuadratureSpec
 ) -> float:
-    """Ratio for exact piecewise-multilinear convolutions by midpoint rule
-    on a lattice-aligned refinement of the joint support box."""
+    """Ratio for exact piecewise-multilinear convolutions by the spec's rule
+    on the knot-snapped support box, with whole midpoint cells per knot cell."""
     region = _support_region(datum, conv_inputs)
     if region is None:
         raise UnboundedDomainError("convolution support could not be bounded")
-    lo, hi = region
     h = conv_inputs[0].spacing
     # snap to the knot lattice so kinks align with quadrature cell faces
-    lo = np.floor(lo / h) * h
-    hi = np.ceil(hi / h) * h
+    lo = np.floor(region[0] / h) * h
+    hi = np.ceil(region[1] / h) * h
     cells = max(int(np.max(np.round((hi - lo) / h))), 1)
-    per_cell = max(1, int(np.ceil(spec.resolution / cells)))
-    resolution = cells * per_cell
-    integrand = _product_integrand(datum, conv_inputs)
-    numerator = _midpoint_integral(integrand, lo, hi, resolution, datum.d)
-    denom = float(
-        np.prod([integrate(g) ** pj for g, pj in zip(conv_inputs, datum.p)])
-    )
-    return numerator / denom
+    refined = cells * max(1, int(np.ceil(spec.resolution / cells)))
+    return bl_ratio(
+        datum, conv_inputs, (lo, hi), replace(spec, resolution=refined, error_estimate=False)
+    )[0]

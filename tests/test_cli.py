@@ -214,6 +214,74 @@ class TestBasicCommands:
         assert report["result"]["slack"] >= -5e-2
 
 
+def ball_payload(lw_file, n_f, n_fprime):
+    rng = np.random.default_rng(11)
+
+    def grids(count):
+        return [{"origin": [0.0, 0.0], "spacing": 1.0,
+                 "values": rng.uniform(0.5, 1.5, (3, 3)).tolist()} for _ in range(count)]
+
+    return {
+        "datum": json.loads(open(lw_file).read()),
+        "f": grids(n_f),
+        "fprime": grids(n_fprime),
+        "x_grid": {"lo": [0.0] * 3, "hi": [4.0] * 3, "count": 5},
+    }
+
+
+class TestBallCheckInputs:
+    @pytest.mark.parametrize("n_f, n_fprime", [(2, 2), (3, 2), (4, 4)])
+    def test_one_f_and_one_fprime_per_map(self, tmp_path, capsys, lw_file, n_f, n_fprime):
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps(ball_payload(lw_file, n_f, n_fprime)))
+        out = tmp_path / "o.json"
+        code = main(["ball-check", "--input", str(path), "--seed", "1", "--output", str(out)])
+        assert code == 1
+        assert "one of each per map" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_monte_carlo_reaches_the_convolution_term(self, tmp_path, lw_file):
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps(ball_payload(lw_file, 3, 3)))
+        argv = ["ball-check", "--input", str(path), "--seed", "1"]
+        midpoint = run(tmp_path, "mid", argv)["result"]
+        out = tmp_path / "mc.json"
+        mc_argv = argv + ["--mode", "monte-carlo", "--samples", "20000", "--output", str(out)]
+        assert main(mc_argv) == 0
+        first = out.read_bytes()
+        assert main(mc_argv) == 0
+        assert out.read_bytes() == first
+        mc = json.loads(first)["result"]
+        assert mc["conv_term"] != midpoint["conv_term"]
+        assert mc["conv_term"] == pytest.approx(midpoint["conv_term"], rel=5e-2)
+        # the sup and lhs terms are exact lattice sums under either rule
+        assert mc["lhs"] == midpoint["lhs"] and mc["sup_term"] == midpoint["sup_term"]
+
+
+SURFACE = {"U": {"lo": [-1e-4], "hi": [1e-4]}, "phi": {"terms": [{"powers": [1], "c": 1.0}]},
+           "beta": 1.0, "kappa": 2.5}
+FIELD = {"n": 2, "terms": [{"powers": [0, 0, 1], "c": 1.0}], "beta": 1.0, "kappa": 1.0}
+
+
+@pytest.mark.parametrize("payload, argv", [
+    ({"surfaces": [{**SURFACE, "U": 5}, SURFACE]}, ["verify-thm74"]),
+    ({"surfaces": [{**SURFACE, "phi": [1]}, SURFACE], "y": [0.0, 0.0]}, ["convolve-surfaces"]),
+    ({"maps": [{"d": 3, "rows": "x", "beta": 1.0, "kappa": 1.0}]}, ["decompose"]),
+    ({**FIELD, "terms": "x", "x": [[0.0, 0.0]]}, ["ift-solve"]),
+    ({"field": FIELD, "window": {"lo": [-2e-4] * 2, "hi": [2e-4] * 2}},
+     ["delta-integral", "--mode", "monte-carlo", "--seed", "1", "--samples", "1"]),
+], ids=["surface-U", "surface-phi", "map-rows", "field-terms", "one-sample"])
+def test_malformed_input_is_usage_error(tmp_path, capsys, payload, argv):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "o.json"
+    code = main(argv + ["--input", str(path), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestExitCodes:
     def test_finner_violation_would_exit_two(self, tmp_path):
         # an artificial lhs > rhs cannot arise from valid inputs; drive the

@@ -130,6 +130,25 @@ class TestDeltaIntegral:
             total += float((vals * w).sum()) * cell * (tgrid[1] - tgrid[0])
         assert value == pytest.approx(total, rel=1e-2)
 
+    @pytest.mark.parametrize("spec, want", [
+        (QuadratureSpec(resolution=16), (1.2704987296411071e-08, 1.6369904322424418e-20)),
+        (QuadratureSpec("monte-carlo", samples=3000, seed=3),
+         (1.2668975504200979e-08, 7.192961320858908e-11)),
+    ], ids=["midpoint", "monte-carlo"])
+    def test_recorded_values(self, spec, want):
+        # (value, error) as computed before QuadratureSpec.integrate became
+        # the one box rule
+        poly = Polynomial(3, {(0, 0, 1): 1.0, (1, 0, 0): 0.25, (0, 1, 0): -0.1,
+                              (2, 0, 0): 0.3, (0, 1, 1): 0.2})
+        field = ScalarField(2, poly, 1.0, 3.0)
+        window = (np.full(2, -5e-5), np.full(2, 6e-5))
+
+        def integrand(U):
+            return 1.0 + U[:, 0] * 1e4 + U[:, 2] ** 2
+
+        got = delta_integral(field, integrand, window, spec)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * want[0])
+
     def test_window_must_fit_domain(self):
         poly = Polynomial(4, {(0, 0, 0, 1): 1.0})
         field = ScalarField(3, poly, 1.0, 1.0)

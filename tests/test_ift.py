@@ -108,7 +108,7 @@ class TestSolveEta:
     def test_escaping_field_indicted(self):
         # coefficients far beyond the declaration push iterates out
         poly = Polynomial(2, {(0, 1): 1.0, (1, 0): 500.0})
-        field = ScalarField(1, poly, 1.0, 1.0, normalised=True)
+        field = ScalarField(1, poly, 1.0, 1.0)
         with pytest.raises(FieldDeclarationError):
             solve_eta(field, np.array([[9e-4]]))
 

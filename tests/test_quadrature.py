@@ -1,5 +1,7 @@
 """Quadrature layer: masses, ratios, discrete inequality, convolution report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from blt.inputs import (
     BoxIndicator,
     GaussianFunction,
     GridFunction,
+    PiecewiseLinearGridFunction,
     ZeroMassError,
     convolve_grids,
     integrate,
@@ -50,6 +53,124 @@ class TestIntegrate:
     def test_negative_grid_rejected(self):
         with pytest.raises(ValueError):
             GridFunction(np.zeros(1), 1.0, np.array([1.0, -0.5]))
+
+
+class TestBoxRule:
+    def test_stacked_integrals_match_single_ones(self):
+        lo, hi = np.array([0.0, -1.0]), np.array([1.0, 0.5])
+
+        def stacked(x):
+            return np.stack([np.cos(x[:, 0]) * x[:, 1] ** 2, np.exp(x[:, 0] - x[:, 1])])
+
+        for spec in (QuadratureSpec(resolution=12), QuadratureSpec("monte-carlo", samples=500, seed=2)):
+            values, errors = spec.integrate(stacked, lo, hi)
+            assert values.shape == errors.shape == (2,)
+            for k in range(2):
+                value, error = spec.integrate(lambda x: stacked(x)[k], lo, hi)
+                assert isinstance(value, float) and isinstance(error, float)
+                assert values[k] == pytest.approx(value, rel=1e-14)
+                assert errors[k] == pytest.approx(error, rel=1e-12)
+
+    def test_error_estimate_off(self):
+        lo, hi = np.zeros(2), np.ones(2)
+        integrand = lambda x: np.exp(x.sum(axis=1))  # noqa: E731
+        for spec in (QuadratureSpec(resolution=8), QuadratureSpec("monte-carlo", samples=50, seed=1)):
+            value, error = spec.integrate(integrand, lo, hi)
+            assert error > 0
+            off = replace(spec, error_estimate=False)
+            assert off.integrate(integrand, lo, hi) == (value, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_points_per_call_bounds_every_call(self, n):
+        for spec in (QuadratureSpec(resolution=6), QuadratureSpec("monte-carlo", samples=70, seed=1)):
+            sizes = []
+
+            def integrand(x):
+                sizes.append(x.shape[0])
+                return np.ones(x.shape[0])
+
+            value, _ = spec.integrate(integrand, np.zeros(n), np.full(n, 2.0))
+            assert value == pytest.approx(2.0**n, rel=1e-12)
+            assert max(sizes) == spec.points_per_call(n)
+
+    def test_monte_carlo_needs_two_samples(self):
+        with pytest.raises(ValueError, match="2 samples"):
+            QuadratureSpec("monte-carlo", samples=1, seed=1)
+
+
+def recorded_inputs():
+    rng = np.random.default_rng(5)
+    grids = [
+        GridFunction(np.array([0.1, -0.2]), 0.37, rng.uniform(0.2, 1.0, (5, 4))) for _ in range(3)
+    ]
+    gaussians = [GaussianFunction(np.eye(2) * s) for s in (1.0, 1.5, 0.7)]
+    return grids, gaussians
+
+
+# (value, error) pairs of bl_ratio on recorded_inputs() as computed before
+# QuadratureSpec.integrate became the one box rule.
+@pytest.mark.parametrize("spec, grid_want, gauss_want", [
+    (QuadratureSpec(resolution=24),
+     (0.6593217765128931, 0.0004181263903379483), (0.9475116971100271, 5.2124791371949875e-05)),
+    (QuadratureSpec(resolution=1), (0.504001057537675, 0.0), (30.36578698711025, 0.0)),
+    (QuadratureSpec("monte-carlo", samples=5000, seed=7),
+     (0.6587316595807277, 0.0034199071941892686), (0.9465586597049499, 0.04620292873379755)),
+], ids=["midpoint", "midpoint-1", "monte-carlo"])
+def test_bl_ratio_recorded_values(lw_datum, spec, grid_want, gauss_want):
+    grids, gaussians = recorded_inputs()
+    region = (np.full(3, -1.5), np.full(3, 1.7))
+    # errors are held to rel 1e-12 of the value they estimate
+    grid = bl_ratio(lw_datum, grids, None, spec)
+    assert grid == pytest.approx(grid_want, rel=1e-12, abs=1e-12 * grid_want[0])
+    gauss = bl_ratio(lw_datum, gaussians, region, spec)
+    assert gauss == pytest.approx(gauss_want, rel=1e-12, abs=1e-12 * gauss_want[0])
+
+
+def corner_loop_evaluate(pl, points):
+    """Tent-basis sum over the 2^k corners of each point's cell, the loop
+    that PiecewiseLinearGridFunction.evaluate replaced."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    u = (points - pl.origin) / pl.spacing
+    base = np.floor(u).astype(np.int64)
+    frac = u - base
+    out = np.zeros(points.shape[0])
+    k = pl.dim
+    shape = np.asarray(pl.node_values.shape)
+    for corner in range(2**k):
+        bits = np.array([(corner >> a) & 1 for a in range(k)])
+        idx = base + bits
+        valid = np.all((idx >= 0) & (idx < shape), axis=1)
+        w = np.ones(points.shape[0])
+        for a in range(k):
+            w = w * (frac[:, a] if bits[a] else (1.0 - frac[:, a]))
+        vals = np.zeros(points.shape[0])
+        vals[valid] = pl.node_values[tuple(idx[valid].T)]
+        out += w * vals
+    return out
+
+
+class TestPiecewiseLinearEvaluate:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_corner_loop(self, k):
+        rng = np.random.default_rng(40 + k)
+        for _ in range(30):
+            shape = rng.integers(1, 6, size=k)
+            pl = PiecewiseLinearGridFunction(
+                rng.uniform(-2, 2, k), float(rng.uniform(0.3, 1.5)), rng.uniform(0, 2, shape)
+            )
+            lo, hi = pl.support_box()
+            inside = rng.uniform(lo, hi, size=(200, k))
+            around = rng.uniform(lo - 2 * pl.spacing, hi + 2 * pl.spacing, size=(200, k))
+            knots = pl.origin + pl.spacing * rng.integers(-2, shape + 2, size=(60, k))
+            points = np.vstack([inside, around, knots])
+            want = corner_loop_evaluate(pl, points)
+            assert np.max(np.abs(pl.evaluate(points) - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_zero_beyond_support(self):
+        pl = PiecewiseLinearGridFunction(np.zeros(2), 0.5, np.ones((3, 2)))
+        lo, hi = pl.support_box()
+        far = np.array([lo - 0.01, hi + 0.01, [lo[0] - 0.2, 0.3], [0.4, hi[1]]])
+        assert np.all(pl.evaluate(far) == 0.0)
 
 
 class TestBlRatio:
