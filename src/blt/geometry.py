@@ -324,28 +324,45 @@ def polytope_volume(A: np.ndarray, b: np.ndarray) -> float:
 def bounding_box_from_linear_constraints(
     mats: list[np.ndarray], lows: list[np.ndarray], highs: list[np.ndarray], d: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Axis bounds of {x : lo_j <= B_j x <= hi_j for all j} via LPs.
+    """Axis bounds of {x : lo_j <= B_j x <= hi_j for all j}.
 
-    Returns None when the region is unbounded in some direction.
+    When every row of every B_j has one nonzero entry the region is a box,
+    and its bounds are the per-axis intersections of the rows' intervals;
+    otherwise two LPs per axis give them.  Returns None when the region is
+    empty or unbounded in some direction.
     """
-    A_rows = []
-    b_vals = []
-    for B, lo, hi in zip(mats, lows, highs):
-        A_rows.append(B)
-        b_vals.append(np.asarray(hi, dtype=float))
-        A_rows.append(-B)
-        b_vals.append(-np.asarray(lo, dtype=float))
-    A = np.vstack(A_rows)
-    b = np.concatenate(b_vals)
+    lows = [np.asarray(lo, dtype=float) for lo in lows]
+    highs = [np.asarray(hi, dtype=float) for hi in highs]
+    A = np.vstack(mats)
+    if np.all(np.count_nonzero(A, axis=1) == 1):
+        return _interval_box(A, np.concatenate(lows), np.concatenate(highs), d)
+    A_ub = np.vstack([rows for B in mats for rows in (B, -B)])
+    b_ub = np.concatenate([bound for lo, hi in zip(lows, highs) for bound in (hi, -lo)])
     lo_out = np.empty(d)
     hi_out = np.empty(d)
     for a in range(d):
         c = np.zeros(d)
         c[a] = 1.0
-        res_min = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
-        res_max = linprog(-c, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
+        res_min = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * d, method="highs")
+        res_max = linprog(-c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * d, method="highs")
         if not (res_min.success and res_max.success):
             return None
         lo_out[a] = res_min.fun
         hi_out[a] = -res_max.fun
+    return lo_out, hi_out
+
+
+def _interval_box(A: np.ndarray, lo_rows: np.ndarray, hi_rows: np.ndarray, d: int):
+    """`bounding_box_from_linear_constraints` for rows with one nonzero
+    entry a each: the row bounds x_axis between lo/a and hi/a."""
+    axis = np.argmax(A != 0.0, axis=1)
+    a = A[np.arange(len(A)), axis]
+    below = np.where(a > 0.0, lo_rows / a, hi_rows / a)
+    above = np.where(a > 0.0, hi_rows / a, lo_rows / a)
+    lo_out = np.full(d, -np.inf)
+    hi_out = np.full(d, np.inf)
+    np.maximum.at(lo_out, axis, below)
+    np.minimum.at(hi_out, axis, above)
+    if not np.all(np.isfinite(lo_out) & np.isfinite(hi_out) & (lo_out <= hi_out)):
+        return None
     return lo_out, hi_out

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 
 class ZeroMassError(ValueError):
@@ -188,6 +187,9 @@ class PiecewiseLinearGridFunction:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Tent-basis interpolation, with zero nodes beyond the lattice."""
+        # imported here: scipy.ndimage is slow to import and only ball-check needs it
+        from scipy.ndimage import map_coordinates
+
         points = np.atleast_2d(np.asarray(points, dtype=float))
         u = (points - self.origin) / self.spacing
         return map_coordinates(

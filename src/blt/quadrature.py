@@ -2,11 +2,12 @@
 
 QuadratureSpec owns the one box rule of the package: tensor midpoint or
 seeded Monte Carlo, each with its error estimate.  The numerator integral
-of prod_j f_j(B_j x)^{p_j} is computed by it over an axis box; when every
-input is a box indicator and no region is given, the composite support
-is a polytope and the value is exact.  Also hosts the discrete
-product-projection inequality, exact parallelepiped extremizers, and
-the convolution self-similarity report.
+of prod_j f_j(B_j x)^{p_j} is computed by it over an axis box, for
+coordinate projections one factor per map on its own midpoint sub-grid;
+when every input is a box indicator and no region is given, the
+composite support is a polytope and the value is exact.  Also hosts the
+discrete product-projection inequality, exact parallelepiped
+extremizers, and the convolution self-similarity report.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .datum import BLDatum, ProjectionScheme, reduce_to_projections
-from .geometry import bounding_box_from_linear_constraints, polytope_volume
+from .geometry import BLOCK_ENTRIES, bounding_box_from_linear_constraints, polytope_volume
 from .inputs import (
     BoxIndicator,
     GridFunction,
@@ -89,22 +91,50 @@ class QuadratureSpec:
             return value, error
         return float(value), float(error)
 
+    def integrate_product(self, factors, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+        """Integral of prod_k g_k(x[axes_k]) over the box [lo, hi] and its
+        error estimate, for factors (g_k, axes_k): g_k maps (N, len(axes_k))
+        points to (N,) values, and no factor lists an axis twice.
+
+        Monte Carlo draws and multiplies the factors exactly as `integrate`
+        would.  The midpoint rule evaluates each factor once on its own
+        sub-grid of midpoints and sums the product in one einsum, at the
+        resolution and, for the error, at half of it.
+        """
+        if self.mode == "monte-carlo":
+
+            def integrand(points: np.ndarray) -> np.ndarray:
+                out = np.ones(points.shape[0])
+                for g, axes in factors:
+                    out *= g(points[:, axes])
+                return out
+
+            return self.integrate(integrand, lo, hi)
+        value = _separable_midpoint(factors, lo, hi, self.resolution)
+        error = 0.0
+        if self.error_estimate and self.resolution >= 2:
+            error = abs(value - _separable_midpoint(factors, lo, hi, self.resolution // 2))
+        return value, error
+
 
 class UnboundedDomainError(ValueError):
     """Numerator domain is unbounded and no region was supplied."""
 
 
+def _powered(f: InputFunction, p: float):
+    """y -> f(y)^p, with no power taken at p = 1."""
+    if p == 1.0:
+        return f.evaluate
+    return lambda y: np.power(f.evaluate(y), p)
+
+
 def _product_integrand(datum: BLDatum, inputs: list[InputFunction]):
-    p = datum.p
+    factors = [(B, _powered(f, pj)) for B, f, pj in zip(datum.maps, inputs, datum.p)]
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         out = np.ones(points.shape[0])
-        for j, (B, f) in enumerate(zip(datum.maps, inputs)):
-            vals = f.evaluate(points @ B.T)
-            if p[j] == 1.0:
-                out *= vals
-            else:
-                out *= np.power(vals, p[j])
+        for B, g in factors:
+            out *= g(points @ B.T)
         return out
 
     return evaluate
@@ -159,7 +189,8 @@ def bl_ratio(
 
     Returns (value, error_estimate): the Monte Carlo estimate carries
     the sample standard error, the midpoint rule the change against the
-    half-resolution rule.
+    half-resolution rule.  Coordinate-projection data integrate through
+    `QuadratureSpec.integrate_product`, one factor per map.
     """
     if len(inputs) != datum.m:
         raise ValueError("one input per map is required")
@@ -180,7 +211,14 @@ def bl_ratio(
     hi = np.asarray(region[1], dtype=float)
     if lo.shape != (datum.d,) or hi.shape != (datum.d,) or np.any(hi <= lo):
         raise ValueError("region must be a nondegenerate axis box (lo, hi)")
-    value, error = spec.integrate(_product_integrand(datum, inputs), lo, hi)
+    if _is_coordinate_projection_datum(datum):
+        factors = [
+            (_powered(f, pj), np.argmax(B, axis=1))
+            for B, f, pj in zip(datum.maps, inputs, datum.p)
+        ]
+        value, error = spec.integrate_product(factors, lo, hi)
+    else:
+        value, error = spec.integrate(_product_integrand(datum, inputs), lo, hi)
     return value / denom, error / denom
 
 
@@ -189,6 +227,20 @@ def midpoint_axes(lo: np.ndarray, hi: np.ndarray, count: int) -> tuple[list[np.n
     [lo, hi] (float arrays), and the volume of one cell."""
     axes = [lo[a] + (hi[a] - lo[a]) * (np.arange(count) + 0.5) / count for a in range(lo.size)]
     return axes, float(np.prod((hi - lo) / count))
+
+
+def _separable_midpoint(factors, lo: np.ndarray, hi: np.ndarray, count: int) -> float:
+    """Tensor midpoint rule for prod_k g_k(x[axes_k]) on the box [lo, hi]:
+    each factor is evaluated on the midpoints of its own axes, and axes
+    no factor reads contribute their cell count."""
+    axes, cell = midpoint_axes(lo, hi, count)
+    operands = []
+    for g, sub in factors:
+        mesh = np.meshgrid(*[axes[a] for a in sub], indexing="ij")
+        points = np.stack([m.ravel() for m in mesh], axis=1)
+        operands += [g(points).reshape(mesh[0].shape), [int(a) for a in sub]]
+    free = lo.size - len({int(a) for _, sub in factors for a in sub})
+    return float(np.einsum(*operands, []) * count**free * cell)
 
 
 def _midpoint_integral(integrand, lo, hi, resolution: int, d: int):
@@ -213,32 +265,40 @@ def _midpoint_integral(integrand, lo, hi, resolution: int, d: int):
     return total * cell if np.ndim(total) else float(total * cell)
 
 
-def lattice_product_sum(blocks, exponents, d: int) -> float:
+def lattice_product_sum(blocks, exponents, d: int) -> float | np.ndarray:
     """Sum of prod_j values_j^{p_j} over the intersection of the blocks'
     lattice boxes (0 when it is empty), as one einsum over the d axes.
 
-    Block j is (values, axes, offset): values[i] sits at lattice index
-    offset + i along the listed axes.  einsum's default unoptimised
+    Block j is (values, axes, offset): values[..., i] sits at lattice
+    index offset + i along the listed axes.  Leading dimensions of values
+    beyond the listed axes are batch axes, broadcast across the blocks;
+    with any of them the result is the array of one sum per batch index,
+    each the same bits as its own call.  einsum's default unoptimised
     contraction is deliberate: optimize=True searches for a path on
     every call, which costs more than it saves at these sizes.
     """
     lo = np.full(d, np.iinfo(np.int64).min, dtype=np.int64)
     hi = np.full(d, np.iinfo(np.int64).max, dtype=np.int64)
     for values, axes, offset in blocks:
+        shape = values.shape[values.ndim - len(axes) :]
         for pos, k in enumerate(axes):
             lo[k] = max(lo[k], offset[pos])
-            hi[k] = min(hi[k], offset[pos] + values.shape[pos])
+            hi[k] = min(hi[k], offset[pos] + shape[pos])
     if lo.min() == np.iinfo(np.int64).min:
         raise ValueError("every lattice axis must be spanned by some block")
+    batch = np.broadcast_shapes(
+        *(values.shape[: values.ndim - len(axes)] for values, axes, _ in blocks)
+    )
     if np.any(hi <= lo):
-        return 0.0
+        return np.zeros(batch) if batch else 0.0
     operands = []
     for (values, axes, offset), p in zip(blocks, exponents):
         window = tuple(
             slice(int(lo[k] - offset[pos]), int(hi[k] - offset[pos])) for pos, k in enumerate(axes)
         )
-        operands += [np.power(values[window], p), list(axes)]
-    return float(np.einsum(*operands, []))
+        operands += [np.power(values[(Ellipsis, *window)], p), [Ellipsis, *axes]]
+    total = np.einsum(*operands, [Ellipsis])
+    return total if batch else float(total)
 
 
 def discrete_finner(
@@ -313,14 +373,23 @@ def _lattice_bl_exact(datum: BLDatum, grids: list[GridFunction]) -> float:
     The integrand is constant on lattice cells, so the integral is an
     exact finite sum; this is the midpoint rule at lattice resolution.
     """
-    h = grids[0].spacing
+    ratio = _lattice_ratios(
+        datum, [g.values for g in grids], [g.origin for g in grids], grids[0].spacing,
+        [integrate(g) for g in grids],
+    )
+    return float(ratio)
+
+
+def _lattice_ratios(datum: BLDatum, values, origins, h: float, masses):
+    """`_lattice_bl_exact` for values[j] of shape (..., *shape_j) on the
+    lattice cells from origins[j] with masses[j] of shape (...): one
+    ratio per leading index, each the same bits as its own call."""
     blocks = [
-        (g.values, [int(np.argmax(row)) for row in B], np.round(g.origin / h).astype(np.int64))
-        for B, g in zip(datum.maps, grids)
+        (v, [int(np.argmax(row)) for row in B], np.round(o / h).astype(np.int64))
+        for B, v, o in zip(datum.maps, values, origins)
     ]
     numerator = lattice_product_sum(blocks, datum.p, datum.d) * h**datum.d
-    denom = float(np.prod([integrate(g) ** pj for g, pj in zip(grids, datum.p)]))
-    return numerator / denom
+    return numerator / np.prod([np.power(m, pj) for m, pj in zip(masses, datum.p)], axis=0)
 
 
 @dataclass
@@ -352,7 +421,7 @@ def ball_inequality_report(
     slack = sup_term * conv_term / lhs - 1.  The sup is approximated
     from below on the finite grid, so slack < -tolerance is flagged as
     inconclusive rather than failed.  Grid points where some g_j^x has
-    zero mass are excluded from the sup.
+    zero mass are excluded from the sup; ties go to the first grid point.
     """
     if len(f) != datum.m or len(fprime) != datum.m:
         raise ValueError(
@@ -371,8 +440,8 @@ def ball_inequality_report(
     )
     value_only = replace(spec, error_estimate=False)
 
-    def ratio(inputs: list[InputFunction]) -> float:
-        if fast and all(isinstance(g, GridFunction) for g in inputs):
+    def ratio(inputs: list[GridFunction]) -> float:
+        if fast:
             return _lattice_bl_exact(datum, inputs)  # exact piecewise path
         return bl_ratio(datum, inputs, None, value_only)[0]
 
@@ -381,27 +450,23 @@ def ball_inequality_report(
     lhs = bl_f * bl_fp
     conv_inputs = [convolve_grids(fj, fpj) for fj, fpj in zip(f, fprime)]
     conv_term = _conv_ratio(datum, conv_inputs, spec)
-    sup_val = -np.inf
-    sup_arg = x_grid[0]
-    excluded = 0
-    for x in x_grid:
-        g_inputs = []
-        ok = True
-        for B, fj, fpj in zip(datum.maps, f, fprime):
-            g = _localised_product(fj, fpj, B @ x)
-            if g is None or integrate(g) <= 0.0:
-                ok = False
-                break
-            g_inputs.append(g)
-        if not ok:
-            excluded += 1
-            continue
-        val = ratio(g_inputs)
-        if val > sup_val:
-            sup_val = val
-            sup_arg = x
-    if not np.isfinite(sup_val):
+    h = f[0].spacing
+    origins = [fpj.origin for fpj in fprime]
+
+    def ratios(values: list[np.ndarray], masses: list[np.ndarray]) -> np.ndarray:
+        if fast:
+            return _lattice_ratios(datum, values, origins, h, masses)
+        grids = [[GridFunction(o, h, row) for row in v] for o, v in zip(origins, values)]
+        return np.array([bl_ratio(datum, list(x), None, value_only)[0] for x in zip(*grids)])
+
+    sweep = _sup_sweep(datum, f, fprime, x_grid, ratios)
+    excluded = int(np.count_nonzero(sweep == -np.inf))
+    if excluded == len(sweep):
         raise ZeroMassError("every grid point produced a zero-mass localisation")
+    best = int(np.argmax(sweep))
+    sup_val, sup_arg = sweep[best], x_grid[best]
+    if lhs == 0.0:
+        raise ZeroMassError("R(f) R(f') is 0: the composite support of f or f' has no volume")
     slack = sup_val * conv_term / lhs - 1.0
     flag = "consistent" if slack >= -tolerance else "inconclusive"
     return BallReport(
@@ -420,28 +485,51 @@ def _x_grid_on_lattice(x_grid: np.ndarray, h: float) -> bool:
     return bool(np.all(np.abs(np.round(x_grid / h) - x_grid / h) < 1e-9))
 
 
-def _localised_product(
-    fj: GridFunction, fpj: GridFunction, c: np.ndarray
-) -> GridFunction | None:
-    """Grid representation of y -> f(c - y) f'(y) for lattice-aligned c."""
+def _sup_sweep(datum: BLDatum, f, fprime, x_grid: np.ndarray, ratios) -> np.ndarray:
+    """R((g_j^x)_j) for every x of x_grid, and -inf where some g_j^x is off
+    its lattice or has zero mass.
+
+    The x are taken in blocks whose localised products hold at most
+    BLOCK_ENTRIES entries per map.  ratios maps the kept (n, *shape f'_j)
+    values and (n,) masses of every map to the n ratios.
+    """
+    out = np.full(len(x_grid), -np.inf)
+    step = max(1, BLOCK_ENTRIES // max(fpj.values.size for fpj in fprime))
+    for start in range(0, len(x_grid), step):
+        xs = x_grid[start : start + step]
+        kept = np.ones(len(xs), dtype=bool)
+        values, masses = [], []
+        for B, fj, fpj in zip(datum.maps, f, fprime):
+            g, off_lattice = _localised_products(fj, fpj, xs @ B.T)
+            mass = g.reshape(len(xs), -1).sum(axis=1) * fj.spacing**fpj.dim
+            kept &= ~off_lattice & (mass > 0.0)
+            values.append(g)
+            masses.append(mass)
+        if np.any(kept):
+            kept_values = [g[kept] for g in values]
+            out[start : start + step][kept] = ratios(kept_values, [m[kept] for m in masses])
+    return out
+
+
+def _localised_products(
+    fj: GridFunction, fpj: GridFunction, centres: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values of y -> f(c - y) f'(y) on the lattice of f' for each of the
+    (P, k) centres c, as a (P, *shape f') array, and the (P,) mask of the
+    centres whose shift is off the lattice (their values are 0)."""
     h = fj.spacing
-    shift = (c - fj.origin - fpj.origin) / h
-    if np.any(np.abs(np.round(shift) - shift) > 1e-9):
-        return None
-    K = np.round(shift).astype(np.int64)
-    # vals[i] = f[K-1-i] f'[i] where 0 <= K-1-i < len(f), i.e. f[::-1][i + len(f) - K]
+    shift = (centres - fj.origin - fpj.origin) / h
+    K = np.round(shift)
+    off_lattice = ~np.all(np.abs(K - shift) <= 1e-9, axis=1)
+    K[off_lattice] = np.inf  # clipped below to an all-padding window
+    # g[i] = f[K-1-i] f'[i] = flipped[i + n_f - K]: the window of the flip of f,
+    # padded with len(f') zeros per side, that starts at n_f - K + len(f')
     n_f = np.asarray(fj.values.shape)
-    lo = np.clip(K - n_f, 0, fpj.values.shape)
-    hi = np.clip(K, 0, fpj.values.shape)
-    if np.any(hi <= lo):
-        return None
-    flipped = fj.values[(slice(None, None, -1),) * K.size]
-    out = tuple(map(slice, lo, hi))
-    vals = np.zeros_like(fpj.values)
-    vals[out] = flipped[tuple(map(slice, lo + n_f - K, hi + n_f - K))] * fpj.values[out]
-    if vals.sum() == 0.0:
-        return None
-    return GridFunction(fpj.origin.copy(), h, vals)
+    n_p = np.asarray(fpj.values.shape)
+    flipped = fj.values[(slice(None, None, -1),) * n_f.size]
+    windows = sliding_window_view(np.pad(flipped, [(n, n) for n in n_p]), fpj.values.shape)
+    start = np.clip(n_f + n_p - K, 0, n_f + n_p).astype(np.int64)
+    return windows[tuple(start.T)] * fpj.values, off_lattice
 
 
 def _conv_ratio(

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +33,13 @@ def lw_file(tmp_path):
     }
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # scipy.ndimage is slow to import and only piecewise-linear evaluation needs it
+    code = "import sys, blt.cli; sys.exit('scipy.ndimage' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestBasicCommands:
@@ -141,7 +150,7 @@ class TestBasicCommands:
         }
         path.write_text(json.dumps(payload))
         report = run(tmp_path, "di", ["delta-integral", "--input", str(path), "--resolution", "8"])
-        assert report["result"]["value"] == pytest.approx((4e-4) ** 2, rel=1e-12)
+        assert report["result"]["value"] == pytest.approx((4e-4) ** 2, rel=1e-12, abs=0)
 
     def mc_delta_integral_file(self, tmp_path):
         # n = 4 resolves to Monte Carlo
@@ -256,6 +265,27 @@ class TestBallCheckInputs:
         assert mc["conv_term"] == pytest.approx(midpoint["conv_term"], rel=5e-2)
         # the sup and lhs terms are exact lattice sums under either rule
         assert mc["lhs"] == midpoint["lhs"] and mc["sup_term"] == midpoint["sup_term"]
+
+    @pytest.mark.parametrize("f_origins, message", [
+        # the supports of f_0 and f_1 meet no common interval on axis 2
+        ([[0.0, 0.0], [0.0, 10.0], [0.0, 0.0]], "convolution support could not be bounded"),
+        # f_2 leaves no volume on axis 1 that f_0 covers, but f * f' does
+        ([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]], "R(f) R(f') is 0"),
+    ], ids=["empty-convolution-support", "zero-lhs"])
+    def test_empty_supports_exit_1(self, tmp_path, capsys, lw_file, f_origins, message):
+        unit = {"spacing": 1.0, "values": [[1.0]]}
+        payload = {
+            "datum": json.loads(open(lw_file).read()),
+            "f": [{"origin": origin, **unit} for origin in f_origins],
+            "fprime": [{"origin": [0.0, 0.0], "spacing": 1.0, "values": np.ones((2, 2)).tolist()}] * 3,
+            "x_grid": {"lo": [0.0] * 3, "hi": [3.0] * 3, "count": 4},
+        }
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "o.json"
+        assert main(["ball-check", "--input", str(path), "--seed", "1", "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 SURFACE = {"U": {"lo": [-1e-4], "hi": [1e-4]}, "phi": {"terms": [{"powers": [1], "c": 1.0}]},

@@ -88,7 +88,7 @@ class TestDeltaIntegral:
         window = (np.full(3, -2e-4), np.full(3, 2e-4))
         spec = QuadratureSpec("tensor-midpoint", resolution=8)
         value, err = delta_integral(field, lambda U: np.ones(U.shape[0]), window, spec)
-        assert value == pytest.approx((4e-4) ** 3, rel=1e-12)
+        assert value == pytest.approx((4e-4) ** 3, rel=1e-12, abs=0)
 
     def test_missed_level_set_vanishes(self):
         # indicator window far from the zero set of F
@@ -242,7 +242,7 @@ class TestSurfaceConvolution:
             )
         y_shifted = y + np.concatenate([3 * shift, [0.0]])
         moved, err2 = surface_convolution(shifted, y_shifted, spec)
-        assert moved == pytest.approx(base, rel=0.05)
+        assert moved == pytest.approx(base, rel=0.05, abs=0)
 
     def test_parallel_curves_rejected(self):
         s0 = linear_surface([-1e-4], [1e-4], [0.5])
@@ -535,9 +535,9 @@ class TestBatchedConvolution:
     def test_curved_thm74_matches_recorded_numbers(self):
         # the per-point route's numbers for the seed-1 curved bridge
         rep = verify_thm74(curved_bridge(), 40.0, 8, self.spec)
-        assert rep.lhs == pytest.approx(0.3827353444508662, rel=1e-12)
-        assert rep.conv_route == pytest.approx(0.43121952071631897, rel=1e-12)
-        assert rep.bridge_error == pytest.approx(0.1124350219232038, rel=1e-12)
+        assert rep.lhs == pytest.approx(0.3827353444508662, rel=1e-12, abs=0)
+        assert rep.conv_route == pytest.approx(0.43121952071631897, rel=1e-12, abs=0)
+        assert rep.bridge_error == pytest.approx(0.1124350219232038, rel=1e-12, abs=0)
 
 
 def scalar_failure(sfuncs, Y, spec):
@@ -723,7 +723,7 @@ class TestThm74:
             rep = verify_thm74(self.segments(), 45.0, res, spec)
             assert rep.lhs == pytest.approx(lhs, rel=1e-12)
             assert rep.conv_route == pytest.approx(conv_route, rel=1e-12)
-            assert rep.bridge_error == pytest.approx(bridge_error, rel=1e-12)
+            assert rep.bridge_error == pytest.approx(bridge_error, rel=1e-12, abs=0)
 
     def test_zero_density_gives_zero(self):
         sfuncs = self.segments()

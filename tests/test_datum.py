@@ -72,7 +72,7 @@ class TestClosedFormConstant:
 
     def test_doubled_maps(self):
         datum = BLDatum(3, [2 * B for B in loomis_whitney_maps()], np.full(3, 0.5))
-        assert bl_constant_classC(datum) == pytest.approx(0.125, rel=1e-12)
+        assert bl_constant_classC(datum) == pytest.approx(0.125, rel=1e-12, abs=0)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(0)
@@ -98,7 +98,7 @@ class TestTransform:
     def test_frozen_dilation_scale(self, lw_datum):
         # prod |det 2I_2|^{1/2} / |det 2I_3| = 8 / 8
         _, scale = transform_datum(lw_datum, 2 * np.eye(3), [2 * np.eye(2)] * 3)
-        assert scale == pytest.approx(1.0, rel=1e-14)
+        assert scale == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_group_law_roundtrip(self, lw_datum):
         rng = np.random.default_rng(1)
@@ -180,7 +180,7 @@ class TestGaussianRatio:
         lam = 1.7
         scaled = [lam * A for A in covs]
         assert gaussian_ratio(lw_datum, scaled) == pytest.approx(
-            gaussian_ratio(lw_datum, covs), rel=1e-12
+            gaussian_ratio(lw_datum, covs), rel=1e-12, abs=0
         )
 
     def test_projection_datum_identity_equals_constant(self):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import linprog
+
 from blt import geometry
 from blt.geometry import (
     SUBDIVISION,
@@ -170,7 +172,7 @@ class TestOneMassRoutine:
         values = np.array([2.0, 4.0])
         halfplanes = [(np.array([2.0]), 3.0), (np.array([-1.0]), -0.5)]  # 0.5 <= y <= 1.5
         mass = grid_polygon_mass(values, np.zeros(1), 1.0, halfplanes)
-        assert mass == pytest.approx(2.0 * 0.5 + 4.0 * 0.5, rel=1e-15)
+        assert mass == pytest.approx(2.0 * 0.5 + 4.0 * 0.5, rel=1e-15, abs=0)
         assert grid_polygon_mass(values, np.zeros(1), 1.0, [(np.array([0.0]), -1.0)]) == 0.0
 
     def test_rank3_slab_is_the_same_measure(self):
@@ -344,7 +346,76 @@ class TestPolytopeVolume:
             polytope_volume(A, b)
 
 
+def lp_box(mats, lows, highs, d):
+    """Two LPs per axis over the rows B_j x <= hi_j and -B_j x <= -lo_j."""
+    A = np.vstack([rows for B in mats for rows in (B, -B)])
+    b = np.concatenate([bound for lo, hi in zip(lows, highs) for bound in (hi, -lo)])
+    lo_out, hi_out = np.empty(d), np.empty(d)
+    for a in range(d):
+        c = np.eye(d)[a]
+        low = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
+        high = linprog(-c, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
+        if not (low.success and high.success):
+            return None
+        lo_out[a], hi_out[a] = low.fun, -high.fun
+    return lo_out, hi_out
+
+
+def single_entry_case(rng, d, scaled):
+    """Maps whose rows have one nonzero entry each; the first map reads
+    every axis, and some intervals are empty or points."""
+    mats, lows, highs = [], [], []
+    for j in range(int(rng.integers(1, 5))):
+        k = int(rng.integers(1, d + 1)) if j else d
+        B = np.zeros((k, d))
+        entries = rng.choice([1.0, -1.0, 2.0, -0.5, 3.0, 0.1, -7.3], k) if scaled else np.ones(k)
+        B[np.arange(k), rng.choice(d, k, replace=False)] = entries
+        lo = np.round(rng.uniform(-3, 1, k), int(rng.integers(0, 17)))
+        mats.append(B)
+        lows.append(lo)
+        highs.append(lo + rng.uniform(0, 4, k) * (rng.uniform() > 0.1))
+    return mats, lows, highs
+
+
 class TestBoundingBox:
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled"])
+    def test_interval_box_matches_lp_bit_for_bit(self, scaled):
+        rng = np.random.default_rng(41 + scaled)
+        bounded = 0
+        for _ in range(40):
+            d = int(rng.integers(1, 5))
+            mats, lows, highs = single_entry_case(rng, d, scaled)
+            got = bounding_box_from_linear_constraints(mats, lows, highs, d)
+            want = lp_box(mats, lows, highs, d)
+            if want is None:
+                assert got is None
+                continue
+            bounded += 1
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        assert 10 < bounded < 40
+
+    def test_other_rows_go_through_the_lp(self, monkeypatch):
+        calls = []
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "linprog", counted)
+        maps = [np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[0.0, 0.0, 2.0]])]
+        lows, highs = [np.zeros(2), np.array([-1.0])], [np.ones(2), np.array([3.0])]
+        got = bounding_box_from_linear_constraints(maps, lows, highs, 3)
+        assert len(calls) == 6
+        want = lp_box(maps, lows, highs, 3)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_empty_intersection_detected(self):
+        maps = [np.eye(2), np.array([[0.0, -2.0]])]
+        lows, highs = [np.zeros(2), np.array([-6.0])], [np.ones(2), np.array([-4.0])]
+        assert lp_box(maps, lows, highs, 2) is None
+        assert bounding_box_from_linear_constraints(maps, lows, highs, 2) is None
+
     def test_loomis_whitney_box(self):
         from tests.conftest import loomis_whitney_maps
 

@@ -42,12 +42,12 @@ def quadratic_field():
 class TestRadii:
     def test_frozen_unit_values(self):
         R1, R2 = ift_radii(1.0, 1.0)
-        assert R1 == pytest.approx(1e-3, rel=1e-15)
-        assert R2 == pytest.approx(1e-2, rel=1e-15)
+        assert R1 == pytest.approx(1e-3, rel=1e-15, abs=0)
+        assert R2 == pytest.approx(1e-2, rel=1e-15, abs=0)
 
     def test_large_kappa_ratio(self):
         R1, R2 = ift_radii(1.0, 25.0)
-        assert R1 / R2 == pytest.approx(1.0 / 250.0, rel=1e-12)
+        assert R1 / R2 == pytest.approx(1.0 / 250.0, rel=1e-12, abs=0)
 
     def test_small_kappa_equal_radii(self):
         R1, R2 = ift_radii(0.5, 0.05)
@@ -67,7 +67,7 @@ class TestSolveEta:
         field = ScalarField(1, poly, 1.0, 2.0)
         x = np.array([[1e-4]])
         sol = solve_eta(field, x)
-        assert sol.eta[0] == pytest.approx(-1e-8, rel=1e-10)
+        assert sol.eta[0] == pytest.approx(-1e-8, rel=1e-10, abs=0)
 
     def test_quadratic_contraction_vs_bisection(self):
         field = quadratic_field()
@@ -168,7 +168,7 @@ class TestEtaGradient:
         x = np.array([[t]])
         sol = solve_eta(field, x)
         grad = eta_gradient(field, x, sol.eta)
-        assert grad[0, 0] == pytest.approx(-2 * t, rel=1e-9)
+        assert grad[0, 0] == pytest.approx(-2 * t, rel=1e-9, abs=0)
 
     def test_against_central_differences(self):
         field = quadratic_field()

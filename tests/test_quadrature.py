@@ -20,10 +20,17 @@ from blt.inputs import (
 from blt.quadrature import (
     QuadratureSpec,
     UnboundedDomainError,
+    _is_coordinate_projection_datum,
+    _lattice_aligned,
+    _lattice_bl_exact,
+    _localised_products,
+    _powered,
+    _product_integrand,
+    _support_region,
+    _x_grid_on_lattice,
     ball_inequality_report,
     bl_ratio,
     canonical_extremizer,
-    _localised_product,
     discrete_finner,
     lattice_product_sum,
 )
@@ -68,8 +75,8 @@ class TestBoxRule:
             for k in range(2):
                 value, error = spec.integrate(lambda x: stacked(x)[k], lo, hi)
                 assert isinstance(value, float) and isinstance(error, float)
-                assert values[k] == pytest.approx(value, rel=1e-14)
-                assert errors[k] == pytest.approx(error, rel=1e-12)
+                assert values[k] == pytest.approx(value, rel=1e-14, abs=0)
+                assert errors[k] == pytest.approx(error, rel=1e-12, abs=0)
 
     def test_error_estimate_off(self):
         lo, hi = np.zeros(2), np.ones(2)
@@ -96,6 +103,67 @@ class TestBoxRule:
     def test_monte_carlo_needs_two_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
             QuadratureSpec("monte-carlo", samples=1, seed=1)
+
+
+def coordinate_factors(datum, inputs):
+    return [
+        (_powered(f, pj), np.argmax(B, axis=1)) for B, f, pj in zip(datum.maps, inputs, datum.p)
+    ]
+
+
+class TestIntegrateProduct:
+    def product_cases(self, lw_datum):
+        grids, gaussians = recorded_inputs()
+        rng = np.random.default_rng(12)
+        shifted = GridFunction(np.array([0.37, 0.0]), 0.37, rng.uniform(0.5, 1.5, (2, 3)))
+        conv = [convolve_grids(g, shifted) for g in grids]
+        # exponent 1 takes no power; the last axis is read by no factor
+        partial = BLDatum(3, [np.eye(3)[[0]], np.eye(3)[[1]]], np.array([1.0, 0.5]))
+        line = [GridFunction(np.array([-1.0]), 0.4, rng.uniform(0.5, 1.5, 6)) for _ in range(2)]
+        return [(lw_datum, grids), (lw_datum, gaussians), (lw_datum, conv), (partial, line)]
+
+    @pytest.mark.parametrize("resolution", [1, 7, 16, 33])
+    def test_midpoint_matches_product_integrand(self, lw_datum, resolution):
+        lo, hi = np.full(3, -1.5), np.full(3, 1.7)
+        spec = QuadratureSpec(resolution=resolution)
+        for datum, inputs in self.product_cases(lw_datum):
+            got = spec.integrate_product(coordinate_factors(datum, inputs), lo, hi)
+            want = spec.integrate(_product_integrand(datum, inputs), lo, hi)
+            assert isinstance(got[0], float) and isinstance(got[1], float)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+            # the error is a difference of two rules, each summed to rel 1e-16 of
+            # the value, so it is held to rel 1e-12 of the value it estimates
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12 * want[0])
+
+    def test_monte_carlo_draws_and_multiplies_as_integrate(self, lw_datum):
+        lo, hi = np.full(3, -1.5), np.full(3, 1.7)
+        spec = QuadratureSpec("monte-carlo", samples=3000, seed=4)
+        for datum, inputs in self.product_cases(lw_datum):
+            got = spec.integrate_product(coordinate_factors(datum, inputs), lo, hi)
+            assert got == spec.integrate(_product_integrand(datum, inputs), lo, hi)
+
+    def conv_case(self):
+        rng = np.random.default_rng(31)
+        f = [GridFunction(np.array([0.0, -1.0]), 0.5, rng.uniform(0.5, 1.5, (3, 4)))
+             for _ in range(3)]
+        fp = [GridFunction(np.array([0.5, 0.0]), 0.5, rng.uniform(0.5, 1.5, (2, 3)))
+              for _ in range(3)]
+        x_grid = lattice_x_grid([-1.0] * 3, [2.5] * 3, 0.5)
+        return f, fp, x_grid
+
+    @pytest.mark.parametrize("spec, recorded", [
+        (QuadratureSpec(resolution=64), 0.6493315242276669),
+        (QuadratureSpec("monte-carlo", samples=4000, seed=7), 0.6436680068806818),
+    ], ids=["midpoint", "monte-carlo"])
+    def test_conv_term_matches_the_integrand_route(self, lw_datum, spec, recorded):
+        # recorded: conv_term before the separable midpoint sum
+        f, fp, x_grid = self.conv_case()
+        report = ball_inequality_report(lw_datum, f, fp, x_grid, spec)
+        want = loop_conv_ratio(lw_datum, f, fp, spec)
+        if spec.mode == "monte-carlo":
+            assert report.conv_term == want
+        assert report.conv_term == pytest.approx(want, rel=1e-12, abs=0)
+        assert report.conv_term == pytest.approx(recorded, rel=1e-12, abs=0)
 
 
 def recorded_inputs():
@@ -353,7 +421,7 @@ class TestLatticeProductSum:
 
 
 def loop_localised_product(fj, fpj, c):
-    """Reference for _localised_product: one cell at a time."""
+    """Reference for _localised_products: one centre and one cell at a time."""
     h = fj.spacing
     shift = (c - fj.origin - fpj.origin) / h
     if np.any(np.abs(np.round(shift) - shift) > 1e-9):
@@ -375,19 +443,18 @@ class TestLocalisedProduct:
         rng = np.random.default_rng(8)
         fj = GridFunction(np.array([1.0, -1.0]), 0.5, rng.uniform(0.1, 1.0, (3, 4)))
         fpj = GridFunction(np.array([-0.5, 0.0]), 0.5, rng.uniform(0.1, 1.0, (4, 2)))
+        shifts = np.array([[K0, K1] for K0 in range(-2, 10) for K1 in range(-2, 9)], dtype=float)
+        centres = fj.origin + fpj.origin + 0.5 * shifts
+        got, off_lattice = _localised_products(fj, fpj, centres)
+        assert got.shape == (len(centres), 4, 2) and not off_lattice.any()
         seen_none = 0
-        for K0 in range(-2, 10):
-            for K1 in range(-2, 9):
-                c = fj.origin + fpj.origin + 0.5 * np.array([K0, K1])
-                got = _localised_product(fj, fpj, c)
-                want = loop_localised_product(fj, fpj, c)
-                if want is None:
-                    seen_none += 1
-                    assert got is None
-                    continue
-                np.testing.assert_array_equal(got.values, want.values)
-                np.testing.assert_array_equal(got.origin, want.origin)
-                assert got.spacing == want.spacing
+        for c, values in zip(centres, got):
+            want = loop_localised_product(fj, fpj, c)
+            if want is None:
+                seen_none += 1
+                assert not values.any()
+                continue
+            np.testing.assert_array_equal(values, want.values)
         assert seen_none > 0
 
     def test_zero_cells_in_overlap_give_none(self):
@@ -395,11 +462,157 @@ class TestLocalisedProduct:
         fpj = GridFunction(np.zeros(1), 1.0, np.array([1.0, 1.0, 0.0]))
         # K = 1 pairs only f[0] with f'[0]; f[0] is 0
         assert loop_localised_product(fj, fpj, np.array([1.0])) is None
-        assert _localised_product(fj, fpj, np.array([1.0])) is None
+        got, off_lattice = _localised_products(fj, fpj, np.array([[1.0]]))
+        assert not got.any() and not off_lattice.any()
 
     def test_off_lattice_shift_gives_none(self):
         fj = GridFunction(np.zeros(2), 1.0, np.ones((2, 2)))
-        assert _localised_product(fj, fj, np.array([1.5, 2.0])) is None
+        centres = np.array([[1.5, 2.0], [1.0, 2.0], [np.nan, 1.0]])
+        got, off_lattice = _localised_products(fj, fj, centres)
+        np.testing.assert_array_equal(off_lattice, [True, False, True])
+        assert not got[off_lattice].any() and got[1].any()
+
+
+def loop_sup(datum, f, fprime, x_grid, spec):
+    """lhs and the per-x sup sweep: one localisation per map and one ratio
+    per x, ties going to the first x.  Returns (lhs, sup_term, sup_argmax,
+    excluded)."""
+    fast = (
+        _is_coordinate_projection_datum(datum)
+        and _lattice_aligned(datum, f + fprime)
+        and _x_grid_on_lattice(x_grid, f[0].spacing)
+    )
+
+    def ratio(inputs):
+        if fast:
+            return _lattice_bl_exact(datum, inputs)
+        return bl_ratio(datum, inputs, None, replace(spec, error_estimate=False))[0]
+
+    sup_val, sup_arg, excluded = -np.inf, x_grid[0], 0
+    for x in x_grid:
+        g_inputs = []
+        for B, fj, fpj in zip(datum.maps, f, fprime):
+            g = loop_localised_product(fj, fpj, B @ x)
+            if g is None or integrate(g) <= 0.0:
+                break
+            g_inputs.append(g)
+        if len(g_inputs) < datum.m:
+            excluded += 1
+            continue
+        val = ratio(g_inputs)
+        if val > sup_val:
+            sup_val, sup_arg = val, x
+    if not np.isfinite(sup_val):
+        raise ZeroMassError("every grid point produced a zero-mass localisation")
+    return ratio(f) * ratio(fprime), sup_val, sup_arg, excluded
+
+
+def loop_conv_ratio(datum, f, fprime, spec):
+    """R(f * f') by `integrate` on the product integrand over the
+    knot-snapped support box: the route before the separable midpoint sum."""
+    conv = [convolve_grids(fj, fpj) for fj, fpj in zip(f, fprime)]
+    h = conv[0].spacing
+    region = _support_region(datum, conv)
+    lo = np.floor(region[0] / h) * h
+    hi = np.ceil(region[1] / h) * h
+    cells = max(int(np.max(np.round((hi - lo) / h))), 1)
+    rule = replace(spec, resolution=cells * max(1, int(np.ceil(spec.resolution / cells))),
+                   error_estimate=False)
+    value, _ = rule.integrate(_product_integrand(datum, conv), lo, hi)
+    return value / float(np.prod([integrate(c) ** pj for c, pj in zip(conv, datum.p)]))
+
+
+def lattice_x_grid(lo, hi, h):
+    axes = [np.arange(a, b + h / 2, h) for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def sweep_case(name, lw_datum):
+    """(datum, f, fprime, x_grid) of one sup-sweep oracle case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "random":
+        # every support holds the cell [h, 2h] on each of its axes, so lhs > 0
+        h = 0.5
+        f, fp = [
+            [GridFunction(h * rng.integers(0, 2, 2), h, rng.uniform(0.5, 1.5, rng.integers(2, 5, 2)))
+             for _ in range(3)]
+            for _ in range(2)
+        ]
+        return lw_datum, f, fp, lattice_x_grid([-1.0] * 3, [4.0] * 3, h)
+    if name == "excluded":
+        # zero cells, and x far from the supports
+        holes = [rng.uniform(size=(3, 3)) > 0.4 for _ in range(3)]
+        f = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (3, 3)) * hole) for hole in holes]
+        fp = [GridFunction(np.ones(2), 1.0, rng.uniform(0.5, 1.5, (2, 3))) for _ in range(3)]
+        return lw_datum, f, fp, lattice_x_grid([-3.0] * 3, [9.0] * 3, 1.0)[::3]
+    if name == "off-lattice":
+        # the x on the half lattice are excluded by the per-x route as well
+        f = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (2, 3))) for _ in range(3)]
+        fp = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (3, 2))) for _ in range(3)]
+        return lw_datum, f, fp, lattice_x_grid([0.0] * 3, [4.0] * 3, 0.5)
+    if name == "single-cell":
+        # single-cell f' localise to single cells: every kept x has ratio 1 up to rounding
+        f = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (3, 3))) for _ in range(3)]
+        fp = [GridFunction(np.zeros(2), 1.0, np.ones((1, 1)))] * 3
+        return lw_datum, f, fp, lattice_x_grid([-1.0] * 3, [4.0] * 3, 1.0)
+    if name == "non-coordinate":
+        # doubled maps: the general path, one bl_ratio per kept x
+        datum = BLDatum(3, [2 * B for B in loomis_whitney_maps()], np.full(3, 0.5))
+        f = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (2, 2))) for _ in range(3)]
+        fp = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (2, 2))) for _ in range(3)]
+        return datum, f, fp, lattice_x_grid([0.0] * 3, [2.0] * 3, 0.5)
+    raise KeyError(name)
+
+
+class TestSupSweep:
+    @pytest.mark.parametrize(
+        "name", ["random", "excluded", "off-lattice", "single-cell", "non-coordinate"]
+    )
+    def test_matches_per_x_loop(self, lw_datum, name):
+        datum, f, fp, x_grid = sweep_case(name, lw_datum)
+        spec = QuadratureSpec("tensor-midpoint", resolution=8)
+        report = ball_inequality_report(datum, f, fp, x_grid, spec)
+        lhs, sup_term, sup_argmax, excluded = loop_sup(datum, f, fp, x_grid, spec)
+        assert report.sup_term == sup_term
+        np.testing.assert_array_equal(report.sup_argmax, sup_argmax)
+        assert report.excluded_grid_points == excluded
+        assert 0 < excluded < len(x_grid)
+        assert report.lhs == lhs > 0
+        if _is_coordinate_projection_datum(datum):
+            slack = sup_term * loop_conv_ratio(datum, f, fp, spec) / lhs - 1.0
+            assert report.slack == pytest.approx(slack, rel=1e-12, abs=0)
+
+    def test_ties_go_to_the_first_x(self, lw_datum):
+        # unit values and single-cell f': every kept x has ratio exactly 1
+        f = [GridFunction(np.zeros(2), 1.0, np.ones((2, 2)))] * 3
+        fp = [GridFunction(np.zeros(2), 1.0, np.ones((1, 1)))] * 3
+        x_grid = lattice_x_grid([-1.0] * 3, [3.0] * 3, 1.0)[::-1]
+        report = ball_inequality_report(lw_datum, f, fp, x_grid, QuadratureSpec(resolution=8))
+        kept = [x for x in x_grid if all(loop_localised_product(fj, fpj, B @ x) is not None
+                                         for B, fj, fpj in zip(lw_datum.maps, f, fp))]
+        assert len(kept) == 8 and report.sup_term == 1.0
+        np.testing.assert_array_equal(report.sup_argmax, kept[0])
+
+    def test_blocks_of_x_match_one_block(self, lw_datum, monkeypatch):
+        from blt import quadrature
+
+        datum, f, fp, x_grid = sweep_case("random", lw_datum)
+        x_grid = x_grid[::4]
+        spec = QuadratureSpec(resolution=8)
+        whole = ball_inequality_report(datum, f, fp, x_grid, spec)
+        monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", 7)
+        blocked = ball_inequality_report(datum, f, fp, x_grid, spec)
+        assert blocked.sup_term == whole.sup_term
+        assert blocked.excluded_grid_points == whole.excluded_grid_points
+        np.testing.assert_array_equal(blocked.sup_argmax, whole.sup_argmax)
+
+    def test_every_point_excluded_raises(self, lw_datum):
+        f = [GridFunction(np.zeros(2), 1.0, np.ones((2, 2)))] * 3
+        far = lattice_x_grid([20.0] * 3, [22.0] * 3, 1.0)
+        with pytest.raises(ZeroMassError, match="every grid point"):
+            loop_sup(lw_datum, f, f, far, QuadratureSpec(resolution=8))
+        with pytest.raises(ZeroMassError, match="every grid point"):
+            ball_inequality_report(lw_datum, f, f, far, QuadratureSpec(resolution=8))
 
 
 class TestCanonicalExtremizer:
@@ -412,7 +625,7 @@ class TestCanonicalExtremizer:
     def test_doubled_maps_frozen_ratio(self):
         datum = BLDatum(3, [2 * B for B in loomis_whitney_maps()], np.full(3, 0.5))
         _, ratio = canonical_extremizer(datum)
-        assert ratio == pytest.approx(0.125, rel=1e-12)
+        assert ratio == pytest.approx(0.125, rel=1e-12, abs=0)
 
     def test_rotated_invariance(self):
         rng = np.random.default_rng(4)
@@ -426,7 +639,7 @@ class TestCanonicalExtremizer:
         for _ in range(20):
             datum, _, _, _ = random_class_c_datum(rng, int(rng.integers(3, 6)))
             _, ratio = canonical_extremizer(datum)
-            assert ratio == pytest.approx(bl_constant_classC(datum), rel=1e-10)
+            assert ratio == pytest.approx(bl_constant_classC(datum), rel=1e-10, abs=0)
 
     def test_bl_ratio_reproduces_constant_exactly(self, lw_datum):
         # exact indicator path, no sampling
@@ -451,7 +664,7 @@ class TestConvolution:
         f = GridFunction(np.zeros(2), 0.5, rng.uniform(0, 1, (3, 4)))
         g = GridFunction(np.array([1.0, -0.5]), 0.5, rng.uniform(0, 1, (2, 2)))
         conv = convolve_grids(f, g)
-        assert integrate(conv) == pytest.approx(integrate(f) * integrate(g), rel=1e-12)
+        assert integrate(conv) == pytest.approx(integrate(f) * integrate(g), rel=1e-12, abs=0)
 
     def test_pointwise_against_direct_integral(self):
         rng = np.random.default_rng(8)
@@ -535,4 +748,4 @@ def test_lattice_exact_path_matches_generic_quadrature(lw_datum):
     fast = _lattice_bl_exact(lw_datum, grids)
     spec = QuadratureSpec("tensor-midpoint", resolution=64, error_estimate=False)
     generic, _ = bl_ratio(lw_datum, grids, (np.zeros(3), np.full(3, 4.0)), spec)
-    assert fast == pytest.approx(generic, rel=1e-12)
+    assert fast == pytest.approx(generic, rel=1e-12, abs=0)

@@ -59,8 +59,8 @@ def uniform_inputs_for(maps, cube, value=1.0, cells=12):
 class TestComputeDelta0:
     def test_frozen_flagship_values(self):
         params = compute_delta0(1.0, 1.0, 1.25, 1.5, 3, 3)
-        assert params.c_d == pytest.approx(1e-3, rel=1e-12)
-        assert params.delta0 == pytest.approx(1e-6, rel=1e-12)
+        assert params.c_d == pytest.approx(1e-3, rel=1e-12, abs=0)
+        assert params.delta0 == pytest.approx(1e-6, rel=1e-12, abs=0)
 
     def test_kappa_to_zero_second_term_binds(self):
         params = compute_delta0(1.0, 1e-12, 1.25, 1.5, 3, 3)
@@ -276,10 +276,10 @@ class TestDecomposition:
         for i in range(3):
             lo0, hi0 = deco.interval_bounds(i, 1, 0)
             assert hi0 - lo0 == pytest.approx(
-                0.5 * delta**deco.params.alpha0 - delta**deco.params.alpha1 / 3.0, rel=1e-9
+                0.5 * delta**deco.params.alpha0 - delta**deco.params.alpha1 / 3.0, rel=1e-9, abs=0
             )
             lo1, hi1 = deco.interval_bounds(i, 1, 1)
-            assert hi1 - lo1 == pytest.approx(delta**deco.params.alpha1 / 3.0, rel=1e-12)
+            assert hi1 - lo1 == pytest.approx(delta**deco.params.alpha1 / 3.0, rel=1e-12, abs=0)
 
     def test_widths_within_stated_ranges(self):
         deco, _ = self.build()
@@ -482,12 +482,12 @@ class TestInductionStep:
             "certified_factor": 1.293690938816278,
         }
         for key, value in expected.items():
-            assert getattr(report, key) == pytest.approx(value, rel=1e-12), key
-        assert report.tube_norms[0] == pytest.approx(0.00010420285443488479, rel=1e-12)
-        assert report.tube_norms[1] == pytest.approx(0.00010671983867164852, rel=1e-12)
+            assert getattr(report, key) == pytest.approx(value, rel=1e-12, abs=0), key
+        assert report.tube_norms[0] == pytest.approx(0.00010420285443488479, rel=1e-12, abs=0)
+        assert report.tube_norms[1] == pytest.approx(0.00010671983867164852, rel=1e-12, abs=0)
         totals = {chi: info["total"] for chi, info in report.buffer_totals.items()}
-        assert totals[(1, 0)] == pytest.approx(1.6219488544595507e-05, rel=1e-12)
-        assert totals[(0, 1)] == pytest.approx(1.466018852960327e-05, rel=1e-12)
+        assert totals[(1, 0)] == pytest.approx(1.6219488544595507e-05, rel=1e-12, abs=0)
+        assert totals[(0, 1)] == pytest.approx(1.466018852960327e-05, rel=1e-12, abs=0)
         assert totals[(1, 1)] == totals[(1, 0)]
 
     def test_flagship_step_matches_recorded_numbers(self):
@@ -506,13 +506,13 @@ class TestInductionStep:
             "certified_factor": 2.0802995418317787,
         }
         for key, value in expected.items():
-            assert getattr(report, key) == pytest.approx(value, rel=1e-12), key
+            assert getattr(report, key) == pytest.approx(value, rel=1e-12, abs=0), key
         norms = [1.0672916318417097e-12, 1.0490457929176055e-12, 1.0735777039574522e-12]
         for j, value in enumerate(norms):
-            assert report.tube_norms[j] == pytest.approx(value, rel=1e-12)
+            assert report.tube_norms[j] == pytest.approx(value, rel=1e-12, abs=0)
         per_axis = [6.250106978245369e-14, 5.807340280566401e-14, 5.912642129596822e-14]
         for chi, info in report.buffer_totals.items():
-            assert info["total"] == pytest.approx(per_axis[info["axis"]], rel=1e-12), chi
+            assert info["total"] == pytest.approx(per_axis[info["axis"]], rel=1e-12, abs=0), chi
 
     def test_rejects_monte_carlo(self):
         maps = linear_lw_families()
