@@ -92,24 +92,18 @@ class QuadratureSpec:
         return float(value), float(error)
 
     def integrate_product(self, factors, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
-        """Integral of prod_k g_k(x[axes_k]) over the box [lo, hi] and its
-        error estimate, for factors (g_k, axes_k): g_k maps (N, len(axes_k))
-        points to (N,) values, and no factor lists an axis twice.
+        """Integral of prod_k g_k(B_k x) over the box [lo, hi] and its error
+        estimate, for factors (g_k, B_k): each B_k is a coordinate projection
+        (one 1 per row, other entries 0), no two rows of one B_k pick the
+        same axis, and g_k maps (N, rows of B_k) points to (N,) values.
 
         Monte Carlo draws and multiplies the factors exactly as `integrate`
-        would.  The midpoint rule evaluates each factor once on its own
-        sub-grid of midpoints and sums the product in one einsum, at the
-        resolution and, for the error, at half of it.
+        does with `_product_integrand`.  The midpoint rule evaluates each
+        factor once on its own sub-grid of midpoints and sums the product
+        in one einsum, at the resolution and, for the error, at half of it.
         """
         if self.mode == "monte-carlo":
-
-            def integrand(points: np.ndarray) -> np.ndarray:
-                out = np.ones(points.shape[0])
-                for g, axes in factors:
-                    out *= g(points[:, axes])
-                return out
-
-            return self.integrate(integrand, lo, hi)
+            return self.integrate(_product_integrand(factors), lo, hi)
         value = _separable_midpoint(factors, lo, hi, self.resolution)
         error = 0.0
         if self.error_estimate and self.resolution >= 2:
@@ -128,12 +122,17 @@ def _powered(f: InputFunction, p: float):
     return lambda y: np.power(f.evaluate(y), p)
 
 
-def _product_integrand(datum: BLDatum, inputs: list[InputFunction]):
-    factors = [(B, _powered(f, pj)) for B, f, pj in zip(datum.maps, inputs, datum.p)]
+def _map_factors(datum: BLDatum, inputs: list[InputFunction]):
+    """The factors (f_j^{p_j}, B_j) of the numerator integrand."""
+    return [(_powered(f, pj), B) for B, f, pj in zip(datum.maps, inputs, datum.p)]
+
+
+def _product_integrand(factors):
+    """points -> prod_k g_k(points @ B_k^T) for factors (g_k, B_k)."""
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         out = np.ones(points.shape[0])
-        for B, g in factors:
+        for g, B in factors:
             out *= g(points @ B.T)
         return out
 
@@ -211,14 +210,11 @@ def bl_ratio(
     hi = np.asarray(region[1], dtype=float)
     if lo.shape != (datum.d,) or hi.shape != (datum.d,) or np.any(hi <= lo):
         raise ValueError("region must be a nondegenerate axis box (lo, hi)")
+    factors = _map_factors(datum, inputs)
     if _is_coordinate_projection_datum(datum):
-        factors = [
-            (_powered(f, pj), np.argmax(B, axis=1))
-            for B, f, pj in zip(datum.maps, inputs, datum.p)
-        ]
         value, error = spec.integrate_product(factors, lo, hi)
     else:
-        value, error = spec.integrate(_product_integrand(datum, inputs), lo, hi)
+        value, error = spec.integrate(_product_integrand(factors), lo, hi)
     return value / denom, error / denom
 
 
@@ -230,16 +226,18 @@ def midpoint_axes(lo: np.ndarray, hi: np.ndarray, count: int) -> tuple[list[np.n
 
 
 def _separable_midpoint(factors, lo: np.ndarray, hi: np.ndarray, count: int) -> float:
-    """Tensor midpoint rule for prod_k g_k(x[axes_k]) on the box [lo, hi]:
-    each factor is evaluated on the midpoints of its own axes, and axes
-    no factor reads contribute their cell count."""
+    """Tensor midpoint rule for prod_k g_k(B_k x) on the box [lo, hi], each
+    B_k a coordinate projection: each factor is evaluated on the midpoints
+    of its own axes, and axes no factor reads contribute their cell count."""
     axes, cell = midpoint_axes(lo, hi, count)
-    operands = []
-    for g, sub in factors:
+    operands, read = [], set()
+    for g, B in factors:
+        sub = [int(a) for a in np.argmax(B, axis=1)]
         mesh = np.meshgrid(*[axes[a] for a in sub], indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
-        operands += [g(points).reshape(mesh[0].shape), [int(a) for a in sub]]
-    free = lo.size - len({int(a) for _, sub in factors for a in sub})
+        operands += [g(points).reshape(mesh[0].shape), sub]
+        read.update(sub)
+    free = lo.size - len(read)
     return float(np.einsum(*operands, []) * count**free * cell)
 
 
@@ -448,15 +446,19 @@ def ball_inequality_report(
     bl_f = ratio(f)
     bl_fp = ratio(fprime)
     lhs = bl_f * bl_fp
+    if lhs == 0.0:
+        raise ZeroMassError("R(f) R(f') is 0: the composite support of f or f' has no volume")
     conv_inputs = [convolve_grids(fj, fpj) for fj, fpj in zip(f, fprime)]
     conv_term = _conv_ratio(datum, conv_inputs, spec)
-    h = f[0].spacing
     origins = [fpj.origin for fpj in fprime]
 
     def ratios(values: list[np.ndarray], masses: list[np.ndarray]) -> np.ndarray:
         if fast:
-            return _lattice_ratios(datum, values, origins, h, masses)
-        grids = [[GridFunction(o, h, row) for row in v] for o, v in zip(origins, values)]
+            return _lattice_ratios(datum, values, origins, f[0].spacing, masses)
+        # g_j^x lies on the lattice of f'_j, at the spacing of f_j (each map its own)
+        grids = [
+            [GridFunction(o, fj.spacing, row) for row in v] for fj, o, v in zip(f, origins, values)
+        ]
         return np.array([bl_ratio(datum, list(x), None, value_only)[0] for x in zip(*grids)])
 
     sweep = _sup_sweep(datum, f, fprime, x_grid, ratios)
@@ -465,8 +467,6 @@ def ball_inequality_report(
         raise ZeroMassError("every grid point produced a zero-mass localisation")
     best = int(np.argmax(sweep))
     sup_val, sup_arg = sweep[best], x_grid[best]
-    if lhs == 0.0:
-        raise ZeroMassError("R(f) R(f') is 0: the composite support of f or f' has no volume")
     slack = sup_val * conv_term / lhs - 1.0
     flag = "consistent" if slack >= -tolerance else "inconclusive"
     return BallReport(

@@ -267,11 +267,12 @@ class TestBallCheckInputs:
         assert mc["lhs"] == midpoint["lhs"] and mc["sup_term"] == midpoint["sup_term"]
 
     @pytest.mark.parametrize("f_origins, message", [
-        # the supports of f_0 and f_1 meet no common interval on axis 2
-        ([[0.0, 0.0], [0.0, 10.0], [0.0, 0.0]], "convolution support could not be bounded"),
+        # the supports of f_0 and f_1 meet no common interval on axis 2 (nor do
+        # those of f * f'): rejected before the convolution is formed
+        ([[0.0, 0.0], [0.0, 10.0], [0.0, 0.0]], "R(f) R(f') is 0"),
         # f_2 leaves no volume on axis 1 that f_0 covers, but f * f' does
         ([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]], "R(f) R(f') is 0"),
-    ], ids=["empty-convolution-support", "zero-lhs"])
+    ], ids=["disjoint-f-supports", "zero-lhs"])
     def test_empty_supports_exit_1(self, tmp_path, capsys, lw_file, f_origins, message):
         unit = {"spacing": 1.0, "values": [[1.0]]}
         payload = {

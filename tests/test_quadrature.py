@@ -24,7 +24,7 @@ from blt.quadrature import (
     _lattice_aligned,
     _lattice_bl_exact,
     _localised_products,
-    _powered,
+    _map_factors,
     _product_integrand,
     _support_region,
     _x_grid_on_lattice,
@@ -105,12 +105,6 @@ class TestBoxRule:
             QuadratureSpec("monte-carlo", samples=1, seed=1)
 
 
-def coordinate_factors(datum, inputs):
-    return [
-        (_powered(f, pj), np.argmax(B, axis=1)) for B, f, pj in zip(datum.maps, inputs, datum.p)
-    ]
-
-
 class TestIntegrateProduct:
     def product_cases(self, lw_datum):
         grids, gaussians = recorded_inputs()
@@ -127,8 +121,8 @@ class TestIntegrateProduct:
         lo, hi = np.full(3, -1.5), np.full(3, 1.7)
         spec = QuadratureSpec(resolution=resolution)
         for datum, inputs in self.product_cases(lw_datum):
-            got = spec.integrate_product(coordinate_factors(datum, inputs), lo, hi)
-            want = spec.integrate(_product_integrand(datum, inputs), lo, hi)
+            got = spec.integrate_product(_map_factors(datum, inputs), lo, hi)
+            want = spec.integrate(_product_integrand(_map_factors(datum, inputs)), lo, hi)
             assert isinstance(got[0], float) and isinstance(got[1], float)
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
             # the error is a difference of two rules, each summed to rel 1e-16 of
@@ -139,8 +133,8 @@ class TestIntegrateProduct:
         lo, hi = np.full(3, -1.5), np.full(3, 1.7)
         spec = QuadratureSpec("monte-carlo", samples=3000, seed=4)
         for datum, inputs in self.product_cases(lw_datum):
-            got = spec.integrate_product(coordinate_factors(datum, inputs), lo, hi)
-            assert got == spec.integrate(_product_integrand(datum, inputs), lo, hi)
+            got = spec.integrate_product(_map_factors(datum, inputs), lo, hi)
+            assert got == spec.integrate(_product_integrand(_map_factors(datum, inputs)), lo, hi)
 
     def conv_case(self):
         rng = np.random.default_rng(31)
@@ -518,7 +512,7 @@ def loop_conv_ratio(datum, f, fprime, spec):
     cells = max(int(np.max(np.round((hi - lo) / h))), 1)
     rule = replace(spec, resolution=cells * max(1, int(np.ceil(spec.resolution / cells))),
                    error_estimate=False)
-    value, _ = rule.integrate(_product_integrand(datum, conv), lo, hi)
+    value, _ = rule.integrate(_product_integrand(_map_factors(datum, conv)), lo, hi)
     return value / float(np.prod([integrate(c) ** pj for c, pj in zip(conv, datum.p)]))
 
 
@@ -561,12 +555,20 @@ def sweep_case(name, lw_datum):
         f = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (2, 2))) for _ in range(3)]
         fp = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (2, 2))) for _ in range(3)]
         return datum, f, fp, lattice_x_grid([0.0] * 3, [2.0] * 3, 0.5)
+    if name == "mixed-spacing":
+        # map 1 on a finer lattice: the general path, each g_j^x at the spacing of f_j;
+        # the x on the half lattice are off the lattices of maps 0 and 2
+        h = [1.0, 0.5, 1.0]
+        f = [GridFunction(np.zeros(2), hj, rng.uniform(0.5, 1.5, (3, 2))) for hj in h]
+        fp = [GridFunction(np.full(2, hj), hj, rng.uniform(0.5, 1.5, (2, 3))) for hj in h]
+        return lw_datum, f, fp, lattice_x_grid([0.0] * 3, [4.0] * 3, 0.5)
     raise KeyError(name)
 
 
 class TestSupSweep:
     @pytest.mark.parametrize(
-        "name", ["random", "excluded", "off-lattice", "single-cell", "non-coordinate"]
+        "name",
+        ["random", "excluded", "off-lattice", "single-cell", "non-coordinate", "mixed-spacing"],
     )
     def test_matches_per_x_loop(self, lw_datum, name):
         datum, f, fp, x_grid = sweep_case(name, lw_datum)
