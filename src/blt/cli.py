@@ -10,7 +10,9 @@ diagnostic).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -85,7 +87,7 @@ def _input_errors(kind: str):
         yield
     except KeyError as exc:
         raise UsageError(f"{kind} JSON missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"invalid {kind}: {exc}") from exc
 
 
@@ -176,7 +178,10 @@ def _resolved_config(args) -> dict:
     return _jsonable({k: getattr(args, k) for k in keys if hasattr(args, k)})
 
 
+@functools.cache
 def build_parser() -> Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so in-process callers of main() share it."""
     parser = Parser(prog="blt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -267,6 +272,36 @@ def main(argv: list[str] | None = None) -> int:
     return exit_code
 
 
+def _non_finite(obj) -> bool:
+    """Whether a JSON-ready value holds inf or NaN, which JSON cannot carry."""
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return isinstance(obj, list) and any(map(_non_finite, obj))
+
+
+def _datum_command(handler):
+    """A datum whose numbers leave double range is an input error: overflow,
+    division by zero and invalid operations raise instead of warning, and
+    a result holding inf or NaN is refused rather than reported."""
+
+    @functools.wraps(handler)
+    def run(args):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            try:
+                result, code = handler(args)
+            except FloatingPointError as exc:
+                raise UsageError(f"datum out of floating-point range: {exc}") from exc
+        for key, value in result.items():
+            if _non_finite(_jsonable(value)):
+                raise UsageError(f"{key} is out of floating-point range")
+        return result, code
+
+    return run
+
+
+@_datum_command
 def cmd_bl_constant(args):
     d = _parse_datum(_load_json(args.input))
     constant = datum_mod.bl_constant_classC(d)
@@ -275,6 +310,7 @@ def cmd_bl_constant(args):
     return {"constant": constant, "transversality": transversality_quantity(d.maps)}, EXIT_OK
 
 
+@_datum_command
 def cmd_check_class_c(args):
     d = _parse_datum(_load_json(args.input))
     ok, diag = datum_mod.is_class_C(d)
@@ -287,6 +323,7 @@ def cmd_check_class_c(args):
     }, EXIT_OK
 
 
+@_datum_command
 def cmd_reduce(args):
     d = _parse_datum(_load_json(args.input))
     cert = datum_mod.reduce_to_projections(d)
@@ -300,6 +337,7 @@ def cmd_reduce(args):
     }, EXIT_OK
 
 
+@_datum_command
 def cmd_gaussian_search(args):
     d = _parse_datum(_load_json(args.input))
     res = datum_mod.search_bl_constant(d, args.budget, args.seed)

@@ -36,7 +36,8 @@ class NearSingularError(ValueError):
 
 @dataclass
 class BLDatum:
-    """Datum (B, p): maps B_j are d_j x d with full row rank, p_j in [0, 1]."""
+    """Datum (B, p): maps B_j are finite d_j x d matrices with full row
+    rank, p_j finite in [0, 1]."""
 
     d: int
     maps: list[np.ndarray]
@@ -49,13 +50,20 @@ class BLDatum:
             raise DatumError("a datum needs at least two maps")
         if self.p.shape != (len(self.maps),):
             raise DatumError("one exponent per map is required")
+        for j, p_j in enumerate(self.p):
+            if not np.isfinite(p_j):
+                raise DatumError(f"exponent {j} is not finite: {p_j}")
         if np.any(self.p < 0) or np.any(self.p > 1):
             raise DatumError("exponents must lie in [0, 1]")
         for j, B in enumerate(self.maps):
+            if B.ndim != 2:
+                raise DatumError(f"map {j} is not a matrix")
             if B.shape[1] != self.d:
                 raise DatumError(f"map {j} has {B.shape[1]} columns, expected {self.d}")
             if B.shape[0] > self.d:
                 raise DatumError(f"map {j} has more rows than the ambient dimension")
+            if not np.isfinite(B).all():
+                raise DatumError(f"map {j} has a non-finite entry")
             sing = np.linalg.svd(B, compute_uv=False)
             if sing[-1] <= RANK_TOL * max(1.0, sing[0]):
                 raise DatumError(f"map {j} is not surjective to tolerance {RANK_TOL}")
@@ -301,12 +309,13 @@ def reduce_to_projections(datum: BLDatum) -> ReductionCertificate:
     quantity = transversality_quantity(datum.maps)
     lhs = quantity
     rhs = det_A * float(np.prod(norms))
-    if abs(lhs - rhs) > CERTIFICATE_TOL * max(abs(lhs), abs(rhs)):
+    # negated comparisons, so a NaN from an overflowed side fails the check
+    if not abs(lhs - rhs) <= CERTIFICATE_TOL * max(abs(lhs), abs(rhs)):
         raise NearSingularError("determinant identity for det(A) failed")
     for j in range(datum.m):
         lhs_j = abs(det_Cj[j])
         rhs_j = norms[j] * abs(det_A)
-        if abs(lhs_j - rhs_j) > CERTIFICATE_TOL * max(lhs_j, rhs_j):
+        if not abs(lhs_j - rhs_j) <= CERTIFICATE_TOL * max(lhs_j, rhs_j):
             raise NearSingularError(f"determinant identity for C_{j} failed")
     return cert
 
@@ -330,42 +339,79 @@ def gaussian_ratio(datum: BLDatum, covariances: list[np.ndarray]) -> float:
             factors.append(np.linalg.cholesky(0.5 * (A + A.T)))
         except np.linalg.LinAlgError as exc:
             raise DatumError(f"covariance {j} is not positive definite") from exc
-    return _gaussian_ratio_from_factors(datum, factors)
+    return GaussianRatio(datum, factors).value()
 
 
-def _gaussian_ratio_from_factors(
-    datum: BLDatum, factors: list[np.ndarray], cond_limit: float | None = None
-) -> float:
-    """Stable evaluation from Cholesky factors A_j = L_j L_j^T.
+class GaussianRatio:
+    """The gaussian ratio at Cholesky factors A_j = L_j L_j^T, updated one
+    factor entry at a time.
 
     The aggregated form is sum_j (sqrt(p_j) B_j^T L_j)(...)^T, so its
     determinant comes from the singular values of the stacked block
-    matrix; no normal matrix is formed and no cancellation occurs.
-    cond_limit rejects configurations whose stacked conditioning makes
-    the computed value untrustworthy (used by the ascent search, whose
-    result must stay a certified lower bound).
+    matrix G = [sqrt(p_j) B_j^T L_j]_j; no normal matrix is formed and no
+    cancellation occurs.  G and the per-map terms p_j log det A_j are
+    kept between evaluations: changing one entry of L_j recomputes block
+    j of G, and its log term only for a diagonal entry.  The evaluator
+    owns ``factors`` and writes into them.
     """
-    scaling = float(np.dot(datum.p, datum.row_dims))
-    if abs(scaling - datum.d) > 1e-9:
-        raise DatumError(
-            f"scaling condition violated: sum p_j d_j = {scaling:.12g}, expected {datum.d}"
-        )
-    blocks = []
-    log_prod = 0.0
-    for j, (B, L) in enumerate(zip(datum.maps, factors)):
-        diag = np.diag(L)
-        if np.any(diag <= 0):
+
+    def __init__(self, datum: BLDatum, factors: list[np.ndarray]) -> None:
+        scaling = float(np.dot(datum.p, datum.row_dims))
+        if abs(scaling - datum.d) > 1e-9:
+            raise DatumError(
+                f"scaling condition violated: sum p_j d_j = {scaling:.12g}, expected {datum.d}"
+            )
+        self.d = datum.d
+        self.factors = factors
+        self._maps_t = [B.T for B in datum.maps]
+        self._sqrt_p = [np.sqrt(p_j) for p_j in datum.p]
+        self._two_p = [p_j * 2.0 for p_j in datum.p]
+        ends = np.cumsum(datum.row_dims)
+        self._columns = [slice(int(e) - dj, int(e)) for e, dj in zip(ends, datum.row_dims)]
+        self._G = np.empty((datum.d, int(ends[-1])))
+        self._log_terms = [0.0] * datum.m
+        for j, L in enumerate(factors):
+            if np.any(np.diag(L) <= 0):
+                raise DatumError(f"factor {j} is not positive definite")
+            self._update(j, diagonal=True)
+
+    def _update(self, j: int, diagonal: bool) -> None:
+        L = self.factors[j]
+        if diagonal:
+            self._log_terms[j] = self._two_p[j] * float(np.log(L.diagonal()).sum())
+        np.multiply(self._sqrt_p[j], self._maps_t[j] @ L, out=self._G[:, self._columns[j]])
+
+    def move(self, j: int, a: int, b: int, entry: float) -> None:
+        """Set entry (a, b) of factor j, which keeps the diagonal positive;
+        undo() restores the state before."""
+        if a == b and not entry > 0:
             raise DatumError(f"factor {j} is not positive definite")
-        log_prod += datum.p[j] * 2.0 * float(np.log(diag).sum())
-        blocks.append(np.sqrt(datum.p[j]) * (B.T @ L))
-    G = np.hstack(blocks)
-    sing = np.linalg.svd(G, compute_uv=False)
-    if sing[-1] <= 0:
-        raise DatumError("aggregated quadratic form is not positive definite")
-    if cond_limit is not None and sing[0] / sing[-1] > cond_limit:
-        raise DatumError("configuration too ill-conditioned for a trusted value")
-    logdet_M = 2.0 * float(np.log(sing[: datum.d]).sum())
-    return float(np.exp(-0.5 * logdet_M + 0.5 * log_prod))
+        L = self.factors[j]
+        self._before = (j, a, b, L[a, b], self._log_terms[j], self._G[:, self._columns[j]].copy())
+        L[a, b] = entry
+        self._update(j, diagonal=a == b)
+
+    def undo(self) -> None:
+        j, a, b, entry, log_term, block = self._before
+        self.factors[j][a, b] = entry
+        self._log_terms[j] = log_term
+        self._G[:, self._columns[j]] = block
+
+    def value(self, cond_limit: float | None = None) -> float:
+        """The ratio det(M)^{-1/2} prod det(A_j)^{p_j/2} at the current
+        factors.  cond_limit rejects configurations whose stacked
+        conditioning makes the computed value untrustworthy (the ascent
+        search applies 1e6 to every value it reports)."""
+        log_prod = 0.0
+        for term in self._log_terms:
+            log_prod += term
+        sing = np.linalg.svd(self._G, compute_uv=False)
+        if sing[-1] <= 0:
+            raise DatumError("aggregated quadratic form is not positive definite")
+        if cond_limit is not None and sing[0] / sing[-1] > cond_limit:
+            raise DatumError("configuration too ill-conditioned for a trusted value")
+        logdet_M = 2.0 * float(np.log(sing[: self.d]).sum())
+        return float(np.exp(-0.5 * logdet_M + 0.5 * log_prod))
 
 
 @dataclass
@@ -383,22 +429,31 @@ def search_bl_constant(datum: BLDatum, budget: int, seed: int) -> SearchResult:
     coordinate of one factor is perturbed per evaluation
     (multiplicatively on nonzero entries, with a diagonally scaled kick
     for entries at zero) and the move is kept only if the ratio
-    improves.  Deterministic given (budget, seed); the estimate is a
-    value of the ratio, hence a certified lower bound for the constant.
+    improves.  Deterministic given (budget, seed), and ``evaluations``
+    always equals ``budget``.
+
+    The estimate is the ratio at the returned covariances, and every
+    value the search keeps, the start at identity factors included,
+    passed the conditioning check ``cond_limit = 1e6``; a start that
+    fails it raises DatumError.  The estimate is a lower bound for the
+    constant only up to the rounding of two floating-point evaluations,
+    the ratio's and the closed form's: on well-conditioned data it can
+    exceed the closed form in the last few bits.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     rng = np.random.default_rng(seed)
     dims = datum.row_dims
-    factors = [np.eye(dj) for dj in dims]
-
-    def covs() -> list[np.ndarray]:
-        return [L @ L.T for L in factors]
+    ratio = GaussianRatio(datum, [np.eye(dj) for dj in dims])
+    factors = ratio.factors
 
     coords = [
         (j, a, b) for j, dj in enumerate(dims) for a in range(dj) for b in range(a + 1)
     ]
-    best = _gaussian_ratio_from_factors(datum, factors)
+    try:
+        best = ratio.value(cond_limit=1e6)
+    except DatumError as exc:
+        raise DatumError(f"at the identity start: {exc}") from exc
     evaluations = 1
 
     def propose(j: int, a: int, b: int, direction: float, step: float) -> float | None:
@@ -413,15 +468,15 @@ def search_bl_constant(datum: BLDatum, budget: int, seed: int) -> SearchResult:
         return candidate
 
     def try_value(j: int, a: int, b: int, candidate: float):
+        """The ratio with entry (a, b) of factor j moved to candidate; the
+        caller moves it back when the value is rejected."""
         nonlocal evaluations
-        current = factors[j][a, b]
-        factors[j][a, b] = candidate
+        ratio.move(j, a, b, candidate)
         try:
-            value = _gaussian_ratio_from_factors(datum, factors, cond_limit=1e6)
+            value = ratio.value(cond_limit=1e6)
         except DatumError:
             value = -np.inf  # degenerate or numerically untrusted proposal
         evaluations += 1
-        factors[j][a, b] = current
         return value
 
     steps = np.full(len(coords), 1.0)
@@ -443,10 +498,10 @@ def search_bl_constant(datum: BLDatum, budget: int, seed: int) -> SearchResult:
                     continue
                 value = try_value(j, a, b, candidate)
                 if value <= best:
+                    ratio.undo()
                     continue
                 # expanding 1D line search along the winning direction
                 best = value
-                factors[j][a, b] = candidate
                 accepted = True
                 while evaluations < budget:
                     stride *= 2.0
@@ -456,8 +511,8 @@ def search_bl_constant(datum: BLDatum, budget: int, seed: int) -> SearchResult:
                     value = try_value(j, a, b, nxt)
                     if value > best:
                         best = value
-                        factors[j][a, b] = nxt
                     else:
+                        ratio.undo()
                         stride *= 0.5
                         break
                 steps[pos] = min(stride, 64.0)
@@ -473,7 +528,7 @@ def search_bl_constant(datum: BLDatum, budget: int, seed: int) -> SearchResult:
                 stall_sweeps = 0
         else:
             stall_sweeps = 0
-    return SearchResult(float(best), covs(), evaluations)
+    return SearchResult(float(best), [L @ L.T for L in factors], evaluations)
 
 
 @dataclass

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from blt.datum import BLDatum, ProjectionScheme, projection_datum
 from blt.inputs import GridFunction
 from blt.nonlinear import NonlinearMapFamily, perturbed_projection
 from blt.scales import Cube, compute_delta0
+
+# HYPOTHESIS_PROFILE=ci replays the same examples on every run.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def loomis_whitney_maps() -> list[np.ndarray]:

@@ -1,12 +1,16 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blt.cli import main
 
@@ -19,19 +23,29 @@ def run(tmp_path, name, argv, expect=0):
         return json.load(fh)
 
 
+LW_DATUM = {
+    "d": 3,
+    "maps": [
+        [[0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0]],
+    ],
+    "p": [0.5, 0.5, 0.5],
+}
+
+# The commands that read a datum, with the options each needs.
+DATUM_COMMANDS = {
+    "bl-constant": ["bl-constant"],
+    "check-class-c": ["check-class-c"],
+    "reduce": ["reduce"],
+    "gaussian-search": ["gaussian-search", "--seed", "1", "--budget", "20"],
+}
+
+
 @pytest.fixture
 def lw_file(tmp_path):
     path = tmp_path / "lw.json"
-    payload = {
-        "d": 3,
-        "maps": [
-            [[0, 1, 0], [0, 0, 1]],
-            [[1, 0, 0], [0, 0, 1]],
-            [[1, 0, 0], [0, 1, 0]],
-        ],
-        "p": [0.5, 0.5, 0.5],
-    }
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(LW_DATUM))
     return str(path)
 
 
@@ -311,6 +325,148 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, payload, argv):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def run_datum_command(path, command: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one datum command, run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(DATUM_COMMANDS[command] + ["--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def expect_usage_error(tmp_path, payload, command: str, message: str) -> None:
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_datum_command(path, command)
+    assert code == 1
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert out == ""
+
+
+NAN, INF = float("nan"), float("inf")
+TWO_LINES = {"d": 2, "maps": [[[1, 0]], [[0, 1]]], "p": [1, 1]}
+
+
+def scaled(obj, c):
+    """Every number in a nested list times c; anything else kept."""
+    if isinstance(obj, list):
+        return [scaled(v, c) for v in obj]
+    return obj * c if isinstance(obj, (int, float)) and not isinstance(obj, bool) else obj
+
+
+@pytest.mark.parametrize("command", list(DATUM_COMMANDS))
+@pytest.mark.parametrize("payload, message", [
+    ({**LW_DATUM, "p": [0.5, 0.5, NAN]}, "exponent 2 is not finite"),
+    ({**LW_DATUM, "p": [-INF, 0.5, 0.5]}, "exponent 0 is not finite"),
+    ({**LW_DATUM, "maps": [[[0, 1, 0], [0, 0, INF]], *LW_DATUM["maps"][1:]]},
+     "map 0 has a non-finite entry"),
+    ({**LW_DATUM, "maps": [*LW_DATUM["maps"][:2], [[1, 0, 0], [0, NAN, 0]]]},
+     "map 2 has a non-finite entry"),
+], ids=["p-nan", "p-minus-inf", "map-inf", "map-nan"])
+def test_non_finite_datum_is_usage_error(tmp_path, command, payload, message):
+    expect_usage_error(tmp_path, payload, command, message)
+
+
+@pytest.mark.parametrize("datum, command, message", [
+    (LW_DATUM, "bl-constant", "transversality is out of floating-point range"),
+    (LW_DATUM, "check-class-c", "transversality is out of floating-point range"),
+    (LW_DATUM, "reduce", "datum out of floating-point range"),
+    (TWO_LINES, "bl-constant", "transversality is out of floating-point range"),
+    (TWO_LINES, "reduce", "determinant identity for det(A) failed"),
+])
+def test_datum_beyond_double_range_is_usage_error(tmp_path, datum, command, message):
+    # finite entries whose transversality determinant (1e1200 for
+    # Loomis-Whitney, 1e400 for two lines) overflows
+    payload = {**datum, "maps": scaled(datum["maps"], 1e200)}
+    expect_usage_error(tmp_path, payload, command, message)
+
+
+def test_gaussian_search_refuses_an_ill_conditioned_start(tmp_path):
+    payload = {"d": 2, "maps": [[[1.0, 0.0]], [[1.0, 1e-7]]], "p": [1.0, 1.0]}
+    expect_usage_error(tmp_path, payload, "gaussian-search", "identity start")
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+NUMBERS = st.one_of(
+    st.sampled_from([NAN, INF, -INF, -0.5, 0.0, 1.5, 1e-300, 1e300]),
+    st.floats(),
+    st.integers(-3, 3),
+)
+ENTRIES = st.one_of(NUMBERS, st.text(max_size=3), st.none())
+JUNK = st.one_of(ENTRIES, st.lists(ENTRIES, max_size=3),
+                 st.dictionaries(st.text(max_size=2), ENTRIES, max_size=2))
+
+
+@st.composite
+def datum_payloads(draw):
+    """A datum that meets the schema, with up to two defects: a wrong
+    rank, count or dimension, a ragged or empty map, a non-finite,
+    negative or out-of-range number, a string where a number belongs, or
+    a field replaced by junk or dropped."""
+    if draw(st.integers(0, 3)):
+        payload = json.loads(json.dumps(draw(st.sampled_from([LW_DATUM, TWO_LINES]))))
+    else:
+        d = draw(st.integers(1, 4))
+        m = draw(st.integers(2, 4))
+        small = st.integers(-2, 2) | st.floats(-2, 2)
+        maps = [draw(st.lists(st.lists(small, min_size=d, max_size=d), min_size=1, max_size=d))
+                for _ in range(m)]
+        rows = sum(len(B) for B in maps)
+        p = draw(st.sampled_from([[1.0 / (m - 1)] * m, [d / rows] * m]))
+        payload = {"d": d, "maps": maps, "p": p}
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.sampled_from(["entry", "exponent", "scale", "rank", "ragged", "empty",
+                                       "count", "d", "junk", "drop"]))
+        maps, p = payload.get("maps"), payload.get("p")
+        if defect == "entry" and isinstance(maps, list) and maps and maps[0]:
+            B = draw(st.sampled_from(maps))
+            if isinstance(B, list) and B and isinstance(B[0], list) and B[0]:
+                B[0][draw(st.integers(0, len(B[0]) - 1))] = draw(ENTRIES)
+        elif defect == "exponent" and isinstance(p, list) and p:
+            p[draw(st.integers(0, len(p) - 1))] = draw(ENTRIES)
+        elif defect == "scale" and isinstance(maps, list):
+            payload["maps"] = scaled(maps, draw(NUMBERS))
+        elif defect == "rank" and isinstance(maps, list) and maps:
+            B = draw(st.sampled_from(maps))
+            if isinstance(B, list) and B:
+                B.append(B[0])
+        elif defect == "ragged" and isinstance(maps, list) and maps:
+            B = draw(st.sampled_from(maps))
+            if isinstance(B, list) and B and isinstance(B[-1], list):
+                B[-1] = B[-1][:-1] if draw(st.booleans()) else [*B[-1], 1.0]
+        elif defect == "empty" and isinstance(maps, list) and maps:
+            maps[draw(st.integers(0, len(maps) - 1))] = draw(st.sampled_from([[], [[]]]))
+        elif defect == "count" and isinstance(maps, list) and maps:
+            if draw(st.booleans()):
+                maps.pop()
+            else:
+                maps.append(maps[0])
+        elif defect == "d":
+            payload["d"] = draw(st.integers(-1, 6) | ENTRIES)
+        elif defect == "junk":
+            payload[draw(st.sampled_from(["d", "maps", "p"]))] = draw(JUNK)
+        elif defect == "drop":
+            payload.pop(draw(st.sampled_from(["d", "maps", "p"])), None)
+    return payload
+
+
+@given(payload=datum_payloads())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_datum_json_never_crashes(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-datum.json"
+    path.write_text(json.dumps(payload))
+    for command in DATUM_COMMANDS:
+        code, out, err = run_datum_command(path, command)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert err.startswith("error:")
 
 
 class TestExitCodes:

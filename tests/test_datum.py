@@ -8,6 +8,7 @@ from blt.datum import (
     DatumError,
     NotClassCError,
     ProjectionScheme,
+    SearchResult,
     bl_constant_classC,
     block_index_tuples,
     gaussian_ratio,
@@ -19,6 +20,143 @@ from blt.datum import (
     transform_datum,
 )
 from tests.conftest import loomis_whitney_maps, random_class_c_datum
+
+
+def oracle_ratio(datum, factors, cond_limit=None) -> float:
+    """The gaussian ratio from Cholesky factors with every block of G and
+    every log term computed afresh: the reference for GaussianRatio."""
+    scaling = float(np.dot(datum.p, datum.row_dims))
+    if abs(scaling - datum.d) > 1e-9:
+        raise DatumError("scaling condition violated")
+    blocks = []
+    log_prod = 0.0
+    for j, (B, L) in enumerate(zip(datum.maps, factors)):
+        diag = np.diag(L)
+        if np.any(diag <= 0):
+            raise DatumError(f"factor {j} is not positive definite")
+        log_prod += datum.p[j] * 2.0 * float(np.log(diag).sum())
+        blocks.append(np.sqrt(datum.p[j]) * (B.T @ L))
+    G = np.hstack(blocks)
+    sing = np.linalg.svd(G, compute_uv=False)
+    if sing[-1] <= 0:
+        raise DatumError("aggregated quadratic form is not positive definite")
+    if cond_limit is not None and sing[0] / sing[-1] > cond_limit:
+        raise DatumError("configuration too ill-conditioned for a trusted value")
+    logdet_M = 2.0 * float(np.log(sing[: datum.d]).sum())
+    return float(np.exp(-0.5 * logdet_M + 0.5 * log_prod))
+
+
+def oracle_search(datum, budget: int, seed: int, events: dict) -> SearchResult:
+    """The coordinate ascent on oracle_ratio, with an unchecked start.
+    Counts rejected candidates in events["rejected"] and records the
+    evaluation count of each re-anneal in events["anneals"]."""
+    rng = np.random.default_rng(seed)
+    dims = datum.row_dims
+    factors = [np.eye(dj) for dj in dims]
+    coords = [(j, a, b) for j, dj in enumerate(dims) for a in range(dj) for b in range(a + 1)]
+    best = oracle_ratio(datum, factors)
+    evaluations = 1
+
+    def propose(j, a, b, direction, step):
+        current = factors[j][a, b]
+        if current != 0.0:
+            candidate = current * np.exp(direction * step)
+        else:
+            scale = np.sqrt(abs(factors[j][a, a] * factors[j][b, b])) or 1.0
+            candidate = direction * step * scale
+        if a == b and candidate <= 0.0:
+            return None
+        return candidate
+
+    def try_value(j, a, b, candidate):
+        nonlocal evaluations
+        current = factors[j][a, b]
+        factors[j][a, b] = candidate
+        try:
+            value = oracle_ratio(datum, factors, cond_limit=1e6)
+        except DatumError:
+            value = -np.inf
+            events["rejected"] += 1
+        evaluations += 1
+        factors[j][a, b] = current
+        return value
+
+    steps = np.full(len(coords), 1.0)
+    stall_sweeps = 0
+    while evaluations < budget:
+        improved = False
+        order = rng.permutation(len(coords))
+        for pos in order:
+            if evaluations >= budget:
+                break
+            j, a, b = coords[pos]
+            accepted = False
+            for direction in (1.0, -1.0):
+                if evaluations >= budget:
+                    break
+                stride = steps[pos]
+                candidate = propose(j, a, b, direction, stride)
+                if candidate is None:
+                    continue
+                value = try_value(j, a, b, candidate)
+                if value <= best:
+                    continue
+                best = value
+                factors[j][a, b] = candidate
+                accepted = True
+                while evaluations < budget:
+                    stride *= 2.0
+                    nxt = propose(j, a, b, direction, stride)
+                    if nxt is None:
+                        break
+                    value = try_value(j, a, b, nxt)
+                    if value > best:
+                        best = value
+                        factors[j][a, b] = nxt
+                    else:
+                        stride *= 0.5
+                        break
+                steps[pos] = min(stride, 64.0)
+                break
+            if accepted:
+                improved = True
+            else:
+                steps[pos] = max(steps[pos] * 0.5, 1e-12)
+        if not improved:
+            stall_sweeps += 1
+            if stall_sweeps >= 3 and np.all(steps < 1e-10):
+                steps[:] = 0.25
+                stall_sweeps = 0
+                events["anneals"].append(evaluations)
+        else:
+            stall_sweeps = 0
+    return SearchResult(float(best), [L @ L.T for L in factors], evaluations)
+
+
+def result_bits(res: SearchResult):
+    return (
+        res.estimate.hex(),
+        [[float(x).hex() for x in A.ravel()] for A in res.covariances],
+        res.evaluations,
+    )
+
+
+def direct_sum_datum(blocks: list[int], seed: int) -> BLDatum:
+    """The projection datum of the given kernel blocks, intertwined by
+    seeded matrices of condition number below 8."""
+    rng = np.random.default_rng(seed)
+
+    def well_conditioned(k):
+        while True:
+            M = rng.standard_normal((k, k))
+            s = np.linalg.svd(M, compute_uv=False)
+            if s[0] / s[-1] < 8.0:
+                return M
+
+    base = projection_datum(ProjectionScheme(sum(blocks), blocks))
+    C = well_conditioned(base.d)
+    datum, _ = transform_datum(base, C, [well_conditioned(B.shape[0]) for B in base.maps])
+    return datum
 
 
 def r5_example_maps() -> list[np.ndarray]:
@@ -264,6 +402,51 @@ class TestSearch:
         bad = BLDatum(3, lw_datum.maps, np.array([0.5, 0.5, 0.4]))
         with pytest.raises(DatumError):
             search_bl_constant(bad, 10, seed=0)
+
+
+class TestIncrementalRatio:
+    """The search's evaluator against the fresh evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("blocks", [[1, 1, 1], [2, 1, 1], [2, 2, 1]])
+    def test_search_matches_oracle_bitwise(self, blocks):
+        datum = direct_sum_datum(blocks, seed=sum(blocks))
+        events = {"rejected": 0, "anneals": []}
+        want = oracle_search(datum, 3000, 1, events)
+        got = search_bl_constant(datum, 3000, 1)
+        assert events["anneals"], "budget too small to reach the re-anneal branch"
+        assert result_bits(got) == result_bits(want)
+        assert got.evaluations == 3000
+
+    def test_rejected_candidates_match_oracle_bitwise(self):
+        # The dimension condition fails on ker B_0 (1 > 0 + 1/2), so the
+        # ratio is unbounded and the ascent runs into the conditioning check.
+        datum = BLDatum(2, [np.array([[1.0, 0.0]]), np.eye(2)], np.array([1.0, 0.5]))
+        events = {"rejected": 0, "anneals": []}
+        want = oracle_search(datum, 3000, 1, events)
+        got = search_bl_constant(datum, 3000, 1)
+        assert events["rejected"] > 100
+        assert result_bits(got) == result_bits(want)
+
+    def test_gaussian_ratio_matches_oracle_bitwise(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            datum, _, _, _ = random_class_c_datum(rng, int(rng.integers(3, 6)))
+            covs = []
+            for B in datum.maps:
+                k = B.shape[0]
+                M = rng.standard_normal((k, k))
+                covs.append(M @ M.T + 0.1 * np.eye(k))
+            factors = [np.linalg.cholesky(0.5 * (A + A.T)) for A in covs]
+            assert gaussian_ratio(datum, covs).hex() == oracle_ratio(datum, factors).hex()
+
+    def test_ill_conditioned_start_is_refused(self):
+        # cond(G) is about 2e7 at identity factors; the unchecked start
+        # reported a value above the closed form 1e7.
+        datum = BLDatum(2, [np.array([[1.0, 0.0]]), np.array([[1.0, 1e-7]])], np.ones(2))
+        assert bl_constant_classC(datum) == pytest.approx(1e7, rel=1e-9)
+        assert oracle_ratio(datum, [np.eye(1)] * 2) > 1e7
+        with pytest.raises(DatumError, match="identity start.*ill-conditioned"):
+            search_bl_constant(datum, 100, seed=0)
 
 
 class TestTensorLift:
