@@ -16,10 +16,9 @@ from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
-from scipy.linalg import null_space, subspace_angles
 
 from .datum import block_index_tuples
-from .exterior import MAX_DIMENSION, transversality_quantity
+from .exterior import MAX_DIMENSION, largest_angle_sine, null_space, transversality_quantity
 from . import ift
 from .ift import (
     AUDIT_PAIRS,
@@ -731,8 +730,7 @@ def block_lift(maps: list[EtaBlockMap], d: int) -> BlockLiftResult:
         for K, E in zip(kernels, expected):
             if K.shape[1] != E.shape[1]:
                 raise TransversalityError("lifted kernel has unexpected dimension")
-            angles = subspace_angles(K, E)
-            resid = max(resid, float(np.sin(angles).max(initial=0.0)))
+            resid = max(resid, largest_angle_sine(K, E))
         if resid > 1e-8:
             raise TransversalityError(
                 f"lifted kernels deviate from the closed forms by {resid:.3e}"

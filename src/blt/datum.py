@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
-from .exterior import hodge_star, inner_product, rows_wedge, transversality_quantity
+from .exterior import hodge_star, inner_product, null_space, rows_wedge, transversality_quantity
 
 RANK_TOL = 1e-10
 TRANSVERSALITY_TOL = 1e-10

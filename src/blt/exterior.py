@@ -5,6 +5,10 @@ coefficients, with 0-based indices.  Signs come from counting
 inversions of concatenated index tuples, so the basis is canonical and
 orientation-free.  The ambient dimension is capped at 12 to keep the
 2^d basis enumerable.
+
+Two dense helpers sit beside the algebra: ``null_space`` (the kernel
+bases the datum, scale and lift code take) and ``largest_angle_sine``
+(the distance between two column spaces), both plain numpy SVDs.
 """
 
 from __future__ import annotations
@@ -100,17 +104,6 @@ class MultiVector:
         for (i,), c in self.terms.items():
             out[i] = c
         return out
-
-    def to_json(self) -> dict:
-        terms = [
-            {"idx": list(key), "c": coeff} for key, coeff in sorted(self.terms.items())
-        ]
-        return {"d": self.d, "grade": self.grade, "terms": terms}
-
-    @staticmethod
-    def from_json(payload: dict) -> "MultiVector":
-        terms = {tuple(t["idx"]): float(t["c"]) for t in payload.get("terms", [])}
-        return MultiVector(int(payload["d"]), int(payload["grade"]), terms)
 
 
 def wedge(u: MultiVector, v: MultiVector) -> MultiVector:
@@ -210,3 +203,43 @@ def cross_like(vectors: np.ndarray) -> np.ndarray:
     if k != d - 1:
         raise ExteriorError(f"need d-1 vectors in R^d, got {k} in R^{d}")
     return hodge_star(rows_wedge(vectors)).to_vector()
+
+
+def _ranked_svd(A: np.ndarray):
+    """(U, V^T, rank) of a full SVD of A; the rank counts the singular
+    values above eps * max(M, N) * s_max, the usual numerical cut."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    if not np.all(np.isfinite(A)):
+        raise ValueError("array must not contain infs or NaNs")
+    u, s, vh = np.linalg.svd(A, full_matrices=True)
+    tol = np.finfo(float).eps * max(A.shape) * np.amax(s, initial=0.0)
+    return u, vh, int(np.sum(s > tol))
+
+
+def null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker A as columns: the right singular vectors
+    past the numerical rank of A."""
+    _, vh, rank = _ranked_svd(A)
+    return vh[rank:].T
+
+
+def _orth(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of A."""
+    u, _, rank = _ranked_svd(A)
+    return u[:, :rank]
+
+
+def largest_angle_sine(A: np.ndarray, B: np.ndarray) -> float:
+    """Sine of the largest principal angle between the column spaces of A
+    and B (the smaller space against the larger one).
+
+    Both inputs are orthonormalised first, so their columns need not be
+    unit or orthogonal.  The sine is the norm of the part of Q_B outside
+    span Q_A, which stays accurate for small angles where the cosine
+    route loses half the digits.
+    """
+    QA, QB = _orth(A), _orth(B)
+    if QA.shape[1] < QB.shape[1]:
+        QA, QB = QB, QA
+    residual = QB - QA @ (QA.T @ QB)
+    return float(np.linalg.svd(residual, compute_uv=False).max(initial=0.0))

@@ -14,8 +14,6 @@ depend on the other regions of its call.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 # Midpoint subdivisions per cell axis in the rank >= 3 grid-mass measure.
 SUBDIVISION = 4
@@ -277,6 +275,9 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     ball of positive radius fits); ValueError on any other LP failure,
     such as a set holding arbitrarily large balls.
     """
+    # imported here: scipy.optimize is slow to import and only indicator volumes need it
+    from scipy.optimize import linprog
+
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     norms = np.linalg.norm(A, axis=1)
@@ -308,6 +309,9 @@ def polytope_volume(A: np.ndarray, b: np.ndarray) -> float:
     if A.shape[1] == 1:
         a = A[:, 0]
         return float(np.min(b[a > 0] / a[a > 0]) - np.max(b[a < 0] / a[a < 0]))
+    # imported here: scipy.spatial is slow to import and only indicator volumes need it
+    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+
     halfspaces = np.hstack([A, -b[:, None]])
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -336,6 +340,9 @@ def bounding_box_from_linear_constraints(
     A = np.vstack(mats)
     if np.all(np.count_nonzero(A, axis=1) == 1):
         return _interval_box(A, np.concatenate(lows), np.concatenate(highs), d)
+    # imported here: scipy.optimize is slow to import and only rows reading several axes need it
+    from scipy.optimize import linprog
+
     A_ub = np.vstack([rows for B in mats for rows in (B, -B)])
     b_ub = np.concatenate([bound for lo, hi in zip(lows, highs) for bound in (hi, -lo)])
     lo_out = np.empty(d)

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .datum import ProjectionScheme, kernel_basis
-from .exterior import cross_like, transversality_quantity
+from .exterior import cross_like, null_space, transversality_quantity
 from .geometry import grid_polygon_mass, grid_slab_mass
 from .inputs import GridFunction, integrate
 from .nonlinear import NonlinearMapFamily

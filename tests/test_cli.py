@@ -49,11 +49,23 @@ def lw_file(tmp_path):
     return str(path)
 
 
-def test_cli_import_leaves_scipy_ndimage_unloaded():
-    # scipy.ndimage is slow to import and only piecewise-linear evaluation needs it
-    code = "import sys, blt.cli; sys.exit('scipy.ndimage' in sys.modules)"
+def test_cli_and_datum_commands_load_no_scipy(tmp_path, lw_file):
+    # scipy is slow to import: only ball-check, extremizer and data that are
+    # not coordinate projections need it, and they import it on first use
+    calls = [argv + ["--input", lw_file, "--output", str(tmp_path / f"{argv[0]}.json")]
+             for argv in DATUM_COMMANDS.values()]
+    code = (
+        "import sys, blt.cli\n"
+        "def scipy_loaded():\n"
+        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "assert not scipy_loaded(), 'import blt.cli loaded scipy'\n"
+        f"for argv in {calls!r}:\n"
+        "    assert blt.cli.main(argv) == 0, argv\n"
+        "    assert not scipy_loaded(), argv[0] + ' loaded scipy'\n"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestBasicCommands:

@@ -4,15 +4,19 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blt.convext import expected_lift_kernels
 from blt.exterior import (
     ExteriorError,
     MultiVector,
     cross_like,
     hodge_star,
     inner_product,
+    largest_angle_sine,
+    null_space,
     rows_wedge,
     transversality_quantity,
     wedge,
@@ -200,14 +204,84 @@ def test_cross_like_matches_cross_product():
         assert np.allclose(got, np.cross(rows[0], rows[1]), atol=1e-12)
 
 
-def test_multivector_json_roundtrip():
-    rng = np.random.default_rng(15)
-    u = MultiVector(4, 2, {(0, 1): 1.5, (1, 3): -0.25})
-    payload = u.to_json()
-    assert payload == {
-        "d": 4,
-        "grade": 2,
-        "terms": [{"idx": [0, 1], "c": 1.5}, {"idx": [1, 3], "c": -0.25}],
-    }
-    back = MultiVector.from_json(payload)
-    assert back.terms == u.terms
+def _rank_deficient(rng, m, n):
+    rank = int(rng.integers(0, min(m, n) + 1))
+    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+
+
+def _assert_same_kernel(A):
+    got = null_space(A)
+    want = scipy.linalg.null_space(A)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
+
+
+class TestNullSpace:
+    """`null_space` against scipy.linalg.null_space as the oracle."""
+
+    def test_random_rank_deficient(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            m, n = (int(k) for k in rng.integers(1, 9, size=2))
+            _assert_same_kernel(_rank_deficient(rng, m, n))
+
+    def test_zero_matrix_gives_the_identity_basis(self):
+        got = null_space(np.zeros((2, 5)))
+        _assert_same_kernel(np.zeros((2, 5)))
+        np.testing.assert_allclose(got @ got.T, np.eye(5), rtol=0, atol=1e-15)
+
+    def test_full_rank_square_gives_an_empty_basis(self):
+        A = np.random.default_rng(22).standard_normal((6, 6))
+        assert null_space(A).shape == (6, 0)
+        _assert_same_kernel(A)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_single_rows(self, width):
+        rng = np.random.default_rng(23 + width)
+        for _ in range(20):
+            w = rng.standard_normal(width)
+            w[rng.integers(0, width)] = 0.0
+            _assert_same_kernel(w[None, :])
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            null_space(np.array([[1.0, np.nan]]))
+
+
+def _scipy_sine(A, B):
+    return float(np.sin(scipy.linalg.subspace_angles(A, B)).max())
+
+
+class TestLargestAngleSine:
+    """`largest_angle_sine` against sin of scipy's subspace angles."""
+
+    @pytest.mark.parametrize("separation", [1e-4, 1e-8, 1e-10])
+    def test_small_separations(self, separation):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            Q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+            A = Q[:, :3]
+            # tilt one direction of span A towards its complement, then
+            # hand in a skewed, unnormalised basis of the tilted span
+            B = A.copy()
+            B[:, 1] = np.cos(separation) * A[:, 1] + np.sin(separation) * Q[:, 5]
+            B = B @ np.array([[2.0, 0.5, 0.0], [0.0, 3.0, 0.0], [1.0, 0.0, 0.5]])
+            for left, right in ((A, B), (B, A)):
+                got = largest_angle_sine(left, right)
+                assert got == pytest.approx(_scipy_sine(left, right), rel=1e-6)
+                assert got == pytest.approx(np.sin(separation), rel=1e-6)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_non_orthonormal_lift_kernels(self, d):
+        rng = np.random.default_rng(d)
+        for E in expected_lift_kernels(d):
+            K = scipy.linalg.orth(E + 1e-6 * rng.standard_normal(E.shape))
+            for left, right in ((K, E), (E, K)):
+                got = largest_angle_sine(left, right)
+                assert got == pytest.approx(_scipy_sine(left, right), rel=1e-6)
+                assert 1e-8 < got < 1e-4
+
+    def test_orthogonal_spaces(self):
+        A = np.eye(4)[:, :2]
+        B = 3.0 * np.eye(4)[:, 2:]
+        assert largest_angle_sine(A, B) == pytest.approx(1.0, rel=1e-15)

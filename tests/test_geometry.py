@@ -401,7 +401,7 @@ class TestBoundingBox:
             calls.append(1)
             return linprog(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "linprog", counted)
+        monkeypatch.setattr("scipy.optimize.linprog", counted)
         maps = [np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[0.0, 0.0, 2.0]])]
         lows, highs = [np.zeros(2), np.array([-1.0])], [np.ones(2), np.array([3.0])]
         got = bounding_box_from_linear_constraints(maps, lows, highs, 3)
