@@ -105,11 +105,12 @@ def _parse_grid(payload) -> inputs_mod.GridFunction:
         values = np.asarray(payload["values"], dtype=float)
         if "shape" in payload:
             values = values.reshape(tuple(int(s) for s in payload["shape"]))  # row-major
-        return inputs_mod.GridFunction(
-            np.asarray(payload["origin"], dtype=float),
-            float(payload["spacing"]),
-            values,
-        )
+        origin = np.asarray(payload["origin"], dtype=float)
+        spacing = float(payload["spacing"])
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(origin))
+                and math.isfinite(spacing)):
+            raise ValueError("grid origin, spacing and values must be finite")
+        return inputs_mod.GridFunction(origin, spacing, values)
 
 
 def _parse_poly(payload, n: int) -> Polynomial:
@@ -146,6 +147,22 @@ def _parse_surface(payload) -> convext.SurfaceFunction:
         surf = convext.Hypersurface(lo, hi, phi, float(payload["beta"]), float(payload["kappa"]))
         values = _parse_grid(payload["values"]) if payload.get("values") else None
         return convext.SurfaceFunction(surf, values)
+
+
+def _parse_surfaces(payload) -> list[convext.SurfaceFunction]:
+    with _input_errors("surfaces"):
+        surfaces = payload["surfaces"]
+        if not isinstance(surfaces, list) or not surfaces:
+            raise ValueError("surfaces must be a nonempty list")
+    return [_parse_surface(s) for s in surfaces]
+
+
+def _parse_point(payload, key: str) -> np.ndarray:
+    with _input_errors("point"):
+        point = np.asarray(payload[key], dtype=float)
+        if not np.all(np.isfinite(point)):
+            raise ValueError(f"{key} must be finite")
+        return point
 
 
 def _quad_spec(args, d: int | None = None) -> quadrature.QuadratureSpec:
@@ -281,27 +298,31 @@ def _non_finite(obj) -> bool:
     return isinstance(obj, list) and any(map(_non_finite, obj))
 
 
-def _datum_command(handler):
-    """A datum whose numbers leave double range is an input error: overflow,
-    division by zero and invalid operations raise instead of warning, and
-    a result holding inf or NaN is refused rather than reported."""
+def _finite_command(kind: str):
+    """Input (a datum, surfaces) whose numbers leave double range is an
+    input error: overflow, division by zero and invalid operations raise
+    instead of warning, and a result holding inf or NaN is refused rather
+    than reported."""
 
-    @functools.wraps(handler)
-    def run(args):
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            try:
-                result, code = handler(args)
-            except FloatingPointError as exc:
-                raise UsageError(f"datum out of floating-point range: {exc}") from exc
-        for key, value in result.items():
-            if _non_finite(_jsonable(value)):
-                raise UsageError(f"{key} is out of floating-point range")
-        return result, code
+    def wrap(handler):
+        @functools.wraps(handler)
+        def run(args):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                try:
+                    result, code = handler(args)
+                except FloatingPointError as exc:
+                    raise UsageError(f"{kind} out of floating-point range: {exc}") from exc
+            for key, value in result.items():
+                if _non_finite(_jsonable(value)):
+                    raise UsageError(f"{key} is out of floating-point range")
+            return result, code
 
-    return run
+        return run
+
+    return wrap
 
 
-@_datum_command
+@_finite_command("datum")
 def cmd_bl_constant(args):
     d = _parse_datum(_load_json(args.input))
     constant = datum_mod.bl_constant_classC(d)
@@ -310,7 +331,7 @@ def cmd_bl_constant(args):
     return {"constant": constant, "transversality": transversality_quantity(d.maps)}, EXIT_OK
 
 
-@_datum_command
+@_finite_command("datum")
 def cmd_check_class_c(args):
     d = _parse_datum(_load_json(args.input))
     ok, diag = datum_mod.is_class_C(d)
@@ -323,7 +344,7 @@ def cmd_check_class_c(args):
     }, EXIT_OK
 
 
-@_datum_command
+@_finite_command("datum")
 def cmd_reduce(args):
     d = _parse_datum(_load_json(args.input))
     cert = datum_mod.reduce_to_projections(d)
@@ -337,7 +358,7 @@ def cmd_reduce(args):
     }, EXIT_OK
 
 
-@_datum_command
+@_finite_command("datum")
 def cmd_gaussian_search(args):
     d = _parse_datum(_load_json(args.input))
     res = datum_mod.search_bl_constant(d, args.budget, args.seed)
@@ -622,28 +643,32 @@ def cmd_delta_integral(args):
     return {"value": value, "error_estimate": err}, EXIT_OK
 
 
+@_finite_command("surfaces")
 def cmd_convolve_surfaces(args):
     payload = _load_json(args.input)
-    sfuncs = [_parse_surface(s) for s in payload["surfaces"]]
-    y = np.asarray(payload["y"], dtype=float)
+    sfuncs = _parse_surfaces(payload)
+    y = _parse_point(payload, "y")
     if y.shape != (len(sfuncs),):
         raise UsageError("y must be one point of the ambient space R^d")
     value, err = convext.surface_convolution(sfuncs, y, _convolution_spec(args, len(sfuncs)))
     return {"value": value, "error_estimate": err}, EXIT_OK
 
 
+@_finite_command("surface")
 def cmd_extension(args):
     payload = _load_json(args.input)
-    sf = _parse_surface(payload["surface"] if "surface" in payload else payload)
-    xi = np.asarray(payload["xi"], dtype=float)
+    with _input_errors("surface"):
+        sf = _parse_surface(payload["surface"] if "surface" in payload else payload)
+    xi = _parse_point(payload, "xi")
     budget = {} if args.resolution is None else {"max_resolution": args.resolution}
     value = convext.extension_operator(sf.surface, sf.values, xi, **budget)
     return {"real": value.real, "imag": value.imag}, EXIT_OK
 
 
+@_finite_command("surfaces")
 def cmd_verify_thm74(args):
     payload = _load_json(args.input)
-    sfuncs = [_parse_surface(s) for s in payload["surfaces"]]
+    sfuncs = _parse_surfaces(payload)
     report = convext.verify_thm74(
         sfuncs, args.freq_halfwidth, args.resolution, _convolution_spec(args, len(sfuncs))
     )

@@ -11,6 +11,7 @@ against the convolution route through the Plancherel constant
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import permutations
@@ -38,15 +39,18 @@ from .quadrature import QuadratureSpec, midpoint_axes
 
 # Largest intermediate, in complex entries, of one extension_on_grid chunk.
 _CHUNK_ENTRIES = 4_000_000
-# Largest argument array, in float entries, of one block of convolution
-# points: points x kappa samples, or points x quadrature nodes, times the
-# arguments of the reduction polynomial.  A block's temporaries then take
-# about a MiB, so a batch of points needs no more memory than one point.
+# Largest array, in float entries, of one block of convolution points:
+# points x kappa samples x gradient components, or points x quadrature
+# nodes x monomials of the reduction fields.  A block's temporaries then
+# take about a MiB, so a batch of points needs no more memory than one
+# point.
 _BLOCK_ENTRIES = 2**16
 # Reduction determinants below this floor fail transversality.
 _TRANSVERSALITY_FLOOR = 1e-6
-# Fewest midpoints per axis of an extension integral.
+# Fewest midpoints per axis of an extension integral, and most unless the
+# caller grants more.
 _MIN_EXTENSION_RESOLUTION = 16
+_MAX_EXTENSION_RESOLUTION = 4096
 # Spatial midpoints per axis of verify_thm74, per frequency node per axis.
 _SPATIAL_MULTIPLIER = 4
 
@@ -76,10 +80,18 @@ class Hypersurface:
     def __post_init__(self) -> None:
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ValueError("parameter domain must be a finite box")
         if self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
             raise ValueError("parameter domain must be a nondegenerate box")
         if self.phi.n != self.lo.size:
             raise ValueError("graph function arity must match the domain dimension")
+        if not all(math.isfinite(c) for c in self.phi.coeffs.values()):
+            raise ValueError("graph function coefficients must be finite")
+        if not 0 < self.beta <= 1:
+            raise ValueError("beta must lie in (0, 1]")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
         self.grad_polys = [self.phi.partial(a) for a in range(self.phi.n)]
 
     @property
@@ -214,10 +226,17 @@ class ReductionFields:
     """The normalised reduction fields of one surface ordering at a batch
     of points: G_p(x, t) = F(x, root_p + t; y_p) / scale_p, where F is the
     polynomial of build_reduction_field in the base coordinates (the
-    solved one last) followed by y."""
+    solved one last) followed by y.
 
-    poly: Polynomial
-    grad_polys: list[Polynomial]
+    Every field is a sum of coefficients times the monomials x^a t^b
+    whose exponents (a, b) are the rows of ``exponents``, shape (A, n + 1),
+    the zero exponent first.  ``tables[0]``, shape (P, A), holds the
+    coefficients of each G_p, and ``tables[1 + i]`` those of its partial in
+    coordinate i.
+    """
+
+    exponents: np.ndarray
+    tables: np.ndarray
     Y: np.ndarray
     root: np.ndarray
     scale: np.ndarray
@@ -225,30 +244,25 @@ class ReductionFields:
     kappa: np.ndarray
 
     def __post_init__(self) -> None:
-        self.n = len(self.grad_polys) - 1
-        self.inv_scale = 1.0 / self.scale
+        self.n = self.exponents.shape[1] - 1
 
-    def evaluate(self, poly: Polynomial, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
-        """poly / scale_p at the base points x, (M, n) or (R, M, n), and
-        solved coordinates t, (R, M), of the fields ``rows``: (R, M)."""
-        R, M = t.shape
-        args = np.empty((R, M, self.poly.n))
-        args[..., : self.n] = x
-        args[..., self.n] = t + self.root[rows, None]
-        args[..., self.n + 1 :] = self.Y[rows, None, :]
-        values = poly.evaluate(args.reshape(R * M, self.poly.n)).reshape(R, M)
-        return values * self.inv_scale[rows, None]
+    def evaluate(self, tables: np.ndarray, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
+        """The polynomials of ``tables``, (K, P, A), of the fields ``rows`` at
+        the base points x, (M, n), and solved coordinates t, (R, M): (K, R, M)."""
+        monomials = _monomials(x, self.exponents[:, : self.n]) * _monomials(
+            t[..., None], self.exponents[:, self.n :]
+        )
+        return np.add.reduce(tables[:, rows, None, :] * monomials, axis=-1)
 
     def value(self, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
-        return self.evaluate(self.poly, x, t, rows)
+        return self.evaluate(self.tables[:1], x, t, rows)[0]
 
     def partial_t(self, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
-        return self.evaluate(self.grad_polys[-1], x, t, rows)
+        return self.evaluate(self.tables[-1:], x, t, rows)[0]
 
-    def gradient(self, U: np.ndarray, rows) -> np.ndarray:
-        """Full gradients at the points U, (R, M, n + 1): (R, M, n + 1)."""
-        x, t = U[..., : self.n], U[..., self.n]
-        return np.stack([self.evaluate(g, x, t, rows) for g in self.grad_polys], axis=-1)
+    def gradient(self, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
+        """Full gradients at the points (x, t): (R, M, n + 1)."""
+        return np.moveaxis(self.evaluate(self.tables[1:], x, t, rows), 0, -1)
 
 
 def build_reduction_field(
@@ -258,14 +272,14 @@ def build_reduction_field(
     points Y, shape (P, d).
 
     F(x_1', ..., x_{d-1}'; y) = sum_j phi_j(x_j') + phi_d(y' - sum x_j') - y_d
-    is built once as a polynomial in the base coordinates and y.  Per
+    is built once as a polynomial in the base coordinates and y, and its
+    coefficients, polynomials in y, are evaluated once per point.  Per
     point, F is translated to the real root nearest the origin along the
     last coordinate (as np.roots finds it), scaled to unit last partial
     there and given the sampled kappa of _sampled_kappa.  Also returns
     each point's failure, None where its field is valid: ValidityError
     (no root near the origin), TransversalityError (last partial below
-    1/2 at the root), or the ScalarField checks (degree, beta,
-    normalisation).
+    1/2 at the root), or the ScalarField checks (degree, normalisation).
     """
     d = len(surfaces)
     Y = np.asarray(Y, dtype=float)
@@ -278,15 +292,13 @@ def build_reduction_field(
     negated_sum = np.hstack([-np.eye(width)] * width + [np.eye(width), np.zeros((width, 1))])
     F = F + surfaces[-1].phi.substitute_affine(negated_sum)
 
-    # coefficients of F along the last base coordinate, polynomials in y
-    line: dict[int, dict] = {}
-    for key, c in F.coeffs.items():
-        if not any(key[: total - 1]):
-            line.setdefault(key[total - 1], {})[key[total:]] = c
-    C = np.zeros((Y.shape[0], max(line, default=0) + 1))
-    for k, terms in line.items():
-        C[:, k] = Polynomial(d, terms).evaluate(Y)
-    root = _nearest_real_root(C)
+    exponents, coeffs = _coefficient_table(F, total, Y)
+    # the coefficients of F along the last base coordinate
+    on_line = [(e[-1], column) for e, column in zip(exponents, coeffs.T) if not any(e[:-1])]
+    line = np.zeros((Y.shape[0], max(m for m, _ in on_line) + 1))
+    for m, column in on_line:
+        line[:, m] = column
+    root = _nearest_real_root(line)
     validity_radius = 0.5 * float(np.max(np.concatenate([s.hi - s.lo for s in surfaces])) + 1.0)
     failures: list[Exception | None] = [None] * Y.shape[0]
     valid = np.abs(root) <= validity_radius
@@ -294,38 +306,93 @@ def build_reduction_field(
         failures[p] = ValidityError("no root of the reduction field near the origin")
     root[~valid] = 0.0
 
-    grads = [F.partial(a) for a in range(total)]
-    at_root = np.column_stack([np.zeros((Y.shape[0], total - 1)), root, Y])
-    scale = np.ones(Y.shape[0])
-    scale[valid] = grads[-1].evaluate(at_root[valid])
-    for p in np.flatnonzero(valid & (np.abs(scale) < 0.5)):
+    degree = max(sum(e) for e in exponents)
+    exponents, tables = _translated_tables(exponents, coeffs, root)
+    # exponents[0] is zero, so column 0 holds each polynomial at the origin
+    scale = tables[-1][:, 0].copy()
+    for p in np.flatnonzero(valid & ~(np.abs(scale) >= 0.5)):
         failures[p] = TransversalityError(
             f"last partial derivative {scale[p]:.3e} below 1/2 at the root"
         )
     valid &= np.abs(scale) >= 0.5
     scale[~valid] = 1.0
+    tables /= scale[:, None]
     live = np.flatnonzero(valid)
     beta = min(s.beta for s in surfaces)
-    fields = ReductionFields(F, grads, Y, root, scale, beta, np.ones(Y.shape[0]))
-    step = _block_rows(2 * _KAPPA_SAMPLES * n_vars)
+    fields = ReductionFields(exponents, tables, Y, root, scale, beta, np.ones(Y.shape[0]))
+    step = _block_rows(2 * _KAPPA_SAMPLES * total)
     for start in range(0, live.size, step):
         rows = live[start : start + step]
         fields.kappa[rows] = _sampled_kappa(fields, rows)
 
-    # the ScalarField checks, in its order
-    f0 = F.evaluate(at_root) * fields.inv_scale
-    d0 = scale * fields.inv_scale
-    degree = max((sum(k[:total]) for k in F.coeffs), default=0)
+    # the ScalarField checks, in its order; d_(n+1)G(0,0) = scale / scale is 1
+    f0 = tables[0][:, 0]
     for p in live:
         if degree > 4:
             failures[p] = ValueError("fields are restricted to degree <= 4")
-        elif not 0 < beta <= 1:
-            failures[p] = ValueError("beta must lie in (0, 1]")
         elif abs(f0[p]) > ift.NORMALISATION_TOL:
             failures[p] = FieldDeclarationError(f"F(0,0) = {f0[p]:.3e}, expected 0")
-        elif abs(d0[p] - 1.0) > ift.NORMALISATION_TOL:
-            failures[p] = FieldDeclarationError(f"d_(n+1)F(0,0) = {d0[p]:.16g}, expected 1")
     return fields, failures
+
+
+def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The monomials points^a, one per row a of exponents, shape (A, k), at
+    points of shape (..., k): shape (..., A)."""
+    powers = np.empty(points.shape + (int(exponents.max(initial=0)) + 1,))
+    powers[..., 0] = 1.0
+    for e in range(1, powers.shape[-1]):
+        np.multiply(powers[..., e - 1], points, out=powers[..., e])
+    return np.multiply.reduce(powers[..., np.arange(exponents.shape[1]), exponents], axis=-1)
+
+
+def _coefficient_table(
+    poly: Polynomial, k: int, Y: np.ndarray
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """poly as a polynomial in its k leading variables whose coefficients
+    are polynomials in the trailing ones, evaluated at each row of Y: the
+    exponents in the leading variables, A tuples, and the coefficients,
+    shape (P, A)."""
+    exponents = sorted({key[:k] for key in poly.coeffs})
+    y_exponents = sorted({key[k:] for key in poly.coeffs})
+    row = {e: a for a, e in enumerate(exponents)}
+    column = {e: b for b, e in enumerate(y_exponents)}
+    K = np.zeros((len(row), len(column)))
+    for key, c in poly.coeffs.items():
+        K[row[key[:k]], column[key[k:]]] = c
+    y_monomials = _monomials(Y, np.array(y_exponents, dtype=np.int64))
+    return exponents, np.add.reduce(y_monomials[:, None, :] * K, axis=-1)
+
+
+def _translated_tables(
+    exponents: list[tuple[int, ...]], coeffs: np.ndarray, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The polynomials of coeffs, row p over the monomials of exponents,
+    translated by shift[p] along the last variable, with their partials.
+
+    A monomial x^a s^m becomes, with s = shift + t, the sum over j <= m of
+    binom(m, j) shift^(m - j) x^a t^j.  Returns one shared monomial list,
+    the zero exponent first, shape (A, k), and the tables of the
+    translated polynomials and of their partials in each variable, shape
+    (k + 1, P, A).
+    """
+    k = len(exponents[0])
+    position = {(0,) * k: 0}
+    entries = []  # (table, source column, target column, factor, power of shift)
+    for source, e in enumerate(exponents):
+        m = e[-1]
+        for j in range(m + 1):
+            a = (*e[:-1], j)
+            weight = math.comb(m, j)
+            entries.append((0, source, position.setdefault(a, len(position)), weight, m - j))
+            for axis in (i for i, e_i in enumerate(a) if e_i):
+                lowered = a[:axis] + (a[axis] - 1,) + a[axis + 1 :]
+                target = position.setdefault(lowered, len(position))
+                entries.append((1 + axis, source, target, weight * a[axis], m - j))
+    table, source, target, factor, power = (np.array(v) for v in zip(*entries))
+    terms = coeffs[:, source] * factor * _monomials(shift[:, None], power[:, None])
+    tables = np.zeros((k + 1, coeffs.shape[0], len(position)))
+    np.add.at(tables, (table, slice(None), target), terms.T)
+    return np.array(list(position), dtype=np.int64), tables
 
 
 def _nearest_real_root(C: np.ndarray) -> np.ndarray:
@@ -353,20 +420,23 @@ def _nearest_real_root(C: np.ndarray) -> np.ndarray:
     return root
 
 
-def _kappa_draws(total: int) -> list[list[np.ndarray]]:
-    """The seed-0 draws of the kappa sampler in ``total`` variables: per
-    pass, unit directions and radius fractions [U, u, V, v]; a field's
-    samples are U * (R2 * u) and V * (R2 * v)."""
+@functools.cache
+def _kappa_draws(total: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The seed-0 draws of the kappa sampler in ``total`` variables, drawn
+    once: per pass, sample pairs (S_U, S_V) in the unit ball, each of shape
+    (_KAPPA_SAMPLES, total); a field samples at R2 * S_U and R2 * S_V."""
     rng = np.random.default_rng(0)
     passes = []
     for _ in range(2):
-        draws = []
+        pair = []
         for _ in range(2):
             D = rng.standard_normal((_KAPPA_SAMPLES, total))
             D /= np.linalg.norm(D, axis=1, keepdims=True)
-            draws += [D, rng.uniform(0, 1, size=(_KAPPA_SAMPLES, 1)) ** (1 / total)]
-        passes.append(draws)
-    return passes
+            S = D * rng.uniform(0, 1, size=(_KAPPA_SAMPLES, 1)) ** (1 / total)
+            S.flags.writeable = False
+            pair.append(S)
+        passes.append(tuple(pair))
+    return tuple(passes)
 
 
 def _sampled_kappa(fields: ReductionFields, rows: np.ndarray) -> np.ndarray:
@@ -374,20 +444,27 @@ def _sampled_kappa(fields: ReductionFields, rows: np.ndarray) -> np.ndarray:
 
     Sampled on the ball the radii induce, with a refinement pass and a
     x2 safety factor; the solver's runtime checks will still indict an
-    inadequate declaration.  Every field uses the same seed-0 draws,
-    scaled by its own R2.
+    inadequate declaration.  Every field uses the same seed-0 draws S,
+    scaled by its own R2, so the gradient at R2 * S is its partial tables
+    times R2^|a| against the monomials M(S): one matrix product per pass
+    gives, per sample pair, the gradient at R2 * S_U and the difference
+    quotient (M(S_U) - M(S_V)) / |S_U - S_V| of the pair, which is R2
+    times the quotient at (R2 * S_U, R2 * S_V).
     """
-    total = fields.n + 1
-    kappa = np.maximum(_norm(fields.gradient(np.zeros((rows.size, 1, total)), rows))[:, 0], 1.0)
-    for U, u, V, v in _kappa_draws(total):
-        R2 = np.array([(100.0 * k) ** (-1.0) for k in kappa.tolist()])[:, None, None]
-        U = U * (R2 * u)
-        V = V * (R2 * v)
-        dU, dV = np.split(fields.gradient(np.concatenate([U, V], axis=1), rows), 2, axis=1)
-        gaps = _norm(U - V)
-        quot = np.divide(_norm(dU - dV), gaps, out=np.zeros_like(gaps), where=gaps > 0)
-        sup_grad = _norm(dU).max(axis=1)
-        kappa = np.maximum(np.maximum(2.0 * quot.max(axis=1), sup_grad), 1.0)
+    grads = fields.tables[1:, rows]
+    degree = fields.exponents.sum(axis=1)
+    kappa = np.maximum(_norm(grads[..., 0].T), 1.0)
+    for S_U, S_V in _kappa_draws(fields.n + 1):
+        R2 = 1.0 / (100.0 * kappa)
+        M_U = _monomials(S_U, fields.exponents)
+        gaps = _norm(S_U - S_V)
+        quotient = np.divide(M_U - _monomials(S_V, fields.exponents), gaps[:, None],
+                             out=np.zeros_like(M_U), where=gaps[:, None] > 0)
+        out = (grads * _monomials(R2[:, None], degree[:, None])) @ np.vstack([M_U, quotient]).T
+        norms = np.sqrt(np.add.reduce(out * out, axis=0))
+        sup_grad = norms[:, :_KAPPA_SAMPLES].max(axis=1)
+        quot = norms[:, _KAPPA_SAMPLES:].max(axis=1) / R2
+        kappa = np.maximum(np.maximum(2.0 * quot, sup_grad), 1.0)
     return kappa
 
 
@@ -486,9 +563,9 @@ def _convolve_ordered(surface_functions, Y, spec):
     live = np.array([p for p, f in enumerate(failures) if f is None], dtype=np.int64)
     radii = np.zeros((P, 2))
     caps = np.zeros(P, dtype=np.int64)
-    for p in live:
-        radii[p] = ift_radii(fields.beta, float(fields.kappa[p]))
-        caps[p] = iteration_cap(fields.beta, float(fields.kappa[p]), 1e-12)
+    if live.size:
+        radii[live] = np.column_stack(ift_radii(fields.beta, fields.kappa[live]))
+        caps[live] = iteration_cap(fields.beta, fields.kappa[live], 1e-12)
     window = None
     if n > 0:
         window = _support_window(surfaces, n)
@@ -541,7 +618,7 @@ def _convolve_ordered(surface_functions, Y, spec):
 
     values = np.zeros(P)
     errors = np.zeros(P)
-    step = _block_rows(spec.points_per_call(n) * fields.poly.n)
+    step = _block_rows(spec.points_per_call(n) * fields.exponents.shape[0])
     for start in range(0, live.size, step):
         rows = live[start : start + step]
         vals, errs = coarea(rows)
@@ -760,7 +837,7 @@ def extension_operator(
     g: GridFunction | None,
     xi: np.ndarray,
     resolution: int | None = None,
-    max_resolution: int = 4096,
+    max_resolution: int = _MAX_EXTENSION_RESOLUTION,
 ) -> complex:
     """Oscillatory integral int_U g(x) e^{i <xi, (x, phi(x))>} dx.
 
@@ -772,11 +849,7 @@ def extension_operator(
     k = surface.base_dim
     if xi.shape != (k + 1,):
         raise ValueError("frequency must live in the ambient space")
-    floor = _required_resolution(surface, float(np.max(np.abs(xi))))
-    if floor > max_resolution:
-        raise ResolutionBudgetError(
-            f"needs {floor} points per axis, budget {max_resolution}; raise the budget"
-        )
+    floor = _required_resolution(surface, float(np.max(np.abs(xi))), max_resolution)
     res = max(floor, resolution or 0)
     if res > max_resolution:
         raise ResolutionBudgetError(
@@ -785,14 +858,21 @@ def extension_operator(
     return complex(extension_on_grid(surface, g, xi[None, :], res).item())
 
 
-def _required_resolution(surface: Hypersurface, xi_max: float) -> int:
+def _required_resolution(surface: Hypersurface, xi_max: float, budget: int) -> int:
+    """Parameter midpoints per axis for 10 per oscillation wavelength at
+    frequencies up to xi_max; refuses when that exceeds the budget."""
     widths = surface.hi - surface.lo
     # phase derivative bound per axis: |xi| (1 + Lip(phi))
     sample = np.linspace(surface.lo, surface.hi, 9)
     lip = float(np.abs(surface.grad(sample.reshape(-1, surface.base_dim))).max(initial=0.0))
     rate = xi_max * (1.0 + lip)
-    need = int(np.ceil(10.0 * rate * float(widths.max()) / (2.0 * math.pi)))
-    return max(_MIN_EXTENSION_RESOLUTION, need)
+    need = 10.0 * rate * float(widths.max()) / (2.0 * math.pi)
+    floor = max(_MIN_EXTENSION_RESOLUTION, math.ceil(need)) if math.isfinite(need) else need
+    if floor > budget:
+        raise ResolutionBudgetError(
+            f"needs {floor} points per axis, budget {budget}; raise the budget"
+        )
+    return floor
 
 
 def extension_on_grid(
@@ -924,7 +1004,9 @@ def verify_thm74(
     nodes = np.stack(axes, axis=1)
     u_res = resolution
     for sf in surface_functions:
-        u_res = max(u_res, _required_resolution(sf.surface, R * math.sqrt(d)))
+        u_res = max(u_res, _required_resolution(
+            sf.surface, R * math.sqrt(d), _MAX_EXTENSION_RESOLUTION
+        ))
     prod = np.ones((resolution,) * d, dtype=complex)
     for sf in surface_functions:
         prod *= extension_on_grid(sf.surface, sf.values, nodes, u_res)

@@ -14,7 +14,6 @@ from it, and exceeding the cap indicts the declared (beta, kappa).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,12 +119,13 @@ def _ball_samples(rng: np.random.Generator, count: int, dim: int, radius: float)
     return g * r[:, None]
 
 
-def ift_radii(beta: float, kappa: float) -> tuple[float, float]:
-    """Explicit radii (R1, R2) of the implicit-function domain."""
-    if beta <= 0 or kappa <= 0:
+def ift_radii(beta: float, kappa):
+    """Explicit radii (R1, R2) of the implicit-function domain; for an
+    array of kappas, one array of each radius."""
+    if beta <= 0 or np.any(np.asarray(kappa) <= 0):
         raise ValueError("beta and kappa must be positive")
     R2 = (100.0 * kappa) ** (-1.0 / beta)
-    R1 = R2 * min(1.0, 1.0 / (10.0 * kappa))
+    R1 = R2 * np.minimum(1.0, 1.0 / (10.0 * kappa))
     return R1, R2
 
 
@@ -138,10 +138,11 @@ class EtaSolution:
     iteration_cap: int
 
 
-def iteration_cap(beta: float, kappa: float, tol: float) -> int:
-    """Iterations guaranteed by the rate-1/2 contraction: ceil(log2(R2/tol)) + 1."""
+def iteration_cap(beta: float, kappa, tol: float):
+    """Iterations guaranteed by the rate-1/2 contraction: ceil(log2(R2/tol)) + 1;
+    for an array of kappas, an integer array of caps."""
     _, R2 = ift_radii(beta, kappa)
-    return int(math.ceil(math.log2(max(R2 / tol, 1.0)))) + 1
+    return np.ceil(np.log2(np.maximum(R2 / tol, 1.0))).astype(np.int64) + 1
 
 
 def solve_eta(

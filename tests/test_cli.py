@@ -315,8 +315,26 @@ class TestBallCheckInputs:
         assert not out.exists()
 
 
+NAN, INF = float("nan"), float("inf")
 SURFACE = {"U": {"lo": [-1e-4], "hi": [1e-4]}, "phi": {"terms": [{"powers": [1], "c": 1.0}]},
            "beta": 1.0, "kappa": 2.5}
+
+
+def curve(slope):
+    return {"U": {"lo": [-0.05], "hi": [0.05]},
+            "phi": {"terms": [{"powers": [1], "c": slope}, {"powers": [2], "c": 0.5}]},
+            "beta": 1.0, "kappa": 2.5,
+            "values": {"origin": [-0.05], "spacing": 0.025, "values": [1.0, 0.9, 1.1, 1.2]}}
+
+
+# One file for all three commands: convolve-surfaces reads surfaces and y,
+# extension reads surface and xi, verify-thm74 reads surfaces.
+CURVES = {"surfaces": [curve(1.0), curve(-1.0)], "surface": curve(1.0),
+          "y": [0.01, 0.002], "xi": [3.0, -2.0]}
+LINES = {"surfaces": [SURFACE, {**SURFACE, "phi": {"terms": [{"powers": [1], "c": -1.0}]}}],
+         "surface": SURFACE, "y": [5e-5, 1e-5], "xi": [1.0, 2.0]}
+
+
 FIELD = {"n": 2, "terms": [{"powers": [0, 0, 1], "c": 1.0}], "beta": 1.0, "kappa": 1.0}
 
 
@@ -327,7 +345,19 @@ FIELD = {"n": 2, "terms": [{"powers": [0, 0, 1], "c": 1.0}], "beta": 1.0, "kappa
     ({**FIELD, "terms": "x", "x": [[0.0, 0.0]]}, ["ift-solve"]),
     ({"field": FIELD, "window": {"lo": [-2e-4] * 2, "hi": [2e-4] * 2}},
      ["delta-integral", "--mode", "monte-carlo", "--seed", "1", "--samples", "1"]),
-], ids=["surface-U", "surface-phi", "map-rows", "field-terms", "one-sample"])
+    ({"surfaces": [{**curve(1.0), "U": {"lo": [-INF], "hi": [0.05]}}, curve(-1.0)]},
+     ["verify-thm74", "--resolution", "4"]),
+    ({**CURVES, "surfaces": [{**curve(1.0), "U": {"lo": [-INF], "hi": [0.05]}}, curve(-1.0)]},
+     ["convolve-surfaces"]),
+    ({**CURVES, "surfaces": [{**curve(1.0), "kappa": 0.0}, curve(-1.0)]}, ["convolve-surfaces"]),
+    ({**CURVES, "surface": {**curve(1.0), "beta": 1.5}}, ["extension"]),
+    ({**CURVES, "surface": {**curve(1.0), "phi": {"terms": [{"powers": [2], "c": NAN}]}}},
+     ["extension"]),
+    ({"surfaces": [curve(1.0), {**curve(-1.0), "phi": {"terms": [{"powers": [1], "c": -1e9}]}}]},
+     ["verify-thm74", "--resolution", "4"]),
+], ids=["surface-U", "surface-phi", "map-rows", "field-terms", "one-sample", "thm74-lo-inf",
+        "convolve-lo-inf", "convolve-kappa-zero", "extension-beta", "extension-nan-coefficient",
+        "thm74-extension-budget"])
 def test_malformed_input_is_usage_error(tmp_path, capsys, payload, argv):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -339,12 +369,16 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, payload, argv):
     assert not out.exists()
 
 
-def run_datum_command(path, command: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one datum command, run in-process."""
+def run_command(argv, path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command, run in-process."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(DATUM_COMMANDS[command] + ["--input", str(path)])
+        code = main(argv + ["--input", str(path)])
     return code, out.getvalue(), err.getvalue()
+
+
+def run_datum_command(path, command: str) -> tuple[int, str, str]:
+    return run_command(DATUM_COMMANDS[command], path)
 
 
 def expect_usage_error(tmp_path, payload, command: str, message: str) -> None:
@@ -356,7 +390,6 @@ def expect_usage_error(tmp_path, payload, command: str, message: str) -> None:
     assert out == ""
 
 
-NAN, INF = float("nan"), float("inf")
 TWO_LINES = {"d": 2, "maps": [[[1, 0]], [[0, 1]]], "p": [1, 1]}
 
 
@@ -479,6 +512,103 @@ def test_fuzzed_datum_json_never_crashes(tmp_path_factory, payload):
             json.loads(out, parse_constant=_reject_constant)
         else:
             assert err.startswith("error:")
+
+
+# The commands that read a surface file, with the options each needs.
+SURFACE_COMMANDS = {
+    "convolve-surfaces": ["convolve-surfaces"],
+    "extension": ["extension"],
+    "verify-thm74": ["verify-thm74", "--resolution", "4"],
+}
+
+
+def surface_numbers(surface):
+    """(container, key) of every number of one surface."""
+    U, values = surface.get("U"), surface.get("values")
+    places = [(surface, "beta"), (surface, "kappa")]
+    if isinstance(U, dict):
+        places += [(U[k], i) for k in ("lo", "hi") if isinstance(U.get(k), list)
+                   for i in range(len(U[k]))]
+    terms = surface.get("phi", {}).get("terms") if isinstance(surface.get("phi"), dict) else None
+    if isinstance(terms, list):
+        places += [(t, "c") for t in terms if isinstance(t, dict)]
+    if isinstance(values, dict):
+        places += [(values, "spacing")]
+        places += [(values[k], i) for k in ("origin", "values")
+                   if isinstance(values.get(k), list) for i in range(len(values[k]))]
+    return places
+
+
+@st.composite
+def surface_payloads(draw):
+    """A surface file that meets the schema, with up to two defects: a
+    non-finite, negative, huge or out-of-range number, a string where a
+    number belongs, scaled graph coefficients, a wrong exponent or
+    dimension, a surface too many or too few, or a field replaced by junk
+    or dropped."""
+    payload = json.loads(json.dumps(draw(st.sampled_from([CURVES, LINES]))))
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.sampled_from(["number", "point", "scale", "powers", "dimension",
+                                       "count", "junk", "drop"]))
+        surfaces = payload.get("surfaces")
+        pool = [payload["surface"]] if isinstance(payload.get("surface"), dict) else []
+        if isinstance(surfaces, list):
+            pool += [s for s in surfaces if isinstance(s, dict)]
+        surface = draw(st.sampled_from(pool)) if pool else None
+        if defect == "number" and surface is not None:
+            places = surface_numbers(surface)
+            if places:
+                container, key = draw(st.sampled_from(places))
+                container[key] = draw(ENTRIES)
+        elif defect == "point":
+            key = draw(st.sampled_from(["y", "xi"]))
+            if isinstance(payload.get(key), list) and payload[key]:
+                payload[key][draw(st.integers(0, len(payload[key]) - 1))] = draw(ENTRIES)
+        elif defect == "scale" and surface is not None and isinstance(surface.get("phi"), dict):
+            factor = draw(st.sampled_from([1e3, 1e8, 1e154, 1e300, -1e-300]))
+            surface["phi"] = {"terms": scaled_terms(surface["phi"].get("terms"), factor)}
+        elif defect == "powers" and surface is not None and isinstance(surface.get("phi"), dict):
+            terms = surface["phi"].get("terms")
+            if isinstance(terms, list) and terms and isinstance(terms[-1], dict):
+                terms[-1]["powers"] = draw(st.sampled_from([[-1], [0, 1], [], [5], [40], ["x"]]))
+        elif defect == "dimension" and surface is not None and isinstance(surface.get("U"), dict):
+            surface["U"] = {"lo": [-0.05, -0.05], "hi": [0.05, 0.05]}
+        elif defect == "count" and isinstance(surfaces, list) and surfaces:
+            if draw(st.booleans()):
+                surfaces.pop()
+            else:
+                surfaces.append(surfaces[0])
+        elif defect == "junk":
+            payload[draw(st.sampled_from(["surfaces", "surface", "y", "xi"]))] = draw(JUNK)
+        elif defect == "drop":
+            if surface is not None and draw(st.booleans()):
+                surface.pop(draw(st.sampled_from(["U", "phi", "beta", "kappa", "values"])), None)
+            else:
+                payload.pop(draw(st.sampled_from(["surfaces", "surface", "y", "xi"])), None)
+    return payload
+
+
+def scaled_terms(terms, factor):
+    if not isinstance(terms, list):
+        return terms
+    return [{**t, "c": t["c"] * factor} if isinstance(t, dict) and isinstance(t.get("c"), float)
+            else t for t in terms]
+
+
+@given(payload=surface_payloads())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_surface_json_never_crashes(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-surfaces.json"
+    path.write_text(json.dumps(payload))
+    for command, argv in SURFACE_COMMANDS.items():
+        code, out, err = run_command(argv, path)
+        # verify-thm74 exits 2 when its two routes disagree (a refusal)
+        assert code in ((0, 1, 2) if command == "verify-thm74" else (0, 1)), (command, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error:") and out == ""
+        else:
+            json.loads(out, parse_constant=_reject_constant)
 
 
 class TestExitCodes:

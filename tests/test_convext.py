@@ -207,6 +207,23 @@ class TestBlockLift:
         assert np.allclose(maps[3].value(X), total, atol=1e-15)
 
 
+@pytest.mark.parametrize("lo, hi, c, beta, kappa, message", [
+    ([-math.inf], [0.05], 0.5, 1.0, 2.5, "finite box"),
+    ([-0.05], [math.nan], 0.5, 1.0, 2.5, "finite box"),
+    ([-0.05], [0.05], math.inf, 1.0, 2.5, "coefficients must be finite"),
+    ([-0.05], [0.05], math.nan, 1.0, 2.5, "coefficients must be finite"),
+    ([-0.05], [0.05], 0.5, 0.0, 2.5, "beta must lie in"),
+    ([-0.05], [0.05], 0.5, 1.5, 2.5, "beta must lie in"),
+    ([-0.05], [0.05], 0.5, math.nan, 2.5, "beta must lie in"),
+    ([-0.05], [0.05], 0.5, 1.0, 0.0, "kappa must be positive"),
+    ([-0.05], [0.05], 0.5, 1.0, -1.0, "kappa must be positive"),
+    ([-0.05], [0.05], 0.5, 1.0, math.inf, "kappa must be positive"),
+])
+def test_hypersurface_refuses_bad_declarations(lo, hi, c, beta, kappa, message):
+    with pytest.raises(ValueError, match=message):
+        Hypersurface(lo, hi, Polynomial(1, {(1,): 1.0, (2,): c}), beta, kappa)
+
+
 class TestSurfaceConvolution:
     def test_flat_planes_match_closed_form(self):
         sfuncs, slopes, r = orthogonal_planes()
@@ -299,14 +316,21 @@ def oracle_declare_kappa(poly, total, seed=0):
     return kappa
 
 
-def oracle_field(surfaces, y):
+def oracle_polynomial(surfaces, y):
+    """The reduction polynomial F(x_1', ..., x_{d-1}'; y) at one point y."""
     d = len(surfaces)
     width = n_blocks = d - 1
     total = width * n_blocks
     F = Polynomial.constant(total, -float(y[-1]))
     for j in range(n_blocks):
         F = F + _oracle_embed(surfaces[j].phi, None, [j], n_blocks, width, 1.0)
-    F = F + _oracle_embed(surfaces[d - 1].phi, y[:-1], range(n_blocks), n_blocks, width, -1.0)
+    return F + _oracle_embed(surfaces[d - 1].phi, y[:-1], range(n_blocks), n_blocks, width, -1.0)
+
+
+def oracle_field(surfaces, y):
+    d = len(surfaces)
+    total = (d - 1) ** 2
+    F = oracle_polynomial(surfaces, y)
     e_last = np.zeros((total, 1))
     e_last[-1, 0] = 1.0
     g = F.substitute_affine(e_last)
@@ -417,6 +441,29 @@ def far_and_near_curves():
     ]
 
 
+def cubic_pair():
+    """Cubic graphs, three roots per point and sampled quotients that
+    depend on where the samples fall, with the points of their 8 x 8 grid."""
+    cubic = [
+        Hypersurface([-0.05], [0.05], Polynomial(1, {(1,): 1.0, (2,): 0.5, (3,): 40.0}), 1.0, 2.5),
+        Hypersurface([-0.05], [0.05], Polynomial(1, {(1,): -1.0, (2,): 0.5, (3,): -30.0}), 1.0, 2.5),
+    ]
+    return cubic, convext._spatial_grid([SurfaceFunction(s) for s in cubic], 8)[0]
+
+
+def curved_planes(r=3e-5):
+    """Orthogonal planes bent by one shared quadratic, with the points of
+    their 3 x 3 x 3 grid."""
+    sfuncs, _, _ = orthogonal_planes(r=r)
+    bend = Polynomial(2, {(2, 0): 0.5, (1, 1): -0.3, (0, 2): 0.4})
+    surfaces = [Hypersurface(sf.surface.lo, sf.surface.hi, sf.surface.phi + bend, 1.0,
+                             sf.surface.kappa) for sf in sfuncs]
+    return surfaces, convext._spatial_grid([SurfaceFunction(s) for s in surfaces], 3)[0]
+
+
+FIELD_CASES = [cubic_pair(), curved_planes()]
+
+
 def assert_matches_oracle(got, want):
     scale = np.max(np.abs(want))
     assert scale > 0
@@ -470,24 +517,49 @@ class TestBatchedConvolution:
         assert_matches_oracle(got, want)
 
     def test_fields_match_oracle_fields(self):
-        # root, scale and the sampled kappa of every point, for both
-        # orderings; kappa's quotients |dU - dV| / |U - V| cancel about two
-        # digits, hence the wider tolerance
-        # cubic graphs: three roots per point, and sampled quotients that
-        # depend on where the samples fall
-        cubic = [
-            Hypersurface([-0.05], [0.05], Polynomial(1, {(1,): 1.0, (2,): 0.5, (3,): 40.0}), 1.0, 2.5),
-            Hypersurface([-0.05], [0.05], Polynomial(1, {(1,): -1.0, (2,): 0.5, (3,): -30.0}), 1.0, 2.5),
-        ]
-        Y, _ = convext._spatial_grid([SurfaceFunction(s) for s in cubic], 8)
-        for surfaces in (cubic, cubic[::-1]):
-            fields, failures = convext.build_reduction_field(surfaces, Y)
-            assert failures == [None] * len(Y)
-            for p, y in enumerate(Y):
-                field, root, scale = oracle_field(surfaces, y)
-                assert fields.root[p] == pytest.approx(root, rel=1e-12, abs=1e-15)
-                assert fields.scale[p] == pytest.approx(scale, rel=1e-12)
-                assert fields.kappa[p] == pytest.approx(field.kappa, rel=1e-9)
+        # root, scale and the sampled kappa of every point, for every
+        # ordering of the cubic d = 2 pair and the bent d = 3 planes;
+        # kappa's quotients |dU - dV| / |U - V| cancel about two digits,
+        # hence the wider tolerance
+        for surfaces, Y in FIELD_CASES:
+            served = 0
+            for order in permutations(range(len(surfaces))):
+                ordered = [surfaces[i] for i in order]
+                fields, failures = convext.build_reduction_field(ordered, Y)
+                for p, y in enumerate(Y):
+                    if failures[p] is not None:
+                        with pytest.raises(type(failures[p])):
+                            oracle_field(ordered, y)
+                        continue
+                    field, root, scale = oracle_field(ordered, y)
+                    assert fields.root[p] == pytest.approx(root, rel=1e-12, abs=1e-15)
+                    assert fields.scale[p] == pytest.approx(scale, rel=1e-12, abs=0)
+                    assert fields.kappa[p] == pytest.approx(field.kappa, rel=1e-9, abs=0)
+                    served += 1
+            assert served >= len(Y)
+
+    @pytest.mark.parametrize("surfaces, Y", FIELD_CASES, ids=["d2-cubic", "d3-planes"])
+    def test_tables_evaluate_the_reduction_polynomial(self, surfaces, Y):
+        # G_p(x, t) = F(x, root_p + t; y_p) / scale_p and its partials, with F
+        # built per point by the dict algebra, for every ordering
+        rng = np.random.default_rng(12)
+        checked = 0
+        for order in permutations(range(len(surfaces))):
+            ordered = [surfaces[i] for i in order]
+            fields, failures = convext.build_reduction_field(ordered, Y)
+            x = rng.uniform(-0.05, 0.05, (7, fields.n))
+            for p in np.flatnonzero([f is None for f in failures]):
+                t = rng.uniform(-0.05, 0.05, (1, 7))
+                F = oracle_polynomial(ordered, Y[p])
+                args = np.column_stack([x, fields.root[p] + t[0]])
+                polys = [F] + [F.partial(a) for a in range(fields.n + 1)]
+                want = np.stack([q.evaluate(args) for q in polys]) / fields.scale[p]
+                got = np.concatenate([fields.value(x, t, [p]), fields.gradient(x, t, [p])[0].T])
+                assert np.array_equal(fields.partial_t(x, t, [p])[0], got[-1])
+                for g, w in zip(got, want):
+                    assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+                checked += 1
+        assert checked >= len(Y)
 
     def test_one_point_is_the_batch_of_one(self):
         sfuncs = curved_bridge()
@@ -511,8 +583,9 @@ class TestBatchedConvolution:
         sfuncs = curved_bridge()
         Y, _ = convext._spatial_grid(sfuncs, 32)
         whole = surface_convolution(sfuncs, Y, self.spec)
-        # 100 points per kappa block, at least three per ordering group
-        monkeypatch.setattr(convext, "_BLOCK_ENTRIES", 100 * 800 * 3)
+        # 100 points per kappa block of 2 x 400 samples and one gradient
+        # component, at least three per ordering group
+        monkeypatch.setattr(convext, "_BLOCK_ENTRIES", 100 * 800)
         calls = self.count_calls(monkeypatch, "_sampled_kappa")
         split = surface_convolution(sfuncs, Y, self.spec)
         assert len(calls) >= 6
