@@ -5,8 +5,10 @@ Covers the measure of axis boxes against halfspaces and slabs (exact in
 halfspace intersection.  These back the slab and tube masses of the
 scale decomposition and the exact-indicator path of the ratio
 quadrature.  Every grid mass, at every rank, goes through one dispatch
-(`_halfplane_mass`); `grid_slab_mass` adds only the rank-2 closed form,
-which is much faster than clipping on slabs.  Both grid-mass routines
+(`_halfplane_mass`); `grid_slab_mass` adds only the rank-2 piecewise-
+quadratic cell area, which is cheaper on slabs.  At rank 2 a cell's share
+of any halfplane intersection is a closed-form edge sum over the lines
+that bound it, with no polygon clipping.  Both grid-mass routines
 measure many regions of one grid in one call: a region's mass does not
 depend on the other regions of its call.
 """
@@ -17,10 +19,13 @@ import numpy as np
 
 # Midpoint subdivisions per cell axis in the rank >= 3 grid-mass measure.
 SUBDIVISION = 4
-# Entries of any (region, cell) or clipped-vertex temporary of the batched
-# grid masses; larger batches are measured in blocks of regions and of
-# clipped (region, cell) pairs.
+# Entries of any (region, cell) or (line, line, pair) temporary of the
+# batched grid masses; larger batches are measured in blocks of regions and
+# of (region, cell) pairs.
 BLOCK_ENTRIES = 2**16
+# Relative angle, and distance in cell sides, below which two lines of the
+# rank-2 area kernel count as parallel, and parallel lines as coincident.
+PARALLEL_TOL = 64 * np.finfo(float).eps
 
 
 def box_halfspace_area_2d(
@@ -111,7 +116,7 @@ def grid_polygon_mass(
     Each offset c is a float or a (T,) array; with any array offset the
     call measures T regions that share the normals and returns their
     (T,) masses, else it returns a float.  Exact at rank 1 (interval
-    overlap) and rank 2 (every candidate cell is clipped); rank >= 3
+    overlap) and rank 2 (an edge sum per candidate cell); rank >= 3
     uses the midpoint-subdivision measure.
     """
     k = np.ndim(values)
@@ -175,11 +180,11 @@ def _interval_mass(lows, vals, h: float, normals, offsets) -> np.ndarray:
 
 
 def _clip_mass(origins, vals, h: float, normals, offsets) -> np.ndarray:
-    """Rank 2: every candidate (region, cell) pair is clipped.
+    """Rank 2: exact areas of every candidate (region, cell) pair.
 
     A corner-projection prefilter drops the cells some halfplane excludes
     whole and counts in full the cells every halfplane contains; the
-    remaining pairs are clipped in batches (`_clipped_square_areas`).
+    remaining pairs are measured in batches (`_clipped_square_areas`).
     Per region, the cell masses are summed in row-major cell order.
     """
     corners = np.array([[0.0, 0.0], [h, 0.0], [0.0, h], [h, h]])
@@ -188,7 +193,7 @@ def _clip_mass(origins, vals, h: float, normals, offsets) -> np.ndarray:
     cmin = proj + reach.min(axis=0)[:, None]
     cmax = proj + reach.max(axis=0)[:, None]
     full_mass = vals * h * h
-    clip_batch = max(1, BLOCK_ENTRIES // (8 * (4 + len(normals))))
+    clip_batch = max(1, BLOCK_ENTRIES // (4 + len(normals)) ** 2)
     masses = np.zeros(offsets.shape[1])
     for block in _blocks(len(masses), len(vals)):
         candidate = np.ones((block.stop - block.start, len(vals)), dtype=bool)
@@ -210,43 +215,50 @@ def _clip_mass(origins, vals, h: float, normals, offsets) -> np.ndarray:
 def _clipped_square_areas(h: float, normals, offsets) -> np.ndarray:
     """(B,) areas of [0, h]^2 ∩ {<y, normals[p]> <= offsets[p, b] for all p}.
 
-    Batched Sutherland-Hodgman: the B polygons live in one vertex array
-    of 4 + P slots with a vertex count each (a convex polygon gains at
-    most one vertex per clip; the array widens only if rounding ever
-    breaks that).  Every step is elementwise or a fixed-order sum, so a
-    polygon's area does not depend on the rest of its batch.
+    Closed-form edge sum over the K = 4 + P lines <y, n_k> = c_k (the
+    square's sides, then the halfplanes).  Each line, parametrised as
+    c_k n_k / |n_k|^2 + t rot90(n_k), is clipped against the other K - 1
+    halfplanes (Cyrus-Beck) to its edge t in [t_lo, t_hi]; by the
+    divergence theorem the area is 1/2 sum_k c_k max(0, t_hi - t_lo).
+    Every step is elementwise, a min or max over lines, or a fixed-order
+    sum over k, so an area does not depend on the rest of its batch.
     """
-    count = np.full(offsets.shape[1], 4)
-    verts = np.zeros((len(count), 4 + len(normals), 2))
-    verts[:, :4] = [[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]]
-    for normal, offset in zip(normals, offsets):
-        slots = np.arange(verts.shape[1])
-        live = slots < count[:, None]
-        succ = np.where(slots + 1 < count[:, None], slots + 1, 0)
-        dist = verts[..., 0] * normal[0] + verts[..., 1] * normal[1] - offset[:, None]
-        dist_next = np.take_along_axis(dist, succ, axis=1)
-        inside = dist <= 0.0
-        crossing = live & (inside != (dist_next <= 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(crossing, dist / (dist - dist_next), 0.0)
-        nxt = np.take_along_axis(verts, succ[..., None], axis=1)
-        emitted = np.stack([verts, verts + t[..., None] * (nxt - verts)], axis=2)
-        keep = np.stack([live & inside, crossing], axis=2).reshape(len(count), -1)
-        count = keep.sum(axis=1)
-        rows, cols = np.nonzero(keep)
-        verts = np.zeros((len(count), max(verts.shape[1], int(count.max(initial=0))), 2))
-        verts[rows, np.cumsum(keep, axis=1)[rows, cols] - 1] = emitted.reshape(
-            len(count), -1, 2
-        )[rows, cols]
-    # shoelace over the slots, each padded with the polygon's first vertex
-    live = np.arange(verts.shape[1]) < count[:, None]
-    verts = np.where(live[..., None], verts, verts[:, :1])
-    x, y = verts[..., 0], verts[..., 1]
-    cross = x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1)
-    twice = np.zeros(len(count))
-    for column in cross.T:
-        twice += column
-    return np.where(count >= 3, 0.5 * np.abs(twice), 0.0)
+    n = np.concatenate([[[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], normals])
+    c = np.concatenate([np.outer([0.0, h, 0.0, h], np.ones(offsets.shape[1])), offsets])
+    # <rot90(n_k), n_m> and <n_k, n_m> elementwise: a BLAS product may fuse
+    # multiply-adds and leave a nonzero diagonal
+    cross = n[:, None, 0] * n[None, :, 1] - n[:, None, 1] * n[None, :, 0]
+    dot = n[:, None, 0] * n[None, :, 0] + n[:, None, 1] * n[None, :, 1]
+    square = np.diag(dot)
+    norm = np.sqrt(square)
+    live = norm > 0.0
+    # lines within PARALLEL_TOL of parallel count as parallel, which moves an
+    # area by O(PARALLEL_TOL h^2); a line is not parallel to itself
+    angle_tol = PARALLEL_TOL * np.outer(norm, norm)
+    upper = cross > angle_tol
+    lower = cross < -angle_tol
+    parallel = ~upper & ~lower & ~np.eye(len(n), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(upper | lower, 1.0 / cross, 0.0)
+        foot = np.where(live[:, None], c / square[:, None], 0.0)
+    # t[k, m]: the parameter on line k of its crossing with line m
+    t = c[None, :, :] * inv[:, :, None] - foot[:, None, :] * (dot * inv)[:, :, None]
+    t_hi = np.min(t, axis=1, where=upper[:, :, None], initial=np.inf)
+    t_lo = np.max(t, axis=1, where=lower[:, :, None], initial=-np.inf)
+    # a parallel halfplane m drops line k where the line lies outside it, or
+    # on its boundary when m is an earlier line facing the same way, so a
+    # shared edge counts once (the two edges of a zero-width strip cancel)
+    k, m = np.nonzero(parallel)
+    b = c[m] - foot[k] * dot[k, m, None]
+    gap = PARALLEL_TOL * h * norm[m, None]
+    earlier = (dot[k, m] > 0.0) & (m < k)
+    dropped = ~live[:, None] | (t_hi <= t_lo)
+    for line, hit in zip(k, (b < -gap) | ((np.abs(b) <= gap) & earlier[:, None])):
+        dropped[line] |= hit
+    twice = np.zeros(offsets.shape[1])
+    for term in c * np.where(dropped, 0.0, t_hi - t_lo):
+        twice += term
+    return np.maximum(0.5 * twice, 0.0)
 
 
 def _subdivision_mass(origins, vals, h: float, normals, offsets) -> np.ndarray:

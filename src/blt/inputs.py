@@ -10,6 +10,7 @@ over (N, k) point arrays and integrals are closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,11 @@ class ZeroMassError(ValueError):
 @dataclass
 class GridFunction:
     """Piecewise-constant nonnegative function on the lattice
-    origin + spacing * [k, k+1) per axis."""
+    origin + spacing * [k, k+1) per axis.
+
+    The first `evaluate` keeps a zero-padded copy of `values`; change
+    `values` in place only before it.
+    """
 
     origin: np.ndarray
     spacing: float
@@ -30,10 +35,12 @@ class GridFunction:
     def __post_init__(self) -> None:
         self.origin = np.asarray(self.origin, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("spacing must be positive and finite")
         if self.origin.ndim != 1 or self.origin.size != self.values.ndim:
             raise ValueError("origin length must match the rank of values")
+        if not (np.isfinite(self.origin).all() and np.isfinite(self.values).all()):
+            raise ValueError("grid origin and values must be finite")
         if np.any(self.values < 0):
             raise ValueError("grid values must be nonnegative")
 
@@ -45,15 +52,32 @@ class GridFunction:
         hi = self.origin + self.spacing * np.asarray(self.values.shape, dtype=float)
         return self.origin.copy(), hi
 
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """`values` with one zero cell added on each side of every axis."""
+        padded = np.zeros(tuple(size + 2 for size in self.values.shape))
+        padded[(slice(1, -1),) * self.dim] = self.values
+        return padded
+
     def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Values at (N, k) points, zero off the lattice, by one flat `take`
+        from the zero-padded values."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.floor((points - self.origin) / self.spacing).astype(np.int64)
-        inside = np.all((idx >= 0) & (idx < np.asarray(self.values.shape)), axis=1)
-        out = np.zeros(points.shape[0])
-        if np.any(inside):
-            sel = idx[inside]
-            out[inside] = self.values[tuple(sel.T)]
-        return out
+        return self._padded.ravel().take(self._padded_index(points))
+
+    def _padded_index(self, points: np.ndarray) -> np.ndarray:
+        """Flat index into `_padded` of each point's cell.  Cell indices
+        are clamped in float to [-1, shape] (NaN to -1), so every point off
+        the lattice, however far, reads the pad.  Its float temporaries are
+        freed before the gather, which matters at a million points."""
+        flat = None
+        for a, size in enumerate(self.values.shape):
+            cell = np.floor((points[:, a] - self.origin[a]) / self.spacing)
+            np.fmax(cell, -1.0, out=cell)
+            np.minimum(cell, size, out=cell)
+            cell += 1.0
+            flat = cell if flat is None else flat * (size + 2) + cell
+        return flat.astype(np.intp)
 
     def integral(self) -> float:
         return float(self.values.sum() * self.spacing**self.dim)

@@ -475,6 +475,15 @@ class Decomposition:
     def certificates_hold(self) -> bool:
         return all(seq.certificates_hold() for seq in self.sequences)
 
+    def _search(self, points: np.ndarray):
+        """Per-axis parameters T of global points and their searchsorted
+        positions in the interval edges, one column per axis."""
+        T = self.frame.t_values(np.atleast_2d(points) - self.cube.center)
+        pos = np.stack(
+            [np.searchsorted(e, T[:, i], side="left") for i, e in enumerate(self.edges)], axis=1
+        )
+        return T, pos
+
     def locate_points(self, points: np.ndarray):
         """Cell assignment of global points.
 
@@ -482,28 +491,25 @@ class Decomposition:
         column per axis.  Points outside the covered parameter range or
         outside the cube are marked invalid.
         """
-        points = np.atleast_2d(points)
-        local = points - self.cube.center
-        T = self.frame.t_values(local)
-        count = points.shape[0]
-        d = self.cube.d
-        n = np.zeros((count, d), dtype=np.int64)
-        chi = np.zeros((count, d), dtype=np.int8)
-        valid = self.cube.contains(points)
-        edge_dist = np.full(count, np.inf)
-        for i in range(d):
-            e = self.edges[i]
-            pos = np.searchsorted(e, T[:, i], side="left")
-            ok = (pos >= 1) & (pos <= len(e) - 1)
-            valid &= ok
-            pos_cl = np.clip(pos, 1, len(e) - 1)
-            k = pos_cl - 1
-            chi[:, i] = np.where(k % 2 == 0, 1, 0)
-            n[:, i] = k // 2
-            lo = e[pos_cl - 1]
-            hi = e[pos_cl]
+        T, pos = self._search(points)
+        last = np.array([len(e) - 1 for e in self.edges])
+        valid = self.cube.contains(points) & np.all((pos >= 1) & (pos <= last), axis=1)
+        k = np.clip(pos, 1, last) - 1
+        chi = (k % 2 == 0).astype(np.int8)
+        edge_dist = np.full(len(T), np.inf)
+        for i, e in enumerate(self.edges):
+            lo, hi = e[k[:, i]], e[k[:, i] + 1]
             edge_dist = np.minimum(edge_dist, np.minimum(np.abs(T[:, i] - lo), np.abs(hi - T[:, i])))
-        return n, chi, valid, edge_dist
+        return k // 2, chi, valid, edge_dist
+
+    def main_cells(self, points: np.ndarray) -> np.ndarray:
+        """Mask of the points in the cube that lie in a main cell (chi = 0
+        on every axis): `valid & all(chi == 0)` of `locate_points`, which
+        holds where every position is even and within [1, len(e) - 1].
+        Every edge array has odd length, so an even position never passes
+        the last edge."""
+        _, pos = self._search(points)
+        return self.cube.contains(points) & np.all((pos % 2 == 0) & (pos > 0), axis=1)
 
     def cell_volume_estimate(self, n: np.ndarray, chi: np.ndarray) -> float:
         widths = []
@@ -835,8 +841,7 @@ def verify_induction_step(
 
     def cube_and_main(points: np.ndarray) -> np.ndarray:
         vals = integrand(points)
-        _, chi, valid, _ = deco.locate_points(points)
-        return np.stack([vals, vals * (valid & np.all(chi == 0, axis=1))])
+        return np.stack([vals, vals * deco.main_cells(points)])
 
     half = delta / 2.0
     lhs, main_lhs = _midpoint_integral(

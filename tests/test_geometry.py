@@ -49,6 +49,40 @@ def polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
+def sutherland_hodgman_areas(h: float, normals, offsets) -> np.ndarray:
+    """(B,) areas of [0, h]^2 ∩ {<y, normals[p]> <= offsets[p, b] for all p},
+    by batched Sutherland-Hodgman clipping (the rank-2 kernel the edge sum
+    replaced): the B polygons live in one vertex array of 4 + P slots with
+    a vertex count each, then a shoelace sum."""
+    count = np.full(offsets.shape[1], 4)
+    verts = np.zeros((len(count), 4 + len(normals), 2))
+    verts[:, :4] = [[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]]
+    for normal, offset in zip(normals, offsets):
+        slots = np.arange(verts.shape[1])
+        live = slots < count[:, None]
+        succ = np.where(slots + 1 < count[:, None], slots + 1, 0)
+        dist = verts[..., 0] * normal[0] + verts[..., 1] * normal[1] - offset[:, None]
+        dist_next = np.take_along_axis(dist, succ, axis=1)
+        inside = dist <= 0.0
+        crossing = live & (inside != (dist_next <= 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(crossing, dist / (dist - dist_next), 0.0)
+        nxt = np.take_along_axis(verts, succ[..., None], axis=1)
+        emitted = np.stack([verts, verts + t[..., None] * (nxt - verts)], axis=2)
+        keep = np.stack([live & inside, crossing], axis=2).reshape(len(count), -1)
+        count = keep.sum(axis=1)
+        rows, cols = np.nonzero(keep)
+        verts = np.zeros((len(count), max(verts.shape[1], int(count.max(initial=0))), 2))
+        verts[rows, np.cumsum(keep, axis=1)[rows, cols] - 1] = emitted.reshape(
+            len(count), -1, 2
+        )[rows, cols]
+    live = np.arange(verts.shape[1]) < count[:, None]
+    verts = np.where(live[..., None], verts, verts[:, :1])
+    x, y = verts[..., 0], verts[..., 1]
+    cross = x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1)
+    return np.where(count >= 3, 0.5 * np.abs(cross.sum(axis=1)), 0.0)
+
+
 def oracle_mass(values, origin, h, halfplanes) -> float:
     """One region's grid mass, cell by cell: interval overlap at rank 1,
     a scalar polygon clip at rank 2, SUBDIVISION^k sub-cell midpoints at
@@ -282,6 +316,61 @@ class TestBatchedMasses:
         none = grid_polygon_mass(values, np.zeros(2), 1.0, [(np.array([1.0, 0.0]), np.zeros(0))])
         assert none.shape == (0,)
         assert grid_slab_mass(values, np.zeros(2), 1.0, np.array([0.0, 1.0]), 3.0, 1.0) == 0.0
+
+
+def area_cases(rng, h):
+    """(normals, offsets) cases for the rank-2 area kernel in cell-local
+    coordinates: random normals with P = 1..6, then zero, axis-aligned,
+    parallel, anti-parallel and coincident normals, and offsets exactly on
+    the cell's sides and through its corners."""
+    cases = []
+    for p in range(1, 7):
+        normals = rng.standard_normal((p, 2))
+        cases.append((normals, rng.uniform(-1.5, 1.5, (p, 64)) * h))
+    axis = np.array([[1.0, 0.0], [0.0, -2.0], [-0.5, 0.0], [0.0, 3.0]])
+    sides = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], (4, 64)) * h * np.abs(axis).sum(axis=1)[:, None]
+    sides *= np.sign(axis.sum(axis=1))[:, None]
+    cases.append((axis, sides))
+    for _ in range(3):
+        w, v = rng.standard_normal(2), rng.standard_normal(2)
+        c = rng.uniform(-1.0, 1.0, (2, 64)) * h
+        width = rng.choice([0.0, 0.0, 0.3, -0.3], 64) * h
+        s = rng.choice([2.0, 3.0, 0.7])
+        cases.append((np.array([w, s * w, v]), np.array([c[0], s * c[0], c[1]])))
+        cases.append((np.array([w, -s * w, v]), np.array([c[0], -s * c[0] + width, c[1]])))
+        cases.append((np.array([w, s * w, -v]), np.array([c[0], s * (c[0] + width), c[1]])))
+        zero = np.array([w, [0.0, 0.0], v])
+        cases.append((zero, np.array([c[0], rng.choice([-1.0, 0.0, 1.0], 64), c[1]])))
+    corners = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
+    cases.append((corners, rng.choice([-1.0, 0.0, 1.0, 2.0], (3, 64)) * h))
+    return cases
+
+
+class TestClosedFormAreas:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("h", [1.0, 0.37, 1e-3])
+    def test_matches_sutherland_hodgman(self, seed, h):
+        rng = np.random.default_rng(seed)
+        for normals, offsets in area_cases(rng, h):
+            areas = geometry._clipped_square_areas(h, normals, offsets)
+            oracle = sutherland_hodgman_areas(h, normals, offsets)
+            assert np.all(areas >= 0.0)
+            assert np.all(np.abs(areas - oracle) <= 1e-12 * h * h), normals
+
+    def test_degenerate_regions(self):
+        h = 0.5
+        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        cases = {
+            "coincident with a side": ([x], [[h]], h * h),
+            "zero-width strip": ([x, -2.0 * x], [[0.2], [-0.4]], 0.0),
+            "strip on a side": ([x, -x], [[0.0], [0.0]], 0.0),
+            "zero normal, c < 0": ([x, 0.0 * x], [[0.3], [-1.0]], 0.0),
+            "zero normal, c = 0": ([x, 0.0 * x], [[0.3], [0.0]], 0.3 * h),
+            "repeated halfplane": ([x + y, x + y], [[0.5], [0.5]], 0.125),
+        }
+        for name, (normals, offsets, expected) in cases.items():
+            area = geometry._clipped_square_areas(h, np.array(normals), np.array(offsets))
+            assert area[0] == pytest.approx(expected, abs=1e-15), name
 
 
 class TestPolygonMass:

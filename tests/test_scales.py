@@ -307,6 +307,30 @@ class TestDecomposition:
             n, chi, valid, dist = deco.locate_points(pts)
         assert valid.all()
 
+    def test_main_cells_match_located_cells(self):
+        # the integrand's main-cell mask is valid & all(chi == 0), read from
+        # the same search; points beyond the cube, on interval edges and
+        # outside the covered parameter range included
+        maps, params, cube, inputs = flagship_scale_setup(seed=2)
+        deco = decompose(maps, cube, inputs, params)
+        rng = np.random.default_rng(3)
+        half = 0.6 * cube.side
+        G = deco.frame.t_matrix()
+        on_edges = np.stack([rng.choice(e, 500) for e in deco.edges], axis=1)
+        pts = np.concatenate([
+            cube.center + rng.uniform(-half, half, (4000, 3)),
+            on_edges @ np.linalg.inv(G).T + cube.center,
+        ])
+        _, chi, valid, _ = deco.locate_points(pts)
+        main = valid & np.all(chi == 0, axis=1)
+        assert 0 < main.sum() < valid.sum() < len(pts)
+        assert np.array_equal(deco.main_cells(pts), main)
+        # with the edges cut short, cube points fall below and above them
+        deco.edges = [e[2:-2] for e in deco.edges]
+        _, chi, valid, _ = deco.locate_points(pts)
+        assert not np.array_equal(valid, cube.contains(pts))
+        assert np.array_equal(deco.main_cells(pts), valid & np.all(chi == 0, axis=1))
+
     def test_full_buffer_cell_volume_bound(self):
         deco, _ = self.build()
         delta = deco.delta
@@ -513,6 +537,32 @@ class TestInductionStep:
         per_axis = [6.250106978245369e-14, 5.807340280566401e-14, 5.912642129596822e-14]
         for chi, info in report.buffer_totals.items():
             assert info["total"] == pytest.approx(per_axis[info["axis"]], rel=1e-12, abs=0), chi
+
+    def test_flagship_step_keeps_the_clipping_route_numbers(self):
+        # recorded from the Sutherland-Hodgman tube masses, the mask-route
+        # grid lookups and the locate_points main-cell mask; the integral
+        # sees the same points and values, so its numbers keep their bits
+        maps, params, cube, inputs = flagship_scale_setup(seed=1)
+        spec = QuadratureSpec("tensor-midpoint", resolution=32)
+        report = verify_induction_step(maps, cube, inputs, params, spec, seed=5)
+        assert report.lhs == 1.0083988383256997e-18
+        assert report.main_fraction == 0.9076030460154925
+        assert report.main_sum == pytest.approx(1.093184198506739e-18, rel=1e-12, abs=0)
+        norms = [1.06729163184171e-12, 1.0490457929176051e-12, 1.073577703957454e-12]
+        for j, value in enumerate(norms):
+            assert report.tube_norms[j] == pytest.approx(value, rel=1e-12, abs=0)
+        totals = {
+            (1, 0, 0): 6.250106978245368e-14,
+            (0, 1, 0): 5.807340280566399e-14,
+            (1, 1, 0): 6.250106978245368e-14,
+            (0, 0, 1): 5.912642129596821e-14,
+            (1, 0, 1): 6.250106978245368e-14,
+            (0, 1, 1): 5.807340280566399e-14,
+            (1, 1, 1): 6.250106978245368e-14,
+        }
+        assert report.buffer_totals.keys() == totals.keys()
+        for chi, value in totals.items():
+            assert report.buffer_totals[chi]["total"] == pytest.approx(value, rel=1e-12, abs=0)
 
     def test_rejects_monte_carlo(self):
         maps = linear_lw_families()
