@@ -47,8 +47,19 @@ def _load_json(path: str):
         raise UsageError(f"cannot read input {path}: {exc}") from exc
 
 
+def _json_default(obj):
+    """JSON form of the numpy values a result may hold; anything else is a
+    programming error, not something to write as its str()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_report(path: str | None, report: dict) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    """Compact JSON with sorted keys, in one call of the C encoder."""
+    text = json.dumps(report, sort_keys=True, default=_json_default)
     if path is None:
         print(text)
         return
@@ -63,20 +74,6 @@ def _write_report(path: str | None, report: dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
 
 
 @contextmanager
@@ -192,7 +189,7 @@ def _convolution_spec(args, surface_count: int) -> quadrature.QuadratureSpec:
 def _resolved_config(args) -> dict:
     keys = ("input", "output", "seed", "samples", "resolution", "tol", "mode", "budget",
             "beta", "kappa", "alpha0", "alpha1", "d", "m", "freq_halfwidth", "max_cells", "x")
-    return _jsonable({k: getattr(args, k) for k in keys if hasattr(args, k)})
+    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
 @functools.cache
@@ -283,37 +280,54 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "command": args.command,
         "config": _resolved_config(args),
-        "result": _jsonable(result),
+        "result": result,
     }
     _write_report(args.output, report)
     return exit_code
 
 
 def _non_finite(obj) -> bool:
-    """Whether a JSON-ready value holds inf or NaN, which JSON cannot carry."""
-    if isinstance(obj, float):
+    """Whether a result value holds inf or NaN, which JSON cannot carry."""
+    if isinstance(obj, (float, np.floating)):
         return not math.isfinite(obj)
+    if isinstance(obj, np.ndarray):
+        return not np.isfinite(obj).all()
     if isinstance(obj, dict):
         obj = list(obj.values())
-    return isinstance(obj, list) and any(map(_non_finite, obj))
+    return isinstance(obj, (list, tuple)) and any(map(_non_finite, obj))
 
 
-def _finite_command(kind: str):
-    """Input (a datum, surfaces) whose numbers leave double range is an
-    input error: overflow, division by zero and invalid operations raise
-    instead of warning, and a result holding inf or NaN is refused rather
-    than reported."""
+def _float_errors(kind: str):
+    """Input (a datum, surfaces, a scales payload) whose numbers leave
+    double range is an input error: overflow, division by zero and invalid
+    operations raise instead of warning."""
 
     def wrap(handler):
         @functools.wraps(handler)
         def run(args):
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 try:
-                    result, code = handler(args)
+                    return handler(args)
                 except FloatingPointError as exc:
                     raise UsageError(f"{kind} out of floating-point range: {exc}") from exc
+
+        return run
+
+    return wrap
+
+
+def _finite_command(kind: str):
+    """`_float_errors`, and a result holding inf or NaN is refused rather
+    than reported."""
+
+    def wrap(handler):
+        checked = _float_errors(kind)(handler)
+
+        @functools.wraps(handler)
+        def run(args):
+            result, code = checked(args)
             for key, value in result.items():
-                if _non_finite(_jsonable(value)):
+                if _non_finite(value):
                     raise UsageError(f"{key} is out of floating-point range")
             return result, code
 
@@ -460,59 +474,60 @@ def cmd_delta0(args):
 
 
 def _scales_setup(payload, args):
-    maps = [_parse_map_family(mp) for mp in payload["maps"]]
-    if not maps:
-        raise UsageError("scales input needs at least one map")
-    if len(payload["inputs"]) != len(maps):
-        raise UsageError(f"{len(payload['inputs'])} inputs for {len(maps)} maps: one per map")
-    params_payload = payload["params"]
-    params = scales.compute_delta0(
-        float(params_payload["beta"]),
-        float(params_payload["kappa"]),
-        float(params_payload["alpha0"]),
-        float(params_payload["alpha1"]),
-        maps[0].d,
-        len(maps),
-        params_payload.get("M"),
-    )
-    cube_payload = payload.get("cube", {})
-    center = np.asarray(cube_payload.get("center", [0.0] * maps[0].d), dtype=float)
-    side = float(cube_payload.get("side", params.delta0))
-    cube = scales.Cube(center, side)
-    inputs_list = [_parse_grid(g) for g in payload["inputs"]]
+    with _input_errors("scales"):
+        maps = [_parse_map_family(mp) for mp in payload["maps"]]
+        if not maps:
+            raise UsageError("scales input needs at least one map")
+        if len(payload["inputs"]) != len(maps):
+            raise UsageError(f"{len(payload['inputs'])} inputs for {len(maps)} maps: one per map")
+        params_payload = payload["params"]
+        if not isinstance(params_payload, dict):
+            raise ValueError("params must be an object")
+        M = params_payload.get("M")
+        params = scales.compute_delta0(
+            float(params_payload["beta"]),
+            float(params_payload["kappa"]),
+            float(params_payload["alpha0"]),
+            float(params_payload["alpha1"]),
+            maps[0].d,
+            len(maps),
+            None if M is None else float(M),
+        )
+        cube_payload = payload.get("cube", {})
+        center = np.asarray(cube_payload.get("center", [0.0] * maps[0].d), dtype=float)
+        side = float(cube_payload.get("side", params.delta0))
+        cube = scales.Cube(center, side)
+        inputs_list = [_parse_grid(g) for g in payload["inputs"]]
     for j, (fam, g) in enumerate(zip(maps, inputs_list)):
         if g.dim != fam.d_out:
             raise UsageError(f"input {j} is a {g.dim}-d grid, map {j} has {fam.d_out} outputs")
     return maps, params, cube, inputs_list
 
 
+@_float_errors("scales")
 def cmd_decompose(args):
     payload = _load_json(args.input)
     maps, params, cube, inputs_list = _scales_setup(payload, args)
     deco = scales.decompose(maps, cube, inputs_list, params)
+    shape = tuple(deco.main_count(i) for i in range(cube.d))
+    per_pattern = math.prod(shape)
     cells = []
-    total = 1
-    for i in range(cube.d):
-        total *= 2 * deco.main_count(i)
-    count = 0
-    for code_idx in range(2**cube.d):
-        chi = np.array([(code_idx >> i) & 1 for i in range(cube.d)], dtype=np.int8)
-        shape = tuple(deco.main_count(i) for i in range(cube.d))
-        for n in np.ndindex(shape):
-            if count >= args.max_cells:
-                break
-            bounds = [deco.interval_bounds(i, n[i], int(chi[i])) for i in range(cube.d)]
-            cells.append(
-                {
-                    "n": list(n),
-                    "chi": chi,
-                    "slab_bounds": bounds,
-                    "volume_estimate": deco.cell_volume_estimate(np.asarray(n), chi),
-                }
-            )
-            count += 1
-        if count >= args.max_cells:
+    for code in range(2**cube.d):
+        count = min(args.max_cells - len(cells), per_pattern)
+        if count <= 0:
             break
+        chi = [(code >> i) & 1 for i in range(cube.d)]
+        n = np.stack(np.unravel_index(np.arange(count), shape), axis=1)
+        bounds = np.stack(
+            [np.stack(deco.interval_bounds(i, n[:, i], chi[i]), axis=1) for i in range(cube.d)],
+            axis=1,
+        )
+        cells += [
+            {"n": ni, "chi": chi, "slab_bounds": bi, "volume_estimate": vi}
+            for ni, bi, vi in zip(
+                n.tolist(), bounds.tolist(), deco.cell_volume_estimate(n, chi).tolist()
+            )
+        ]
     result = {
         "frame": deco.frame.a,
         "normals": deco.frame.v,
@@ -538,7 +553,7 @@ def cmd_decompose(args):
             }
             for seq in deco.sequences
         ],
-        "cell_count_total": total,
+        "cell_count_total": per_pattern * 2**cube.d,
         "cells_listed": len(cells),
         "cells": cells,
     }
@@ -557,6 +572,7 @@ def _params_block(params: scales.ScaleParams) -> dict:
     }
 
 
+@_float_errors("scales")
 def cmd_verify_step(args):
     payload = _load_json(args.input)
     maps, params, cube, inputs_list = _scales_setup(payload, args)
@@ -580,6 +596,7 @@ def cmd_verify_step(args):
     }, (EXIT_OK if ok else EXIT_REFUSED)
 
 
+@_float_errors("scales")
 def cmd_verify_nonlinear(args):
     payload = _load_json(args.input)
     maps, params, cube, inputs_list = _scales_setup(payload, args)

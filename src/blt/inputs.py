@@ -39,6 +39,10 @@ class GridFunction:
             raise ValueError("spacing must be positive and finite")
         if self.origin.ndim != 1 or self.origin.size != self.values.ndim:
             raise ValueError("origin length must match the rank of values")
+        try:
+            float(self.spacing) ** self.values.ndim
+        except OverflowError:
+            raise ValueError("cell volume spacing^rank is out of floating-point range") from None
         if not (np.isfinite(self.origin).all() and np.isfinite(self.values).all()):
             raise ValueError("grid origin and values must be finite")
         if np.any(self.values < 0):

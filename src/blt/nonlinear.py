@@ -41,11 +41,13 @@ class NonlinearMapFamily:
     def __post_init__(self) -> None:
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
+        if not 0 <= self.kappa < np.inf:
+            raise ValueError("kappa must be finite and nonnegative")
         for comp in self.components:
             if comp.n != self.d:
                 raise ValueError("component arity does not match d")
+            if not np.all(np.isfinite(list(comp.coeffs.values()))):
+                raise ValueError("component coefficients must be finite")
         self.jacobian_polys = [
             [comp.partial(a) for a in range(self.d)] for comp in self.components
         ]

@@ -114,4 +114,8 @@ class Polynomial:
 
     @staticmethod
     def from_terms(n: int, terms: list[dict]) -> "Polynomial":
-        return Polynomial(n, {tuple(t["powers"]): float(t["c"]) for t in terms})
+        """The polynomial of a JSON term list [{"powers": [...], "c": ...}]."""
+        coeffs = {tuple(int(e) for e in t["powers"]): float(t["c"]) for t in terms}
+        if any(min(key, default=0) < 0 for key in coeffs):
+            raise ValueError("term powers must be nonnegative")
+        return Polynomial(n, coeffs)

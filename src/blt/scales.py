@@ -28,6 +28,11 @@ class ScaleError(ValueError):
     """Scale parameters violate their ordering or smallness constraints."""
 
 
+# Most slab masses one pigeonhole ladder may measure (steps times the N + 1
+# candidate slabs of a step); the flagship ladders need under 2000.
+LADDER_SLABS = 2**20
+
+
 class FrameError(ValueError):
     """Kernel frame strays too far from the coordinate axes."""
 
@@ -41,8 +46,8 @@ class Cube:
 
     def __post_init__(self) -> None:
         self.center = np.asarray(self.center, dtype=float)
-        if self.side <= 0:
-            raise ValueError("cube side must be positive")
+        if not (0 < self.side < math.inf and np.isfinite(self.center).all()):
+            raise ValueError("cube side must be positive and finite, and its center finite")
 
     @property
     def d(self) -> int:
@@ -54,9 +59,14 @@ class Cube:
         return self.center + self.side * signs
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        # One column at a time: an (N, d) array against a (d,) vector runs
+        # numpy's inner loop only d elements long.
         points = np.atleast_2d(points)
-        half = self.side / 2.0
-        return np.all(np.abs(points - self.center) <= half * (1 + 1e-12), axis=1)
+        limit = self.side / 2.0 * (1 + 1e-12)
+        inside = np.abs(points[:, 0] - self.center[0]) <= limit
+        for i in range(1, self.d):
+            inside &= np.abs(points[:, i] - self.center[i]) <= limit
+        return inside
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         half = self.side / 2.0
@@ -104,12 +114,14 @@ def compute_delta0(
     with c_d the largest value in (0, kappa) whose induced first term
     satisfies constraints (a)-(c) above.
     """
-    if not (1.0 < alpha0 < alpha1 < 1.0 + beta):
+    if not (1.0 < alpha0 < alpha1 < 1.0 + beta < math.inf):
         raise ScaleError(
-            f"need 1 < alpha0 < alpha1 < 1+beta, got ({alpha0}, {alpha1}, 1+{beta})"
+            f"need 1 < alpha0 < alpha1 < 1+beta < inf, got ({alpha0}, {alpha1}, 1+{beta})"
         )
-    if kappa <= 0 or d < 1 or m < 2:
-        raise ScaleError("kappa must be positive, d >= 1, m >= 2")
+    if not (0 < kappa < math.inf) or d < 1 or m < 2:
+        raise ScaleError("kappa must be positive and finite, d >= 1, m >= 2")
+    if M is not None and not M > 0:
+        raise ScaleError(f"M must be positive, got {M}")
     expo = 1.0 + beta - alpha1
     t2 = 0.25 ** (1.0 / min(alpha0 - 1.0, alpha1 - alpha0))
     cap_a = (100.0 ** (-d) / kappa) ** (1.0 / beta)
@@ -118,7 +130,7 @@ def compute_delta0(
     cap = min(cap_a, cap_b, cap_c)
     c_d = min(kappa * (1.0 - 1e-9), kappa * cap**expo)
     delta0 = min((c_d / kappa) ** (1.0 / expo), t2)
-    if delta0 <= 0:
+    if not delta0 > 0:
         raise ScaleError("derived delta0 is not positive")
     return ScaleParams(beta, kappa, alpha0, alpha1, d, m, float(c_d), float(delta0), M)
 
@@ -219,7 +231,10 @@ class DecompositionFrame:
     scheme: ProjectionScheme
 
     def t_values(self, points_local: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(points_local) @ self.v.T) / self.v_sq
+        T = np.atleast_2d(points_local) @ self.v.T
+        for i, v_sq in enumerate(self.v_sq):
+            T[:, i] /= v_sq
+        return T
 
     def t_matrix(self) -> np.ndarray:
         return self.v / self.v_sq[:, None]
@@ -294,13 +309,13 @@ def axis_image_functional(
 def clip_grid_outside_box(f: GridFunction, lo: np.ndarray, hi: np.ndarray) -> GridFunction:
     """Zero all cells not fully inside the outward cell-snapped box [lo, hi]."""
     h = f.spacing
-    lo_idx = np.floor((np.asarray(lo) - f.origin) / h).astype(np.int64)
-    hi_idx = np.ceil((np.asarray(hi) - f.origin) / h).astype(np.int64)
+    shape = np.asarray(f.values.shape, dtype=float)
+    # cell indices clamped to [0, shape] in float (NaN to 0), so a huge or
+    # non-finite bound never meets the undefined float -> int cast
+    lo_idx = np.minimum(np.fmax(np.floor((np.asarray(lo) - f.origin) / h), 0.0), shape)
+    hi_idx = np.minimum(np.fmax(np.ceil((np.asarray(hi) - f.origin) / h), 0.0), shape)
     vals = np.zeros_like(f.values)
-    sel = tuple(
-        slice(max(0, int(lo_idx[a])), min(f.values.shape[a], max(0, int(hi_idx[a]))))
-        for a in range(f.dim)
-    )
+    sel = tuple(slice(int(a), int(b)) for a, b in zip(lo_idx, hi_idx))
     vals[sel] = f.values[sel]
     return GridFunction(f.origin.copy(), h, vals)
 
@@ -375,7 +390,13 @@ def pigeonhole_sequences(
         raise ScaleError(f"cube side {delta:.3e} exceeds delta0 {params.delta0:.3e}")
     d_a0 = delta**params.alpha0
     d_a1 = delta**params.alpha1
-    N = int(math.floor(0.5 * delta ** (params.alpha0 - params.alpha1)))
+    if not d_a1 > 0:
+        raise ScaleError(f"delta {delta:.3e} is too small: delta^alpha1 underflows")
+    try:
+        N = math.floor(0.5 * delta ** (params.alpha0 - params.alpha1))
+    except OverflowError:
+        raise ScaleError("delta^(alpha0 - alpha1) overflows: alpha0 and alpha1 are too far "
+                         "apart") from None
     if N < 1:
         raise ScaleError("delta too large: no candidate interval fits the window")
     func = axis_image_functional(fam, frame, axis, int(sigma[axis]), cube.center)
@@ -384,11 +405,18 @@ def pigeonhole_sequences(
     t_corner = frame.t_values(corners_local)[:, axis]
     t_lo, t_hi = float(t_corner.min()), float(t_corner.max())
     drift = fam.drift_allowance(delta)
-    ladder = np.arange(N + 1) * d_a1
 
     s = [t_lo - drift - (4.0 / 3.0) * d_a1]
     steps: list[PigeonholeStep] = []
     limit = t_hi + d_a0
+    # every step moves at least half a window, which bounds the ladder
+    max_steps = (limit - s[0]) / (0.5 * d_a0) + 1
+    if not max_steps * (N + 1) <= LADDER_SLABS:
+        raise ScaleError(
+            f"the ladder needs up to {max_steps:.3g} steps of {N + 1} slab masses, more than "
+            f"{LADDER_SLABS}: alpha0 and alpha1 are too far apart at delta {delta:.3e}"
+        )
+    ladder = np.arange(N + 1) * d_a1
     n = 0
     while s[-1] < limit:
         s_n = s[-1]
@@ -412,8 +440,10 @@ def pigeonhole_sequences(
             selected_mass=float(cand[r_star]),
             window_mass=float(window),
             candidate_masses=cand,
-            mass_bound_ok=cand[r_star]
-            <= 4.0 * delta ** (params.alpha1 - params.alpha0) * window + 1e-12 * (window + 1e-300),
+            mass_bound_ok=bool(
+                cand[r_star] <= 4.0 * delta ** (params.alpha1 - params.alpha0) * window
+                + 1e-12 * (window + 1e-300)
+            ),
         )
         steps.append(step)
         s.append(s_next)
@@ -476,12 +506,19 @@ class Decomposition:
         return all(seq.certificates_hold() for seq in self.sequences)
 
     def _search(self, points: np.ndarray):
-        """Per-axis parameters T of global points and their searchsorted
-        positions in the interval edges, one column per axis."""
-        T = self.frame.t_values(np.atleast_2d(points) - self.cube.center)
-        pos = np.stack(
-            [np.searchsorted(e, T[:, i], side="left") for i, e in enumerate(self.edges)], axis=1
-        )
+        """Per-axis parameters T of global points, one column per axis, and
+        their searchsorted positions in the interval edges, one row per
+        axis.  Each axis is searched in sorted order (a binary search on
+        unsorted queries mispredicts its branches) and scattered back."""
+        points = np.atleast_2d(points)
+        local = np.empty(points.shape)
+        for i, c in enumerate(self.cube.center):
+            np.subtract(points[:, i], c, out=local[:, i])
+        T = self.frame.t_values(local)
+        pos = np.empty((len(self.edges), len(T)), dtype=np.intp)
+        for i, e in enumerate(self.edges):
+            order = np.argsort(T[:, i])
+            pos[i, order] = np.searchsorted(e, T[order, i], side="left")
         return T, pos
 
     def locate_points(self, points: np.ndarray):
@@ -492,6 +529,7 @@ class Decomposition:
         outside the cube are marked invalid.
         """
         T, pos = self._search(points)
+        pos = pos.T
         last = np.array([len(e) - 1 for e in self.edges])
         valid = self.cube.contains(points) & np.all((pos >= 1) & (pos <= last), axis=1)
         k = np.clip(pos, 1, last) - 1
@@ -509,15 +547,22 @@ class Decomposition:
         Every edge array has odd length, so an even position never passes
         the last edge."""
         _, pos = self._search(points)
-        return self.cube.contains(points) & np.all((pos % 2 == 0) & (pos > 0), axis=1)
+        main = self.cube.contains(points)
+        for row in pos:
+            main &= ((row & 1) == 0) & (row > 0)
+        return main
 
-    def cell_volume_estimate(self, n: np.ndarray, chi: np.ndarray) -> float:
+    def cell_volume_estimate(self, n, chi: np.ndarray):
+        """Volume of cell (n, chi) as the product of its interval widths
+        over |det| of the slab map; n may be one index row (d,) or a stack
+        of rows (K, d), giving a float or a (K,) array."""
+        n = np.asarray(n)
         widths = []
         for i in range(self.cube.d):
-            lo, hi = self.interval_bounds(i, int(n[i]), int(chi[i]))
+            lo, hi = self.interval_bounds(i, n[..., i], int(chi[i]))
             widths.append(hi - lo)
-        G = self.frame.t_matrix()
-        return float(np.prod(widths) / abs(np.linalg.det(G)))
+        det = abs(np.linalg.det(self.frame.t_matrix()))
+        return np.prod(np.stack(widths, axis=-1), axis=-1) / det
 
     def sample_cells(
         self, rng: np.random.Generator, chi: np.ndarray, count: int

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blt.cli import main
+from blt import scales
+from blt.cli import _write_report, main
+from tests.conftest import flagship_scale_setup
 
 
 def run(tmp_path, name, argv, expect=0):
@@ -436,6 +438,22 @@ def _reject_constant(name):
     raise ValueError(f"report holds {name}, which is not JSON")
 
 
+def test_write_report_encodes_numpy_values_compactly(tmp_path):
+    out = tmp_path / "r.json"
+    _write_report(str(out), {"ok": np.bool_(False), "n": np.int64(3), "x": np.float32(0.5),
+                             "a": np.arange(2.0), "b": (1, 2)})
+    text = out.read_text()
+    assert text == '{"a": [0.0, 1.0], "b": [1, 2], "n": 3, "ok": false, "x": 0.5}\n'
+
+
+def test_write_report_refuses_unknown_objects(tmp_path):
+    out = tmp_path / "r.json"
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        _write_report(str(out), {"x": object()})
+    assert not out.exists()
+    assert not list(tmp_path.iterdir())
+
+
 NUMBERS = st.one_of(
     st.sampled_from([NAN, INF, -INF, -0.5, 0.0, 1.5, 1e-300, 1e300]),
     st.floats(),
@@ -852,40 +870,170 @@ class TestConvolutionRule:
         assert not out.exists()
 
 
-class TestScalesCommands:
-    def scales_payload(self):
-        c = 0.3
-        rows = [
-            [
-                {"linear": [0, 1, 0], "terms": [{"powers": [0, 0, 2], "c": c}]},
-                {"linear": [0, 0, 1], "terms": [{"powers": [1, 1, 0], "c": c}]},
-            ],
-            [
-                {"linear": [1, 0, 0], "terms": [{"powers": [0, 0, 2], "c": c}]},
-                {"linear": [0, 0, 1], "terms": [{"powers": [1, 0, 1], "c": c}]},
-            ],
-            [
-                {"linear": [1, 0, 0], "terms": [{"powers": [0, 2, 0], "c": c}]},
-                {"linear": [0, 1, 0], "terms": [{"powers": [1, 1, 0], "c": c}]},
-            ],
-        ]
-        maps = [{"d": 3, "rows": r, "beta": 1.0, "kappa": 1.0} for r in rows]
-        delta0 = 1e-06
-        spacing = delta0 / 8
-        grid = {
-            "origin": [-0.75 * delta0, -0.75 * delta0],
-            "spacing": spacing,
-            "values": [[1.0] * 12] * 12,
-        }
-        return {
-            "maps": maps,
-            "params": {"beta": 1.0, "kappa": 1.0, "alpha0": 1.25, "alpha1": 1.5, "M": 1.0 / spacing},
-            "inputs": [grid] * 3,
-        }
+def scales_payload():
+    """The quadratically perturbed Loomis-Whitney maps (c = 0.3) at their
+    top scale delta0 = 1e-6, with constant 12 x 12 grid inputs."""
+    c = 0.3
+    rows = [
+        [
+            {"linear": [0, 1, 0], "terms": [{"powers": [0, 0, 2], "c": c}]},
+            {"linear": [0, 0, 1], "terms": [{"powers": [1, 1, 0], "c": c}]},
+        ],
+        [
+            {"linear": [1, 0, 0], "terms": [{"powers": [0, 0, 2], "c": c}]},
+            {"linear": [0, 0, 1], "terms": [{"powers": [1, 0, 1], "c": c}]},
+        ],
+        [
+            {"linear": [1, 0, 0], "terms": [{"powers": [0, 2, 0], "c": c}]},
+            {"linear": [0, 1, 0], "terms": [{"powers": [1, 1, 0], "c": c}]},
+        ],
+    ]
+    maps = [{"d": 3, "rows": r, "beta": 1.0, "kappa": 1.0} for r in rows]
+    delta0 = 1e-06
+    spacing = delta0 / 8
+    grid = {
+        "origin": [-0.75 * delta0, -0.75 * delta0],
+        "spacing": spacing,
+        "values": [[1.0] * 12] * 12,
+    }
+    return {
+        "maps": maps,
+        "params": {"beta": 1.0, "kappa": 1.0, "alpha0": 1.25, "alpha1": 1.5, "M": 1.0 / spacing},
+        "inputs": [grid] * 3,
+    }
 
+
+def coarse_scales_payload():
+    """The scales payload at alpha0 = 1.1: 9 main intervals per axis."""
+    payload = scales_payload()
+    payload["params"]["alpha0"] = 1.1
+    return payload
+
+
+def flagship_payload():
+    """The scales payload with the seeded random-walk inputs of
+    `flagship_scale_setup`: the same maps, cube and delta0."""
+    _, params, _, inputs = flagship_scale_setup(seed=1)
+    payload = scales_payload()
+    payload["params"]["M"] = params.M
+    payload["inputs"] = [{"origin": g.origin.tolist(), "spacing": g.spacing,
+                          "values": g.values.tolist()} for g in inputs]
+    return payload
+
+
+def cell_loop(deco, max_cells):
+    """The first max_cells cells as the per-cell loop listed them: buffer
+    patterns chi in binary order, np.ndindex over the main indices n of
+    each, and one volume per cell, prod(widths) / |det t_matrix|."""
+    d = deco.cube.d
+    shape = tuple(deco.main_count(i) for i in range(d))
+    det = abs(np.linalg.det(deco.frame.t_matrix()))
+    cells = []
+    for code in range(2**d):
+        chi = [(code >> i) & 1 for i in range(d)]
+        for n in np.ndindex(shape):
+            if len(cells) >= max_cells:
+                return cells
+            bounds = [deco.interval_bounds(i, n[i], chi[i]) for i in range(d)]
+            widths = [hi - lo for lo, hi in bounds]
+            cells.append({
+                "n": list(n),
+                "chi": chi,
+                "slab_bounds": [[float(lo), float(hi)] for lo, hi in bounds],
+                "volume_estimate": float(np.prod(widths) / det),
+            })
+    return cells
+
+
+# The scale commands under fuzz, with options that keep each run small.
+SCALES_COMMANDS = {
+    "decompose": ["decompose", "--max-cells", "8"],
+    "verify-nonlinear": ["verify-nonlinear", "--resolution", "8"],
+}
+
+
+@st.composite
+def scales_payloads(draw):
+    """The scales payload with up to two defects in its map rows, grids or
+    params: a non-finite, huge or out-of-range number, a string where a
+    number belongs, a wrong exponent, a row, map or input too many or too
+    few, a ragged grid, or a field replaced by junk or dropped."""
+    payload = json.loads(json.dumps(scales_payload()))
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.sampled_from(["linear", "coefficient", "powers", "rows", "map",
+                                       "grid", "ragged", "param", "count", "junk", "drop"]))
+        maps, inputs, params = payload.get("maps"), payload.get("inputs"), payload.get("params")
+        fam = draw(st.sampled_from(maps)) if isinstance(maps, list) and maps else None
+        rows = fam.get("rows") if isinstance(fam, dict) else None
+        row = draw(st.sampled_from(rows)) if isinstance(rows, list) and rows else None
+        term = (row["terms"][0] if isinstance(row, dict) and isinstance(row.get("terms"), list)
+                and row["terms"] and isinstance(row["terms"][0], dict) else None)
+        grid = draw(st.sampled_from(inputs)) if isinstance(inputs, list) and inputs else None
+        if defect == "linear" and isinstance(row, dict) and isinstance(row.get("linear"), list):
+            row["linear"][draw(st.integers(0, len(row["linear"]) - 1))] = draw(ENTRIES)
+        elif defect == "coefficient" and term is not None:
+            term["c"] = draw(NUMBERS | st.sampled_from([1e3, 1e154, -1e300]))
+        elif defect == "powers" and term is not None:
+            term["powers"] = draw(st.sampled_from([[-1, 0, 2], [0, 2], [], [40, 0, 0], ["x", 0, 0]]))
+        elif defect == "rows" and isinstance(rows, list) and rows:
+            if draw(st.booleans()):
+                rows.pop()
+            else:
+                rows.append(rows[0])
+        elif defect == "map" and isinstance(fam, dict):
+            fam[draw(st.sampled_from(["d", "beta", "kappa"]))] = draw(
+                NUMBERS | ENTRIES | st.integers(-1, 6))
+        elif defect == "grid" and isinstance(grid, dict):
+            key = draw(st.sampled_from(["origin", "spacing", "values"]))
+            if key == "spacing":
+                grid[key] = draw(ENTRIES | st.sampled_from([1e-300, 1e300, -1.25e-7]))
+            elif isinstance(grid.get(key), list) and grid[key]:
+                inner = grid[key] if key == "origin" else draw(st.sampled_from(grid[key]))
+                if isinstance(inner, list) and inner:
+                    inner[draw(st.integers(0, len(inner) - 1))] = draw(ENTRIES)
+        elif defect == "ragged" and isinstance(grid, dict) and isinstance(grid.get("values"), list):
+            values = grid["values"]
+            if values and isinstance(values[-1], list):
+                values[-1] = values[-1][:-1] if draw(st.booleans()) else [*values[-1], 1.0]
+        elif defect == "param" and isinstance(params, dict):
+            params[draw(st.sampled_from(["beta", "kappa", "alpha0", "alpha1", "M"]))] = draw(
+                NUMBERS | ENTRIES | st.sampled_from([1.0 + 1e-9, 1.02, 1.1, 1.49, 1.999, 1e-300]))
+        elif defect == "count":
+            pool = [v for v in (maps, inputs) if isinstance(v, list) and v]
+            if pool:
+                items = draw(st.sampled_from(pool))
+                if draw(st.booleans()):
+                    items.pop()
+                else:
+                    items.append(items[0])
+        elif defect == "junk":
+            payload[draw(st.sampled_from(["maps", "inputs", "params"]))] = draw(JUNK)
+        elif defect == "drop":
+            target = draw(st.sampled_from([payload, params, fam, row, grid]))
+            if isinstance(target, dict) and target:
+                target.pop(draw(st.sampled_from(sorted(target))))
+    return payload
+
+
+@given(payload=scales_payloads())
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_scales_json_never_crashes(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-scales.json"
+    path.write_text(json.dumps(payload))
+    for command, argv in SCALES_COMMANDS.items():
+        code, out, err = run_command(argv, path)
+        assert code in (0, 1, 2), (command, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error:") and out == ""
+        else:
+            json.loads(out)
+
+
+class TestScalesCommands:
     def test_decompose_exports_certificates(self, tmp_path):
         path = tmp_path / "scales.json"
-        path.write_text(json.dumps(self.scales_payload()))
+        path.write_text(json.dumps(scales_payload()))
         report = run(
             tmp_path, "dec", ["decompose", "--input", str(path), "--seed", "1", "--max-cells", "8"]
         )
@@ -893,14 +1041,93 @@ class TestScalesCommands:
         assert result["delta0"] == 1e-06
         assert len(result["sequences"]) == 3
         for seq in result["sequences"]:
-            assert all(c["gap_ok"] and c["mass_bound_ok"] for c in seq["certificates"])
+            assert all(c["gap_ok"] is True and c["mass_bound_ok"] is True
+                       for c in seq["certificates"])
         assert result["cells_listed"] == 8
         assert result["cell_count_total"] > 8
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_decompose_certificates_are_json_booleans(self, tmp_path, monkeypatch, fails):
+        # a failed certificate held as numpy.bool_ must come out as false,
+        # not as the truthy string "False"
+        decompose = scales.decompose
+
+        def failing(*args):
+            deco = decompose(*args)
+            for seq in deco.sequences:
+                for step in seq.steps:
+                    step.mass_bound_ok = np.bool_(False)
+            return deco
+
+        if fails:
+            monkeypatch.setattr(scales, "decompose", failing)
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(scales_payload()))
+        report = run(tmp_path, "dec", ["decompose", "--input", str(path), "--max-cells", "1"],
+                     expect=2 if fails else 0)
+        flags = [c[key] for seq in report["result"]["sequences"] for c in seq["certificates"]
+                 for key in ("gap_ok", "mass_bound_ok")]
+        assert flags and all(type(flag) is bool for flag in flags)
+        assert any(flag is False for flag in flags) == fails
+
+    @pytest.mark.parametrize("payload, max_cells", [
+        ("scales", 1),
+        ("scales", 8),
+        ("coarse", 729 + 100),  # 9^3 cells per buffer pattern: cut in the second
+        ("coarse", 6000),  # above the 5832 cells in all
+        ("flagship", 1),
+        ("flagship", 8),
+        ("flagship", 512),  # cut inside the first pattern
+    ])
+    def test_cell_table_matches_the_cell_loop(self, tmp_path, monkeypatch, payload, max_cells):
+        payload = {"scales": scales_payload, "coarse": coarse_scales_payload,
+                   "flagship": flagship_payload}[payload]()
+        decos = []
+        decompose = scales.decompose
+        monkeypatch.setattr(scales, "decompose", lambda *a: decos.append(decompose(*a)) or decos[-1])
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(payload))
+        result = run(tmp_path, "dec", ["decompose", "--input", str(path),
+                                       "--max-cells", str(max_cells)])["result"]
+        cells = cell_loop(decos[0], max_cells)
+        assert result["cells_listed"] == len(cells) == min(max_cells, result["cell_count_total"])
+        assert result["cells"] == cells
+
+    @pytest.mark.parametrize("command", ["decompose", "verify-nonlinear"])
+    @pytest.mark.parametrize("defect, message", [
+        (lambda p: p["params"].update(kappa=INF), "kappa must be positive and finite"),
+        (lambda p: p["params"].update(M=0.0), "M must be positive"),
+        (lambda p: p["params"].update(beta=[1.0]), "invalid scales"),
+        (lambda p: p.update(params=None), "params must be an object"),
+        (lambda p: p["maps"][0]["rows"][0]["terms"][0].update(c=INF), "coefficients must be finite"),
+        (lambda p: p["maps"][0]["rows"][0]["terms"][0].update(powers=[-1, 0, 2]), "nonnegative"),
+        (lambda p: p["inputs"][0].update(spacing=1e300), "cell volume"),
+        (lambda p: p.update(cube={"side": NAN}), "cube side must be positive and finite"),
+    ], ids=["kappa-inf", "M-zero", "beta-list", "params-null", "c-inf", "power-negative",
+            "spacing-huge", "cube-side-nan"])
+    def test_out_of_range_scales_input_is_usage_error(self, tmp_path, command, defect, message):
+        payload = json.loads(json.dumps(scales_payload()))
+        defect(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_command([command], path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_decompose_refuses_a_ladder_too_long(self, tmp_path):
+        # alpha0 = 1.02 puts 4^24 / 2 candidate intervals in each window
+        payload = scales_payload()
+        payload["params"]["alpha0"] = 1.02
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_command(["decompose"], path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "ladder needs up to" in err
 
     @pytest.mark.parametrize("command", ["verify-step", "decompose", "verify-nonlinear"])
     @pytest.mark.parametrize("defect", ["no maps", "too few inputs", "grid rank"])
     def test_malformed_scales_input_is_usage_error(self, tmp_path, capsys, command, defect):
-        payload = self.scales_payload()
+        payload = scales_payload()
         if defect == "no maps":
             payload["maps"] = []
         elif defect == "too few inputs":
@@ -917,7 +1144,7 @@ class TestScalesCommands:
 
     def test_decompose_needs_no_seed(self, tmp_path):
         path = tmp_path / "scales.json"
-        path.write_text(json.dumps(self.scales_payload()))
+        path.write_text(json.dumps(scales_payload()))
         argv = ["decompose", "--input", str(path), "--max-cells", "8"]
         unseeded = run(tmp_path, "dec0", argv)
         seeded = run(tmp_path, "dec1", argv + ["--seed", "1"])
@@ -926,7 +1153,7 @@ class TestScalesCommands:
     @pytest.mark.parametrize("command", ["verify-step", "verify-nonlinear"])
     def test_scale_verifiers_refuse_monte_carlo(self, tmp_path, capsys, command):
         path = tmp_path / "scales.json"
-        path.write_text(json.dumps(self.scales_payload()))
+        path.write_text(json.dumps(scales_payload()))
         out = tmp_path / "o.json"
         code = main([command, "--input", str(path), "--seed", "1", "--mode", "monte-carlo",
                      "--samples", "10", "--output", str(out)])
@@ -936,7 +1163,7 @@ class TestScalesCommands:
 
     def test_verify_step_certifies(self, tmp_path):
         path = tmp_path / "scales.json"
-        path.write_text(json.dumps(self.scales_payload()))
+        path.write_text(json.dumps(scales_payload()))
         report = run(
             tmp_path,
             "vs",

@@ -76,3 +76,9 @@ class TestNonFiniteGrids:
         density = np.array([1.0, np.nan, 1.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
             SurfaceFunction(surf, GridFunction(np.array([-0.05]), 0.025, density)).lp_norm(2.0)
+
+    @pytest.mark.parametrize("spacing", [1e300, np.float64(1e300)])
+    def test_cell_volume_beyond_double_range_refused(self, spacing):
+        # 1e300 is finite, but its square overflowed `integral` with an OverflowError
+        with pytest.raises(ValueError, match="cell volume"):
+            GridFunction(np.zeros(2), spacing, np.ones((2, 2)))

@@ -15,6 +15,7 @@ from blt.scales import (
     FrameError,
     ScaleError,
     build_frame,
+    clip_grid_outside_box,
     canonicalize_nonlinear,
     compute_delta0,
     decompose,
@@ -77,6 +78,14 @@ class TestComputeDelta0:
             compute_delta0(1.0, 1.0, 1.5, 1.25, 3, 3)
         with pytest.raises(ScaleError):
             compute_delta0(0.4, 1.0, 1.25, 1.5, 3, 3)
+
+    @pytest.mark.parametrize("args", [
+        (math.inf, 1.0, 1.25, 1.5), (1.0, math.inf, 1.25, 1.5), (1.0, math.nan, 1.25, 1.5),
+        (1.0, 1.0, math.nan, 1.5),
+    ])
+    def test_non_finite_parameters_rejected(self, args):
+        with pytest.raises(ScaleError):
+            compute_delta0(*args, 3, 3)
 
     def test_constraints_hold_at_delta0(self):
         for kappa in (1.0, 0.3, 5.0):
@@ -628,6 +637,17 @@ class TestSlabContainment:
             lo, hi = deco.sequences[i].s[n], deco.sequences[i].s[n] + d_a1
             assert np.all(s_img[sel] >= lo - 1e-18)
             assert np.all(s_img[sel] <= hi + 1e-18)
+
+
+def test_clip_box_with_non_finite_bounds():
+    # cell indices clamp in float: an infinite bound reaches the grid's
+    # edge, and a NaN bound clamps to index 0
+    f = GridFunction(np.zeros(2), 1.0, np.arange(1.0, 10.0).reshape(3, 3))
+    kept = clip_grid_outside_box(f, np.array([1.0, -np.inf]), np.array([np.inf, 2.0])).values
+    assert np.array_equal(kept, [[0, 0, 0], [4, 5, 0], [7, 8, 0]])
+    kept = clip_grid_outside_box(f, np.array([np.nan, 0.0]), np.array([3.0, 3.0])).values
+    assert np.array_equal(kept, f.values)
+    assert not clip_grid_outside_box(f, np.array([0.0, 0.0]), np.array([3.0, np.nan])).values.any()
 
 
 def test_flagship_inputs_in_constancy_class():
