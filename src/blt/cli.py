@@ -58,8 +58,13 @@ def _json_default(obj):
 
 
 def _write_report(path: str | None, report: dict) -> None:
-    """Compact JSON with sorted keys, in one call of the C encoder."""
-    text = json.dumps(report, sort_keys=True, default=_json_default)
+    """Compact JSON with sorted keys, in one call of the C encoder.  A
+    non-finite float, which JSON cannot carry, is refused before any
+    file is written."""
+    try:
+        text = json.dumps(report, sort_keys=True, default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        raise UsageError(f"result is out of floating-point range: {exc}") from exc
     if path is None:
         print(text)
         return
@@ -271,36 +276,30 @@ def main(argv: list[str] | None = None) -> int:
         _resolve_seed(args)
         handler = HANDLERS[args.command]
         result, exit_code = handler(args)
+        report = {
+            "command": args.command,
+            "config": _resolved_config(args),
+            "result": result,
+        }
+        _write_report(args.output, report)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = {
-        "command": args.command,
-        "config": _resolved_config(args),
-        "result": result,
-    }
-    _write_report(args.output, report)
     return exit_code
 
 
-def _non_finite(obj) -> bool:
-    """Whether a result value holds inf or NaN, which JSON cannot carry."""
-    if isinstance(obj, (float, np.floating)):
-        return not math.isfinite(obj)
-    if isinstance(obj, np.ndarray):
-        return not np.isfinite(obj).all()
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    return isinstance(obj, (list, tuple)) and any(map(_non_finite, obj))
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _float_errors(kind: str):
     """Input (a datum, surfaces, a scales payload) whose numbers leave
     double range is an input error: overflow, division by zero and invalid
-    operations raise instead of warning."""
+    operations raise instead of warning.  A non-finite result that gets
+    past this is refused by `_write_report`."""
 
     def wrap(handler):
         @functools.wraps(handler)
@@ -316,27 +315,7 @@ def _float_errors(kind: str):
     return wrap
 
 
-def _finite_command(kind: str):
-    """`_float_errors`, and a result holding inf or NaN is refused rather
-    than reported."""
-
-    def wrap(handler):
-        checked = _float_errors(kind)(handler)
-
-        @functools.wraps(handler)
-        def run(args):
-            result, code = checked(args)
-            for key, value in result.items():
-                if _non_finite(value):
-                    raise UsageError(f"{key} is out of floating-point range")
-            return result, code
-
-        return run
-
-    return wrap
-
-
-@_finite_command("datum")
+@_float_errors("datum")
 def cmd_bl_constant(args):
     d = _parse_datum(_load_json(args.input))
     constant = datum_mod.bl_constant_classC(d)
@@ -345,7 +324,7 @@ def cmd_bl_constant(args):
     return {"constant": constant, "transversality": transversality_quantity(d.maps)}, EXIT_OK
 
 
-@_finite_command("datum")
+@_float_errors("datum")
 def cmd_check_class_c(args):
     d = _parse_datum(_load_json(args.input))
     ok, diag = datum_mod.is_class_C(d)
@@ -358,7 +337,7 @@ def cmd_check_class_c(args):
     }, EXIT_OK
 
 
-@_finite_command("datum")
+@_float_errors("datum")
 def cmd_reduce(args):
     d = _parse_datum(_load_json(args.input))
     cert = datum_mod.reduce_to_projections(d)
@@ -372,7 +351,7 @@ def cmd_reduce(args):
     }, EXIT_OK
 
 
-@_finite_command("datum")
+@_float_errors("datum")
 def cmd_gaussian_search(args):
     d = _parse_datum(_load_json(args.input))
     res = datum_mod.search_bl_constant(d, args.budget, args.seed)
@@ -383,6 +362,7 @@ def cmd_gaussian_search(args):
     }, EXIT_OK
 
 
+@_float_errors("inputs")
 def cmd_finner_discrete(args):
     payload = _load_json(args.input)
     scheme = datum_mod.ProjectionScheme(int(payload["d"]), [int(s) for s in payload["block_sizes"]])
@@ -603,13 +583,15 @@ def cmd_verify_nonlinear(args):
     spec = _quad_spec(args)
     x0 = np.asarray(payload.get("x0", [0.0] * maps[0].d), dtype=float)
     report = scales.verify_nonlinear_bl(maps, x0, inputs_list, params, spec)
+    # bound overflows where log_bound passes 700, and a zero ratio has
+    # log_ratio = -inf; JSON carries neither, so they are written as null
     return {
         "params": _params_block(params),
         "ratio": report.ratio,
-        "log_ratio": report.log_ratio,
+        "log_ratio": _finite_or_none(report.log_ratio),
         "log_bound": report.log_bound,
-        "bound": report.bound,
-        "margin_log": report.margin_log,
+        "bound": _finite_or_none(report.bound),
+        "margin_log": _finite_or_none(report.margin_log),
         "delta0": report.delta0,
         "holds": report.holds,
     }, (EXIT_OK if report.holds else EXIT_REFUSED)
@@ -660,7 +642,7 @@ def cmd_delta_integral(args):
     return {"value": value, "error_estimate": err}, EXIT_OK
 
 
-@_finite_command("surfaces")
+@_float_errors("surfaces")
 def cmd_convolve_surfaces(args):
     payload = _load_json(args.input)
     sfuncs = _parse_surfaces(payload)
@@ -671,7 +653,7 @@ def cmd_convolve_surfaces(args):
     return {"value": value, "error_estimate": err}, EXIT_OK
 
 
-@_finite_command("surface")
+@_float_errors("surface")
 def cmd_extension(args):
     payload = _load_json(args.input)
     with _input_errors("surface"):
@@ -682,7 +664,7 @@ def cmd_extension(args):
     return {"real": value.real, "imag": value.imag}, EXIT_OK
 
 
-@_finite_command("surfaces")
+@_float_errors("surfaces")
 def cmd_verify_thm74(args):
     payload = _load_json(args.input)
     sfuncs = _parse_surfaces(payload)

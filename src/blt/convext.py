@@ -19,7 +19,7 @@ from itertools import permutations
 import numpy as np
 
 from .datum import block_index_tuples
-from .exterior import MAX_DIMENSION, largest_angle_sine, null_space, transversality_quantity
+from .exterior import largest_angle_sine, null_space, transversality_quantity
 from . import ift
 from .ift import (
     AUDIT_PAIRS,
@@ -776,7 +776,7 @@ class BlockLiftResult:
     scheme: list[tuple[int, ...]]
     tensor_exponent: float
     kernel_match_residual: float
-    transversality: float | None
+    transversality: float
     direct_sum_det: float
 
 
@@ -816,11 +816,9 @@ def block_lift(maps: list[EtaBlockMap], d: int) -> BlockLiftResult:
     if stacked.shape != (n_amb, n_amb):
         raise TransversalityError("lifted kernel dimensions do not sum to the ambient one")
     direct_sum_det = float(np.linalg.det(stacked))
-    quantity = None
-    if n_amb <= MAX_DIMENSION:
-        quantity = transversality_quantity(lifted)
-        if abs(quantity) <= 1e-10:
-            raise TransversalityError("lifted maps are not transversal")
+    quantity = transversality_quantity(lifted)
+    if abs(quantity) <= 1e-10:
+        raise TransversalityError("lifted maps are not transversal")
     return BlockLiftResult(
         lifted_jacobians=lifted,
         kernels=kernels,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exterior import hodge_star, inner_product, null_space, rows_wedge, transversality_quantity
+from .exterior import null_space, row_wedge_norm, transversality_quantity
 
 RANK_TOL = 1e-10
 TRANSVERSALITY_TOL = 1e-10
@@ -232,15 +232,13 @@ def oriented_kernel_basis(B: np.ndarray) -> np.ndarray:
 
     Any orthonormal basis spans the kernel; orienting the wedge against
     the Hodge dual of the row wedge pins the sign that makes the
-    determinant identities exact rather than up to sign.
+    determinant identities exact rather than up to sign.  The pairing
+    <n_1 ^ ... ^ n_k, star X(B)> is det([B; ns^T]).
     """
     ns = kernel_basis(B)
     if ns.shape[1] == 0:
         return ns
-    star_x = hodge_star(rows_wedge(B))
-    block_wedge = rows_wedge(ns.T)
-    pairing = inner_product(block_wedge, star_x)
-    if pairing < 0:
+    if np.linalg.det(np.vstack([B, ns.T])) < 0:
         ns = ns.copy()
         ns[:, 0] = -ns[:, 0]
     return ns
@@ -273,9 +271,12 @@ class ReductionCertificate:
 def reduce_to_projections(datum: BLDatum) -> ReductionCertificate:
     """Build the intertwining certificate from orthonormal kernel bases.
 
-    Also validates the determinant identities
+    Also checks the determinant identities
     star wedge star X_j = det(A) * prod ||X_j||  and
-    |det C_j| = ||X_j|| * |det A| to relative tolerance.
+    |det C_j| = ||X_j|| * |det A| to relative tolerance.  Both sides of
+    the first are built from the same kernel bases, so it guards against
+    rounding and overflow only; the tests check it against an
+    independent exterior algebra.
     """
     ok, diag = is_class_C(datum)
     if not ok:
@@ -300,7 +301,7 @@ def reduce_to_projections(datum: BLDatum) -> ReductionCertificate:
         Cjj = B @ Aj
         Cj.append(Cjj)
         det_Cj.append(float(np.linalg.det(Cjj)))
-        norms.append(rows_wedge(B).norm())
+        norms.append(row_wedge_norm(B))
     cert = ReductionCertificate(A, Cj, scheme, det_A, det_Cj)
     resid = cert.max_projection_residual(datum)
     if resid > CERTIFICATE_TOL:
@@ -537,11 +538,6 @@ class TensorRecipe:
     1/(m_lift - 1) on each lifted factor."""
 
     scheme: list[tuple[int, ...]]
-
-    def lift_grid_inputs(self, inputs: list) -> list:
-        from .inputs import tensor_product_grids
-
-        return [tensor_product_grids([inputs[i] for i in tup]) for tup in self.scheme]
 
 
 def tensor_lift(maps: list[np.ndarray], scheme: list[tuple[int, ...]]) -> tuple[BLDatum, TensorRecipe]:

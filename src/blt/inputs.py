@@ -94,24 +94,6 @@ class GridFunction:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def is_constancy_scale(self, scale: float) -> bool:
-        """Check the relaxed constancy property at the given scale: values at
-        points closer than ``scale`` within the support differ by at most x2.
-        Sufficient condition checked: adjacent positive cells have ratio <= 2
-        and scale <= spacing."""
-        if scale < self.spacing:
-            return True
-        v = self.values
-        for axis in range(v.ndim):
-            a = np.moveaxis(v, axis, 0)
-            left, right = a[:-1], a[1:]
-            both = (left > 0) & (right > 0)
-            if np.any((left > 2 * right) & both) or np.any((right > 2 * left) & both):
-                return False
-            if np.any((left > 0) != (right > 0)):
-                return False
-        return True
-
 
 @dataclass
 class GaussianFunction:
@@ -257,17 +239,3 @@ def convolve_grids(f: GridFunction, g: GridFunction) -> PiecewiseLinearGridFunct
     node_values = acc * h**f.dim
     origin = f.origin + g.origin + h
     return PiecewiseLinearGridFunction(origin, h, node_values)
-
-
-def tensor_product_grids(parts: list[GridFunction]) -> GridFunction:
-    """Tensor product of grid functions with equal spacing (outer product)."""
-    if not parts:
-        raise ValueError("need at least one factor")
-    h = parts[0].spacing
-    if any(abs(p.spacing - h) > 1e-15 * h for p in parts):
-        raise ValueError("tensor product requires equal spacings")
-    values = parts[0].values
-    for p in parts[1:]:
-        values = np.multiply.outer(values, p.values)
-    origin = np.concatenate([p.origin for p in parts])
-    return GridFunction(origin, h, values)

@@ -109,9 +109,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def translate(self, shift: np.ndarray) -> "Polynomial":
-        return self.substitute_affine(np.eye(self.n), np.asarray(shift, dtype=float))
-
     @staticmethod
     def from_terms(n: int, terms: list[dict]) -> "Polynomial":
         """The polynomial of a JSON term list [{"powers": [...], "c": ...}]."""

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blt import scales
+from blt import cli, scales
 from blt.cli import _write_report, main
 from tests.conftest import flagship_scale_setup
 
@@ -22,7 +23,7 @@ def run(tmp_path, name, argv, expect=0):
     code = main(argv + ["--output", str(out)])
     assert code == expect, f"exit {code} != {expect}"
     with open(out) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 LW_DATUM = {
@@ -110,6 +111,33 @@ class TestBasicCommands:
         )
         report = run(tmp_path, "f", ["finner-discrete", "--input", str(path)])
         assert report["result"] == {"lhs": 8.0, "rhs": 8.0, "holds": True}
+
+    def test_finner_beyond_double_range_is_usage_error(self, tmp_path, capsys):
+        # entries near the double limit: the finner sums overflow
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"d": 3, "block_sizes": [1, 1, 1],
+                                    "inputs": [[[1e308, 1e308], [1e308, 1e308]]] * 3}))
+        out = tmp_path / "f-report.json"
+        code = main(["finner-discrete", "--input", str(path), "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: inputs out of floating-point range")
+        assert not out.exists()
+
+    def test_non_finite_result_writes_no_report(self, tmp_path, lw_file, capsys, monkeypatch):
+        monkeypatch.setitem(cli.HANDLERS, "bl-constant", lambda args: ({"constant": math.inf}, 0))
+        out = tmp_path / "inf-report.json"
+        assert main(["bl-constant", "--input", lw_file, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: result is out of floating-point range")
+        assert not out.exists()
+        assert not list(tmp_path.glob(".blt-*"))
+
+    def test_loomis_whitney_beyond_twelve_dimensions(self, tmp_path):
+        d = 13
+        maps = [np.delete(np.eye(d), j, axis=0).tolist() for j in range(d)]
+        path = tmp_path / "lw13.json"
+        path.write_text(json.dumps({"d": d, "maps": maps, "p": [1.0 / (d - 1)] * d}))
+        report = run(tmp_path, "lw13", ["bl-constant", "--input", str(path)])
+        assert report["result"]["constant"] == 1.0
 
     def test_extremizer(self, tmp_path, lw_file):
         report = run(tmp_path, "x", ["extremizer", "--input", lw_file])
@@ -416,15 +444,16 @@ def test_non_finite_datum_is_usage_error(tmp_path, command, payload, message):
 
 
 @pytest.mark.parametrize("datum, command, message", [
-    (LW_DATUM, "bl-constant", "transversality is out of floating-point range"),
-    (LW_DATUM, "check-class-c", "transversality is out of floating-point range"),
+    (LW_DATUM, "bl-constant", "datum out of floating-point range"),
+    (LW_DATUM, "check-class-c", "datum out of floating-point range"),
     (LW_DATUM, "reduce", "datum out of floating-point range"),
-    (TWO_LINES, "bl-constant", "transversality is out of floating-point range"),
-    (TWO_LINES, "reduce", "determinant identity for det(A) failed"),
+    (TWO_LINES, "bl-constant", "datum out of floating-point range"),
+    (TWO_LINES, "reduce", "datum out of floating-point range"),
 ])
 def test_datum_beyond_double_range_is_usage_error(tmp_path, datum, command, message):
-    # finite entries whose transversality determinant (1e1200 for
-    # Loomis-Whitney, 1e400 for two lines) overflows
+    # finite entries whose transversality (1e1200 for Loomis-Whitney,
+    # 1e400 for two lines) overflows inside a block determinant or their
+    # product, which raises under the command's float-error guard
     payload = {**datum, "maps": scaled(datum["maps"], 1e200)}
     expect_usage_error(tmp_path, payload, command, message)
 
@@ -645,8 +674,11 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_verify_nonlinear_exit_zero(self, tmp_path):
-        payload = {
+    @staticmethod
+    def _nonlinear_payload(origin):
+        """Three coordinate projections of R^3, each input the indicator
+        of the 8 x 8 cell square with lower corner `origin`."""
+        return {
             "maps": [
                 {
                     "d": 3,
@@ -679,7 +711,7 @@ class TestExitCodes:
             "params": {"beta": 1.0, "kappa": 1e-4, "alpha0": 1.25, "alpha1": 1.5},
             "inputs": [
                 {
-                    "origin": [-0.01, -0.01],
+                    "origin": list(origin),
                     "spacing": 0.0025,
                     "values": [[1.0] * 8] * 8,
                 }
@@ -687,13 +719,33 @@ class TestExitCodes:
             * 3,
             "x0": [0.0, 0.0, 0.0],
         }
+
+    def test_verify_nonlinear_exit_zero(self, tmp_path):
         path = tmp_path / "vn.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(self._nonlinear_payload([-0.01, -0.01])))
         report = run(
             tmp_path,
             "vn",
             ["verify-nonlinear", "--input", str(path), "--resolution", "16"],
         )
+        assert report["result"]["holds"] is True
+        # exp(log_bound) leaves double range; log_bound carries the value
+        assert report["result"]["bound"] is None
+        assert report["result"]["log_bound"] > 700
+
+    def test_verify_nonlinear_zero_ratio(self, tmp_path):
+        # the inputs vanish on the images of the cube around x0, so the
+        # ratio is 0 and its logarithm -inf: written as null, and it holds
+        path = tmp_path / "vn0.json"
+        path.write_text(json.dumps(self._nonlinear_payload([1.0, 1.0])))
+        report = run(
+            tmp_path,
+            "vn0",
+            ["verify-nonlinear", "--input", str(path), "--resolution", "16"],
+        )
+        assert report["result"]["ratio"] == 0.0
+        assert report["result"]["log_ratio"] is None
+        assert report["result"]["margin_log"] is None
         assert report["result"]["holds"] is True
 
 

@@ -179,8 +179,15 @@ class TestBlockLift:
         assert res.kernel_match_residual <= 1e-8
         assert [K.shape[1] for K in res.kernels] == [2, 2, 2, 2]
         assert abs(res.direct_sum_det) > 1e-10
-        assert res.transversality is not None and abs(res.transversality) > 1e-10
+        assert abs(res.transversality) > 1e-10
         assert res.tensor_exponent == pytest.approx(0.5)
+
+    def test_d5_transversality_beyond_twelve_ambient_dimensions(self):
+        # n_amb = 15: the lifted transversality is computed and checked
+        field = self.flat_field(5)
+        res = block_lift(build_corollary_maps(field, 5), 5)
+        assert [K.shape[1] for K in res.kernels] == [3] * 5
+        assert abs(res.transversality) == pytest.approx(1.0, rel=1e-12)  # frozen
 
     def test_d3_reduces_to_original_family(self):
         field = self.flat_field(3)
@@ -251,7 +258,7 @@ class TestSurfaceConvolution:
         for sf in sfuncs:
             s = sf.surface
             # each graph moves by the ambient vector (shift, 0)
-            phi = s.phi.translate(-shift)
+            phi = s.phi.substitute_affine(np.eye(s.phi.n), -shift)
             shifted.append(
                 SurfaceFunction(
                     Hypersurface(s.lo + shift, s.hi + shift, phi, s.beta, s.kappa * 2)
@@ -345,7 +352,7 @@ def oracle_field(surfaces, y):
     root = float(real[np.argmin(np.abs(real))])
     shift = np.zeros(total)
     shift[-1] = root
-    F_t = F.translate(shift)
+    F_t = F.substitute_affine(np.eye(total), shift)
     scale = float(F_t.partial(total - 1).evaluate(np.zeros((1, total)))[0])
     if abs(scale) < 0.5:
         raise TransversalityError(f"last partial derivative {scale:.3e} below 1/2 at the root")

@@ -281,7 +281,7 @@ class TestReduction:
     def test_random_d4_identities(self):
         # both sides of the constant identity computed independently
         rng = np.random.default_rng(4)
-        from blt.exterior import rows_wedge, transversality_quantity
+        from blt.exterior import row_wedge_norm, transversality_quantity
 
         for _ in range(10):
             datum, _, _, _ = random_class_c_datum(rng, 4)
@@ -291,7 +291,7 @@ class TestReduction:
                 [abs(det) ** (1.0 / (datum.m - 1)) for det in cert.det_Cj]
             )
             assert lhs == pytest.approx(abs(quantity) ** (-1.0 / (datum.m - 1)), rel=1e-9)
-            norms = [rows_wedge(B).norm() for B in datum.maps]
+            norms = [row_wedge_norm(B) for B in datum.maps]
             assert quantity == pytest.approx(cert.det_A * np.prod(norms), rel=1e-9)
 
     def test_roundtrip_to_projections(self, lw_datum):
@@ -487,17 +487,3 @@ class TestTensorLift:
     def test_inconsistent_columns_rejected(self):
         with pytest.raises(DatumError):
             tensor_lift([np.eye(3)[:2], np.eye(4)[:2]], [(0,), (1,)])
-
-    def test_grid_input_lift(self):
-        from blt.inputs import GridFunction, integrate
-
-        maps = r5_example_maps()
-        _, recipe = tensor_lift(maps, [(j, (j + 2) % 5) for j in range(5)])
-        rng = np.random.default_rng(12)
-        grids = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1, (2, 2))) for _ in range(5)]
-        lifted_inputs = recipe.lift_grid_inputs(grids)
-        for tup, lifted in zip(recipe.scheme, lifted_inputs):
-            assert lifted.dim == 4
-            assert integrate(lifted) == pytest.approx(
-                np.prod([integrate(grids[i]) for i in tup]), rel=1e-12
-            )

@@ -1,4 +1,5 @@
-"""Exterior algebra: frozen basis cases, oracle cross-checks, invariants."""
+"""Exterior algebra: the reference algebra's frozen basis cases and
+invariants, and the determinant routes of `blt.exterior` against it."""
 
 import itertools
 
@@ -9,19 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blt.convext import expected_lift_kernels
+from blt.datum import (
+    BLDatum,
+    DatumError,
+    is_class_C,
+    kernel_basis,
+    oriented_kernel_basis,
+    reduce_to_projections,
+)
 from blt.exterior import (
     ExteriorError,
-    MultiVector,
     cross_like,
-    hodge_star,
-    inner_product,
     largest_angle_sine,
     null_space,
-    rows_wedge,
+    row_wedge_norm,
     transversality_quantity,
-    wedge,
 )
+from tests import exterior_oracle as oracle
 from tests.conftest import loomis_whitney_maps
+from tests.exterior_oracle import MultiVector, hodge_star, inner_product, rows_wedge, wedge
 
 
 def e(d, *idx):
@@ -194,6 +201,54 @@ class TestTransversality:
         assert transversality_quantity(scaled) == pytest.approx(
             9.0 * transversality_quantity(maps), rel=1e-12
         )
+
+
+@st.composite
+def kernel_split_maps(draw):
+    """Maps B_j with random kernel dimensions k_j >= 1 summing to d, with
+    gaussian entries or entries in {-1, 0, 1} (which hit exactly
+    rank-deficient maps and overlapping kernels)."""
+    d = draw(st.integers(2, 6))
+    cuts = draw(st.sets(st.integers(1, d - 1), min_size=1, max_size=d - 1))
+    kernel_dims = np.diff([0, *sorted(cuts), d])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return [rng.integers(-1, 2, (d - k, d)).astype(float) for k in kernel_dims]
+    return [rng.standard_normal((d - k, d)) for k in kernel_dims]
+
+
+@given(kernel_split_maps())
+@settings(max_examples=60, deadline=None)
+def test_determinant_routes_match_the_reference_algebra(maps):
+    d = maps[0].shape[1]
+    close = dict(rel=1e-10, abs=1e-12)
+    # |transversality| <= prod ||X_j||, and its rounding error near 0 is
+    # of that size too (an exact 0 came out as -8.3e-12 at scale 8.5e4)
+    scale = max(1.0, float(np.prod([rows_wedge(B).norm() for B in maps])))
+    near_zero = dict(rel=1e-10, abs=1e-12 * scale)
+    quantity = oracle.transversality_quantity(maps)
+    assert transversality_quantity(maps) == pytest.approx(quantity, **near_zero)
+    for B in maps:
+        assert row_wedge_norm(B) == pytest.approx(rows_wedge(B).norm(), **close)
+        if np.linalg.matrix_rank(B) == B.shape[0]:
+            ns = kernel_basis(B)
+            want = ns.copy()
+            if oracle.orientation_pairing(B, ns) < 0:
+                want[:, 0] = -want[:, 0]
+            assert np.array_equal(oriented_kernel_basis(B), want)
+    vectors = np.vstack(maps)[: d - 1]  # the maps hold (m - 1) d >= d rows
+    np.testing.assert_allclose(cross_like(vectors), oracle.cross_like(vectors), rtol=1e-10, atol=1e-12)
+    # reduce_to_projections checks quantity = det(A) prod ||X_j|| against
+    # itself (both sides come from the same kernel bases); the reference
+    # algebra is the independent side of that identity, sign included
+    try:
+        datum = BLDatum(d, maps, np.full(len(maps), 1.0 / (len(maps) - 1)))
+    except DatumError:  # a rank-deficient map
+        return
+    if is_class_C(datum)[0]:
+        cert = reduce_to_projections(datum)
+        norms = np.prod([row_wedge_norm(B) for B in maps])
+        assert cert.det_A * norms == pytest.approx(quantity, **near_zero)
 
 
 def test_cross_like_matches_cross_product():

@@ -651,10 +651,15 @@ def test_clip_box_with_non_finite_bounds():
 
 
 def test_flagship_inputs_in_constancy_class():
+    # constant at scale 1/M: cells no wider than 1/M, positive throughout,
+    # and adjacent cells within a factor 2 of each other
     maps, params, cube, inputs = flagship_scale_setup(seed=2)
     for f in inputs:
         assert f.spacing <= 1.0 / params.M * (1 + 1e-12)
-        assert f.is_constancy_scale(f.spacing)
+        assert np.all(f.values > 0)
+        for axis in range(f.values.ndim):
+            v = np.moveaxis(f.values, axis, 0)
+            assert np.all(v[:-1] <= 2 * v[1:]) and np.all(v[1:] <= 2 * v[:-1])
 
 
 def test_canonicalize_then_decompose_end_to_end():
