@@ -1,10 +1,10 @@
 """Command-line surface: one subcommand per toolkit operation.
 
-All I/O is JSON.  Reports embed the fully resolved configuration and
-are written atomically; identical (command, config, seed) runs produce
-bitwise-identical files.  Exit codes: 0 computed/certified, 1 usage or
-input error, 2 the mathematics said no (inequality violation or refusal
-diagnostic).
+All I/O is JSON.  Reports embed the fully resolved configuration; a
+regular output file is replaced atomically, and identical (command,
+config, seed) runs produce bitwise-identical files.  Exit codes: 0
+computed/certified, 1 usage or input error, 2 the mathematics said no
+(inequality violation or refusal diagnostic).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -60,7 +61,11 @@ def _json_default(obj):
 def _write_report(path: str | None, report: dict) -> None:
     """Compact JSON with sorted keys, in one call of the C encoder.  A
     non-finite float, which JSON cannot carry, is refused before any
-    file is written."""
+    file is written.
+
+    A regular file (or a new one) is replaced atomically, through any
+    symlinks, keeping the mode of the file it replaces (a new file gets
+    the umask's); a device or FIFO is written directly."""
     try:
         text = json.dumps(report, sort_keys=True, default=_json_default, allow_nan=False)
     except ValueError as exc:
@@ -68,9 +73,25 @@ def _write_report(path: str | None, report: dict) -> None:
     if path is None:
         print(text)
         return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".blt-", suffix=".json")
     try:
+        target = os.stat(path)
+    except FileNotFoundError:
+        target = None
+    if target is not None and not stat.S_ISREG(target.st_mode):
+        with open(path, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+        return
+    if target is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        mode = stat.S_IMODE(target.st_mode)
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".blt-", suffix=".json")
+    try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
             fh.write("\n")
@@ -597,14 +618,15 @@ def cmd_verify_nonlinear(args):
     }, (EXIT_OK if report.holds else EXIT_REFUSED)
 
 
+@_float_errors("field")
 def cmd_ift_solve(args):
     payload = _load_json(args.input)
     field = _parse_field(payload)
-    if args.x is not None:
-        x = np.asarray(json.loads(args.x), dtype=float)
-    else:
-        x = np.asarray(payload["x"], dtype=float)
-    x = np.atleast_2d(x)
+    with _input_errors("ift-solve input"):
+        x = np.atleast_2d(np.asarray(
+            json.loads(args.x) if args.x is not None else payload["x"], dtype=float))
+        if x.ndim != 2 or x.shape[1] != field.n or not np.all(np.isfinite(x)):
+            raise ValueError(f"x must be a list of finite points of R^{field.n}")
     tol = args.tol if args.tol is not None else 1e-12
     sol = ift.solve_eta(field, x, tol=tol)
     grad = ift.eta_gradient(field, x, sol.eta, tol=tol)
@@ -619,24 +641,28 @@ def cmd_ift_solve(args):
     }, EXIT_OK
 
 
+@_float_errors("field")
 def cmd_delta_integral(args):
     payload = _load_json(args.input)
-    field = _parse_field(payload["field"])
-    window = None
-    if payload.get("window"):
-        window = (
-            np.asarray(payload["window"]["lo"], dtype=float),
-            np.asarray(payload["window"]["hi"], dtype=float),
-        )
-    integrand_payload = payload.get("integrand", "one")
-    if integrand_payload == "one":
-        integrand = lambda U: np.ones(U.shape[0])  # noqa: E731
-    else:
-        lo = np.asarray(integrand_payload["lo"], dtype=float)
-        hi = np.asarray(integrand_payload["hi"], dtype=float)
+    with _input_errors("delta-integral input"):
+        field = _parse_field(payload["field"])
+        window = None
+        if payload.get("window"):
+            window = (
+                np.asarray(payload["window"]["lo"], dtype=float),
+                np.asarray(payload["window"]["hi"], dtype=float),
+            )
+        integrand_payload = payload.get("integrand", "one")
+        if integrand_payload == "one":
+            integrand = lambda U: np.ones(U.shape[0])  # noqa: E731
+        else:
+            lo = np.asarray(integrand_payload["lo"], dtype=float)
+            hi = np.asarray(integrand_payload["hi"], dtype=float)
+            if lo.shape != (field.n + 1,) or hi.shape != (field.n + 1,):
+                raise ValueError(f"integrand bounds must be points of R^{field.n + 1}")
 
-        def integrand(U, lo=lo, hi=hi):
-            return np.all((U >= lo) & (U <= hi), axis=1).astype(float)
+            def integrand(U, lo=lo, hi=hi):
+                return np.all((U >= lo) & (U <= hi), axis=1).astype(float)
 
     value, err = convext.delta_integral(field, integrand, window, _quad_spec(args, field.n))
     return {"value": value, "error_estimate": err}, EXIT_OK

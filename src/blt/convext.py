@@ -19,7 +19,12 @@ from itertools import permutations
 import numpy as np
 
 from .datum import block_index_tuples
-from .exterior import largest_angle_sine, null_space, transversality_quantity
+from .exterior import (
+    largest_angle_sine,
+    null_space,
+    relative_transversality,
+    transversality_quantity,
+)
 from . import ift
 from .ift import (
     AUDIT_PAIRS,
@@ -32,7 +37,7 @@ from .ift import (
     iteration_cap,
     solve_eta,
 )
-from .inputs import BoxIndicator, GridFunction, InputFunction, integrate
+from .inputs import BoxIndicator, GridFunction, InputFunction
 from .polynomials import Polynomial
 from .quadrature import QuadratureSpec, midpoint_axes
 
@@ -141,7 +146,7 @@ class SurfaceFunction:
     def lp_norm(self, q: float) -> float:
         f = self.input_function()
         if isinstance(f, BoxIndicator):
-            return integrate(f) ** (1.0 / q)
+            return f.integral() ** (1.0 / q)
         assert isinstance(f, GridFunction)
         return float((np.sum(f.values**q) * f.spacing**f.dim) ** (1.0 / q))
 
@@ -166,7 +171,7 @@ def delta_integral(
             raise ValueError("a window box is required for a positive-dimensional base")
         lo = np.asarray(window[0], dtype=float)
         hi = np.asarray(window[1], dtype=float)
-        if lo.shape != (n,) or np.any(hi <= lo):
+        if lo.shape != (n,) or hi.shape != (n,) or not np.all(hi > lo):
             raise ValueError("window must be a nondegenerate box in the base space")
         R1, _ = ift_radii(field.beta, field.kappa)
         corner_radius = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
@@ -817,7 +822,7 @@ def block_lift(maps: list[EtaBlockMap], d: int) -> BlockLiftResult:
         raise TransversalityError("lifted kernel dimensions do not sum to the ambient one")
     direct_sum_det = float(np.linalg.det(stacked))
     quantity = transversality_quantity(lifted)
-    if abs(quantity) <= 1e-10:
+    if not relative_transversality(lifted, quantity) > 1e-10:
         raise TransversalityError("lifted maps are not transversal")
     return BlockLiftResult(
         lifted_jacobians=lifted,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exterior import null_space, row_wedge_norm, transversality_quantity
+from .exterior import null_space, relative_transversality, row_wedge_norm, transversality_quantity
 
 RANK_TOL = 1e-10
 TRANSVERSALITY_TOL = 1e-10
@@ -138,7 +138,8 @@ def is_class_C(datum: BLDatum) -> tuple[bool, ClassCDiagnostics]:
     """Direct-sum membership test with diagnostics naming the first failure.
 
     Checks, in order: kernel dimensions sum to d, the Hodge-star
-    determinant exceeds tolerance, all exponents equal 1/(m-1).
+    determinant over the product of the map norms (so free of scale)
+    exceeds tolerance, all exponents equal 1/(m-1).
     """
     kernel_sum = sum(datum.kernel_dims)
     if kernel_sum != datum.d:
@@ -152,10 +153,12 @@ def is_class_C(datum: BLDatum) -> tuple[bool, ClassCDiagnostics]:
         return False, diag
     quantity = transversality_quantity(datum.maps)
     expo_dev = float(np.max(np.abs(datum.p - 1.0 / (datum.m - 1))))
-    if abs(quantity) <= TRANSVERSALITY_TOL:
+    relative = relative_transversality(datum.maps, quantity)
+    if not relative > TRANSVERSALITY_TOL:
         diag = ClassCDiagnostics(
             False,
-            f"transversality quantity {quantity:.3e} below tolerance",
+            f"transversality quantity {quantity:.3e} is {relative:.3e} of the product of"
+            f" the map norms, below tolerance {TRANSVERSALITY_TOL:g}",
             kernel_sum,
             quantity,
             expo_dev,

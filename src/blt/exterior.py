@@ -48,6 +48,14 @@ def transversality_quantity(maps: list[np.ndarray]) -> float:
     return float(np.linalg.det(np.hstack(kernels)) * blocks)
 
 
+def relative_transversality(maps: list[np.ndarray], quantity: float) -> float:
+    """|quantity| / prod_j ||X(B_j)|| for the transversality quantity of
+    `maps`: |det([N_1 ... N_m])| for orthonormal kernel bases N_j, which
+    does not change when a map is scaled.  0 when some X(B_j) is 0."""
+    norms = float(np.prod([row_wedge_norm(B) for B in maps]))
+    return abs(quantity) / norms if norms > 0.0 else 0.0
+
+
 def row_wedge_norm(B: np.ndarray) -> float:
     """||X(B)||, the norm of the wedge of the rows of B: the product of
     its singular values."""

@@ -50,6 +50,8 @@ class ScalarField:
     grad_polys: list[Polynomial] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("the base dimension n must be nonnegative")
         if self.poly.n != self.n + 1:
             raise ValueError("polynomial arity must be n + 1")
         if self.poly.degree() > 4:

@@ -9,6 +9,7 @@ over (N, k) point arrays and integrals are closed form.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,50 @@ import numpy as np
 
 class ZeroMassError(ValueError):
     """Input function has zero total mass where positive mass is required."""
+
+
+def _lattice_arrays(origin, spacing: float, values) -> tuple[np.ndarray, np.ndarray]:
+    """origin and values of a lattice function as float arrays, refused
+    unless spacing is positive with spacing^rank in double range, origin
+    has one entry per axis, and both are finite with values nonnegative."""
+    origin = np.asarray(origin, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise ValueError("spacing must be positive and finite")
+    if origin.ndim != 1 or origin.size != values.ndim:
+        raise ValueError("origin length must match the rank of values")
+    try:
+        float(spacing) ** values.ndim
+    except OverflowError:
+        raise ValueError("cell volume spacing^rank is out of floating-point range") from None
+    if not (np.isfinite(origin).all() and np.isfinite(values).all()):
+        raise ValueError("grid origin and values must be finite")
+    if np.any(values < 0):
+        raise ValueError("grid values must be nonnegative")
+    return origin, values
+
+
+def _zero_padded(values: np.ndarray) -> np.ndarray:
+    """`values` with one zero entry added on each side of every axis."""
+    padded = np.zeros(tuple(size + 2 for size in values.shape))
+    padded[(slice(1, -1),) * values.ndim] = values
+    return padded
+
+
+def _padded_index(cells, shape: tuple[int, ...]) -> np.ndarray:
+    """Flat index into `_zero_padded` of an array of `shape` at integral
+    float cell coordinates, one (N,) array per axis (consumed in order and
+    overwritten).  Each is clamped in float to [-1, size] (NaN to -1), so
+    every point off the lattice, however far, reads the pad.  The float
+    temporaries are freed before the gather, which matters at a million
+    points."""
+    flat = None
+    for cell, size in zip(cells, shape):
+        np.fmax(cell, -1.0, out=cell)
+        np.minimum(cell, size, out=cell)
+        cell += 1.0
+        flat = cell if flat is None else flat * (size + 2) + cell
+    return flat.astype(np.intp)
 
 
 @dataclass
@@ -33,20 +78,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if not (np.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError("spacing must be positive and finite")
-        if self.origin.ndim != 1 or self.origin.size != self.values.ndim:
-            raise ValueError("origin length must match the rank of values")
-        try:
-            float(self.spacing) ** self.values.ndim
-        except OverflowError:
-            raise ValueError("cell volume spacing^rank is out of floating-point range") from None
-        if not (np.isfinite(self.origin).all() and np.isfinite(self.values).all()):
-            raise ValueError("grid origin and values must be finite")
-        if np.any(self.values < 0):
-            raise ValueError("grid values must be nonnegative")
+        self.origin, self.values = _lattice_arrays(self.origin, self.spacing, self.values)
 
     @property
     def dim(self) -> int:
@@ -58,30 +90,16 @@ class GridFunction:
 
     @cached_property
     def _padded(self) -> np.ndarray:
-        """`values` with one zero cell added on each side of every axis."""
-        padded = np.zeros(tuple(size + 2 for size in self.values.shape))
-        padded[(slice(1, -1),) * self.dim] = self.values
-        return padded
+        return _zero_padded(self.values)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Values at (N, k) points, zero off the lattice, by one flat `take`
         from the zero-padded values."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._padded.ravel().take(self._padded_index(points))
-
-    def _padded_index(self, points: np.ndarray) -> np.ndarray:
-        """Flat index into `_padded` of each point's cell.  Cell indices
-        are clamped in float to [-1, shape] (NaN to -1), so every point off
-        the lattice, however far, reads the pad.  Its float temporaries are
-        freed before the gather, which matters at a million points."""
-        flat = None
-        for a, size in enumerate(self.values.shape):
-            cell = np.floor((points[:, a] - self.origin[a]) / self.spacing)
-            np.fmax(cell, -1.0, out=cell)
-            np.minimum(cell, size, out=cell)
-            cell += 1.0
-            flat = cell if flat is None else flat * (size + 2) + cell
-        return flat.astype(np.intp)
+        cells = (
+            np.floor((points[:, a] - self.origin[a]) / self.spacing) for a in range(self.dim)
+        )
+        return self._padded.ravel().take(_padded_index(cells, self.values.shape))
 
     def integral(self) -> float:
         return float(self.values.sum() * self.spacing**self.dim)
@@ -176,7 +194,8 @@ class PiecewiseLinearGridFunction:
     """Multilinear interpolation of node values on a lattice, zero outside.
 
     This is the exact representation of a convolution of two
-    GridFunctions with equal spacing.
+    GridFunctions with equal spacing.  The first `evaluate` keeps a
+    zero-padded copy of `node_values`; change them in place only before it.
     """
 
     origin: np.ndarray
@@ -184,8 +203,7 @@ class PiecewiseLinearGridFunction:
     node_values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=float)
-        self.node_values = np.asarray(self.node_values, dtype=float)
+        self.origin, self.node_values = _lattice_arrays(self.origin, self.spacing, self.node_values)
 
     @property
     def dim(self) -> int:
@@ -195,27 +213,44 @@ class PiecewiseLinearGridFunction:
         shape = np.asarray(self.node_values.shape, dtype=float)
         return self.origin - self.spacing, self.origin + self.spacing * shape
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Tent-basis interpolation, with zero nodes beyond the lattice."""
-        # imported here: scipy.ndimage is slow to import and only ball-check needs it
-        from scipy.ndimage import map_coordinates
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        return _zero_padded(self.node_values)
 
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Tent-basis interpolation at (N, k) points, with zero nodes beyond
+        the lattice: the sum over the 2^k corners of each point's cell of
+        the tent weight times one flat `take` from the zero-padded nodes.
+
+        The coordinate is clamped to [-1, shape] before its floor, so a
+        point off the support sits on a pad node with weight 1 and a
+        non-finite point reads 0.  The weights, 1 - t and 1 - (1 - t) for
+        the fraction t, and the corner order, last axis fastest, are those
+        of scipy's order-1 spline interpolation, whose values the tests
+        compare against.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        u = (points - self.origin) / self.spacing
-        return map_coordinates(
-            self.node_values, u.T, order=1, mode="grid-constant", cval=0.0, prefilter=False
-        )
+        shape = self.node_values.shape
+        u = ((points - self.origin) / self.spacing).T
+        np.fmax(u, -1.0, out=u)
+        np.minimum(u, np.asarray(shape, dtype=float)[:, None], out=u)
+        base = np.floor(u)
+        lower = 1.0 - (u - base)
+        weights = (lower, 1.0 - lower)
+        flat = self._padded.ravel()
+        out = np.zeros(points.shape[0])
+        for corner in itertools.product((0, 1), repeat=self.dim):
+            term = flat.take(_padded_index((row + c for row, c in zip(base, corner)), shape))
+            for a, c in enumerate(corner):
+                term *= weights[c][a]
+            out += term
+        return out
 
     def integral(self) -> float:
         return float(self.node_values.sum() * self.spacing**self.dim)
 
 
 InputFunction = GridFunction | GaussianFunction | BoxIndicator | PiecewiseLinearGridFunction
-
-
-def integrate(f: InputFunction) -> float:
-    """Total mass, closed form for every supported representation."""
-    return f.integral()
 
 
 def convolve_grids(f: GridFunction, g: GridFunction) -> PiecewiseLinearGridFunction:

@@ -26,7 +26,6 @@ from .inputs import (
     PiecewiseLinearGridFunction,
     ZeroMassError,
     convolve_grids,
-    integrate,
 )
 
 
@@ -93,9 +92,9 @@ class QuadratureSpec:
 
     def integrate_product(self, factors, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
         """Integral of prod_k g_k(B_k x) over the box [lo, hi] and its error
-        estimate, for factors (g_k, B_k): each B_k is a coordinate projection
-        (one 1 per row, other entries 0), no two rows of one B_k pick the
-        same axis, and g_k maps (N, rows of B_k) points to (N,) values.
+        estimate, for factors (g_k, B_k): each B_k is a scaled coordinate
+        projection (one nonzero entry per row), no two rows of one B_k read
+        the same axis, and g_k maps (N, rows of B_k) points to (N,) values.
 
         Monte Carlo draws and multiplies the factors exactly as `integrate`
         does with `_product_integrand`.  The midpoint rule evaluates each
@@ -188,12 +187,13 @@ def bl_ratio(
 
     Returns (value, error_estimate): the Monte Carlo estimate carries
     the sample standard error, the midpoint rule the change against the
-    half-resolution rule.  Coordinate-projection data integrate through
-    `QuadratureSpec.integrate_product`, one factor per map.
+    half-resolution rule.  Data whose maps are scaled coordinate
+    projections integrate through `QuadratureSpec.integrate_product`, one
+    factor per map.
     """
     if len(inputs) != datum.m:
         raise ValueError("one input per map is required")
-    masses = [integrate(f) for f in inputs]
+    masses = [f.integral() for f in inputs]
     if any(mass <= 0.0 for mass in masses):
         raise ZeroMassError("every input must have positive mass")
     denom = float(np.prod([mass ** pj for mass, pj in zip(masses, datum.p)]))
@@ -211,7 +211,7 @@ def bl_ratio(
     if lo.shape != (datum.d,) or hi.shape != (datum.d,) or np.any(hi <= lo):
         raise ValueError("region must be a nondegenerate axis box (lo, hi)")
     factors = _map_factors(datum, inputs)
-    if _is_coordinate_projection_datum(datum):
+    if _is_scaled_projection_datum(datum):
         value, error = spec.integrate_product(factors, lo, hi)
     else:
         value, error = spec.integrate(_product_integrand(factors), lo, hi)
@@ -227,13 +227,15 @@ def midpoint_axes(lo: np.ndarray, hi: np.ndarray, count: int) -> tuple[list[np.n
 
 def _separable_midpoint(factors, lo: np.ndarray, hi: np.ndarray, count: int) -> float:
     """Tensor midpoint rule for prod_k g_k(B_k x) on the box [lo, hi], each
-    B_k a coordinate projection: each factor is evaluated on the midpoints
-    of its own axes, and axes no factor reads contribute their cell count."""
+    B_k a scaled coordinate projection: each factor is evaluated on the
+    midpoints of its own axes, each times its row's entry, and axes no
+    factor reads contribute their cell count."""
     axes, cell = midpoint_axes(lo, hi, count)
     operands, read = [], set()
     for g, B in factors:
-        sub = [int(a) for a in np.argmax(B, axis=1)]
-        mesh = np.meshgrid(*[axes[a] for a in sub], indexing="ij")
+        sub = [int(a) for a in np.argmax(B != 0.0, axis=1)]
+        entries = B[np.arange(len(sub)), sub]
+        mesh = np.meshgrid(*[b * axes[a] for b, a in zip(entries, sub)], indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
         operands += [g(points).reshape(mesh[0].shape), sub]
         read.update(sub)
@@ -344,15 +346,20 @@ def canonical_extremizer(datum: BLDatum) -> tuple[list[BoxIndicator], float]:
     return boxes, ratio
 
 
-def _is_coordinate_projection_datum(datum: BLDatum) -> bool:
+def _is_scaled_projection_datum(datum: BLDatum) -> bool:
+    """Every map has one nonzero entry per row, no two rows in one column."""
     for B in datum.maps:
-        if not np.all((B == 0.0) | (B == 1.0)):
-            return False
-        if not np.all(B.sum(axis=1) == 1.0):
-            return False
-        if not np.all(B.sum(axis=0) <= 1.0):
+        nonzero = B != 0.0
+        if not (np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) <= 1)):
             return False
     return True
+
+
+def _is_coordinate_projection_datum(datum: BLDatum) -> bool:
+    """Scaled projections whose nonzero entries are all 1."""
+    return _is_scaled_projection_datum(datum) and all(
+        np.all((B == 0.0) | (B == 1.0)) for B in datum.maps
+    )
 
 
 def _lattice_aligned(datum: BLDatum, grids: list[GridFunction]) -> bool:
@@ -373,7 +380,7 @@ def _lattice_bl_exact(datum: BLDatum, grids: list[GridFunction]) -> float:
     """
     ratio = _lattice_ratios(
         datum, [g.values for g in grids], [g.origin for g in grids], grids[0].spacing,
-        [integrate(g) for g in grids],
+        [g.integral() for g in grids],
     )
     return float(ratio)
 
@@ -428,7 +435,7 @@ def ball_inequality_report(
     if not all(isinstance(g, GridFunction) for g in f + fprime):
         raise ValueError("the convolution report requires grid inputs")
     for g in f + fprime:
-        if integrate(g) <= 0:
+        if g.integral() <= 0:
             raise ZeroMassError("all input masses must be positive")
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     fast = (

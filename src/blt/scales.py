@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datum import ProjectionScheme, kernel_basis
-from .exterior import cross_like, null_space, transversality_quantity
+from .exterior import cross_like, null_space, relative_transversality, transversality_quantity
 from .geometry import grid_polygon_mass, grid_slab_mass
-from .inputs import GridFunction, integrate
+from .inputs import GridFunction
 from .nonlinear import NonlinearMapFamily
 from .quadrature import QuadratureSpec, _midpoint_integral, lattice_product_sum
 
@@ -163,7 +163,7 @@ def canonicalize_nonlinear(
     x0 = np.asarray(x0, dtype=float)
     jacs = [fam.jacobian(x0) for fam in maps]
     quantity = transversality_quantity(jacs)
-    if abs(quantity) <= 1e-10:
+    if not relative_transversality(jacs, quantity) > 1e-10:
         raise ScaleError("derivative kernels are not transversal at the base point")
     columns = []
     for J in jacs:
@@ -881,7 +881,7 @@ def verify_induction_step(
     scheme = deco.frame.scheme
     pigeonhole_ok = deco.certificates_hold()
 
-    masses = [integrate(f) for f in inputs]
+    masses = [f.integral() for f in inputs]
     integrand = _composite_integrand(maps, inputs, p)
 
     def cube_and_main(points: np.ndarray) -> np.ndarray:
@@ -1006,7 +1006,7 @@ def verify_nonlinear_bl(
         resid = np.linalg.norm(fam.jacobian(x0) - scheme.projection_matrix(j))
         if resid > 1e-9:
             raise ScaleError(f"map {j} is not canonical at the base point ({resid:.3e})")
-    masses = [integrate(f) for f in inputs]
+    masses = [f.integral() for f in inputs]
     if any(mass <= 0 for mass in masses):
         raise ScaleError("all input masses must be positive")
     integrand = _composite_integrand(maps, inputs, p)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -53,10 +54,20 @@ def lw_file(tmp_path):
 
 
 def test_cli_and_datum_commands_load_no_scipy(tmp_path, lw_file):
-    # scipy is slow to import: only ball-check, extremizer and data that are
-    # not coordinate projections need it, and they import it on first use
+    # scipy is slow to import: only polytope volumes and support boxes of
+    # maps whose rows read several axes need it, and they import it on first
+    # use.  ball-check runs on the benchmark's Loomis-Whitney lattice input.
+    rng = np.random.default_rng(3)
+    grids = [{"origin": [0.0, 0.0], "spacing": 1.0, "values": rng.uniform(0.5, 1.5, (4, 4)).tolist()}
+             for _ in range(6)]
+    ball = {"datum": LW_DATUM, "f": grids[:3], "fprime": grids[3:],
+            "x_grid": {"lo": [0.0] * 3, "hi": [7.0] * 3, "count": 8}}
+    ball_file = tmp_path / "ball.json"
+    ball_file.write_text(json.dumps(ball))
     calls = [argv + ["--input", lw_file, "--output", str(tmp_path / f"{argv[0]}.json")]
              for argv in DATUM_COMMANDS.values()]
+    calls.append(["ball-check", "--input", str(ball_file), "--seed", "1",
+                  "--output", str(tmp_path / "ball-report.json")])
     code = (
         "import sys, blt.cli\n"
         "def scipy_loaded():\n"
@@ -77,6 +88,14 @@ class TestBasicCommands:
         assert report["result"]["constant"] == 1.0
         assert report["command"] == "bl-constant"
         assert report["config"]["input"] == lw_file
+
+    def test_bl_constant_of_small_maps(self, tmp_path):
+        # transversality -1e-18: the class-C test reads it relative to the map norms
+        path = tmp_path / "lw-small.json"
+        path.write_text(json.dumps({**LW_DATUM, "maps": (1e-3 * np.array(LW_DATUM["maps"])).tolist()}))
+        report = run(tmp_path, "small", ["bl-constant", "--input", str(path)])
+        assert report["result"]["constant"] == pytest.approx(1e9, rel=1e-12)
+        assert report["result"]["transversality"] == pytest.approx(-1e-18, rel=1e-12)
 
     def test_check_class_c(self, tmp_path, lw_file):
         report = run(tmp_path, "cc", ["check-class-c", "--input", lw_file])
@@ -475,6 +494,55 @@ def test_write_report_encodes_numpy_values_compactly(tmp_path):
     assert text == '{"a": [0.0, 1.0], "b": [1, 2], "n": 3, "ok": false, "x": 0.5}\n'
 
 
+class TestOutputTargets:
+    def test_symlink_is_written_through(self, tmp_path, lw_file):
+        real = tmp_path / "real.json"
+        real.write_text("old")
+        real.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        assert main(["bl-constant", "--input", lw_file, "--output", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert json.loads(real.read_text())["result"]["constant"] == 1.0
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert not list(tmp_path.glob(".blt-*"))
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path, lw_file):
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "new.json")
+        assert main(["bl-constant", "--input", lw_file, "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads((tmp_path / "new.json").read_text())["result"]["constant"] == 1.0
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path, lw_file):
+        out = tmp_path / "o.json"
+        umask = os.umask(0o027)
+        try:
+            assert main(["bl-constant", "--input", lw_file, "--output", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_fifo_is_written_not_replaced(self, tmp_path, lw_file):
+        fifo = tmp_path / "pipe.json"
+        os.mkfifo(fifo)
+        # a nonblocking reader lets the writer open the FIFO without a thread
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["bl-constant", "--input", lw_file, "--output", str(fifo)]) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert json.loads(data)["result"]["constant"] == 1.0
+
+    def test_symlink_to_a_device_is_written_through(self, tmp_path, lw_file):
+        link = tmp_path / "null.json"
+        link.symlink_to(os.devnull)
+        assert main(["bl-constant", "--input", lw_file, "--output", str(link)]) == 0
+        assert link.is_symlink() and stat.S_ISCHR(os.stat(link).st_mode)
+
+
 def test_write_report_refuses_unknown_objects(tmp_path):
     out = tmp_path / "r.json"
     with pytest.raises(TypeError, match="object is not JSON serializable"):
@@ -656,6 +724,92 @@ def test_fuzzed_surface_json_never_crashes(tmp_path_factory, payload):
             assert err.startswith("error:") and out == ""
         else:
             json.loads(out, parse_constant=_reject_constant)
+
+
+# One file for both field commands: ift-solve reads the field at the top
+# level with x, delta-integral reads field, window and integrand.
+FIELD_FILE = {**FIELD, "x": [[1e-4, 2e-4]], "field": FIELD,
+              "window": {"lo": [-2e-4] * 2, "hi": [2e-4] * 2},
+              "integrand": {"lo": [-1e-4] * 3, "hi": [1e-4] * 3}}
+FIELD_COMMANDS = {
+    "ift-solve": ["ift-solve"],
+    "delta-integral": ["delta-integral", "--resolution", "8"],
+}
+
+
+@st.composite
+def field_payloads(draw):
+    """The field file with up to two defects: a non-finite, huge or
+    out-of-range number, a string where a number belongs, wrong powers, a
+    point, window or integrand bound too many or too few, or a field
+    replaced by junk or dropped."""
+    payload = json.loads(json.dumps(FIELD_FILE))
+    if draw(st.booleans()):
+        payload["integrand"] = "one"
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.sampled_from(["number", "powers", "point", "bound", "junk", "drop"]))
+        field = draw(st.sampled_from([payload, payload.get("field")]))
+        field = field if isinstance(field, dict) else None
+        terms = field.get("terms") if field is not None else None
+        term = draw(st.sampled_from(terms)) if isinstance(terms, list) and terms else None
+        boxes = [b for b in (payload.get("window"), payload.get("integrand")) if isinstance(b, dict)]
+        if defect == "number" and field is not None:
+            key = draw(st.sampled_from(["n", "beta", "kappa", "c"]))
+            target = term if key == "c" and isinstance(term, dict) else field
+            target[key] = draw(ENTRIES | st.integers(-1, 6))
+        elif defect == "powers" and isinstance(term, dict):
+            term["powers"] = draw(st.sampled_from([[-1, 0, 1], [0, 1], [], [0, 0, 40], ["x", 0, 1]]))
+        elif defect == "point" and isinstance(payload.get("x"), list):
+            row = payload["x"][0] if payload["x"] else None
+            if draw(st.booleans()) and isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(ENTRIES)
+            else:
+                payload["x"] = draw(st.sampled_from([[[1e-4]], [1e-4, 2e-4, 0.0], [], [[]]]))
+        elif defect == "bound" and boxes:
+            box = draw(st.sampled_from(boxes))
+            key = draw(st.sampled_from(["lo", "hi"]))
+            if isinstance(box.get(key), list) and box[key]:
+                if draw(st.booleans()):
+                    box[key][draw(st.integers(0, len(box[key]) - 1))] = draw(ENTRIES)
+                else:
+                    box[key] = box[key][:-1] if draw(st.booleans()) else [*box[key], 0.0]
+        elif defect == "junk":
+            payload[draw(st.sampled_from(["field", "window", "integrand", "x", "terms"]))] = (
+                draw(JUNK))
+        elif defect == "drop":
+            target = draw(st.sampled_from([payload, field, *boxes]))
+            if isinstance(target, dict) and target:
+                target.pop(draw(st.sampled_from(sorted(target))))
+    return payload
+
+
+@given(payload=field_payloads())
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_field_json_never_crashes(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-field.json"
+    path.write_text(json.dumps(payload))
+    for command, argv in FIELD_COMMANDS.items():
+        code, out, err = run_command(argv, path)
+        assert code in (0, 1), (command, err)
+        assert "Traceback" not in err
+        if code == 1:
+            # a message, not the bare repr of a missing key
+            assert err.startswith("error:") and out == "" and not err.startswith("error: '")
+        else:
+            json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("change, command, message", [
+    ({"window": 5}, "delta-integral", "invalid delta-integral input"),
+    ({"integrand": {"lo": [-1e-4] * 3}}, "delta-integral", "missing field 'hi'"),
+    ({"x": [[1e-4, "a"]]}, "ift-solve", "invalid ift-solve input"),
+], ids=["window-number", "integrand-without-hi", "x-string"])
+def test_malformed_field_file_is_usage_error(tmp_path, change, command, message):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({**FIELD_FILE, **change}))
+    code, out, err = run_command(FIELD_COMMANDS[command], path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
 
 
 class TestExitCodes:

@@ -195,6 +195,25 @@ class TestClassMembership:
         ok, diag = is_class_C(datum)
         assert not ok and "transversality" in diag.reason
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e4])
+    def test_transversality_test_is_free_of_scale(self, scale):
+        # the quantity scales like the product of all map entries (1e-18 at
+        # 1e-3), its ratio to the product of the map norms does not
+        datum = BLDatum(3, [scale * B for B in loomis_whitney_maps()], np.full(3, 0.5))
+        ok, diag = is_class_C(datum)
+        assert ok and diag.reason == "ok"
+        assert diag.transversality == pytest.approx(-(scale**6), rel=1e-12)
+        assert bl_constant_classC(datum) == pytest.approx(scale**-3, rel=1e-12)
+
+    def test_near_parallel_kernels_refused_at_any_scale(self):
+        # kernels e_1, e_2 and e_1 + 1e-12 e_3: |det[N_1 N_2 N_3]| is about 1e-12
+        P1, P2, _ = loomis_whitney_maps()
+        P3 = np.array([[0.0, 1.0, 0.0], [1e-12, 0.0, -1.0]])
+        for scale in (1.0, 1e4):
+            datum = BLDatum(3, [scale * P1, scale * P2, scale * P3], np.full(3, 0.5))
+            ok, diag = is_class_C(datum)
+            assert not ok and "transversality" in diag.reason
+
     def test_membership_invariant_under_transform(self, lw_datum):
         rng = np.random.default_rng(5)
         for _ in range(10):

@@ -23,6 +23,7 @@ from blt.exterior import (
     cross_like,
     largest_angle_sine,
     null_space,
+    relative_transversality,
     row_wedge_norm,
     transversality_quantity,
 )
@@ -194,6 +195,21 @@ class TestTransversality:
         base = transversality_quantity(maps)
         swapped = transversality_quantity([maps[1], maps[0], maps[2]])
         assert swapped == pytest.approx(-base, rel=1e-12)
+
+    def test_relative_quantity_is_the_kernel_determinant(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            maps = [rng.standard_normal((2, 3)) for _ in range(3)]
+            want = abs(np.linalg.det(np.hstack([null_space(B) for B in maps])))
+            for scale in (1e-4, 1.0, 1e5):
+                scaled = [scale * B for B in maps]
+                got = relative_transversality(scaled, transversality_quantity(scaled))
+                assert got == pytest.approx(want, rel=1e-10)
+
+    def test_relative_quantity_of_a_zero_map_is_zero(self):
+        P1, P2, _ = loomis_whitney_maps()
+        maps = [P1, P2, np.zeros((2, 3))]
+        assert relative_transversality(maps, transversality_quantity(maps)) == 0.0
 
     def test_multilinear_in_blocks(self):
         maps = loomis_whitney_maps()

@@ -15,12 +15,12 @@ from blt.inputs import (
     PiecewiseLinearGridFunction,
     ZeroMassError,
     convolve_grids,
-    integrate,
 )
 from blt.quadrature import (
     QuadratureSpec,
     UnboundedDomainError,
     _is_coordinate_projection_datum,
+    _is_scaled_projection_datum,
     _lattice_aligned,
     _lattice_bl_exact,
     _localised_products,
@@ -49,13 +49,13 @@ def x_grid_8():
 class TestIntegrate:
     def test_grid_unit_mass(self):
         g = GridFunction(np.zeros(2), 0.5, np.ones((2, 2)))
-        assert integrate(g) == pytest.approx(1.0)
+        assert g.integral() == pytest.approx(1.0)
 
     def test_gaussian_normalised(self):
-        assert integrate(GaussianFunction(np.eye(2))) == pytest.approx(1.0)
+        assert GaussianFunction(np.eye(2)).integral() == pytest.approx(1.0)
 
     def test_box_determinant(self):
-        assert integrate(BoxIndicator(2 * np.eye(2))) == pytest.approx(4.0)
+        assert BoxIndicator(2 * np.eye(2)).integral() == pytest.approx(4.0)
 
     def test_negative_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +114,8 @@ class TestIntegrateProduct:
         # exponent 1 takes no power; the last axis is read by no factor
         partial = BLDatum(3, [np.eye(3)[[0]], np.eye(3)[[1]]], np.array([1.0, 0.5]))
         line = [GridFunction(np.array([-1.0]), 0.4, rng.uniform(0.5, 1.5, 6)) for _ in range(2)]
-        return [(lw_datum, grids), (lw_datum, gaussians), (lw_datum, conv), (partial, line)]
+        return [(lw_datum, grids), (lw_datum, gaussians), (lw_datum, conv), (partial, line),
+                (scaled_lw_datum(), grids), (scaled_lw_datum(), conv)]
 
     @pytest.mark.parametrize("resolution", [1, 7, 16, 33])
     def test_midpoint_matches_product_integrand(self, lw_datum, resolution):
@@ -160,6 +161,50 @@ class TestIntegrateProduct:
         assert report.conv_term == pytest.approx(recorded, rel=1e-12, abs=0)
 
 
+def scaled_lw_datum(sign=-1.0):
+    """Loomis-Whitney with each row scaled, one entry by sign: off the
+    lattice path, but separable."""
+    scale = [[2.0, 0.5], [sign * 1.5, 1.0], [0.75, 3.0]]
+    return BLDatum(3, [np.diag(s) @ B for s, B in zip(scale, loomis_whitney_maps())], np.full(3, 0.5))
+
+
+class TestScaledProjections:
+    @pytest.mark.parametrize("spec", [QuadratureSpec(resolution=24), QuadratureSpec(resolution=1)],
+                             ids=["midpoint", "midpoint-1"])
+    def test_bl_ratio_matches_the_full_grid_rule(self, spec):
+        datum = scaled_lw_datum(1.0)
+        grids, _ = recorded_inputs()
+        lo, hi = _support_region(datum, grids)
+        want = spec.integrate(_product_integrand(_map_factors(datum, grids)), lo, hi)
+        denom = float(np.prod([g.integral() ** 0.5 for g in grids]))
+        got = bl_ratio(datum, grids, None, spec)
+        assert got[0] == pytest.approx(want[0] / denom, rel=1e-12, abs=0)
+        assert got[1] == pytest.approx(want[1] / denom, rel=1e-12, abs=1e-12 * got[0])
+
+    def test_scaled_but_not_unit_maps_leave_the_lattice_path(self, lw_datum):
+        datum = scaled_lw_datum()
+        assert _is_scaled_projection_datum(datum) and not _is_coordinate_projection_datum(datum)
+        assert _is_coordinate_projection_datum(lw_datum)
+        mixed = BLDatum(3, [np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                            *loomis_whitney_maps()[1:]], np.full(3, 0.5))
+        assert not _is_scaled_projection_datum(mixed)
+
+    def test_ball_check_on_doubled_maps(self):
+        # doubled maps: every R is 1/8 of the unit-map value at the halved x
+        rng = np.random.default_rng(13)
+        f = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (3, 3))) for _ in range(3)]
+        fp = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (3, 3))) for _ in range(3)]
+        unit = BLDatum(3, loomis_whitney_maps(), np.full(3, 0.5))
+        doubled = BLDatum(3, [2.0 * B for B in loomis_whitney_maps()], np.full(3, 0.5))
+        x_grid = lattice_x_grid([0.0] * 3, [5.0] * 3, 1.0)
+        spec = QuadratureSpec(resolution=48)
+        want = ball_inequality_report(unit, f, fp, x_grid, spec)
+        got = ball_inequality_report(doubled, f, fp, x_grid / 2.0, spec)
+        assert got.lhs == pytest.approx(want.lhs / 64.0, rel=1e-12)
+        assert got.sup_term == pytest.approx(want.sup_term / 8.0, rel=1e-12)
+        assert got.excluded_grid_points == want.excluded_grid_points
+
+
 def recorded_inputs():
     rng = np.random.default_rng(5)
     grids = [
@@ -189,8 +234,8 @@ def test_bl_ratio_recorded_values(lw_datum, spec, grid_want, gauss_want):
 
 
 def corner_loop_evaluate(pl, points):
-    """Tent-basis sum over the 2^k corners of each point's cell, the loop
-    that PiecewiseLinearGridFunction.evaluate replaced."""
+    """Tent-basis sum over the 2^k corners of each point's cell, reading
+    nodes through a validity mask instead of a zero-padded copy."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     u = (points - pl.origin) / pl.spacing
     base = np.floor(u).astype(np.int64)
@@ -228,11 +273,56 @@ class TestPiecewiseLinearEvaluate:
             want = corner_loop_evaluate(pl, points)
             assert np.max(np.abs(pl.evaluate(points) - want)) <= 1e-15 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_map_coordinates(self, k):
+        # the order-1 spline of scipy.ndimage, the kernel evaluate replaced
+        from scipy.ndimage import map_coordinates
+
+        rng = np.random.default_rng(50 + k)
+        for _ in range(50):
+            shape = rng.integers(1, 6, size=k)
+            pl = PiecewiseLinearGridFunction(
+                rng.uniform(-2, 2, k), float(rng.uniform(0.3, 1.5)), rng.uniform(0, 2, shape)
+            )
+            lo, hi = pl.support_box()
+            inside = rng.uniform(lo, hi, size=(200, k))
+            # up to four cells off the support on each side
+            around = rng.uniform(lo - 4 * pl.spacing, hi + 4 * pl.spacing, size=(200, k))
+            knots = pl.origin + pl.spacing * rng.integers(-3, shape + 3, size=(60, k))
+            points = np.vstack([inside, around, knots])
+            want = map_coordinates(
+                pl.node_values, ((points - pl.origin) / pl.spacing).T,
+                order=1, mode="grid-constant", cval=0.0, prefilter=False,
+            )
+            assert np.max(np.abs(pl.evaluate(points) - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_zero_beyond_support(self):
         pl = PiecewiseLinearGridFunction(np.zeros(2), 0.5, np.ones((3, 2)))
         lo, hi = pl.support_box()
-        far = np.array([lo - 0.01, hi + 0.01, [lo[0] - 0.2, 0.3], [0.4, hi[1]]])
+        far = np.array([lo - 0.01, hi + 0.01, [lo[0] - 0.2, 0.3], [0.4, hi[1]],
+                        [lo[0] - 1.3, 0.3], [0.3, hi[1] + 7.9], [-1e19, 1e19]])
         assert np.all(pl.evaluate(far) == 0.0)
+
+    def test_non_finite_points_read_zero(self):
+        pl = PiecewiseLinearGridFunction(np.zeros(2), 0.5, np.ones((3, 2)))
+        odd = np.array([[np.nan, 0.3], [0.3, np.nan], [np.inf, 0.3], [0.3, -np.inf],
+                        [np.nan, np.inf], [0.3, 0.3]])
+        assert np.array_equal(pl.evaluate(odd), [0.0] * 5 + [1.0])
+
+    @pytest.mark.parametrize("origin, spacing, nodes, message", [
+        ([0.0], 1.0, [1.0, np.nan], "finite"),
+        ([0.0], 1.0, [np.inf, 1.0], "finite"),
+        ([np.nan], 1.0, [1.0, 1.0], "finite"),
+        ([0.0], 0.0, [1.0, 1.0], "spacing"),
+        ([0.0], 1.0, [1.0, -0.5], "nonnegative"),
+        ([0.0, 0.0], 1.0, [1.0, 1.0], "origin length"),
+        ([0.0, 0.0], 1e300, [[1.0]], "cell volume"),
+    ])
+    def test_refused_as_grid_functions_are(self, origin, spacing, nodes, message):
+        with pytest.raises(ValueError, match=message):
+            PiecewiseLinearGridFunction(np.array(origin), spacing, np.array(nodes))
+        with pytest.raises(ValueError, match=message):
+            GridFunction(np.array(origin), spacing, np.array(nodes))
 
 
 class TestBlRatio:
@@ -487,7 +577,7 @@ def loop_sup(datum, f, fprime, x_grid, spec):
         g_inputs = []
         for B, fj, fpj in zip(datum.maps, f, fprime):
             g = loop_localised_product(fj, fpj, B @ x)
-            if g is None or integrate(g) <= 0.0:
+            if g is None or g.integral() <= 0.0:
                 break
             g_inputs.append(g)
         if len(g_inputs) < datum.m:
@@ -513,7 +603,7 @@ def loop_conv_ratio(datum, f, fprime, spec):
     rule = replace(spec, resolution=cells * max(1, int(np.ceil(spec.resolution / cells))),
                    error_estimate=False)
     value, _ = rule.integrate(_product_integrand(_map_factors(datum, conv)), lo, hi)
-    return value / float(np.prod([integrate(c) ** pj for c, pj in zip(conv, datum.p)]))
+    return value / float(np.prod([c.integral() ** pj for c, pj in zip(conv, datum.p)]))
 
 
 def lattice_x_grid(lo, hi, h):
@@ -666,7 +756,7 @@ class TestConvolution:
         f = GridFunction(np.zeros(2), 0.5, rng.uniform(0, 1, (3, 4)))
         g = GridFunction(np.array([1.0, -0.5]), 0.5, rng.uniform(0, 1, (2, 2)))
         conv = convolve_grids(f, g)
-        assert integrate(conv) == pytest.approx(integrate(f) * integrate(g), rel=1e-12, abs=0)
+        assert conv.integral() == pytest.approx(f.integral() * g.integral(), rel=1e-12, abs=0)
 
     def test_pointwise_against_direct_integral(self):
         rng = np.random.default_rng(8)

@@ -7,7 +7,7 @@ import pytest
 
 from blt.datum import ProjectionScheme
 from blt.geometry import grid_slab_mass
-from blt.inputs import GridFunction, integrate
+from blt.inputs import GridFunction
 from blt.nonlinear import linear_family, perturbed_projection
 from blt.quadrature import QuadratureSpec
 from blt.scales import (
@@ -114,6 +114,15 @@ class TestCanonicalize:
     def test_identity_on_projections(self):
         maps, A, Cjs, x0 = canonicalize_nonlinear(linear_lw_families(), np.zeros(3))
         assert np.allclose(np.abs(A), np.eye(3), atol=1e-12)
+        for j, fam in enumerate(maps):
+            target = ProjectionScheme(3, [1, 1, 1]).projection_matrix(j)
+            assert np.allclose(fam.jacobian(x0), target, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_scaled_projections_are_transversal(self, scale):
+        # the transversality quantity is scale**6, the test on it is not
+        fams = [linear_family(scale * B) for B in loomis_whitney_maps()]
+        maps, A, Cjs, x0 = canonicalize_nonlinear(fams, np.zeros(3))
         for j, fam in enumerate(maps):
             target = ProjectionScheme(3, [1, 1, 1]).projection_matrix(j)
             assert np.allclose(fam.jacobian(x0), target, atol=1e-12)
@@ -455,7 +464,7 @@ class TestInductionStep:
         report = verify_induction_step(maps, cube, inputs, params, spec, seed=9)
         gain = 4.0 * cube.side ** (params.alpha1 - params.alpha0)
         for chi, info in report.buffer_totals.items():
-            assert info["total"] <= gain * integrate(inputs[info["map"]]) * (1 + 1e-9)
+            assert info["total"] <= gain * inputs[info["map"]].integral() * (1 + 1e-9)
             assert info["ok"]
 
     def test_zero_inputs_vacuous(self):
