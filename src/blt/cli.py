@@ -129,11 +129,7 @@ def _parse_grid(payload) -> inputs_mod.GridFunction:
         if "shape" in payload:
             values = values.reshape(tuple(int(s) for s in payload["shape"]))  # row-major
         origin = np.asarray(payload["origin"], dtype=float)
-        spacing = float(payload["spacing"])
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(origin))
-                and math.isfinite(spacing)):
-            raise ValueError("grid origin, spacing and values must be finite")
-        return inputs_mod.GridFunction(origin, spacing, values)
+        return inputs_mod.GridFunction(origin, float(payload["spacing"]), values)
 
 
 def _parse_poly(payload, n: int) -> Polynomial:

@@ -4,13 +4,18 @@ Covers the measure of axis boxes against halfspaces and slabs (exact in
 1D/2D, midpoint-subdivision in higher rank) and polytope volume via
 halfspace intersection.  These back the slab and tube masses of the
 scale decomposition and the exact-indicator path of the ratio
-quadrature.  Every grid mass, at every rank, goes through one dispatch
-(`_halfplane_mass`); `grid_slab_mass` adds only the rank-2 piecewise-
-quadratic cell area, which is cheaper on slabs.  At rank 2 a cell's share
-of any halfplane intersection is a closed-form edge sum over the lines
-that bound it, with no polygon clipping.  Both grid-mass routines
-measure many regions of one grid in one call: a region's mass does not
-depend on the other regions of its call.
+quadrature.  Every grid mass goes through one rank dispatch
+(`_halfplane_mass`) except a rank-2 slab's: there a cell's area below a
+cut of <y, w> is piecewise quadratic in the cut (`_square_areas_below`,
+the one copy of that arithmetic, which `box_halfspace_area_2d` also
+uses).  `SlabCells` is the per-grid table for it: the positive cells,
+their values and their corner projections on w.  `grid_slab_mass` builds
+one per call; the pigeonhole ladder builds one per window and reuses it
+at every step, evaluating each cut's areas once.  Other rank-2 regions
+take a cell's share of any halfplane intersection as a closed-form edge
+sum over the lines that bound it, with no polygon clipping.  Both
+grid-mass routines measure many regions of one grid in one call: a
+region's mass does not depend on the other regions of its call.
 """
 
 from __future__ import annotations
@@ -35,13 +40,63 @@ def box_halfspace_area_2d(
 
     origins: (N, 2) lower corners of square cells of side h; c: (N,)
     thresholds, or (T, 1) thresholds for a (T, N) table of areas.
-    Vectorised piecewise-quadratic evaluation; axis-aligned and
-    degenerate normals are handled by explicit branches.
     """
-    origins = np.asarray(origins, dtype=float)
-    c = np.asarray(c, dtype=float)
+    base, wx, wy = _reflected_projections(np.asarray(origins, dtype=float), h, w)
+    return _square_areas_below(np.asarray(c, dtype=float) - base, h, wx, wy)
+
+
+class SlabCells:
+    """The positive cells of a rank-2 grid function, prepared for slabs of
+    one normal w: their values, in row-major cell order, and their
+    reflected corner projections.
+
+    `grid_slab_mass` builds one per call; a caller that measures slabs of
+    one grid and normal many times (the pigeonhole ladder, once per step)
+    builds it once and calls `masses`, with the same bits.
+    """
+
+    def __init__(self, values: np.ndarray, origin: np.ndarray, h: float, w: np.ndarray):
+        origins, self.vals = _positive_cells(values, origin, h)
+        if origins.shape[1] != 2:
+            raise ValueError("SlabCells needs a rank-2 grid")
+        self.h = h
+        self.base, self.wx, self.wy = _reflected_projections(origins, h, w)
+
+    def masses(self, cuts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """(T,) masses of the slabs {cuts[lo[t]] <= <y, w> <= cuts[hi[t]]}.
+
+        A slab's mass is the clipped difference of the cell areas below
+        its two cuts, summed with the cell values by one dot per slab.
+        When one block holds every slab, the areas below each cut are
+        evaluated once, however many slabs end at it (so every cut should
+        end some slab); larger calls evaluate them per block of slabs.  A
+        slab whose upper cut is below its lower cut has mass 0.
+        """
+        cuts = np.asarray(cuts, dtype=float)
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        masses = np.zeros(len(lo))
+        blocks = _blocks(len(lo), 2 * len(self.vals))
+        table = self._areas_below(cuts) if len(blocks) == 1 else None
+        for block in blocks:
+            if table is None:
+                upper, lower = self._areas_below(cuts[hi[block]]), self._areas_below(cuts[lo[block]])
+            else:
+                upper, lower = table[hi], table[lo]
+            masses[block] = _weighted_sums(np.maximum(upper - lower, 0.0), self.vals)
+        masses[cuts[hi] < cuts[lo]] = 0.0
+        return masses
+
+    def _areas_below(self, cuts: np.ndarray) -> np.ndarray:
+        """(T, N) areas of the cells below each of the (T,) cuts."""
+        return _square_areas_below(cuts[:, None] - self.base, self.h, self.wx, self.wy)
+
+
+def _reflected_projections(origins: np.ndarray, h: float, w) -> tuple[np.ndarray, float, float]:
+    """Per cell, the least value of <y, w> over the cell (the projection
+    of the corner that reflecting w to nonnegative weights makes the
+    lower one), and those weights |w_0|, |w_1|; areas below a threshold
+    are invariant under the reflection."""
     base = origins @ w
-    # reflect coordinates so both weights are nonnegative; area is invariant
     wx, wy = float(w[0]), float(w[1])
     if wx < 0:
         base = base + wx * h
@@ -49,7 +104,14 @@ def box_halfspace_area_2d(
     if wy < 0:
         base = base + wy * h
         wy = -wy
-    r = c - base
+    return base, wx, wy
+
+
+def _square_areas_below(r: np.ndarray, h: float, wx: float, wy: float) -> np.ndarray:
+    """Areas of [0, h]^2 ∩ {wx y_0 + wy y_1 <= r} for weights wx, wy >= 0,
+    elementwise in r: piecewise quadratic (a triangle, a trapezoid, then
+    the square less a triangle), with explicit branches for axis-aligned
+    and zero weights."""
     ax, ay = wx * h, wy * h
     full = h * h
     if ax == 0.0 and ay == 0.0:
@@ -60,7 +122,6 @@ def box_halfspace_area_2d(
         return h * np.clip(r / wx, 0.0, h)
     lo = min(ax, ay)
     hi = max(ax, ay)
-    out = np.empty_like(r)
     r_cl = np.clip(r, 0.0, ax + ay)
     tri = r_cl * r_cl / (2.0 * wx * wy)
     trap = (r_cl - 0.5 * lo) * lo / (wx * wy)
@@ -83,24 +144,23 @@ def grid_slab_mass(
 
     `lo` and `hi` are floats, or (T,) arrays for T slabs of one normal;
     the result is a float, or the (T,) masses.  A slab with hi < lo has
-    mass 0.  Rank 2 uses the closed-form cell areas; every other rank
-    measures the slab as the two halfplanes <y, w> <= hi and
+    mass 0.  Rank 2 uses the closed-form cell areas (`SlabCells`); every
+    other rank measures the slab as the two halfplanes <y, w> <= hi and
     <y, -w> <= -lo, exactly as `grid_polygon_mass` does.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
                                  np.atleast_1d(np.asarray(hi, dtype=float)))
-    origins, vals = _positive_cells(values, origin, h)
     w = np.asarray(w, dtype=float)
-    if origins.shape[1] == 2:
-        masses = np.zeros(lo.size)
-        for block in _blocks(lo.size, len(vals)):
-            area_hi = box_halfspace_area_2d(origins, h, w, hi[block, None])
-            area_lo = box_halfspace_area_2d(origins, h, w, lo[block, None])
-            masses[block] = _weighted_sums(np.clip(area_hi - area_lo, 0.0, None), vals)
+    if np.ndim(values) == 2:
+        count = lo.size
+        masses = SlabCells(values, origin, h, w).masses(
+            np.concatenate([lo, hi]), np.arange(count), np.arange(count, 2 * count)
+        )
     else:
+        origins, vals = _positive_cells(values, origin, h)
         masses = _halfplane_mass(origins, vals, h, np.stack([w, -w]), np.stack([hi, -lo]))
-    masses[hi < lo] = 0.0
+        masses[hi < lo] = 0.0
     return float(masses[0]) if scalar else masses
 
 

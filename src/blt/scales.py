@@ -18,7 +18,7 @@ import numpy as np
 
 from .datum import ProjectionScheme, kernel_basis
 from .exterior import cross_like, null_space, relative_transversality, transversality_quantity
-from .geometry import grid_polygon_mass, grid_slab_mass
+from .geometry import SlabCells, grid_polygon_mass, grid_slab_mass
 from .inputs import GridFunction
 from .nonlinear import NonlinearMapFamily
 from .quadrature import QuadratureSpec, _midpoint_integral, lattice_product_sum
@@ -211,8 +211,12 @@ class AxisImageFunctional:
     c: float
     offset: float
 
+    def image(self, t):
+        """<y, w> at the image-slab boundary of parameter t (float or array)."""
+        return self.c * t + self.offset
+
     def image_interval(self, lo: float, hi: float) -> tuple[float, float]:
-        return self.c * lo + self.offset, self.c * hi + self.offset
+        return self.image(lo), self.image(hi)
 
 
 @dataclass
@@ -384,6 +388,14 @@ def pigeonhole_sequences(
     candidate intervals of width delta^a1 and keeps the one of least
     clipped input mass (lowest index on ties), which certifies the mass
     bound with factor 4 delta^{a1-a0}.
+
+    At rank 2 one `SlabCells` table of the clipped input serves every
+    step, and a step measures its candidates and its window at its N + 2
+    cuts.  When the slab normal is axis-aligned (as on the flagship), the
+    candidates lying in one cell column tie in exact arithmetic, so the
+    lowest-index argmin chooses among rounding-level differences: any
+    change to how a candidate's mass is summed changes s_n, and with it
+    every number downstream of the ladder (the verify-step report too).
     """
     delta = cube.side
     if delta > params.delta0 * (1 + 1e-12):
@@ -417,15 +429,22 @@ def pigeonhole_sequences(
             f"{LADDER_SLABS}: alpha0 and alpha1 are too far apart at delta {delta:.3e}"
         )
     ladder = np.arange(N + 1) * d_a1
+    # a step's N + 2 cuts are its candidates' boundaries, then the window's
+    # upper end; slab r runs from cut lo[r] to cut hi[r], and slab N is the
+    # whole window
+    lo = np.append(np.arange(N), 0)
+    hi = np.append(np.arange(1, N + 1), N + 1)
+    # rank 2: one cell table serves every step
+    cells = SlabCells(fW.values, fW.origin, fW.spacing, func.w) if fW.dim == 2 else None
     n = 0
     while s[-1] < limit:
         s_n = s[-1]
         zeta0 = s_n + 0.5 * d_a0
-        # the N candidate intervals, then the whole window, in one call
-        im_lo, im_hi = func.image_interval(
-            np.append(zeta0 + ladder[:-1], zeta0), np.append(zeta0 + ladder[1:], s_n + d_a0)
-        )
-        masses = grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
+        cuts = func.image(np.append(zeta0 + ladder, s_n + d_a0))
+        if cells is None:
+            masses = grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, cuts[lo], cuts[hi])
+        else:
+            masses = cells.masses(cuts, lo, hi)
         cand, window = masses[:N], masses[N]
         r_star = int(np.argmin(cand))
         s_next = zeta0 + r_star * d_a1

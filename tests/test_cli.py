@@ -1320,6 +1320,22 @@ class TestScalesCommands:
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("defect, message", [
+        (lambda g: {**g, "origin": [NAN, g["origin"][1]]}, "grid origin and values must be finite"),
+        (lambda g: {**g, "values": [[INF] * 12] + g["values"][1:]},
+         "grid origin and values must be finite"),
+        (lambda g: {**g, "spacing": INF}, "spacing must be positive and finite"),
+    ], ids=["origin-nan", "value-inf", "spacing-inf"])
+    def test_non_finite_grid_is_usage_error(self, tmp_path, defect, message):
+        # the grid's own checks (inputs._lattice_arrays) give the message
+        payload = scales_payload()
+        payload["inputs"][0] = defect(payload["inputs"][0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_command(["decompose"], path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
     def test_decompose_refuses_a_ladder_too_long(self, tmp_path):
         # alpha0 = 1.02 puts 4^24 / 2 candidate intervals in each window
         payload = scales_payload()

@@ -318,6 +318,67 @@ class TestBatchedMasses:
         assert grid_slab_mass(values, np.zeros(2), 1.0, np.array([0.0, 1.0]), 3.0, 1.0) == 0.0
 
 
+def ladder_slabs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut indices of a pigeonhole step's slabs over n + 2 cuts: the n
+    consecutive candidates, then the window from the first cut to the last."""
+    return np.append(np.arange(n), 0), np.append(np.arange(1, n + 1), n + 1)
+
+
+class TestSlabCells:
+    @pytest.mark.parametrize("w", [
+        [1.0, 0.4], [0.35, -1.0], [-0.8, 0.55], [-1.1, -0.45],
+        [1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+    ], ids=["oblique", "reflect-y", "reflect-x", "reflect-both", "x-axis", "y-axis", "zero"])
+    def test_masses_match_grid_slab_mass(self, w, monkeypatch):
+        rng = np.random.default_rng(11)
+        values = sparse_grid(rng, 2)
+        origin, h, w = np.array([-1.1, -0.9]), 0.5, np.array(w)
+        n = 23
+        cuts = np.sort(rng.uniform(-2.2, 2.2, n + 2))
+        cells = geometry.SlabCells(values, origin, h, w)
+        lo, hi = ladder_slabs(n)
+        masses = cells.masses(cuts, lo, hi)
+        assert np.array_equal(masses, grid_slab_mass(values, origin, h, w, cuts[lo], cuts[hi]))
+        for t in range(n + 1):
+            assert masses[t] == grid_slab_mass(values, origin, h, w, cuts[lo[t]], cuts[hi[t]])
+        oracle = [oracle_mass(values, origin, h, slab_halfplanes(w, cuts[a], cuts[b]))
+                  for a, b in zip(lo, hi)]
+        assert np.all(np.abs(masses - oracle) <= 1e-12 * values.sum() * h * h)
+        assert masses[-1] > 0.0
+        # per block of slabs, the areas at each slab's own two cuts
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 2 * len(cells.vals))
+        assert len(geometry._blocks(len(lo), 2 * len(cells.vals))) == n + 1
+        assert np.array_equal(cells.masses(cuts, lo, hi), masses)
+        if cells.wx > 0.0 and cells.wy > 0.0:
+            # the cuts fall in each piece of the area: triangle, trapezoid and
+            # the square less a triangle
+            r = cuts[:, None] - cells.base
+            short, long = sorted([cells.wx * h, cells.wy * h])
+            assert short < long
+            assert np.any((0.0 < r) & (r < short))
+            assert np.any((short < r) & (r < long))
+            assert np.any((long < r) & (r < short + long))
+
+    def test_no_positive_cell_gives_exact_zeros(self):
+        values = np.zeros((4, 5))
+        values[1, 2] = -0.0
+        cells = geometry.SlabCells(values, np.zeros(2), 0.5, np.array([0.6, -0.8]))
+        assert len(cells.vals) == 0
+        lo, hi = ladder_slabs(6)
+        masses = cells.masses(np.linspace(-3.0, 3.0, 8), lo, hi)
+        assert masses.shape == (7,)
+        assert np.array_equal(masses, np.zeros(7)) and not np.any(np.signbit(masses))
+
+    def test_upper_cut_below_lower_cut_is_empty(self):
+        cells = geometry.SlabCells(np.ones((3, 3)), np.zeros(2), 1.0, np.array([0.0, 1.0]))
+        masses = cells.masses(np.array([3.0, 1.0, 2.0]), np.array([0, 1]), np.array([1, 2]))
+        assert masses[0] == 0.0 and masses[1] == 3.0
+
+    def test_rank_other_than_two_refused(self):
+        with pytest.raises(ValueError, match="rank-2"):
+            geometry.SlabCells(np.ones((2, 2, 2)), np.zeros(3), 1.0, np.ones(3))
+
+
 def area_cases(rng, h):
     """(normals, offsets) cases for the rank-2 area kernel in cell-local
     coordinates: random normals with P = 1..6, then zero, axis-aligned,
