@@ -214,6 +214,17 @@ def _resolved_config(args) -> dict:
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
+def _positive_float(text: str) -> float:
+    """An option value that must be a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> Parser:
     """The argument parser, built once per process: parsing leaves it
@@ -271,7 +282,7 @@ def build_parser() -> Parser:
                         "points; extension_operator's own budget when omitted")
     p = sub.add_parser("verify-thm74")
     common(p, quad=True)
-    p.add_argument("--freq-halfwidth", type=float, default=40.0)
+    p.add_argument("--freq-halfwidth", type=_positive_float, default=40.0)
     return parser
 
 
@@ -376,6 +387,7 @@ def cmd_gaussian_search(args):
         "estimate": res.estimate,
         "covariances": res.covariances,
         "evaluations": res.evaluations,
+        "conditioning_rejections": res.conditioning_rejections,
     }, EXIT_OK
 
 

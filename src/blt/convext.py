@@ -925,10 +925,15 @@ def extension_on_grid(
     return out
 
 
-def _flat_convolution_2d(
-    surface_functions: list[SurfaceFunction], Y: np.ndarray
-) -> np.ndarray:
-    """Batched convolution values for two affine curves in the plane."""
+def _flat_convolution_2d(surface_functions: list[SurfaceFunction], axes: list[np.ndarray]):
+    """Convolution values of two affine curves in the plane on the midpoint
+    grid of ``axes`` (y0, y1), yielded one block of whole y0 rows at a
+    time in ij order, each block at most _BLOCK_ENTRIES points unless
+    one row is longer.
+
+    The meeting point x* solves c0 x + a0 + c1 (y0 - x) + a1 = y1, and
+    the value is g0(x*) g1(y0 - x*) / |c0 - c1|; per point the floats
+    do not depend on the block size."""
     s0, s1 = (sf.surface for sf in surface_functions)
     g0 = surface_functions[0].input_function()
     g1 = surface_functions[1].input_function()
@@ -939,20 +944,25 @@ def _flat_convolution_2d(
     denom = c0 - c1
     if abs(denom) < 1e-12:
         raise TransversalityError("flat curves are parallel")
-    x_star = (Y[:, 1] - a0 - a1 - c1 * Y[:, 0]) / denom
-    vals = g0.evaluate(x_star[:, None]) * g1.evaluate((Y[:, 0] - x_star)[:, None])
-    return vals / abs(denom)
+    y0, y1 = axes
+    shifted = y1 - a0 - a1
+    rows = max(1, _BLOCK_ENTRIES // y1.size)
+    for start in range(0, y0.size, rows):
+        block = y0[start : start + rows, None]
+        x_star = (shifted - c1 * block) / denom
+        vals = g0.evaluate(x_star.reshape(-1, 1)) * g1.evaluate((block - x_star).reshape(-1, 1))
+        yield vals / abs(denom)
 
 
 def _surfaces_flat(surfaces: list[Hypersurface]) -> bool:
     return all(s.phi.degree() <= 1 for s in surfaces)
 
 
-def _spatial_grid(
-    surface_functions: list[SurfaceFunction], points_per_axis: int
-) -> tuple[np.ndarray, float]:
-    """Midpoint grid, in ij order, over the summed support box of the
-    graphs padded by 5 % per side, and its cell volume."""
+def _spatial_axes(
+    surface_functions: list[SurfaceFunction], count: int
+) -> tuple[list[np.ndarray], float]:
+    """Midpoint axes, count points each, over the summed support box of
+    the graphs padded by 5 % per side, and the cell volume."""
     d = len(surface_functions)
     lo = np.zeros(d)
     hi = np.zeros(d)
@@ -965,8 +975,15 @@ def _spatial_grid(
         lo += graphs.min(axis=0)
         hi += graphs.max(axis=0)
     pad = 0.05 * (hi - lo)
-    lo, hi = lo - pad, hi + pad
-    axes, cell = midpoint_axes(lo, hi, points_per_axis)
+    return midpoint_axes(lo - pad, hi + pad, count)
+
+
+def _spatial_grid(
+    surface_functions: list[SurfaceFunction], points_per_axis: int
+) -> tuple[np.ndarray, float]:
+    """The points, in ij order, of the `_spatial_axes` grid, and its cell
+    volume."""
+    axes, cell = _spatial_axes(surface_functions, points_per_axis)
     Y = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     return Y, cell
 
@@ -1016,12 +1033,15 @@ def verify_thm74(
     lhs_sq = float((np.abs(prod) ** 2).sum() * cell)
     lhs = math.sqrt(lhs_sq)
 
-    Y, cell_y = _spatial_grid(surface_functions, _SPATIAL_MULTIPLIER * resolution)
+    count = _SPATIAL_MULTIPLIER * resolution
     if d == 2 and _surfaces_flat([sf.surface for sf in surface_functions]):
-        conv = _flat_convolution_2d(surface_functions, Y)
+        axes_y, cell_y = _spatial_axes(surface_functions, count)
+        blocks = _flat_convolution_2d(surface_functions, axes_y)
+        conv_sq = sum(float((conv**2).sum()) for conv in blocks) * cell_y
     else:
+        Y, cell_y = _spatial_grid(surface_functions, count)
         conv = surface_convolution(surface_functions, Y, replace(spec, error_estimate=False))[0]
-    conv_sq = float((conv**2).sum() * cell_y)
+        conv_sq = float((conv**2).sum() * cell_y)
     constant = (2.0 * math.pi) ** (d / 2.0)
     conv_route = constant * math.sqrt(conv_sq)
     bridge_error = abs(lhs - conv_route) / max(lhs, conv_route, 1e-300)

@@ -422,6 +422,8 @@ class SearchResult:
     estimate: float
     covariances: list[np.ndarray]
     evaluations: int
+    # candidates refused by the conditioning check, the start excluded
+    conditioning_rejections: int = 0
 
 
 def search_bl_constant(datum: BLDatum, budget: int, seed: int) -> SearchResult:
@@ -441,7 +443,10 @@ def search_bl_constant(datum: BLDatum, budget: int, seed: int) -> SearchResult:
     fails it raises DatumError.  The estimate is a lower bound for the
     constant only up to the rounding of two floating-point evaluations,
     the ratio's and the closed form's: on well-conditioned data it can
-    exceed the closed form in the last few bits.
+    exceed the closed form in the last few bits.  ``conditioning_rejections``
+    counts the candidates the check refused: where the constant is
+    infinite the ascent climbs into it, so many rejections say the
+    estimate stopped at the conditioning wall rather than at a maximum.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -458,6 +463,7 @@ def search_bl_constant(datum: BLDatum, budget: int, seed: int) -> SearchResult:
     except DatumError as exc:
         raise DatumError(f"at the identity start: {exc}") from exc
     evaluations = 1
+    rejections = 0
 
     def propose(j: int, a: int, b: int, direction: float, step: float) -> float | None:
         current = factors[j][a, b]
@@ -473,12 +479,13 @@ def search_bl_constant(datum: BLDatum, budget: int, seed: int) -> SearchResult:
     def try_value(j: int, a: int, b: int, candidate: float):
         """The ratio with entry (a, b) of factor j moved to candidate; the
         caller moves it back when the value is rejected."""
-        nonlocal evaluations
+        nonlocal evaluations, rejections
         ratio.move(j, a, b, candidate)
         try:
             value = ratio.value(cond_limit=1e6)
         except DatumError:
             value = -np.inf  # degenerate or numerically untrusted proposal
+            rejections += 1
         evaluations += 1
         return value
 
@@ -531,7 +538,7 @@ def search_bl_constant(datum: BLDatum, budget: int, seed: int) -> SearchResult:
                 stall_sweeps = 0
         else:
             stall_sweeps = 0
-    return SearchResult(float(best), [L @ L.T for L in factors], evaluations)
+    return SearchResult(float(best), [L @ L.T for L in factors], evaluations, rejections)
 
 
 @dataclass

@@ -174,6 +174,16 @@ class TestBasicCommands:
             ["gaussian-search", "--input", lw_file, "--seed", "3", "--budget", "300"],
         )
         assert report["result"]["estimate"] >= 0.99
+        assert report["result"]["conditioning_rejections"] == 0
+
+    def test_gaussian_search_reports_conditioning_rejections(self, tmp_path):
+        # the constant is infinite (ker B_0 fails the dimension condition),
+        # so the ascent runs into the conditioning check
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps({"d": 2, "maps": [[[1, 0]], [[1, 0], [0, 1]]], "p": [1, 0.5]}))
+        report = run(tmp_path, "gu", ["gaussian-search", "--input", str(path), "--seed", "1",
+                                      "--budget", "3000"])
+        assert report["result"]["conditioning_rejections"] > 100
 
     def test_env_seed_honoured(self, tmp_path, lw_file):
         old = os.environ.get("BLT_DEFAULT_SEED")
@@ -922,6 +932,22 @@ class TestExitCodes:
             "--freq-halfwidth", "0.6", "--output", str(out),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("halfwidth", ["0", "-5", "nan", "inf"])
+    def test_thm74_freq_halfwidth_must_be_positive_finite(self, tmp_path, capsys, halfwidth):
+        curve = {"U": {"lo": [-1.0], "hi": [1.0]},
+                 "phi": {"terms": [{"powers": [1], "c": 1.0}]}, "beta": 1.0, "kappa": 2.5}
+        path = tmp_path / "t74.json"
+        path.write_text(json.dumps({"surfaces": [curve, dict(curve, phi={"terms": [
+            {"powers": [1], "c": -1.0}]})]}))
+        out = tmp_path / "r74.json"
+        code = main(["verify-thm74", "--input", str(path), "--resolution", "16",
+                     "--freq-halfwidth", halfwidth, "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--freq-halfwidth" in err and "positive" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
     def test_convolve_surfaces(self, tmp_path):

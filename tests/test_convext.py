@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -778,6 +779,95 @@ class TestSeparableExtension:
             extension_on_grid(linear_surface([-1.0], [1.0], [1.0]), None, np.zeros((4, 3)), 8)
 
 
+def full_grid_flat_convolution(surface_functions, Y):
+    """The flat d = 2 route on the whole (n, 2) point array Y at once: the
+    oracle for the row blocks of convext._flat_convolution_2d."""
+    s0, s1 = (sf.surface for sf in surface_functions)
+    g0 = surface_functions[0].input_function()
+    g1 = surface_functions[1].input_function()
+    c0 = float(s0.grad(np.zeros((1, 1)))[0][0])
+    c1 = float(s1.grad(np.zeros((1, 1)))[0][0])
+    a0 = float(s0.phi.evaluate(np.zeros((1, 1)))[0])
+    a1 = float(s1.phi.evaluate(np.zeros((1, 1)))[0])
+    denom = c0 - c1
+    if abs(denom) < 1e-12:
+        raise TransversalityError("flat curves are parallel")
+    x_star = (Y[:, 1] - a0 - a1 - c1 * Y[:, 0]) / denom
+    vals = g0.evaluate(x_star[:, None]) * g1.evaluate((Y[:, 0] - x_star)[:, None])
+    return vals / abs(denom)
+
+
+def affine_curve(lo, hi, slope, offset, density=None):
+    """The line phi(x) = slope x + offset over [lo, hi], with the density
+    values spread over equal cells (a box indicator when None)."""
+    phi = Polynomial(1, {(0,): offset, (1,): slope})
+    surface = Hypersurface([lo], [hi], phi, 1.0, 2.0 + abs(slope))
+    if density is None:
+        return SurfaceFunction(surface)
+    return SurfaceFunction(surface, GridFunction(np.array([lo]), (hi - lo) / density.size, density))
+
+
+class TestFlatConvolutionBlocks:
+    """The row blocks of the flat d = 2 route against the full-grid oracle,
+    bit for bit."""
+
+    def grid_pair(self):
+        rng = np.random.default_rng(19)
+        return [
+            affine_curve(-1.0, 1.0, 1.0, 0.0, rng.uniform(0.8, 1.2, 8)),
+            affine_curve(-1.0, 1.0, -1.0, 0.0, rng.uniform(0.8, 1.2, 8)),
+        ]
+
+    def offset_pair(self):
+        rng = np.random.default_rng(23)
+        return [
+            affine_curve(-0.3, 0.7, 0.7, 0.37, rng.uniform(0.5, 1.5, 5)),
+            affine_curve(-0.9, 0.2, -1.3, -1.1, rng.uniform(0.5, 1.5, 7)),
+        ]
+
+    def indicator_pair(self):
+        return [affine_curve(-0.3, 0.7, 0.7, 0.37), affine_curve(-0.9, 0.2, -1.3, -1.1)]
+
+    def check(self, sfuncs, count, rows):
+        axes, _ = convext._spatial_axes(sfuncs, count)
+        Y, _ = convext._spatial_grid(sfuncs, count)
+        blocks = list(convext._flat_convolution_2d(sfuncs, axes))
+        full, last = divmod(count, rows)
+        assert [b.size for b in blocks] == [rows * count] * full + ([last * count] if last else [])
+        got = np.concatenate(blocks)
+        want = full_grid_flat_convolution(sfuncs, Y)
+        assert np.count_nonzero(want) > count
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("pair", ["grid_pair", "offset_pair", "indicator_pair"])
+    def test_default_blocks_match_full_grid(self, pair):
+        self.check(getattr(self, pair)(), 1024, 64)
+
+    @pytest.mark.parametrize("pair", ["offset_pair", "indicator_pair"])
+    def test_ragged_last_block(self, monkeypatch, pair):
+        monkeypatch.setattr(convext, "_BLOCK_ENTRIES", 7 * 40 + 39)
+        self.check(getattr(self, pair)(), 40, 7)
+
+    def test_rows_longer_than_a_block_go_one_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(convext, "_BLOCK_ENTRIES", 30)
+        self.check(self.offset_pair(), 40, 1)
+
+    def test_parallel_lines_raise(self):
+        sfuncs = [affine_curve(-1.0, 1.0, 0.5, 0.0), affine_curve(-1.0, 1.0, 0.5, 0.2)]
+        with pytest.raises(TransversalityError):
+            verify_thm74(sfuncs, 10.0, 16, QuadratureSpec(resolution=8))
+
+    def test_parallel_lines_exit_one(self, tmp_path, capsys):
+        curve = {"U": {"lo": [-1.0], "hi": [1.0]},
+                 "phi": {"terms": [{"powers": [1], "c": 0.5}]}, "beta": 1.0, "kappa": 2.5}
+        path = tmp_path / "parallel.json"
+        path.write_text(json.dumps({"surfaces": [curve, curve]}))
+        assert main(["verify-thm74", "--input", str(path), "--resolution", "16",
+                     "--freq-halfwidth", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "parallel" in err and "Traceback" not in err
+
+
 class TestThm74:
     def segments(self):
         s0 = linear_surface([-1.0], [1.0], [1.0])
@@ -804,6 +894,18 @@ class TestThm74:
             assert rep.lhs == pytest.approx(lhs, rel=1e-12)
             assert rep.conv_route == pytest.approx(conv_route, rel=1e-12)
             assert rep.bridge_error == pytest.approx(bridge_error, rel=1e-12, abs=0)
+
+    def test_flat_route_memory_is_bounded(self):
+        # a full 1024 x 1024 spatial grid and its temporaries peak near 57 MiB
+        spec = QuadratureSpec("tensor-midpoint", resolution=64)
+        verify_thm74(self.segments(), 45.0, 256, spec)
+        tracemalloc.start()
+        try:
+            verify_thm74(self.segments(), 45.0, 256, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_zero_density_gives_zero(self):
         sfuncs = self.segments()

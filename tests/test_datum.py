@@ -435,6 +435,9 @@ class TestIncrementalRatio:
         assert events["anneals"], "budget too small to reach the re-anneal branch"
         assert result_bits(got) == result_bits(want)
         assert got.evaluations == 3000
+        assert got.conditioning_rejections == events["rejected"]
+        if blocks == [2, 2, 1]:
+            assert events["rejected"] > 0
 
     def test_rejected_candidates_match_oracle_bitwise(self):
         # The dimension condition fails on ker B_0 (1 > 0 + 1/2), so the
@@ -445,6 +448,7 @@ class TestIncrementalRatio:
         got = search_bl_constant(datum, 3000, 1)
         assert events["rejected"] > 100
         assert result_bits(got) == result_bits(want)
+        assert got.conditioning_rejections == events["rejected"]
 
     def test_gaussian_ratio_matches_oracle_bitwise(self):
         rng = np.random.default_rng(13)
