@@ -104,13 +104,13 @@ def _write_report(path: str | None, report: dict) -> None:
 
 @contextmanager
 def _input_errors(kind: str):
-    """Report a malformed payload (a missing key, a bad value or type) as a
-    usage error."""
+    """Report a malformed payload (a missing key, a bad value, type or
+    index) as a usage error."""
     try:
         yield
     except KeyError as exc:
         raise UsageError(f"{kind} JSON missing field {exc}") from exc
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:
         raise UsageError(f"invalid {kind}: {exc}") from exc
 
 
@@ -184,12 +184,12 @@ def _parse_point(payload, key: str) -> np.ndarray:
         return point
 
 
-def _quad_spec(args, d: int | None = None) -> quadrature.QuadratureSpec:
+def _quad_spec(args, d: int) -> quadrature.QuadratureSpec:
     """The requested rule, else the midpoint rule up to 3 axes and Monte
-    Carlo above; d=None keeps the midpoint rule at every dimension."""
+    Carlo above."""
     mode = args.mode
     if mode is None:
-        mode = "monte-carlo" if d is not None and d > 3 else "tensor-midpoint"
+        mode = "monte-carlo" if d > 3 else "tensor-midpoint"
     if mode == "monte-carlo" and args.seed is None:
         raise UsageError(
             f"{args.command} integrates by Monte Carlo here: provide --seed or set BLT_DEFAULT_SEED"
@@ -232,9 +232,12 @@ def build_parser() -> Parser:
     parser = Parser(prog="blt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: Parser, needs_input: bool = True, quad: bool = False, tol: bool = False) -> None:
-        """Options every command takes, plus the quadrature options for
-        commands that integrate (quad) and --tol for those that read it."""
+    def common(p: Parser, needs_input: bool = True, quad: bool = False, midpoint: bool = False,
+               tol: bool = False) -> None:
+        """Options every command takes, plus --resolution for commands that
+        integrate by the midpoint rule (midpoint), --mode and --samples too
+        for those that may integrate by Monte Carlo (quad), and --tol for
+        those that read it."""
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", default=None, help="report path (stdout if omitted)")
@@ -243,6 +246,7 @@ def build_parser() -> Parser:
             p.add_argument("--mode", choices=["tensor-midpoint", "monte-carlo"], default=None)
             p.add_argument("--samples", type=int, default=1_000_000,
                            help="Monte Carlo sample count")
+        if quad or midpoint:
             p.add_argument("--resolution", type=int, default=64,
                            help="midpoint-rule points per axis")
         if tol:
@@ -268,8 +272,8 @@ def build_parser() -> Parser:
     p = sub.add_parser("decompose")
     common(p)
     p.add_argument("--max-cells", type=int, default=512)
-    common(sub.add_parser("verify-step"), quad=True)
-    common(sub.add_parser("verify-nonlinear"), quad=True)
+    common(sub.add_parser("verify-step"), midpoint=True)
+    common(sub.add_parser("verify-nonlinear"), midpoint=True)
     p = sub.add_parser("ift-solve")
     common(p, tol=True)
     p.add_argument("--x", type=str, default=None, help="JSON list overriding the input point")
@@ -394,8 +398,13 @@ def cmd_gaussian_search(args):
 @_float_errors("inputs")
 def cmd_finner_discrete(args):
     payload = _load_json(args.input)
-    scheme = datum_mod.ProjectionScheme(int(payload["d"]), [int(s) for s in payload["block_sizes"]])
-    arrays = [np.asarray(f, dtype=float) for f in payload["inputs"]]
+    with _input_errors("finner-discrete input"):
+        scheme = datum_mod.ProjectionScheme(
+            int(payload["d"]), [int(s) for s in payload["block_sizes"]]
+        )
+        arrays = [np.asarray(f, dtype=float) for f in payload["inputs"]]
+        if not all(np.all(np.isfinite(f)) for f in arrays):
+            raise ValueError("inputs must be finite")
     lhs, rhs = quadrature.discrete_finner(arrays, scheme)
     tol = args.tol if args.tol is not None else 1e-12
     holds = lhs <= rhs * (1 + tol)
@@ -416,28 +425,32 @@ def cmd_extremizer(args):
     }, (EXIT_OK if match else EXIT_REFUSED)
 
 
+@_float_errors("ball-check input")
 def cmd_ball_check(args):
     payload = _load_json(args.input)
-    d = _parse_datum(payload["datum"])
-    f = [_parse_grid(g) for g in payload["f"]]
-    if payload.get("fprime") == "extremizer":
-        boxes, _ = quadrature.canonical_extremizer(d)
-        fprime = [_box_to_grid(b, f[0].spacing) for b in boxes]
-    else:
-        fprime = [_parse_grid(g) for g in payload["fprime"]]
-    xg = payload["x_grid"]
-    if isinstance(xg, dict):
-        axes = [
-            np.asarray(xg["lo"], dtype=float)[a]
-            + (np.asarray(xg["hi"], dtype=float)[a] - np.asarray(xg["lo"], dtype=float)[a])
-            * np.arange(int(xg["count"]))
-            / max(int(xg["count"]) - 1, 1)
-            for a in range(d.d)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        x_grid = np.stack([m.ravel() for m in mesh], axis=1)
-    else:
-        x_grid = np.asarray(xg, dtype=float)
+    with _input_errors("ball-check input"):
+        d = _parse_datum(payload["datum"])
+        f = [_parse_grid(g) for g in payload["f"]]
+        if payload.get("fprime") == "extremizer":
+            boxes, _ = quadrature.canonical_extremizer(d)
+            fprime = [_box_to_grid(b, f[0].spacing) for b in boxes]
+        else:
+            fprime = [_parse_grid(g) for g in payload["fprime"]]
+        xg = payload["x_grid"]
+        if isinstance(xg, dict):
+            lo = np.asarray(xg["lo"], dtype=float)
+            hi = np.asarray(xg["hi"], dtype=float)
+            if lo.shape != (d.d,) or hi.shape != (d.d,) or not np.all(np.isfinite([lo, hi])):
+                raise ValueError(f"x_grid lo and hi must be finite points of R^{d.d}")
+            count = int(xg["count"])
+            axes = [lo[a] + (hi[a] - lo[a]) * np.arange(count) / max(count - 1, 1)
+                    for a in range(d.d)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            x_grid = np.stack([m.ravel() for m in mesh], axis=1)
+        else:
+            x_grid = np.atleast_2d(np.asarray(xg, dtype=float))
+        if x_grid.shape[1:] != (d.d,) or not x_grid.size or not np.all(np.isfinite(x_grid)):
+            raise ValueError(f"x_grid must be a nonempty list of finite points of R^{d.d}")
     tol = args.tol if args.tol is not None else 5e-2
     report = quadrature.ball_inequality_report(d, f, fprime, x_grid, _quad_spec(args, d.d), tol)
     code = EXIT_OK if report.flag == "consistent" else EXIT_REFUSED
@@ -585,8 +598,9 @@ def _params_block(params: scales.ScaleParams) -> dict:
 def cmd_verify_step(args):
     payload = _load_json(args.input)
     maps, params, cube, inputs_list = _scales_setup(payload, args)
-    spec = _quad_spec(args)
-    report = scales.verify_induction_step(maps, cube, inputs_list, params, spec, args.seed or 0)
+    report = scales.verify_induction_step(
+        maps, cube, inputs_list, params, args.resolution, args.seed or 0
+    )
     ok = report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
     return {
         "params": _params_block(params),
@@ -609,9 +623,8 @@ def cmd_verify_step(args):
 def cmd_verify_nonlinear(args):
     payload = _load_json(args.input)
     maps, params, cube, inputs_list = _scales_setup(payload, args)
-    spec = _quad_spec(args)
     x0 = np.asarray(payload.get("x0", [0.0] * maps[0].d), dtype=float)
-    report = scales.verify_nonlinear_bl(maps, x0, inputs_list, params, spec)
+    report = scales.verify_nonlinear_bl(maps, x0, inputs_list, params, args.resolution)
     # bound overflows where log_bound passes 700, and a zero ratio has
     # log_ratio = -inf; JSON carries neither, so they are written as null
     return {

@@ -33,6 +33,7 @@ from .ift import (
     ScalarField,
     contract,
     eta_gradient,
+    holder_quotient,
     ift_radii,
     iteration_cap,
     solve_eta,
@@ -91,13 +92,10 @@ class Hypersurface:
             raise ValueError("parameter domain must be a nondegenerate box")
         if self.phi.n != self.lo.size:
             raise ValueError("graph function arity must match the domain dimension")
-        if not all(math.isfinite(c) for c in self.phi.coeffs.values()):
-            raise ValueError("graph function coefficients must be finite")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
         if not 0 < self.kappa < math.inf:
             raise ValueError("kappa must be positive and finite")
-        self.grad_polys = [self.phi.partial(a) for a in range(self.phi.n)]
 
     @property
     def base_dim(self) -> int:
@@ -108,25 +106,15 @@ class Hypersurface:
         return np.column_stack([points, self.phi.evaluate(points)])
 
     def grad(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.stack([g.evaluate(points) for g in self.grad_polys], axis=1)
+        return self.phi.gradient(points)
 
-    def audit_regularity(self) -> float:
+    def audit_regularity(self) -> None:
+        """Raises if the sampled Hoelder quotient of grad phi over the
+        parameter domain exceeds kappa."""
         rng = np.random.default_rng(0)
         X = rng.uniform(self.lo, self.hi, size=(AUDIT_PAIRS, self.base_dim))
         Y = rng.uniform(self.lo, self.hi, size=(AUDIT_PAIRS, self.base_dim))
-        gaps = np.linalg.norm(X - Y, axis=1)
-        keep = gaps > 0
-        quot = (
-            np.linalg.norm(self.grad(X)[keep] - self.grad(Y)[keep], axis=1)
-            / gaps[keep] ** self.beta
-        )
-        worst = float(quot.max(initial=0.0))
-        if worst > self.kappa * (1 + 1e-9):
-            raise ValueError(
-                f"sampled graph Hoelder quotient {worst:.3e} exceeds kappa {self.kappa}"
-            )
-        return worst
+        holder_quotient(X, Y, self.grad(X), self.grad(Y), self.beta, self.kappa, ValueError)
 
 
 @dataclass
@@ -330,13 +318,10 @@ def build_reduction_field(
         rows = live[start : start + step]
         fields.kappa[rows] = _sampled_kappa(fields, rows)
 
-    # the ScalarField checks, in its order; d_(n+1)G(0,0) = scale / scale is 1
+    # the ScalarField checks of its declared form; d_(n+1)G(0,0) = scale / scale is 1
     f0 = tables[0][:, 0]
     for p in live:
-        if degree > 4:
-            failures[p] = ValueError("fields are restricted to degree <= 4")
-        elif abs(f0[p]) > ift.NORMALISATION_TOL:
-            failures[p] = FieldDeclarationError(f"F(0,0) = {f0[p]:.3e}, expected 0")
+        failures[p] = ift.form_error(degree, f0[p])
     return fields, failures
 
 
@@ -435,9 +420,7 @@ def _kappa_draws(total: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     for _ in range(2):
         pair = []
         for _ in range(2):
-            D = rng.standard_normal((_KAPPA_SAMPLES, total))
-            D /= np.linalg.norm(D, axis=1, keepdims=True)
-            S = D * rng.uniform(0, 1, size=(_KAPPA_SAMPLES, 1)) ** (1 / total)
+            S = ift._ball_samples(rng, _KAPPA_SAMPLES, total, 1.0)
             S.flags.writeable = False
             pair.append(S)
         passes.append(tuple(pair))

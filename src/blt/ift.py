@@ -14,7 +14,7 @@ from it, and exceeding the cap indicts the declared (beta, kappa).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,39 @@ DERIVATIVE_FLOOR = 0.75
 
 class FieldDeclarationError(ValueError):
     """The field violates its declared normalisation or regularity."""
+
+
+def holder_quotient(X, Y, dX, dY, beta: float, kappa: float = np.inf,
+                    error: type[Exception] = FieldDeclarationError) -> float:
+    """Largest sampled Hoelder quotient |dX - dY| / |X - Y|^beta over the
+    pairs of rows with X != Y, 0 when there is none.
+
+    dX and dY hold derivatives at the points X and Y: gradient rows, shape
+    (N, k), measured in the Euclidean norm, or stacked Jacobians, shape
+    (N, r, k), in the spectral norm.  Raises ``error`` when the quotient
+    exceeds kappa (1 + 1e-9).
+    """
+    gaps = np.linalg.norm(X - Y, axis=1)
+    keep = gaps > 0
+    diff = dX[keep] - dY[keep]
+    if diff.ndim == 3:
+        norms = np.linalg.norm(diff, ord=2, axis=(1, 2))
+    else:
+        norms = np.linalg.norm(diff, axis=1)
+    worst = float((norms / gaps[keep] ** beta).max(initial=0.0))
+    if worst > kappa * (1 + 1e-9):
+        raise error(f"sampled Hoelder quotient {worst:.3e} exceeds kappa {kappa}")
+    return worst
+
+
+def form_error(degree: int, f0: float) -> Exception | None:
+    """The first declared-form check a field fails, None when it passes
+    both: degree <= 4, then F(0,0) = 0 within NORMALISATION_TOL."""
+    if degree > 4:
+        return ValueError("fields are restricted to degree <= 4")
+    if abs(f0) > NORMALISATION_TOL:
+        return FieldDeclarationError(f"F(0,0) = {f0:.3e}, expected 0")
+    return None
 
 
 class DomainError(ValueError):
@@ -47,58 +80,42 @@ class ScalarField:
     poly: Polynomial
     beta: float
     kappa: float
-    grad_polys: list[Polynomial] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("the base dimension n must be nonnegative")
         if self.poly.n != self.n + 1:
             raise ValueError("polynomial arity must be n + 1")
-        if self.poly.degree() > 4:
-            raise ValueError("fields are restricted to degree <= 4")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        self.grad_polys = [self.poly.partial(a) for a in range(self.n + 1)]
         origin = np.zeros((1, self.n + 1))
-        f0 = float(self.poly.evaluate(origin)[0])
-        d0 = float(self.grad_polys[-1].evaluate(origin)[0])
-        if abs(f0) > NORMALISATION_TOL:
-            raise FieldDeclarationError(f"F(0,0) = {f0:.3e}, expected 0")
+        error = form_error(self.poly.degree(), float(self.poly.evaluate(origin)[0]))
+        if error is not None:
+            raise error
+        d0 = float(self.poly.partials[-1].evaluate(origin)[0])
         if abs(d0 - 1.0) > NORMALISATION_TOL:
             raise FieldDeclarationError(f"d_(n+1)F(0,0) = {d0:.16g}, expected 1")
 
     def value(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        pts = _join(x, t, self.n)
-        return self.poly.evaluate(pts)
+        return self.poly.evaluate(_join(x, t, self.n))
 
-    def grad_x(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        pts = _join(x, t, self.n)
-        return np.stack([g.evaluate(pts) for g in self.grad_polys[:-1]], axis=1)
+    def gradient(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """dF at the points (x, t): the partials in x, then d_t F."""
+        return self.poly.gradient(_join(x, t, self.n))
 
     def partial_t(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        pts = _join(x, t, self.n)
-        return self.grad_polys[-1].evaluate(pts)
+        return self.poly.partials[-1].evaluate(_join(x, t, self.n))
 
-    def sampled_holder_audit(self, seed: int) -> float:
-        """Max sampled Hoelder quotient of dF over the R2 ball; raises if it
+    def sampled_holder_audit(self, seed: int) -> None:
+        """Raises if the sampled Hoelder quotient of dF over the R2 ball
         exceeds the declared kappa."""
         _, R2 = ift_radii(self.beta, self.kappa)
         rng = np.random.default_rng(seed)
         U = _ball_samples(rng, AUDIT_PAIRS, self.n + 1, R2)
         V = _ball_samples(rng, AUDIT_PAIRS, self.n + 1, R2)
-        dU = np.stack([g.evaluate(U) for g in self.grad_polys], axis=1)
-        dV = np.stack([g.evaluate(V) for g in self.grad_polys], axis=1)
-        gaps = np.linalg.norm(U - V, axis=1)
-        keep = gaps > 0
-        quot = np.linalg.norm(dU[keep] - dV[keep], axis=1) / gaps[keep] ** self.beta
-        worst = float(quot.max(initial=0.0))
-        if worst > self.kappa * (1 + 1e-9):
-            raise FieldDeclarationError(
-                f"sampled Hoelder quotient {worst:.3e} exceeds declared kappa {self.kappa}"
-            )
-        return worst
+        holder_quotient(U, V, self.poly.gradient(U), self.poly.gradient(V), self.beta, self.kappa)
 
 
 def _join(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
@@ -261,13 +278,13 @@ def eta_gradient(field: ScalarField, x: np.ndarray, eta: np.ndarray, tol: float 
     resid = np.abs(field.value(x, eta))
     if np.any(resid > max(tol, 1e-9) * 10):
         raise ValueError("eta does not solve F(x, eta) = 0 to tolerance")
-    denom = field.partial_t(x, eta)
+    grads = field.gradient(x, eta)
+    denom = grads[:, -1]
     if np.any(np.abs(denom) < DERIVATIVE_FLOOR):
         raise FieldDeclarationError(
             f"|d_t F| = {np.abs(denom).min():.3f} below 3/4; field violates its declaration"
         )
-    grads = field.grad_x(x, eta)
-    return -grads / denom[:, None]
+    return -grads[:, :-1] / denom[:, None]
 
 
 @dataclass
@@ -294,18 +311,10 @@ def hoelder_estimate(field: ScalarField, sample_count: int, seed: int) -> Hoelde
     grads = eta_gradient(field, X, sol.eta)
     sup_eta = float(np.abs(sol.eta).max())
     sup_grad = float(np.linalg.norm(grads, axis=1).max()) if grads.size else 0.0
-    quotient = 0.0
     count = X.shape[0]
-    if count >= 2:
-        idx = rng.permutation(count)
-        pair_a = X[idx[: count // 2]]
-        pair_b = X[idx[count // 2 : 2 * (count // 2)]]
-        ga = grads[idx[: count // 2]]
-        gb = grads[idx[count // 2 : 2 * (count // 2)]]
-        gaps = np.linalg.norm(pair_a - pair_b, axis=1)
-        keep = gaps > 0
-        if np.any(keep):
-            quot = np.linalg.norm(ga[keep] - gb[keep], axis=1) / gaps[keep] ** field.beta
-            quotient = float(quot.max())
+    half = count // 2
+    idx = rng.permutation(count)
+    a, b = idx[:half], idx[half : 2 * half]
+    quotient = holder_quotient(X[a], X[b], grads[a], grads[b], field.beta)
     value = max(sup_eta, sup_grad, quotient)
     return HoelderEstimate(value, sup_eta, sup_grad, quotient, count)

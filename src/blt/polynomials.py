@@ -8,13 +8,19 @@ maps is done by expanding products of linear forms.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 Term = tuple[tuple[int, ...], float]
 
 
 class Polynomial:
-    """Polynomial in n variables: {exponent tuple: coefficient}."""
+    """Polynomial in n variables: {exponent tuple: coefficient}.
+
+    Coefficients must be finite; the partials are built once, on first use.
+    """
 
     def __init__(self, n: int, coeffs: dict[tuple[int, ...], float] | None = None):
         self.n = n
@@ -24,6 +30,8 @@ class Polynomial:
                 key = tuple(int(e) for e in key)
                 if len(key) != n:
                     raise ValueError(f"exponent tuple {key} has length != {n}")
+                if not math.isfinite(c):
+                    raise ValueError("polynomial coefficients must be finite")
                 if c != 0.0:
                     self.coeffs[key] = self.coeffs.get(key, 0.0) + float(c)
 
@@ -80,6 +88,14 @@ class Polynomial:
             tk = tuple(key)
             out[tk] = out.get(tk, 0.0) + c * e
         return Polynomial(self.n, out)
+
+    @functools.cached_property
+    def partials(self) -> list["Polynomial"]:
+        return [self.partial(a) for a in range(self.n)]
+
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """The n partials at (N, n) points: shape (N, n)."""
+        return np.stack([g.evaluate(points) for g in self.partials], axis=1)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))

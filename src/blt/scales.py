@@ -21,7 +21,7 @@ from .exterior import cross_like, null_space, relative_transversality, transvers
 from .geometry import SlabCells, grid_polygon_mass, grid_slab_mass
 from .inputs import GridFunction
 from .nonlinear import NonlinearMapFamily
-from .quadrature import QuadratureSpec, _midpoint_integral, lattice_product_sum
+from .quadrature import _midpoint_integral, lattice_product_sum
 
 
 class ScaleError(ValueError):
@@ -832,13 +832,6 @@ def _tube_halfplanes(
     return halfplanes
 
 
-def _require_midpoint(spec: QuadratureSpec) -> None:
-    if spec.mode != "tensor-midpoint":
-        raise ValueError(
-            f"the scale verifiers integrate by the midpoint rule only, not {spec.mode!r}"
-        )
-
-
 def _composite_integrand(maps: list[NonlinearMapFamily], inputs: list[GridFunction], p: float):
     """x -> prod_j f_j(B_j(x))^p over a batch of points."""
 
@@ -873,12 +866,13 @@ def verify_induction_step(
     cube: Cube,
     inputs: list[GridFunction],
     params: ScaleParams,
-    spec: QuadratureSpec,
+    resolution: int,
     seed: int = 0,
 ) -> InductionStepReport:
     """Execute one decomposition step and check every verifiable bound.
 
-    Produces the cube integral, the main-term bound through the tube
+    Produces the cube integral (by the midpoint rule at ``resolution``
+    points per axis), the main-term bound through the tube
     masses and the discrete product-projection inequality, and the
     buffer-mass bounds with factor 4 delta^{a1-a0} per nonzero pattern.
     """
@@ -889,7 +883,6 @@ def verify_induction_step(
         for j, f in enumerate(inputs):
             if f.spacing > 1.0 / params.M * (1 + 1e-12):
                 raise ScaleError(f"input {j} spacing {f.spacing:.3e} coarser than 1/M")
-    _require_midpoint(spec)
     audit_rng = np.random.default_rng(seed)
     for fam in maps:
         fam.validate(cube.center, cube.side, audit_rng)
@@ -909,7 +902,7 @@ def verify_induction_step(
 
     half = delta / 2.0
     lhs, main_lhs = _midpoint_integral(
-        cube_and_main, cube.center - half, cube.center + half, spec.resolution, d
+        cube_and_main, cube.center - half, cube.center + half, resolution, d
     )
 
     # chi = 0 tube masses, one array per map over the transverse main indices;
@@ -1005,15 +998,15 @@ def verify_nonlinear_bl(
     x0: np.ndarray,
     inputs: list[GridFunction],
     params: ScaleParams,
-    spec: QuadratureSpec,
+    resolution: int,
 ) -> NonlinearBLReport:
     """Compare the cube ratio against the explicit global constant
     10^d exp(10^d delta0^g / (1 - 2^{-g})), g = (a1 - a0)/(m - 1).
 
-    The bound overflows double precision for realistic parameters, so
-    the comparison is carried out in logarithms.
+    The ratio integrates by the midpoint rule at ``resolution`` points per
+    axis.  The bound overflows double precision for realistic parameters,
+    so the comparison is carried out in logarithms.
     """
-    _require_midpoint(spec)
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
     m = len(maps)
@@ -1031,7 +1024,7 @@ def verify_nonlinear_bl(
     integrand = _composite_integrand(maps, inputs, p)
 
     half = params.delta0 / 2.0
-    numerator = _midpoint_integral(integrand, x0 - half, x0 + half, spec.resolution, d)
+    numerator = _midpoint_integral(integrand, x0 - half, x0 + half, resolution, d)
     denom = float(np.prod([mass**p for mass in masses]))
     ratio = numerator / denom
     g = params.gain_exponent()

@@ -222,8 +222,7 @@ def test_criterion_06_decomposition_certificates():
 def test_criterion_07_nonlinear_bound():
     start = time.perf_counter()
     maps, params, cube, inputs = flagship_scale_setup(seed=1007)
-    spec = QuadratureSpec("tensor-midpoint", resolution=48)
-    rep = verify_nonlinear_bl(maps, np.zeros(3), inputs, params, spec)
+    rep = verify_nonlinear_bl(maps, np.zeros(3), inputs, params, 48)
     expected_log = 3 * math.log(10.0) + 1000.0 * params.delta0**0.125 / (1 - 2.0**-0.125)
     elapsed = time.perf_counter() - start
     ok = (

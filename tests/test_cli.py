@@ -428,6 +428,20 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, payload, argv):
     assert not out.exists()
 
 
+def test_thm74_refuses_a_graph_rougher_than_its_kappa(tmp_path, capsys):
+    # phi' = 1 + 80 x moves by 80 |x - y|, above the declared kappa 2.5
+    terms = [{"powers": [1], "c": 1.0}, {"powers": [2], "c": 40.0}]
+    rough = {**curve(1.0), "phi": {"terms": terms}}
+    path = tmp_path / "rough.json"
+    path.write_text(json.dumps({"surfaces": [rough, curve(-1.0)]}))
+    out = tmp_path / "o.json"
+    assert main(["verify-thm74", "--input", str(path), "--resolution", "4",
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "quotient 8.000e+01 exceeds kappa 2.5" in err
+    assert not out.exists()
+
+
 def run_command(argv, path) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one command, run in-process."""
     out, err = io.StringIO(), io.StringIO()
@@ -639,6 +653,166 @@ def test_fuzzed_datum_json_never_crashes(tmp_path_factory, payload):
             assert err.startswith("error:")
 
 
+def lattice_grid(values):
+    return {"origin": [0.0, 0.0], "spacing": 1.0, "values": values}
+
+
+# A ball-check input that meets the schema, on small lattice grids.
+BALL = {
+    "datum": LW_DATUM,
+    "f": [lattice_grid([[1.0, 0.5, 1.5], [1.0, 1.0, 0.5], [1.5, 1.0, 1.0]])] * 3,
+    "fprime": [lattice_grid([[1.0, 2.0], [0.5, 1.0]])] * 3,
+    "x_grid": {"lo": [0.0] * 3, "hi": [2.0] * 3, "count": 3},
+}
+# Grid spacings and x_grid counts under fuzz: never small or large enough
+# to ask for a huge grid.
+SIZES = st.sampled_from([NAN, INF, -INF, -1, 0, 2, 2.5, "x", None])
+
+
+@st.composite
+def ball_payloads(draw):
+    """The ball-check input, maybe with the extremizer as f', with up to two
+    defects: a non-finite, negative or out-of-range number, a string where
+    a number belongs, a grid too many or too few, a ragged grid, an x_grid
+    box of the wrong dimension or an x_grid point list, or a field
+    replaced by junk or dropped."""
+    payload = json.loads(json.dumps(BALL))
+    if draw(st.booleans()):
+        payload["fprime"] = "extremizer"
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.sampled_from(["value", "spacing", "count", "ragged", "box", "points",
+                                       "datum", "junk", "drop"]))
+        grids = [g for key in ("f", "fprime") if isinstance(payload.get(key), list)
+                 for g in payload[key] if isinstance(g, dict)]
+        grid = draw(st.sampled_from(grids)) if grids else None
+        x_grid = payload.get("x_grid")
+        if defect == "value" and grid is not None:
+            key = draw(st.sampled_from(["origin", "values"]))
+            inner = grid.get(key)
+            if key == "values" and isinstance(inner, list) and inner:
+                inner = draw(st.sampled_from(inner))
+            if isinstance(inner, list) and inner:
+                inner[draw(st.integers(0, len(inner) - 1))] = draw(ENTRIES)
+        elif defect == "spacing" and grid is not None:
+            grid["spacing"] = draw(SIZES)
+        elif defect == "count":
+            key = draw(st.sampled_from(["f", "fprime"]))
+            if isinstance(payload.get(key), list) and payload[key]:
+                if draw(st.booleans()):
+                    payload[key].pop()
+                else:
+                    payload[key].append(payload[key][0])
+        elif defect == "ragged" and grid is not None and isinstance(grid.get("values"), list):
+            values = grid["values"]
+            if values and isinstance(values[-1], list):
+                values[-1] = values[-1][:-1] if draw(st.booleans()) else [*values[-1], 1.0]
+        elif defect == "box" and isinstance(x_grid, dict):
+            key = draw(st.sampled_from(["lo", "hi", "count"]))
+            if key == "count":
+                x_grid[key] = draw(SIZES)
+            elif isinstance(x_grid.get(key), list) and x_grid[key] and draw(st.booleans()):
+                x_grid[key][draw(st.integers(0, len(x_grid[key]) - 1))] = draw(ENTRIES)
+            else:
+                x_grid[key] = draw(st.sampled_from([[0.0, 0.0], [0.0] * 4, [], 0.0]))
+        elif defect == "points":
+            points = [[0.0, 0.0, 0.0], [1.0, 2.0, 1.0]]
+            if draw(st.booleans()):
+                points[draw(st.integers(0, 1))][draw(st.integers(0, 2))] = draw(ENTRIES)
+            else:
+                points = draw(st.sampled_from([[[0.0, 0.0]], [0.0, 1.0, 2.0], [], [[]]]))
+            payload["x_grid"] = points
+        elif defect == "datum":
+            payload["datum"] = draw(datum_payloads())
+        elif defect == "junk":
+            payload[draw(st.sampled_from(["datum", "f", "fprime", "x_grid"]))] = draw(JUNK)
+        elif defect == "drop":
+            target = draw(st.sampled_from([payload, grid, x_grid]))
+            if isinstance(target, dict) and target:
+                target.pop(draw(st.sampled_from(sorted(target))))
+    return payload
+
+
+@given(payload=ball_payloads())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_ball_check_json_never_crashes(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-ball.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_command(["ball-check", "--seed", "1"], path)
+    # ball-check exits 2 when the inequality check is not consistent
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 1:
+        # a message, not the bare repr of a missing key
+        assert err.startswith("error:") and out == "" and not err.startswith("error: '")
+    else:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+FINNER = {"d": 3, "block_sizes": [1, 1, 1], "inputs": [[[1.0, 2.0], [0.5, 1.0]]] * 3}
+
+
+@st.composite
+def finner_payloads(draw):
+    """The finner-discrete input with up to two defects: a non-finite,
+    negative or out-of-range number, a string where a number belongs, a
+    wrong dimension or block size, an input too many or too few, a ragged
+    or wrong-rank input, or a field replaced by junk or dropped."""
+    payload = json.loads(json.dumps(FINNER))
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.sampled_from(["entry", "d", "block", "count", "ragged", "rank",
+                                       "junk", "drop"]))
+        inputs, blocks = payload.get("inputs"), payload.get("block_sizes")
+        array = draw(st.sampled_from(inputs)) if isinstance(inputs, list) and inputs else None
+        if defect == "entry" and isinstance(array, list) and array:
+            row = draw(st.sampled_from(array))
+            if isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(ENTRIES)
+        elif defect == "d":
+            payload["d"] = draw(st.integers(-1, 6) | ENTRIES)
+        elif defect == "block" and isinstance(blocks, list) and blocks:
+            blocks[draw(st.integers(0, len(blocks) - 1))] = draw(st.integers(-1, 4) | ENTRIES)
+        elif defect == "count" and isinstance(inputs, list) and inputs:
+            if draw(st.booleans()):
+                inputs.pop()
+            else:
+                inputs.append(inputs[0])
+        elif defect == "ragged" and isinstance(array, list) and array:
+            if isinstance(array[-1], list):
+                array[-1] = array[-1][:-1] if draw(st.booleans()) else [*array[-1], 1.0]
+        elif defect == "rank" and isinstance(inputs, list) and inputs:
+            inputs[draw(st.integers(0, len(inputs) - 1))] = draw(
+                st.sampled_from([[1.0, 2.0], [[[1.0]]], 1.0, [], [[]]]))
+        elif defect == "junk":
+            payload[draw(st.sampled_from(["d", "block_sizes", "inputs"]))] = draw(JUNK)
+        elif defect == "drop":
+            payload.pop(draw(st.sampled_from(["d", "block_sizes", "inputs"])), None)
+    return payload
+
+
+@given(payload=finner_payloads())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_finner_json_never_crashes(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-finner.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_command(["finner-discrete"], path)
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error:") and out == "" and not err.startswith("error: '")
+    else:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("command", sorted(set(cli.HANDLERS) - {"delta0"}))
+@pytest.mark.parametrize("payload", [[], {}], ids=["list", "object"])
+def test_empty_payload_is_usage_error(tmp_path, command, payload):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_command([command, "--seed", "1"], path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # The commands that read a surface file, with the options each needs.
 SURFACE_COMMANDS = {
     "convolve-surfaces": ["convolve-surfaces"],
@@ -813,7 +987,8 @@ def test_fuzzed_field_json_never_crashes(tmp_path_factory, payload):
     ({"window": 5}, "delta-integral", "invalid delta-integral input"),
     ({"integrand": {"lo": [-1e-4] * 3}}, "delta-integral", "missing field 'hi'"),
     ({"x": [[1e-4, "a"]]}, "ift-solve", "invalid ift-solve input"),
-], ids=["window-number", "integrand-without-hi", "x-string"])
+    ({"terms": [{"powers": [0, 0, 1], "c": INF}]}, "ift-solve", "coefficients must be finite"),
+], ids=["window-number", "integrand-without-hi", "x-string", "coefficient-inf"])
 def test_malformed_field_file_is_usage_error(tmp_path, change, command, message):
     path = tmp_path / "field.json"
     path.write_text(json.dumps({**FIELD_FILE, **change}))
@@ -1035,6 +1210,16 @@ class TestUnreadOptions:
         assert code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify-step", "verify-nonlinear"])
+    def test_scale_verifiers_refuse_monte_carlo(self, tmp_path, capsys, lw_file, command):
+        # they integrate by the midpoint rule only: --mode and --samples are not theirs
+        out = tmp_path / "o.json"
+        for option in (["--mode", "monte-carlo"], ["--samples", "10"]):
+            code = main([command, "--input", lw_file, "--seed", "1", *option, "--output", str(out)])
+            assert code == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_extension_resolution_is_the_budget(self, capsys):
         with pytest.raises(SystemExit):
@@ -1398,17 +1583,6 @@ class TestScalesCommands:
         seeded = run(tmp_path, "dec1", argv + ["--seed", "1"])
         assert unseeded["result"] == seeded["result"]
 
-    @pytest.mark.parametrize("command", ["verify-step", "verify-nonlinear"])
-    def test_scale_verifiers_refuse_monte_carlo(self, tmp_path, capsys, command):
-        path = tmp_path / "scales.json"
-        path.write_text(json.dumps(scales_payload()))
-        out = tmp_path / "o.json"
-        code = main([command, "--input", str(path), "--seed", "1", "--mode", "monte-carlo",
-                     "--samples", "10", "--output", str(out)])
-        assert code == 1
-        assert "midpoint" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_verify_step_certifies(self, tmp_path):
         path = tmp_path / "scales.json"
         path.write_text(json.dumps(scales_payload()))
@@ -1417,6 +1591,7 @@ class TestScalesCommands:
             "vs",
             ["verify-step", "--input", str(path), "--seed", "2", "--resolution", "24"],
         )
+        assert set(report["config"]) == {"input", "output", "seed", "resolution"}
         result = report["result"]
         assert result["finner_ok"] and result["buffer_bounds_ok"] and result["pigeonhole_ok"]
         assert result["certified_factor"] <= result["factor_bound"]

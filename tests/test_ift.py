@@ -12,6 +12,7 @@ from blt.ift import (
     contract,
     eta_gradient,
     hoelder_estimate,
+    holder_quotient,
     ift_radii,
     iteration_cap,
     solve_eta,
@@ -230,3 +231,43 @@ class TestNormalisation:
         field = ScalarField(1, poly, 1.0, 0.5)
         with pytest.raises(FieldDeclarationError):
             field.sampled_holder_audit(seed=0)
+
+
+class TestPolynomialPartials:
+    def test_gradient_stacks_the_partials(self):
+        poly = Polynomial(3, {(2, 1, 0): 0.5, (0, 0, 3): -1.25, (1, 0, 1): 2.0})
+        X = np.random.default_rng(4).uniform(-1, 1, size=(7, 3))
+        expected = np.stack([poly.partial(a).evaluate(X) for a in range(3)], axis=1)
+        assert np.array_equal(poly.gradient(X), expected)
+        assert poly.partials is poly.partials
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficients_rejected(self, c):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            Polynomial(2, {(0, 1): 1.0, (2, 0): c})
+
+
+class TestHolderQuotient:
+    def test_gradient_rows_in_the_euclidean_norm(self):
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        Y = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        dX = np.array([[0.0, 0.0], [9.0, 9.0], [3.0, 4.0]])
+        dY = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        # the equal pair is skipped; the others give 1 / 1 and 5 / sqrt(2)
+        assert holder_quotient(X, Y, dX, dY, 0.5) == pytest.approx(5 / math.sqrt(2))
+
+    def test_stacked_jacobians_in_the_spectral_norm(self):
+        X, Y = np.zeros((1, 2)), np.array([[0.0, 2.0]])
+        dX, dY = np.array([[[3.0, 0.0], [0.0, 1.0]]]), np.zeros((1, 2, 2))
+        assert holder_quotient(X, Y, dX, dY, 1.0) == pytest.approx(1.5)
+
+    def test_no_distinct_pair_gives_zero(self):
+        X = np.ones((3, 2))
+        assert holder_quotient(X, X, X, 2 * X, 1.0, kappa=0.0) == 0.0
+
+    def test_raises_the_callers_error_above_kappa(self):
+        X, Y = np.zeros((1, 1)), np.ones((1, 1))
+        dX, dY = np.zeros((1, 1)), np.full((1, 1), 2.0)
+        assert holder_quotient(X, Y, dX, dY, 1.0, kappa=2.0) == 2.0
+        with pytest.raises(RuntimeError, match="quotient 2.000e\\+00 exceeds kappa 1.9"):
+            holder_quotient(X, Y, dX, dY, 1.0, kappa=1.9, error=RuntimeError)

@@ -8,8 +8,7 @@ import pytest
 from blt.datum import ProjectionScheme
 from blt.geometry import grid_slab_mass
 from blt.inputs import GridFunction
-from blt.nonlinear import linear_family, perturbed_projection
-from blt.quadrature import QuadratureSpec
+from blt.nonlinear import RegularityError, linear_family, perturbed_projection
 from blt.scales import (
     Cube,
     FrameError,
@@ -56,6 +55,21 @@ def uniform_inputs_for(maps, cube, value=1.0, cells=12):
         out.append(GridFunction(origin, spacing, np.full(shape, value)))
     return out
 
+
+
+class TestRegularityAudit:
+    def test_quotient_above_kappa_is_refused(self):
+        # the Jacobian of x0 + 5 x0^2 moves by 10 |x - y| in its first entry
+        fam = perturbed_projection(np.eye(2), [{(2, 0): 5.0}], 1.0, 1.0)
+        with pytest.raises(RegularityError, match="Hoelder quotient"):
+            fam.validate(np.zeros(2), 0.1, np.random.default_rng(0))
+        bounded = perturbed_projection(np.eye(2), [{(2, 0): 5.0}], 1.0, 10.0)
+        bounded.validate(np.zeros(2), 0.1, np.random.default_rng(0))
+
+    def test_rank_deficient_jacobian_is_refused(self):
+        fam = linear_family(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        with pytest.raises(RegularityError, match="rank deficiency"):
+            fam.validate(np.zeros(2), 0.1, np.random.default_rng(0))
 
 class TestComputeDelta0:
     def test_frozen_flagship_values(self):
@@ -437,8 +451,7 @@ class TestInductionStep:
         cube = Cube(np.zeros(3), params.delta0)
         inputs = uniform_inputs_for(maps, cube, value=2.0)
         params.M = 1.0 / max(f.spacing for f in inputs)
-        spec = QuadratureSpec("tensor-midpoint", resolution=32)
-        report = verify_induction_step(maps, cube, inputs, params, spec, seed=8)
+        report = verify_induction_step(maps, cube, inputs, params, 32, seed=8)
         assert report.finner_ok
         assert report.buffer_bounds_ok
         assert report.pigeonhole_ok
@@ -460,8 +473,7 @@ class TestInductionStep:
         cube = Cube(np.zeros(3), params.delta0)
         inputs = uniform_inputs_for(maps, cube)
         params.M = 1.0 / max(f.spacing for f in inputs)
-        spec = QuadratureSpec("tensor-midpoint", resolution=16)
-        report = verify_induction_step(maps, cube, inputs, params, spec, seed=9)
+        report = verify_induction_step(maps, cube, inputs, params, 16, seed=9)
         gain = 4.0 * cube.side ** (params.alpha1 - params.alpha0)
         for chi, info in report.buffer_totals.items():
             assert info["total"] <= gain * inputs[info["map"]].integral() * (1 + 1e-9)
@@ -473,8 +485,7 @@ class TestInductionStep:
         cube = Cube(np.zeros(3), params.delta0)
         inputs = uniform_inputs_for(maps, cube, value=0.0)
         params.M = 1.0 / max(f.spacing for f in inputs)
-        spec = QuadratureSpec("tensor-midpoint", resolution=8)
-        report = verify_induction_step(maps, cube, inputs, params, spec, seed=10)
+        report = verify_induction_step(maps, cube, inputs, params, 8, seed=10)
         assert report.lhs == 0.0
         assert report.main_sum == 0.0
         assert report.buffer_bounds_ok and report.finner_ok
@@ -486,14 +497,12 @@ class TestInductionStep:
         cube = Cube(np.zeros(3), params.delta0)
         inputs = uniform_inputs_for(maps, cube)
         params.M = 10.0 / min(f.spacing for f in inputs)  # demands finer grids
-        spec = QuadratureSpec("tensor-midpoint", resolution=8)
         with pytest.raises(ScaleError):
-            verify_induction_step(maps, cube, inputs, params, spec)
+            verify_induction_step(maps, cube, inputs, params, 8)
 
     def test_perturbed_instance_bounds(self):
         maps, params, cube, inputs = flagship_scale_setup(seed=3)
-        spec = QuadratureSpec("tensor-midpoint", resolution=32)
-        report = verify_induction_step(maps, cube, inputs, params, spec, seed=11)
+        report = verify_induction_step(maps, cube, inputs, params, 32, seed=11)
         assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
         assert report.main_sum <= report.finner_rhs * (1 + 1e-9)
         assert report.finner_rhs <= report.input_rhs * (1 + 1e-9)
@@ -512,8 +521,7 @@ class TestInductionStep:
         rng = np.random.default_rng(2)
         inputs = [l1m_grid_for_map(fam, cube, rng) for fam in maps]
         params.M = 1.0 / max(f.spacing for f in inputs)
-        spec = QuadratureSpec("tensor-midpoint", resolution=32)
-        report = verify_induction_step(maps, cube, inputs, params, spec, seed=3)
+        report = verify_induction_step(maps, cube, inputs, params, 32, seed=3)
         assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
         expected = {
             "lhs": 1.0325113999775738e-08,
@@ -536,8 +544,7 @@ class TestInductionStep:
         # recorded from the route that measured one tube and one candidate
         # slab per call; the batched masses must reproduce it
         maps, params, cube, inputs = flagship_scale_setup(seed=1)
-        spec = QuadratureSpec("tensor-midpoint", resolution=32)
-        report = verify_induction_step(maps, cube, inputs, params, spec, seed=5)
+        report = verify_induction_step(maps, cube, inputs, params, 32, seed=5)
         assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
         expected = {
             "lhs": 1.0083988383256997e-18,
@@ -561,8 +568,7 @@ class TestInductionStep:
         # grid lookups and the locate_points main-cell mask; the integral
         # sees the same points and values, so its numbers keep their bits
         maps, params, cube, inputs = flagship_scale_setup(seed=1)
-        spec = QuadratureSpec("tensor-midpoint", resolution=32)
-        report = verify_induction_step(maps, cube, inputs, params, spec, seed=5)
+        report = verify_induction_step(maps, cube, inputs, params, 32, seed=5)
         assert report.lhs == 1.0083988383256997e-18
         assert report.main_fraction == 0.9076030460154925
         assert report.main_sum == pytest.approx(1.093184198506739e-18, rel=1e-12, abs=0)
@@ -582,17 +588,6 @@ class TestInductionStep:
         for chi, value in totals.items():
             assert report.buffer_totals[chi]["total"] == pytest.approx(value, rel=1e-12, abs=0)
 
-    def test_rejects_monte_carlo(self):
-        maps = linear_lw_families()
-        params = gentle_params()
-        cube = Cube(np.zeros(3), params.delta0)
-        inputs = uniform_inputs_for(maps, cube)
-        spec = QuadratureSpec("monte-carlo", samples=10, seed=1)
-        with pytest.raises(ValueError, match="midpoint"):
-            verify_induction_step(maps, cube, inputs, params, spec)
-        with pytest.raises(ValueError, match="midpoint"):
-            verify_nonlinear_bl(maps, np.zeros(3), inputs, params, spec)
-
 
 class TestNonlinearBL:
     def test_linear_ratio_below_one(self):
@@ -600,16 +595,14 @@ class TestNonlinearBL:
         params = gentle_params()
         cube = Cube(np.zeros(3), params.delta0)
         inputs = uniform_inputs_for(maps, cube)
-        spec = QuadratureSpec("tensor-midpoint", resolution=32)
-        report = verify_nonlinear_bl(maps, np.zeros(3), inputs, params, spec)
+        report = verify_nonlinear_bl(maps, np.zeros(3), inputs, params, 32)
         assert report.ratio <= 1.0 + 1e-9
         assert report.holds
 
     def test_frozen_bound_value(self):
         params = compute_delta0(1.0, 1.0, 1.25, 1.5, 3, 3)
         maps, _, cube, inputs = flagship_scale_setup()
-        spec = QuadratureSpec("tensor-midpoint", resolution=16)
-        report = verify_nonlinear_bl(maps, np.zeros(3), inputs, params, spec)
+        report = verify_nonlinear_bl(maps, np.zeros(3), inputs, params, 16)
         expected = 3 * math.log(10.0) + 1000.0 * (1e-6) ** 0.125 / (1 - 2.0**-0.125)
         assert report.log_bound == pytest.approx(expected, rel=1e-12)
         assert report.margin_log > 0
@@ -622,9 +615,8 @@ class TestNonlinearBL:
         params = gentle_params()
         cube = Cube(np.zeros(3), params.delta0)
         inputs = uniform_inputs_for(maps, cube)
-        spec = QuadratureSpec("tensor-midpoint", resolution=8)
         with pytest.raises(ScaleError):
-            verify_nonlinear_bl(maps, np.zeros(3), inputs, params, spec)
+            verify_nonlinear_bl(maps, np.zeros(3), inputs, params, 8)
 
 
 class TestSlabContainment:
@@ -690,8 +682,7 @@ def test_canonicalize_then_decompose_end_to_end():
     cube = Cube(x0, params.delta0)
     inputs = [l1m_grid_for_map(f, cube, rng) for f in canon]
     params.M = 1.0 / max(f.spacing for f in inputs)
-    spec = QuadratureSpec("tensor-midpoint", resolution=24)
-    report = verify_induction_step(canon, cube, inputs, params, spec, seed=9)
+    report = verify_induction_step(canon, cube, inputs, params, 24, seed=9)
     assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
     assert report.certified_factor <= report.factor_bound
     deco = decompose(canon, cube, inputs, params)
