@@ -209,9 +209,8 @@ def _convolution_spec(args, surface_count: int) -> quadrature.QuadratureSpec:
 
 
 def _resolved_config(args) -> dict:
-    keys = ("input", "output", "seed", "samples", "resolution", "tol", "mode", "budget",
-            "beta", "kappa", "alpha0", "alpha1", "d", "m", "freq_halfwidth", "max_cells", "x")
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    """The command's options as parsed, with --seed resolved."""
+    return {k: v for k, v in vars(args).items() if k != "command"}
 
 
 def _positive_float(text: str) -> float:
@@ -274,9 +273,7 @@ def build_parser() -> Parser:
     p.add_argument("--max-cells", type=int, default=512)
     common(sub.add_parser("verify-step"), midpoint=True)
     common(sub.add_parser("verify-nonlinear"), midpoint=True)
-    p = sub.add_parser("ift-solve")
-    common(p, tol=True)
-    p.add_argument("--x", type=str, default=None, help="JSON list overriding the input point")
+    common(sub.add_parser("ift-solve"), tol=True)
     common(sub.add_parser("delta-integral"), quad=True)
     common(sub.add_parser("convolve-surfaces"), quad=True)
     p = sub.add_parser("extension")
@@ -314,10 +311,7 @@ def main(argv: list[str] | None = None) -> int:
             "result": result,
         }
         _write_report(args.output, report)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return exit_code
@@ -644,8 +638,7 @@ def cmd_ift_solve(args):
     payload = _load_json(args.input)
     field = _parse_field(payload)
     with _input_errors("ift-solve input"):
-        x = np.atleast_2d(np.asarray(
-            json.loads(args.x) if args.x is not None else payload["x"], dtype=float))
+        x = np.atleast_2d(np.asarray(payload["x"], dtype=float))
         if x.ndim != 2 or x.shape[1] != field.n or not np.all(np.isfinite(x)):
             raise ValueError(f"x must be a list of finite points of R^{field.n}")
     tol = args.tol if args.tol is not None else 1e-12

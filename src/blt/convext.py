@@ -11,7 +11,6 @@ against the convolution route through the Plancherel constant
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import permutations
@@ -46,10 +45,9 @@ from .quadrature import QuadratureSpec, midpoint_axes
 # Largest intermediate, in complex entries, of one extension_on_grid chunk.
 _CHUNK_ENTRIES = 4_000_000
 # Largest array, in float entries, of one block of convolution points:
-# points x kappa samples x gradient components, or points x quadrature
-# nodes x monomials of the reduction fields.  A block's temporaries then
-# take about a MiB, so a batch of points needs no more memory than one
-# point.
+# points x quadrature nodes x monomials of the reduction fields.  A
+# block's temporaries then take about a MiB, so a batch of points needs
+# no more memory than one point.
 _BLOCK_ENTRIES = 2**16
 # Reduction determinants below this floor fail transversality.
 _TRANSVERSALITY_FLOOR = 1e-6
@@ -210,10 +208,6 @@ def _coarea(n: int, solve, partial_t, integrand, window, spec: QuadratureSpec, f
     return spec.integrate(weighted, *window)
 
 
-# Sample pairs per pass of the kappa sampler.
-_KAPPA_SAMPLES = 400
-
-
 @dataclass
 class ReductionFields:
     """The normalised reduction fields of one surface ordering at a batch
@@ -225,7 +219,8 @@ class ReductionFields:
     whose exponents (a, b) are the rows of ``exponents``, shape (A, n + 1),
     the zero exponent first.  ``tables[0]``, shape (P, A), holds the
     coefficients of each G_p, and ``tables[1 + i]`` those of its partial in
-    coordinate i.
+    coordinate i.  ``kappa`` holds each field's C^{1,beta} bound, computed
+    from these partial tables by _kappa_bound (1 where the point failed).
     """
 
     exponents: np.ndarray
@@ -269,7 +264,7 @@ def build_reduction_field(
     coefficients, polynomials in y, are evaluated once per point.  Per
     point, F is translated to the real root nearest the origin along the
     last coordinate (as np.roots finds it), scaled to unit last partial
-    there and given the sampled kappa of _sampled_kappa.  Also returns
+    there and given the closed-form kappa of _kappa_bound.  Also returns
     each point's failure, None where its field is valid: ValidityError
     (no root near the origin), TransversalityError (last partial below
     1/2 at the root), or the ScalarField checks (degree, normalisation).
@@ -313,10 +308,7 @@ def build_reduction_field(
     live = np.flatnonzero(valid)
     beta = min(s.beta for s in surfaces)
     fields = ReductionFields(exponents, tables, Y, root, scale, beta, np.ones(Y.shape[0]))
-    step = _block_rows(2 * _KAPPA_SAMPLES * total)
-    for start in range(0, live.size, step):
-        rows = live[start : start + step]
-        fields.kappa[rows] = _sampled_kappa(fields, rows)
+    fields.kappa[live] = _kappa_bound(tables[1:, live], exponents, beta)
 
     # the ScalarField checks of its declared form; d_(n+1)G(0,0) = scale / scale is 1
     f0 = tables[0][:, 0]
@@ -410,55 +402,25 @@ def _nearest_real_root(C: np.ndarray) -> np.ndarray:
     return root
 
 
-@functools.cache
-def _kappa_draws(total: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The seed-0 draws of the kappa sampler in ``total`` variables, drawn
-    once: per pass, sample pairs (S_U, S_V) in the unit ball, each of shape
-    (_KAPPA_SAMPLES, total); a field samples at R2 * S_U and R2 * S_V."""
-    rng = np.random.default_rng(0)
-    passes = []
-    for _ in range(2):
-        pair = []
-        for _ in range(2):
-            S = ift._ball_samples(rng, _KAPPA_SAMPLES, total, 1.0)
-            S.flags.writeable = False
-            pair.append(S)
-        passes.append(tuple(pair))
-    return tuple(passes)
+def _kappa_bound(partials: np.ndarray, exponents: np.ndarray, beta: float) -> np.ndarray:
+    """A C^{1,beta} bound for each field whose partials have the tables
+    ``partials``, shape (k, P, A), over the monomials of ``exponents``.
 
-
-def _sampled_kappa(fields: ReductionFields, rows: np.ndarray) -> np.ndarray:
-    """Conservative C^{1,beta} bound for each normalised field of ``rows``.
-
-    Sampled on the ball the radii induce, with a refinement pass and a
-    x2 safety factor; the solver's runtime checks will still indict an
-    inadequate declaration.  Every field uses the same seed-0 draws S,
-    scaled by its own R2, so the gradient at R2 * S is its partial tables
-    times R2^|a| against the monomials M(S): one matrix product per pass
-    gives, per sample pair, the gradient at R2 * S_U and the difference
-    quotient (M(S_U) - M(S_V)) / |S_U - S_V| of the pair, which is R2
-    times the quotient at (R2 * S_U, R2 * S_V).
+    With kappa0 = max(|grad G(0)|, 1) and R2 = (100 kappa0)^(-1/beta), each
+    monomial obeys |z^a| <= R2^|a| on the ball |z| <= R2.  There
+    S = |(sum_a |c_ia| R2^|a|)_i| bounds |grad G|, and the spectral norm L
+    of M_ij = sum_a |c_ia| a_j R2^(|a| - 1) bounds the Lipschitz constant of
+    grad G, so the Hoelder quotient is at most L (2 R2)^(1 - beta).  The
+    bound kappa = max(S, L (2 R2)^(1 - beta), 1) is at least kappa0, so its
+    own R2 ball lies inside this one and the bound holds there too.
     """
-    grads = fields.tables[1:, rows]
-    degree = fields.exponents.sum(axis=1)
-    kappa = np.maximum(_norm(grads[..., 0].T), 1.0)
-    for S_U, S_V in _kappa_draws(fields.n + 1):
-        R2 = 1.0 / (100.0 * kappa)
-        M_U = _monomials(S_U, fields.exponents)
-        gaps = _norm(S_U - S_V)
-        quotient = np.divide(M_U - _monomials(S_V, fields.exponents), gaps[:, None],
-                             out=np.zeros_like(M_U), where=gaps[:, None] > 0)
-        out = (grads * _monomials(R2[:, None], degree[:, None])) @ np.vstack([M_U, quotient]).T
-        norms = np.sqrt(np.add.reduce(out * out, axis=0))
-        sup_grad = norms[:, :_KAPPA_SAMPLES].max(axis=1)
-        quot = norms[:, _KAPPA_SAMPLES:].max(axis=1) / R2
-        kappa = np.maximum(np.maximum(2.0 * quot, sup_grad), 1.0)
-    return kappa
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, as np.linalg.norm computes them."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
+    kappa0 = np.maximum(np.linalg.norm(partials[..., 0], axis=0), 1.0)
+    _, R2 = ift_radii(beta, kappa0)
+    weighted = np.abs(partials) * R2[:, None] ** exponents.sum(axis=1)
+    S = np.linalg.norm(weighted.sum(axis=-1), axis=0)
+    M = np.moveaxis(weighted @ exponents, 0, 1) / R2[:, None, None]
+    L = np.linalg.norm(M, ord=2, axis=(1, 2))
+    return np.maximum(np.maximum(S, L * (2.0 * R2) ** (1.0 - beta)), 1.0)
 
 
 def surface_convolution(
@@ -1000,8 +962,11 @@ def verify_thm74(
     d = len(surface_functions[0].surface.lo) + 1
     if len(surface_functions) != d:
         raise ValueError("need d surfaces in ambient dimension d")
-    for sf in surface_functions:
-        sf.surface.audit_regularity()
+    for i, sf in enumerate(surface_functions):
+        try:
+            sf.surface.audit_regularity()
+        except ValueError as exc:
+            raise ValueError(f"surface {i}: {exc}") from exc
     R = float(frequency_halfwidth)
     axes, cell = midpoint_axes(np.full(d, -R), np.full(d, R), resolution)
     nodes = np.stack(axes, axis=1)

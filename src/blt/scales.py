@@ -20,7 +20,7 @@ from .datum import ProjectionScheme, kernel_basis
 from .exterior import cross_like, null_space, relative_transversality, transversality_quantity
 from .geometry import SlabCells, grid_polygon_mass, grid_slab_mass
 from .inputs import GridFunction
-from .nonlinear import NonlinearMapFamily
+from .nonlinear import NonlinearMapFamily, RegularityError
 from .quadrature import _midpoint_integral, lattice_product_sum
 
 
@@ -861,6 +861,14 @@ class InductionStepReport:
     pigeonhole_ok: bool
 
 
+def _validate_map(j: int, fam: NonlinearMapFamily, center, side: float, rng) -> None:
+    """fam.validate, with a failure's message naming map j."""
+    try:
+        fam.validate(center, side, rng)
+    except RegularityError as exc:
+        raise RegularityError(f"map {j}: {exc}") from exc
+
+
 def verify_induction_step(
     maps: list[NonlinearMapFamily],
     cube: Cube,
@@ -884,8 +892,8 @@ def verify_induction_step(
             if f.spacing > 1.0 / params.M * (1 + 1e-12):
                 raise ScaleError(f"input {j} spacing {f.spacing:.3e} coarser than 1/M")
     audit_rng = np.random.default_rng(seed)
-    for fam in maps:
-        fam.validate(cube.center, cube.side, audit_rng)
+    for j, fam in enumerate(maps):
+        _validate_map(j, fam, cube.center, cube.side, audit_rng)
     d = cube.d
     m = len(maps)
     p = 1.0 / (m - 1)
@@ -1014,7 +1022,7 @@ def verify_nonlinear_bl(
     scheme = ProjectionScheme(d, [d - fam.d_out for fam in maps])
     audit_rng = np.random.default_rng(0)
     for j, fam in enumerate(maps):
-        fam.validate(x0, params.delta0, audit_rng)
+        _validate_map(j, fam, x0, params.delta0, audit_rng)
         resid = np.linalg.norm(fam.jacobian(x0) - scheme.projection_matrix(j))
         if resid > 1e-9:
             raise ScaleError(f"map {j} is not canonical at the base point ({resid:.3e})")

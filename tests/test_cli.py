@@ -438,7 +438,8 @@ def test_thm74_refuses_a_graph_rougher_than_its_kappa(tmp_path, capsys):
     assert main(["verify-thm74", "--input", str(path), "--resolution", "4",
                  "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "quotient 8.000e+01 exceeds kappa 2.5" in err
+    assert err.startswith("error:")
+    assert "surface 0: sampled Hoelder quotient 8.000e+01 exceeds kappa 2.5" in err
     assert not out.exists()
 
 
@@ -1530,6 +1531,18 @@ class TestScalesCommands:
         code, out, err = run_command([command], path)
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("command", ["verify-step", "verify-nonlinear"])
+    def test_scale_verifiers_name_a_map_rougher_than_its_kappa(self, tmp_path, command):
+        # map 1's first row becomes x0 + 50 x0^2, whose Jacobian moves by
+        # 100 |x - y|, above the declared kappa 1
+        payload = scales_payload()
+        payload["maps"][1]["rows"][0]["terms"][0].update(powers=[2, 0, 0], c=50.0)
+        path = tmp_path / "rough.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_command([command, "--seed", "1"], path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "map 1: sampled Hoelder quotient" in err
 
     @pytest.mark.parametrize("defect, message", [
         (lambda g: {**g, "origin": [NAN, g["origin"][1]]}, "grid origin and values must be finite"),

@@ -290,8 +290,8 @@ def curved_bridge(seed=1, index=0):
 
 
 # The per-point route the batched surface_convolution replaced, kept as
-# its oracle: one dict-algebra field, np.roots root, sampled kappa and
-# delta_integral per point and ordering.
+# its oracle: one dict-algebra field, np.roots root, closed-form kappa
+# and delta_integral per point and ordering.
 
 def _oracle_embed(poly, shift, blocks, n_blocks, width, sign):
     A = np.zeros((poly.n, n_blocks * width))
@@ -301,27 +301,22 @@ def _oracle_embed(poly, shift, blocks, n_blocks, width, sign):
     return poly.substitute_affine(A, shift)
 
 
-def oracle_declare_kappa(poly, total, seed=0):
-    grads = [poly.partial(a) for a in range(total)]
-    g0 = np.array([float(g.evaluate(np.zeros((1, total)))[0]) for g in grads])
-    kappa = max(float(np.linalg.norm(g0)), 1.0)
-    rng = np.random.default_rng(seed)
-    for _ in range(2):
-        R2 = (100.0 * kappa) ** (-1.0)
-        U = rng.standard_normal((400, total))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        U *= R2 * rng.uniform(0, 1, size=(400, 1)) ** (1 / total)
-        V = rng.standard_normal((400, total))
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
-        V *= R2 * rng.uniform(0, 1, size=(400, 1)) ** (1 / total)
-        dU = np.stack([g.evaluate(U) for g in grads], axis=1)
-        dV = np.stack([g.evaluate(V) for g in grads], axis=1)
-        gaps = np.linalg.norm(U - V, axis=1)
-        keep = gaps > 0
-        quot = np.linalg.norm(dU[keep] - dV[keep], axis=1) / gaps[keep]
-        sup_grad = float(np.linalg.norm(dU, axis=1).max())
-        kappa = max(2.0 * float(quot.max(initial=0.0)), sup_grad, 1.0)
-    return kappa
+def oracle_declare_kappa(poly, beta):
+    """The closed-form C^{1,beta} bound of one field, term by term over
+    its dict partials: with R2 = (100 max(|grad G(0)|, 1))^(-1/beta),
+    max(|S|, L (2 R2)^(1 - beta), 1) for S_i = sum_a |c_ia| R2^|a| and L
+    the spectral norm of M_ij = sum_a |c_ia| a_j R2^(|a| - 1)."""
+    k = poly.n
+    g0 = poly.gradient(np.zeros((1, k)))[0]
+    R2 = (100.0 * max(float(np.linalg.norm(g0)), 1.0)) ** (-1.0 / beta)
+    S = np.zeros(k)
+    M = np.zeros((k, k))
+    for i, partial in enumerate(poly.partials):
+        for a, c in partial.coeffs.items():
+            S[i] += abs(c) * R2 ** sum(a)
+            M[i] += abs(c) * np.array(a) * R2 ** (sum(a) - 1)
+    L = float(np.linalg.norm(M, 2))
+    return max(float(np.linalg.norm(S)), L * (2.0 * R2) ** (1.0 - beta), 1.0)
 
 
 def oracle_polynomial(surfaces, y):
@@ -358,8 +353,8 @@ def oracle_field(surfaces, y):
     if abs(scale) < 0.5:
         raise TransversalityError(f"last partial derivative {scale:.3e} below 1/2 at the root")
     G = F_t.scale(1.0 / scale)
-    kappa = oracle_declare_kappa(G, total)
-    field = ScalarField(total - 1, G, beta=min(s.beta for s in surfaces), kappa=kappa)
+    beta = min(s.beta for s in surfaces)
+    field = ScalarField(total - 1, G, beta=beta, kappa=oracle_declare_kappa(G, beta))
     return field, root, scale
 
 
@@ -469,6 +464,22 @@ def curved_planes(r=3e-5):
     return surfaces, convext._spatial_grid([SurfaceFunction(s) for s in surfaces], 3)[0]
 
 
+def curved_hyperplanes(r=1e-5):
+    """Four transversal hyperplanes of R^4 bent by one shared quadratic,
+    with the points of their 2 x 2 x 2 x 2 grid: fields in 9 variables."""
+    rng = np.random.default_rng(4)
+    while True:
+        Q, _ = qr(rng.standard_normal((4, 4)))
+        if np.min(np.abs(Q[3, :])) > 0.3:
+            break
+    bend = Polynomial(3, {(2, 0, 0): 0.5, (1, 1, 0): -0.3, (0, 1, 1): 0.2, (0, 0, 2): 0.4})
+    surfaces = []
+    for i in range(4):
+        flat = linear_surface([-r] * 3, [r] * 3, -Q[:3, i] / Q[3, i])
+        surfaces.append(Hypersurface(flat.lo, flat.hi, flat.phi + bend, 1.0, flat.kappa))
+    return surfaces, convext._spatial_grid([SurfaceFunction(s) for s in surfaces], 2)[0]
+
+
 FIELD_CASES = [cubic_pair(), curved_planes()]
 
 
@@ -525,10 +536,8 @@ class TestBatchedConvolution:
         assert_matches_oracle(got, want)
 
     def test_fields_match_oracle_fields(self):
-        # root, scale and the sampled kappa of every point, for every
-        # ordering of the cubic d = 2 pair and the bent d = 3 planes;
-        # kappa's quotients |dU - dV| / |U - V| cancel about two digits,
-        # hence the wider tolerance
+        # root, scale and the closed-form kappa of every point, for every
+        # ordering of the cubic d = 2 pair and the bent d = 3 planes
         for surfaces, Y in FIELD_CASES:
             served = 0
             for order in permutations(range(len(surfaces))):
@@ -542,9 +551,28 @@ class TestBatchedConvolution:
                     field, root, scale = oracle_field(ordered, y)
                     assert fields.root[p] == pytest.approx(root, rel=1e-12, abs=1e-15)
                     assert fields.scale[p] == pytest.approx(scale, rel=1e-12, abs=0)
-                    assert fields.kappa[p] == pytest.approx(field.kappa, rel=1e-9, abs=0)
+                    assert fields.kappa[p] == pytest.approx(field.kappa, rel=1e-12, abs=0)
                     served += 1
             assert served >= len(Y)
+
+    @pytest.mark.parametrize("surfaces, Y", FIELD_CASES + [curved_hyperplanes()],
+                             ids=["d2-cubic", "d3-planes", "d4-hyperplanes"])
+    def test_kappa_bounds_the_sampled_regularity(self, surfaces, Y):
+        # kappa is one-sided: on each field's R2 ball it is at least the
+        # sampled |grad G| and the sampled Hoelder quotient of grad G
+        rng = np.random.default_rng(21)
+        served = 0
+        for order in permutations(range(len(surfaces))):
+            fields, failures = convext.build_reduction_field([surfaces[i] for i in order], Y)
+            for p in np.flatnonzero([f is None for f in failures]):
+                kappa = fields.kappa[p]
+                _, R2 = ift.ift_radii(fields.beta, kappa)
+                U, V = (ift._ball_samples(rng, ift.AUDIT_PAIRS, fields.n + 1, R2) for _ in "UV")
+                dU, dV = (fields.gradient(Z[:, :-1], Z[None, :, -1], [p])[0] for Z in (U, V))
+                assert np.linalg.norm(dU, axis=1).max() <= kappa
+                assert ift.holder_quotient(U, V, dU, dV, fields.beta) <= kappa
+                served += 1
+        assert served >= len(Y)
 
     @pytest.mark.parametrize("surfaces, Y", FIELD_CASES, ids=["d2-cubic", "d3-planes"])
     def test_tables_evaluate_the_reduction_polynomial(self, surfaces, Y):
@@ -586,19 +614,6 @@ class TestBatchedConvolution:
 
         monkeypatch.setattr(convext, name, counted)
         return calls
-
-    def test_kappa_blocks_change_no_value(self, monkeypatch):
-        sfuncs = curved_bridge()
-        Y, _ = convext._spatial_grid(sfuncs, 32)
-        whole = surface_convolution(sfuncs, Y, self.spec)
-        # 100 points per kappa block of 2 x 400 samples and one gradient
-        # component, at least three per ordering group
-        monkeypatch.setattr(convext, "_BLOCK_ENTRIES", 100 * 800)
-        calls = self.count_calls(monkeypatch, "_sampled_kappa")
-        split = surface_convolution(sfuncs, Y, self.spec)
-        assert len(calls) >= 6
-        assert np.array_equal(split[0], whole[0])
-        assert np.array_equal(split[1], whole[1])
 
     def test_quadrature_blocks_change_no_value(self, monkeypatch):
         sfuncs, slopes, r = orthogonal_planes()
