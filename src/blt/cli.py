@@ -213,6 +213,25 @@ def _resolved_config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "command"}
 
 
+def _integer(text: str, least: int, kind: str) -> int:
+    """An option value that must be an integer >= least."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _integer(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    return _integer(text, 0, "nonnegative")
+
+
 def _positive_float(text: str) -> float:
     """An option value that must be a positive finite number."""
     try:
@@ -246,7 +265,7 @@ def build_parser() -> Parser:
             p.add_argument("--samples", type=int, default=1_000_000,
                            help="Monte Carlo sample count")
         if quad or midpoint:
-            p.add_argument("--resolution", type=int, default=64,
+            p.add_argument("--resolution", type=_positive_int, default=64,
                            help="midpoint-rule points per axis")
         if tol:
             p.add_argument("--tol", type=float, default=None)
@@ -270,7 +289,7 @@ def build_parser() -> Parser:
     p.add_argument("--m", type=int, default=2)
     p = sub.add_parser("decompose")
     common(p)
-    p.add_argument("--max-cells", type=int, default=512)
+    p.add_argument("--max-cells", type=_nonnegative_int, default=512)
     common(sub.add_parser("verify-step"), midpoint=True)
     common(sub.add_parser("verify-nonlinear"), midpoint=True)
     common(sub.add_parser("ift-solve"), tol=True)

@@ -15,7 +15,10 @@ at every step, evaluating each cut's areas once.  Other rank-2 regions
 take a cell's share of any halfplane intersection as a closed-form edge
 sum over the lines that bound it, with no polygon clipping.  Both
 grid-mass routines measure many regions of one grid in one call: a
-region's mass does not depend on the other regions of its call.
+region's mass does not depend on the other regions of its call.  The
+regions of a `grid_polygon_mass` call form a grid whose offsets each
+vary along one axis (`_RegionGrid`), as a map's tubes do, so the rank-2
+prefilter is tabled per region axis rather than per (region, cell) pair.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import numpy as np
 
 # Midpoint subdivisions per cell axis in the rank >= 3 grid-mass measure.
 SUBDIVISION = 4
-# Entries of any (region, cell) or (line, line, pair) temporary of the
-# batched grid masses; larger batches are measured in blocks of regions and
-# of (region, cell) pairs.
+# Entries of any (region, cell), (region-axis row, cell) or (line, line,
+# pair) temporary of the batched grid masses; larger batches are measured
+# in blocks of regions and of (region, cell) pairs.
 BLOCK_ENTRIES = 2**16
 # Relative angle, and distance in cell sides, below which two lines of the
 # rank-2 area kernel count as parallel, and parallel lines as coincident.
@@ -159,7 +162,7 @@ def grid_slab_mass(
         )
     else:
         origins, vals = _positive_cells(values, origin, h)
-        masses = _halfplane_mass(origins, vals, h, np.stack([w, -w]), np.stack([hi, -lo]))
+        masses = _halfplane_mass(origins, vals, h, np.stack([w, -w]), [hi, -lo])
         masses[hi < lo] = 0.0
     return float(masses[0]) if scalar else masses
 
@@ -173,20 +176,20 @@ def grid_polygon_mass(
     """Integral of a grid function over an intersection of halfspaces
     {<y, n> <= c}, one (n, c) per entry of `halfplanes`.
 
-    Each offset c is a float or a (T,) array; with any array offset the
-    call measures T regions that share the normals and returns their
-    (T,) masses, else it returns a float.  Exact at rank 1 (interval
-    overlap) and rank 2 (an edge sum per candidate cell); rank >= 3
-    uses the midpoint-subdivision measure.
+    Each offset c is a float or an array; the arrays broadcast to a grid
+    of regions that share the normals, and each varies along one region
+    axis at most: a (T,) array for T regions, or (n0, 1) and (1, n1)
+    arrays for an n0 x n1 grid of tubes.  With any array offset the call
+    returns the masses in the grid's shape, else a float.  Exact at rank 1
+    (interval overlap) and rank 2 (an edge sum per candidate cell); rank
+    >= 3 uses the midpoint-subdivision measure.
     """
     k = np.ndim(values)
     scalar = all(np.ndim(c) == 0 for _, c in halfplanes)
     normals = np.array([n for n, _ in halfplanes], dtype=float).reshape(-1, k)
-    columns = [np.atleast_1d(np.asarray(c, dtype=float)) for _, c in halfplanes]
-    offsets = np.array(np.broadcast_arrays(*columns)) if columns else np.zeros((0, 1))
     origins, vals = _positive_cells(values, origin, h)
-    masses = _halfplane_mass(origins, vals, h, normals, offsets)
-    return float(masses[0]) if scalar else masses
+    masses = _halfplane_mass(origins, vals, h, normals, [c for _, c in halfplanes])
+    return float(masses) if scalar else masses
 
 
 def _positive_cells(values: np.ndarray, origin: np.ndarray, h: float):
@@ -205,70 +208,146 @@ def _blocks(count: int, entries_per_item: int) -> list[slice]:
 
 
 def _weighted_sums(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Row-wise dot products weights[t] . vals.  One dot per row, so a
-    region's mass is the same bits whatever other regions share its block
-    (a matrix-vector product sums in a batch-dependent order)."""
-    return np.array([np.dot(vals, row) for row in weights], dtype=float)
+    """Row-wise dot products weights[t] . vals.  `np.vecdot` takes one dot
+    per row, so a region's mass is the same bits whatever other regions
+    share its block (a matrix-vector product sums in a batch-dependent
+    order)."""
+    return np.vecdot(weights, vals)
 
 
-def _halfplane_mass(origins, vals, h: float, normals, offsets) -> np.ndarray:
+class _RegionGrid:
+    """The regions {<y, n_p> <= c_p for all p} of one call: offset c_p
+    broadcasts to the region grid `shape` and varies along one axis at
+    most.  `cuts[p]` holds its values along `axes[p]`; a constant offset
+    is held as constant along axis 0, and a call with no array offset as
+    a grid of one region."""
+
+    def __init__(self, columns: list):
+        columns = [np.asarray(c, dtype=float) for c in columns]
+        self.shape = np.broadcast_shapes(*(c.shape for c in columns))
+        self.grid = self.shape or (1,)
+        self.count = int(np.prod(self.grid))
+        self.axes, self.cuts = [], []
+        for c in columns:
+            padded = (1,) * (len(self.grid) - c.ndim) + c.shape
+            varying = [a for a, n in enumerate(padded) if n != 1]
+            if len(varying) > 1:
+                raise ValueError("each offset may vary along one region axis at most")
+            axis = varying[0] if varying else 0
+            self.axes.append(axis)
+            self.cuts.append(np.broadcast_to(c.reshape(-1), self.grid[axis]))
+
+    def index(self, block: slice) -> tuple[np.ndarray, ...]:
+        """Per region axis, the indices of the regions of a block of the
+        flattened (row-major) grid."""
+        return np.unravel_index(np.arange(block.start, block.stop), self.grid)
+
+    def rows(self, block: slice, index: tuple[np.ndarray, ...], axis: int):
+        """The distinct indices along `axis` of the regions of a block, and
+        each region's position among them.  A block of B consecutive
+        regions meets at most B consecutive rows of every axis, modulo
+        the axis length, so they are that window."""
+        n = self.grid[axis]
+        stride = int(np.prod(self.grid[axis + 1 :]))
+        first = block.start // stride
+        span = (block.stop - 1) // stride - first + 1
+        if span >= n:
+            first, span = 0, n
+        return (first + np.arange(span)) % n, (index[axis] - first) % n
+
+    def offsets(self, index: tuple[np.ndarray, ...]) -> np.ndarray:
+        """(P, B) offsets of the B regions at `index`."""
+        count = len(index[0])
+        return np.array([cut[index[a]] for a, cut in zip(self.axes, self.cuts)]).reshape(-1, count)
+
+
+def _halfplane_mass(origins, vals, h: float, normals, columns: list) -> np.ndarray:
     """The one rank dispatch behind `grid_polygon_mass` and `grid_slab_mass`:
-    (T,) masses of the regions {<y, normals[p]> <= offsets[p, t] for all p}."""
-    if len(vals) == 0:
-        return np.zeros(offsets.shape[1])
+    the masses of the regions {<y, normals[p]> <= columns[p] for all p},
+    in the shape the offsets broadcast to (`_RegionGrid`)."""
+    regions = _RegionGrid(columns)
+    if len(vals) == 0 or regions.count == 0:
+        return np.zeros(regions.shape)
     k = origins.shape[1]
     if k == 1:
-        return _interval_mass(origins[:, 0], vals, h, normals[:, 0], offsets)
-    if k == 2:
-        return _clip_mass(origins, vals, h, normals, offsets)
-    return _subdivision_mass(origins, vals, h, normals, offsets)
+        masses = _interval_mass(origins[:, 0], vals, h, normals[:, 0], regions)
+    elif k == 2:
+        masses = _clip_mass(origins, vals, h, normals, regions)
+    else:
+        masses = _subdivision_mass(origins, vals, h, normals, regions)
+    return masses.reshape(regions.shape)
 
 
-def _interval_mass(lows, vals, h: float, normals, offsets) -> np.ndarray:
+def _interval_mass(lows, vals, h: float, normals, regions: _RegionGrid) -> np.ndarray:
     """Rank 1: exact overlap of the cells [a, a + h] with the intervals
     cut out by the halfplanes n y <= c."""
-    up, down = normals > 0.0, normals < 0.0
-    hi = np.min(offsets[up] / normals[up, None], axis=0, initial=np.inf)
-    lo = np.max(offsets[down] / normals[down, None], axis=0, initial=-np.inf)
-    void = np.any(offsets[normals == 0.0] < 0.0, axis=0)
-    masses = np.zeros(offsets.shape[1])
-    for block in _blocks(len(masses), len(vals)):
-        overlap = np.minimum(lows + h, hi[block, None]) - np.maximum(lows, lo[block, None])
-        masses[block] = _weighted_sums(np.clip(overlap, 0.0, None), vals)
-    masses[void] = 0.0
+    up, down, flat = normals > 0.0, normals < 0.0, normals == 0.0
+    masses = np.zeros(regions.count)
+    for block in _blocks(regions.count, len(vals)):
+        offsets = regions.offsets(regions.index(block))
+        hi = np.min(offsets[up] / normals[up, None], axis=0, initial=np.inf)
+        lo = np.max(offsets[down] / normals[down, None], axis=0, initial=-np.inf)
+        overlap = np.minimum(lows + h, hi[:, None]) - np.maximum(lows, lo[:, None])
+        void = np.any(offsets[flat] < 0.0, axis=0)
+        masses[block] = np.where(void, 0.0, _weighted_sums(np.clip(overlap, 0.0, None), vals))
     return masses
 
 
-def _clip_mass(origins, vals, h: float, normals, offsets) -> np.ndarray:
+def _clip_mass(origins, vals, h: float, normals, regions: _RegionGrid) -> np.ndarray:
     """Rank 2: exact areas of every candidate (region, cell) pair.
 
     A corner-projection prefilter drops the cells some halfplane excludes
-    whole and counts in full the cells every halfplane contains; the
-    remaining pairs are measured in batches (`_clipped_square_areas`).
-    Per region, the cell masses are summed in row-major cell order.
+    whole and counts in full the cells every halfplane contains.  The
+    regions are taken one block at a time, and the prefilter is tabled
+    per region axis, over the block's distinct indices on that axis and
+    the cells, from the offsets that vary along it: a pair is a candidate
+    when it is one on every axis, and partial when it is on some axis.
+    Pairs are enumerated over the cells that every axis table reaches, so
+    each region's pairs come in ascending cell order.  Partial pairs are
+    measured in batches (`_clipped_square_areas`), and each region's cell
+    masses are summed by one bincount, in row-major cell order.
     """
     corners = np.array([[0.0, 0.0], [h, 0.0], [0.0, h], [h, h]])
     proj = np.array([origins @ n for n in normals]).reshape(len(normals), len(vals))
     reach = corners @ normals.T  # (4, P)
     cmin = proj + reach.min(axis=0)[:, None]
     cmax = proj + reach.max(axis=0)[:, None]
+    on_axis = [[p for p, a in enumerate(regions.axes) if a == axis]
+               for axis in range(len(regions.grid))]
     full_mass = vals * h * h
     clip_batch = max(1, BLOCK_ENTRIES // (4 + len(normals)) ** 2)
-    masses = np.zeros(offsets.shape[1])
-    for block in _blocks(len(masses), len(vals)):
-        candidate = np.ones((block.stop - block.start, len(vals)), dtype=bool)
-        partial = np.zeros_like(candidate)
-        for lowest, highest, cut in zip(cmin, cmax, offsets[:, block, None]):
-            candidate &= lowest <= cut
-            partial |= highest > cut
-        region, cell = np.nonzero(candidate)
+    masses = np.zeros(regions.count)
+    for block in _blocks(regions.count, len(vals)):
+        index = regions.index(block)
+        tables = []
+        reached = np.ones(len(vals), dtype=bool)
+        for axis, halfplanes in enumerate(on_axis):
+            rows, at = regions.rows(block, index, axis)
+            candidate = np.ones((len(rows), len(vals)), dtype=bool)
+            partial = np.zeros_like(candidate)
+            for p in halfplanes:
+                cut = regions.cuts[p][rows, None]
+                candidate &= cmin[p] <= cut
+                partial |= cmax[p] > cut
+            reached &= candidate.any(axis=0)
+            tables.append((candidate, partial, at))
+        cells = np.flatnonzero(reached)
+        table = np.ones((block.stop - block.start, len(cells)), dtype=bool)
+        for candidate, _, at in tables:
+            table &= candidate[:, cells][at]
+        region, cell = np.nonzero(table)
+        cell = cells[cell]
+        clipped = np.zeros(len(cell), dtype=bool)
+        for _, partial, at in tables:
+            clipped |= partial[at[region], cell]
         weights = full_mass[cell]
-        pairs = np.nonzero(partial[region, cell])[0]
+        pairs = np.flatnonzero(clipped)
+        offsets = regions.offsets(index)
         for start in range(0, len(pairs), clip_batch):
             sel = pairs[start : start + clip_batch]
-            local = offsets[:, block][:, region[sel]] - proj[:, cell[sel]]
+            local = offsets[:, region[sel]] - proj[:, cell[sel]]
             weights[sel] = vals[cell[sel]] * _clipped_square_areas(h, normals, local)
-        masses[block] = np.bincount(region, weights, minlength=len(candidate))
+        masses[block] = np.bincount(region, weights, minlength=len(table))
     return masses
 
 
@@ -321,19 +400,20 @@ def _clipped_square_areas(h: float, normals, offsets) -> np.ndarray:
     return np.maximum(0.5 * twice, 0.0)
 
 
-def _subdivision_mass(origins, vals, h: float, normals, offsets) -> np.ndarray:
+def _subdivision_mass(origins, vals, h: float, normals, regions: _RegionGrid) -> np.ndarray:
     """Rank >= 3: each cell is cut into SUBDIVISION^k sub-cells, and a
     sub-cell counts in full when its midpoint satisfies every halfplane.
     Additive across disjoint slabs, but not a one-sided bound."""
     k = origins.shape[1]
     q = SUBDIVISION
     shifts = (np.indices((q,) * k).reshape(k, -1).T + 0.5) * (h / q)
-    masses = np.zeros(offsets.shape[1])
-    for block in _blocks(len(masses), len(vals)):
+    masses = np.zeros(regions.count)
+    for block in _blocks(regions.count, len(vals)):
+        offsets = regions.offsets(regions.index(block))
         inside_count = np.zeros((block.stop - block.start, len(vals)))
         for shift in shifts:
             inside = np.ones(inside_count.shape, dtype=bool)
-            for proj, cut in zip(((origins + shift) @ normals.T).T, offsets[:, block, None]):
+            for proj, cut in zip(((origins + shift) @ normals.T).T, offsets[:, :, None]):
                 inside &= proj <= cut
             inside_count += inside
         masses[block] = _weighted_sums(inside_count, vals)

@@ -248,8 +248,11 @@ def _midpoint_integral(integrand, lo, hi, resolution: int, d: int):
 
     The integrand maps (n, d) points to (n,) values, or to (k, n) values
     for k integrals that share one evaluation per chunk; the result is a
-    float or a (k,) array.
+    float or a (k,) array.  A resolution below 1 is a ValueError: no
+    points give no integral.
     """
+    if resolution < 1:
+        raise ValueError(f"midpoint resolution must be >= 1, got {resolution}")
     axes, cell = midpoint_axes(lo, hi, resolution)
     total = 0.0
     # chunk the first axis so the point array stays modest

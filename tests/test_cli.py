@@ -1489,6 +1489,7 @@ class TestScalesCommands:
         assert any(flag is False for flag in flags) == fails
 
     @pytest.mark.parametrize("payload, max_cells", [
+        ("scales", 0),
         ("scales", 1),
         ("scales", 8),
         ("coarse", 729 + 100),  # 9^3 cells per buffer pattern: cut in the second
@@ -1510,6 +1511,24 @@ class TestScalesCommands:
         cells = cell_loop(decos[0], max_cells)
         assert result["cells_listed"] == len(cells) == min(max_cells, result["cell_count_total"])
         assert result["cells"] == cells
+
+    @pytest.mark.parametrize("argv, option, kind", [
+        (["verify-step", "--resolution", "0"], "--resolution", "positive"),
+        (["verify-step", "--resolution", "-3"], "--resolution", "positive"),
+        (["verify-nonlinear", "--resolution", "0"], "--resolution", "positive"),
+        (["verify-nonlinear", "--resolution", "-2"], "--resolution", "positive"),
+        (["decompose", "--max-cells", "-1"], "--max-cells", "nonnegative"),
+    ])
+    def test_counts_out_of_range_are_usage_errors(self, tmp_path, capsys, argv, option, kind):
+        # a midpoint rule of no points once gave a verdict, or a traceback
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(scales_payload()))
+        out = tmp_path / "out.json"
+        assert main(argv + ["--input", str(path), "--seed", "1", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {option}: must be a {kind} integer, got '{argv[-1]}'")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decompose", "verify-nonlinear"])
     @pytest.mark.parametrize("defect, message", [

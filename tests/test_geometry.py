@@ -318,6 +318,123 @@ class TestBatchedMasses:
         assert grid_slab_mass(values, np.zeros(2), 1.0, np.array([0.0, 1.0]), 3.0, 1.0) == 0.0
 
 
+def tube_grid(rng, normals, rows: int = 6, cols: int = 5):
+    """A map's tubes as `scales` cuts them: the slab bounds of normal w1
+    vary along region axis 0, those of w2 along axis 1.  Row 0 is
+    inverted (hi < lo), row 1 lies off the grid and column 0 has zero
+    width; the other tubes are random."""
+    w1, w2 = normals
+    lo1 = np.concatenate([[0.3, 50.0], rng.uniform(-1.5, 1.0, rows - 2)])
+    hi1 = np.concatenate([[0.1, 51.0], lo1[2:] + rng.uniform(0.05, 1.5, rows - 2)])
+    lo2 = np.concatenate([[0.2], rng.uniform(-1.5, 1.0, cols - 1)])
+    hi2 = np.concatenate([[0.2], lo2[1:] + rng.uniform(0.05, 1.5, cols - 1)])
+    return [(w1, hi1[:, None]), (-w1, -lo1[:, None]), (w2, hi2[None, :]), (-w2, -lo2[None, :])]
+
+
+def tube_normals(rng, rank: int, kind: str):
+    w1 = rng.standard_normal(rank)
+    if kind == "axis-aligned":
+        return np.eye(rank)[0], 2.0 * np.eye(rank)[-1]
+    if kind == "near-parallel":  # one pair within PARALLEL_TOL, one just outside it
+        tilt = 1e-15 if rank % 2 else 1e-13
+        return w1, w1 + tilt * np.linalg.norm(w1) * rng.standard_normal(rank)
+    return w1, rng.standard_normal(rank)
+
+
+def flattened(halfplanes):
+    """The regions of a broadcast-offset call as one flat (T,) batch, in
+    the row-major order of their grid, and the grid's shape."""
+    shape = np.broadcast_shapes(*(np.shape(c) for _, c in halfplanes))
+    return [(n, np.broadcast_to(c, shape).ravel()) for n, c in halfplanes], shape
+
+
+def assert_matches_flat_call(values, origin, halfplanes):
+    flat, shape = flattened(halfplanes)
+    masses = grid_polygon_mass(values, origin, 0.5, halfplanes)
+    assert masses.shape == shape
+    assert np.array_equal(masses, grid_polygon_mass(values, origin, 0.5, flat).reshape(shape))
+    return masses
+
+
+class TestBroadcastOffsets:
+    """A grid of regions whose offsets vary along one region axis each is
+    measured with the same bits as the flat (T,) call of the same regions."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["random", "axis-aligned", "near-parallel"])
+    def test_tube_grid_matches_the_flat_call(self, rank, kind):
+        rng = np.random.default_rng(400 + 10 * rank + len(kind))
+        values = sparse_grid(rng, rank)
+        origin = rng.uniform(-1.2, -0.8, rank)
+        tubes = tube_grid(rng, tube_normals(rng, rank, kind))
+        masses = assert_matches_flat_call(values, origin, tubes)
+        assert masses.shape == (6, 5) and masses.max() > 0
+        assert np.all(masses[:2] == 0.0)  # the inverted row and the row off the grid
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_grid_without_positive_cells(self, rank):
+        rng = np.random.default_rng(320 + rank)
+        halfplanes = tube_grid(rng, tube_normals(rng, rank, "random"))
+        masses = grid_polygon_mass(np.zeros((4,) * rank), np.zeros(rank), 0.5, halfplanes)
+        assert masses.shape == (6, 5) and not masses.any()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_scalar_offsets_mixed_with_arrays(self, rank):
+        rng = np.random.default_rng(330 + rank)
+        values = sparse_grid(rng, rank)
+        origin = rng.uniform(-1.2, -0.8, rank)
+        tubes = tube_grid(rng, tube_normals(rng, rank, "random"))
+        cut = (rng.standard_normal(rank), 0.4)
+        assert_matches_flat_call(values, origin, tubes + [cut])
+        # a tube grid with one constant slab bound, and a 0-d array offset
+        assert_matches_flat_call(values, origin, [tubes[0], (tubes[1][0], -0.9), *tubes[2:]])
+        assert_matches_flat_call(values, origin, [*tubes[:3], (tubes[3][0], np.array(1.1))])
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_three_region_axes(self, rank):
+        rng = np.random.default_rng(340 + rank)
+        values = sparse_grid(rng, rank)
+        origin = rng.uniform(-1.2, -0.8, rank)
+        halfplanes = []
+        for axis, count in enumerate((3, 4, 2)):
+            shape = [1, 1, 1]
+            shape[axis] = count
+            w = rng.standard_normal(rank)
+            lo = rng.uniform(-1.5, 0.5, count)
+            halfplanes += [(w, (lo + rng.uniform(0.3, 1.5, count)).reshape(shape)),
+                           (-w, -lo.reshape(shape))]
+        masses = assert_matches_flat_call(values, origin, halfplanes)
+        assert masses.shape == (3, 4, 2)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_ragged_last_region_block(self, rank, monkeypatch):
+        rng = np.random.default_rng(350 + rank)
+        values = sparse_grid(rng, rank)
+        origin = rng.uniform(-1.2, -0.8, rank)
+        halfplanes = tube_grid(rng, tube_normals(rng, rank, "random"), rows=7)
+        whole = grid_polygon_mass(values, origin, 0.5, halfplanes)
+        # blocks of 4 regions: they straddle rows of 5, and the last holds 3
+        cells = int(np.count_nonzero(values))
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 4 * cells)
+        assert [b.stop - b.start for b in geometry._blocks(whole.size, cells)][-2:] == [4, 3]
+        assert np.array_equal(assert_matches_flat_call(values, origin, halfplanes), whole)
+
+    def test_an_offset_may_vary_along_one_axis_only(self):
+        values = np.ones((3, 3))
+        w = np.array([1.0, 0.5])
+        with pytest.raises(ValueError, match="one region axis"):
+            grid_polygon_mass(values, np.zeros(2), 1.0, [(w, np.ones((2, 3)))])
+
+
+def test_weighted_sums_match_the_per_row_dot_loop():
+    rng = np.random.default_rng(12)
+    for columns in (1, 2, 3, 7, 16, 33, 144, 1000):
+        weights = rng.uniform(0.0, 1.0, (160, columns))
+        for vals in (rng.uniform(0.0, 1.0, columns), rng.uniform(0.0, 1.0, 2 * columns)[::2]):
+            oracle = np.array([np.dot(vals, row) for row in weights], dtype=float)
+            assert np.array_equal(geometry._weighted_sums(weights, vals), oracle)
+
+
 def ladder_slabs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cut indices of a pigeonhole step's slabs over n + 2 cuts: the n
     consecutive candidates, then the window from the first cut to the last."""

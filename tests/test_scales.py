@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from blt import scales
 from blt.datum import ProjectionScheme
-from blt.geometry import grid_slab_mass
+from blt.geometry import grid_polygon_mass, grid_slab_mass
 from blt.inputs import GridFunction
 from blt.nonlinear import RegularityError, linear_family, perturbed_projection
+from blt.quadrature import midpoint_axes
 from blt.scales import (
     Cube,
     FrameError,
@@ -292,6 +294,17 @@ class TestPigeonhole:
             pigeonhole_sequences(inputs[1], cube, 0, frame, sigma, params, maps[1])
 
 
+def argsort_search(deco, points):
+    """`Decomposition._search` by the route it replaced: each axis is
+    searched in sorted order and the positions are scattered back."""
+    T = deco.frame.t_values(np.atleast_2d(points) - deco.cube.center)
+    pos = np.empty((len(deco.edges), len(T)), dtype=np.intp)
+    for i, e in enumerate(deco.edges):
+        order = np.argsort(T[:, i])
+        pos[i, order] = np.searchsorted(e, T[order, i], side="left")
+    return T, pos
+
+
 class TestDecomposition:
     def build(self, maps=None, params=None, input_value=1.0):
         maps = maps or linear_lw_families()
@@ -362,6 +375,19 @@ class TestDecomposition:
         _, chi, valid, _ = deco.locate_points(pts)
         assert not np.array_equal(valid, cube.contains(pts))
         assert np.array_equal(deco.main_cells(pts), valid & np.all(chi == 0, axis=1))
+
+    def test_search_matches_the_sorted_route(self):
+        maps, params, cube, inputs = flagship_scale_setup(seed=2)
+        deco = decompose(maps, cube, inputs, params)
+        half = cube.side / 2.0
+        axes, _ = midpoint_axes(cube.center - half, cube.center + half, 16)
+        grid_ordered = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        rng = np.random.default_rng(4)
+        scattered = cube.center + rng.uniform(-0.6 * cube.side, 0.6 * cube.side, (5000, 3))
+        for points in (grid_ordered, scattered):
+            T, pos = deco._search(points)
+            want_T, want_pos = argsort_search(deco, points)
+            assert np.array_equal(T, want_T) and np.array_equal(pos, want_pos)
 
     def test_full_buffer_cell_volume_bound(self):
         deco, _ = self.build()
@@ -540,6 +566,34 @@ class TestInductionStep:
         assert totals[(0, 1)] == pytest.approx(1.466018852960327e-05, rel=1e-12, abs=0)
         assert totals[(1, 1)] == totals[(1, 0)]
 
+    def test_loomis_whitney_d4_rank3_tubes(self, monkeypatch):
+        # maps R^4 -> R^3: every tube mass takes the rank-3 subdivision
+        # route, on a three-axis grid of tubes with broadcast offsets
+        d = 4
+        maps = [linear_family(np.delete(np.eye(d), j, axis=0)) for j in range(d)]
+        params = compute_delta0(1.0, 1e-4, 1.1, 1.5, d, d)
+        cube = Cube(np.zeros(d), params.delta0)
+        rng = np.random.default_rng(4)
+        inputs = [l1m_grid_for_map(fam, cube, rng, cells=4) for fam in maps]
+        params.M = 1.0 / max(f.spacing for f in inputs)
+        calls = []
+
+        def recording(values, origin, h, halfplanes):
+            masses = grid_polygon_mass(values, origin, h, halfplanes)
+            calls.append((values, origin, h, halfplanes, masses))
+            return masses
+
+        monkeypatch.setattr(scales, "grid_polygon_mass", recording)
+        report = verify_induction_step(maps, cube, inputs, params, 8, seed=1)
+        assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
+        assert len(calls) == d
+        for j, (values, origin, h, halfplanes, masses) in enumerate(calls):
+            assert np.ndim(values) == 3 and masses.ndim == 3 and masses.sum() > 0
+            flat = [(n, np.broadcast_to(c, masses.shape).ravel()) for n, c in halfplanes]
+            want = grid_polygon_mass(values, origin, h, flat).reshape(masses.shape)
+            assert np.array_equal(masses, want)
+            assert report.tube_norms[j] == float(want.sum())
+
     def test_flagship_step_matches_recorded_numbers(self):
         # recorded from the route that measured one tube and one candidate
         # slab per call; the batched masses must reproduce it
@@ -598,6 +652,19 @@ class TestNonlinearBL:
         report = verify_nonlinear_bl(maps, np.zeros(3), inputs, params, 32)
         assert report.ratio <= 1.0 + 1e-9
         assert report.holds
+
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_midpoint_resolution_below_one_rejected(self, resolution):
+        # no points once gave ratio -0.0 and "holds", or a TypeError
+        maps = linear_lw_families()
+        params = gentle_params()
+        cube = Cube(np.zeros(3), params.delta0)
+        inputs = uniform_inputs_for(maps, cube)
+        with pytest.raises(ValueError, match="resolution must be >= 1"):
+            verify_nonlinear_bl(maps, np.zeros(3), inputs, params, resolution)
+        params.M = 1.0 / max(f.spacing for f in inputs)
+        with pytest.raises(ValueError, match="resolution must be >= 1"):
+            verify_induction_step(maps, cube, inputs, params, resolution)
 
     def test_frozen_bound_value(self):
         params = compute_delta0(1.0, 1.0, 1.25, 1.5, 3, 3)
