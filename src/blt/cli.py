@@ -145,10 +145,7 @@ def _parse_map_family(payload) -> scales.NonlinearMapFamily:
             if row.get("terms"):
                 poly = poly + _parse_poly(row, d)
             comps.append(poly)
-        return scales.NonlinearMapFamily(
-            d, comps, float(payload["beta"]), float(payload["kappa"]),
-            payload.get("tag", "linear-plus-polynomial-perturbation"),
-        )
+        return scales.NonlinearMapFamily(d, comps, float(payload["beta"]), float(payload["kappa"]))
 
 
 def _parse_field(payload) -> ift.ScalarField:
@@ -508,7 +505,7 @@ def cmd_delta0(args):
     }, EXIT_OK
 
 
-def _scales_setup(payload, args):
+def _scales_setup(payload):
     with _input_errors("scales"):
         maps = [_parse_map_family(mp) for mp in payload["maps"]]
         if not maps:
@@ -542,7 +539,7 @@ def _scales_setup(payload, args):
 @_float_errors("scales")
 def cmd_decompose(args):
     payload = _load_json(args.input)
-    maps, params, cube, inputs_list = _scales_setup(payload, args)
+    maps, params, cube, inputs_list = _scales_setup(payload)
     deco = scales.decompose(maps, cube, inputs_list, params)
     shape = tuple(deco.main_count(i) for i in range(cube.d))
     per_pattern = math.prod(shape)
@@ -610,7 +607,7 @@ def _params_block(params: scales.ScaleParams) -> dict:
 @_float_errors("scales")
 def cmd_verify_step(args):
     payload = _load_json(args.input)
-    maps, params, cube, inputs_list = _scales_setup(payload, args)
+    maps, params, cube, inputs_list = _scales_setup(payload)
     report = scales.verify_induction_step(
         maps, cube, inputs_list, params, args.resolution, args.seed or 0
     )
@@ -635,7 +632,7 @@ def cmd_verify_step(args):
 @_float_errors("scales")
 def cmd_verify_nonlinear(args):
     payload = _load_json(args.input)
-    maps, params, cube, inputs_list = _scales_setup(payload, args)
+    maps, params, cube, inputs_list = _scales_setup(payload)
     x0 = np.asarray(payload.get("x0", [0.0] * maps[0].d), dtype=float)
     report = scales.verify_nonlinear_bl(maps, x0, inputs_list, params, args.resolution)
     # bound overflows where log_bound passes 700, and a zero ratio has

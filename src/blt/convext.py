@@ -1,4 +1,4 @@
-"""Singular convolution integrals, block lifts, and extension operators.
+"""Singular convolution integrals and extension operators.
 
 A distributional weight delta(F(u)) is realised through the co-area
 convention: the integral over the graph of the implicit solution eta
@@ -17,13 +17,6 @@ from itertools import permutations
 
 import numpy as np
 
-from .datum import block_index_tuples
-from .exterior import (
-    largest_angle_sine,
-    null_space,
-    relative_transversality,
-    transversality_quantity,
-)
 from . import ift
 from .ift import (
     AUDIT_PAIRS,
@@ -31,7 +24,6 @@ from .ift import (
     FieldDeclarationError,
     ScalarField,
     contract,
-    eta_gradient,
     holder_quotient,
     ift_radii,
     iteration_cap,
@@ -606,178 +598,6 @@ def _support_window(surfaces: list[Hypersurface], n: int) -> tuple[np.ndarray, n
     lo = np.concatenate([s.lo for s in surfaces[:-1]])[:n]
     hi = np.concatenate([s.hi for s in surfaces[:-1]])[:n]
     return lo, hi
-
-
-def build_corollary_maps(field: ScalarField, d: int) -> list["EtaBlockMap"]:
-    """The d maps of the block construction on R^{d(d-2)}.
-
-    For j < d-2 the map reads off block j; map d-2 couples the tail
-    coordinates with the implicit function of the field; map d-1 is the
-    sum of all the others.
-    """
-    n_amb = d * (d - 2)
-    if field.n != n_amb:
-        raise ValueError(f"field base dimension {field.n} != d(d-2) = {n_amb}")
-    return [EtaBlockMap(field, d, j) for j in range(d)]
-
-
-@dataclass
-class EtaBlockMap:
-    """One map of the block construction; value and Jacobian via the
-    implicit function where needed."""
-
-    field: ScalarField
-    d: int
-    index: int
-
-    @property
-    def n_ambient(self) -> int:
-        return self.d * (self.d - 2)
-
-    def _selector(self) -> np.ndarray:
-        width = self.d - 1
-        S = np.zeros((width, self.n_ambient))
-        for a in range(width):
-            S[a, self.index * width + a] = 1.0
-        return S
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        d = self.d
-        width = d - 1
-        if self.index < d - 2:
-            return points @ self._selector().T
-        if self.index == d - 2:
-            tail = points[:, (d - 2) * width :]
-            sol = solve_eta(self.field, points)
-            return np.column_stack([tail, sol.eta])
-        total = np.zeros((points.shape[0], width))
-        for j in range(d - 1):
-            total += EtaBlockMap(self.field, d, j).value(points)
-        return total
-
-    def jacobian(self, point: np.ndarray) -> np.ndarray:
-        point = np.asarray(point, dtype=float)
-        d = self.d
-        width = d - 1
-        if self.index < d - 2:
-            return self._selector()
-        if self.index == d - 2:
-            sol = solve_eta(self.field, point[None, :])
-            grad = eta_gradient(self.field, point[None, :], sol.eta)[0]
-            J = np.zeros((width, self.n_ambient))
-            for a in range(d - 2):
-                J[a, (d - 2) * width + a] = 1.0
-            J[width - 1, :] = grad
-            return J
-        J = np.zeros((width, self.n_ambient))
-        for j in range(d - 1):
-            J += EtaBlockMap(self.field, d, j).jacobian(point)
-        return J
-
-
-def expected_lift_kernels(d: int) -> list[np.ndarray]:
-    """Kernel bases of the lifted block maps for the normalised field.
-
-    These are the closed-form kernels valid when the field's base
-    gradient is minus the sum of the block-diagonal unit entries, i.e.
-    grad eta(0) has -1 in coordinate a of block a and zero elsewhere.
-    """
-    width = d - 1
-    tail = d - 2
-    n_amb = d * (d - 2)
-    kernels = []
-    for j0 in range(d - 2 - 1):
-        w = np.zeros(width)
-        w[j0] = 1.0
-        w[j0 + 1] = -1.0
-        U = null_space(w[None, :])
-        K = np.zeros((n_amb, U.shape[1]))
-        K[j0 * width : (j0 + 1) * width, :] = U
-        K[(j0 + 1) * width : (j0 + 2) * width, :] = -U
-        kernels.append(K)
-    # the map reading the last full block couples into the tail
-    w = np.zeros(width)
-    w[d - 3] = 1.0
-    w[d - 2] = -1.0
-    U = null_space(w[None, :])
-    K = np.zeros((n_amb, U.shape[1]))
-    K[(d - 3) * width : (d - 2) * width, :] = U
-    K[(d - 2) * width :, :] = -U[:tail, :]
-    kernels.append(K)
-    # the eta map: tail coordinates free
-    K = np.zeros((n_amb, tail))
-    K[(d - 2) * width :, :] = np.eye(tail)
-    kernels.append(K)
-    # the sum map: first block orthogonal to e_0
-    w = np.zeros(width)
-    w[0] = 1.0
-    U = null_space(w[None, :])
-    K = np.zeros((n_amb, U.shape[1]))
-    K[:width, :] = U
-    kernels.append(K)
-    return kernels
-
-
-@dataclass
-class BlockLiftResult:
-    lifted_jacobians: list[np.ndarray]
-    kernels: list[np.ndarray]
-    scheme: list[tuple[int, ...]]
-    tensor_exponent: float
-    kernel_match_residual: float
-    transversality: float
-    direct_sum_det: float
-
-
-def block_lift(maps: list[EtaBlockMap], d: int) -> BlockLiftResult:
-    """Stack the base maps per the cyclic index tuples and certify that the
-    lifted kernels decompose the ambient space in direct sum.
-
-    The kernel list is matched against the closed-form bases; the tensor
-    recipe raises each selected density to the power 1/(d-2).
-    """
-    if d < 3:
-        raise ValueError("the block lift needs d >= 3")
-    if len(maps) != d:
-        raise ValueError("one map per index is required")
-    n_amb = d * (d - 2)
-    origin = np.zeros(n_amb)
-    scheme = block_index_tuples(d)
-    if d == 3:
-        lifted = [maps[t[0]].jacobian(origin) for t in scheme]
-    else:
-        lifted = [
-            np.vstack([maps[i].jacobian(origin) for i in tup]) for tup in scheme
-        ]
-    kernels = [null_space(J) for J in lifted]
-    expected = expected_lift_kernels(d) if d >= 4 else None
-    resid = 0.0
-    if expected is not None:
-        for K, E in zip(kernels, expected):
-            if K.shape[1] != E.shape[1]:
-                raise TransversalityError("lifted kernel has unexpected dimension")
-            resid = max(resid, largest_angle_sine(K, E))
-        if resid > 1e-8:
-            raise TransversalityError(
-                f"lifted kernels deviate from the closed forms by {resid:.3e}"
-            )
-    stacked = np.hstack(kernels)
-    if stacked.shape != (n_amb, n_amb):
-        raise TransversalityError("lifted kernel dimensions do not sum to the ambient one")
-    direct_sum_det = float(np.linalg.det(stacked))
-    quantity = transversality_quantity(lifted)
-    if not relative_transversality(lifted, quantity) > 1e-10:
-        raise TransversalityError("lifted maps are not transversal")
-    return BlockLiftResult(
-        lifted_jacobians=lifted,
-        kernels=kernels,
-        scheme=scheme,
-        tensor_exponent=1.0 / (d - 2),
-        kernel_match_residual=resid,
-        transversality=quantity,
-        direct_sum_det=direct_sum_det,
-    )
 
 
 def extension_operator(

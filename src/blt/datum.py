@@ -577,13 +577,3 @@ def tensor_lift(maps: list[np.ndarray], scheme: list[tuple[int, ...]]) -> tuple[
     datum = BLDatum(d, lifted, np.full(m, 1.0 / (m - 1)))
     return datum, TensorRecipe([tuple(t) for t in scheme])
 
-
-def block_index_tuples(d: int) -> list[tuple[int, ...]]:
-    """Cyclic index tuples of length d-2: the j-th tuple deletes j and
-    j+1 (mod d) from (0, ..., d-1), listed in cyclic order from j+2.
-
-    Every index occurs exactly d-2 times across the tuples (0-based).
-    """
-    if d < 3:
-        raise DatumError("block index tuples need d >= 3")
-    return [tuple((j + 1 + l) % d for l in range(1, d - 1)) for j in range(d)]

@@ -7,9 +7,8 @@ orthonormal kernel basis N = (n_1, ..., n_{d-k}).  Every quantity the
 package takes from the algebra follows from that identity, so nothing
 here enumerates the 2^d basis and d is not capped.
 
-Two dense helpers sit beside it: ``null_space`` (the kernel bases the
-datum, scale and lift code take) and ``largest_angle_sine`` (the
-distance between two column spaces), both plain numpy SVDs.
+One dense helper sits beside it: ``null_space``, the kernel bases the
+datum and scale code take, by a plain numpy SVD.
 """
 
 from __future__ import annotations
@@ -76,41 +75,13 @@ def cross_like(vectors: np.ndarray) -> np.ndarray:
     return np.linalg.det(np.concatenate([rows, np.eye(d)[:, None]], axis=1))
 
 
-def _ranked_svd(A: np.ndarray):
-    """(U, V^T, rank) of a full SVD of A; the rank counts the singular
-    values above eps * max(M, N) * s_max, the usual numerical cut."""
+def null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker A as columns: the right singular vectors
+    past the numerical rank of A, which counts the singular values above
+    eps * max(M, N) * s_max, the usual numerical cut."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
         raise ValueError("array must not contain infs or NaNs")
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
     tol = np.finfo(float).eps * max(A.shape) * np.amax(s, initial=0.0)
-    return u, vh, int(np.sum(s > tol))
-
-
-def null_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker A as columns: the right singular vectors
-    past the numerical rank of A."""
-    _, vh, rank = _ranked_svd(A)
-    return vh[rank:].T
-
-
-def _orth(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space of A."""
-    u, _, rank = _ranked_svd(A)
-    return u[:, :rank]
-
-
-def largest_angle_sine(A: np.ndarray, B: np.ndarray) -> float:
-    """Sine of the largest principal angle between the column spaces of A
-    and B (the smaller space against the larger one).
-
-    Both inputs are orthonormalised first, so their columns need not be
-    unit or orthogonal.  The sine is the norm of the part of Q_B outside
-    span Q_A, which stays accurate for small angles where the cosine
-    route loses half the digits.
-    """
-    QA, QB = _orth(A), _orth(B)
-    if QA.shape[1] < QB.shape[1]:
-        QA, QB = QB, QA
-    residual = QB - QA @ (QA.T @ QB)
-    return float(np.linalg.svd(residual, compute_uv=False).max(initial=0.0))
+    return vh[int(np.sum(s > tol)):].T

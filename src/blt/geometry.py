@@ -1,19 +1,19 @@
 """Exact low-dimensional geometry primitives.
 
 Covers the measure of axis boxes against halfspaces and slabs (exact in
-1D/2D, midpoint-subdivision in higher rank) and polytope volume via
-halfspace intersection.  These back the slab and tube masses of the
-scale decomposition and the exact-indicator path of the ratio
-quadrature.  Every grid mass goes through one rank dispatch
+1D/2D, midpoint-subdivision in higher rank), which backs the slab and
+tube masses of the scale decomposition, and the bounding box of a set
+cut out by linear constraints, which bounds the ratio quadrature's
+composite support.  Every grid mass goes through one rank dispatch
 (`_halfplane_mass`) except a rank-2 slab's: there a cell's area below a
 cut of <y, w> is piecewise quadratic in the cut (`_square_areas_below`,
-the one copy of that arithmetic, which `box_halfspace_area_2d` also
-uses).  `SlabCells` is the per-grid table for it: the positive cells,
-their values and their corner projections on w.  `grid_slab_mass` builds
-one per call; the pigeonhole ladder builds one per window and reuses it
-at every step, evaluating each cut's areas once.  Other rank-2 regions
-take a cell's share of any halfplane intersection as a closed-form edge
-sum over the lines that bound it, with no polygon clipping.  Both
+the one copy of that arithmetic).  `SlabCells` is the per-grid table for
+it: the positive cells, their values and their corner projections on w.
+`grid_slab_mass` builds one per call; the pigeonhole ladder builds one
+per window and reuses it at every step, evaluating each cut's areas
+once.  Other rank-2 regions take a cell's share of any halfplane
+intersection as a closed-form edge sum over the lines that bound it,
+with no polygon clipping.  Both
 grid-mass routines measure many regions of one grid in one call: a
 region's mass does not depend on the other regions of its call.  The
 regions of a `grid_polygon_mass` call form a grid whose offsets each
@@ -34,18 +34,6 @@ BLOCK_ENTRIES = 2**16
 # Relative angle, and distance in cell sides, below which two lines of the
 # rank-2 area kernel count as parallel, and parallel lines as coincident.
 PARALLEL_TOL = 64 * np.finfo(float).eps
-
-
-def box_halfspace_area_2d(
-    origins: np.ndarray, h: float, w: np.ndarray, c: np.ndarray
-) -> np.ndarray:
-    """Area of cell_k intersected with {y : <y, w> <= c_k}, exactly.
-
-    origins: (N, 2) lower corners of square cells of side h; c: (N,)
-    thresholds, or (T, 1) thresholds for a (T, N) table of areas.
-    """
-    base, wx, wy = _reflected_projections(np.asarray(origins, dtype=float), h, w)
-    return _square_areas_below(np.asarray(c, dtype=float) - base, h, wx, wy)
 
 
 class SlabCells:
@@ -420,63 +408,6 @@ def _subdivision_mass(origins, vals, h: float, normals, regions: _RegionGrid) ->
     return masses * (h / q) ** k
 
 
-def chebyshev_center(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Interior point of {x : A x <= b} via the Chebyshev-center LP.
-
-    None when the LP certifies the set empty (infeasible) or flat (no
-    ball of positive radius fits); ValueError on any other LP failure,
-    such as a set holding arbitrarily large balls.
-    """
-    # imported here: scipy.optimize is slow to import and only indicator volumes need it
-    from scipy.optimize import linprog
-
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    norms = np.linalg.norm(A, axis=1)
-    n = A.shape[1]
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([A, norms[:, None]])
-    res = linprog(c, A_ub=A_ub, b_ub=b, bounds=[(None, None)] * n + [(0, None)], method="highs")
-    if res.status == 2 or (res.success and res.x[-1] <= 0):
-        return None
-    if not res.success:
-        raise ValueError(f"Chebyshev-center LP failed: {res.message}")
-    return res.x[:n]
-
-
-def polytope_volume(A: np.ndarray, b: np.ndarray) -> float:
-    """Volume of the bounded polytope {x : A x <= b}; 0 only when the
-    Chebyshev-center LP certifies it empty or flat.
-
-    Exact interval length in one dimension, a Qhull halfspace
-    intersection above; a Qhull failure (an unbounded set, say) raises
-    ValueError rather than reading as zero volume.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    interior = chebyshev_center(A, b)
-    if interior is None:
-        return 0.0
-    if A.shape[1] == 1:
-        a = A[:, 0]
-        return float(np.min(b[a > 0] / a[a > 0]) - np.max(b[a < 0] / a[a < 0]))
-    # imported here: scipy.spatial is slow to import and only indicator volumes need it
-    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
-
-    halfspaces = np.hstack([A, -b[:, None]])
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hs = HalfspaceIntersection(halfspaces, interior)
-        if not np.all(np.isfinite(hs.intersections)):
-            raise ValueError("halfspace intersection has vertices at infinity")
-        hull = ConvexHull(hs.intersections)
-    except (QhullError, ValueError) as exc:
-        reason = str(exc).strip().splitlines()[0]
-        raise ValueError(f"polytope volume failed in Qhull: {reason}") from exc
-    return float(hull.volume)
-
-
 def bounding_box_from_linear_constraints(
     mats: list[np.ndarray], lows: list[np.ndarray], highs: list[np.ndarray], d: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -484,8 +415,10 @@ def bounding_box_from_linear_constraints(
 
     When every row of every B_j has one nonzero entry the region is a box,
     and its bounds are the per-axis intersections of the rows' intervals;
-    otherwise two LPs per axis give them.  Returns None when the region is
-    empty or unbounded in some direction.
+    otherwise two LPs per axis give them.  An empty region comes back with
+    lo > hi on some axis (the LP route returns lo = inf, hi = -inf when
+    HiGHS finds it infeasible); None means it is unbounded in some
+    direction, or that an LP could not bound it.
     """
     lows = [np.asarray(lo, dtype=float) for lo in lows]
     highs = [np.asarray(hi, dtype=float) for hi in highs]
@@ -503,6 +436,8 @@ def bounding_box_from_linear_constraints(
         c = np.zeros(d)
         c[a] = 1.0
         res_min = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * d, method="highs")
+        if res_min.status == 2:  # infeasible: the region is empty
+            return np.full(d, np.inf), np.full(d, -np.inf)
         res_max = linprog(-c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * d, method="highs")
         if not (res_min.success and res_max.success):
             return None
@@ -522,6 +457,7 @@ def _interval_box(A: np.ndarray, lo_rows: np.ndarray, hi_rows: np.ndarray, d: in
     hi_out = np.full(d, np.inf)
     np.maximum.at(lo_out, axis, below)
     np.minimum.at(hi_out, axis, above)
-    if not np.all(np.isfinite(lo_out) & np.isfinite(hi_out) & (lo_out <= hi_out)):
+    # an axis with lo > hi makes the region empty, whatever bounds the others
+    if not np.any(lo_out > hi_out) and not np.all(np.isfinite(lo_out) & np.isfinite(hi_out)):
         return None
     return lo_out, hi_out

@@ -286,35 +286,3 @@ def eta_gradient(field: ScalarField, x: np.ndarray, eta: np.ndarray, tol: float 
         )
     return -grads[:, :-1] / denom[:, None]
 
-
-@dataclass
-class HoelderEstimate:
-    value: float
-    sup_eta: float
-    sup_grad: float
-    grad_holder_quotient: float
-    samples: int
-
-
-def hoelder_estimate(field: ScalarField, sample_count: int, seed: int) -> HoelderEstimate:
-    """Empirical lower bound for the C^{1,beta} size of the implicit function.
-
-    Samples x in B(0, R1), solves for eta, and reports
-    max(sup |eta|, sup |grad eta|, max Hoelder quotient of grad eta).
-    """
-    R1, _ = ift_radii(field.beta, field.kappa)
-    rng = np.random.default_rng(seed)
-    X = _ball_samples(rng, sample_count, max(field.n, 1), R1 * (1 - 1e-9))
-    if field.n == 0:
-        X = np.zeros((1, 0))
-    sol = solve_eta(field, X)
-    grads = eta_gradient(field, X, sol.eta)
-    sup_eta = float(np.abs(sol.eta).max())
-    sup_grad = float(np.linalg.norm(grads, axis=1).max()) if grads.size else 0.0
-    count = X.shape[0]
-    half = count // 2
-    idx = rng.permutation(count)
-    a, b = idx[:half], idx[half : 2 * half]
-    quotient = holder_quotient(X[a], X[b], grads[a], grads[b], field.beta)
-    value = max(sup_eta, sup_grad, quotient)
-    return HoelderEstimate(value, sup_eta, sup_grad, quotient, count)

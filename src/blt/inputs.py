@@ -226,8 +226,8 @@ class PiecewiseLinearGridFunction:
         point off the support sits on a pad node with weight 1 and a
         non-finite point reads 0.  The weights, 1 - t and 1 - (1 - t) for
         the fraction t, and the corner order, last axis fastest, are those
-        of scipy's order-1 spline interpolation, whose values the tests
-        compare against.
+        of order-1 spline interpolation (`ndimage.map_coordinates`), whose
+        values the tests compare against.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         shape = self.node_values.shape

@@ -27,15 +27,13 @@ class NonlinearMapFamily:
     """C^{1,beta} map R^d -> R^{d_out} with polynomial components.
 
     beta is the Hoelder exponent of the derivative, kappa the declared
-    bound on its Hoelder quotient.  tag is 'linear' or
-    'linear-plus-polynomial-perturbation'.
+    bound on its Hoelder quotient.
     """
 
     d: int
     components: list[Polynomial]
     beta: float
     kappa: float
-    tag: str = "linear-plus-polynomial-perturbation"
 
     def __post_init__(self) -> None:
         if not 0 < self.beta <= 1:
@@ -72,21 +70,6 @@ class NonlinearMapFamily:
         inflation of every slab and tube image of the decomposition."""
         return 4.0 * self.d * self.holder_constant_effective() * side ** (1.0 + self.beta)
 
-    def compose_affine(self, A: np.ndarray, b: np.ndarray | None = None) -> list[Polynomial]:
-        return [comp.substitute_affine(A, b) for comp in self.components]
-
-    def left_multiply(self, M: np.ndarray) -> "NonlinearMapFamily":
-        """Map x -> M @ B(x) with the same source dimension."""
-        M = np.asarray(M, dtype=float)
-        new_components = []
-        for r in range(M.shape[0]):
-            acc = Polynomial.zero(self.d)
-            for c, comp in enumerate(self.components):
-                if M[r, c] != 0.0:
-                    acc = acc + comp.scale(M[r, c])
-            new_components.append(acc)
-        return NonlinearMapFamily(self.d, new_components, self.beta, self.kappa, self.tag)
-
     def validate(
         self,
         cube_center: np.ndarray,
@@ -109,12 +92,6 @@ class NonlinearMapFamily:
         if min_sv <= RANK_TOL:
             raise RegularityError(f"Jacobian rank deficiency: min singular value {min_sv:.3e}")
         holder_quotient(X, Y, JX, JY, self.beta, self.kappa, RegularityError)
-
-
-def linear_family(matrix: np.ndarray, beta: float = 1.0, kappa: float = 0.0) -> NonlinearMapFamily:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    comps = [Polynomial.linear_form(matrix[r]) for r in range(matrix.shape[0])]
-    return NonlinearMapFamily(matrix.shape[1], comps, beta, kappa, tag="linear")
 
 
 def perturbed_projection(

@@ -66,9 +66,6 @@ class Polynomial:
             out[k] = out.get(k, 0.0) + c
         return Polynomial(self.n, out)
 
-    def scale(self, factor: float) -> "Polynomial":
-        return Polynomial(self.n, {k: factor * c for k, c in self.coeffs.items()})
-
     def multiply(self, other: "Polynomial") -> "Polynomial":
         out: dict[tuple[int, ...], float] = {}
         for k1, c1 in self.coeffs.items():

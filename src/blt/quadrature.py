@@ -3,11 +3,9 @@
 QuadratureSpec owns the one box rule of the package: tensor midpoint or
 seeded Monte Carlo, each with its error estimate.  The numerator integral
 of prod_j f_j(B_j x)^{p_j} is computed by it over an axis box, for
-coordinate projections one factor per map on its own midpoint sub-grid;
-when every input is a box indicator and no region is given, the
-composite support is a polytope and the value is exact.  Also hosts the
-discrete product-projection inequality, exact parallelepiped
-extremizers, and the convolution self-similarity report.
+coordinate projections one factor per map on its own midpoint sub-grid.
+Also hosts the discrete product-projection inequality, exact
+parallelepiped extremizers, and the convolution self-similarity report.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .datum import BLDatum, ProjectionScheme, reduce_to_projections
-from .geometry import BLOCK_ENTRIES, bounding_box_from_linear_constraints, polytope_volume
+from .geometry import BLOCK_ENTRIES, bounding_box_from_linear_constraints
 from .inputs import (
     BoxIndicator,
     GridFunction,
@@ -139,6 +137,8 @@ def _product_integrand(factors):
 
 
 def _support_region(datum: BLDatum, inputs: list[InputFunction]):
+    """Bounding box of the composite support {x : B_j x in supp f_j for all
+    j}: None when it is unbounded, lo > hi on some axis when it is empty."""
     boxes = []
     for f in inputs:
         box = f.support_box()
@@ -148,28 +148,6 @@ def _support_region(datum: BLDatum, inputs: list[InputFunction]):
     lows = [b[0] for b in boxes]
     highs = [b[1] for b in boxes]
     return bounding_box_from_linear_constraints(datum.maps, lows, highs, datum.d)
-
-
-def _exact_indicator_numerator(datum: BLDatum, inputs: list[BoxIndicator]) -> float:
-    """Volume of {x : B_j x in box_j for all j}: exact polytope path.
-
-    Valid because the indicator product is itself the indicator of this
-    polytope and all exponents sum against exponent-1 reweighting of an
-    indicator (0/1 values are exponent-invariant).
-    """
-    rows = []
-    offs = []
-    for B, f in zip(datum.maps, inputs):
-        Minv = np.linalg.inv(f.matrix)
-        G = Minv @ B
-        c = Minv @ f.offset
-        rows.append(G)
-        offs.append(1.0 - c)
-        rows.append(-G)
-        offs.append(c)
-    A = np.vstack(rows)
-    b = np.concatenate([np.atleast_1d(o) for o in offs])
-    return polytope_volume(A, b)
 
 
 def bl_ratio(
@@ -182,8 +160,9 @@ def bl_ratio(
 
     region is an axis box (lo, hi) or None for all of space.  With
     region None the support box is derived when every input is
-    compactly supported (exactly, as a polytope volume, when every
-    input is a box indicator); unbounded inputs then raise.
+    compactly supported; unbounded inputs then raise, and a composite
+    support with no volume (empty, or flat along some axis) gives
+    (0.0, 0.0).
 
     Returns (value, error_estimate): the Monte Carlo estimate carries
     the sample standard error, the midpoint rule the change against the
@@ -197,15 +176,14 @@ def bl_ratio(
     if any(mass <= 0.0 for mass in masses):
         raise ZeroMassError("every input must have positive mass")
     denom = float(np.prod([mass ** pj for mass, pj in zip(masses, datum.p)]))
-    if region is None and all(isinstance(f, BoxIndicator) for f in inputs):
-        numerator = _exact_indicator_numerator(datum, inputs)  # exact path
-        return numerator / denom, 0.0
     if region is None:
         region = _support_region(datum, inputs)
         if region is None:
             raise UnboundedDomainError(
                 "inputs have unbounded composite support; supply a region"
             )
+        if np.any(region[1] <= region[0]):
+            return 0.0, 0.0
     lo = np.asarray(region[0], dtype=float)
     hi = np.asarray(region[1], dtype=float)
     if lo.shape != (datum.d,) or hi.shape != (datum.d,) or np.any(hi <= lo):
@@ -365,7 +343,7 @@ def _is_coordinate_projection_datum(datum: BLDatum) -> bool:
     )
 
 
-def _lattice_aligned(datum: BLDatum, grids: list[GridFunction]) -> bool:
+def _lattice_aligned(grids: list[GridFunction]) -> bool:
     h = grids[0].spacing
     for g in grids:
         if abs(g.spacing - h) > 1e-12 * h:
@@ -443,7 +421,7 @@ def ball_inequality_report(
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     fast = (
         _is_coordinate_projection_datum(datum)
-        and _lattice_aligned(datum, f + fprime)
+        and _lattice_aligned(f + fprime)
         and _x_grid_on_lattice(x_grid, f[0].spacing)
     )
     value_only = replace(spec, error_estimate=False)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datum import ProjectionScheme, kernel_basis
-from .exterior import cross_like, null_space, relative_transversality, transversality_quantity
+from .datum import ProjectionScheme
+from .exterior import cross_like, null_space
 from .geometry import SlabCells, grid_polygon_mass, grid_slab_mass
 from .inputs import GridFunction
 from .nonlinear import NonlinearMapFamily, RegularityError
@@ -148,52 +148,6 @@ def sigma_map(scheme: ProjectionScheme, m: int | None = None) -> np.ndarray:
         for i in block:
             sigma[i] = (j + 1) % m
     return sigma
-
-
-def canonicalize_nonlinear(
-    maps: list[NonlinearMapFamily], x0: np.ndarray
-) -> tuple[list[NonlinearMapFamily], np.ndarray, list[np.ndarray], np.ndarray]:
-    """Conjugate the maps so their derivatives at the base point become the
-    coordinate projections.
-
-    Returns (new_maps, A, [C_j], new_base_point) with
-    new_map_j(x) = C_j^{-1} B_j(A x) and d(new_map_j)(A^{-1} x0) = Pi_j.
-    The conjugated regularity bound is kappa' = kappa ||C_j^{-1}|| ||A||^{1+beta}.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    jacs = [fam.jacobian(x0) for fam in maps]
-    quantity = transversality_quantity(jacs)
-    if not relative_transversality(jacs, quantity) > 1e-10:
-        raise ScaleError("derivative kernels are not transversal at the base point")
-    columns = []
-    for J in jacs:
-        ns = kernel_basis(J)
-        columns.append(ns)
-    A = np.column_stack(columns)
-    kernel_dims = [ns.shape[1] for ns in columns]
-    scheme = ProjectionScheme(x0.size, kernel_dims)
-    new_maps = []
-    Cjs = []
-    norm_A = float(np.linalg.norm(A, ord=2))
-    for j, fam in enumerate(maps):
-        keep = scheme.complement(j)
-        Cj = jacs[j] @ A[:, keep]
-        Cjs.append(Cj)
-        comps = fam.compose_affine(A)
-        inner = NonlinearMapFamily(fam.d, comps, fam.beta, fam.kappa, fam.tag)
-        conj = inner.left_multiply(np.linalg.inv(Cj))
-        kappa_new = fam.kappa * float(np.linalg.norm(np.linalg.inv(Cj), ord=2)) * norm_A ** (
-            1.0 + fam.beta
-        )
-        conj.kappa = max(kappa_new, 1e-300)
-        new_maps.append(conj)
-    new_x0 = np.linalg.solve(A, x0)
-    for j, fam in enumerate(new_maps):
-        target = scheme.projection_matrix(j)
-        resid = np.linalg.norm(fam.jacobian(new_x0) - target)
-        if resid > 1e-9:
-            raise ScaleError(f"canonicalisation residual {resid:.3e} for map {j}")
-    return new_maps, A, Cjs, new_x0
 
 
 @dataclass
@@ -508,10 +462,6 @@ class Decomposition:
             e[0::2] = s + third
             e[1::2] = s[:-1] + 2.0 * third
             self.edges.append(e)
-
-    @property
-    def delta(self) -> float:
-        return self.cube.side
 
     def main_count(self, axis: int) -> int:
         return len(self.sequences[axis].s) - 1

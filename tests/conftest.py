@@ -11,6 +11,7 @@ from hypothesis import settings
 from blt.datum import BLDatum, ProjectionScheme, projection_datum
 from blt.inputs import GridFunction
 from blt.nonlinear import NonlinearMapFamily, perturbed_projection
+from blt.polynomials import Polynomial
 from blt.scales import Cube, compute_delta0
 
 # HYPOTHESIS_PROFILE=ci replays the same examples on every run.
@@ -66,6 +67,13 @@ def random_class_c_datum(
 
     datum, _ = transform_datum(base, C, Cj)
     return datum, base, C, Cj
+
+
+def linear_family(matrix: np.ndarray, beta: float = 1.0, kappa: float = 0.0) -> NonlinearMapFamily:
+    """The linear map x -> matrix @ x as a map family."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    comps = [Polynomial.linear_form(matrix[r]) for r in range(matrix.shape[0])]
+    return NonlinearMapFamily(matrix.shape[1], comps, beta, kappa)
 
 
 def perturbed_lw_maps(c: float = 0.3, beta: float = 1.0, kappa: float = 1.0):

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
+import ast
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,9 +56,9 @@ def lw_file(tmp_path):
 
 
 def test_cli_and_datum_commands_load_no_scipy(tmp_path, lw_file):
-    # scipy is slow to import: only polytope volumes and support boxes of
-    # maps whose rows read several axes need it, and they import it on first
-    # use.  ball-check runs on the benchmark's Loomis-Whitney lattice input.
+    # scipy is slow to import: only support boxes of maps whose rows read
+    # several axes need it, and they import it on first use.  ball-check
+    # runs on the benchmark's Loomis-Whitney lattice input.
     rng = np.random.default_rng(3)
     grids = [{"origin": [0.0, 0.0], "spacing": 1.0, "values": rng.uniform(0.5, 1.5, (4, 4)).tolist()}
              for _ in range(6)]
@@ -80,6 +82,22 @@ def test_cli_and_datum_commands_load_no_scipy(tmp_path, lw_file):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_package_imports_no_scipy_but_optimize():
+    # the LP of a support box is all the package takes from scipy: Qhull
+    # (scipy.spatial) and the rest stay out of it
+    imported = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                imported += [(path.name, f"scipy.{alias.name}") for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module))
+    scipy = [(name, module) for name, module in imported if module.split(".")[0] == "scipy"]
+    assert scipy and all(module.split(".")[:2] == ["scipy", "optimize"] for _, module in scipy), scipy
 
 
 class TestBasicCommands:
@@ -351,17 +369,22 @@ class TestBallCheckInputs:
         # the sup and lhs terms are exact lattice sums under either rule
         assert mc["lhs"] == midpoint["lhs"] and mc["sup_term"] == midpoint["sup_term"]
 
-    @pytest.mark.parametrize("f_origins, message", [
+    @pytest.mark.parametrize("factor, f_origins, message", [
         # the supports of f_0 and f_1 meet no common interval on axis 2 (nor do
         # those of f * f'): rejected before the convolution is formed
-        ([[0.0, 0.0], [0.0, 10.0], [0.0, 0.0]], "R(f) R(f') is 0"),
+        (1, [[0.0, 0.0], [0.0, 10.0], [0.0, 0.0]], "R(f) R(f') is 0"),
         # f_2 leaves no volume on axis 1 that f_0 covers, but f * f' does
-        ([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]], "R(f) R(f') is 0"),
-    ], ids=["disjoint-f-supports", "zero-lhs"])
-    def test_empty_supports_exit_1(self, tmp_path, capsys, lw_file, f_origins, message):
+        (1, [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]], "R(f) R(f') is 0"),
+        # doubled maps leave the lattice: the support box of f tells its
+        # empty composite support from an unbounded one
+        (2, [[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]], "R(f) R(f') is 0"),
+    ], ids=["disjoint-f-supports", "zero-lhs", "doubled-maps-empty"])
+    def test_empty_supports_exit_1(self, tmp_path, capsys, lw_file, factor, f_origins, message):
         unit = {"spacing": 1.0, "values": [[1.0]]}
+        datum = json.loads(open(lw_file).read())
+        datum["maps"] = [[[factor * c for c in row] for row in B] for B in datum["maps"]]
         payload = {
-            "datum": json.loads(open(lw_file).read()),
+            "datum": datum,
             "f": [{"origin": origin, **unit} for origin in f_origins],
             "fprime": [{"origin": [0.0, 0.0], "spacing": 1.0, "values": np.ones((2, 2)).tolist()}] * 3,
             "x_grid": {"lo": [0.0] * 3, "hi": [3.0] * 3, "count": 4},

@@ -1,4 +1,4 @@
-"""Singular convolution, block lift, extension operator, two-route check."""
+"""Singular convolution, extension operator, two-route check."""
 
 import json
 import math
@@ -18,20 +18,17 @@ from blt.convext import (
     SurfaceFunction,
     TransversalityError,
     ValidityError,
-    block_lift,
-    build_corollary_maps,
     delta_integral,
     extension_on_grid,
     extension_operator,
     surface_convolution,
     verify_thm74,
 )
-from blt.datum import block_index_tuples
-from blt.geometry import polytope_volume
 from blt.ift import DomainError, FieldDeclarationError, ScalarField
 from blt.inputs import GridFunction
 from blt.polynomials import Polynomial
 from blt.quadrature import QuadratureSpec
+from tests.polytope_oracle import polytope_volume
 
 
 def linear_surface(lo, hi, slope, kappa=None):
@@ -158,61 +155,6 @@ class TestDeltaIntegral:
 
         with pytest.raises(DomainError):
             delta_integral(field, lambda U: np.ones(U.shape[0]), (np.full(3, -1.0), np.full(3, 1.0)), spec)
-
-
-class TestBlockLift:
-    def flat_field(self, d):
-        n_amb = d * (d - 2)
-        coeffs = {}
-        for j in range(d - 1):
-            key = [0] * (n_amb + 1)
-            key[j * (d - 1) + j] = 1
-            coeffs[tuple(key)] = 1.0
-        return ScalarField(n_amb, Polynomial(n_amb + 1, coeffs), 1.0, 2.0)
-
-    def test_d4_scheme_frozen(self):
-        assert block_index_tuples(4) == [(2, 3), (3, 0), (0, 1), (1, 2)]
-
-    def test_d4_kernels_match_closed_forms(self):
-        field = self.flat_field(4)
-        maps = build_corollary_maps(field, 4)
-        res = block_lift(maps, 4)
-        assert res.kernel_match_residual <= 1e-8
-        assert [K.shape[1] for K in res.kernels] == [2, 2, 2, 2]
-        assert abs(res.direct_sum_det) > 1e-10
-        assert abs(res.transversality) > 1e-10
-        assert res.tensor_exponent == pytest.approx(0.5)
-
-    def test_d5_transversality_beyond_twelve_ambient_dimensions(self):
-        # n_amb = 15: the lifted transversality is computed and checked
-        field = self.flat_field(5)
-        res = block_lift(build_corollary_maps(field, 5), 5)
-        assert [K.shape[1] for K in res.kernels] == [3] * 5
-        assert abs(res.transversality) == pytest.approx(1.0, rel=1e-12)  # frozen
-
-    def test_d3_reduces_to_original_family(self):
-        field = self.flat_field(3)
-        maps = build_corollary_maps(field, 3)
-        res = block_lift(maps, 3)
-        origin = np.zeros(3)
-        for j, tup in enumerate(block_index_tuples(3)):
-            assert np.allclose(res.lifted_jacobians[j], maps[tup[0]].jacobian(origin))
-
-    def test_curved_field_still_transversal(self):
-        base = self.flat_field(4)
-        poly = base.poly + Polynomial(9, {(0, 2, 0, 0, 0, 0, 0, 0, 0): 4.0})
-        field = ScalarField(8, poly, 1.0, 3.0)
-        maps = build_corollary_maps(field, 4)
-        res = block_lift(maps, 4)
-        assert abs(res.direct_sum_det) > 1e-10
-
-    def test_eta_block_map_value_consistency(self):
-        field = self.flat_field(4)
-        maps = build_corollary_maps(field, 4)
-        rng = np.random.default_rng(6)
-        X = rng.uniform(-1e-4, 1e-4, size=(10, 8))
-        total = sum(maps[j].value(X) for j in range(3))
-        assert np.allclose(maps[3].value(X), total, atol=1e-15)
 
 
 @pytest.mark.parametrize("lo, hi, c, beta, kappa, message", [
@@ -352,7 +294,7 @@ def oracle_field(surfaces, y):
     scale = float(F_t.partial(total - 1).evaluate(np.zeros((1, total)))[0])
     if abs(scale) < 0.5:
         raise TransversalityError(f"last partial derivative {scale:.3e} below 1/2 at the root")
-    G = F_t.scale(1.0 / scale)
+    G = Polynomial(total, {k: (1.0 / scale) * c for k, c in F_t.coeffs.items()})
     beta = min(s.beta for s in surfaces)
     field = ScalarField(total - 1, G, beta=beta, kappa=oracle_declare_kappa(G, beta))
     return field, root, scale

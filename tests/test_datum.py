@@ -10,7 +10,6 @@ from blt.datum import (
     ProjectionScheme,
     SearchResult,
     bl_constant_classC,
-    block_index_tuples,
     gaussian_ratio,
     is_class_C,
     projection_datum,
@@ -496,12 +495,6 @@ class TestTensorLift:
         lifted, _ = tensor_lift(maps, [(0,), (1,), (2,)])
         for B, B2 in zip(maps, lifted.maps):
             assert np.allclose(B, B2)
-
-    def test_block_scheme_d4_frozen(self):
-        assert block_index_tuples(4) == [(2, 3), (3, 0), (0, 1), (1, 2)]
-        flat = [i for tup in block_index_tuples(4) for i in tup]
-        for k in range(4):
-            assert flat.count(k) == 2  # d - 2 occurrences each
 
     def test_repeated_index_rejected(self):
         with pytest.raises(DatumError):

@@ -9,7 +9,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blt.convext import expected_lift_kernels
 from blt.datum import (
     BLDatum,
     DatumError,
@@ -21,7 +20,6 @@ from blt.datum import (
 from blt.exterior import (
     ExteriorError,
     cross_like,
-    largest_angle_sine,
     null_space,
     relative_transversality,
     row_wedge_norm,
@@ -318,41 +316,3 @@ class TestNullSpace:
         with pytest.raises(ValueError, match="infs or NaNs"):
             null_space(np.array([[1.0, np.nan]]))
 
-
-def _scipy_sine(A, B):
-    return float(np.sin(scipy.linalg.subspace_angles(A, B)).max())
-
-
-class TestLargestAngleSine:
-    """`largest_angle_sine` against sin of scipy's subspace angles."""
-
-    @pytest.mark.parametrize("separation", [1e-4, 1e-8, 1e-10])
-    def test_small_separations(self, separation):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            Q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
-            A = Q[:, :3]
-            # tilt one direction of span A towards its complement, then
-            # hand in a skewed, unnormalised basis of the tilted span
-            B = A.copy()
-            B[:, 1] = np.cos(separation) * A[:, 1] + np.sin(separation) * Q[:, 5]
-            B = B @ np.array([[2.0, 0.5, 0.0], [0.0, 3.0, 0.0], [1.0, 0.0, 0.5]])
-            for left, right in ((A, B), (B, A)):
-                got = largest_angle_sine(left, right)
-                assert got == pytest.approx(_scipy_sine(left, right), rel=1e-6)
-                assert got == pytest.approx(np.sin(separation), rel=1e-6)
-
-    @pytest.mark.parametrize("d", [4, 5])
-    def test_non_orthonormal_lift_kernels(self, d):
-        rng = np.random.default_rng(d)
-        for E in expected_lift_kernels(d):
-            K = scipy.linalg.orth(E + 1e-6 * rng.standard_normal(E.shape))
-            for left, right in ((K, E), (E, K)):
-                got = largest_angle_sine(left, right)
-                assert got == pytest.approx(_scipy_sine(left, right), rel=1e-6)
-                assert 1e-8 < got < 1e-4
-
-    def test_orthogonal_spaces(self):
-        A = np.eye(4)[:, :2]
-        B = 3.0 * np.eye(4)[:, 2:]
-        assert largest_angle_sine(A, B) == pytest.approx(1.0, rel=1e-15)

@@ -9,11 +9,10 @@ from blt import geometry
 from blt.geometry import (
     SUBDIVISION,
     bounding_box_from_linear_constraints,
-    box_halfspace_area_2d,
     grid_polygon_mass,
     grid_slab_mass,
-    polytope_volume,
 )
+from tests.polytope_oracle import polytope_volume
 
 
 def clip_polygon_halfplane(vertices: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
@@ -121,6 +120,13 @@ def oracle_mass(values, origin, h, halfplanes) -> float:
     return total
 
 
+def areas_below(origins, h, w, c):
+    """Areas of the cells [o, o + h]^2 with {<y, w> <= c}, by the kernel of
+    the rank-2 slab masses."""
+    base, wx, wy = geometry._reflected_projections(np.asarray(origins, dtype=float), h, w)
+    return geometry._square_areas_below(np.asarray(c, dtype=float) - base, h, wx, wy)
+
+
 class TestBoxHalfspaceArea:
     @pytest.mark.parametrize("seed", range(6))
     def test_against_monte_carlo(self, seed):
@@ -129,7 +135,7 @@ class TestBoxHalfspaceArea:
         origins = rng.uniform(-1, 1, size=(5, 2))
         w = rng.standard_normal(2)
         c = rng.uniform(-2, 2, size=5)
-        areas = box_halfspace_area_2d(origins, h, w, c)
+        areas = areas_below(origins, h, w, c)
         pts = rng.uniform(0, h, size=(200_000, 2))
         for k in range(5):
             inside = (pts + origins[k]) @ w <= c[k]
@@ -139,15 +145,15 @@ class TestBoxHalfspaceArea:
     def test_axis_aligned_exact(self):
         origins = np.array([[0.0, 0.0]])
         # halfspace x <= 0.25 on the unit cell
-        area = box_halfspace_area_2d(origins, 1.0, np.array([1.0, 0.0]), np.array([0.25]))
+        area = areas_below(origins, 1.0, np.array([1.0, 0.0]), np.array([0.25]))
         assert area[0] == pytest.approx(0.25)
-        area = box_halfspace_area_2d(origins, 1.0, np.array([0.0, -2.0]), np.array([-1.0]))
+        area = areas_below(origins, 1.0, np.array([0.0, -2.0]), np.array([-1.0]))
         assert area[0] == pytest.approx(0.5)
 
     def test_diagonal_triangle(self):
         origins = np.array([[0.0, 0.0]])
         # x + y <= 1 cuts half of the unit cell
-        area = box_halfspace_area_2d(origins, 1.0, np.array([1.0, 1.0]), np.array([1.0]))
+        area = areas_below(origins, 1.0, np.array([1.0, 1.0]), np.array([1.0]))
         assert area[0] == pytest.approx(0.5)
 
 
@@ -614,7 +620,9 @@ class TestPolytopeVolume:
 
 
 def lp_box(mats, lows, highs, d):
-    """Two LPs per axis over the rows B_j x <= hi_j and -B_j x <= -lo_j."""
+    """Two LPs per axis over the rows B_j x <= hi_j and -B_j x <= -lo_j;
+    "empty" when HiGHS finds them infeasible, None when it cannot bound
+    them."""
     A = np.vstack([rows for B in mats for rows in (B, -B)])
     b = np.concatenate([bound for lo, hi in zip(lows, highs) for bound in (hi, -lo)])
     lo_out, hi_out = np.empty(d), np.empty(d)
@@ -622,6 +630,8 @@ def lp_box(mats, lows, highs, d):
         c = np.eye(d)[a]
         low = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
         high = linprog(-c, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
+        if low.status == 2 and high.status == 2:
+            return "empty"
         if not (low.success and high.success):
             return None
         lo_out[a], hi_out[a] = low.fun, -high.fun
@@ -648,7 +658,7 @@ class TestBoundingBox:
     @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled"])
     def test_interval_box_matches_lp_bit_for_bit(self, scaled):
         rng = np.random.default_rng(41 + scaled)
-        bounded = 0
+        bounded = empty = 0
         for _ in range(40):
             d = int(rng.integers(1, 5))
             mats, lows, highs = single_entry_case(rng, d, scaled)
@@ -657,10 +667,14 @@ class TestBoundingBox:
             if want is None:
                 assert got is None
                 continue
+            if isinstance(want, str):
+                assert np.any(got[0] > got[1])
+                empty += 1
+                continue
             bounded += 1
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
-        assert 10 < bounded < 40
+        assert 10 < bounded < 40 and empty > 0
 
     def test_other_rows_go_through_the_lp(self, monkeypatch):
         calls = []
@@ -680,7 +694,19 @@ class TestBoundingBox:
     def test_empty_intersection_detected(self):
         maps = [np.eye(2), np.array([[0.0, -2.0]])]
         lows, highs = [np.zeros(2), np.array([-6.0])], [np.ones(2), np.array([-4.0])]
-        assert lp_box(maps, lows, highs, 2) is None
+        assert lp_box(maps, lows, highs, 2) == "empty"
+        lo, hi = bounding_box_from_linear_constraints(maps, lows, highs, 2)
+        assert lo[1] > hi[1]
+
+    @pytest.mark.parametrize("row", [[1.0, 0.0], [1.0, 1.0]], ids=["intervals", "lp"])
+    def test_empty_is_told_from_unbounded(self, row):
+        # <row, x> in [0, 1] and in [2, 3] is empty, though no row bounds x
+        # orthogonally to row; in [0, 1] and in [0.5, 2] it is unbounded
+        maps = [np.array([row])] * 2
+        lows, highs = [np.zeros(1), np.full(1, 2.0)], [np.ones(1), np.full(1, 3.0)]
+        lo, hi = bounding_box_from_linear_constraints(maps, lows, highs, 2)
+        assert np.any(lo > hi)
+        lows, highs = [np.zeros(1), np.full(1, 0.5)], [np.ones(1), np.full(1, 2.0)]
         assert bounding_box_from_linear_constraints(maps, lows, highs, 2) is None
 
     def test_loomis_whitney_box(self):

@@ -11,7 +11,6 @@ from blt.ift import (
     ScalarField,
     contract,
     eta_gradient,
-    hoelder_estimate,
     holder_quotient,
     ift_radii,
     iteration_cap,
@@ -193,26 +192,6 @@ class TestEtaGradient:
         field = quadratic_field()
         with pytest.raises(ValueError):
             eta_gradient(field, np.array([[1e-4, 1e-4]]), np.array([0.005]))
-
-
-class TestHoelderEstimate:
-    def test_zero_field(self):
-        poly = Polynomial(2, {(0, 1): 1.0})
-        field = ScalarField(1, poly, 1.0, 1.0)
-        est = hoelder_estimate(field, 200, seed=0)
-        assert est.value == 0.0
-
-    def test_linear_field_gradient_floor(self):
-        c = np.array([0.4, 0.3])
-        field = linear_field(c)
-        est = hoelder_estimate(field, 300, seed=1)
-        assert est.value >= np.linalg.norm(c) * (1 - 1e-9)
-
-    def test_quadratic_stability_under_resampling(self):
-        field = quadratic_field()
-        a = hoelder_estimate(field, 600, seed=2)
-        b = hoelder_estimate(field, 1200, seed=3)
-        assert b.value == pytest.approx(a.value, rel=0.05) or min(a.value, b.value) < 1e-6
 
 
 class TestNormalisation:

@@ -35,6 +35,7 @@ from blt.quadrature import (
     lattice_product_sum,
 )
 from tests.conftest import loomis_whitney_maps, random_class_c_datum
+from tests.polytope_oracle import box_preimage_volume
 
 
 def lw_scheme():
@@ -362,6 +363,19 @@ class TestBlRatio:
         with pytest.raises(UnboundedDomainError):
             bl_ratio(lw_datum, [GaussianFunction(np.eye(2))] * 3, None, spec)
 
+    @pytest.mark.parametrize("origin", [[50.0, 0.0], [2.0, 0.0]], ids=["empty", "flat"])
+    def test_support_without_volume_gives_zero(self, origin):
+        # doubled maps bound the support by intervals, not on the lattice:
+        # f_2 apart from f_1 along x_0 leaves a composite support that is
+        # empty, or flat at x_0 = 1, and neither is unbounded
+        datum = BLDatum(3, [2 * B for B in loomis_whitney_maps()], np.full(3, 0.5))
+        f = [GridFunction(np.zeros(2), 1.0, np.ones((2, 2)))] * 2
+        f.append(GridFunction(np.array(origin), 1.0, np.ones((2, 2))))
+        spec = QuadratureSpec("tensor-midpoint", resolution=8)
+        assert bl_ratio(datum, f, None, spec) == (0.0, 0.0)
+        with pytest.raises(ZeroMassError, match="no volume"):
+            ball_inequality_report(datum, f, f, np.zeros((1, 3)), spec)
+
     def test_monte_carlo_reproducible(self, lw_datum):
         spec = QuadratureSpec("monte-carlo", samples=20_000, seed=13)
         inputs = [BoxIndicator(np.eye(2))] * 3
@@ -563,7 +577,7 @@ def loop_sup(datum, f, fprime, x_grid, spec):
     excluded)."""
     fast = (
         _is_coordinate_projection_datum(datum)
-        and _lattice_aligned(datum, f + fprime)
+        and _lattice_aligned(f + fprime)
         and _x_grid_on_lattice(x_grid, f[0].spacing)
     )
 
@@ -734,19 +748,21 @@ class TestCanonicalExtremizer:
             assert ratio == pytest.approx(bl_constant_classC(datum), rel=1e-10, abs=0)
 
     def test_bl_ratio_reproduces_constant_exactly(self, lw_datum):
-        # exact indicator path, no sampling
+        # the composite support is the unit cube, where the midpoint rule is exact
         boxes, _ = canonical_extremizer(lw_datum)
         spec = QuadratureSpec("tensor-midpoint", resolution=8)
         value, err = bl_ratio(lw_datum, boxes, None, spec)
         assert err == 0.0
         assert value == pytest.approx(bl_constant_classC(lw_datum), rel=1e-10)
+        assert box_preimage_volume(lw_datum.maps, boxes) == pytest.approx(value, rel=1e-10)
 
     def test_bl_ratio_exact_path_random_datum(self):
+        # the extremizer polytope measured by the Qhull oracle
         rng = np.random.default_rng(6)
         datum, _, _, _ = random_class_c_datum(rng, 3)
         boxes, _ = canonical_extremizer(datum)
-        spec = QuadratureSpec("tensor-midpoint", resolution=8)
-        value, err = bl_ratio(datum, boxes, None, spec)
+        denom = np.prod([f.integral() ** pj for f, pj in zip(boxes, datum.p)])
+        value = box_preimage_volume(datum.maps, boxes) / denom
         assert value == pytest.approx(bl_constant_classC(datum), rel=1e-9)
 
 

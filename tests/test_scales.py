@@ -9,7 +9,7 @@ from blt import scales
 from blt.datum import ProjectionScheme
 from blt.geometry import grid_polygon_mass, grid_slab_mass
 from blt.inputs import GridFunction
-from blt.nonlinear import RegularityError, linear_family, perturbed_projection
+from blt.nonlinear import RegularityError, perturbed_projection
 from blt.quadrature import midpoint_axes
 from blt.scales import (
     Cube,
@@ -17,7 +17,6 @@ from blt.scales import (
     ScaleError,
     build_frame,
     clip_grid_outside_box,
-    canonicalize_nonlinear,
     compute_delta0,
     decompose,
     image_window,
@@ -31,6 +30,7 @@ from blt.scales import (
 from tests.conftest import (
     flagship_scale_setup,
     l1m_grid_for_map,
+    linear_family,
     loomis_whitney_maps,
     perturbed_lw_maps,
 )
@@ -124,60 +124,6 @@ class TestSigmaMap:
             sigma = sigma_map(scheme)
             for j, block in enumerate(scheme.blocks):
                 assert all(sigma[i] != j for i in block)
-
-
-class TestCanonicalize:
-    def test_identity_on_projections(self):
-        maps, A, Cjs, x0 = canonicalize_nonlinear(linear_lw_families(), np.zeros(3))
-        assert np.allclose(np.abs(A), np.eye(3), atol=1e-12)
-        for j, fam in enumerate(maps):
-            target = ProjectionScheme(3, [1, 1, 1]).projection_matrix(j)
-            assert np.allclose(fam.jacobian(x0), target, atol=1e-12)
-
-    @pytest.mark.parametrize("scale", [1e-3, 1e3])
-    def test_scaled_projections_are_transversal(self, scale):
-        # the transversality quantity is scale**6, the test on it is not
-        fams = [linear_family(scale * B) for B in loomis_whitney_maps()]
-        maps, A, Cjs, x0 = canonicalize_nonlinear(fams, np.zeros(3))
-        for j, fam in enumerate(maps):
-            target = ProjectionScheme(3, [1, 1, 1]).projection_matrix(j)
-            assert np.allclose(fam.jacobian(x0), target, atol=1e-12)
-
-    def test_rotated_projections(self):
-        rng = np.random.default_rng(0)
-        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        fams = [linear_family(B @ Q) for B in loomis_whitney_maps()]
-        maps, A, Cjs, x0 = canonicalize_nonlinear(fams, np.zeros(3))
-        scheme = ProjectionScheme(3, [1, 1, 1])
-        for j, fam in enumerate(maps):
-            assert np.linalg.norm(fam.jacobian(x0) - scheme.projection_matrix(j)) <= 1e-9
-        assert np.allclose(np.abs(np.linalg.det(A)), 1.0, atol=1e-9)
-        # kernels of Pi_j Q are the rotated axes, so A recovers Q^T columnwise
-        assert np.allclose(np.abs(A), np.abs(Q.T), atol=1e-10)
-        for Cj in Cjs:
-            assert np.allclose(np.abs(Cj), np.eye(2), atol=1e-10)
-
-    def test_quadratic_perturbation(self):
-        rng = np.random.default_rng(1)
-        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        fams = perturbed_lw_maps(c=0.2)
-        rotated = []
-        for fam in fams:
-            comps = fam.compose_affine(Q)
-            from blt.nonlinear import NonlinearMapFamily
-
-            rotated.append(NonlinearMapFamily(3, comps, fam.beta, fam.kappa * 2, fam.tag))
-        maps, A, Cjs, x0 = canonicalize_nonlinear(rotated, np.zeros(3))
-        scheme = ProjectionScheme(3, [1, 1, 1])
-        for j, fam in enumerate(maps):
-            assert np.linalg.norm(fam.jacobian(x0) - scheme.projection_matrix(j)) <= 1e-9
-
-    def test_degenerate_rejected(self):
-        fams = [linear_family(B) for B in (loomis_whitney_maps()[0],) * 2] + [
-            linear_family(loomis_whitney_maps()[1])
-        ]
-        with pytest.raises(ScaleError):
-            canonicalize_nonlinear(fams, np.zeros(3))
 
 
 class TestPigeonhole:
@@ -317,7 +263,7 @@ class TestDecomposition:
         deco, _ = self.build()
         assert np.allclose(deco.frame.a, np.eye(3))
         assert np.allclose(np.abs(deco.frame.v), np.eye(3))
-        delta = deco.delta
+        delta = deco.cube.side
         for i in range(3):
             lo0, hi0 = deco.interval_bounds(i, 1, 0)
             assert hi0 - lo0 == pytest.approx(
@@ -328,7 +274,7 @@ class TestDecomposition:
 
     def test_widths_within_stated_ranges(self):
         deco, _ = self.build()
-        delta = deco.delta
+        delta = deco.cube.side
         a0w = delta**deco.params.alpha0
         a1w = delta**deco.params.alpha1
         for i in range(3):
@@ -391,13 +337,13 @@ class TestDecomposition:
 
     def test_full_buffer_cell_volume_bound(self):
         deco, _ = self.build()
-        delta = deco.delta
+        delta = deco.cube.side
         vol = deco.cell_volume_estimate(np.array([1, 1, 1]), np.array([1, 1, 1]))
         assert vol <= (delta**deco.params.alpha1) ** 3 * (1 + 10.0 ** (-3)) ** 3
 
     def test_cell_diameter_within_double_scale(self):
         deco, _ = self.build()
-        delta = deco.delta
+        delta = deco.cube.side
         for i in range(3):
             lo, hi = deco.interval_bounds(i, 0, 0)
             assert hi - lo <= 2 * delta**deco.params.alpha0
@@ -462,9 +408,7 @@ class TestDisjointness:
         deco = decompose(maps, cube, inputs, params)
         from blt.nonlinear import NonlinearMapFamily
 
-        inflated = NonlinearMapFamily(
-            3, maps[0].components, maps[0].beta, maps[0].kappa * 1e6, maps[0].tag
-        )
+        inflated = NonlinearMapFamily(3, maps[0].components, maps[0].beta, maps[0].kappa * 1e6)
         report = verify_disjointness(inflated, deco, 0, np.zeros(3, dtype=int), 2000, seed=7)
         assert report.min_margin < 0
         assert report.violations > 0
@@ -728,31 +672,3 @@ def test_flagship_inputs_in_constancy_class():
         for axis in range(f.values.ndim):
             v = np.moveaxis(f.values, axis, 0)
             assert np.all(v[:-1] <= 2 * v[1:]) and np.all(v[1:] <= 2 * v[:-1])
-
-
-def test_canonicalize_then_decompose_end_to_end():
-    # rotated perturbed family: conjugate to canonical form, then run the
-    # full machinery at the scale its conjugated regularity induces
-    from blt.nonlinear import NonlinearMapFamily
-    from blt.scales import canonicalize_nonlinear, verify_disjointness, verify_induction_step
-    from tests.conftest import l1m_grid_for_map
-
-    rng = np.random.default_rng(8)
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    rotated = []
-    for fam in perturbed_lw_maps(c=0.2):
-        comps = fam.compose_affine(Q)
-        rotated.append(NonlinearMapFamily(3, comps, fam.beta, fam.kappa * 2.5, fam.tag))
-    canon, A, Cjs, x0 = canonicalize_nonlinear(rotated, np.zeros(3))
-    kap = max(f.kappa for f in canon)
-    params = compute_delta0(1.0, kap, 1.25, 1.5, 3, 3)
-    cube = Cube(x0, params.delta0)
-    inputs = [l1m_grid_for_map(f, cube, rng) for f in canon]
-    params.M = 1.0 / max(f.spacing for f in inputs)
-    report = verify_induction_step(canon, cube, inputs, params, 24, seed=9)
-    assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
-    assert report.certified_factor <= report.factor_bound
-    deco = decompose(canon, cube, inputs, params)
-    for j in range(3):
-        drep = verify_disjointness(canon[j], deco, j, np.zeros(3, dtype=int), 5000, seed=j)
-        assert drep.violations == 0
