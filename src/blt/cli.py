@@ -1,10 +1,11 @@
 """Command-line surface: one subcommand per toolkit operation.
 
-All I/O is JSON.  Reports embed the fully resolved configuration; a
-regular output file is replaced atomically, and identical (command,
-config, seed) runs produce bitwise-identical files.  Exit codes: 0
-computed/certified, 1 usage or input error, 2 the mathematics said no
-(inequality violation or refusal diagnostic).
+All I/O is JSON.  A command takes only the options it reads, and its
+report's config records the values it used, defaults, seed and
+quadrature rule included.  A regular output file is replaced atomically,
+and identical (command, config) runs produce bitwise-identical files.
+Exit codes: 0 computed/certified, 1 usage or input error, 2 the
+mathematics said no (inequality violation or refusal diagnostic).
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFUSED = 2
 
-SEEDED_COMMANDS = {"gaussian-search", "verify-step", "ball-check"}
+# Commands that read --seed on every run; the integrating commands read
+# it only under Monte Carlo (`_quad_spec`).
+SEEDED_COMMANDS = {"gaussian-search", "verify-step"}
 
 
 class UsageError(Exception):
@@ -183,16 +186,16 @@ def _parse_point(payload, key: str) -> np.ndarray:
 
 def _quad_spec(args, d: int) -> quadrature.QuadratureSpec:
     """The requested rule, else the midpoint rule up to 3 axes and Monte
-    Carlo above."""
-    mode = args.mode
-    if mode is None:
-        mode = "monte-carlo" if d > 3 else "tensor-midpoint"
-    if mode == "monte-carlo" and args.seed is None:
+    Carlo above; the rule is written back to args, so the config names
+    it."""
+    if args.mode is None:
+        args.mode = "monte-carlo" if d > 3 else "tensor-midpoint"
+    if args.mode == "monte-carlo" and args.seed is None:
         raise UsageError(
             f"{args.command} integrates by Monte Carlo here: provide --seed or set BLT_DEFAULT_SEED"
         )
     return quadrature.QuadratureSpec(
-        mode=mode,
+        mode=args.mode,
         resolution=args.resolution,
         samples=args.samples,
         seed=args.seed,
@@ -206,7 +209,8 @@ def _convolution_spec(args, surface_count: int) -> quadrature.QuadratureSpec:
 
 
 def _resolved_config(args) -> dict:
-    """The command's options as parsed, with --seed resolved."""
+    """The values the command used: its options with their defaults, the
+    seed and the quadrature rule resolved."""
     return {k: v for k, v in vars(args).items() if k != "command"}
 
 
@@ -229,15 +233,20 @@ def _nonnegative_int(text: str) -> int:
     return _integer(text, 0, "nonnegative")
 
 
-def _positive_float(text: str) -> float:
-    """An option value that must be a positive finite number."""
+def _finite_float(text: str, positive: bool = False) -> float:
+    """An option value that must be a finite number, and positive if asked."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        kind = "positive finite" if positive else "finite"
+        raise argparse.ArgumentTypeError(f"must be a {kind} number, got {text!r}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    return _finite_float(text, positive=True)
 
 
 @functools.cache
@@ -247,16 +256,18 @@ def build_parser() -> Parser:
     parser = Parser(prog="blt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: Parser, needs_input: bool = True, quad: bool = False, midpoint: bool = False,
-               tol: bool = False) -> None:
-        """Options every command takes, plus --resolution for commands that
-        integrate by the midpoint rule (midpoint), --mode and --samples too
-        for those that may integrate by Monte Carlo (quad), and --tol for
-        those that read it."""
+    def common(p: Parser, needs_input: bool = True, seed: bool = False, quad: bool = False,
+               midpoint: bool = False, tol: float | None = None) -> None:
+        """--output, --input unless the command reads none, --seed where it
+        is read (seed, and quad under Monte Carlo), --resolution for the
+        midpoint rule (midpoint), --mode and --samples too where Monte
+        Carlo may run (quad), and --tol with its default (tol)."""
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", default=None, help="report path (stdout if omitted)")
-        p.add_argument("--seed", type=int, default=None)
+        if seed or quad:
+            p.add_argument("--seed", type=int, default=None,
+                           help="random seed (default: $BLT_DEFAULT_SEED)")
         if quad:
             p.add_argument("--mode", choices=["tensor-midpoint", "monte-carlo"], default=None)
             p.add_argument("--samples", type=int, default=1_000_000,
@@ -264,18 +275,18 @@ def build_parser() -> Parser:
         if quad or midpoint:
             p.add_argument("--resolution", type=_positive_int, default=64,
                            help="midpoint-rule points per axis")
-        if tol:
-            p.add_argument("--tol", type=float, default=None)
+        if tol is not None:
+            p.add_argument("--tol", type=_finite_float, default=tol)
 
     common(sub.add_parser("bl-constant"))
     common(sub.add_parser("check-class-c"))
     common(sub.add_parser("reduce"))
     p = sub.add_parser("gaussian-search")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--budget", type=int, default=2000)
-    common(sub.add_parser("finner-discrete"), tol=True)
-    common(sub.add_parser("extremizer"), tol=True)
-    common(sub.add_parser("ball-check"), quad=True, tol=True)
+    common(sub.add_parser("finner-discrete"), tol=1e-12)
+    common(sub.add_parser("extremizer"), tol=1e-10)
+    common(sub.add_parser("ball-check"), quad=True, tol=5e-2)
     p = sub.add_parser("delta0")
     common(p, needs_input=False)
     p.add_argument("--beta", type=float, required=True)
@@ -285,18 +296,20 @@ def build_parser() -> Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=2)
     p = sub.add_parser("decompose")
-    common(p)
+    common(p, seed=True)  # read by nothing; the benchmark still passes it
     p.add_argument("--max-cells", type=_nonnegative_int, default=512)
-    common(sub.add_parser("verify-step"), midpoint=True)
+    common(sub.add_parser("verify-step"), seed=True, midpoint=True)
     common(sub.add_parser("verify-nonlinear"), midpoint=True)
-    common(sub.add_parser("ift-solve"), tol=True)
+    p = sub.add_parser("ift-solve")
+    common(p)
+    p.add_argument("--tol", type=_positive_float, default=1e-12)
     common(sub.add_parser("delta-integral"), quad=True)
     common(sub.add_parser("convolve-surfaces"), quad=True)
     p = sub.add_parser("extension")
     common(p)
-    p.add_argument("--resolution", type=int, default=None,
+    p.add_argument("--resolution", type=int, default=convext.MAX_EXTENSION_RESOLUTION,
                    help="per-axis budget (max_resolution): refuse when the rule needs more "
-                        "points; extension_operator's own budget when omitted")
+                        "points (default: %(default)s)")
     p = sub.add_parser("verify-thm74")
     common(p, quad=True)
     p.add_argument("--freq-halfwidth", type=_positive_float, default=40.0)
@@ -304,7 +317,8 @@ def build_parser() -> Parser:
 
 
 def _resolve_seed(args) -> None:
-    if args.seed is None:
+    """An omitted --seed comes from BLT_DEFAULT_SEED, where --seed is taken."""
+    if "seed" in vars(args) and args.seed is None:
         env = os.environ.get("BLT_DEFAULT_SEED")
         if env is not None:
             args.seed = int(env)
@@ -416,8 +430,7 @@ def cmd_finner_discrete(args):
         if not all(np.all(np.isfinite(f)) for f in arrays):
             raise ValueError("inputs must be finite")
     lhs, rhs = quadrature.discrete_finner(arrays, scheme)
-    tol = args.tol if args.tol is not None else 1e-12
-    holds = lhs <= rhs * (1 + tol)
+    holds = lhs <= rhs * (1 + args.tol)
     return {"lhs": lhs, "rhs": rhs, "holds": bool(holds)}, (EXIT_OK if holds else EXIT_REFUSED)
 
 
@@ -425,8 +438,7 @@ def cmd_extremizer(args):
     d = _parse_datum(_load_json(args.input))
     boxes, ratio = quadrature.canonical_extremizer(d)
     constant = datum_mod.bl_constant_classC(d)
-    tol = args.tol if args.tol is not None else 1e-10
-    match = abs(ratio - constant) <= tol * max(abs(constant), 1.0)
+    match = abs(ratio - constant) <= args.tol * max(abs(constant), 1.0)
     return {
         "ratio": ratio,
         "constant": constant,
@@ -461,8 +473,8 @@ def cmd_ball_check(args):
             x_grid = np.atleast_2d(np.asarray(xg, dtype=float))
         if x_grid.shape[1:] != (d.d,) or not x_grid.size or not np.all(np.isfinite(x_grid)):
             raise ValueError(f"x_grid must be a nonempty list of finite points of R^{d.d}")
-    tol = args.tol if args.tol is not None else 5e-2
-    report = quadrature.ball_inequality_report(d, f, fprime, x_grid, _quad_spec(args, d.d), tol)
+    spec = _quad_spec(args, d.d)
+    report = quadrature.ball_inequality_report(d, f, fprime, x_grid, spec, args.tol)
     code = EXIT_OK if report.flag == "consistent" else EXIT_REFUSED
     return {
         "lhs": report.lhs,
@@ -472,7 +484,7 @@ def cmd_ball_check(args):
         "flag": report.flag,
         "sup_argmax": report.sup_argmax,
         "excluded_grid_points": report.excluded_grid_points,
-        "tolerance": tol,
+        "tolerance": args.tol,
     }, code
 
 
@@ -543,6 +555,7 @@ def cmd_decompose(args):
     deco = scales.decompose(maps, cube, inputs_list, params)
     shape = tuple(deco.main_count(i) for i in range(cube.d))
     per_pattern = math.prod(shape)
+    det = abs(np.linalg.det(deco.frame.t_matrix()))
     cells = []
     for code in range(2**cube.d):
         count = min(args.max_cells - len(cells), per_pattern)
@@ -554,11 +567,10 @@ def cmd_decompose(args):
             [np.stack(deco.interval_bounds(i, n[:, i], chi[i]), axis=1) for i in range(cube.d)],
             axis=1,
         )
+        volumes = np.prod(bounds[..., 1] - bounds[..., 0], axis=-1) / det  # widths / |det|
         cells += [
             {"n": ni, "chi": chi, "slab_bounds": bi, "volume_estimate": vi}
-            for ni, bi, vi in zip(
-                n.tolist(), bounds.tolist(), deco.cell_volume_estimate(n, chi).tolist()
-            )
+            for ni, bi, vi in zip(n.tolist(), bounds.tolist(), volumes.tolist())
         ]
     result = {
         "frame": deco.frame.a,
@@ -609,7 +621,7 @@ def cmd_verify_step(args):
     payload = _load_json(args.input)
     maps, params, cube, inputs_list = _scales_setup(payload)
     report = scales.verify_induction_step(
-        maps, cube, inputs_list, params, args.resolution, args.seed or 0
+        maps, cube, inputs_list, params, args.resolution, args.seed
     )
     ok = report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
     return {
@@ -657,9 +669,8 @@ def cmd_ift_solve(args):
         x = np.atleast_2d(np.asarray(payload["x"], dtype=float))
         if x.ndim != 2 or x.shape[1] != field.n or not np.all(np.isfinite(x)):
             raise ValueError(f"x must be a list of finite points of R^{field.n}")
-    tol = args.tol if args.tol is not None else 1e-12
-    sol = ift.solve_eta(field, x, tol=tol)
-    grad = ift.eta_gradient(field, x, sol.eta, tol=tol)
+    sol = ift.solve_eta(field, x, tol=args.tol)
+    grad = ift.eta_gradient(field, x, sol.eta, tol=args.tol)
     return {
         "x": x,
         "eta": sol.eta,
@@ -715,8 +726,7 @@ def cmd_extension(args):
     with _input_errors("surface"):
         sf = _parse_surface(payload["surface"] if "surface" in payload else payload)
     xi = _parse_point(payload, "xi")
-    budget = {} if args.resolution is None else {"max_resolution": args.resolution}
-    value = convext.extension_operator(sf.surface, sf.values, xi, **budget)
+    value = convext.extension_operator(sf.surface, sf.values, xi, max_resolution=args.resolution)
     return {"real": value.real, "imag": value.imag}, EXIT_OK
 
 

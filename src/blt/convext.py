@@ -46,7 +46,7 @@ _TRANSVERSALITY_FLOOR = 1e-6
 # Fewest midpoints per axis of an extension integral, and most unless the
 # caller grants more.
 _MIN_EXTENSION_RESOLUTION = 16
-_MAX_EXTENSION_RESOLUTION = 4096
+MAX_EXTENSION_RESOLUTION = 4096
 # Spatial midpoints per axis of verify_thm74, per frequency node per axis.
 _SPATIAL_MULTIPLIER = 4
 
@@ -605,7 +605,7 @@ def extension_operator(
     g: GridFunction | None,
     xi: np.ndarray,
     resolution: int | None = None,
-    max_resolution: int = _MAX_EXTENSION_RESOLUTION,
+    max_resolution: int = MAX_EXTENSION_RESOLUTION,
 ) -> complex:
     """Oscillatory integral int_U g(x) e^{i <xi, (x, phi(x))>} dx.
 
@@ -793,7 +793,7 @@ def verify_thm74(
     u_res = resolution
     for sf in surface_functions:
         u_res = max(u_res, _required_resolution(
-            sf.surface, R * math.sqrt(d), _MAX_EXTENSION_RESOLUTION
+            sf.surface, R * math.sqrt(d), MAX_EXTENSION_RESOLUTION
         ))
     prod = np.ones((resolution,) * d, dtype=complex)
     for sf in surface_functions:

@@ -7,18 +7,19 @@ cut out by linear constraints, which bounds the ratio quadrature's
 composite support.  Every grid mass goes through one rank dispatch
 (`_halfplane_mass`) except a rank-2 slab's: there a cell's area below a
 cut of <y, w> is piecewise quadratic in the cut (`_square_areas_below`,
-the one copy of that arithmetic).  `SlabCells` is the per-grid table for
-it: the positive cells, their values and their corner projections on w.
-`grid_slab_mass` builds one per call; the pigeonhole ladder builds one
-per window and reuses it at every step, evaluating each cut's areas
-once.  Other rank-2 regions take a cell's share of any halfplane
-intersection as a closed-form edge sum over the lines that bound it,
-with no polygon clipping.  Both
-grid-mass routines measure many regions of one grid in one call: a
-region's mass does not depend on the other regions of its call.  The
-regions of a `grid_polygon_mass` call form a grid whose offsets each
-vary along one axis (`_RegionGrid`), as a map's tubes do, so the rank-2
-prefilter is tabled per region axis rather than per (region, cell) pair.
+the one copy of that arithmetic).  `SlabCells` is the one slab route, at
+every rank: it holds a grid's positive cells and their values, and at
+rank 2 their corner projections on w.  `grid_slab_mass` builds one per
+call; the pigeonhole ladder builds one per window and reuses it at every
+step (at rank 2 evaluating each cut's areas once).  Other rank-2
+regions take a cell's share of any halfplane intersection as a
+closed-form edge sum over the lines that bound it, with no polygon
+clipping.  Both grid-mass routines measure many regions of one grid in
+one call: a region's mass does not depend on the other regions of its
+call.  The regions of a `grid_polygon_mass` call form a grid whose
+offsets each vary along one axis (`_RegionGrid`), as a map's tubes do,
+so the rank-2 prefilter is tabled per region axis rather than per
+(region, cell) pair.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ PARALLEL_TOL = 64 * np.finfo(float).eps
 
 
 class SlabCells:
-    """The positive cells of a rank-2 grid function, prepared for slabs of
-    one normal w: their values, in row-major cell order, and their
-    reflected corner projections.
+    """The positive cells of a grid function, prepared for slabs of one
+    normal w: their lower corners and values, in row-major cell order,
+    and at rank 2 their reflected corner projections on w.  At any other
+    rank a slab is the two halfplanes <y, w> <= hi and <y, -w> <= -lo,
+    measured by `_halfplane_mass` as `grid_polygon_mass` measures them.
 
     `grid_slab_mass` builds one per call; a caller that measures slabs of
     one grid and normal many times (the pigeonhole ladder, once per step)
@@ -47,24 +50,33 @@ class SlabCells:
     """
 
     def __init__(self, values: np.ndarray, origin: np.ndarray, h: float, w: np.ndarray):
-        origins, self.vals = _positive_cells(values, origin, h)
-        if origins.shape[1] != 2:
-            raise ValueError("SlabCells needs a rank-2 grid")
+        self.origins, self.vals = _positive_cells(values, origin, h)
         self.h = h
-        self.base, self.wx, self.wy = _reflected_projections(origins, h, w)
+        w = np.asarray(w, dtype=float)
+        if self.origins.shape[1] == 2:
+            self.normals = None
+            self.base, self.wx, self.wy = _reflected_projections(self.origins, h, w)
+        else:
+            self.normals = np.stack([w, -w])
 
     def masses(self, cuts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """(T,) masses of the slabs {cuts[lo[t]] <= <y, w> <= cuts[hi[t]]}.
+        """(T,) masses of the slabs {cuts[lo[t]] <= <y, w> <= cuts[hi[t]]};
+        a slab whose upper cut is below its lower cut has mass 0.
 
-        A slab's mass is the clipped difference of the cell areas below
-        its two cuts, summed with the cell values by one dot per slab.
-        When one block holds every slab, the areas below each cut are
-        evaluated once, however many slabs end at it (so every cut should
-        end some slab); larger calls evaluate them per block of slabs.  A
-        slab whose upper cut is below its lower cut has mass 0.
+        At rank 2 a slab's mass is the clipped difference of the cell
+        areas below its two cuts, summed with the cell values by one dot
+        per slab.  When one block holds every slab, the areas below each
+        cut are evaluated once, however many slabs end at it (so every
+        cut should end some slab); larger calls evaluate them per block of
+        slabs.
         """
         cuts = np.asarray(cuts, dtype=float)
         lo, hi = np.asarray(lo), np.asarray(hi)
+        if self.normals is not None:
+            masses = _halfplane_mass(self.origins, self.vals, self.h, self.normals,
+                                     [cuts[hi], -cuts[lo]])
+            masses[cuts[hi] < cuts[lo]] = 0.0
+            return masses
         masses = np.zeros(len(lo))
         blocks = _blocks(len(lo), 2 * len(self.vals))
         table = self._areas_below(cuts) if len(blocks) == 1 else None
@@ -135,23 +147,16 @@ def grid_slab_mass(
 
     `lo` and `hi` are floats, or (T,) arrays for T slabs of one normal;
     the result is a float, or the (T,) masses.  A slab with hi < lo has
-    mass 0.  Rank 2 uses the closed-form cell areas (`SlabCells`); every
-    other rank measures the slab as the two halfplanes <y, w> <= hi and
-    <y, -w> <= -lo, exactly as `grid_polygon_mass` does.
+    mass 0.  One `SlabCells` table measures them: closed-form cell areas
+    at rank 2, two halfplanes at every other rank.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
                                  np.atleast_1d(np.asarray(hi, dtype=float)))
-    w = np.asarray(w, dtype=float)
-    if np.ndim(values) == 2:
-        count = lo.size
-        masses = SlabCells(values, origin, h, w).masses(
-            np.concatenate([lo, hi]), np.arange(count), np.arange(count, 2 * count)
-        )
-    else:
-        origins, vals = _positive_cells(values, origin, h)
-        masses = _halfplane_mass(origins, vals, h, np.stack([w, -w]), [hi, -lo])
-        masses[hi < lo] = 0.0
+    count = lo.size
+    masses = SlabCells(values, origin, h, w).masses(
+        np.concatenate([lo, hi]), np.arange(count), np.arange(count, 2 * count)
+    )
     return float(masses[0]) if scalar else masses
 
 

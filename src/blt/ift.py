@@ -14,6 +14,7 @@ from it, and exceeding the cap indicts the declared (beta, kappa).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,8 @@ class ScalarField:
             raise ValueError("polynomial arity must be n + 1")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
         origin = np.zeros((1, self.n + 1))
         error = form_error(self.poly.degree(), float(self.poly.evaluate(origin)[0]))
         if error is not None:

@@ -135,18 +135,15 @@ def compute_delta0(
     return ScaleParams(beta, kappa, alpha0, alpha1, d, m, float(c_d), float(delta0), M)
 
 
-def sigma_map(scheme: ProjectionScheme, m: int | None = None) -> np.ndarray:
+def sigma_map(scheme: ProjectionScheme) -> np.ndarray:
     """Axis-to-map assignment: axes in block j feed map (j+1) mod m.
 
     Block-wise this is a cyclic permutation, hence fixed-point free.
     """
-    m = scheme.m if m is None else m
-    if m != scheme.m:
-        raise ValueError("m must match the scheme")
     sigma = np.empty(scheme.d, dtype=np.int64)
     for j, block in enumerate(scheme.blocks):
         for i in block:
-            sigma[i] = (j + 1) % m
+            sigma[i] = (j + 1) % scheme.m
     return sigma
 
 
@@ -343,10 +340,10 @@ def pigeonhole_sequences(
     clipped input mass (lowest index on ties), which certifies the mass
     bound with factor 4 delta^{a1-a0}.
 
-    At rank 2 one `SlabCells` table of the clipped input serves every
-    step, and a step measures its candidates and its window at its N + 2
-    cuts.  When the slab normal is axis-aligned (as on the flagship), the
-    candidates lying in one cell column tie in exact arithmetic, so the
+    One `SlabCells` table of the clipped input serves every step, and a
+    step measures its candidates and its window at its N + 2 cuts.  When
+    the slab normal is axis-aligned (as on the flagship), the candidates
+    lying in one cell column tie in exact arithmetic, so the
     lowest-index argmin chooses among rounding-level differences: any
     change to how a candidate's mass is summed changes s_n, and with it
     every number downstream of the ladder (the verify-step report too).
@@ -388,17 +385,13 @@ def pigeonhole_sequences(
     # whole window
     lo = np.append(np.arange(N), 0)
     hi = np.append(np.arange(1, N + 1), N + 1)
-    # rank 2: one cell table serves every step
-    cells = SlabCells(fW.values, fW.origin, fW.spacing, func.w) if fW.dim == 2 else None
+    cells = SlabCells(fW.values, fW.origin, fW.spacing, func.w)
     n = 0
     while s[-1] < limit:
         s_n = s[-1]
         zeta0 = s_n + 0.5 * d_a0
         cuts = func.image(np.append(zeta0 + ladder, s_n + d_a0))
-        if cells is None:
-            masses = grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, cuts[lo], cuts[hi])
-        else:
-            masses = cells.masses(cuts, lo, hi)
+        masses = cells.masses(cuts, lo, hi)
         cand, window = masses[:N], masses[N]
         r_star = int(np.argmin(cand))
         s_next = zeta0 + r_star * d_a1
@@ -522,18 +515,6 @@ class Decomposition:
         for row in pos:
             main &= ((row & 1) == 0) & (row > 0)
         return main
-
-    def cell_volume_estimate(self, n, chi: np.ndarray):
-        """Volume of cell (n, chi) as the product of its interval widths
-        over |det| of the slab map; n may be one index row (d,) or a stack
-        of rows (K, d), giving a float or a (K,) array."""
-        n = np.asarray(n)
-        widths = []
-        for i in range(self.cube.d):
-            lo, hi = self.interval_bounds(i, n[..., i], int(chi[i]))
-            widths.append(hi - lo)
-        det = abs(np.linalg.det(self.frame.t_matrix()))
-        return np.prod(np.stack(widths, axis=-1), axis=-1) / det
 
     def sample_cells(
         self, rng: np.random.Generator, chi: np.ndarray, count: int

@@ -1,6 +1,7 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
 import ast
+import importlib.util
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blt import cli, scales
+from blt import cli, convext, scales
 from blt.cli import _write_report, main
 from tests.conftest import flagship_scale_setup
 
@@ -46,6 +47,18 @@ DATUM_COMMANDS = {
     "reduce": ["reduce"],
     "gaussian-search": ["gaussian-search", "--seed", "1", "--budget", "20"],
 }
+
+
+# The commands that take --seed: gaussian-search and verify-step read it on
+# every run, the four integrating commands under Monte Carlo, and decompose
+# not at all (the benchmark still passes it).
+SEED_COMMANDS = {"gaussian-search", "verify-step", "ball-check", "delta-integral",
+                 "convolve-surfaces", "verify-thm74", "decompose"}
+
+
+def seeded(command: str) -> list[str]:
+    """The command, with --seed 1 if it takes --seed."""
+    return [command, "--seed", "1"] if command in SEED_COMMANDS else [command]
 
 
 @pytest.fixture
@@ -832,9 +845,10 @@ def test_fuzzed_finner_json_never_crashes(tmp_path_factory, payload):
 def test_empty_payload_is_usage_error(tmp_path, command, payload):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(payload))
-    code, out, err = run_command([command, "--seed", "1"], path)
+    code, out, err = run_command(seeded(command), path)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert "unrecognized arguments" not in err
 
 
 # The commands that read a surface file, with the options each needs.
@@ -1019,6 +1033,32 @@ def test_malformed_field_file_is_usage_error(tmp_path, change, command, message)
     code, out, err = run_command(FIELD_COMMANDS[command], path)
     assert code == 1 and out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("kappa", [NAN, INF], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", sorted(FIELD_COMMANDS))
+def test_field_kappa_must_be_finite(tmp_path, command, kappa):
+    field = {**FIELD, "kappa": kappa}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({**FIELD_FILE, **field, "field": field}))
+    code, out, err = run_command(FIELD_COMMANDS[command], path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "kappa must be positive and finite" in err
+
+
+@pytest.mark.parametrize("command, tol, kind", [
+    *[(command, tol, "finite") for command in ("finner-discrete", "extremizer", "ball-check")
+      for tol in ("nan", "inf", "x")],
+    *[("ift-solve", tol, "positive finite") for tol in ("nan", "inf", "0", "-1")],
+])
+def test_tol_out_of_range_is_usage_error(tmp_path, capsys, lw_file, command, tol, kind):
+    # a non-finite tol reached the report writer; a nonpositive one made
+    # ift-solve blame the field
+    out = tmp_path / "o.json"
+    assert main([command, "--input", lw_file, "--tol", tol, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument --tol: must be a {kind} number, got '{tol}'")
+    assert not out.exists()
 
 
 class TestExitCodes:
@@ -1209,7 +1249,27 @@ class TestDeterminism:
 
     def test_config_records_only_options_the_command_takes(self, tmp_path, lw_file):
         report = run(tmp_path, "cfg", ["bl-constant", "--input", lw_file])
-        assert set(report["config"]) == {"input", "output", "seed"}
+        assert set(report["config"]) == {"input", "output"}
+
+    @pytest.mark.parametrize("command, payload, tol", [
+        ("finner-discrete", FINNER, 1e-12),
+        ("extremizer", LW_DATUM, 1e-10),
+        ("ift-solve", FIELD_FILE, 1e-12),
+    ])
+    def test_config_records_the_default_tol(self, tmp_path, command, payload, tol):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        assert run(tmp_path, "cfg", [command, "--input", str(path)])["config"]["tol"] == tol
+
+    def test_env_seed_leaves_a_seedless_report_unchanged(self, tmp_path, lw_file, monkeypatch):
+        monkeypatch.delenv("BLT_DEFAULT_SEED", raising=False)
+        out = tmp_path / "bl.json"
+        argv = ["bl-constant", "--input", lw_file, "--output", str(out)]
+        assert main(argv) == 0
+        plain = out.read_bytes()
+        monkeypatch.setenv("BLT_DEFAULT_SEED", "17")
+        assert main(argv) == 0
+        assert out.read_bytes() == plain and b'"seed"' not in plain
 
 
 class TestUnreadOptions:
@@ -1235,14 +1295,24 @@ class TestUnreadOptions:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(set(cli.HANDLERS) - SEED_COMMANDS))
+    def test_seed_where_nothing_reads_it_is_usage_error(self, tmp_path, capsys, lw_file, command):
+        required = (["--beta", "1", "--kappa", "1", "--alpha0", "1.25", "--alpha1", "1.5",
+                     "--d", "3"] if command == "delta0" else ["--input", lw_file])
+        out = tmp_path / "o.json"
+        assert main([command, *required, "--seed", "1", "--output", str(out)]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["verify-step", "verify-nonlinear"])
     def test_scale_verifiers_refuse_monte_carlo(self, tmp_path, capsys, lw_file, command):
-        # they integrate by the midpoint rule only: --mode and --samples are not theirs
+        # they integrate by the midpoint rule only: --mode and --samples are
+        # not theirs (verify-step takes --seed, verify-nonlinear does not)
         out = tmp_path / "o.json"
         for option in (["--mode", "monte-carlo"], ["--samples", "10"]):
-            code = main([command, "--input", lw_file, "--seed", "1", *option, "--output", str(out)])
+            code = main(seeded(command) + ["--input", lw_file, *option, "--output", str(out)])
             assert code == 1
-            assert "unrecognized arguments" in capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
             assert not out.exists()
 
     def test_extension_resolution_is_the_budget(self, capsys):
@@ -1259,7 +1329,7 @@ class TestUnreadOptions:
         default = run(tmp_path, "default", ["extension", "--input", str(path)])
         wide = run(tmp_path, "wide", ["extension", "--input", str(path), "--resolution", "1024"])
         assert default["result"] == wide["result"]
-        assert default["config"]["resolution"] is None
+        assert default["config"]["resolution"] == convext.MAX_EXTENSION_RESOLUTION == 4096
         out = tmp_path / "narrow.json"
         argv = ["extension", "--input", str(path), "--resolution", "64", "--output", str(out)]
         assert main(argv) == 1
@@ -1299,7 +1369,8 @@ class TestConvolutionRule:
         monkeypatch.setattr(convext, "verify_thm74", thm74)
         path = self.surfaces_file(tmp_path, d)
         for command in ("convolve-surfaces", "verify-thm74"):
-            run(tmp_path, command, [command, "--input", path, "--seed", "3"])
+            report = run(tmp_path, command, [command, "--input", path, "--seed", "3"])
+            assert report["config"]["mode"] == mode
         assert seen == {"convolve-surfaces": mode, "verify-thm74": mode}
 
     def test_convolve_d4_without_seed_asks_for_one(self, tmp_path, monkeypatch, capsys):
@@ -1308,6 +1379,48 @@ class TestConvolutionRule:
         argv = ["convolve-surfaces", "--input", self.surfaces_file(tmp_path, 4), "--output", str(out)]
         assert main(argv) == 1
         assert "provide --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def bench_workloads(monkeypatch):
+    """The benchmark's input generators, bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBallCheckSeed:
+    """ball-check reads --seed only when it integrates by Monte Carlo."""
+
+    def test_midpoint_rule_needs_no_seed(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("BLT_DEFAULT_SEED", raising=False)
+        workloads = bench_workloads(monkeypatch)
+        argv = workloads.linear_round(1, 0, str(tmp_path), workloads.TINY).primary.argv
+        at = argv.index("--seed")
+        unseeded = run(tmp_path, "unseeded", argv[:at] + argv[at + 2:])
+        seeded_report = run(tmp_path, "seeded", argv[:at] + ["--seed", "1"] + argv[at + 2:])
+        assert unseeded["result"] == seeded_report["result"]
+        assert unseeded["config"]["seed"] is None
+        assert unseeded["config"]["mode"] == "tensor-midpoint"
+        assert unseeded["config"]["tol"] == 5e-2
+
+    def test_monte_carlo_asks_for_a_seed(self, tmp_path, capsys, monkeypatch):
+        # d = 4 Loomis-Whitney resolves to Monte Carlo
+        monkeypatch.delenv("BLT_DEFAULT_SEED", raising=False)
+        d = 4
+        maps = [[[float(c == r + (r >= j)) for c in range(d)] for r in range(d - 1)]
+                for j in range(d)]
+        grid = {"origin": [0.0] * 3, "spacing": 1.0, "values": np.ones((2, 2, 2)).tolist()}
+        path = tmp_path / "ball4.json"
+        path.write_text(json.dumps({"datum": {"d": d, "maps": maps, "p": [1 / 3] * d},
+                                    "f": [grid] * d, "fprime": [grid] * d,
+                                    "x_grid": [[0.0] * d]}))
+        out = tmp_path / "o.json"
+        assert main(["ball-check", "--input", str(path), "--output", str(out)]) == 1
+        assert "ball-check integrates by Monte Carlo here: provide --seed" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1547,10 +1660,11 @@ class TestScalesCommands:
         path = tmp_path / "scales.json"
         path.write_text(json.dumps(scales_payload()))
         out = tmp_path / "out.json"
-        assert main(argv + ["--input", str(path), "--seed", "1", "--output", str(out)]) == 1
+        argv = seeded(argv[0]) + argv[1:]
+        assert main(argv + ["--input", str(path), "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: argument {option}: must be a {kind} integer, got '{argv[-1]}'")
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "unrecognized arguments" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decompose", "verify-nonlinear"])
@@ -1582,7 +1696,7 @@ class TestScalesCommands:
         payload["maps"][1]["rows"][0]["terms"][0].update(powers=[2, 0, 0], c=50.0)
         path = tmp_path / "rough.json"
         path.write_text(json.dumps(payload))
-        code, out, err = run_command([command, "--seed", "1"], path)
+        code, out, err = run_command(seeded(command), path)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "map 1: sampled Hoelder quotient" in err
 
@@ -1625,9 +1739,10 @@ class TestScalesCommands:
             payload["inputs"][0] = {**grid, "origin": grid["origin"][:1], "values": grid["values"][0]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        code = main([command, "--input", str(path), "--seed", "1", "--output", str(tmp_path / "o.json")])
+        code = main(seeded(command) + ["--input", str(path), "--output", str(tmp_path / "o.json")])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "unrecognized arguments" not in err
         assert not (tmp_path / "o.json").exists()
 
     def test_decompose_needs_no_seed(self, tmp_path):

@@ -497,9 +497,20 @@ class TestSlabCells:
         masses = cells.masses(np.array([3.0, 1.0, 2.0]), np.array([0, 1]), np.array([1, 2]))
         assert masses[0] == 0.0 and masses[1] == 3.0
 
-    def test_rank_other_than_two_refused(self):
-        with pytest.raises(ValueError, match="rank-2"):
-            geometry.SlabCells(np.ones((2, 2, 2)), np.zeros(3), 1.0, np.ones(3))
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_other_ranks_measure_two_halfplanes(self, rank):
+        rng = np.random.default_rng(5 + rank)
+        values = sparse_grid(rng, rank)
+        origin, h, w = np.full(rank, -0.8), 0.5, rng.normal(size=rank)
+        n = 9
+        cuts = np.sort(rng.uniform(-1.5, 1.5, n + 2))
+        cells = geometry.SlabCells(values, origin, h, w)
+        lo, hi = ladder_slabs(n)
+        masses = cells.masses(cuts, lo, hi)
+        assert np.array_equal(masses, grid_polygon_mass(values, origin, h,
+                                                        slab_halfplanes(w, cuts[lo], cuts[hi])))
+        assert masses[-1] > 0.0
+        assert np.array_equal(cells.masses(cuts[::-1], lo, hi), np.zeros(n + 1))
 
 
 def area_cases(rng, h):

@@ -33,6 +33,20 @@ def linear_field(c, kappa=1.0):
     return ScalarField(n, Polynomial(n + 1, coeffs), 1.0, kappa)
 
 
+@pytest.mark.parametrize("beta, kappa, message", [
+    (0.0, 1.0, "beta must lie in"),
+    (1.5, 1.0, "beta must lie in"),
+    (math.nan, 1.0, "beta must lie in"),
+    (1.0, 0.0, "kappa must be positive and finite"),
+    (1.0, -1.0, "kappa must be positive and finite"),
+    (1.0, math.nan, "kappa must be positive and finite"),
+    (1.0, math.inf, "kappa must be positive and finite"),
+])
+def test_field_refuses_bad_declarations(beta, kappa, message):
+    with pytest.raises(ValueError, match=message):
+        ScalarField(1, Polynomial(2, {(0, 1): 1.0, (1, 0): -0.5}), beta, kappa)
+
+
 def quadratic_field():
     # F = t + x1 x2 + t^2 / 10
     poly = Polynomial(3, {(0, 0, 1): 1.0, (1, 1, 0): 1.0, (0, 0, 2): 0.1})

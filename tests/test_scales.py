@@ -338,7 +338,8 @@ class TestDecomposition:
     def test_full_buffer_cell_volume_bound(self):
         deco, _ = self.build()
         delta = deco.cube.side
-        vol = deco.cell_volume_estimate(np.array([1, 1, 1]), np.array([1, 1, 1]))
+        widths = [hi - lo for lo, hi in (deco.interval_bounds(i, 1, 1) for i in range(3))]
+        vol = math.prod(widths) / abs(np.linalg.det(deco.frame.t_matrix()))
         assert vol <= (delta**deco.params.alpha1) ** 3 * (1 + 10.0 ** (-3)) ** 3
 
     def test_cell_diameter_within_double_scale(self):
