@@ -23,6 +23,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import convext, datum as datum_mod, ift, inputs as inputs_mod, quadrature, scales
+from .geometry import grid_points
 from .polynomials import Polynomial
 
 EXIT_OK = 0
@@ -266,11 +267,11 @@ def build_parser() -> Parser:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", default=None, help="report path (stdout if omitted)")
         if seed or quad:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_nonnegative_int, default=None,
                            help="random seed (default: $BLT_DEFAULT_SEED)")
         if quad:
             p.add_argument("--mode", choices=["tensor-midpoint", "monte-carlo"], default=None)
-            p.add_argument("--samples", type=int, default=1_000_000,
+            p.add_argument("--samples", type=_positive_int, default=1_000_000,
                            help="Monte Carlo sample count")
         if quad or midpoint:
             p.add_argument("--resolution", type=_positive_int, default=64,
@@ -283,7 +284,7 @@ def build_parser() -> Parser:
     common(sub.add_parser("reduce"))
     p = sub.add_parser("gaussian-search")
     common(p, seed=True)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=_positive_int, default=2000)
     common(sub.add_parser("finner-discrete"), tol=1e-12)
     common(sub.add_parser("extremizer"), tol=1e-10)
     common(sub.add_parser("ball-check"), quad=True, tol=5e-2)
@@ -307,7 +308,7 @@ def build_parser() -> Parser:
     common(sub.add_parser("convolve-surfaces"), quad=True)
     p = sub.add_parser("extension")
     common(p)
-    p.add_argument("--resolution", type=int, default=convext.MAX_EXTENSION_RESOLUTION,
+    p.add_argument("--resolution", type=_positive_int, default=convext.MAX_EXTENSION_RESOLUTION,
                    help="per-axis budget (max_resolution): refuse when the rule needs more "
                         "points (default: %(default)s)")
     p = sub.add_parser("verify-thm74")
@@ -321,7 +322,12 @@ def _resolve_seed(args) -> None:
     if "seed" in vars(args) and args.seed is None:
         env = os.environ.get("BLT_DEFAULT_SEED")
         if env is not None:
-            args.seed = int(env)
+            try:
+                args.seed = _nonnegative_int(env)
+            except argparse.ArgumentTypeError:
+                raise UsageError(
+                    f"BLT_DEFAULT_SEED must be a nonnegative integer, got {env!r}"
+                ) from None
     if args.command in SEEDED_COMMANDS and args.seed is None:
         raise UsageError(
             f"{args.command} is stochastic: provide --seed or set BLT_DEFAULT_SEED"
@@ -465,10 +471,8 @@ def cmd_ball_check(args):
             if lo.shape != (d.d,) or hi.shape != (d.d,) or not np.all(np.isfinite([lo, hi])):
                 raise ValueError(f"x_grid lo and hi must be finite points of R^{d.d}")
             count = int(xg["count"])
-            axes = [lo[a] + (hi[a] - lo[a]) * np.arange(count) / max(count - 1, 1)
-                    for a in range(d.d)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            x_grid = np.stack([m.ravel() for m in mesh], axis=1)
+            x_grid = grid_points([lo[a] + (hi[a] - lo[a]) * np.arange(count) / max(count - 1, 1)
+                                  for a in range(d.d)])
         else:
             x_grid = np.atleast_2d(np.asarray(xg, dtype=float))
         if x_grid.shape[1:] != (d.d,) or not x_grid.size or not np.all(np.isfinite(x_grid)):

@@ -18,6 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from . import ift
+from .geometry import blocks, grid_points
 from .ift import (
     AUDIT_PAIRS,
     DomainError,
@@ -36,11 +37,6 @@ from .quadrature import QuadratureSpec, midpoint_axes
 
 # Largest intermediate, in complex entries, of one extension_on_grid chunk.
 _CHUNK_ENTRIES = 4_000_000
-# Largest array, in float entries, of one block of convolution points:
-# points x quadrature nodes x monomials of the reduction fields.  A
-# block's temporaries then take about a MiB, so a batch of points needs
-# no more memory than one point.
-_BLOCK_ENTRIES = 2**16
 # Reduction determinants below this floor fail transversality.
 _TRANSVERSALITY_FLOOR = 1e-6
 # Fewest midpoints per axis of an extension integral, and most unless the
@@ -560,9 +556,9 @@ def _convolve_ordered(surface_functions, Y, spec):
 
     values = np.zeros(P)
     errors = np.zeros(P)
-    step = _block_rows(spec.points_per_call(n) * fields.exponents.shape[0])
-    for start in range(0, live.size, step):
-        rows = live[start : start + step]
+    # each point counts its quadrature nodes times the fields' monomials
+    for block in blocks(live.size, spec.points_per_call(n) * fields.exponents.shape[0]):
+        rows = live[block]
         vals, errs = coarea(rows)
         # the co-area weight is 1/|d_t G| with G = F/scale, so the raw value
         # carries an extra |scale| against the 1/|d_t F| convention
@@ -572,12 +568,6 @@ def _convolve_ordered(surface_functions, Y, spec):
     values[failed] = 0.0
     errors[failed] = 0.0
     return values, errors, failures
-
-
-def _block_rows(entries_per_point: int) -> int:
-    """Points per block when each point adds this many float entries to
-    the largest argument array."""
-    return max(1, _BLOCK_ENTRIES // entries_per_point)
 
 
 def _reduction_det(at_zero: list[np.ndarray], at_y: np.ndarray) -> np.ndarray:
@@ -604,25 +594,19 @@ def extension_operator(
     surface: Hypersurface,
     g: GridFunction | None,
     xi: np.ndarray,
-    resolution: int | None = None,
     max_resolution: int = MAX_EXTENSION_RESOLUTION,
 ) -> complex:
     """Oscillatory integral int_U g(x) e^{i <xi, (x, phi(x))>} dx.
 
-    Midpoint rule with at least 10 points per oscillation wavelength at
-    the given frequency (the floor of the rule size); refuses rather
-    than aliasing when the floor exceeds the resolution budget.
+    Midpoint rule with 10 points per oscillation wavelength at the
+    given frequency (`_required_resolution`, at least 16 per axis);
+    refuses rather than aliasing when that exceeds the resolution budget.
     """
     xi = np.asarray(xi, dtype=float)
     k = surface.base_dim
     if xi.shape != (k + 1,):
         raise ValueError("frequency must live in the ambient space")
-    floor = _required_resolution(surface, float(np.max(np.abs(xi))), max_resolution)
-    res = max(floor, resolution or 0)
-    if res > max_resolution:
-        raise ResolutionBudgetError(
-            f"requested {res} points per axis, budget {max_resolution}"
-        )
+    res = _required_resolution(surface, float(np.max(np.abs(xi))), max_resolution)
     return complex(extension_on_grid(surface, g, xi[None, :], res).item())
 
 
@@ -653,7 +637,7 @@ def extension_on_grid(
 
     Column a of ``nodes`` (n, k+1) holds the frequency nodes of ambient
     axis a; the result holds E g(xi) at every xi of their product grid,
-    shape (n,)*(k+1) in ``meshgrid(..., indexing="ij")`` order.  The
+    shape (n,)*(k+1) in ij order (`grid_points`).  The
     parameter box carries u_resolution midpoints per axis.
 
     The phase <xi, (x, phi(x))> is linear in each base coordinate, so
@@ -672,8 +656,7 @@ def extension_on_grid(
     n = nodes.shape[0]
     u = u_resolution
     axes, cell = midpoint_axes(surface.lo, surface.hi, u)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid_points(axes)
     weights = (g.evaluate(pts) if g is not None else np.ones(pts.shape[0])) * cell
     phi = surface.phi.evaluate(pts)
     factors = [np.exp(1j * np.outer(nodes[:, a], axes[a])) for a in range(k)]
@@ -693,8 +676,8 @@ def extension_on_grid(
 def _flat_convolution_2d(surface_functions: list[SurfaceFunction], axes: list[np.ndarray]):
     """Convolution values of two affine curves in the plane on the midpoint
     grid of ``axes`` (y0, y1), yielded one block of whole y0 rows at a
-    time in ij order, each block at most _BLOCK_ENTRIES points unless
-    one row is longer.
+    time in ij order, each block at most BLOCK_ENTRIES points (`blocks`)
+    unless one row is longer.
 
     The meeting point x* solves c0 x + a0 + c1 (y0 - x) + a1 = y1, and
     the value is g0(x*) g1(y0 - x*) / |c0 - c1|; per point the floats
@@ -711,9 +694,8 @@ def _flat_convolution_2d(surface_functions: list[SurfaceFunction], axes: list[np
         raise TransversalityError("flat curves are parallel")
     y0, y1 = axes
     shifted = y1 - a0 - a1
-    rows = max(1, _BLOCK_ENTRIES // y1.size)
-    for start in range(0, y0.size, rows):
-        block = y0[start : start + rows, None]
+    for rows in blocks(y0.size, y1.size):
+        block = y0[rows, None]
         x_star = (shifted - c1 * block) / denom
         vals = g0.evaluate(x_star.reshape(-1, 1)) * g1.evaluate((block - x_star).reshape(-1, 1))
         yield vals / abs(denom)
@@ -733,10 +715,7 @@ def _spatial_axes(
     hi = np.zeros(d)
     for sf in surface_functions:
         s = sf.surface
-        corners = np.array(
-            np.meshgrid(*[[s.lo[a], s.hi[a]] for a in range(d - 1)], indexing="ij")
-        ).reshape(d - 1, -1).T
-        graphs = s.graph(corners)
+        graphs = s.graph(grid_points(zip(s.lo, s.hi)))
         lo += graphs.min(axis=0)
         hi += graphs.max(axis=0)
     pad = 0.05 * (hi - lo)
@@ -749,8 +728,7 @@ def _spatial_grid(
     """The points, in ij order, of the `_spatial_axes` grid, and its cell
     volume."""
     axes, cell = _spatial_axes(surface_functions, points_per_axis)
-    Y = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return Y, cell
+    return grid_points(axes), cell
 
 
 @dataclass

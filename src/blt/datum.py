@@ -309,8 +309,7 @@ def reduce_to_projections(datum: BLDatum) -> ReductionCertificate:
     resid = cert.max_projection_residual(datum)
     if resid > CERTIFICATE_TOL:
         raise NearSingularError(f"projection residual {resid:.3e} exceeds tolerance")
-    quantity = transversality_quantity(datum.maps)
-    lhs = quantity
+    lhs = diag.transversality
     rhs = det_A * float(np.prod(norms))
     # negated comparisons, so a NaN from an overflowed side fails the check
     if not abs(lhs - rhs) <= CERTIFICATE_TOL * max(abs(lhs), abs(rhs)):

@@ -19,7 +19,8 @@ one call: a region's mass does not depend on the other regions of its
 call.  The regions of a `grid_polygon_mass` call form a grid whose
 offsets each vary along one axis (`_RegionGrid`), as a map's tubes do,
 so the rank-2 prefilter is tabled per region axis rather than per
-(region, cell) pair.
+(region, cell) pair.  Package-wide, `grid_points` builds every product
+grid and `blocks` sizes every batch.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 
 # Midpoint subdivisions per cell axis in the rank >= 3 grid-mass measure.
 SUBDIVISION = 4
-# Entries of any (region, cell), (region-axis row, cell) or (line, line,
-# pair) temporary of the batched grid masses; larger batches are measured
-# in blocks of regions and of (region, cell) pairs.
+# Entries of one batch's largest temporary, for every batched kernel of the
+# package (grid masses, convolution points, ball-check products): larger
+# batches are taken in `blocks`, whose temporaries take about a MiB.
 BLOCK_ENTRIES = 2**16
 # Relative angle, and distance in cell sides, below which two lines of the
 # rank-2 area kernel count as parallel, and parallel lines as coincident.
@@ -78,9 +79,9 @@ class SlabCells:
             masses[cuts[hi] < cuts[lo]] = 0.0
             return masses
         masses = np.zeros(len(lo))
-        blocks = _blocks(len(lo), 2 * len(self.vals))
-        table = self._areas_below(cuts) if len(blocks) == 1 else None
-        for block in blocks:
+        slabs = blocks(len(lo), 2 * len(self.vals))
+        table = self._areas_below(cuts) if len(slabs) == 1 else None
+        for block in slabs:
             if table is None:
                 upper, lower = self._areas_below(cuts[hi[block]]), self._areas_below(cuts[lo[block]])
             else:
@@ -193,7 +194,12 @@ def _positive_cells(values: np.ndarray, origin: np.ndarray, h: float):
     return np.asarray(origin, dtype=float) + h * np.argwhere(positive), values[positive]
 
 
-def _blocks(count: int, entries_per_item: int) -> list[slice]:
+def grid_points(axes) -> np.ndarray:
+    """(N, k) points of the product grid of k axes, last axis fastest."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def blocks(count: int, entries_per_item: int) -> list[slice]:
     """Consecutive slices of range(count) holding at most BLOCK_ENTRIES
     entries each (at least one item)."""
     step = max(1, BLOCK_ENTRIES // max(1, entries_per_item))
@@ -276,7 +282,7 @@ def _interval_mass(lows, vals, h: float, normals, regions: _RegionGrid) -> np.nd
     cut out by the halfplanes n y <= c."""
     up, down, flat = normals > 0.0, normals < 0.0, normals == 0.0
     masses = np.zeros(regions.count)
-    for block in _blocks(regions.count, len(vals)):
+    for block in blocks(regions.count, len(vals)):
         offsets = regions.offsets(regions.index(block))
         hi = np.min(offsets[up] / normals[up, None], axis=0, initial=np.inf)
         lo = np.max(offsets[down] / normals[down, None], axis=0, initial=-np.inf)
@@ -308,9 +314,8 @@ def _clip_mass(origins, vals, h: float, normals, regions: _RegionGrid) -> np.nda
     on_axis = [[p for p, a in enumerate(regions.axes) if a == axis]
                for axis in range(len(regions.grid))]
     full_mass = vals * h * h
-    clip_batch = max(1, BLOCK_ENTRIES // (4 + len(normals)) ** 2)
     masses = np.zeros(regions.count)
-    for block in _blocks(regions.count, len(vals)):
+    for block in blocks(regions.count, len(vals)):
         index = regions.index(block)
         tables = []
         reached = np.ones(len(vals), dtype=bool)
@@ -336,8 +341,8 @@ def _clip_mass(origins, vals, h: float, normals, regions: _RegionGrid) -> np.nda
         weights = full_mass[cell]
         pairs = np.flatnonzero(clipped)
         offsets = regions.offsets(index)
-        for start in range(0, len(pairs), clip_batch):
-            sel = pairs[start : start + clip_batch]
+        for batch in blocks(len(pairs), (4 + len(normals)) ** 2):
+            sel = pairs[batch]
             local = offsets[:, region[sel]] - proj[:, cell[sel]]
             weights[sel] = vals[cell[sel]] * _clipped_square_areas(h, normals, local)
         masses[block] = np.bincount(region, weights, minlength=len(table))
@@ -399,9 +404,9 @@ def _subdivision_mass(origins, vals, h: float, normals, regions: _RegionGrid) ->
     Additive across disjoint slabs, but not a one-sided bound."""
     k = origins.shape[1]
     q = SUBDIVISION
-    shifts = (np.indices((q,) * k).reshape(k, -1).T + 0.5) * (h / q)
+    shifts = grid_points([(np.arange(q) + 0.5) * (h / q)] * k)
     masses = np.zeros(regions.count)
-    for block in _blocks(regions.count, len(vals)):
+    for block in blocks(regions.count, len(vals)):
         offsets = regions.offsets(regions.index(block))
         inside_count = np.zeros((block.stop - block.start, len(vals)))
         for shift in shifts:

@@ -169,7 +169,6 @@ def solve_eta(
     field: ScalarField,
     x: np.ndarray,
     tol: float = 1e-12,
-    max_iter: int | None = None,
 ) -> EtaSolution:
     """Fixed-point solve of F(x, eta) = 0 from eta = 0, batched over x.
 
@@ -188,7 +187,7 @@ def solve_eta(
     radii = np.linalg.norm(x, axis=1)
     if np.any(radii >= R1):
         raise DomainError(f"|x| = {radii.max():.3e} outside B(0, R1), R1 = {R1:.3e}")
-    cap = iteration_cap(field.beta, field.kappa, tol) if max_iter is None else max_iter
+    cap = iteration_cap(field.beta, field.kappa, tol)
     run = contract(lambda eta, rows: field.value(x, eta[0])[None], [R2], [cap], tol, x.shape[0])
     error = run.error(0)
     if error is not None:

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .geometry import grid_points
+
 
 class ZeroMassError(ValueError):
     """Input function has zero total mass where positive mass is required."""
@@ -105,12 +107,10 @@ class GridFunction:
         return float(self.values.sum() * self.spacing**self.dim)
 
     def cell_centers(self) -> np.ndarray:
-        axes = [
+        return grid_points([
             self.origin[a] + self.spacing * (np.arange(s) + 0.5)
             for a, s in enumerate(self.values.shape)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        ])
 
 
 @dataclass
@@ -175,9 +175,7 @@ class BoxIndicator:
         return corners.min(axis=0), corners.max(axis=0)
 
     def corners(self) -> np.ndarray:
-        k = self.dim
-        cube = np.array(np.meshgrid(*[[0.0, 1.0]] * k, indexing="ij")).reshape(k, -1).T
-        return cube @ self.matrix.T + self.offset
+        return grid_points([[0.0, 1.0]] * self.dim) @ self.matrix.T + self.offset
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .datum import BLDatum, ProjectionScheme, reduce_to_projections
-from .geometry import BLOCK_ENTRIES, bounding_box_from_linear_constraints
+from .geometry import blocks, bounding_box_from_linear_constraints, grid_points
 from .inputs import (
     BoxIndicator,
     GridFunction,
@@ -213,9 +213,8 @@ def _separable_midpoint(factors, lo: np.ndarray, hi: np.ndarray, count: int) -> 
     for g, B in factors:
         sub = [int(a) for a in np.argmax(B != 0.0, axis=1)]
         entries = B[np.arange(len(sub)), sub]
-        mesh = np.meshgrid(*[b * axes[a] for b, a in zip(entries, sub)], indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=1)
-        operands += [g(points).reshape(mesh[0].shape), sub]
+        points = grid_points([b * axes[a] for b, a in zip(entries, sub)])
+        operands += [g(points).reshape((count,) * len(sub)), sub]
         read.update(sub)
     free = lo.size - len(read)
     return float(np.einsum(*operands, []) * count**free * cell)
@@ -234,14 +233,11 @@ def _midpoint_integral(integrand, lo, hi, resolution: int, d: int):
     axes, cell = midpoint_axes(lo, hi, resolution)
     total = 0.0
     # chunk the first axis so the point array stays modest
-    rest = np.meshgrid(*axes[1:], indexing="ij") if d > 1 else []
-    rest_flat = [m.ravel() for m in rest]
-    n_rest = rest_flat[0].size if rest_flat else 1
+    rest = grid_points(axes[1:]) if d > 1 else np.empty((1, 0))
     for x0 in axes[0]:
-        pts = np.empty((n_rest, d))
+        pts = np.empty((len(rest), d))
         pts[:, 0] = x0
-        for a, col in enumerate(rest_flat):
-            pts[:, a + 1] = col
+        pts[:, 1:] = rest
         total = total + integrand(pts).sum(axis=-1)
     return total * cell if np.ndim(total) else float(total * cell)
 
@@ -477,14 +473,13 @@ def _sup_sweep(datum: BLDatum, f, fprime, x_grid: np.ndarray, ratios) -> np.ndar
     """R((g_j^x)_j) for every x of x_grid, and -inf where some g_j^x is off
     its lattice or has zero mass.
 
-    The x are taken in blocks whose localised products hold at most
+    The x are taken in `blocks` whose localised products hold at most
     BLOCK_ENTRIES entries per map.  ratios maps the kept (n, *shape f'_j)
     values and (n,) masses of every map to the n ratios.
     """
     out = np.full(len(x_grid), -np.inf)
-    step = max(1, BLOCK_ENTRIES // max(fpj.values.size for fpj in fprime))
-    for start in range(0, len(x_grid), step):
-        xs = x_grid[start : start + step]
+    for block in blocks(len(x_grid), max(fpj.values.size for fpj in fprime)):
+        xs = x_grid[block]
         kept = np.ones(len(xs), dtype=bool)
         values, masses = [], []
         for B, fj, fpj in zip(datum.maps, f, fprime):
@@ -495,7 +490,7 @@ def _sup_sweep(datum: BLDatum, f, fprime, x_grid: np.ndarray, ratios) -> np.ndar
             masses.append(mass)
         if np.any(kept):
             kept_values = [g[kept] for g in values]
-            out[start : start + step][kept] = ratios(kept_values, [m[kept] for m in masses])
+            out[block][kept] = ratios(kept_values, [m[kept] for m in masses])
     return out
 
 

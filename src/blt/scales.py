@@ -6,7 +6,9 @@ into parallelepiped cells separated by thin buffer slabs.  The buffer
 positions are pigeonholed against the input masses, the factorisation
 B_j = dB_j(0) o Phi_j controls the nonlinear drift, and the resulting
 tube images are provably disjoint.  Every quantitative step is exposed
-as a certificate that can be rechecked independently.
+as a certificate that can be rechecked independently.  Each input is
+clipped to its image window once, and the induction step's buffer masses
+are the masses the ladders selected.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .datum import ProjectionScheme
 from .exterior import cross_like, null_space
-from .geometry import SlabCells, grid_polygon_mass, grid_slab_mass
+from .geometry import SlabCells, grid_points, grid_polygon_mass
 from .inputs import GridFunction
 from .nonlinear import NonlinearMapFamily, RegularityError
 from .quadrature import _midpoint_integral, lattice_product_sum
@@ -54,9 +56,7 @@ class Cube:
         return self.center.size
 
     def corners(self) -> np.ndarray:
-        d = self.d
-        signs = np.array(np.meshgrid(*[[-0.5, 0.5]] * d, indexing="ij")).reshape(d, -1).T
-        return self.center + self.side * signs
+        return self.center + self.side * grid_points([[-0.5, 0.5]] * self.d)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         # One column at a time: an (N, d) array against a (d,) vector runs
@@ -315,7 +315,6 @@ class PigeonholeSequence:
     functional: AxisImageFunctional
     t_lo: float
     t_hi: float
-    drift: float
 
     def certificates_hold(self) -> bool:
         return all(
@@ -324,7 +323,7 @@ class PigeonholeSequence:
 
 
 def pigeonhole_sequences(
-    f: GridFunction,
+    fW: GridFunction,
     cube: Cube,
     axis: int,
     frame: DecompositionFrame,
@@ -332,7 +331,8 @@ def pigeonhole_sequences(
     params: ScaleParams,
     fam: NonlinearMapFamily,
 ) -> PigeonholeSequence:
-    """Buffer-position sequence along one axis with mass certificates.
+    """Buffer-position sequence along one axis with mass certificates,
+    measured on fW, the `image_window` of the input of the axis' map.
 
     Starting below the cube, each step splits the admissible window
     [s_n + delta^a0/2, s_n + delta^a0] into N = floor(delta^{a0-a1}/2)
@@ -340,7 +340,7 @@ def pigeonhole_sequences(
     clipped input mass (lowest index on ties), which certifies the mass
     bound with factor 4 delta^{a1-a0}.
 
-    One `SlabCells` table of the clipped input serves every step, and a
+    One `SlabCells` table of the window serves every step, and a
     step measures its candidates and its window at its N + 2 cuts.  When
     the slab normal is axis-aligned (as on the flagship), the candidates
     lying in one cell column tie in exact arithmetic, so the
@@ -363,7 +363,6 @@ def pigeonhole_sequences(
     if N < 1:
         raise ScaleError("delta too large: no candidate interval fits the window")
     func = axis_image_functional(fam, frame, axis, int(sigma[axis]), cube.center)
-    fW = image_window(fam, cube, f)
     corners_local = cube.corners() - cube.center
     t_corner = frame.t_values(corners_local)[:, axis]
     t_lo, t_hi = float(t_corner.min()), float(t_corner.max())
@@ -424,7 +423,6 @@ def pigeonhole_sequences(
         functional=func,
         t_lo=t_lo,
         t_hi=t_hi,
-        drift=drift,
     )
 
 
@@ -435,7 +433,7 @@ class Decomposition:
     Along axis i, interval (n, 1) is (s_n + w/3, s_n + 2w/3] and
     interval (n, 0) is (s_n + 2w/3, s_{n+1} + w/3], with w = delta^a1;
     a cell is the intersection over axes of the slab pull-backs, cut to
-    the cube.
+    the cube.  windows[j] is input j clipped to the image window of map j.
     """
 
     cube: Cube
@@ -443,6 +441,7 @@ class Decomposition:
     sigma: np.ndarray
     sequences: list[PigeonholeSequence]
     params: ScaleParams
+    windows: list[GridFunction]
     edges: list[np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -532,27 +531,21 @@ class Decomposition:
         points = np.empty((0, d))
         labels = np.empty((0, d), dtype=np.int64)
         t_ranges = []
-        for i in range(d):
-            seq = self.sequences[i]
-            options = []
-            for nn in range(self.main_count(i)):
-                lo, hi = self.interval_bounds(i, nn, int(chi[i]))
-                if hi > seq.t_lo - 1e-300 and lo < seq.t_hi + 1e-300:
-                    options.append((nn, lo, hi))
-            if not options:
+        for i, seq in enumerate(self.sequences):
+            n = np.arange(self.main_count(i))
+            lo, hi = self.interval_bounds(i, n, int(chi[i]))
+            meets = (hi > seq.t_lo - 1e-300) & (lo < seq.t_hi + 1e-300)
+            if not np.any(meets):
                 raise ScaleError(f"no intervals of type {int(chi[i])} meet the cube on axis {i}")
-            t_ranges.append(options)
+            t_ranges.append((n[meets], lo[meets], hi[meets]))
         while points.shape[0] < count:
             batch = max(count, 1024)
             T = np.empty((batch, d))
             L = np.empty((batch, d), dtype=np.int64)
-            for i in range(d):
-                opts = t_ranges[i]
-                pick = rng.integers(0, len(opts), size=batch)
-                los = np.array([opts[k][1] for k in pick])
-                his = np.array([opts[k][2] for k in pick])
-                T[:, i] = rng.uniform(los, his)
-                L[:, i] = [opts[k][0] for k in pick]
+            for i, (n, lo, hi) in enumerate(t_ranges):
+                pick = rng.integers(0, len(n), size=batch)
+                T[:, i] = rng.uniform(lo[pick], hi[pick])
+                L[:, i] = n[pick]
             X = T @ Ginv.T + self.cube.center
             keep = self.cube.contains(X)
             points = np.vstack([points, X[keep]])
@@ -566,16 +559,18 @@ def decompose(
     inputs: list[GridFunction],
     params: ScaleParams,
 ) -> Decomposition:
-    """Build the scheme, sigma, the kernel frame and one pigeonholed
-    ladder per axis; axis i is cut against the input of map sigma(i)."""
+    """Build the scheme, sigma, the kernel frame, each input's image
+    window and one pigeonholed ladder per axis; axis i is cut against the
+    window of map sigma(i)."""
     scheme = ProjectionScheme(cube.d, [cube.d - fam.d_out for fam in maps])
     sigma = sigma_map(scheme)
     frame = build_frame(maps, cube.center, scheme)
+    windows = [image_window(fam, cube, f) for fam, f in zip(maps, inputs)]
     sequences = [
-        pigeonhole_sequences(inputs[j], cube, i, frame, sigma, params, maps[j])
+        pigeonhole_sequences(windows[j], cube, i, frame, sigma, params, maps[j])
         for i, j in enumerate(sigma.tolist())
     ]
-    return Decomposition(cube, frame, sigma, sequences, params)
+    return Decomposition(cube, frame, sigma, sequences, params, windows)
 
 
 @dataclass
@@ -850,13 +845,12 @@ def verify_induction_step(
 
     # chi = 0 tube masses, one array per map over the transverse main indices;
     # each axis slab must be expressed in the acting map's own image space
-    fWs = [image_window(fam, cube, f) for fam, f in zip(maps, inputs)]
     tube_arrays = []
     for j, fam in enumerate(maps):
         transverse = scheme.complement(j)
         funcs = [axis_image_functional(fam, deco.frame, i, j, cube.center) for i in transverse]
         drift = fam.drift_allowance(delta)
-        fW = fWs[j]
+        fW = deco.windows[j]
         intervals = [deco.interval_bounds(i, np.arange(deco.main_count(i)), 0) for i in transverse]
         halfplanes = _tube_halfplanes(funcs, intervals, drift)
         tube_arrays.append(grid_polygon_mass(fW.values, fW.origin, fW.spacing, halfplanes))
@@ -877,18 +871,12 @@ def verify_induction_step(
     buffer_totals = {}
     buffer_ok = True
     certified_factor = 1.0
-    d_a1 = delta**params.alpha1
-    # each pattern's total depends only on its lowest set axis i_star, so
-    # sweep the buffer slabs once per axis
-    axis_totals = []
-    for seq in deco.sequences:
-        fW = fWs[seq.map_index]
-        func = seq.functional
-        # the n = 0 buffer sits strictly below the cube's parameter range by
-        # the choice of s_1, so its tubes are empty and the sum starts at 1
-        im_lo, im_hi = func.image_interval(seq.s[1:], seq.s[1:] + d_a1)
-        buffers = grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
-        axis_totals.append(float(buffers.sum()))
+    # a pattern's total is the buffer mass of its lowest set axis i_star.
+    # Buffer n >= 1, [s_n, s_n + delta^a1], is the candidate step n - 1
+    # selected (up to the rounding of its upper cut), so the ladder holds its
+    # mass; buffer 0 lies below the cube's parameter range, so it is empty.
+    axis_totals = [float(np.sum([st.selected_mass for st in seq.steps]))
+                   for seq in deco.sequences]
     for code in range(1, 2**d):
         chi = np.array([(code >> i) & 1 for i in range(d)], dtype=np.int8)
         i_star = int(np.argmax(chi == 1))

@@ -1337,6 +1337,40 @@ class TestUnreadOptions:
         assert not out.exists()
 
 
+class TestBadOptionValues:
+    @pytest.mark.parametrize("argv, option, kind", [
+        (["extension", "--resolution", "0"], "--resolution", "positive"),
+        (["extension", "--resolution", "-3"], "--resolution", "positive"),
+        (["gaussian-search", "--seed", "-1"], "--seed", "nonnegative"),
+        (["delta-integral", "--mode", "monte-carlo", "--seed", "-1"], "--seed", "nonnegative"),
+        (["delta-integral", "--mode", "monte-carlo", "--seed", "1", "--samples", "0"],
+         "--samples", "positive"),
+        (["gaussian-search", "--seed", "1", "--budget", "0"], "--budget", "positive"),
+    ], ids=["extension-resolution-0", "extension-resolution-neg", "gaussian-seed-neg",
+            "delta-seed-neg", "delta-samples-0", "gaussian-budget-0"])
+    def test_refused_with_the_option_named(self, tmp_path, capsys, lw_file, argv, option, kind):
+        # argparse refuses the value before the input is read
+        out = tmp_path / "o.json"
+        assert main([argv[0], "--input", lw_file, *argv[1:], "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {option}: must be a {kind} integer, got '{argv[-1]}'")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
+    def test_bad_default_seed_is_named(self, tmp_path, capsys, lw_file, monkeypatch, value):
+        monkeypatch.setenv("BLT_DEFAULT_SEED", value)
+        out = tmp_path / "o.json"
+        argv = ["gaussian-search", "--input", lw_file, "--budget", "20", "--output", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: BLT_DEFAULT_SEED must be a nonnegative integer, got '{value}'\n"
+        assert not out.exists()
+        # an explicit --seed, or a command without one, never reads it
+        assert main(argv[:-2] + ["--seed", "1", "--output", str(out)]) == 0
+        assert main(["bl-constant", "--input", lw_file, "--output", str(out)]) == 0
+
+
 class TestConvolutionRule:
     """convolve-surfaces and verify-thm74 integrate the same delta integral,
     whose base has (d - 1)^2 - 1 axes: 0, 3 and 8 at d = 2, 3, 4."""
@@ -1752,6 +1786,21 @@ class TestScalesCommands:
         unseeded = run(tmp_path, "dec0", argv)
         seeded = run(tmp_path, "dec1", argv + ["--seed", "1"])
         assert unseeded["result"] == seeded["result"]
+
+    def test_buffer_totals_are_the_decompose_selected_masses(self, tmp_path):
+        # verify-step's buffer total of axis i is the sum of the masses the
+        # axis' ladder selected, which decompose reports, bit for bit
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(flagship_payload()))
+        dec = run(tmp_path, "dec", ["decompose", "--input", str(path), "--max-cells", "0"])
+        vs = run(tmp_path, "vs", ["verify-step", "--input", str(path), "--seed", "1",
+                                  "--resolution", "8"])
+        totals = vs["result"]["buffer_totals"]
+        assert len(totals) == 7
+        for chi, info in totals.items():
+            steps = dec["result"]["sequences"][info["axis"]]["certificates"]
+            selected = float(np.sum([st["selected_mass"] for st in steps]))
+            assert info["total"] == selected > 0.0, chi
 
     def test_verify_step_certifies(self, tmp_path):
         path = tmp_path / "scales.json"

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import qr
 
-from blt import convext, ift
+from blt import convext, geometry, ift
 from blt.cli import main
 from blt.convext import (
     Hypersurface,
@@ -563,7 +563,7 @@ class TestBatchedConvolution:
         Y = np.random.default_rng(3).uniform(-r, r, (10, 3))
         whole = surface_convolution(sfuncs, Y, spec)
         # 3 points per quadrature chunk of 6^2 nodes and 7 arguments
-        monkeypatch.setattr(convext, "_BLOCK_ENTRIES", 3 * 36 * 7)
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 3 * 36 * 7)
         calls = self.count_calls(monkeypatch, "_coarea")
         split = surface_convolution(sfuncs, Y, spec)
         assert len(calls) >= 3
@@ -644,9 +644,7 @@ class TestExtensionOperator:
     def test_parabola_against_adaptive_oracle(self):
         surf = Hypersurface([0.0], [1.0], Polynomial(1, {(2,): 1.0}), 1.0, 2.1)
         for lam in (10.0, 50.0):
-            val = extension_operator(
-                surf, None, np.array([0.0, lam]), resolution=4096, max_resolution=8192
-            )
+            val = extension_on_grid(surf, None, np.array([[0.0, lam]]), 4096).item()
             re = quad(lambda x: math.cos(lam * x * x), 0, 1, limit=400)[0]
             im = quad(lambda x: math.sin(lam * x * x), 0, 1, limit=400)[0]
             assert abs(val - complex(re, im)) <= 1e-6
@@ -657,7 +655,7 @@ class TestExtensionOperator:
         g = GridFunction(np.array([-0.5, 0.0]), 0.25, rng.uniform(0.2, 1.0, (4, 4)))
         xi = np.array([3.0, -2.0, 5.0])
         res = 40
-        val = extension_operator(surf, g, xi, resolution=res)
+        val = extension_on_grid(surf, g, xi[None, :], res).item()
         axes = [lo + (hi - lo) * (np.arange(res) + 0.5) / res for lo, hi in zip(surf.lo, surf.hi)]
         total = 0j
         for x0 in axes[0]:
@@ -802,11 +800,11 @@ class TestFlatConvolutionBlocks:
 
     @pytest.mark.parametrize("pair", ["offset_pair", "indicator_pair"])
     def test_ragged_last_block(self, monkeypatch, pair):
-        monkeypatch.setattr(convext, "_BLOCK_ENTRIES", 7 * 40 + 39)
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 7 * 40 + 39)
         self.check(getattr(self, pair)(), 40, 7)
 
     def test_rows_longer_than_a_block_go_one_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(convext, "_BLOCK_ENTRIES", 30)
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 30)
         self.check(self.offset_pair(), 40, 1)
 
     def test_parallel_lines_raise(self):

@@ -310,7 +310,7 @@ class TestBatchedMasses:
         # two regions' cells per block, and a few clipped pairs per batch
         cells = int(np.count_nonzero(values))
         monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 2 * cells)
-        assert len(geometry._blocks(len(lo), cells)) >= 3
+        assert len(geometry.blocks(len(lo), cells)) >= 3
         assert np.array_equal(grid_polygon_mass(values, origin, 0.5, halfplanes), whole_poly)
         assert np.array_equal(grid_slab_mass(values, origin, 0.5, w, lo, hi), whole_slab)
 
@@ -422,7 +422,7 @@ class TestBroadcastOffsets:
         # blocks of 4 regions: they straddle rows of 5, and the last holds 3
         cells = int(np.count_nonzero(values))
         monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 4 * cells)
-        assert [b.stop - b.start for b in geometry._blocks(whole.size, cells)][-2:] == [4, 3]
+        assert [b.stop - b.start for b in geometry.blocks(whole.size, cells)][-2:] == [4, 3]
         assert np.array_equal(assert_matches_flat_call(values, origin, halfplanes), whole)
 
     def test_an_offset_may_vary_along_one_axis_only(self):
@@ -430,6 +430,16 @@ class TestBroadcastOffsets:
         w = np.array([1.0, 0.5])
         with pytest.raises(ValueError, match="one region axis"):
             grid_polygon_mass(values, np.zeros(2), 1.0, [(w, np.ones((2, 3)))])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_grid_points_follow_indices_order(rank):
+    rng = np.random.default_rng(40 + rank)
+    shape = (2, 3, 4)[:rank]
+    axes = [rng.uniform(-1.0, 1.0, n) for n in shape]
+    index = np.indices(shape).reshape(rank, -1).T
+    expected = np.stack([axes[a][index[:, a]] for a in range(rank)], axis=1)
+    assert np.array_equal(geometry.grid_points(axes), expected)
 
 
 def test_weighted_sums_match_the_per_row_dot_loop():
@@ -470,7 +480,7 @@ class TestSlabCells:
         assert masses[-1] > 0.0
         # per block of slabs, the areas at each slab's own two cuts
         monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 2 * len(cells.vals))
-        assert len(geometry._blocks(len(lo), 2 * len(cells.vals))) == n + 1
+        assert len(geometry.blocks(len(lo), 2 * len(cells.vals))) == n + 1
         assert np.array_equal(cells.masses(cuts, lo, hi), masses)
         if cells.wx > 0.0 and cells.wy > 0.0:
             # the cuts fall in each piece of the area: triangle, trapezoid and

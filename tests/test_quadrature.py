@@ -700,13 +700,13 @@ class TestSupSweep:
         np.testing.assert_array_equal(report.sup_argmax, kept[0])
 
     def test_blocks_of_x_match_one_block(self, lw_datum, monkeypatch):
-        from blt import quadrature
+        from blt import geometry
 
         datum, f, fp, x_grid = sweep_case("random", lw_datum)
         x_grid = x_grid[::4]
         spec = QuadratureSpec(resolution=8)
         whole = ball_inequality_report(datum, f, fp, x_grid, spec)
-        monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", 7)
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 7)
         blocked = ball_inequality_report(datum, f, fp, x_grid, spec)
         assert blocked.sup_term == whole.sup_term
         assert blocked.excluded_grid_points == whole.excluded_grid_points

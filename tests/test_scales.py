@@ -58,6 +58,34 @@ def uniform_inputs_for(maps, cube, value=1.0, cells=12):
     return out
 
 
+def rank_one_d2_setup():
+    """Two perturbed rank-1 projections of R^2 at their delta0: every tube
+    and slab mass takes the exact interval-overlap route."""
+    maps = [
+        perturbed_projection(np.array([[0.0, 1.0]]), [{(2, 0): 0.3}], 1.0, 1.0),
+        perturbed_projection(np.array([[1.0, 0.0]]), [{(0, 2): 0.3}], 1.0, 1.0),
+    ]
+    params = compute_delta0(1.0, 1.0, 1.25, 1.5, 2, 2)
+    cube = Cube(np.zeros(2), params.delta0)
+    rng = np.random.default_rng(2)
+    inputs = [l1m_grid_for_map(fam, cube, rng) for fam in maps]
+    params.M = 1.0 / max(f.spacing for f in inputs)
+    return maps, params, cube, inputs
+
+
+def lw_d4_rank3_setup():
+    """The Loomis-Whitney maps R^4 -> R^3 at their delta0: every tube mass
+    takes the rank-3 subdivision route."""
+    d = 4
+    maps = [linear_family(np.delete(np.eye(d), j, axis=0)) for j in range(d)]
+    params = compute_delta0(1.0, 1e-4, 1.1, 1.5, d, d)
+    cube = Cube(np.zeros(d), params.delta0)
+    rng = np.random.default_rng(4)
+    inputs = [l1m_grid_for_map(fam, cube, rng, cells=4) for fam in maps]
+    params.M = 1.0 / max(f.spacing for f in inputs)
+    return maps, params, cube, inputs
+
+
 
 class TestRegularityAudit:
     def test_quotient_above_kappa_is_refused(self):
@@ -136,7 +164,8 @@ class TestPigeonhole:
         sigma = sigma_map(scheme)
         inputs = uniform_inputs_for(maps, cube)
         delta = cube.side
-        seq = pigeonhole_sequences(inputs[1], cube, 0, frame, sigma, params, maps[1])
+        window = image_window(maps[1], cube, inputs[1])
+        seq = pigeonhole_sequences(window, cube, 0, frame, sigma, params, maps[1])
         assert seq.certificates_hold()
         gaps = np.diff(seq.s)
         a0w = delta**params.alpha0
@@ -158,7 +187,8 @@ class TestPigeonhole:
         frame = build_frame(maps, cube.center, scheme)
         sigma = sigma_map(scheme)
         far = GridFunction(np.array([10.0, 10.0]), 0.01, np.ones((4, 4)))
-        seq = pigeonhole_sequences(far, cube, 0, frame, sigma, params, maps[1])
+        window = image_window(maps[1], cube, far)
+        seq = pigeonhole_sequences(window, cube, 0, frame, sigma, params, maps[1])
         assert seq.certificates_hold()
         assert all(step.selected_mass == 0.0 for step in seq.steps)
 
@@ -176,7 +206,8 @@ class TestPigeonhole:
         # dry run on the uniform input fixes the step positions; the grid
         # must resolve the candidate width so the spike stays in one candidate
         base = uniform_inputs_for(maps, cube, cells=200)[1]
-        dry = pigeonhole_sequences(base, cube, 0, frame, sigma, params, maps[1])
+        dry = pigeonhole_sequences(image_window(maps[1], cube, base), cube, 0, frame, sigma,
+                                   params, maps[1])
         func = dry.functional
         # place the spike mid-way into the first candidate of an interior step
         spike_s = dry.s[3] + 0.5 * d_a0 + 0.5 * d_a1
@@ -188,7 +219,8 @@ class TestPigeonhole:
         spike_s = float(s_vals[target])
         vals[cell] *= 1e7
         spiky = GridFunction(base.origin, base.spacing, vals)
-        seq = pigeonhole_sequences(spiky, cube, 0, frame, sigma, params, maps[1])
+        seq = pigeonhole_sequences(image_window(maps[1], cube, spiky), cube, 0, frame, sigma,
+                                   params, maps[1])
         assert seq.certificates_hold()
         margin = np.sqrt(2.0) * base.spacing / func.c
         for n in range(1, len(seq.s)):
@@ -480,18 +512,9 @@ class TestInductionStep:
 
 
     def test_rank_one_tubes_d2(self):
-        # two perturbed rank-1 projections: every tube and slab mass takes
-        # the exact interval-overlap route; the reference numbers were
-        # computed by the earlier per-rank tube-mass code
-        maps = [
-            perturbed_projection(np.array([[0.0, 1.0]]), [{(2, 0): 0.3}], 1.0, 1.0),
-            perturbed_projection(np.array([[1.0, 0.0]]), [{(0, 2): 0.3}], 1.0, 1.0),
-        ]
-        params = compute_delta0(1.0, 1.0, 1.25, 1.5, 2, 2)
-        cube = Cube(np.zeros(2), params.delta0)
-        rng = np.random.default_rng(2)
-        inputs = [l1m_grid_for_map(fam, cube, rng) for fam in maps]
-        params.M = 1.0 / max(f.spacing for f in inputs)
+        # the reference numbers were computed by the earlier per-rank
+        # tube-mass code
+        maps, params, cube, inputs = rank_one_d2_setup()
         report = verify_induction_step(maps, cube, inputs, params, 32, seed=3)
         assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
         expected = {
@@ -512,15 +535,9 @@ class TestInductionStep:
         assert totals[(1, 1)] == totals[(1, 0)]
 
     def test_loomis_whitney_d4_rank3_tubes(self, monkeypatch):
-        # maps R^4 -> R^3: every tube mass takes the rank-3 subdivision
-        # route, on a three-axis grid of tubes with broadcast offsets
-        d = 4
-        maps = [linear_family(np.delete(np.eye(d), j, axis=0)) for j in range(d)]
-        params = compute_delta0(1.0, 1e-4, 1.1, 1.5, d, d)
-        cube = Cube(np.zeros(d), params.delta0)
-        rng = np.random.default_rng(4)
-        inputs = [l1m_grid_for_map(fam, cube, rng, cells=4) for fam in maps]
-        params.M = 1.0 / max(f.spacing for f in inputs)
+        # a three-axis grid of tubes with broadcast offsets
+        maps, params, cube, inputs = lw_d4_rank3_setup()
+        d = cube.d
         calls = []
 
         def recording(values, origin, h, halfplanes):
@@ -586,6 +603,29 @@ class TestInductionStep:
         assert report.buffer_totals.keys() == totals.keys()
         for chi, value in totals.items():
             assert report.buffer_totals[chi]["total"] == pytest.approx(value, rel=1e-12, abs=0)
+
+
+    @pytest.mark.parametrize("setup", [flagship_scale_setup, rank_one_d2_setup,
+                                       lw_d4_rank3_setup],
+                             ids=["flagship", "rank-one-d2", "lw-d4-rank3"])
+    def test_buffer_totals_are_the_selected_masses(self, setup):
+        # buffer n >= 1 is the candidate step n - 1 selected: the axis'
+        # total is the ladder's sum, bit for bit, and measuring the buffer
+        # slabs afresh gives the same masses up to the rounding of a cut
+        maps, params, cube, inputs = setup()
+        report = verify_induction_step(maps, cube, inputs, params, 8, seed=1)
+        deco = decompose(maps, cube, inputs, params)
+        d_a1 = cube.side**params.alpha1
+        for chi, info in report.buffer_totals.items():
+            seq = deco.sequences[info["axis"]]
+            assert info["axis"] == chi.index(1) and info["map"] == seq.map_index
+            assert info["total"] == float(np.sum([st.selected_mass for st in seq.steps]))
+        for seq in deco.sequences:
+            fW, func = deco.windows[seq.map_index], seq.functional
+            im_lo, im_hi = func.image_interval(seq.s[1:], seq.s[1:] + d_a1)
+            direct = grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
+            selected = np.array([st.selected_mass for st in seq.steps])
+            assert np.all(np.abs(direct - selected) <= 1e-12 * fW.integral())
 
 
 class TestNonlinearBL:
