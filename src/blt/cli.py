@@ -152,7 +152,7 @@ def _parse_map_family(payload) -> scales.NonlinearMapFamily:
         return scales.NonlinearMapFamily(d, comps, float(payload["beta"]), float(payload["kappa"]))
 
 
-def _parse_field(payload) -> ift.ScalarField:
+def _parse_field(payload) -> ift.PolynomialFields:
     with _input_errors("field"):
         n = int(payload["n"])
         poly = _parse_poly(payload, n + 1)
@@ -380,10 +380,9 @@ def _float_errors(kind: str):
 @_float_errors("datum")
 def cmd_bl_constant(args):
     d = _parse_datum(_load_json(args.input))
-    constant = datum_mod.bl_constant_classC(d)
-    from .exterior import transversality_quantity
-
-    return {"constant": constant, "transversality": transversality_quantity(d.maps)}, EXIT_OK
+    _, diag = datum_mod.is_class_C(d)
+    constant = datum_mod.bl_constant_classC(d, diag)
+    return {"constant": constant, "transversality": diag.transversality}, EXIT_OK
 
 
 @_float_errors("datum")

@@ -23,12 +23,13 @@ from .ift import (
     AUDIT_PAIRS,
     DomainError,
     FieldDeclarationError,
-    ScalarField,
+    PolynomialFields,
+    _monomials,
+    _translated_tables,
     contract,
     holder_quotient,
     ift_radii,
     iteration_cap,
-    solve_eta,
 )
 from .inputs import BoxIndicator, GridFunction, InputFunction
 from .polynomials import Polynomial
@@ -126,18 +127,19 @@ class SurfaceFunction:
 
 
 def delta_integral(
-    field: ScalarField,
+    field: PolynomialFields,
     integrand,
     window: tuple[np.ndarray, np.ndarray] | None,
     spec: QuadratureSpec,
 ) -> tuple[float, float]:
-    """Integral of integrand(u) against delta(F(u)) over the window.
+    """Integral of integrand(u) against delta(F(u)) over the window for a
+    one-field ``field`` (a ScalarField): the one-row call of
+    coarea_integrals, which raises that row's failure.
 
-    Realised as the base-space integral of
-    integrand(x, eta(x)) / |d_last F(x, eta(x))| with eta the implicit
-    solution.  The window is a box in the base space and must sit inside
-    the ball B(0, R1); |d_last F| must stay >= 1/2 on the window.
-    For a zero-dimensional base the value is a single weighted sample.
+    integrand maps (M, n + 1) points to (M,) values.  The window is a box
+    in the base space and must sit inside the ball B(0, R1); |d_last F|
+    must stay >= 1/2 on the window.  For a zero-dimensional base the value
+    is a single weighted sample.
     """
     n = field.n
     if n > 0:
@@ -147,98 +149,96 @@ def delta_integral(
         hi = np.asarray(window[1], dtype=float)
         if lo.shape != (n,) or hi.shape != (n,) or not np.all(hi > lo):
             raise ValueError("window must be a nondegenerate box in the base space")
-        R1, _ = ift_radii(field.beta, field.kappa)
-        corner_radius = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-        if corner_radius >= R1:
-            raise DomainError(
-                f"window corner radius {corner_radius:.3e} escapes B(0, R1), R1 = {R1:.3e}"
-            )
         window = (lo, hi)
-
-    def fail(rows: np.ndarray, message: str) -> None:
-        if np.any(rows):
-            raise FieldDeclarationError(message)
-
-    values, errors = _coarea(
-        n,
-        lambda x: solve_eta(field, x).eta[None],
-        lambda x, eta: field.partial_t(x, eta[0])[None],
-        lambda x, eta: integrand(np.column_stack([x, eta[0]]))[None],
-        window,
-        spec,
-        fail,
+    failures: list[Exception | None] = [None]
+    values, errors = coarea_integrals(
+        field, lambda U, rows: integrand(U[0])[None], window, spec, failures
     )
+    if failures[0] is not None:
+        raise failures[0]
     return float(values[0]), float(errors[0])
 
 
-def _coarea(n: int, solve, partial_t, integrand, window, spec: QuadratureSpec, fail):
-    """The delta integrals of P fields over one shared base window.
+def coarea_integrals(fields: PolynomialFields, integrand, window, spec: QuadratureSpec, failures):
+    """The integrals of integrand against delta(G_p) over one shared base
+    window, for every field p of ``fields`` whose entry of ``failures`` is
+    None.
 
-    solve(x) gives the implicit solutions eta, shape (P, M), at the base
-    points x, shape (M, n); partial_t(x, eta) and integrand(x, eta) give
-    (P, M) values there.  fail(rows, message) hears of the fields whose
-    |d_last F| falls below 1/2.  Returns (values, error estimates), each
-    of shape (P,).
+    Realised as the base-space integral of integrand(x, eta_p(x)) over
+    |d_t G_p(x, eta_p(x))|, with eta_p the implicit solution that contract
+    finds within the radius and cap of the field's kappa (tolerance
+    1e-12).  integrand(U, rows) maps the points U, shape (R, M, n + 1), of
+    the level sets of the fields ``rows`` to (R, M) values.  The window is
+    a box in the base space, None for n = 0, where each value is a single
+    weighted sample.  Fields go to spec.integrate in batches of about
+    BLOCK_ENTRIES quadrature nodes times monomials (`blocks`), and a
+    field's floats do not depend on its batch.
+
+    A field whose window leaves its B(0, R1) (DomainError), whose solve
+    fails or whose |d_t G| falls below 1/2 (FieldDeclarationError) gets
+    its first failure written into ``failures``.  Returns (values, error
+    estimates), each of shape (P,), 0 where a field failed.
     """
-    if n == 0:
-        x = np.zeros((1, 0))
-        eta = solve(x)
-        weight = np.abs(partial_t(x, eta))[:, 0]
-        fail(weight < 0.5, "|d_last F| fell below 1/2 at the root")
-        return integrand(x, eta)[:, 0] / weight, np.zeros(weight.size)
+    n = fields.n
+    P = len(failures)
+    kappa = np.broadcast_to(fields.kappa, (P,))
+    R1, R2 = ift_radii(fields.beta, kappa)
+    caps = iteration_cap(fields.beta, kappa, 1e-12)
+    live = np.array([p for p, f in enumerate(failures) if f is None], dtype=np.int64)
+    if n > 0:
+        corner = float(np.linalg.norm(np.maximum(np.abs(window[0]), np.abs(window[1]))))
+        for p in live[corner >= R1[live]]:
+            failures[p] = DomainError(
+                f"window corner radius {corner:.3e} escapes B(0, R1), R1 = {R1[p]:.3e}"
+            )
+        live = live[corner < R1[live]]
 
-    def weighted(points: np.ndarray) -> np.ndarray:
-        eta = solve(points)
-        denom = np.abs(partial_t(points, eta))
-        fail(np.any(denom < 0.5, axis=1), "|d_last F| fell below 1/2 on the window")
-        return integrand(points, eta) / denom
+    def record(rows, error) -> None:
+        for p in rows:
+            if failures[p] is None:
+                failures[p] = error
 
-    return spec.integrate(weighted, *window)
+    def weighted(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        run = contract(lambda eta, sub: fields.value(x, eta, rows[sub]),
+                       R2[rows], caps[rows], 1e-12, x.shape[0])
+        for r in np.flatnonzero(run.escaped | ~run.converged):
+            record([rows[r]], run.error(r))
+        denom = np.abs(fields.partial_t(x, run.eta, rows))
+        record(rows[np.any(denom < 0.5, axis=1)],
+               FieldDeclarationError("|d_last F| fell below 1/2 on the level set"))
+        U = np.empty(run.eta.shape + (n + 1,))
+        U[..., :n] = x
+        U[..., n] = run.eta
+        return integrand(U, rows) / denom
+
+    values = np.zeros(P)
+    errors = np.zeros(P)
+    # each field counts its quadrature nodes times its monomials
+    for block in blocks(live.size, spec.points_per_call(n) * fields.exponents.shape[0]):
+        rows = live[block]
+        if n == 0:
+            values[rows] = weighted(np.zeros((1, 0)), rows)[:, 0]
+        else:
+            values[rows], errors[rows] = spec.integrate(lambda x: weighted(x, rows), *window)
+    failed = np.array([f is not None for f in failures], dtype=bool)
+    values[failed] = 0.0
+    errors[failed] = 0.0
+    return values, errors
 
 
 @dataclass
-class ReductionFields:
+class ReductionFields(PolynomialFields):
     """The normalised reduction fields of one surface ordering at a batch
     of points: G_p(x, t) = F(x, root_p + t; y_p) / scale_p, where F is the
     polynomial of build_reduction_field in the base coordinates (the
-    solved one last) followed by y.
-
-    Every field is a sum of coefficients times the monomials x^a t^b
-    whose exponents (a, b) are the rows of ``exponents``, shape (A, n + 1),
-    the zero exponent first.  ``tables[0]``, shape (P, A), holds the
-    coefficients of each G_p, and ``tables[1 + i]`` those of its partial in
-    coordinate i.  ``kappa`` holds each field's C^{1,beta} bound, computed
-    from these partial tables by _kappa_bound (1 where the point failed).
+    solved one last) followed by y.  ``kappa`` holds each field's
+    C^{1,beta} bound, computed from its partial tables by _kappa_bound (1
+    where the point failed).
     """
 
-    exponents: np.ndarray
-    tables: np.ndarray
     Y: np.ndarray
     root: np.ndarray
     scale: np.ndarray
-    beta: float
-    kappa: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.n = self.exponents.shape[1] - 1
-
-    def evaluate(self, tables: np.ndarray, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
-        """The polynomials of ``tables``, (K, P, A), of the fields ``rows`` at
-        the base points x, (M, n), and solved coordinates t, (R, M): (K, R, M)."""
-        monomials = _monomials(x, self.exponents[:, : self.n]) * _monomials(
-            t[..., None], self.exponents[:, self.n :]
-        )
-        return np.add.reduce(tables[:, rows, None, :] * monomials, axis=-1)
-
-    def value(self, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
-        return self.evaluate(self.tables[:1], x, t, rows)[0]
-
-    def partial_t(self, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
-        return self.evaluate(self.tables[-1:], x, t, rows)[0]
-
-    def gradient(self, x: np.ndarray, t: np.ndarray, rows) -> np.ndarray:
-        """Full gradients at the points (x, t): (R, M, n + 1)."""
-        return np.moveaxis(self.evaluate(self.tables[1:], x, t, rows), 0, -1)
 
 
 def build_reduction_field(
@@ -295,7 +295,7 @@ def build_reduction_field(
     tables /= scale[:, None]
     live = np.flatnonzero(valid)
     beta = min(s.beta for s in surfaces)
-    fields = ReductionFields(exponents, tables, Y, root, scale, beta, np.ones(Y.shape[0]))
+    fields = ReductionFields(exponents, tables, beta, np.ones(Y.shape[0]), Y, root, scale)
     fields.kappa[live] = _kappa_bound(tables[1:, live], exponents, beta)
 
     # the ScalarField checks of its declared form; d_(n+1)G(0,0) = scale / scale is 1
@@ -303,16 +303,6 @@ def build_reduction_field(
     for p in live:
         failures[p] = ift.form_error(degree, f0[p])
     return fields, failures
-
-
-def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """The monomials points^a, one per row a of exponents, shape (A, k), at
-    points of shape (..., k): shape (..., A)."""
-    powers = np.empty(points.shape + (int(exponents.max(initial=0)) + 1,))
-    powers[..., 0] = 1.0
-    for e in range(1, powers.shape[-1]):
-        np.multiply(powers[..., e - 1], points, out=powers[..., e])
-    return np.multiply.reduce(powers[..., np.arange(exponents.shape[1]), exponents], axis=-1)
 
 
 def _coefficient_table(
@@ -331,38 +321,6 @@ def _coefficient_table(
         K[row[key[:k]], column[key[k:]]] = c
     y_monomials = _monomials(Y, np.array(y_exponents, dtype=np.int64))
     return exponents, np.add.reduce(y_monomials[:, None, :] * K, axis=-1)
-
-
-def _translated_tables(
-    exponents: list[tuple[int, ...]], coeffs: np.ndarray, shift: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The polynomials of coeffs, row p over the monomials of exponents,
-    translated by shift[p] along the last variable, with their partials.
-
-    A monomial x^a s^m becomes, with s = shift + t, the sum over j <= m of
-    binom(m, j) shift^(m - j) x^a t^j.  Returns one shared monomial list,
-    the zero exponent first, shape (A, k), and the tables of the
-    translated polynomials and of their partials in each variable, shape
-    (k + 1, P, A).
-    """
-    k = len(exponents[0])
-    position = {(0,) * k: 0}
-    entries = []  # (table, source column, target column, factor, power of shift)
-    for source, e in enumerate(exponents):
-        m = e[-1]
-        for j in range(m + 1):
-            a = (*e[:-1], j)
-            weight = math.comb(m, j)
-            entries.append((0, source, position.setdefault(a, len(position)), weight, m - j))
-            for axis in (i for i, e_i in enumerate(a) if e_i):
-                lowered = a[:axis] + (a[axis] - 1,) + a[axis + 1 :]
-                target = position.setdefault(lowered, len(position))
-                entries.append((1 + axis, source, target, weight * a[axis], m - j))
-    table, source, target, factor, power = (np.array(v) for v in zip(*entries))
-    terms = coeffs[:, source] * factor * _monomials(shift[:, None], power[:, None])
-    tables = np.zeros((k + 1, coeffs.shape[0], len(position)))
-    np.add.at(tables, (table, slice(None), target), terms.T)
-    return np.array(list(position), dtype=np.int64), tables
 
 
 def _nearest_real_root(C: np.ndarray) -> np.ndarray:
@@ -493,81 +451,30 @@ def _convolve_ordered(surface_functions, Y, spec):
     surfaces in the given order; a failed point has value 0."""
     d = len(surface_functions)
     width = d - 1
-    P = Y.shape[0]
     surfaces = [sf.surface for sf in surface_functions]
     densities = [sf.input_function() for sf in surface_functions]
     fields, failures = build_reduction_field(surfaces, Y)
     n = fields.n
-    live = np.array([p for p, f in enumerate(failures) if f is None], dtype=np.int64)
-    radii = np.zeros((P, 2))
-    caps = np.zeros(P, dtype=np.int64)
-    if live.size:
-        radii[live] = np.column_stack(ift_radii(fields.beta, fields.kappa[live]))
-        caps[live] = iteration_cap(fields.beta, fields.kappa[live], 1e-12)
-    window = None
-    if n > 0:
-        window = _support_window(surfaces, n)
-        corner = float(np.linalg.norm(np.maximum(np.abs(window[0]), np.abs(window[1]))))
-        for p in live[corner >= radii[live, 0]]:
-            failures[p] = DomainError(
-                f"support radius {corner:.3e} exceeds the guaranteed neighbourhood"
-                f" R1 = {radii[p, 0]:.3e}; rescale the surfaces"
-            )
-        live = live[corner < radii[live, 0]]
 
-    def record(rows, error) -> None:
-        for p in rows:
-            if failures[p] is None:
-                failures[p] = error
+    def integrand(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # the solved last coordinate, shifted back by the root translation
+        R, M, _ = U.shape
+        U[..., n] += fields.root[rows, None]
+        out = np.ones((R, M))
+        acc = np.zeros((R, M, width))
+        for j in range(d - 1):
+            block = U[..., j * width : (j + 1) * width]
+            out *= densities[j].evaluate(block.reshape(-1, width)).reshape(R, M)
+            acc += block
+        last = fields.Y[rows, None, :-1] - acc
+        return out * densities[d - 1].evaluate(last.reshape(-1, width)).reshape(R, M)
 
-    def coarea(rows: np.ndarray):
-        def solve(x: np.ndarray) -> np.ndarray:
-            run = contract(lambda eta, sub: fields.value(x, eta, rows[sub]),
-                           radii[rows, 1], caps[rows], 1e-12, x.shape[0])
-            for r in np.flatnonzero(run.escaped | ~run.converged):
-                record([rows[r]], run.error(r))
-            return run.eta
-
-        def integrand(x: np.ndarray, eta: np.ndarray) -> np.ndarray:
-            # base coordinates plus the solved last coordinate, shifted
-            # back by the root translation
-            R, M = eta.shape
-            full = np.empty((R, M, n + 1))
-            full[..., :n] = x
-            full[..., n] = eta + fields.root[rows, None]
-            out = np.ones((R, M))
-            acc = np.zeros((R, M, width))
-            for j in range(d - 1):
-                block = full[..., j * width : (j + 1) * width]
-                out *= densities[j].evaluate(block.reshape(-1, width)).reshape(R, M)
-                acc += block
-            last = fields.Y[rows, None, :-1] - acc
-            return out * densities[d - 1].evaluate(last.reshape(-1, width)).reshape(R, M)
-
-        return _coarea(
-            n,
-            solve,
-            lambda x, eta: fields.partial_t(x, eta, rows),
-            integrand,
-            window,
-            spec,
-            lambda mask, message: record(rows[mask], FieldDeclarationError(message)),
-        )
-
-    values = np.zeros(P)
-    errors = np.zeros(P)
-    # each point counts its quadrature nodes times the fields' monomials
-    for block in blocks(live.size, spec.points_per_call(n) * fields.exponents.shape[0]):
-        rows = live[block]
-        vals, errs = coarea(rows)
-        # the co-area weight is 1/|d_t G| with G = F/scale, so the raw value
-        # carries an extra |scale| against the 1/|d_t F| convention
-        values[rows] = vals / np.abs(fields.scale[rows])
-        errors[rows] = errs / np.abs(fields.scale[rows])
-    failed = np.array([f is not None for f in failures], dtype=bool)
-    values[failed] = 0.0
-    errors[failed] = 0.0
-    return values, errors, failures
+    window = _support_window(surfaces, n) if n > 0 else None
+    values, errors = coarea_integrals(fields, integrand, window, spec, failures)
+    # the co-area weight is 1/|d_t G| with G = F/scale, so the raw value
+    # carries an extra |scale| against the 1/|d_t F| convention
+    scale = np.abs(fields.scale)
+    return values / scale, errors / scale, failures
 
 
 def _reduction_det(at_zero: list[np.ndarray], at_y: np.ndarray) -> np.ndarray:
@@ -614,9 +521,10 @@ def _required_resolution(surface: Hypersurface, xi_max: float, budget: int) -> i
     """Parameter midpoints per axis for 10 per oscillation wavelength at
     frequencies up to xi_max; refuses when that exceeds the budget."""
     widths = surface.hi - surface.lo
-    # phase derivative bound per axis: |xi| (1 + Lip(phi))
-    sample = np.linspace(surface.lo, surface.hi, 9)
-    lip = float(np.abs(surface.grad(sample.reshape(-1, surface.base_dim))).max(initial=0.0))
+    # phase derivative bound per axis: |xi| (1 + Lip(phi)), with grad phi
+    # sampled on a grid of 9 points per axis
+    sample = grid_points([np.linspace(lo, hi, 9) for lo, hi in zip(surface.lo, surface.hi)])
+    lip = float(np.abs(surface.grad(sample)).max(initial=0.0))
     rate = xi_max * (1.0 + lip)
     need = 10.0 * rate * float(widths.max()) / (2.0 * math.pi)
     floor = max(_MIN_EXTENSION_RESOLUTION, math.ceil(need)) if math.isfinite(need) else need

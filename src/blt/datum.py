@@ -176,10 +176,14 @@ def is_class_C(datum: BLDatum) -> tuple[bool, ClassCDiagnostics]:
     return True, ClassCDiagnostics(True, "ok", kernel_sum, quantity, expo_dev)
 
 
-def bl_constant_classC(datum: BLDatum) -> float:
-    """Closed-form constant |transversality|^{-1/(m-1)} for direct-sum data."""
-    ok, diag = is_class_C(datum)
-    if not ok:
+def bl_constant_classC(datum: BLDatum, diag: ClassCDiagnostics | None = None) -> float:
+    """Closed-form constant |transversality|^{-1/(m-1)} for direct-sum data.
+
+    diag is is_class_C's verdict on datum when the caller has it already.
+    """
+    if diag is None:
+        _, diag = is_class_C(datum)
+    if not diag.ok:
         raise NotClassCError(diag.reason)
     assert diag.transversality is not None
     return float(abs(diag.transversality) ** (-1.0 / (datum.m - 1)))

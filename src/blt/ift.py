@@ -69,67 +69,124 @@ class DomainError(ValueError):
 
 
 @dataclass
-class ScalarField:
-    """Polynomial scalar field F(x, t), x in R^n, t scalar, degree <= 4.
+class PolynomialFields:
+    """Scalar fields G_p(x, t), x in R^n, t scalar, p < P, each a sum of
+    coefficients times the monomials x^a t^b whose exponents (a, b) are the
+    rows of ``exponents``, shape (A, n + 1), the zero exponent first.
 
-    beta, kappa declare the C^{1,beta} bound used by the radii.  The
-    normalisation F(0,0)=0 and d_{n+1}F(0,0)=1 is validated on
-    construction.
+    ``tables[0]``, shape (P, A), holds the coefficients of each G_p, and
+    ``tables[1 + i]`` those of its partial in coordinate i.  beta and kappa
+    declare the C^{1,beta} bound used by the radii: kappa is one float for
+    every field or a (P,) array, one per field.
     """
 
-    n: int
-    poly: Polynomial
+    exponents: np.ndarray
+    tables: np.ndarray
     beta: float
-    kappa: float
+    kappa: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("the base dimension n must be nonnegative")
-        if self.poly.n != self.n + 1:
-            raise ValueError("polynomial arity must be n + 1")
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
-        if not 0 < self.kappa < math.inf:
-            raise ValueError("kappa must be positive and finite")
-        origin = np.zeros((1, self.n + 1))
-        error = form_error(self.poly.degree(), float(self.poly.evaluate(origin)[0]))
-        if error is not None:
-            raise error
-        d0 = float(self.poly.partials[-1].evaluate(origin)[0])
-        if abs(d0 - 1.0) > NORMALISATION_TOL:
-            raise FieldDeclarationError(f"d_(n+1)F(0,0) = {d0:.16g}, expected 1")
+        self.n = self.exponents.shape[1] - 1
 
-    def value(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self.poly.evaluate(_join(x, t, self.n))
+    def evaluate(
+        self, tables: np.ndarray, x: np.ndarray, t: np.ndarray, rows=slice(None)
+    ) -> np.ndarray:
+        """The polynomials of ``tables``, (K, P, A), of the fields ``rows`` at
+        the base points x, (M, n), and solved coordinates t, (R, M): (K, R, M)."""
+        monomials = _monomials(x, self.exponents[:, : self.n]) * _monomials(
+            t[..., None], self.exponents[:, self.n :]
+        )
+        return np.add.reduce(tables[:, rows, None, :] * monomials, axis=-1)
 
-    def gradient(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """dF at the points (x, t): the partials in x, then d_t F."""
-        return self.poly.gradient(_join(x, t, self.n))
+    def value(self, x: np.ndarray, t: np.ndarray, rows=slice(None)) -> np.ndarray:
+        return self.evaluate(self.tables[:1], x, t, rows)[0]
 
-    def partial_t(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self.poly.partials[-1].evaluate(_join(x, t, self.n))
+    def partial_t(self, x: np.ndarray, t: np.ndarray, rows=slice(None)) -> np.ndarray:
+        return self.evaluate(self.tables[-1:], x, t, rows)[0]
+
+    def gradient(self, x: np.ndarray, t: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Full gradients at the points (x, t): (R, M, n + 1)."""
+        return np.moveaxis(self.evaluate(self.tables[1:], x, t, rows), 0, -1)
 
     def sampled_holder_audit(self, seed: int) -> None:
-        """Raises if the sampled Hoelder quotient of dF over the R2 ball
-        exceeds the declared kappa."""
-        _, R2 = ift_radii(self.beta, self.kappa)
+        """Raises if, for some field, the sampled Hoelder quotient of its
+        gradient over its R2 ball exceeds its declared kappa."""
         rng = np.random.default_rng(seed)
-        U = _ball_samples(rng, AUDIT_PAIRS, self.n + 1, R2)
-        V = _ball_samples(rng, AUDIT_PAIRS, self.n + 1, R2)
-        holder_quotient(U, V, self.poly.gradient(U), self.poly.gradient(V), self.beta, self.kappa)
+        for p, kappa in enumerate(np.broadcast_to(self.kappa, self.tables.shape[1:2])):
+            _, R2 = ift_radii(self.beta, kappa)
+            U, V = (_ball_samples(rng, AUDIT_PAIRS, self.n + 1, R2) for _ in "UV")
+            dU, dV = (self.gradient(Z[:, :-1], Z[None, :, -1], [p])[0] for Z in (U, V))
+            holder_quotient(U, V, dU, dV, self.beta, kappa)
 
 
-def _join(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if n == 0 and x.size == 0:
-        x = np.zeros((np.atleast_1d(t).size, 0))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if x.shape[0] != t.size:
-        if x.shape[0] == 1:
-            x = np.repeat(x, t.size, axis=0)
-        else:
-            raise ValueError("batch sizes of x and t differ")
-    return np.column_stack([x, t])
+def ScalarField(n: int, poly: Polynomial, beta: float, kappa: float) -> PolynomialFields:
+    """The polynomial field F(x, t), x in R^n, t scalar, degree <= 4, as
+    one field whose tables hold the coefficients of poly and its partials.
+
+    beta, kappa declare the C^{1,beta} bound used by the radii.  The
+    normalisation F(0,0) = 0 and d_{n+1}F(0,0) = 1 is validated, both
+    read off the zero monomial.
+    """
+    if n < 0:
+        raise ValueError("the base dimension n must be nonnegative")
+    if poly.n != n + 1:
+        raise ValueError("polynomial arity must be n + 1")
+    if not 0 < beta <= 1:
+        raise ValueError("beta must lie in (0, 1]")
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
+    keys = sorted(set(poly.coeffs) | {(0,) * (n + 1)})
+    coeffs = np.array([[poly.coeffs.get(key, 0.0) for key in keys]])
+    exponents, tables = _translated_tables(keys, coeffs, np.zeros(1))
+    error = form_error(poly.degree(), float(tables[0, 0, 0]))
+    if error is not None:
+        raise error
+    d0 = float(tables[-1, 0, 0])
+    if abs(d0 - 1.0) > NORMALISATION_TOL:
+        raise FieldDeclarationError(f"d_(n+1)F(0,0) = {d0:.16g}, expected 1")
+    return PolynomialFields(exponents, tables, float(beta), float(kappa))
+
+
+def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The monomials points^a, one per row a of exponents, shape (A, k), at
+    points of shape (..., k): shape (..., A)."""
+    powers = np.empty(points.shape + (int(exponents.max(initial=0)) + 1,))
+    powers[..., 0] = 1.0
+    for e in range(1, powers.shape[-1]):
+        np.multiply(powers[..., e - 1], points, out=powers[..., e])
+    return np.multiply.reduce(powers[..., np.arange(exponents.shape[1]), exponents], axis=-1)
+
+
+def _translated_tables(
+    exponents: list[tuple[int, ...]], coeffs: np.ndarray, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The polynomials of coeffs, row p over the monomials of exponents,
+    translated by shift[p] along the last variable, with their partials.
+
+    A monomial x^a s^m becomes, with s = shift + t, the sum over j <= m of
+    binom(m, j) shift^(m - j) x^a t^j.  Returns one shared monomial list,
+    the zero exponent first, shape (A, k), and the tables of the
+    translated polynomials and of their partials in each variable, shape
+    (k + 1, P, A).
+    """
+    k = len(exponents[0])
+    position = {(0,) * k: 0}
+    entries = []  # (table, source column, target column, factor, power of shift)
+    for source, e in enumerate(exponents):
+        m = e[-1]
+        for j in range(m + 1):
+            a = (*e[:-1], j)
+            weight = math.comb(m, j)
+            entries.append((0, source, position.setdefault(a, len(position)), weight, m - j))
+            for axis in (i for i, e_i in enumerate(a) if e_i):
+                lowered = a[:axis] + (a[axis] - 1,) + a[axis + 1 :]
+                target = position.setdefault(lowered, len(position))
+                entries.append((1 + axis, source, target, weight * a[axis], m - j))
+    table, source, target, factor, power = (np.array(v) for v in zip(*entries))
+    terms = coeffs[:, source] * factor * _monomials(shift[:, None], power[:, None])
+    tables = np.zeros((k + 1, coeffs.shape[0], len(position)))
+    np.add.at(tables, (table, slice(None), target), terms.T)
+    return np.array(list(position), dtype=np.int64), tables
 
 
 def _ball_samples(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
@@ -166,11 +223,12 @@ def iteration_cap(beta: float, kappa, tol: float):
 
 
 def solve_eta(
-    field: ScalarField,
+    field: PolynomialFields,
     x: np.ndarray,
     tol: float = 1e-12,
 ) -> EtaSolution:
-    """Fixed-point solve of F(x, eta) = 0 from eta = 0, batched over x.
+    """Fixed-point solve of F(x, eta) = 0 from eta = 0 for a one-field
+    ``field`` (a ScalarField), batched over x.
 
     Iterates eta <- eta - F(x, eta).  Convergence at rate 1/2 is
     guaranteed for |x| < R1; iterates must stay in the closed R2 ball
@@ -188,7 +246,7 @@ def solve_eta(
     if np.any(radii >= R1):
         raise DomainError(f"|x| = {radii.max():.3e} outside B(0, R1), R1 = {R1:.3e}")
     cap = iteration_cap(field.beta, field.kappa, tol)
-    run = contract(lambda eta, rows: field.value(x, eta[0])[None], [R2], [cap], tol, x.shape[0])
+    run = contract(lambda eta, rows: field.value(x, eta, rows), [R2], [cap], tol, x.shape[0])
     error = run.error(0)
     if error is not None:
         raise error
@@ -267,18 +325,21 @@ def contract(residual, R2, cap, tol: float, m: int) -> Contraction:
     return Contraction(eta, resid, iterations, max_ratio, escaped, converged, cap)
 
 
-def eta_gradient(field: ScalarField, x: np.ndarray, eta: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Gradient of the implicit function: -grad_x F / d_t F at (x, eta).
+def eta_gradient(
+    field: PolynomialFields, x: np.ndarray, eta: np.ndarray, tol: float = 1e-9
+) -> np.ndarray:
+    """Gradient of the implicit function of a one-field ``field``:
+    -grad_x F / d_t F at (x, eta).
 
     Requires |d_t F| >= 3/4, which the field declaration guarantees on
     the solution ball.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))[None]
     resid = np.abs(field.value(x, eta))
     if np.any(resid > max(tol, 1e-9) * 10):
         raise ValueError("eta does not solve F(x, eta) = 0 to tolerance")
-    grads = field.gradient(x, eta)
+    grads = field.gradient(x, eta)[0]
     denom = grads[:, -1]
     if np.any(np.abs(denom) < DERIVATIVE_FLOOR):
         raise FieldDeclarationError(

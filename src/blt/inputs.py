@@ -1,9 +1,8 @@
-"""Nonnegative integrable inputs in their four supported representations.
+"""Nonnegative integrable inputs in their three supported representations.
 
-GridFunction is piecewise constant on a box lattice, GaussianFunction
-is a centred gaussian exp(-pi <Ay, y>), BoxIndicator is the indicator
-of an affine image of the unit cube, PiecewiseLinearGridFunction the
-multilinear interpolant of node values.  All evaluators are vectorised
+GridFunction is piecewise constant on a box lattice, BoxIndicator is
+the indicator of an affine image of the unit cube,
+PiecewiseLinearGridFunction the multilinear interpolant of node values.  All evaluators are vectorised
 over (N, k) point arrays and integrals are closed form.
 """
 
@@ -114,41 +113,6 @@ class GridFunction:
 
 
 @dataclass
-class GaussianFunction:
-    """amplitude * exp(-pi <A y, y>) with A positive definite."""
-
-    covariance: np.ndarray
-    amplitude: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        A = self.covariance
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("covariance must be a square matrix")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
-        try:
-            np.linalg.cholesky(0.5 * (A + A.T))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance must be positive definite") from exc
-
-    @property
-    def dim(self) -> int:
-        return self.covariance.shape[0]
-
-    def support_box(self) -> None:
-        return None
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        quad = np.einsum("ni,ij,nj->n", points, self.covariance, points)
-        return self.amplitude * np.exp(-np.pi * quad)
-
-    def integral(self) -> float:
-        return float(self.amplitude / np.sqrt(np.linalg.det(self.covariance)))
-
-
-@dataclass
 class BoxIndicator:
     """Indicator of matrix @ [0,1]^k + offset for an invertible matrix."""
 
@@ -248,7 +212,7 @@ class PiecewiseLinearGridFunction:
         return float(self.node_values.sum() * self.spacing**self.dim)
 
 
-InputFunction = GridFunction | GaussianFunction | BoxIndicator | PiecewiseLinearGridFunction
+InputFunction = GridFunction | BoxIndicator | PiecewiseLinearGridFunction
 
 
 def convolve_grids(f: GridFunction, g: GridFunction) -> PiecewiseLinearGridFunction:

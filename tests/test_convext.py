@@ -13,6 +13,7 @@ from scipy.linalg import qr
 from blt import convext, geometry, ift
 from blt.cli import main
 from blt.convext import (
+    MAX_EXTENSION_RESOLUTION,
     Hypersurface,
     ResolutionBudgetError,
     SurfaceFunction,
@@ -516,6 +517,33 @@ class TestBatchedConvolution:
                 served += 1
         assert served >= len(Y)
 
+    @pytest.mark.parametrize("spec", [QuadratureSpec("tensor-midpoint", resolution=4),
+                                      QuadratureSpec("monte-carlo", samples=300, seed=3)],
+                             ids=["midpoint", "monte-carlo"])
+    @pytest.mark.parametrize("surfaces, Y", FIELD_CASES, ids=["d2-cubic", "d3-planes"])
+    def test_rows_are_their_one_row_delta_integrals(self, surfaces, Y, spec):
+        # each field's row of one batched call is its own delta_integral bit
+        # for bit, for every ordering
+
+        def integrand(U):
+            return 1.0 + np.cos(1e3 * U[..., 0]) + U[..., -1] ** 2
+
+        served = 0
+        for order in permutations(range(len(surfaces))):
+            ordered = [surfaces[i] for i in order]
+            fields, failures = convext.build_reduction_field(ordered, Y)
+            window = convext._support_window(ordered, fields.n) if fields.n else None
+            values, errors = convext.coarea_integrals(
+                fields, lambda U, rows: integrand(U), window, spec, failures
+            )
+            for p in np.flatnonzero([f is None for f in failures]):
+                one = ift.PolynomialFields(fields.exponents, fields.tables[:, p : p + 1],
+                                           fields.beta, fields.kappa[p : p + 1])
+                got = convext.delta_integral(one, integrand, window, spec)
+                assert got == (values[p], errors[p])
+                served += 1
+        assert served >= len(Y)
+
     @pytest.mark.parametrize("surfaces, Y", FIELD_CASES, ids=["d2-cubic", "d3-planes"])
     def test_tables_evaluate_the_reduction_polynomial(self, surfaces, Y):
         # G_p(x, t) = F(x, root_p + t; y_p) / scale_p and its partials, with F
@@ -546,15 +574,15 @@ class TestBatchedConvolution:
         for y, value, error in zip(Y[500:503], values, errors):
             assert surface_convolution(sfuncs, y, self.spec) == (value, error)
 
-    def count_calls(self, monkeypatch, name):
+    def count_calls(self, monkeypatch, owner, name):
         calls = []
-        original = getattr(convext, name)
+        original = getattr(owner, name)
 
         def counted(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(convext, name, counted)
+        monkeypatch.setattr(owner, name, counted)
         return calls
 
     def test_quadrature_blocks_change_no_value(self, monkeypatch):
@@ -564,7 +592,7 @@ class TestBatchedConvolution:
         whole = surface_convolution(sfuncs, Y, spec)
         # 3 points per quadrature chunk of 6^2 nodes and 7 arguments
         monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 3 * 36 * 7)
-        calls = self.count_calls(monkeypatch, "_coarea")
+        calls = self.count_calls(monkeypatch, QuadratureSpec, "integrate")
         split = surface_convolution(sfuncs, Y, spec)
         assert len(calls) >= 3
         assert np.array_equal(split[0], whole[0])
@@ -665,6 +693,14 @@ class TestExtensionOperator:
                 total += g.evaluate(x[None, :])[0] * complex(math.cos(phase), math.sin(phase))
         dense = total * (1.0 / res) ** 2
         assert abs(val - dense) <= 1e-13 * abs(dense)
+
+    def test_resolution_floor_reads_the_whole_box(self):
+        # grad phi = 2 (x0 - x1) (1, -1) vanishes on the diagonal of the box
+        # and reaches |4| at its other corners: 10 points per wavelength at
+        # |xi| = 20 need ceil(10 * 20 * (1 + 4) * 2 / (2 pi)) = 319 per axis
+        phi = Polynomial(2, {(2, 0): 1.0, (1, 1): -2.0, (0, 2): 1.0})
+        surf = Hypersurface([-1.0, -1.0], [1.0, 1.0], phi, 1.0, 4.0)
+        assert convext._required_resolution(surf, 20.0, MAX_EXTENSION_RESOLUTION) == 319
 
     def test_refuses_undersampled_frequency(self):
         surf = linear_surface([0.0], [1.0], [0.0], kappa=1.0)

@@ -1,5 +1,6 @@
 """Contraction-based implicit function solver."""
 
+import itertools
 import math
 
 import numpy as np
@@ -92,7 +93,7 @@ class TestSolveEta:
         assert sol.iterations <= sol.iteration_cap
         # independent root by bisection
         lo, hi = -0.01, 0.01
-        f = lambda t: field.value(x, np.array([t]))[0]  # noqa: E731
+        f = lambda t: field.value(x, np.array([[t]]))[0, 0]  # noqa: E731
         assert f(lo) * f(hi) < 0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -132,9 +133,9 @@ class TestSolveEta:
         rng = np.random.default_rng(1)
         X = rng.uniform(-R1 / 2, R1 / 2, size=(50, 2))
         sol = solve_eta(field, X, tol=1e-12)
-        grad_t = field.partial_t(X, sol.eta)
-        polished = sol.eta - field.value(X, sol.eta) / grad_t
-        assert np.all(np.abs(field.value(X, polished)) <= 1e-12)
+        grad_t = field.partial_t(X, sol.eta[None])[0]
+        polished = sol.eta - field.value(X, sol.eta[None])[0] / grad_t
+        assert np.all(np.abs(field.value(X, polished[None])[0]) <= 1e-12)
 
 
 class TestContract:
@@ -152,7 +153,7 @@ class TestContract:
         R2 = [ift_radii(f.beta, f.kappa)[1] for f in fields]
 
         def residual(eta, rows):
-            return np.stack([fields[r].value(x[r], e) for r, e in zip(rows, eta)])
+            return np.stack([fields[r].value(x[r], e[None])[0] for r, e in zip(rows, eta)])
 
         run = contract(residual, R2, caps, 1e-18, 2)
         sol = solve_eta(fields[0], x[0], tol=1e-18)
@@ -222,6 +223,36 @@ class TestNormalisation:
         field = ScalarField(1, poly, 1.0, 0.5)
         with pytest.raises(FieldDeclarationError):
             field.sampled_holder_audit(seed=0)
+
+
+def random_normalised_polynomial(rng, n, degree):
+    """t plus up to 8 random terms of total degree 1 to degree in the n + 1
+    variables (x, t), none of them t itself: F(0,0) = 0, d_t F(0,0) = 1."""
+    t = (0,) * n + (1,)
+    keys = [k for k in itertools.product(range(degree + 1), repeat=n + 1)
+            if 0 < sum(k) <= degree and k != t]
+    picks = rng.choice(len(keys), size=min(8, len(keys)), replace=False)
+    coeffs = {keys[i]: float(rng.uniform(-1.0, 1.0)) for i in picks}
+    coeffs[t] = 1.0
+    return Polynomial(n + 1, coeffs)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_tables_evaluate_the_polynomial(n, degree):
+    # the dict polynomial is the oracle of the field's value, each partial
+    # and the gradient at random points
+    rng = np.random.default_rng([n, degree])
+    poly = random_normalised_polynomial(rng, n, degree)
+    field = ScalarField(n, poly, 1.0, 2.0)
+    Z = rng.uniform(-1.0, 1.0, size=(50, n + 1))
+    x, t = Z[:, :-1], Z[None, :, -1]
+    grads = field.gradient(x, t)[0]
+    assert np.array_equal(field.partial_t(x, t)[0], grads[:, -1])
+    got = [field.value(x, t)[0], *grads.T]
+    want = [poly.evaluate(Z), *poly.gradient(Z).T]
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 class TestPolynomialPartials:

@@ -1,6 +1,6 @@
 """Quadrature layer: masses, ratios, discrete inequality, convolution report."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from blt.datum import BLDatum, ProjectionScheme, bl_constant_classC
 from blt.inputs import (
     BoxIndicator,
-    GaussianFunction,
     GridFunction,
     PiecewiseLinearGridFunction,
     ZeroMassError,
@@ -36,6 +35,24 @@ from blt.quadrature import (
 )
 from tests.conftest import loomis_whitney_maps, random_class_c_datum
 from tests.polytope_oracle import box_preimage_volume
+
+
+@dataclass
+class GaussianFunction:
+    """exp(-pi <A y, y>) with A positive definite, unbounded in support:
+    the input of the closed-form gaussian_ratio cross-check."""
+
+    covariance: np.ndarray
+
+    def support_box(self) -> None:
+        return None
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.exp(-np.pi * np.einsum("ni,ij,nj->n", points, self.covariance, points))
+
+    def integral(self) -> float:
+        return float(1.0 / np.sqrt(np.linalg.det(self.covariance)))
 
 
 def lw_scheme():
