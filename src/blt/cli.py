@@ -34,6 +34,10 @@ EXIT_REFUSED = 2
 # it only under Monte Carlo (`_quad_spec`).
 SEEDED_COMMANDS = {"gaussian-search", "verify-step"}
 
+# Most points of a ball-check x_grid box (count^d): a larger grid is
+# refused before it is built.
+X_GRID_POINTS = 2**20
+
 
 class UsageError(Exception):
     pass
@@ -469,7 +473,14 @@ def cmd_ball_check(args):
             hi = np.asarray(xg["hi"], dtype=float)
             if lo.shape != (d.d,) or hi.shape != (d.d,) or not np.all(np.isfinite([lo, hi])):
                 raise ValueError(f"x_grid lo and hi must be finite points of R^{d.d}")
-            count = int(xg["count"])
+            count = xg["count"]
+            # type, not isinstance: JSON true is a bool, which Python counts as an int
+            if (type(count) is not int or not 1 <= count <= X_GRID_POINTS
+                    or count**d.d > X_GRID_POINTS):
+                raise ValueError(
+                    f"x_grid.count must be an integer >= 1 with count^{d.d} <= {X_GRID_POINTS}, "
+                    f"got {count!r}"
+                )
             x_grid = grid_points([lo[a] + (hi[a] - lo[a]) * np.arange(count) / max(count - 1, 1)
                                   for a in range(d.d)])
         else:
@@ -648,7 +659,9 @@ def cmd_verify_step(args):
 def cmd_verify_nonlinear(args):
     payload = _load_json(args.input)
     maps, params, cube, inputs_list = _scales_setup(payload)
-    x0 = np.asarray(payload.get("x0", [0.0] * maps[0].d), dtype=float)
+    x0 = _parse_point(payload, "x0") if "x0" in payload else np.zeros(maps[0].d)
+    if x0.shape != (maps[0].d,):
+        raise UsageError(f"x0 must be a point of R^{maps[0].d}, got shape {x0.shape}")
     report = scales.verify_nonlinear_bl(maps, x0, inputs_list, params, args.resolution)
     # bound overflows where log_bound passes 700, and a zero ratio has
     # log_ratio = -inf; JSON carries neither, so they are written as null

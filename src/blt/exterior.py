@@ -7,8 +7,9 @@ orthonormal kernel basis N = (n_1, ..., n_{d-k}).  Every quantity the
 package takes from the algebra follows from that identity, so nothing
 here enumerates the 2^d basis and d is not capped.
 
-One dense helper sits beside it: ``null_space``, the kernel bases the
-datum and scale code take, by a plain numpy SVD.
+One dense helper sits beside it: ``row_and_null_space``, by a plain
+numpy SVD, whose kernel bases (``null_space``) the datum and scale code
+take and whose rank cut the multi-axis support box takes.
 """
 
 from __future__ import annotations
@@ -75,13 +76,20 @@ def cross_like(vectors: np.ndarray) -> np.ndarray:
     return np.linalg.det(np.concatenate([rows, np.eye(d)[:, None]], axis=1))
 
 
-def null_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker A as columns: the right singular vectors
-    past the numerical rank of A, which counts the singular values above
-    eps * max(M, N) * s_max, the usual numerical cut."""
+def row_and_null_space(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the row space and the kernel of A, as columns:
+    the right singular vectors up to and past the numerical rank of A,
+    which counts the singular values above eps * max(M, N) * s_max, the
+    usual numerical cut."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
         raise ValueError("array must not contain infs or NaNs")
     _, s, vh = np.linalg.svd(A, full_matrices=True)
     tol = np.finfo(float).eps * max(A.shape) * np.amax(s, initial=0.0)
-    return vh[int(np.sum(s > tol)):].T
+    rank = int(np.sum(s > tol))
+    return vh[:rank].T, vh[rank:].T
+
+
+def null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker A as columns (`row_and_null_space`)."""
+    return row_and_null_space(A)[1]

@@ -4,7 +4,9 @@ Covers the measure of axis boxes against halfspaces and slabs (exact in
 1D/2D, midpoint-subdivision in higher rank), which backs the slab and
 tube masses of the scale decomposition, and the bounding box of a set
 cut out by linear constraints, which bounds the ratio quadrature's
-composite support.  Every grid mass goes through one rank dispatch
+composite support: by interval intersections when every row reads one
+axis, else by the set's vertices, all of them from one batched solve
+per block, with numpy alone.  Every grid mass goes through one rank dispatch
 (`_halfplane_mass`) except a rank-2 slab's: there a cell's area below a
 cut of <y, w> is piecewise quadratic in the cut (`_square_areas_below`,
 the one copy of that arithmetic).  `SlabCells` is the one slab route, at
@@ -25,7 +27,12 @@ grid and `blocks` sizes every batch.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
+
+from .exterior import row_and_null_space
 
 # Midpoint subdivisions per cell axis in the rank >= 3 grid-mass measure.
 SUBDIVISION = 4
@@ -36,6 +43,17 @@ BLOCK_ENTRIES = 2**16
 # Relative angle, and distance in cell sides, below which two lines of the
 # rank-2 area kernel count as parallel, and parallel lines as coincident.
 PARALLEL_TOL = 64 * np.finfo(float).eps
+# Most systems (row subsets times bound choices) the vertex route of a
+# support box solves; a larger count is refused before any is built.
+VERTEX_SYSTEMS = 2**20
+# A row subset whose unit rows have relative smallest singular value at or
+# below SINGULAR_REL is dependent and skipped (a map listed twice); a
+# feasible vertex solved from one below CONDITION_REL is refused.
+SINGULAR_REL = 1e-15
+CONDITION_REL = 1e-8
+# Slack of the vertex feasibility test, relative to each row's bounds and
+# to the magnitudes summed in its value.
+FEASIBILITY_SLACK = 1e-9
 
 
 class SlabCells:
@@ -424,36 +442,82 @@ def bounding_box_from_linear_constraints(
     """Axis bounds of {x : lo_j <= B_j x <= hi_j for all j}.
 
     When every row of every B_j has one nonzero entry the region is a box,
-    and its bounds are the per-axis intersections of the rows' intervals;
-    otherwise two LPs per axis give them.  An empty region comes back with
-    lo > hi on some axis (the LP route returns lo = inf, hi = -inf when
-    HiGHS finds it infeasible); None means it is unbounded in some
-    direction, or that an LP could not bound it.
+    and its bounds are the per-axis intersections of the rows' intervals
+    (`_interval_box`); otherwise they are read off the region's vertices
+    (`_vertex_box`).  An empty region comes back with lo > hi on some
+    axis; None means it is unbounded.
     """
-    lows = [np.asarray(lo, dtype=float) for lo in lows]
-    highs = [np.asarray(hi, dtype=float) for hi in highs]
     A = np.vstack(mats)
+    lo_rows = np.concatenate([np.asarray(lo, dtype=float) for lo in lows])
+    hi_rows = np.concatenate([np.asarray(hi, dtype=float) for hi in highs])
     if np.all(np.count_nonzero(A, axis=1) == 1):
-        return _interval_box(A, np.concatenate(lows), np.concatenate(highs), d)
-    # imported here: scipy.optimize is slow to import and only rows reading several axes need it
-    from scipy.optimize import linprog
+        return _interval_box(A, lo_rows, hi_rows, d)
+    return _vertex_box(A, lo_rows, hi_rows, d)
 
-    A_ub = np.vstack([rows for B in mats for rows in (B, -B)])
-    b_ub = np.concatenate([bound for lo, hi in zip(lows, highs) for bound in (hi, -lo)])
-    lo_out = np.empty(d)
-    hi_out = np.empty(d)
-    for a in range(d):
-        c = np.zeros(d)
-        c[a] = 1.0
-        res_min = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * d, method="highs")
-        if res_min.status == 2:  # infeasible: the region is empty
-            return np.full(d, np.inf), np.full(d, -np.inf)
-        res_max = linprog(-c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * d, method="highs")
-        if not (res_min.success and res_max.success):
-            return None
-        lo_out[a] = res_min.fun
-        hi_out[a] = -res_max.fun
-    return lo_out, hi_out
+
+def _vertex_box(A: np.ndarray, lo_rows: np.ndarray, hi_rows: np.ndarray, d: int):
+    """`bounding_box_from_linear_constraints` for any rows, by one batched
+    vertex solve.
+
+    In the row space of A, of dimension r (the numerical rank, by the
+    `exterior` cut), {lo <= A x <= hi} is empty or has a vertex, and a
+    vertex solves r independent rows, each at one of its bounds.  All
+    C(K, r) 2^r such systems are solved, in `blocks`, and a point within
+    FEASIBILITY_SLACK of every row is feasible.  No feasible point means
+    the region is empty, r < d that it is unbounded, and otherwise its box
+    is the feasible points' least and greatest coordinates (at r = d in
+    the coordinates of x itself, so A is used as given).  Row subsets at
+    or below SINGULAR_REL are dependent and skipped; a feasible point
+    solved from one below CONDITION_REL is refused.
+    """
+    if not (np.all(np.isfinite(lo_rows)) and np.all(np.isfinite(hi_rows))):
+        raise ValueError("support bounds of maps whose rows read several axes must be finite")
+    basis, _ = row_and_null_space(A)
+    r = basis.shape[1]
+    if r == 0:  # every row is zero: the region is R^d or empty
+        return None if np.all((lo_rows <= 0.0) & (hi_rows >= 0.0)) else _empty_box(d)
+    C = A if r == d else A @ basis
+    count = math.comb(len(C), r)
+    if count * 2**r > VERTEX_SYSTEMS:
+        raise ValueError(
+            f"the support box needs {count * 2**r} vertex systems ({len(C)} rows of rank {r}), "
+            f"more than {VERTEX_SYSTEMS}"
+        )
+    norms = np.linalg.norm(C, axis=1, keepdims=True)
+    unit = np.divide(C, norms, out=np.zeros_like(C), where=norms > 0.0)
+    upper = grid_points([[False, True]] * r).T  # (r, 2^r): which rows sit at hi
+    scale = np.maximum(np.abs(lo_rows), np.abs(hi_rows))
+    subsets = itertools.combinations(range(len(C)), r)
+    lo_out, hi_out = np.full(r, np.inf), np.full(r, -np.inf)
+    for block in blocks(count, 2**r * (len(C) + r)):
+        chosen = np.array(list(itertools.islice(subsets, block.stop - block.start)))
+        s = np.linalg.svd(unit[chosen], compute_uv=False)
+        least, most = s[:, -1], s[:, 0]
+        independent = least > SINGULAR_REL * most
+        chosen, least, most = chosen[independent], least[independent], most[independent]
+        rhs = np.where(upper, hi_rows[chosen][:, :, None], lo_rows[chosen][:, :, None])
+        points = np.linalg.solve(C[chosen], rhs).transpose(0, 2, 1)  # (S, 2^r, r)
+        values = points @ C.T
+        slack = FEASIBILITY_SLACK * (np.abs(points) @ np.abs(C).T + scale)
+        feasible = np.all((values >= lo_rows - slack) & (values <= hi_rows + slack), axis=2)
+        ill = feasible & (least < CONDITION_REL * most)[:, None]
+        if np.any(ill):
+            worst = float(np.min(least / most, where=np.any(ill, axis=1), initial=np.inf))
+            raise ValueError(
+                f"a vertex of the support region rests on rows whose relative smallest "
+                f"singular value is {worst:.3e}, below {CONDITION_REL:g}: the box is "
+                "ill-conditioned"
+            )
+        kept = points[feasible]
+        lo_out = np.minimum(lo_out, kept.min(axis=0, initial=np.inf))
+        hi_out = np.maximum(hi_out, kept.max(axis=0, initial=-np.inf))
+    if np.any(lo_out > hi_out):  # no feasible point
+        return _empty_box(d)
+    return (lo_out, hi_out) if r == d else None
+
+
+def _empty_box(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.full(d, np.inf), np.full(d, -np.inf)
 
 
 def _interval_box(A: np.ndarray, lo_rows: np.ndarray, hi_rows: np.ndarray, d: int):

@@ -1,8 +1,9 @@
-"""Submersion models: linear maps plus polynomial perturbations.
+"""Submersion models: maps R^d -> R^{d_out} with polynomial components.
 
 The family is restricted to maps with analytically supplied Jacobians
 so the declared regularity (Hoelder exponent beta, bound kappa on the
-derivative's Hoelder quotient) can be certified by sampling.
+derivative's Hoelder quotient) can be certified by sampling.  A command
+reads each component from its JSON terms.
 """
 
 from __future__ import annotations
@@ -93,25 +94,3 @@ class NonlinearMapFamily:
             raise RegularityError(f"Jacobian rank deficiency: min singular value {min_sv:.3e}")
         holder_quotient(X, Y, JX, JY, self.beta, self.kappa, RegularityError)
 
-
-def perturbed_projection(
-    projection: np.ndarray,
-    quadratic_terms: list[dict[tuple[int, ...], float]],
-    beta: float,
-    kappa: float,
-) -> NonlinearMapFamily:
-    """Linear projection plus per-row polynomial perturbations.
-
-    The perturbations must have vanishing value and gradient at the
-    origin so the Jacobian there equals the projection.
-    """
-    projection = np.atleast_2d(np.asarray(projection, dtype=float))
-    d = projection.shape[1]
-    comps = []
-    for r in range(projection.shape[0]):
-        poly = Polynomial.linear_form(projection[r])
-        pert = Polynomial(d, quadratic_terms[r]) if r < len(quadratic_terms) else Polynomial.zero(d)
-        if any(sum(k) < 2 for k in pert.coeffs):
-            raise ValueError("perturbation terms must have total degree >= 2")
-        comps.append(poly + pert)
-    return NonlinearMapFamily(d, comps, beta, kappa)

@@ -139,15 +139,10 @@ def _product_integrand(factors):
 def _support_region(datum: BLDatum, inputs: list[InputFunction]):
     """Bounding box of the composite support {x : B_j x in supp f_j for all
     j}: None when it is unbounded, lo > hi on some axis when it is empty."""
-    boxes = []
-    for f in inputs:
-        box = f.support_box()
-        if box is None:
-            return None
-        boxes.append(box)
-    lows = [b[0] for b in boxes]
-    highs = [b[1] for b in boxes]
-    return bounding_box_from_linear_constraints(datum.maps, lows, highs, datum.d)
+    boxes = [f.support_box() for f in inputs]
+    return bounding_box_from_linear_constraints(
+        datum.maps, [b[0] for b in boxes], [b[1] for b in boxes], datum.d
+    )
 
 
 def bl_ratio(

@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from blt.datum import BLDatum, ProjectionScheme, projection_datum
 from blt.inputs import GridFunction
-from blt.nonlinear import NonlinearMapFamily, perturbed_projection
+from blt.nonlinear import NonlinearMapFamily
 from blt.polynomials import Polynomial
 from blt.scales import Cube, compute_delta0
 
@@ -74,6 +74,29 @@ def linear_family(matrix: np.ndarray, beta: float = 1.0, kappa: float = 0.0) -> 
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     comps = [Polynomial.linear_form(matrix[r]) for r in range(matrix.shape[0])]
     return NonlinearMapFamily(matrix.shape[1], comps, beta, kappa)
+
+
+def perturbed_projection(
+    projection: np.ndarray,
+    quadratic_terms: list[dict[tuple[int, ...], float]],
+    beta: float,
+    kappa: float,
+) -> NonlinearMapFamily:
+    """Linear projection plus per-row polynomial perturbations.
+
+    The perturbations must have vanishing value and gradient at the
+    origin so the Jacobian there equals the projection.
+    """
+    projection = np.atleast_2d(np.asarray(projection, dtype=float))
+    d = projection.shape[1]
+    comps = []
+    for r in range(projection.shape[0]):
+        poly = Polynomial.linear_form(projection[r])
+        pert = Polynomial(d, quadratic_terms[r]) if r < len(quadratic_terms) else Polynomial.zero(d)
+        if any(sum(k) < 2 for k in pert.coeffs):
+            raise ValueError("perturbation terms must have total degree >= 2")
+        comps.append(poly + pert)
+    return NonlinearMapFamily(d, comps, beta, kappa)
 
 
 def perturbed_lw_maps(c: float = 0.3, beta: float = 1.0, kappa: float = 1.0):

@@ -69,9 +69,8 @@ def lw_file(tmp_path):
 
 
 def test_cli_and_datum_commands_load_no_scipy(tmp_path, lw_file):
-    # scipy is slow to import: only support boxes of maps whose rows read
-    # several axes need it, and they import it on first use.  ball-check
-    # runs on the benchmark's Loomis-Whitney lattice input.
+    # the package runs on numpy alone.  ball-check runs on the benchmark's
+    # Loomis-Whitney lattice input.
     rng = np.random.default_rng(3)
     grids = [{"origin": [0.0, 0.0], "spacing": 1.0, "values": rng.uniform(0.5, 1.5, (4, 4)).tolist()}
              for _ in range(6)]
@@ -97,9 +96,8 @@ def test_cli_and_datum_commands_load_no_scipy(tmp_path, lw_file):
     assert done.returncode == 0, done.stderr
 
 
-def test_package_imports_no_scipy_but_optimize():
-    # the LP of a support box is all the package takes from scipy: Qhull
-    # (scipy.spatial) and the rest stay out of it
+def test_package_imports_no_scipy():
+    # numpy is the one runtime dependency: scipy serves the tests alone
     imported = []
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -109,8 +107,50 @@ def test_package_imports_no_scipy_but_optimize():
                 imported += [(path.name, f"scipy.{alias.name}") for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.append((path.name, node.module))
+    assert imported
     scipy = [(name, module) for name, module in imported if module.split(".")[0] == "scipy"]
-    assert scipy and all(module.split(".")[:2] == ["scipy", "optimize"] for _, module in scipy), scipy
+    assert not scipy, scipy
+
+
+def rotated_ball_payload():
+    """A ball-check input on Loomis-Whitney turned by a fixed rotation C
+    (maps B_j C), so every support row reads several axes, and two x_grid
+    points C^T y for lattice points y, which B_j C takes to the lattice."""
+    from blt.datum import BLDatum, transform_datum
+
+    # a 3-4-5 turn about axis 2, then the same turn about axis 0
+    turn = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    C = turn @ turn[[2, 0, 1]][:, [2, 0, 1]]
+    lw = BLDatum(3, [np.array(B, dtype=float) for B in LW_DATUM["maps"]], LW_DATUM["p"])
+    datum, _ = transform_datum(lw, C, [np.eye(2)] * 3)
+    rng = np.random.default_rng(3)
+    grids = [{"origin": [0.0, 0.0], "spacing": 1.0, "values": rng.uniform(0.5, 1.5, (4, 4)).tolist()}
+             for _ in range(6)]
+    return {"datum": {"d": 3, "maps": [B.tolist() for B in datum.maps], "p": LW_DATUM["p"]},
+            "f": grids[:3], "fprime": grids[3:],
+            "x_grid": (np.array([[3.0] * 3, [4.0] * 3]) @ C).tolist()}
+
+
+def test_multi_axis_ball_check_runs_without_scipy(tmp_path):
+    # the support boxes of turned rows come from the vertex route, in a
+    # process where importing scipy fails
+    payload = rotated_ball_payload()
+    assert all(np.count_nonzero(B, axis=1).min() > 1 for B in payload["datum"]["maps"])
+    path = tmp_path / "turned.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "turned-report.json"
+    argv = ["ball-check", "--input", str(path), "--resolution", "8", "--output", str(out)]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import blt.cli\n"
+        f"sys.exit(blt.cli.main({argv!r}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode in (0, 2), done.stderr
+    result = json.loads(out.read_text(), parse_constant=_reject_constant)["result"]
+    assert all(math.isfinite(result[key]) for key in ("lhs", "conv_term", "slack"))
 
 
 class TestBasicCommands:
@@ -381,6 +421,36 @@ class TestBallCheckInputs:
         assert mc["conv_term"] == pytest.approx(midpoint["conv_term"], rel=5e-2)
         # the sup and lhs terms are exact lattice sums under either rule
         assert mc["lhs"] == midpoint["lhs"] and mc["sup_term"] == midpoint["sup_term"]
+
+    @pytest.mark.parametrize("count", [2.5, 0, 10**6], ids=["fraction", "zero", "million"])
+    def test_x_grid_count_is_checked(self, tmp_path, capsys, monkeypatch, lw_file, count):
+        payload = ball_payload(lw_file, 3, 3)
+        payload["x_grid"]["count"] = count
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps(payload))
+        # refused before any grid is built
+        monkeypatch.setattr(cli, "grid_points", lambda axes: pytest.fail("x_grid was built"))
+        out = tmp_path / "o.json"
+        assert main(["ball-check", "--input", str(path), "--seed", "1", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "x_grid.count must be an integer >= 1" in err
+        assert f"got {count!r}" in err and not out.exists()
+
+    def test_nearly_parallel_support_rows_exit_1(self, tmp_path, capsys):
+        # the composite support of f is a parallelogram between nearly
+        # parallel rows: its vertices are refused, not guessed
+        grid = {"origin": [0.0], "spacing": 1.0, "values": [1.0, 1.0]}
+        payload = {
+            "datum": {"d": 2, "maps": [[[1.0, 1.0]], [[1.0, 1.0 + 1e-10]]], "p": [1.0, 1.0]},
+            "f": [grid] * 2, "fprime": [grid] * 2, "x_grid": [[0.0, 0.0]],
+        }
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "o.json"
+        assert main(["ball-check", "--input", str(path), "--seed", "1", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "relative smallest singular value" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("factor, f_origins, message", [
         # the supports of f_0 and f_1 meet no common interval on axis 2 (nor do
@@ -1721,6 +1791,19 @@ class TestScalesCommands:
         code, out, err = run_command([command], path)
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("x0, message", [
+        ([0.0], "x0 must be a point of R^3, got shape (1,)"),
+        ([0.0, NAN, 0.0], "x0 must be finite"),
+    ], ids=["short", "nan"])
+    def test_verify_nonlinear_checks_x0(self, tmp_path, x0, message):
+        payload = scales_payload()
+        payload["x0"] = x0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_command(["verify-nonlinear"], path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["verify-step", "verify-nonlinear"])
     def test_scale_verifiers_name_a_map_rougher_than_its_kappa(self, tmp_path, command):

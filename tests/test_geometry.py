@@ -675,6 +675,32 @@ def single_entry_case(rng, d, scaled):
     return mats, lows, highs
 
 
+def multi_axis_case(rng):
+    """2 to 4 maps on R^d (d = 2 to 5) whose rows read several axes, dense
+    or with about half their entries zero; most sets of intervals hold a
+    common point."""
+    d = int(rng.integers(2, 6))
+    sparse = rng.uniform() < 0.5
+    centre = rng.uniform(-2, 2, d)
+    mats, lows, highs = [], [], []
+    for _ in range(int(rng.integers(2, 5))):
+        k = int(rng.integers(1, d + 1))
+        B = rng.standard_normal((k, d))
+        if sparse:
+            B[rng.uniform(size=B.shape) < 0.5] = 0.0
+            B[np.arange(k), rng.integers(0, d, k)] = rng.standard_normal(k)
+        width = rng.uniform(0.1, 3, k)
+        lo = B @ centre - width * rng.uniform(0, 1, k)
+        if rng.uniform() < 0.15:
+            lo += rng.uniform(-4, 4, k)
+        mats.append(B)
+        lows.append(lo)
+        highs.append(lo + width)
+    if np.all(np.count_nonzero(np.vstack(mats), axis=1) == 1):
+        mats[0][0] += rng.standard_normal(d)
+    return mats, lows, highs, d
+
+
 class TestBoundingBox:
     @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled"])
     def test_interval_box_matches_lp_bit_for_bit(self, scaled):
@@ -697,20 +723,74 @@ class TestBoundingBox:
             np.testing.assert_array_equal(got[1], want[1])
         assert 10 < bounded < 40 and empty > 0
 
-    def test_other_rows_go_through_the_lp(self, monkeypatch):
-        calls = []
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr("scipy.optimize.linprog", counted)
+    def test_mixed_rows_match_lp_bit_for_bit(self):
         maps = [np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[0.0, 0.0, 2.0]])]
         lows, highs = [np.zeros(2), np.array([-1.0])], [np.ones(2), np.array([3.0])]
         got = bounding_box_from_linear_constraints(maps, lows, highs, 3)
-        assert len(calls) == 6
         want = lp_box(maps, lows, highs, 3)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
+        # a map listed twice makes dependent row subsets: skipped, not refused
+        twice = bounding_box_from_linear_constraints(maps * 2, lows * 2, highs * 2, 3)
+        np.testing.assert_array_equal(twice[0], got[0])
+        np.testing.assert_array_equal(twice[1], got[1])
+
+    def test_vertex_box_matches_lp(self):
+        rng = np.random.default_rng(7)
+        verdicts = {"box": 0, "empty": 0, "unbounded": 0}
+        for _ in range(520):
+            mats, lows, highs, d = multi_axis_case(rng)
+            got = bounding_box_from_linear_constraints(mats, lows, highs, d)
+            want = lp_box(mats, lows, highs, d)
+            if want is None:
+                assert got is None
+                verdicts["unbounded"] += 1
+            elif isinstance(want, str):
+                assert np.any(got[0] > got[1])
+                verdicts["empty"] += 1
+            else:
+                scale = np.max(np.abs(want))
+                np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12 * scale)
+                np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12 * scale)
+                verdicts["box"] += 1
+        assert min(verdicts.values()) >= 20, verdicts
+
+    def test_nearly_parallel_rows_refused(self):
+        # <(1, 1), x> and <(1, 1 + 1e-10), x> in [0, 1]: the parallelogram's
+        # vertices rest on a pair of rows at relative singular value 2.5e-11
+        maps = [np.array([[1.0, 1.0]]), np.array([[1.0, 1.0 + 1e-10]])]
+        with pytest.raises(ValueError, match="relative smallest singular value is 2.500e-11"):
+            bounding_box_from_linear_constraints(maps, [np.zeros(1)] * 2, [np.ones(1)] * 2, 2)
+
+    def test_system_count_capped_before_allocating(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        maps = [rng.standard_normal((10, 10)) for _ in range(6)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="needs 77203484227584 vertex systems"):
+                bounding_box_from_linear_constraints(
+                    maps, [np.zeros(10)] * 6, [np.ones(10)] * 6, 10
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_vertex_route_refuses_infinite_bounds(self):
+        maps = [np.array([[1.0, 1.0]]), np.array([[1.0, -1.0]])]
+        with pytest.raises(ValueError, match="must be finite"):
+            bounding_box_from_linear_constraints(
+                maps, [np.zeros(1), np.zeros(1)], [np.ones(1), np.full(1, np.inf)], 2
+            )
+
+    @pytest.mark.parametrize("hi, unbounded", [(1.0, True), (-1.0, False)])
+    def test_zero_rows_bound_nothing(self, hi, unbounded):
+        maps = [np.zeros((1, 2)), np.zeros((1, 2))]
+        box = bounding_box_from_linear_constraints(maps, [np.full(1, -1.0)] * 2,
+                                                   [np.full(1, hi)] * 2, 2)
+        assert box is None if unbounded else np.all(box[0] > box[1])
 
     def test_empty_intersection_detected(self):
         maps = [np.eye(2), np.array([[0.0, -2.0]])]

@@ -40,12 +40,10 @@ from tests.polytope_oracle import box_preimage_volume
 @dataclass
 class GaussianFunction:
     """exp(-pi <A y, y>) with A positive definite, unbounded in support:
-    the input of the closed-form gaussian_ratio cross-check."""
+    the input of the closed-form gaussian_ratio cross-check, integrated
+    over a stated region."""
 
     covariance: np.ndarray
-
-    def support_box(self) -> None:
-        return None
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -375,10 +373,19 @@ class TestBlRatio:
                 QuadratureSpec("tensor-midpoint", resolution=8),
             )
 
-    def test_unbounded_without_region_rejected(self, lw_datum):
+    @pytest.mark.parametrize("turn", [0.0, 0.3], ids=["one-axis-rows", "rotated-rows"])
+    def test_unbounded_without_region_rejected(self, turn):
+        # two one-row maps on R^3 leave a free direction, so the composite
+        # support of bounded inputs is unbounded: read off interval
+        # intersections for coordinate rows, off the vertices for turned ones
+        c, s = np.cos(turn), np.sin(turn)
+        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        datum = BLDatum(3, [np.array([[1.0, 0.0, 0.0]]) @ rotation,
+                            np.array([[0.0, 1.0, 0.0]]) @ rotation], np.full(2, 0.5))
+        inputs = [GridFunction(np.zeros(1), 1.0, np.ones(2))] * 2
         spec = QuadratureSpec("tensor-midpoint", resolution=8)
         with pytest.raises(UnboundedDomainError):
-            bl_ratio(lw_datum, [GaussianFunction(np.eye(2))] * 3, None, spec)
+            bl_ratio(datum, inputs, None, spec)
 
     @pytest.mark.parametrize("origin", [[50.0, 0.0], [2.0, 0.0]], ids=["empty", "flat"])
     def test_support_without_volume_gives_zero(self, origin):

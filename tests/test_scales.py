@@ -9,7 +9,7 @@ from blt import scales
 from blt.datum import ProjectionScheme
 from blt.geometry import grid_polygon_mass, grid_slab_mass
 from blt.inputs import GridFunction
-from blt.nonlinear import RegularityError, perturbed_projection
+from blt.nonlinear import RegularityError
 from blt.quadrature import midpoint_axes
 from blt.scales import (
     Cube,
@@ -33,6 +33,7 @@ from tests.conftest import (
     linear_family,
     loomis_whitney_maps,
     perturbed_lw_maps,
+    perturbed_projection,
 )
 
 
@@ -95,6 +96,10 @@ class TestRegularityAudit:
             fam.validate(np.zeros(2), 0.1, np.random.default_rng(0))
         bounded = perturbed_projection(np.eye(2), [{(2, 0): 5.0}], 1.0, 10.0)
         bounded.validate(np.zeros(2), 0.1, np.random.default_rng(0))
+
+    def test_perturbation_below_degree_2_is_refused(self):
+        with pytest.raises(ValueError, match="total degree >= 2"):
+            perturbed_projection(np.eye(2), [{(1, 0): 0.5}], 1.0, 1.0)
 
     def test_rank_deficient_jacobian_is_refused(self):
         fam = linear_family(np.array([[1.0, 0.0], [2.0, 0.0]]))
