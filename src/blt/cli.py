@@ -265,8 +265,9 @@ def build_parser() -> Parser:
                midpoint: bool = False, tol: float | None = None) -> None:
         """--output, --input unless the command reads none, --seed where it
         is read (seed, and quad under Monte Carlo), --resolution for the
-        midpoint rule (midpoint), --mode and --samples too where Monte
-        Carlo may run (quad), and --tol with its default (tol)."""
+        midpoint rule (midpoint: the cube integrals' fallback), --mode and
+        --samples too where Monte Carlo may run (quad), and --tol with its
+        default (tol)."""
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", default=None, help="report path (stdout if omitted)")
@@ -279,7 +280,9 @@ def build_parser() -> Parser:
                            help="Monte Carlo sample count")
         if quad or midpoint:
             p.add_argument("--resolution", type=_positive_int, default=64,
-                           help="midpoint-rule points per axis")
+                           help="midpoint-rule points per axis" if quad else
+                           "midpoint-rule points per axis of the fallback, for maps whose "
+                           "Jacobian rows at the cube centre read several axes")
         if tol is not None:
             p.add_argument("--tol", type=_finite_float, default=tol)
 
@@ -552,7 +555,12 @@ def _scales_setup(payload):
             None if M is None else float(M),
         )
         cube_payload = payload.get("cube", {})
+        if not isinstance(cube_payload, dict):
+            raise UsageError("cube must be an object")
         center = np.asarray(cube_payload.get("center", [0.0] * maps[0].d), dtype=float)
+        if center.shape != (maps[0].d,):
+            raise UsageError(f"cube center must be a point of R^{maps[0].d}, got shape "
+                             f"{center.shape}")
         side = float(cube_payload.get("side", params.delta0))
         cube = scales.Cube(center, side)
         inputs_list = [_parse_grid(g) for g in payload["inputs"]]
@@ -642,7 +650,11 @@ def cmd_verify_step(args):
         "params": _params_block(params),
         "delta": report.delta,
         "lhs": report.lhs,
+        "lhs_rule": report.lhs_rule,
+        "lhs_error_bound": report.lhs_error_bound,
+        "main_lhs": report.main_lhs,
         "main_sum": report.main_sum,
+        "main_term_ok": report.main_term_ok,
         "finner_rhs": report.finner_rhs,
         "input_rhs": report.input_rhs,
         "main_fraction": report.main_fraction,
@@ -668,6 +680,8 @@ def cmd_verify_nonlinear(args):
     return {
         "params": _params_block(params),
         "ratio": report.ratio,
+        "lhs_rule": report.lhs_rule,
+        "lhs_error_bound": report.lhs_error_bound,
         "log_ratio": _finite_or_none(report.log_ratio),
         "log_bound": report.log_bound,
         "bound": _finite_or_none(report.bound),

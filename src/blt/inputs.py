@@ -49,18 +49,25 @@ def _zero_padded(values: np.ndarray) -> np.ndarray:
     return padded
 
 
+def _padded_cell(cell: np.ndarray, size: int) -> np.ndarray:
+    """Index into one axis of `_zero_padded` at integral float cell
+    coordinates (overwritten): clamped in float to [-1, size] (NaN to -1)
+    and shifted by the pad, so every point off the lattice, however far,
+    reads the pad."""
+    np.fmax(cell, -1.0, out=cell)
+    np.minimum(cell, size, out=cell)
+    cell += 1.0
+    return cell
+
+
 def _padded_index(cells, shape: tuple[int, ...]) -> np.ndarray:
     """Flat index into `_zero_padded` of an array of `shape` at integral
     float cell coordinates, one (N,) array per axis (consumed in order and
-    overwritten).  Each is clamped in float to [-1, size] (NaN to -1), so
-    every point off the lattice, however far, reads the pad.  The float
-    temporaries are freed before the gather, which matters at a million
-    points."""
+    overwritten), each clamped by `_padded_cell`.  The float temporaries
+    are freed before the gather, which matters at a million points."""
     flat = None
     for cell, size in zip(cells, shape):
-        np.fmax(cell, -1.0, out=cell)
-        np.minimum(cell, size, out=cell)
-        cell += 1.0
+        cell = _padded_cell(cell, size)
         flat = cell if flat is None else flat * (size + 2) + cell
     return flat.astype(np.intp)
 
@@ -101,6 +108,18 @@ class GridFunction:
             np.floor((points[:, a] - self.origin[a]) / self.spacing) for a in range(self.dim)
         )
         return self._padded.ravel().take(_padded_index(cells, self.values.shape))
+
+    def product_values(self, coords) -> np.ndarray:
+        """Values on the product grid of per-axis coordinates, one 1-D
+        array per axis: the same cells as `evaluate` at every grid point,
+        by one cell index per axis and one `np.ix_` gather, without the
+        grid's point array."""
+        index = [
+            _padded_cell(np.floor((np.asarray(x, dtype=float) - o) / self.spacing), size)
+            .astype(np.intp)
+            for x, o, size in zip(coords, self.origin, self.values.shape)
+        ]
+        return self._padded[np.ix_(*index)]
 
     def integral(self) -> float:
         return float(self.values.sum() * self.spacing**self.dim)

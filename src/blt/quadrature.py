@@ -318,13 +318,15 @@ def canonical_extremizer(datum: BLDatum) -> tuple[list[BoxIndicator], float]:
     return boxes, ratio
 
 
+def is_scaled_projection(B: np.ndarray) -> bool:
+    """B has one nonzero entry per row, and no two rows in one column."""
+    nonzero = B != 0.0
+    return bool(np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) <= 1))
+
+
 def _is_scaled_projection_datum(datum: BLDatum) -> bool:
-    """Every map has one nonzero entry per row, no two rows in one column."""
-    for B in datum.maps:
-        nonzero = B != 0.0
-        if not (np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) <= 1)):
-            return False
-    return True
+    """Every map is a scaled coordinate projection."""
+    return all(is_scaled_projection(B) for B in datum.maps)
 
 
 def _is_coordinate_projection_datum(datum: BLDatum) -> bool:

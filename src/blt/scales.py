@@ -23,7 +23,7 @@ from .exterior import cross_like, null_space
 from .geometry import SlabCells, grid_points, grid_polygon_mass
 from .inputs import GridFunction
 from .nonlinear import NonlinearMapFamily, RegularityError
-from .quadrature import _midpoint_integral, lattice_product_sum
+from .quadrature import _midpoint_integral, is_scaled_projection, lattice_product_sum
 
 
 class ScaleError(ValueError):
@@ -774,11 +774,182 @@ def _composite_integrand(maps: list[NonlinearMapFamily], inputs: list[GridFuncti
     return integrand
 
 
+LINEARISED_EXACT = "linearised-exact"
+MIDPOINT = "midpoint"
+
+
+@dataclass
+class CubeIntegrals:
+    """The cube integral of prod_j f_j(B_j x)^p and, with a decomposition,
+    its part over the main cells (None without one).
+
+    rule is LINEARISED_EXACT or MIDPOINT.  On the exact route both
+    integrals are those of the maps linearised at the cube centre, and
+    error_bound bounds how far the nonlinear integrals can lie from them
+    (0 for linear maps), certified relative to each map's declared kappa;
+    the midpoint route has no bound (None).
+    """
+
+    lhs: float
+    main_lhs: float | None
+    error_bound: float | None
+    rule: str
+
+
+def _union_length(starts: np.ndarray, ends: np.ndarray) -> float:
+    """Length of the union of the intervals [starts, ends] (an interval
+    with ends < starts is empty)."""
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], ends[order]
+    reach = np.concatenate(([-np.inf], np.maximum.accumulate(ends)[:-1]))
+    return float(np.maximum(ends - np.maximum(starts, reach), 0.0).sum())
+
+
+def _weighted_contraction(tables, subs, widths) -> np.ndarray:
+    """Sum over the refined cells of the product of the tables times the
+    product of the axes' widths, with widths[a] of shape (..., n_a): the
+    leading dimensions are batch axes, one sum each.  Each axis' widths
+    are folded into the first table that reads it, an axis no table reads
+    contributes its width sum, and the product is one einsum with the
+    default unoptimised contraction (a path search, or a BLAS route with
+    its buffers, costs more than it saves at these sizes)."""
+    operands, folded = [], set()
+    for table, sub in zip(tables, subs):
+        for pos, a in enumerate(sub):
+            if a not in folded:
+                folded.add(a)
+                w = widths[a]
+                table = table * w.reshape(w.shape[:-1] + (1,) * pos + (-1,)
+                                          + (1,) * (len(sub) - pos - 1))
+        operands += [table, [Ellipsis, *sub]]
+    total = np.einsum(*operands, [Ellipsis])
+    for a, w in enumerate(widths):
+        if a not in folded:
+            total = total * w.sum(axis=-1)
+    return total
+
+
+def cube_integrals(
+    maps: list[NonlinearMapFamily],
+    cube: Cube,
+    inputs: list[GridFunction],
+    p: float,
+    resolution: int,
+    deco: Decomposition | None = None,
+) -> CubeIntegrals:
+    """The integral of prod_j f_j(B_j x)^p over the cube and, given the
+    cube's decomposition, over its main cells (chi = 0 on every axis).
+
+    When every map's Jacobian at the centre is a scaled coordinate
+    projection (and, with deco, the frame's t_matrix is diagonal, so every
+    main cell is a product of intervals), the linearised integrand
+    prod_j f_j(B_j(c) + J_j (x - c))^p is constant on a product of
+    intervals: each cube axis is cut at the grid lines pulled back by
+    every row that reads it (and at the decomposition's edges), each
+    map's table of f_j^p is gathered at the refined midpoints, and one
+    contraction weighted by the widths gives the integral (with the widths
+    masked to the main intervals, the main one).  A map moves off its
+    linearisation by at most its drift allowance, so the integrands can
+    differ only within drift / |J[r, a]| of a pulled-back line; the union
+    L_a of those bands on each axis bounds the volume where they do by
+    sum_a L_a side^(d-1), and that times prod_j (max f_j)^p is
+    error_bound.  Otherwise the tensor midpoint rule at ``resolution``
+    points per axis integrates the nonlinear integrand.  A resolution
+    below 1 is refused on both routes.
+    """
+    if resolution < 1:
+        raise ValueError(f"midpoint resolution must be >= 1, got {resolution}")
+    center, d = cube.center, cube.d
+    jacobians = [fam.jacobian(center) for fam in maps]
+    exact = all(is_scaled_projection(J) for J in jacobians)
+    if deco is not None:
+        T = deco.frame.t_matrix()
+        scale = np.diagonal(T)
+        exact = exact and np.array_equal(T, np.diag(scale))
+    if not exact:
+        return _midpoint_cube_integrals(maps, cube, inputs, p, resolution, deco)
+    half = cube.side / 2.0
+    # each axis is cut at the grid lines every row reading it pulls back,
+    # in local coordinates u = x_a - c_a, and banded by the row's drift
+    cuts = [[np.array([-half, half])] for _ in range(d)]
+    starts, ends = [[] for _ in range(d)], [[] for _ in range(d)]
+    reads = []  # per map, the (cube axis, slope, value at the centre) of each row
+    for fam, J, f in zip(maps, jacobians, inputs):
+        axes = np.argmax(J != 0.0, axis=1).tolist()
+        own = [(a, float(J[r, a]), y0) for r, (a, y0) in enumerate(zip(axes, fam.value(center)[0]))]
+        reads.append(own)
+        drift = fam.drift_allowance(cube.side)
+        for r, (a, slope, y0) in enumerate(own):
+            # the lattice lines within reach of the cube's image, one more
+            # each side against rounding; lines beyond the lattice change
+            # no value (every point off it reads the pad)
+            reach = abs(slope) * half + drift
+            k_lo, k_hi = np.floor((np.array([y0 - reach, y0 + reach]) - f.origin[r]) / f.spacing)
+            k = np.arange(max(k_lo - 1.0, 0.0), min(k_hi + 1.0, f.values.shape[r]) + 1.0)
+            lines = (f.origin[r] + k * f.spacing - y0) / slope
+            cuts[a].append(np.clip(lines, -half, half))
+            width = drift / abs(slope)
+            starts[a].append(np.maximum(lines - width, -half))
+            ends[a].append(np.minimum(lines + width, half))
+    if deco is not None:
+        for a, e in enumerate(deco.edges):
+            cuts[a].append(np.clip(e / scale[a], -half, half))
+    mids, widths = [], []
+    for a in range(d):
+        u = np.sort(np.concatenate(cuts[a]))
+        u = u[np.append(True, u[1:] > u[:-1])]
+        mids.append(0.5 * (u[:-1] + u[1:]))
+        widths.append(np.diff(u))
+    tables = [
+        np.power(f.product_values([y0 + slope * mids[a] for a, slope, y0 in own]), p)
+        for f, own in zip(inputs, reads)
+    ]
+    subs = [[a for a, _, _ in own] for own in reads]
+    if deco is None:
+        lhs, main_lhs = float(_weighted_contraction(tables, subs, widths)), None
+    else:
+        # a refined interval is main where its searchsorted position in the
+        # edges is even and positive, as in `Decomposition.main_cells`
+        stacked = []
+        for a, e in enumerate(deco.edges):
+            pos = np.searchsorted(e, mids[a] * scale[a], side="left")
+            stacked.append(np.stack([widths[a], widths[a] * (((pos & 1) == 0) & (pos > 0))]))
+        lhs, main_lhs = _weighted_contraction(tables, subs, stacked).tolist()
+    band = sum(_union_length(np.concatenate(starts[a]), np.concatenate(ends[a]))
+               for a in range(d) if starts[a])
+    peak = math.prod(float(f.values.max(initial=0.0)) ** p for f in inputs)
+    error_bound = band * cube.side ** (d - 1) * peak
+    return CubeIntegrals(lhs, main_lhs, float(error_bound), LINEARISED_EXACT)
+
+
+def _midpoint_cube_integrals(maps, cube, inputs, p, resolution, deco) -> CubeIntegrals:
+    """The route of `cube_integrals` for maps it cannot linearise exactly:
+    the tensor midpoint rule on the nonlinear integrand, main cells by
+    `Decomposition.main_cells`."""
+    integrand = _composite_integrand(maps, inputs, p)
+    half = cube.side / 2.0
+    lo, hi = cube.center - half, cube.center + half
+    if deco is None:
+        return CubeIntegrals(_midpoint_integral(integrand, lo, hi, resolution, cube.d),
+                             None, None, MIDPOINT)
+
+    def cube_and_main(points: np.ndarray) -> np.ndarray:
+        vals = integrand(points)
+        return np.stack([vals, vals * deco.main_cells(points)])
+
+    lhs, main_lhs = _midpoint_integral(cube_and_main, lo, hi, resolution, cube.d)
+    return CubeIntegrals(float(lhs), float(main_lhs), None, MIDPOINT)
+
+
 @dataclass
 class InductionStepReport:
     delta: float
     lhs: float
+    main_lhs: float
+    lhs_error_bound: float | None
+    lhs_rule: str
     main_sum: float
+    main_term_ok: bool
     finner_rhs: float
     input_rhs: float
     main_fraction: float
@@ -809,10 +980,13 @@ def verify_induction_step(
 ) -> InductionStepReport:
     """Execute one decomposition step and check every verifiable bound.
 
-    Produces the cube integral (by the midpoint rule at ``resolution``
-    points per axis), the main-term bound through the tube
-    masses and the discrete product-projection inequality, and the
-    buffer-mass bounds with factor 4 delta^{a1-a0} per nonzero pattern.
+    Produces the cube integral and its main-cell part by `cube_integrals`
+    (exact on the linearised maps with a certified drift bound, or the
+    midpoint rule at ``resolution`` points per axis where that route does
+    not apply), the main-term bound through the tube masses and the
+    discrete product-projection inequality, and the buffer-mass bounds
+    with factor 4 delta^{a1-a0} per nonzero pattern.  main_term_ok, that
+    main_lhs plus the error bound stays within main_sum, is reported only.
     """
     delta = cube.side
     if delta > params.delta0 * (1 + 1e-12):
@@ -832,16 +1006,8 @@ def verify_induction_step(
     pigeonhole_ok = deco.certificates_hold()
 
     masses = [f.integral() for f in inputs]
-    integrand = _composite_integrand(maps, inputs, p)
-
-    def cube_and_main(points: np.ndarray) -> np.ndarray:
-        vals = integrand(points)
-        return np.stack([vals, vals * deco.main_cells(points)])
-
-    half = delta / 2.0
-    lhs, main_lhs = _midpoint_integral(
-        cube_and_main, cube.center - half, cube.center + half, resolution, d
-    )
+    integrals = cube_integrals(maps, cube, inputs, p, resolution, deco)
+    lhs, main_lhs = integrals.lhs, integrals.main_lhs
 
     # chi = 0 tube masses, one array per map over the transverse main indices;
     # each axis slab must be expressed in the acting map's own image space
@@ -894,10 +1060,15 @@ def verify_induction_step(
         }
         certified_factor += (total / masses[j]) ** p if masses[j] > 0 else 0.0
     factor_bound = 1.0 + 10.0**d * delta ** params.gain_exponent()
+    main_term_ok = main_lhs + (integrals.error_bound or 0.0) <= main_sum * (1 + 1e-9)
     return InductionStepReport(
         delta=delta,
         lhs=float(lhs),
+        main_lhs=float(main_lhs),
+        lhs_error_bound=integrals.error_bound,
+        lhs_rule=integrals.rule,
         main_sum=main_sum,
+        main_term_ok=bool(main_term_ok),
         finner_rhs=finner_rhs,
         input_rhs=input_rhs,
         main_fraction=float(main_lhs / lhs if lhs > 0 else 1.0),
@@ -914,6 +1085,8 @@ def verify_induction_step(
 @dataclass
 class NonlinearBLReport:
     ratio: float
+    lhs_error_bound: float | None
+    lhs_rule: str
     log_ratio: float
     log_bound: float
     bound: float
@@ -932,8 +1105,11 @@ def verify_nonlinear_bl(
     """Compare the cube ratio against the explicit global constant
     10^d exp(10^d delta0^g / (1 - 2^{-g})), g = (a1 - a0)/(m - 1).
 
-    The ratio integrates by the midpoint rule at ``resolution`` points per
-    axis.  The bound overflows double precision for realistic parameters,
+    The ratio's numerator is the integral over the cube of side delta0
+    about x0 by `cube_integrals`: exact on the linearised maps when their
+    Jacobians at x0 are scaled coordinate projections (canonical maps
+    are, up to the canonical tolerance), or the midpoint rule at
+    ``resolution`` points per axis otherwise.  The bound overflows double precision for realistic parameters,
     so the comparison is carried out in logarithms.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -950,10 +1126,8 @@ def verify_nonlinear_bl(
     masses = [f.integral() for f in inputs]
     if any(mass <= 0 for mass in masses):
         raise ScaleError("all input masses must be positive")
-    integrand = _composite_integrand(maps, inputs, p)
-
-    half = params.delta0 / 2.0
-    numerator = _midpoint_integral(integrand, x0 - half, x0 + half, resolution, d)
+    integrals = cube_integrals(maps, Cube(x0, params.delta0), inputs, p, resolution)
+    numerator = integrals.lhs
     denom = float(np.prod([mass**p for mass in masses]))
     ratio = numerator / denom
     g = params.gain_exponent()
@@ -962,6 +1136,8 @@ def verify_nonlinear_bl(
     bound = math.exp(log_bound) if log_bound < 700 else math.inf
     return NonlinearBLReport(
         ratio=float(ratio),
+        lhs_error_bound=integrals.error_bound,
+        lhs_rule=integrals.rule,
         log_ratio=float(log_ratio),
         log_bound=float(log_bound),
         bound=float(bound),

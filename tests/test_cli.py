@@ -1792,6 +1792,24 @@ class TestScalesCommands:
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("command", ["decompose", "verify-step", "verify-nonlinear"])
+    @pytest.mark.parametrize("cube, message", [
+        ([1], "cube must be an object"),
+        ("abc", "cube must be an object"),
+        ({"center": [0.0]}, "cube center must be a point of R^3, got shape (1,)"),
+        ({"center": [0.0] * 4, "side": 1e-6}, "cube center must be a point of R^3, got shape (4,)"),
+    ], ids=["list", "string", "short-center", "long-center"])
+    def test_malformed_cube_is_usage_error(self, tmp_path, command, cube, message):
+        # a non-object cube once escaped as an AttributeError, and a centre
+        # of the wrong length as a numpy broadcast or block-size message
+        payload = scales_payload()
+        payload["cube"] = cube
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_command(seeded(command), path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("x0, message", [
         ([0.0], "x0 must be a point of R^3, got shape (1,)"),
         ([0.0, NAN, 0.0], "x0 must be finite"),
@@ -1897,3 +1915,25 @@ class TestScalesCommands:
         result = report["result"]
         assert result["finner_ok"] and result["buffer_bounds_ok"] and result["pigeonhole_ok"]
         assert result["certified_factor"] <= result["factor_bound"]
+        assert result["lhs_rule"] == "linearised-exact"
+        assert 0 <= result["lhs_error_bound"] < result["lhs"]
+        assert 0 < result["main_lhs"] <= result["lhs"]
+        assert result["main_term_ok"] is True
+
+    def test_off_centre_verify_step_takes_the_midpoint_route(self, tmp_path):
+        # off the origin the perturbed Jacobian rows read two axes
+        payload = scales_payload()
+        payload["cube"] = {"center": [1e-7, 1e-7, 1e-7], "side": 1e-6}
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(payload))
+        result = run(tmp_path, "vs", ["verify-step", "--input", str(path), "--seed", "2",
+                                      "--resolution", "8"])["result"]
+        assert result["lhs_rule"] == "midpoint" and result["lhs_error_bound"] is None
+        assert result["main_term_ok"] in (True, False) and result["lhs"] > 0
+
+    def test_verify_nonlinear_reports_its_rule(self, tmp_path):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(scales_payload()))
+        result = run(tmp_path, "vn", ["verify-nonlinear", "--input", str(path),
+                                      "--resolution", "8"])["result"]
+        assert result["lhs_rule"] == "linearised-exact" and result["lhs_error_bound"] >= 0

@@ -518,7 +518,8 @@ class TestInductionStep:
 
     def test_rank_one_tubes_d2(self):
         # the reference numbers were computed by the earlier per-rank
-        # tube-mass code
+        # tube-mass code; main_fraction is that of the exact linearised
+        # cube integrals
         maps, params, cube, inputs = rank_one_d2_setup()
         report = verify_induction_step(maps, cube, inputs, params, 32, seed=3)
         assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
@@ -527,7 +528,7 @@ class TestInductionStep:
             "main_sum": 1.1120511814416179e-08,
             "finner_rhs": 1.1120511814416179e-08,
             "input_rhs": 2.5679993838713982e-08,
-            "main_fraction": 0.8435601032170764,
+            "main_fraction": 0.9014654298889058,
             "certified_factor": 1.293690938816278,
         }
         for key, value in expected.items():
@@ -563,16 +564,17 @@ class TestInductionStep:
 
     def test_flagship_step_matches_recorded_numbers(self):
         # recorded from the route that measured one tube and one candidate
-        # slab per call; the batched masses must reproduce it
+        # slab per call; the batched masses must reproduce it.  lhs and
+        # main_fraction are those of the exact linearised cube integrals
         maps, params, cube, inputs = flagship_scale_setup(seed=1)
         report = verify_induction_step(maps, cube, inputs, params, 32, seed=5)
         assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
         expected = {
-            "lhs": 1.0083988383256997e-18,
+            "lhs": 1.0083988383256987e-18,
             "main_sum": 1.0931841985067378e-18,
             "finner_rhs": 1.0963658944476828e-18,
             "input_rhs": 4.069951343517514e-18,
-            "main_fraction": 0.9076030460154925,
+            "main_fraction": 0.9505417418996239,
             "certified_factor": 2.0802995418317787,
         }
         for key, value in expected.items():
@@ -585,13 +587,13 @@ class TestInductionStep:
             assert info["total"] == pytest.approx(per_axis[info["axis"]], rel=1e-12, abs=0), chi
 
     def test_flagship_step_keeps_the_clipping_route_numbers(self):
-        # recorded from the Sutherland-Hodgman tube masses, the mask-route
-        # grid lookups and the locate_points main-cell mask; the integral
-        # sees the same points and values, so its numbers keep their bits
+        # recorded from the Sutherland-Hodgman tube masses; lhs and
+        # main_fraction are the bits of the exact linearised cube integrals,
+        # which read no midpoint and no main-cell mask
         maps, params, cube, inputs = flagship_scale_setup(seed=1)
         report = verify_induction_step(maps, cube, inputs, params, 32, seed=5)
-        assert report.lhs == 1.0083988383256997e-18
-        assert report.main_fraction == 0.9076030460154925
+        assert report.lhs == 1.0083988383256987e-18
+        assert report.main_fraction == 0.9505417418996239
         assert report.main_sum == pytest.approx(1.093184198506739e-18, rel=1e-12, abs=0)
         norms = [1.06729163184171e-12, 1.0490457929176051e-12, 1.073577703957454e-12]
         for j, value in enumerate(norms):
@@ -631,6 +633,102 @@ class TestInductionStep:
             direct = grid_slab_mass(fW.values, fW.origin, fW.spacing, func.w, im_lo, im_hi)
             selected = np.array([st.selected_mass for st in seq.steps])
             assert np.all(np.abs(direct - selected) <= 1e-12 * fW.integral())
+
+
+def linear_lw_constant_setup():
+    """Linear Loomis-Whitney maps at delta0 with constant inputs 2."""
+    maps = linear_lw_families()
+    params = gentle_params()
+    cube = Cube(np.zeros(3), params.delta0)
+    inputs = uniform_inputs_for(maps, cube, value=2.0)
+    params.M = 1.0 / max(f.spacing for f in inputs)
+    return maps, params, cube, inputs
+
+
+STEP_SETUPS = [
+    pytest.param(lambda: flagship_scale_setup(seed=1), id="flagship-1"),
+    pytest.param(lambda: flagship_scale_setup(seed=3), id="flagship-3"),
+    pytest.param(rank_one_d2_setup, id="rank-one-d2"),
+    pytest.param(lw_d4_rank3_setup, id="lw-d4-rank3"),
+    pytest.param(linear_lw_constant_setup, id="linear-lw-constant"),
+]
+
+
+class TestCubeIntegrals:
+    @pytest.mark.parametrize("setup", STEP_SETUPS)
+    def test_midpoint_sweep_is_the_oracle(self, setup):
+        # the inputs' grid lines fall on faces of the sweep's cells, and no
+        # midpoint drifts across one, so the sweep is exact here too
+        maps, params, cube, inputs = setup()
+        p = 1.0 / (len(maps) - 1)
+        deco = decompose(maps, cube, inputs, params)
+        exact = scales.cube_integrals(maps, cube, inputs, p, 32, deco)
+        sweep = scales._midpoint_cube_integrals(maps, cube, inputs, p,
+                                                 32 if cube.d < 4 else 16, deco)
+        assert exact.rule == scales.LINEARISED_EXACT and sweep.rule == scales.MIDPOINT
+        assert exact.lhs == pytest.approx(sweep.lhs, rel=1e-12, abs=0)
+        assert 0 < exact.main_lhs <= exact.lhs
+        assert exact.error_bound >= 0 and sweep.error_bound is None
+        if all(fam.is_linear() for fam in maps):
+            assert exact.error_bound == 0.0
+
+    def test_main_lhs_is_the_main_sum_on_constant_linear_lw(self):
+        # coordinate projections have constant 1 and the inputs are
+        # constant, so the main cells integrate to the tube-mass sum exactly
+        maps, params, cube, inputs = linear_lw_constant_setup()
+        report = verify_induction_step(maps, cube, inputs, params, 8, seed=8)
+        assert report.lhs_rule == "linearised-exact" and report.lhs_error_bound == 0.0
+        assert report.main_lhs == pytest.approx(report.main_sum, rel=1e-12, abs=0)
+        assert report.main_term_ok
+
+    @pytest.mark.parametrize("c, cells, tight", [(2.0, 6, True), (50.0, 3, False)],
+                             ids=["bound-below-lhs", "drift-beyond-4-sigma"])
+    def test_error_bound_holds_against_monte_carlo(self, c, cells, tight):
+        # quadratic maps with kappa their exact Lipschitz bound, called on
+        # the helper directly.  At c = 2 the bound is below lhs; at c = 50
+        # the sampled nonlinear integral lies more than 4 sigma from the
+        # linearised one, so only the bound covers the gap
+        maps = [
+            perturbed_projection(np.array([[0.0, 1.0]]), [{(2, 0): c}], 1.0, 2.0 * c),
+            perturbed_projection(np.array([[1.0, 0.0]]), [{(0, 2): c, (1, 1): c}], 1.0,
+                                 2.0 * math.sqrt(2.0) * c),
+        ]
+        cube = Cube(np.array([0.0, 0.0]), 1e-3)
+        rng = np.random.default_rng(21)
+        inputs = [l1m_grid_for_map(fam, cube, rng, cells=cells) for fam in maps]
+        got = scales.cube_integrals(maps, cube, inputs, 1.0, 1)
+        assert got.rule == scales.LINEARISED_EXACT and got.main_lhs is None
+        assert got.error_bound > 0 and (got.error_bound < got.lhs) == tight
+        points = cube.sample(rng, 400_000)
+        values = scales._composite_integrand(maps, inputs, 1.0)(points)
+        volume = cube.side**2
+        estimate = volume * values.mean()
+        sigma = volume * values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(estimate - got.lhs) <= got.error_bound + 4.0 * sigma
+        assert tight or abs(estimate - got.lhs) > 4.0 * sigma
+
+    def test_an_axis_no_map_reads_contributes_its_width(self):
+        # one linear map of R^2, y = 2 x_1, on [0.05, 0.55] x [-0.45, 0.05]:
+        # y runs over [-0.9, 0.1], which meets cell 0 (value 1) for 0.025,
+        # cells 1-7 (values 2-8) whole and cell 8 (value 9) for 0.1, so
+        # the integral is 0.5 (axis 0) * (0.025 + 0.125 * 35 + 0.9) / 2
+        maps = [linear_family(np.array([[0.0, 2.0]]))]
+        cube = Cube(np.array([0.3, -0.2]), 0.5)
+        f = GridFunction(np.array([-1.0]), 0.125, np.arange(1.0, 17.0))
+        exact = scales.cube_integrals(maps, cube, [f], 1.0, 8)
+        assert exact.rule == scales.LINEARISED_EXACT and exact.error_bound == 0.0
+        assert exact.lhs == pytest.approx(1.325, rel=1e-12, abs=0)
+
+    def test_off_centre_flagship_cube_takes_the_midpoint_route(self):
+        # away from the origin the perturbations tilt the Jacobian rows, so
+        # they read two axes and the sweep integrates
+        maps, params, cube, inputs = flagship_scale_setup(seed=1)
+        shifted = Cube(np.full(3, 0.1 * cube.side), cube.side)
+        assert np.count_nonzero(maps[0].jacobian(shifted.center)[0]) == 2
+        report = verify_induction_step(maps, shifted, inputs, params, 8, seed=5)
+        assert report.lhs_rule == "midpoint" and report.lhs_error_bound is None
+        assert 0 < report.main_lhs <= report.lhs
+        assert report.main_term_ok == (report.main_lhs <= report.main_sum * (1 + 1e-9))
 
 
 class TestNonlinearBL:
