@@ -1,15 +1,18 @@
 """Exact low-dimensional geometry primitives.
 
-Covers the measure of axis boxes against halfspaces and slabs (exact in
-1D/2D, midpoint-subdivision in higher rank), which backs the slab and
-tube masses of the scale decomposition, and the bounding box of a set
-cut out by linear constraints, which bounds the ratio quadrature's
-composite support: by interval intersections when every row reads one
-axis, else by the set's vertices, all of them from one batched solve
-per block, with numpy alone.  Every grid mass goes through one rank dispatch
-(`_halfplane_mass`) except a rank-2 slab's: there a cell's area below a
-cut of <y, w> is piecewise quadratic in the cut (`_square_areas_below`,
-the one copy of that arithmetic).  `SlabCells` is the one slab route, at
+Covers the measure of grid cells against halfspaces and slabs, which
+backs the slab and tube masses of the scale decomposition, and the
+bounding box of a set cut out by linear constraints, which bounds the
+ratio quadrature's composite support: by interval intersections when
+every row reads one axis, else by the set's vertices, all of them from
+one batched solve per block, with numpy alone.  Every grid mass goes
+through one dispatch on the normals (`_halfplane_mass`) except a rank-2
+slab's: there a cell's area below a cut of <y, w> is piecewise quadratic
+in the cut (`_square_areas_below`, the one copy of that arithmetic).
+Where every normal reads one axis the regions are axis boxes, exact at
+every rank as products of per-axis overlaps (`_interval_mass`); oblique
+regions are exact at rank 2 and take the midpoint-subdivision measure
+at rank >= 3.  `SlabCells` is the one slab route, at
 every rank: it holds a grid's positive cells and their values, and at
 rank 2 their corner projections on w.  `grid_slab_mass` builds one per
 call; the pigeonhole ladder builds one per window and reuses it at every
@@ -34,7 +37,8 @@ import numpy as np
 
 from .exterior import row_and_null_space
 
-# Midpoint subdivisions per cell axis in the rank >= 3 grid-mass measure.
+# Midpoint subdivisions per cell axis in the rank >= 3 grid-mass measure of
+# oblique regions (axis boxes are exact at every rank).
 SUBDIVISION = 4
 # Entries of one batch's largest temporary, for every batched kernel of the
 # package (grid masses, convolution points, ball-check products): larger
@@ -192,9 +196,11 @@ def grid_polygon_mass(
     of regions that share the normals, and each varies along one region
     axis at most: a (T,) array for T regions, or (n0, 1) and (1, n1)
     arrays for an n0 x n1 grid of tubes.  With any array offset the call
-    returns the masses in the grid's shape, else a float.  Exact at rank 1
-    (interval overlap) and rank 2 (an edge sum per candidate cell); rank
-    >= 3 uses the midpoint-subdivision measure.
+    returns the masses in the grid's shape, else a float.  Exact for axis
+    boxes (every normal reads one axis at most) at every rank, by per-axis
+    overlaps, and for oblique regions at rank 2 (an edge sum per candidate
+    cell); oblique regions at rank >= 3 take the midpoint-subdivision
+    measure.
     """
     k = np.ndim(values)
     scalar = all(np.ndim(c) == 0 for _, c in halfplanes)
@@ -225,10 +231,11 @@ def blocks(count: int, entries_per_item: int) -> list[slice]:
 
 
 def _weighted_sums(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Row-wise dot products weights[t] . vals.  `np.vecdot` takes one dot
-    per row, so a region's mass is the same bits whatever other regions
-    share its block (a matrix-vector product sums in a batch-dependent
-    order)."""
+    """Dot products over the last axis, broadcast over the others (row-wise
+    weights[t] . vals for a matrix and a vector).  `np.vecdot` takes one
+    dot per output entry, so a region's mass is the same bits whatever
+    other regions share its block (a matrix-vector product sums in a
+    batch-dependent order)."""
     return np.vecdot(weights, vals)
 
 
@@ -279,39 +286,84 @@ class _RegionGrid:
 
 
 def _halfplane_mass(origins, vals, h: float, normals, columns: list) -> np.ndarray:
-    """The one rank dispatch behind `grid_polygon_mass` and `grid_slab_mass`:
+    """The one dispatch behind `grid_polygon_mass` and `grid_slab_mass`:
     the masses of the regions {<y, normals[p]> <= columns[p] for all p},
-    in the shape the offsets broadcast to (`_RegionGrid`)."""
+    in the shape the offsets broadcast to (`_RegionGrid`).  Normals with
+    one nonzero entry at most (exact zeros, as `_interval_box` tests rows)
+    make axis boxes, at any rank; other regions go by rank."""
     regions = _RegionGrid(columns)
     if len(vals) == 0 or regions.count == 0:
         return np.zeros(regions.shape)
-    k = origins.shape[1]
-    if k == 1:
-        masses = _interval_mass(origins[:, 0], vals, h, normals[:, 0], regions)
-    elif k == 2:
+    if np.all(np.count_nonzero(normals, axis=1) <= 1):
+        masses = _interval_mass(origins, vals, h, normals, regions)
+    elif origins.shape[1] == 2:
         masses = _clip_mass(origins, vals, h, normals, regions)
     else:
         masses = _subdivision_mass(origins, vals, h, normals, regions)
     return masses.reshape(regions.shape)
 
 
-def _interval_mass(lows, vals, h: float, normals, regions: _RegionGrid) -> np.ndarray:
-    """Rank 1: exact overlap of the cells [a, a + h] with the intervals
-    cut out by the halfplanes n y <= c."""
-    up, down, flat = normals > 0.0, normals < 0.0, normals == 0.0
+def _row_axes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The axis each row reads and its entry there, for rows with one
+    nonzero entry at most (a zero row reads axis 0, with entry 0)."""
+    axis = np.argmax(rows != 0.0, axis=1)
+    return axis, rows[np.arange(len(rows)), axis]
+
+
+def _interval_mass(origins, vals, h: float, normals, regions: _RegionGrid) -> np.ndarray:
+    """Axis boxes, exact at every rank: each normal reads one axis at
+    most, so a region is one interval per axis, from the max of its lower
+    bounds to the min of its upper bounds (void when a zero normal has a
+    negative offset).  Its overlaps with the lattice columns that hold a
+    positive cell are contracted with the grid values on those columns,
+    last axis first, each step one `_weighted_sums`; at rank 1 that is one
+    dot of the positive cells' overlaps with their values.  The first
+    contraction is taken once per distinct row of the overlaps
+    (`_box_overlaps`) and gathered per region, with the same bits."""
+    axis, coef = _row_axes(normals)
+    columns, position = zip(*(np.unique(o, return_inverse=True) for o in origins.T))
+    table = np.zeros([len(c) for c in columns])
+    np.add.at(table, position, vals)
+    k = len(columns)
     masses = np.zeros(regions.count)
-    for block in blocks(regions.count, len(vals)):
-        offsets = regions.offsets(regions.index(block))
-        hi = np.min(offsets[up] / normals[up, None], axis=0, initial=np.inf)
-        lo = np.max(offsets[down] / normals[down, None], axis=0, initial=-np.inf)
-        overlap = np.minimum(lows + h, hi[:, None]) - np.maximum(lows, lo[:, None])
-        void = np.any(offsets[flat] < 0.0, axis=0)
-        masses[block] = np.where(void, 0.0, _weighted_sums(np.clip(overlap, 0.0, None), vals))
+    per_region = table.size // len(columns[-1]) + sum(len(c) for c in columns)
+    for block in blocks(regions.count, per_region):
+        index = regions.index(block)
+        mass = table
+        for a in range(k - 1, -1, -1):
+            on = np.flatnonzero((axis == a) & (coef != 0.0))
+            overlap, at = _box_overlaps(columns[a], h, coef[on], on, regions, block, index)
+            if a == k - 1:
+                mass = _weighted_sums(overlap.reshape(len(overlap), *(1,) * a, -1), mass)[at]
+            else:
+                mass = _weighted_sums(overlap[at].reshape(len(at), *(1,) * a, -1), mass)
+        void = np.any(regions.offsets(index)[coef == 0.0] < 0.0, axis=0)
+        masses[block] = np.where(void, 0.0, mass)
     return masses
 
 
+def _box_overlaps(lows, h: float, coef, on, regions: _RegionGrid, block: slice, index):
+    """Overlaps (R, n) of the columns [lows, lows + h] of one axis with
+    the intervals that the halfplanes `on` (entries `coef` on that axis)
+    cut out, over R rows, and each region's row (B,).  When the offsets
+    of those halfplanes vary along one region axis at most, the rows are
+    the block's distinct indices on it, else one row per region."""
+    spans = {regions.axes[p] for p in on}
+    if len(spans) <= 1:
+        rows, at = regions.rows(block, index, min(spans, default=0))
+        cuts = np.array([regions.cuts[p][rows] for p in on]).reshape(len(on), len(rows))
+    else:
+        at = np.arange(block.stop - block.start)
+        cuts = regions.offsets(index)[on]
+    up, down = coef > 0.0, coef < 0.0
+    hi = np.min(cuts[up] / coef[up, None], axis=0, initial=np.inf)
+    lo = np.max(cuts[down] / coef[down, None], axis=0, initial=-np.inf)
+    overlap = np.minimum(lows + h, hi[:, None]) - np.maximum(lows, lo[:, None])
+    return np.clip(overlap, 0.0, None), at
+
+
 def _clip_mass(origins, vals, h: float, normals, regions: _RegionGrid) -> np.ndarray:
-    """Rank 2: exact areas of every candidate (region, cell) pair.
+    """Oblique regions at rank 2: exact areas of every candidate (region, cell) pair.
 
     A corner-projection prefilter drops the cells some halfplane excludes
     whole and counts in full the cells every halfplane contains.  The
@@ -417,7 +469,7 @@ def _clipped_square_areas(h: float, normals, offsets) -> np.ndarray:
 
 
 def _subdivision_mass(origins, vals, h: float, normals, regions: _RegionGrid) -> np.ndarray:
-    """Rank >= 3: each cell is cut into SUBDIVISION^k sub-cells, and a
+    """Oblique regions at rank >= 3: each cell is cut into SUBDIVISION^k sub-cells, and a
     sub-cell counts in full when its midpoint satisfies every halfplane.
     Additive across disjoint slabs, but not a one-sided bound."""
     k = origins.shape[1]
@@ -523,8 +575,7 @@ def _empty_box(d: int) -> tuple[np.ndarray, np.ndarray]:
 def _interval_box(A: np.ndarray, lo_rows: np.ndarray, hi_rows: np.ndarray, d: int):
     """`bounding_box_from_linear_constraints` for rows with one nonzero
     entry a each: the row bounds x_axis between lo/a and hi/a."""
-    axis = np.argmax(A != 0.0, axis=1)
-    a = A[np.arange(len(A)), axis]
+    axis, a = _row_axes(A)
     below = np.where(a > 0.0, lo_rows / a, hi_rows / a)
     above = np.where(a > 0.0, hi_rows / a, lo_rows / a)
     lo_out = np.full(d, -np.inf)

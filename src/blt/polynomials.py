@@ -124,8 +124,13 @@ class Polynomial:
 
     @staticmethod
     def from_terms(n: int, terms: list[dict]) -> "Polynomial":
-        """The polynomial of a JSON term list [{"powers": [...], "c": ...}]."""
-        coeffs = {tuple(int(e) for e in t["powers"]): float(t["c"]) for t in terms}
-        if any(min(key, default=0) < 0 for key in coeffs):
-            raise ValueError("term powers must be nonnegative")
+        """The polynomial of a JSON term list [{"powers": [...], "c": ...}];
+        the coefficients of a repeated power add up."""
+        coeffs: dict[tuple[int, ...], float] = {}
+        for t in terms:
+            powers = [float(e) for e in t["powers"]]
+            if not all(math.isfinite(e) and e >= 0 and e == int(e) for e in powers):
+                raise ValueError("term powers must be nonnegative integers")
+            key = tuple(int(e) for e in powers)
+            coeffs[key] = coeffs.get(key, 0.0) + float(t["c"])
         return Polynomial(n, coeffs)

@@ -1105,6 +1105,18 @@ def test_malformed_field_file_is_usage_error(tmp_path, change, command, message)
     assert err.startswith("error:") and message in err
 
 
+def test_repeated_powers_add_up(tmp_path):
+    # 0.375 y0^2 written as 0.25 y0^2 + 0.125 y0^2 is the same field
+    def solved(quadratic):
+        field = {**FIELD, "terms": FIELD["terms"] + [{"powers": [2, 0, 0], "c": c}
+                                                     for c in quadratic]}
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({**FIELD_FILE, **field, "field": field}))
+        return run(tmp_path, "ift", ["ift-solve", "--input", str(path)])["result"]
+
+    assert solved([0.25, 0.125]) == solved([0.375]) != solved([0.125])
+
+
 @pytest.mark.parametrize("kappa", [NAN, INF], ids=["nan", "inf"])
 @pytest.mark.parametrize("command", sorted(FIELD_COMMANDS))
 def test_field_kappa_must_be_finite(tmp_path, command, kappa):
@@ -1577,6 +1589,28 @@ def flagship_payload():
     payload["inputs"] = [{"origin": g.origin.tolist(), "spacing": g.spacing,
                           "values": g.values.tolist()} for g in inputs]
     return payload
+
+
+def scales_payload_with_powers(powers):
+    payload = scales_payload()
+    payload["maps"][0]["rows"][0]["terms"][0]["powers"] = powers
+    return payload
+
+
+@pytest.mark.parametrize("payload, argv", [
+    (scales_payload_with_powers([0.5, 0, 2]), ["verify-step", "--seed", "1", "--resolution", "8"]),
+    ({**FIELD_FILE, "terms": [*FIELD["terms"], {"powers": [1.5, 0, 0], "c": 0.3}]},
+     ["ift-solve"]),
+    ({**FIELD_FILE, "terms": [*FIELD["terms"], {"powers": [2, 0, -1], "c": 0.3}]},
+     ["ift-solve"]),
+], ids=["verify-step-half", "ift-solve-fraction", "ift-solve-negative"])
+def test_fractional_or_negative_powers_are_refused(tmp_path, payload, argv):
+    # int() truncated a fractional power, so [0.5, 0, 2] was read as [0, 0, 2]
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_command(argv, path)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error:") and "term powers must be nonnegative integers" in err
 
 
 def cell_loop(deco, max_cells):

@@ -82,41 +82,60 @@ def sutherland_hodgman_areas(h: float, normals, offsets) -> np.ndarray:
     return np.where(count >= 3, 0.5 * np.abs(cross.sum(axis=1)), 0.0)
 
 
-def oracle_mass(values, origin, h, halfplanes) -> float:
-    """One region's grid mass, cell by cell: interval overlap at rank 1,
-    a scalar polygon clip at rank 2, SUBDIVISION^k sub-cell midpoints at
-    rank >= 3 (the route the batched masses replaced)."""
+def box_measure(corner, h, halfplanes) -> float:
+    """Measure of the cell [corner, corner + h] inside halfplanes whose
+    normals each read one axis: the product of the per-axis overlaps,
+    0 when a zero normal has a negative offset."""
+    lo, hi = corner.copy(), corner + h
+    for normal, offset in halfplanes:
+        (axes,) = np.nonzero(normal)
+        if len(axes) == 0:
+            if offset < 0:
+                return 0.0
+            continue
+        a = axes[0]
+        if normal[a] > 0:
+            hi[a] = min(hi[a], offset / normal[a])
+        else:
+            lo[a] = max(lo[a], offset / normal[a])
+    return float(np.prod(np.maximum(hi - lo, 0.0)))
+
+
+def polygon_measure(corner, h, halfplanes) -> float:
+    """Area of the square cell inside the halfplanes, by scalar clipping."""
+    poly = corner + np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
+    for normal, offset in halfplanes:
+        poly = clip_polygon_halfplane(poly, normal, offset)
+    return polygon_area(poly)
+
+
+def subdivision_measure(corner, h, halfplanes) -> float:
+    """SUBDIVISION^k sub-cells whose midpoints satisfy every halfplane."""
+    k, q = len(corner), SUBDIVISION
+    inside = 0
+    for sub in np.ndindex((q,) * k):
+        mid = corner + (np.array(sub) + 0.5) * (h / q)
+        inside += all(mid @ normal <= offset for normal, offset in halfplanes)
+    return inside * (h / q) ** k
+
+
+def oracle_mass(values, origin, h, halfplanes, measure=None) -> float:
+    """One region's grid mass, cell by cell: the product of per-axis
+    overlaps when every normal reads one axis at most, else a scalar
+    polygon clip at rank 2 and SUBDIVISION^k sub-cell midpoints at rank
+    >= 3 (the routes the batched masses replaced), or the given measure."""
     values = np.asarray(values, dtype=float)
-    k = values.ndim
-    q = SUBDIVISION
+    halfplanes = [(np.asarray(n, dtype=float), c) for n, c in halfplanes]
+    if measure is None:
+        if all(np.count_nonzero(n) <= 1 for n, _ in halfplanes):
+            measure = box_measure
+        else:
+            measure = polygon_measure if values.ndim == 2 else subdivision_measure
     total = 0.0
     for idx in np.ndindex(values.shape):
-        if values[idx] <= 0:
-            continue
-        corner = np.asarray(origin, dtype=float) + h * np.array(idx)
-        if k == 1:
-            lo, hi = corner[0], corner[0] + h
-            for normal, offset in halfplanes:
-                n = float(normal[0])
-                if n > 0:
-                    hi = min(hi, offset / n)
-                elif n < 0:
-                    lo = max(lo, offset / n)
-                elif offset < 0:
-                    hi = lo
-            measure = max(hi - lo, 0.0)
-        elif k == 2:
-            poly = corner + np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
-            for normal, offset in halfplanes:
-                poly = clip_polygon_halfplane(poly, np.asarray(normal, dtype=float), offset)
-            measure = polygon_area(poly)
-        else:
-            inside = 0
-            for sub in np.ndindex((q,) * k):
-                mid = corner + (np.array(sub) + 0.5) * (h / q)
-                inside += all(mid @ normal <= offset for normal, offset in halfplanes)
-            measure = inside * (h / q) ** k
-        total += values[idx] * measure
+        if values[idx] > 0:
+            corner = np.asarray(origin, dtype=float) + h * np.array(idx)
+            total += values[idx] * measure(corner, h, halfplanes)
     return total
 
 
@@ -430,6 +449,105 @@ class TestBroadcastOffsets:
         w = np.array([1.0, 0.5])
         with pytest.raises(ValueError, match="one region axis"):
             grid_polygon_mass(values, np.zeros(2), 1.0, [(w, np.ones((2, 3)))])
+
+
+def axis_box_halfplanes(rng, rank: int, shape: tuple):
+    """Halfplanes whose normals each read one axis, for a grid of regions
+    of `shape`, and the region axis each offset varies along.  Cell axis a
+    gets an upper and a lower bound (normals c e_a and -c' e_a, c, c' not
+    1) varying along region axis a mod len(shape).  The last cell axis
+    also gets a second upper bound, varying along region axis 1 (0 for a
+    flat batch), and a zero normal varies along the last region axis.
+    Along the region axis of axis 0, row 0 is inverted (hi <
+    lo), row 1 lies off the grid and row 2 has zero width; the zero
+    normal's offsets cycle through 0, 0.5 and -1 (a void region)."""
+    halfplanes = []
+    for a in range(rank):
+        axis = a % len(shape)
+        n = shape[axis]
+        lo = rng.uniform(-1.4, 0.6, n)
+        hi = lo + rng.uniform(0.1, 1.5, n)
+        if a == 0:
+            lo[:3], hi[:3] = [0.3, 50.0, 0.25], [0.1, 51.0, 0.25]
+        up, down = rng.choice([0.5, 2.0, 3.0], 2)
+        e = np.eye(rank)[a]
+        halfplanes += [(up * e, up * hi, axis), (-down * e, -down * lo, axis)]
+    middle, last = 1 % len(shape), len(shape) - 1
+    extra = rng.uniform(-0.5, 1.0, shape[middle])
+    halfplanes.append((2.5 * np.eye(rank)[-1], 2.5 * extra, middle))
+    halfplanes.append((np.zeros(rank), np.resize([0.0, 0.5, -1.0], shape[last]), last))
+    return halfplanes
+
+
+def broadcast(halfplanes, shape):
+    """The offsets reshaped to vary along their region axis."""
+    out = []
+    for normal, offsets, axis in halfplanes:
+        dims = [1] * len(shape)
+        dims[axis] = -1
+        out.append((normal, offsets.reshape(dims) if len(shape) > 1 else offsets))
+    return out
+
+
+def grid_with_zero_cells(rng, rank):
+    """A sparse grid whose first row along axis 0 and last column along
+    the last axis hold no positive cell."""
+    values = sparse_grid(rng, rank)
+    values[0] = 0.0
+    values[..., -1] = 0.0
+    return values
+
+
+class TestAxisBoxes:
+    """Regions whose halfplanes each read one axis are axis boxes, measured
+    exactly at every rank by the per-axis overlaps."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(13,), (6, 5), (5, 4, 3)], ids=["flat", "tubes", "3-axis"])
+    def test_box_route_matches_the_per_axis_oracle(self, rank, shape, monkeypatch):
+        rng = np.random.default_rng(500 + 10 * rank + len(shape))
+        values = grid_with_zero_cells(rng, rank)
+        origin = rng.uniform(-1.2, -0.8, rank)
+        h = 0.5
+        planes = axis_box_halfplanes(rng, rank, shape)
+        for route in ("_clip_mass", "_subdivision_mass"):
+            monkeypatch.setattr(geometry, route, None)  # the box route alone
+        masses = grid_polygon_mass(values, origin, h, broadcast(planes, shape))
+        assert masses.shape == shape
+        scale = values.sum() * h**rank
+        for idx in np.ndindex(shape):
+            region = [(n, c[idx[axis]]) for n, c, axis in planes]
+            oracle = oracle_mass(values, origin, h, region, box_measure)
+            assert abs(masses[idx] - oracle) <= 1e-13 * scale, idx
+            if values.ndim == 2:
+                clip = oracle_mass(values, origin, h, region, polygon_measure)
+                assert masses[idx] == pytest.approx(clip, rel=1e-12, abs=1e-12 * scale)
+            alone = grid_polygon_mass(values, origin, h, region)
+            assert isinstance(alone, float) and alone == masses[idx]
+        axis0 = planes[0][2]
+        first_rows = np.moveaxis(masses, axis0, 0)[:3]
+        assert np.all(first_rows == 0.0)  # inverted, off the grid, zero width
+        void = np.moveaxis(masses, len(shape) - 1, 0)[2::3]
+        assert np.all(void == 0.0)
+        assert masses.max() > 0.0
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_grid_without_positive_cells(self, rank):
+        rng = np.random.default_rng(520 + rank)
+        planes = broadcast(axis_box_halfplanes(rng, rank, (6, 5)), (6, 5))
+        masses = grid_polygon_mass(np.zeros((4,) * rank), np.zeros(rank), 0.5, planes)
+        assert masses.shape == (6, 5) and not masses.any()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_unbounded_axes_count_whole_columns(self, rank):
+        # one bound on axis 0 only: every other axis is read whole
+        rng = np.random.default_rng(530 + rank)
+        values = grid_with_zero_cells(rng, rank)
+        cut = 0.7
+        mass = grid_polygon_mass(values, np.zeros(rank), 0.5, [(-3.0 * np.eye(rank)[0], -3.0 * cut)])
+        # rows from y0 = 0.5 up are whole, row 1 = [0.5, 1.0] holds 0.3 of its 0.5
+        whole = values[2:].sum() + 0.6 * values[1].sum()
+        assert mass == pytest.approx(whole * 0.5**rank, rel=1e-13)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blt import scales
+from blt import geometry, scales
 from blt.datum import ProjectionScheme
 from blt.geometry import grid_polygon_mass, grid_slab_mass
 from blt.inputs import GridFunction
@@ -75,8 +75,8 @@ def rank_one_d2_setup():
 
 
 def lw_d4_rank3_setup():
-    """The Loomis-Whitney maps R^4 -> R^3 at their delta0: every tube mass
-    takes the rank-3 subdivision route."""
+    """The Loomis-Whitney maps R^4 -> R^3 at their delta0: every tube and
+    ladder slab is an axis box of a rank-3 grid, measured exactly."""
     d = 4
     maps = [linear_family(np.delete(np.eye(d), j, axis=0)) for j in range(d)]
     params = compute_delta0(1.0, 1e-4, 1.1, 1.5, d, d)
@@ -561,6 +561,38 @@ class TestInductionStep:
             want = grid_polygon_mass(values, origin, h, flat).reshape(masses.shape)
             assert np.array_equal(masses, want)
             assert report.tube_norms[j] == float(want.sum())
+
+    def test_loomis_whitney_d4_rank3_buffer_masses(self):
+        # the ladders' slabs are axis boxes, measured exactly: every axis
+        # total is positive (the sub-cell midpoints read 0 on every slab)
+        maps, params, cube, inputs = lw_d4_rank3_setup()
+        report = verify_induction_step(maps, cube, inputs, params, 8, seed=1)
+        assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
+        assert report.certified_factor <= report.factor_bound
+        totals = {info["axis"]: info["total"] for info in report.buffer_totals.values()}
+        assert sorted(totals) == list(range(cube.d))
+        assert all(total > 0.0 for total in totals.values()), totals
+
+    @pytest.mark.parametrize("shift, clipped", [(0.0, False), (0.1, True)],
+                             ids=["origin", "off-centre"])
+    def test_flagship_tubes_are_clipped_only_off_centre(self, shift, clipped, monkeypatch):
+        # at the origin the Jacobian rows are +-e_a, so every tube is an axis
+        # box; off the origin they tilt, and the rank-2 clip measures them
+        maps, params, cube, inputs = flagship_scale_setup(seed=1)
+        calls = []
+
+        def clip(*args):
+            if not clipped:
+                raise AssertionError("an axis-box tube reached the polygon clip")
+            calls.append(args)
+            return original(*args)
+
+        original = geometry._clip_mass
+        monkeypatch.setattr(geometry, "_clip_mass", clip)
+        shifted = Cube(np.full(3, shift * cube.side), cube.side)
+        report = verify_induction_step(maps, shifted, inputs, params, 8, seed=5)
+        assert report.finner_ok and report.buffer_bounds_ok and report.pigeonhole_ok
+        assert len(calls) == (len(maps) if clipped else 0)
 
     def test_flagship_step_matches_recorded_numbers(self):
         # recorded from the route that measured one tube and one candidate
