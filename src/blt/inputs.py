@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import grid_points
 
@@ -42,10 +43,12 @@ def _lattice_arrays(origin, spacing: float, values) -> tuple[np.ndarray, np.ndar
     return origin, values
 
 
-def _zero_padded(values: np.ndarray) -> np.ndarray:
-    """`values` with one zero entry added on each side of every axis."""
-    padded = np.zeros(tuple(size + 2 for size in values.shape))
-    padded[(slice(1, -1),) * values.ndim] = values
+def _zero_padded(values: np.ndarray, rank: int) -> np.ndarray:
+    """`values` with one zero entry added on each side of its last `rank`
+    axes."""
+    lead = values.ndim - rank
+    padded = np.zeros(values.shape[:lead] + tuple(size + 2 for size in values.shape[lead:]))
+    padded[(Ellipsis,) + (slice(1, -1),) * rank] = values
     return padded
 
 
@@ -98,7 +101,7 @@ class GridFunction:
 
     @cached_property
     def _padded(self) -> np.ndarray:
-        return _zero_padded(self.values)
+        return _zero_padded(self.values, self.dim)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Values at (N, k) points, zero off the lattice, by one flat `take`
@@ -108,18 +111,6 @@ class GridFunction:
             np.floor((points[:, a] - self.origin[a]) / self.spacing) for a in range(self.dim)
         )
         return self._padded.ravel().take(_padded_index(cells, self.values.shape))
-
-    def product_values(self, coords) -> np.ndarray:
-        """Values on the product grid of per-axis coordinates, one 1-D
-        array per axis: the same cells as `evaluate` at every grid point,
-        by one cell index per axis and one `np.ix_` gather, without the
-        grid's point array."""
-        index = [
-            _padded_cell(np.floor((np.asarray(x, dtype=float) - o) / self.spacing), size)
-            .astype(np.intp)
-            for x, o, size in zip(coords, self.origin, self.values.shape)
-        ]
-        return self._padded[np.ix_(*index)]
 
     def integral(self) -> float:
         return float(self.values.sum() * self.spacing**self.dim)
@@ -196,7 +187,7 @@ class PiecewiseLinearGridFunction:
 
     @cached_property
     def _padded(self) -> np.ndarray:
-        return _zero_padded(self.node_values)
+        return _zero_padded(self.node_values, self.dim)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Tent-basis interpolation at (N, k) points, with zero nodes beyond
@@ -237,21 +228,22 @@ InputFunction = GridFunction | BoxIndicator | PiecewiseLinearGridFunction
 def convolve_grids(f: GridFunction, g: GridFunction) -> PiecewiseLinearGridFunction:
     """Exact convolution f*g of two grid functions with equal spacing.
 
-    Direct summation over cell shifts (no transform methods).  The
-    result is piecewise multilinear with nodes on the shifted corner
+    Direct summation over cell shifts (no transform methods), as one
+    contraction of the windows of the zero-padded f with the flipped g.
+    The result is piecewise multilinear with nodes on the shifted corner
     lattice; node values are the exact pointwise values of f*g there.
     """
     if abs(f.spacing - g.spacing) > 1e-15 * max(f.spacing, g.spacing):
         raise ValueError("convolve_grids requires equal spacings")
     h = f.spacing
-    out_shape = tuple(a + b - 1 for a, b in zip(f.values.shape, g.values.shape))
-    acc = np.zeros(out_shape)
-    for idx in np.ndindex(f.values.shape):
-        c = f.values[idx]
-        if c == 0.0:
-            continue
-        window = tuple(slice(i, i + s) for i, s in zip(idx, g.values.shape))
-        acc[window] += c * g.values
+    # acc[o] = sum_i f[i] g[o - i] = sum_j f_pad[o + j] g[n_g - 1 - j], with
+    # f_pad the f padded by n_g - 1 zeros each side
+    pads = [n - 1 for n in g.values.shape]
+    padded = np.zeros(tuple(s + 2 * pad for s, pad in zip(f.values.shape, pads)))
+    padded[tuple(slice(pad, pad + s) for s, pad in zip(f.values.shape, pads))] = f.values
+    windows = sliding_window_view(padded, g.values.shape)
+    flipped = g.values[(slice(None, None, -1),) * g.dim]
+    acc = windows.reshape(windows.shape[: f.dim] + (-1,)) @ flipped.ravel()
     node_values = acc * h**f.dim
     origin = f.origin + g.origin + h
     return PiecewiseLinearGridFunction(origin, h, node_values)

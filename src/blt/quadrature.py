@@ -4,12 +4,17 @@ QuadratureSpec owns the one box rule of the package: tensor midpoint or
 seeded Monte Carlo, each with its error estimate.  The numerator integral
 of prod_j f_j(B_j x)^{p_j} is computed by it over an axis box, for
 coordinate projections one factor per map on its own midpoint sub-grid.
-Also hosts the discrete product-projection inequality, exact
-parallelepiped extremizers, and the convolution self-similarity report.
+For piecewise-constant lattice inputs read by rows that each read one
+axis, `grid_product_integral` computes the same integral exactly: the
+one grid integral of the package, behind the induction step's cube
+integrals and the convolution report's ratios.  Also hosts the discrete
+product-projection inequality, exact parallelepiped extremizers, and the
+convolution self-similarity report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +28,8 @@ from .inputs import (
     InputFunction,
     PiecewiseLinearGridFunction,
     ZeroMassError,
+    _padded_cell,
+    _zero_padded,
     convolve_grids,
 )
 
@@ -237,40 +244,138 @@ def _midpoint_integral(integrand, lo, hi, resolution: int, d: int):
     return total * cell if np.ndim(total) else float(total * cell)
 
 
-def lattice_product_sum(blocks, exponents, d: int) -> float | np.ndarray:
+def lattice_product_sum(blocks, exponents, d: int) -> float:
     """Sum of prod_j values_j^{p_j} over the intersection of the blocks'
     lattice boxes (0 when it is empty), as one einsum over the d axes.
 
-    Block j is (values, axes, offset): values[..., i] sits at lattice
-    index offset + i along the listed axes.  Leading dimensions of values
-    beyond the listed axes are batch axes, broadcast across the blocks;
-    with any of them the result is the array of one sum per batch index,
-    each the same bits as its own call.  einsum's default unoptimised
+    Block j is (values, axes, offset): values[i] sits at lattice index
+    offset + i along the listed axes.  einsum's default unoptimised
     contraction is deliberate: optimize=True searches for a path on
     every call, which costs more than it saves at these sizes.
     """
     lo = np.full(d, np.iinfo(np.int64).min, dtype=np.int64)
     hi = np.full(d, np.iinfo(np.int64).max, dtype=np.int64)
     for values, axes, offset in blocks:
-        shape = values.shape[values.ndim - len(axes) :]
         for pos, k in enumerate(axes):
             lo[k] = max(lo[k], offset[pos])
-            hi[k] = min(hi[k], offset[pos] + shape[pos])
+            hi[k] = min(hi[k], offset[pos] + values.shape[pos])
     if lo.min() == np.iinfo(np.int64).min:
         raise ValueError("every lattice axis must be spanned by some block")
-    batch = np.broadcast_shapes(
-        *(values.shape[: values.ndim - len(axes)] for values, axes, _ in blocks)
-    )
     if np.any(hi <= lo):
-        return np.zeros(batch) if batch else 0.0
+        return 0.0
     operands = []
     for (values, axes, offset), p in zip(blocks, exponents):
         window = tuple(
             slice(int(lo[k] - offset[pos]), int(hi[k] - offset[pos])) for pos, k in enumerate(axes)
         )
-        operands += [np.power(values[(Ellipsis, *window)], p), [Ellipsis, *axes]]
+        operands += [np.power(values[window], p), axes]
+    return float(np.einsum(*operands, []))
+
+
+def pulled_back_lines(y0: float, slope: float, origin: float, spacing: float, size: int,
+                      y_lo: float, y_hi: float) -> np.ndarray:
+    """The u at which y0 + slope u crosses a line origin + k spacing
+    (0 <= k <= size) of one lattice axis, for the k of the cells that
+    [y_lo, y_hi] meets and one more each side against rounding."""
+    k_lo = max(math.floor((y_lo - origin) / spacing) - 1, 0)
+    k_hi = min(math.floor((y_hi - origin) / spacing) + 1, size)
+    return (origin + np.arange(float(k_lo), k_hi + 1.0) * spacing - y0) / slope
+
+
+def _weighted_contraction(tables, subs, widths) -> np.ndarray:
+    """Sum over the refined cells of the product of the tables times the
+    product of the axes' widths, with widths[a] of shape (..., n_a): the
+    leading dimensions are batch axes, one sum each.  Each axis' widths
+    are folded into the first table that reads it, an axis no table reads
+    contributes its width sum, and the product is one einsum with the
+    default unoptimised contraction (a path search, or a BLAS route with
+    its buffers, costs more than it saves at these sizes)."""
+    operands, folded = [], set()
+    for table, sub in zip(tables, subs):
+        for pos, a in enumerate(sub):
+            if a not in folded:
+                folded.add(a)
+                w = widths[a]
+                table = table * w.reshape(w.shape[:-1] + (1,) * pos + (-1,)
+                                          + (1,) * (len(sub) - pos - 1))
+        operands += [table, [Ellipsis, *sub]]
     total = np.einsum(*operands, [Ellipsis])
-    return total if batch else float(total)
+    for a, w in enumerate(widths):
+        if a not in folded:
+            total = total * w.sum(axis=-1)
+    return total
+
+
+def lattice_box(reads, grids, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box of R^d where the lattices of `grid_product_integral`'s rows
+    and grids all hold (lo > hi on some axis when it is empty), each end
+    a pulled-back lattice line; an axis no row reads is refused."""
+    lo, hi = [-math.inf] * d, [math.inf] * d
+    for own, (values, origin, spacing) in zip(reads, grids):
+        for (a, slope, y0), o, size in zip(own, origin.tolist(), values.shape[values.ndim - len(own):]):
+            ends = sorted(((o - y0) / slope, (o + size * spacing - y0) / slope))
+            lo[a], hi[a] = max(lo[a], ends[0]), min(hi[a], ends[1])
+    if -math.inf in lo:
+        raise UnboundedDomainError("inputs have unbounded composite support")
+    return np.array(lo), np.array(hi)
+
+
+def grid_product_integral(reads, grids, exponents, box, cuts=None, weights=None) -> np.ndarray:
+    """Exact integral over the axis box (lo, hi) of prod_j f_j(y0_j + J_j u)^{p_j}
+    for piecewise-constant lattice functions f_j, zero off their lattices
+    (an empty box integrates to 0).
+
+    reads[j] lists the rows of map j as (axis, slope, y0): row r of y_j is
+    y0 + slope * u[axis], with no two rows of a map on one axis.  grids[j]
+    is (values, origin, spacing): values[..., i] holds on the cell
+    origin + spacing * [i, i + 1) of the rows, and leading dimensions are
+    batch axes, broadcast across the maps.
+
+    Each axis is cut at the box ends, at every lattice line a row reading
+    it pulls back and at cuts[a] when given.  The integrand is constant
+    on the refined cells, so the integral is one contraction of each
+    map's table, gathered at the refined midpoints, weighted by the
+    cells' widths.  weights(a, mids) may return a (k, n_a) factor on the
+    widths of axis a, giving k integrals ahead of the batch axes.
+    Returns an array of one integral per batch index.
+    """
+    lo = np.asarray(box[0], dtype=float)
+    hi = np.maximum(np.asarray(box[1], dtype=float), lo)
+    pieces = [[lo[a:a + 1], hi[a:a + 1]] for a in range(lo.size)]
+    for a, c in enumerate(cuts or []):
+        pieces[a].append(c)
+    ends = list(zip(lo.tolist(), hi.tolist()))
+    for own, (values, origin, spacing) in zip(reads, grids):
+        for (a, slope, y0), o, size in zip(own, origin.tolist(), values.shape[values.ndim - len(own):]):
+            y_ends = sorted((y0 + slope * ends[a][0], y0 + slope * ends[a][1]))
+            pieces[a].append(pulled_back_lines(y0, slope, o, spacing, size, *y_ends))
+    mids, widths = [], []
+    for a, piece in enumerate(pieces):
+        u = np.sort(np.minimum(np.maximum(np.concatenate(piece), ends[a][0]), ends[a][1]))
+        keep = np.ones(u.size, dtype=bool)
+        np.greater(u[1:], u[:-1], out=keep[1:])
+        u = u[keep]
+        mids.append(0.5 * (u[:-1] + u[1:]))
+        widths.append(u[1:] - u[:-1] if weights is None else (u[1:] - u[:-1]) * weights(a, mids[a]))
+    tables = []
+    for own, (values, origin, spacing), p in zip(reads, grids, exponents):
+        rank = len(own)
+        shape = values.shape[values.ndim - rank:]
+        cells = [np.floor((y0 + slope * mids[a] - o) / spacing)
+                 for (a, slope, y0), o in zip(own, origin.tolist())]
+        # the cells run monotonically along each axis, so their ends tell
+        # whether any midpoint is off the lattice and must read the zero pad
+        if all(c.size == 0 or (min(c[0], c[-1]) >= 0 and max(c[0], c[-1]) < size)
+               for c, size in zip(cells, shape)):
+            source = values
+        else:
+            source = _zero_padded(values, rank)
+            cells = [_padded_cell(c, size) for c, size in zip(cells, shape)]
+        index = [c.astype(np.intp).reshape((-1,) + (1,) * (rank - 1 - r)) for r, c in enumerate(cells)]
+        # C order: einsum sums in memory order, so a batch row then takes
+        # the same steps as its own call
+        tables.append(np.power(source[(Ellipsis, *index)], p, order="C"))
+    return _weighted_contraction(tables, [[a for a, _, _ in own] for own in reads], widths)
 
 
 def discrete_finner(
@@ -329,48 +434,6 @@ def _is_scaled_projection_datum(datum: BLDatum) -> bool:
     return all(is_scaled_projection(B) for B in datum.maps)
 
 
-def _is_coordinate_projection_datum(datum: BLDatum) -> bool:
-    """Scaled projections whose nonzero entries are all 1."""
-    return _is_scaled_projection_datum(datum) and all(
-        np.all((B == 0.0) | (B == 1.0)) for B in datum.maps
-    )
-
-
-def _lattice_aligned(grids: list[GridFunction]) -> bool:
-    h = grids[0].spacing
-    for g in grids:
-        if abs(g.spacing - h) > 1e-12 * h:
-            return False
-        if np.any(np.abs(np.round(g.origin / h) - g.origin / h) > 1e-9):
-            return False
-    return True
-
-
-def _lattice_bl_exact(datum: BLDatum, grids: list[GridFunction]) -> float:
-    """Ratio for coordinate projections and lattice-aligned grids.
-
-    The integrand is constant on lattice cells, so the integral is an
-    exact finite sum; this is the midpoint rule at lattice resolution.
-    """
-    ratio = _lattice_ratios(
-        datum, [g.values for g in grids], [g.origin for g in grids], grids[0].spacing,
-        [g.integral() for g in grids],
-    )
-    return float(ratio)
-
-
-def _lattice_ratios(datum: BLDatum, values, origins, h: float, masses):
-    """`_lattice_bl_exact` for values[j] of shape (..., *shape_j) on the
-    lattice cells from origins[j] with masses[j] of shape (...): one
-    ratio per leading index, each the same bits as its own call."""
-    blocks = [
-        (v, [int(np.argmax(row)) for row in B], np.round(o / h).astype(np.int64))
-        for B, v, o in zip(datum.maps, values, origins)
-    ]
-    numerator = lattice_product_sum(blocks, datum.p, datum.d) * h**datum.d
-    return numerator / np.prod([np.power(m, pj) for m, pj in zip(masses, datum.p)], axis=0)
-
-
 @dataclass
 class BallReport:
     """Two-sided factorisation check of the ratio under convolution."""
@@ -412,17 +475,25 @@ def ball_inequality_report(
         if g.integral() <= 0:
             raise ZeroMassError("all input masses must be positive")
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    fast = (
-        _is_coordinate_projection_datum(datum)
-        and _lattice_aligned(f + fprime)
-        and _x_grid_on_lattice(x_grid, f[0].spacing)
-    )
-    value_only = replace(spec, error_estimate=False)
+    if _is_scaled_projection_datum(datum):
+        # every map reads its axes and slopes once: exact on any lattices
+        reads = [[(int(a), float(B[r, a]), 0.0) for r, a in enumerate(np.argmax(B != 0.0, axis=1))]
+                 for B in datum.maps]
+
+        def ratios(grids, masses) -> np.ndarray:
+            box = lattice_box(reads, grids, datum.d)
+            numerator = grid_product_integral(reads, grids, datum.p, box)
+            return numerator / np.prod([np.power(m, pj) for m, pj in zip(masses, datum.p)], axis=0)
+    else:
+        value_only = replace(spec, error_estimate=False)
+
+        def ratios(grids, masses) -> np.ndarray:
+            rows = [[GridFunction(o, h, row) for row in v] for v, o, h in grids]
+            return np.array([bl_ratio(datum, list(x), None, value_only)[0] for x in zip(*rows)])
 
     def ratio(inputs: list[GridFunction]) -> float:
-        if fast:
-            return _lattice_bl_exact(datum, inputs)  # exact piecewise path
-        return bl_ratio(datum, inputs, None, value_only)[0]
+        grids = [(g.values[None], g.origin, g.spacing) for g in inputs]
+        return float(ratios(grids, [np.array([g.integral()]) for g in inputs])[0])
 
     bl_f = ratio(f)
     bl_fp = ratio(fprime)
@@ -431,17 +502,6 @@ def ball_inequality_report(
         raise ZeroMassError("R(f) R(f') is 0: the composite support of f or f' has no volume")
     conv_inputs = [convolve_grids(fj, fpj) for fj, fpj in zip(f, fprime)]
     conv_term = _conv_ratio(datum, conv_inputs, spec)
-    origins = [fpj.origin for fpj in fprime]
-
-    def ratios(values: list[np.ndarray], masses: list[np.ndarray]) -> np.ndarray:
-        if fast:
-            return _lattice_ratios(datum, values, origins, f[0].spacing, masses)
-        # g_j^x lies on the lattice of f'_j, at the spacing of f_j (each map its own)
-        grids = [
-            [GridFunction(o, fj.spacing, row) for row in v] for fj, o, v in zip(f, origins, values)
-        ]
-        return np.array([bl_ratio(datum, list(x), None, value_only)[0] for x in zip(*grids)])
-
     sweep = _sup_sweep(datum, f, fprime, x_grid, ratios)
     excluded = int(np.count_nonzero(sweep == -np.inf))
     if excluded == len(sweep):
@@ -462,17 +522,14 @@ def ball_inequality_report(
     )
 
 
-def _x_grid_on_lattice(x_grid: np.ndarray, h: float) -> bool:
-    return bool(np.all(np.abs(np.round(x_grid / h) - x_grid / h) < 1e-9))
-
-
 def _sup_sweep(datum: BLDatum, f, fprime, x_grid: np.ndarray, ratios) -> np.ndarray:
     """R((g_j^x)_j) for every x of x_grid, and -inf where some g_j^x is off
     its lattice or has zero mass.
 
     The x are taken in `blocks` whose localised products hold at most
-    BLOCK_ENTRIES entries per map.  ratios maps the kept (n, *shape f'_j)
-    values and (n,) masses of every map to the n ratios.
+    BLOCK_ENTRIES entries per map.  g_j^x lies on the lattice of f'_j at
+    the spacing of f_j; ratios maps the kept (values (n, *shape f'_j),
+    origin, spacing) of every map and their (n,) masses to the n ratios.
     """
     out = np.full(len(x_grid), -np.inf)
     for block in blocks(len(x_grid), max(fpj.values.size for fpj in fprime)):
@@ -483,11 +540,11 @@ def _sup_sweep(datum: BLDatum, f, fprime, x_grid: np.ndarray, ratios) -> np.ndar
             g, off_lattice = _localised_products(fj, fpj, xs @ B.T)
             mass = g.reshape(len(xs), -1).sum(axis=1) * fj.spacing**fpj.dim
             kept &= ~off_lattice & (mass > 0.0)
-            values.append(g)
+            values.append((g, fpj.origin, fj.spacing))
             masses.append(mass)
         if np.any(kept):
-            kept_values = [g[kept] for g in values]
-            out[block][kept] = ratios(kept_values, [m[kept] for m in masses])
+            grids = [(g[kept], o, h) for g, o, h in values]
+            out[block][kept] = ratios(grids, [m[kept] for m in masses])
     return out
 
 

@@ -8,7 +8,9 @@ B_j = dB_j(0) o Phi_j controls the nonlinear drift, and the resulting
 tube images are provably disjoint.  Every quantitative step is exposed
 as a certificate that can be rechecked independently.  Each input is
 clipped to its image window once, and the induction step's buffer masses
-are the masses the ladders selected.
+are the masses the ladders selected.  The cube integrals on linearised
+maps are `quadrature.grid_product_integral` on the cube, cut also at
+the decomposition's edges, with its certified drift band.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from .exterior import cross_like, null_space
 from .geometry import SlabCells, grid_points, grid_polygon_mass
 from .inputs import GridFunction
 from .nonlinear import NonlinearMapFamily, RegularityError
-from .quadrature import _midpoint_integral, is_scaled_projection, lattice_product_sum
+from .quadrature import (
+    _midpoint_integral,
+    grid_product_integral,
+    is_scaled_projection,
+    lattice_product_sum,
+    pulled_back_lines,
+)
 
 
 class ScaleError(ValueError):
@@ -59,14 +67,8 @@ class Cube:
         return self.center + self.side * grid_points([[-0.5, 0.5]] * self.d)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        # One column at a time: an (N, d) array against a (d,) vector runs
-        # numpy's inner loop only d elements long.
-        points = np.atleast_2d(points)
-        limit = self.side / 2.0 * (1 + 1e-12)
-        inside = np.abs(points[:, 0] - self.center[0]) <= limit
-        for i in range(1, self.d):
-            inside &= np.abs(points[:, i] - self.center[i]) <= limit
-        return inside
+        return np.all(np.abs(np.atleast_2d(points) - self.center) <= self.side / 2.0 * (1 + 1e-12),
+                      axis=1)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         half = self.side / 2.0
@@ -466,24 +468,6 @@ class Decomposition:
     def certificates_hold(self) -> bool:
         return all(seq.certificates_hold() for seq in self.sequences)
 
-    def _search(self, points: np.ndarray):
-        """Per-axis parameters T of global points, one column per axis, and
-        their searchsorted positions in the interval edges, one row per
-        axis.  The queries are searched in the order given: the midpoint
-        sweep's come nearly sorted, and sorting them first and scattering
-        the positions back cost more than it saved (on a 2-vCPU Xeon, the
-        three searches of one 4096-point block of the 64^3 flagship sweep
-        took 345-432 us sorted and 153-192 us in order)."""
-        points = np.atleast_2d(points)
-        local = np.empty(points.shape)
-        for i, c in enumerate(self.cube.center):
-            np.subtract(points[:, i], c, out=local[:, i])
-        T = self.frame.t_values(local)
-        pos = np.empty((len(self.edges), len(T)), dtype=np.intp)
-        for i, e in enumerate(self.edges):
-            pos[i] = np.searchsorted(e, T[:, i], side="left")
-        return T, pos
-
     def locate_points(self, points: np.ndarray):
         """Cell assignment of global points.
 
@@ -491,8 +475,10 @@ class Decomposition:
         column per axis.  Points outside the covered parameter range or
         outside the cube are marked invalid.
         """
-        T, pos = self._search(points)
-        pos = pos.T
+        points = np.atleast_2d(points)
+        T = self.frame.t_values(points - self.cube.center)
+        pos = np.stack([np.searchsorted(e, T[:, i], side="left") for i, e in enumerate(self.edges)],
+                       axis=1)
         last = np.array([len(e) - 1 for e in self.edges])
         valid = self.cube.contains(points) & np.all((pos >= 1) & (pos <= last), axis=1)
         k = np.clip(pos, 1, last) - 1
@@ -505,15 +491,9 @@ class Decomposition:
 
     def main_cells(self, points: np.ndarray) -> np.ndarray:
         """Mask of the points in the cube that lie in a main cell (chi = 0
-        on every axis): `valid & all(chi == 0)` of `locate_points`, which
-        holds where every position is even and within [1, len(e) - 1].
-        Every edge array has odd length, so an even position never passes
-        the last edge."""
-        _, pos = self._search(points)
-        main = self.cube.contains(points)
-        for row in pos:
-            main &= ((row & 1) == 0) & (row > 0)
-        return main
+        on every axis)."""
+        _, chi, valid, _ = self.locate_points(points)
+        return valid & np.all(chi == 0, axis=1)
 
     def sample_cells(
         self, rng: np.random.Generator, chi: np.ndarray, count: int
@@ -805,30 +785,6 @@ def _union_length(starts: np.ndarray, ends: np.ndarray) -> float:
     return float(np.maximum(ends - np.maximum(starts, reach), 0.0).sum())
 
 
-def _weighted_contraction(tables, subs, widths) -> np.ndarray:
-    """Sum over the refined cells of the product of the tables times the
-    product of the axes' widths, with widths[a] of shape (..., n_a): the
-    leading dimensions are batch axes, one sum each.  Each axis' widths
-    are folded into the first table that reads it, an axis no table reads
-    contributes its width sum, and the product is one einsum with the
-    default unoptimised contraction (a path search, or a BLAS route with
-    its buffers, costs more than it saves at these sizes)."""
-    operands, folded = [], set()
-    for table, sub in zip(tables, subs):
-        for pos, a in enumerate(sub):
-            if a not in folded:
-                folded.add(a)
-                w = widths[a]
-                table = table * w.reshape(w.shape[:-1] + (1,) * pos + (-1,)
-                                          + (1,) * (len(sub) - pos - 1))
-        operands += [table, [Ellipsis, *sub]]
-    total = np.einsum(*operands, [Ellipsis])
-    for a, w in enumerate(widths):
-        if a not in folded:
-            total = total * w.sum(axis=-1)
-    return total
-
-
 def cube_integrals(
     maps: list[NonlinearMapFamily],
     cube: Cube,
@@ -843,12 +799,10 @@ def cube_integrals(
     When every map's Jacobian at the centre is a scaled coordinate
     projection (and, with deco, the frame's t_matrix is diagonal, so every
     main cell is a product of intervals), the linearised integrand
-    prod_j f_j(B_j(c) + J_j (x - c))^p is constant on a product of
-    intervals: each cube axis is cut at the grid lines pulled back by
-    every row that reads it (and at the decomposition's edges), each
-    map's table of f_j^p is gathered at the refined midpoints, and one
-    contraction weighted by the widths gives the integral (with the widths
-    masked to the main intervals, the main one).  A map moves off its
+    prod_j f_j(B_j(c) + J_j (x - c))^p is piecewise constant on the
+    cube, and `quadrature.grid_product_integral` integrates it exactly,
+    with the decomposition's edges as extra cuts and, for the main part,
+    the widths masked to the main intervals.  A map moves off its
     linearisation by at most its drift allowance, so the integrands can
     differ only within drift / |J[r, a]| of a pulled-back line; the union
     L_a of those bands on each axis bounds the volume where they do by
@@ -869,52 +823,36 @@ def cube_integrals(
     if not exact:
         return _midpoint_cube_integrals(maps, cube, inputs, p, resolution, deco)
     half = cube.side / 2.0
-    # each axis is cut at the grid lines every row reading it pulls back,
-    # in local coordinates u = x_a - c_a, and banded by the row's drift
-    cuts = [[np.array([-half, half])] for _ in range(d)]
-    starts, ends = [[] for _ in range(d)], [[] for _ in range(d)]
-    reads = []  # per map, the (cube axis, slope, value at the centre) of each row
+    # in local coordinates u = x - c, row r of map j reads y0 + J[r, a] u_a;
+    # it moves off that by at most the map's drift allowance, so its value
+    # can change only within drift / |J[r, a]| of a pulled-back lattice line
+    reads, starts, ends = [], [[] for _ in range(d)], [[] for _ in range(d)]
     for fam, J, f in zip(maps, jacobians, inputs):
         axes = np.argmax(J != 0.0, axis=1).tolist()
         own = [(a, float(J[r, a]), y0) for r, (a, y0) in enumerate(zip(axes, fam.value(center)[0]))]
         reads.append(own)
         drift = fam.drift_allowance(cube.side)
         for r, (a, slope, y0) in enumerate(own):
-            # the lattice lines within reach of the cube's image, one more
-            # each side against rounding; lines beyond the lattice change
-            # no value (every point off it reads the pad)
             reach = abs(slope) * half + drift
-            k_lo, k_hi = np.floor((np.array([y0 - reach, y0 + reach]) - f.origin[r]) / f.spacing)
-            k = np.arange(max(k_lo - 1.0, 0.0), min(k_hi + 1.0, f.values.shape[r]) + 1.0)
-            lines = (f.origin[r] + k * f.spacing - y0) / slope
-            cuts[a].append(np.clip(lines, -half, half))
+            lines = pulled_back_lines(y0, slope, f.origin[r], f.spacing, f.values.shape[r],
+                                      y0 - reach, y0 + reach)
             width = drift / abs(slope)
             starts[a].append(np.maximum(lines - width, -half))
             ends[a].append(np.minimum(lines + width, half))
-    if deco is not None:
-        for a, e in enumerate(deco.edges):
-            cuts[a].append(np.clip(e / scale[a], -half, half))
-    mids, widths = [], []
-    for a in range(d):
-        u = np.sort(np.concatenate(cuts[a]))
-        u = u[np.append(True, u[1:] > u[:-1])]
-        mids.append(0.5 * (u[:-1] + u[1:]))
-        widths.append(np.diff(u))
-    tables = [
-        np.power(f.product_values([y0 + slope * mids[a] for a, slope, y0 in own]), p)
-        for f, own in zip(inputs, reads)
-    ]
-    subs = [[a for a, _, _ in own] for own in reads]
+    grids = [(f.values, f.origin, f.spacing) for f in inputs]
+    box = (np.full(d, -half), np.full(d, half))
     if deco is None:
-        lhs, main_lhs = float(_weighted_contraction(tables, subs, widths)), None
+        lhs, main_lhs = float(grid_product_integral(reads, grids, [p] * len(maps), box)), None
     else:
-        # a refined interval is main where its searchsorted position in the
-        # edges is even and positive, as in `Decomposition.main_cells`
-        stacked = []
-        for a, e in enumerate(deco.edges):
-            pos = np.searchsorted(e, mids[a] * scale[a], side="left")
-            stacked.append(np.stack([widths[a], widths[a] * (((pos & 1) == 0) & (pos > 0))]))
-        lhs, main_lhs = _weighted_contraction(tables, subs, stacked).tolist()
+        def main_mask(a: int, mids: np.ndarray) -> np.ndarray:
+            # a refined interval is main where its searchsorted position in
+            # the edges is even and positive (chi = 0 in `locate_points`)
+            pos = np.searchsorted(deco.edges[a], mids * scale[a], side="left")
+            return np.stack([np.ones(mids.size), ((pos & 1) == 0) & (pos > 0)])
+
+        cuts = [e / scale[a] for a, e in enumerate(deco.edges)]
+        lhs, main_lhs = grid_product_integral(reads, grids, [p] * len(maps), box, cuts,
+                                              main_mask).tolist()
     band = sum(_union_length(np.concatenate(starts[a]), np.concatenate(ends[a]))
                for a in range(d) if starts[a])
     peak = math.prod(float(f.values.max(initial=0.0)) ** p for f in inputs)

@@ -18,21 +18,20 @@ from blt.inputs import (
 from blt.quadrature import (
     QuadratureSpec,
     UnboundedDomainError,
-    _is_coordinate_projection_datum,
     _is_scaled_projection_datum,
-    _lattice_aligned,
-    _lattice_bl_exact,
     _localised_products,
     _map_factors,
     _product_integrand,
     _support_region,
-    _x_grid_on_lattice,
     ball_inequality_report,
     bl_ratio,
     canonical_extremizer,
     discrete_finner,
+    grid_product_integral,
+    lattice_box,
     lattice_product_sum,
 )
+from blt.geometry import grid_points
 from tests.conftest import loomis_whitney_maps, random_class_c_datum
 from tests.polytope_oracle import box_preimage_volume
 
@@ -197,13 +196,27 @@ class TestScaledProjections:
         assert got[0] == pytest.approx(want[0] / denom, rel=1e-12, abs=0)
         assert got[1] == pytest.approx(want[1] / denom, rel=1e-12, abs=1e-12 * got[0])
 
-    def test_scaled_but_not_unit_maps_leave_the_lattice_path(self, lw_datum):
-        datum = scaled_lw_datum()
-        assert _is_scaled_projection_datum(datum) and not _is_coordinate_projection_datum(datum)
-        assert _is_coordinate_projection_datum(lw_datum)
+    def test_only_scaled_projections_take_the_exact_grid_integral(self, monkeypatch):
+        # a row on two axes sends every ratio to bl_ratio; scaled rows send
+        # R(f), R(f') and the sweep's one block to the exact grid integral
+        from blt import quadrature
+
+        calls = []
+        kernel = quadrature.grid_product_integral
+        monkeypatch.setattr(quadrature, "grid_product_integral",
+                            lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
         mixed = BLDatum(3, [np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
                             *loomis_whitney_maps()[1:]], np.full(3, 0.5))
+        rng = np.random.default_rng(14)
+        f = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (2, 2))) for _ in range(3)]
+        x_grid = lattice_x_grid([0.0] * 3, [2.0] * 3, 1.0)
+        spec = QuadratureSpec(resolution=8)
         assert not _is_scaled_projection_datum(mixed)
+        ball_inequality_report(mixed, f, f, x_grid, spec)
+        assert not calls
+        doubled = BLDatum(3, [2.0 * B for B in loomis_whitney_maps()], np.full(3, 0.5))
+        ball_inequality_report(doubled, f, f, x_grid / 2.0, spec)
+        assert len(calls) == 3
 
     def test_ball_check_on_doubled_maps(self):
         # doubled maps: every R is 1/8 of the unit-map value at the halved x
@@ -427,6 +440,124 @@ class TestBlRatio:
         assert abs(fine - coarse) <= 3 * max(err, 1e-4)
 
 
+def random_reads(rng, d, ranks):
+    """One map per rank: rows on distinct random axes with slopes of
+    either sign and size 0.3-2.5, and offsets y0 within 0.5."""
+    reads = []
+    for rank in ranks:
+        axes = rng.choice(d, size=rank, replace=False)
+        slopes = rng.choice([-1.0, 1.0], rank) * rng.uniform(0.3, 2.5, rank)
+        reads.append([(int(a), float(s), float(y)) for a, s, y in
+                      zip(axes, slopes, rng.uniform(-0.5, 0.5, rank))])
+    return reads
+
+
+def random_grids(rng, reads):
+    """One GridFunction per map, on its own spacing and non-aligned origin,
+    with about a fifth of its cells 0."""
+    grids = []
+    for own in reads:
+        shape = rng.integers(2, 7, len(own))
+        values = rng.uniform(0.2, 2.0, shape) * (rng.uniform(size=shape) > 0.2)
+        grids.append(GridFunction(rng.uniform(-1.5, -0.5, len(own)), float(rng.uniform(0.3, 0.8)),
+                                  values))
+    return grids
+
+
+def covering_case(rng):
+    """Loomis-Whitney rows with slopes of either sign and size 0.3-2.5 and
+    offsets within 0.3, and positive grids on their own spacings and
+    non-aligned origins that cover the image of [-0.5, 0.5]^3."""
+    reads = []
+    for axes in ([1, 2], [0, 2], [0, 1]):
+        slopes = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.3, 2.5, 2)
+        reads.append([(a, float(s), float(y)) for a, s, y in zip(axes, slopes, rng.uniform(-0.3, 0.3, 2))])
+    grids = [GridFunction(rng.uniform(-2.1, -1.8, 2), float(rng.uniform(0.3, 0.6)),
+                          rng.uniform(0.2, 2.0, (14, 14))) for _ in reads]
+    return reads, grids
+
+
+def as_tuples(grids):
+    return [(g.values, g.origin, g.spacing) for g in grids]
+
+
+class TestGridProductIntegral:
+    def test_hand_computed_line(self):
+        # y = 1 - 2u on u in [-1, 1] reads f = (1, 2) on [0, 1) and [1, 2):
+        # 2 on (-1/2, 0], 1 on (0, 1/2]
+        got = grid_product_integral([[(0, -2.0, 1.0)]], [(np.array([1.0, 2.0]), np.zeros(1), 1.0)],
+                                    [1.0], (np.array([-1.0]), np.array([1.0])))
+        assert got.shape == () and float(got) == 1.5
+
+    @pytest.mark.parametrize("d, ranks", [(1, [1, 1]), (2, [1, 2, 1]), (3, [2, 2, 2]),
+                                          (3, [1, 2, 3]), (4, [3, 1, 2])])
+    def test_matches_brute_force(self, d, ranks):
+        # midpoints on and off the lattices, and most integrals positive
+        rng = np.random.default_rng(100 + 10 * d + len(ranks))
+        positive = 0
+        for _ in range(20):
+            reads = random_reads(rng, d, ranks)
+            grids = random_grids(rng, reads)
+            exponents = rng.uniform(0.2, 1.5, len(ranks))
+            box = (rng.uniform(-1.0, -0.2, d), rng.uniform(0.2, 1.0, d))
+            got = grid_product_integral(reads, as_tuples(grids), exponents, box)
+            want = brute_integral(reads, grids, exponents, box)
+            assert got.shape == ()
+            assert float(got) == pytest.approx(want, rel=1e-12, abs=1e-300)
+            positive += want > 0
+        assert positive >= 12
+
+    def test_extra_cuts_change_nothing_but_rounding(self):
+        reads, grids = covering_case(np.random.default_rng(7))
+        box = (np.full(3, -0.5), np.full(3, 0.5))
+        want = brute_integral(reads, grids, [0.5] * 3, box)
+        cuts = [np.random.default_rng(a).uniform(-1.0, 1.0, 7) for a in range(3)]
+        got = grid_product_integral(reads, as_tuples(grids), [0.5] * 3, box, cuts)
+        assert float(got) == pytest.approx(want, rel=1e-12, abs=0) and want > 0
+
+    def test_weights_mask_the_widths(self):
+        # a mask below a cut gives the integral over the box cut short there
+        reads, grids = covering_case(np.random.default_rng(8))
+        box = (np.full(3, -0.5), np.full(3, 0.5))
+        cuts = [np.array([0.1]), np.array([]), np.array([])]
+
+        def below(a, mids):
+            return np.stack([np.ones(mids.size), (mids < 0.1) | (a > 0)])
+
+        whole, part = grid_product_integral(reads, as_tuples(grids), [0.5] * 3, box, cuts, below)
+        assert whole == grid_product_integral(reads, as_tuples(grids), [0.5] * 3, box, cuts)
+        short = brute_integral(reads, grids, [0.5] * 3, (box[0], np.array([0.1, 0.5, 0.5])))
+        assert part == pytest.approx(short, rel=1e-12, abs=0) and 0 < part < whole
+
+    def test_empty_box_gives_zero(self):
+        # an inverted box and a flat one; disjoint lattices give an inverted box
+        reads, grids = covering_case(np.random.default_rng(9))
+        for hi in (np.array([0.5, -0.6, 0.5]), np.array([0.5, -0.5, 0.5])):
+            got = grid_product_integral(reads, as_tuples(grids), [0.5] * 3, (np.full(3, -0.5), hi))
+            assert got.shape == () and got == 0.0
+        apart = as_tuples(grids)
+        apart[0] = (apart[0][0], apart[0][1] + 40.0, apart[0][2])
+        lo, hi = lattice_box(reads, apart, 3)
+        assert np.any(lo > hi)
+        assert grid_product_integral(reads, apart, [0.5] * 3, (lo, hi)) == 0.0
+
+    def test_unread_axis_is_unbounded(self):
+        with pytest.raises(UnboundedDomainError):
+            lattice_box([[(0, 1.0, 0.0)]], [(np.ones(2), np.zeros(1), 1.0)], 2)
+
+    def test_batch_rows_are_their_single_calls(self):
+        rng = np.random.default_rng(10)
+        reads, grids = covering_case(rng)
+        box = (np.full(3, -0.5), np.full(3, 0.5))
+        batched = [(np.stack([g.values * rng.uniform(0.5, 2.0, g.values.shape) for _ in range(5)]),
+                    g.origin, g.spacing) for g in grids]
+        got = grid_product_integral(reads, batched, [0.5] * 3, box)
+        assert got.shape == (5,)
+        for i in range(5):
+            single = [(v[i], o, h) for v, o, h in batched]
+            assert got[i] == grid_product_integral(reads, single, [0.5] * 3, box)
+
+
 class TestDiscreteFinner:
     def test_constant_inputs_equality(self):
         lhs, rhs = discrete_finner([np.ones((2, 2))] * 3, lw_scheme())
@@ -595,21 +726,64 @@ class TestLocalisedProduct:
         assert not got[off_lattice].any() and got[1].any()
 
 
-def loop_sup(datum, f, fprime, x_grid, spec):
-    """lhs and the per-x sup sweep: one localisation per map and one ratio
-    per x, ties going to the first x.  Returns (lhs, sup_term, sup_argmax,
-    excluded)."""
-    fast = (
-        _is_coordinate_projection_datum(datum)
-        and _lattice_aligned(f + fprime)
-        and _x_grid_on_lattice(x_grid, f[0].spacing)
-    )
+def lattice_ratio(datum, grids):
+    """R for unit coordinate projections and grids on one lattice through
+    the aligned lattice sum, scaled by the cell volume."""
+    h = grids[0].spacing
+    blocks = [(g.values, [int(np.argmax(row)) for row in B], np.round(g.origin / h).astype(np.int64))
+              for B, g in zip(datum.maps, grids)]
+    numerator = lattice_product_sum(blocks, datum.p, datum.d) * h**datum.d
+    return numerator / np.prod([np.power(g.integral(), pj) for g, pj in zip(grids, datum.p)])
 
-    def ratio(inputs):
-        if fast:
-            return _lattice_bl_exact(datum, inputs)
-        return bl_ratio(datum, inputs, None, replace(spec, error_estimate=False))[0]
 
+def brute_integral(reads, grids, exponents, box):
+    """Reference for grid_product_integral on unbatched GridFunctions: each
+    axis of the box is cut at every pulled-back lattice line of every
+    row, and the integrand, by `evaluate` at the (N, d) midpoints of the
+    whole product grid, is summed against the cell volumes."""
+    lo, hi = (np.asarray(b, dtype=float) for b in box)
+    if np.any(hi <= lo):
+        return 0.0
+    cuts = [[lo[a], hi[a]] for a in range(lo.size)]
+    for own, g in zip(reads, grids):
+        for r, (a, slope, y0) in enumerate(own):
+            for k in range(g.values.shape[r] + 1):
+                u = (g.origin[r] + k * g.spacing - y0) / slope
+                if lo[a] < u < hi[a]:
+                    cuts[a].append(u)
+    axes = [np.unique(c) for c in cuts]
+    mids = grid_points([0.5 * (u[1:] + u[:-1]) for u in axes])
+    volumes = np.prod(grid_points([np.diff(u) for u in axes]), axis=1)
+    values = volumes.copy()
+    for own, g, p in zip(reads, grids, exponents):
+        y = np.stack([y0 + slope * mids[:, a] for a, slope, y0 in own], axis=1)
+        values *= g.evaluate(y) ** p
+    return float(values.sum())
+
+
+def datum_reads(datum):
+    return [[(int(a), float(B[r, a]), 0.0) for r, a in enumerate(np.argmax(B != 0.0, axis=1))]
+            for B in datum.maps]
+
+
+def brute_ratio(datum, grids):
+    """R for scaled coordinate projections on any grids by brute_integral
+    over the box every lattice pulls back to."""
+    reads = datum_reads(datum)
+    lo = np.full(datum.d, -np.inf)
+    hi = np.full(datum.d, np.inf)
+    for own, g in zip(reads, grids):
+        for r, (a, slope, _) in enumerate(own):
+            ends = sorted((g.origin[r] / slope, (g.origin[r] + g.values.shape[r] * g.spacing) / slope))
+            lo[a], hi[a] = max(lo[a], ends[0]), min(hi[a], ends[1])
+    numerator = brute_integral(reads, grids, datum.p, (lo, hi))
+    return numerator / np.prod([g.integral() ** pj for g, pj in zip(grids, datum.p)])
+
+
+def loop_sup(datum, f, fprime, x_grid, ratio):
+    """lhs and the per-x sup sweep: one localisation per map and one
+    ratio(datum, grids) per x, ties going to the first x.  Returns (lhs,
+    sup_term, sup_argmax, excluded)."""
     sup_val, sup_arg, excluded = -np.inf, x_grid[0], 0
     for x in x_grid:
         g_inputs = []
@@ -621,12 +795,12 @@ def loop_sup(datum, f, fprime, x_grid, spec):
         if len(g_inputs) < datum.m:
             excluded += 1
             continue
-        val = ratio(g_inputs)
+        val = ratio(datum, g_inputs)
         if val > sup_val:
             sup_val, sup_arg = val, x
     if not np.isfinite(sup_val):
         raise ZeroMassError("every grid point produced a zero-mass localisation")
-    return ratio(f) * ratio(fprime), sup_val, sup_arg, excluded
+    return ratio(datum, f) * ratio(datum, fprime), sup_val, sup_arg, excluded
 
 
 def loop_conv_ratio(datum, f, fprime, spec):
@@ -678,13 +852,13 @@ def sweep_case(name, lw_datum):
         fp = [GridFunction(np.zeros(2), 1.0, np.ones((1, 1)))] * 3
         return lw_datum, f, fp, lattice_x_grid([-1.0] * 3, [4.0] * 3, 1.0)
     if name == "non-coordinate":
-        # doubled maps: the general path, one bl_ratio per kept x
+        # doubled maps: scaled projections off the unit lattice sum
         datum = BLDatum(3, [2 * B for B in loomis_whitney_maps()], np.full(3, 0.5))
         f = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (2, 2))) for _ in range(3)]
         fp = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (2, 2))) for _ in range(3)]
         return datum, f, fp, lattice_x_grid([0.0] * 3, [2.0] * 3, 0.5)
     if name == "mixed-spacing":
-        # map 1 on a finer lattice: the general path, each g_j^x at the spacing of f_j;
+        # map 1 on a finer lattice, each g_j^x at the spacing of f_j;
         # the x on the half lattice are off the lattices of maps 0 and 2
         h = [1.0, 0.5, 1.0]
         f = [GridFunction(np.zeros(2), hj, rng.uniform(0.5, 1.5, (3, 2))) for hj in h]
@@ -699,18 +873,38 @@ class TestSupSweep:
         ["random", "excluded", "off-lattice", "single-cell", "non-coordinate", "mixed-spacing"],
     )
     def test_matches_per_x_loop(self, lw_datum, name):
+        # unit projections on one lattice keep the bits of the lattice sum;
+        # the other scaled projections are held to the brute-force integral
         datum, f, fp, x_grid = sweep_case(name, lw_datum)
         spec = QuadratureSpec("tensor-midpoint", resolution=8)
         report = ball_inequality_report(datum, f, fp, x_grid, spec)
-        lhs, sup_term, sup_argmax, excluded = loop_sup(datum, f, fp, x_grid, spec)
-        assert report.sup_term == sup_term
+        aligned = name not in ("non-coordinate", "mixed-spacing")
+        ratio = lattice_ratio if aligned else brute_ratio
+        lhs, sup_term, sup_argmax, excluded = loop_sup(datum, f, fp, x_grid, ratio)
+        if aligned:
+            assert report.sup_term == sup_term
+            assert report.lhs == lhs > 0
+        else:
+            assert report.sup_term == pytest.approx(sup_term, rel=1e-12, abs=0)
+            assert report.lhs == pytest.approx(lhs, rel=1e-12, abs=0) and lhs > 0
         np.testing.assert_array_equal(report.sup_argmax, sup_argmax)
         assert report.excluded_grid_points == excluded
         assert 0 < excluded < len(x_grid)
-        assert report.lhs == lhs > 0
-        if _is_coordinate_projection_datum(datum):
-            slack = sup_term * loop_conv_ratio(datum, f, fp, spec) / lhs - 1.0
-            assert report.slack == pytest.approx(slack, rel=1e-12, abs=0)
+        slack = sup_term * loop_conv_ratio(datum, f, fp, spec) / lhs - 1.0
+        assert report.slack == pytest.approx(slack, rel=1e-12, abs=0)
+
+    def test_off_lattice_x_leaves_the_report(self, lw_datum):
+        # an x the sweep excludes (off the lattice) changes no number
+        rng = np.random.default_rng(3)
+        f, fp = [[GridFunction(np.zeros(2), 1.0, rng.uniform(0.5, 1.5, (3, 3))) for _ in range(3)]
+                 for _ in range(2)]
+        x_grid = lattice_x_grid([0.0] * 3, [5.0] * 3, 1.0)
+        spec = QuadratureSpec(resolution=64)
+        want = ball_inequality_report(lw_datum, f, fp, x_grid, spec)
+        got = ball_inequality_report(lw_datum, f, fp, np.vstack([x_grid, [[0.5] * 3]]), spec)
+        assert (got.lhs, got.sup_term) == (want.lhs, want.sup_term)
+        np.testing.assert_array_equal(got.sup_argmax, want.sup_argmax)
+        assert got.excluded_grid_points == want.excluded_grid_points + 1
 
     def test_ties_go_to_the_first_x(self, lw_datum):
         # unit values and single-cell f': every kept x has ratio exactly 1
@@ -740,7 +934,7 @@ class TestSupSweep:
         f = [GridFunction(np.zeros(2), 1.0, np.ones((2, 2)))] * 3
         far = lattice_x_grid([20.0] * 3, [22.0] * 3, 1.0)
         with pytest.raises(ZeroMassError, match="every grid point"):
-            loop_sup(lw_datum, f, f, far, QuadratureSpec(resolution=8))
+            loop_sup(lw_datum, f, f, far, lattice_ratio)
         with pytest.raises(ZeroMassError, match="every grid point"):
             ball_inequality_report(lw_datum, f, f, far, QuadratureSpec(resolution=8))
 
@@ -790,7 +984,31 @@ class TestCanonicalExtremizer:
         assert value == pytest.approx(bl_constant_classC(datum), rel=1e-9)
 
 
+def loop_convolve(f, g):
+    """Reference for convolve_grids' node values: one shifted copy of g
+    per cell of f."""
+    acc = np.zeros(tuple(a + b - 1 for a, b in zip(f.values.shape, g.values.shape)))
+    for idx in np.ndindex(f.values.shape):
+        window = tuple(slice(i, i + s) for i, s in zip(idx, g.values.shape))
+        acc[window] += f.values[idx] * g.values
+    return acc * f.spacing**f.dim
+
+
 class TestConvolution:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_cell_loop(self, k):
+        rng = np.random.default_rng(60 + k)
+        for _ in range(30):
+            h = float(rng.uniform(0.2, 1.5))
+            f, g = (GridFunction(rng.uniform(-2, 2, k), h,
+                                 rng.uniform(0, 2, rng.integers(1, 5, k)) * (rng.uniform(size=1) > 0.1))
+                    for _ in range(2))
+            conv = convolve_grids(f, g)
+            want = loop_convolve(f, g)
+            assert conv.node_values.shape == want.shape
+            np.testing.assert_allclose(conv.node_values, want, rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(conv.origin, f.origin + g.origin + h)
+
     def test_exact_mass_identity(self):
         rng = np.random.default_rng(7)
         f = GridFunction(np.zeros(2), 0.5, rng.uniform(0, 1, (3, 4)))
@@ -871,13 +1089,15 @@ class TestBallReport:
 
 
 def test_lattice_exact_path_matches_generic_quadrature(lw_datum):
-    # the aligned-lattice shortcut must agree with the midpoint rule when
-    # the rule's cells tile the lattice cells exactly
-    from blt.quadrature import _lattice_bl_exact
-
+    # the exact grid integral must agree with the midpoint rule when the
+    # rule's cells tile the lattice cells exactly
     rng = np.random.default_rng(23)
     grids = [GridFunction(np.zeros(2), 1.0, rng.uniform(0.2, 1.0, (4, 4))) for _ in range(3)]
-    fast = _lattice_bl_exact(lw_datum, grids)
+    box = (np.zeros(3), np.full(3, 4.0))
+    numerator = grid_product_integral(
+        datum_reads(lw_datum), [(g.values, g.origin, g.spacing) for g in grids], lw_datum.p, box
+    )
+    exact = float(numerator) / np.prod([g.integral() ** 0.5 for g in grids])
     spec = QuadratureSpec("tensor-midpoint", resolution=64, error_estimate=False)
-    generic, _ = bl_ratio(lw_datum, grids, (np.zeros(3), np.full(3, 4.0)), spec)
-    assert fast == pytest.approx(generic, rel=1e-12, abs=0)
+    generic, _ = bl_ratio(lw_datum, grids, box, spec)
+    assert exact == pytest.approx(generic, rel=1e-12, abs=0)

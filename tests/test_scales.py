@@ -277,15 +277,20 @@ class TestPigeonhole:
             pigeonhole_sequences(inputs[1], cube, 0, frame, sigma, params, maps[1])
 
 
-def argsort_search(deco, points):
-    """`Decomposition._search` by the route it replaced: each axis is
-    searched in sorted order and the positions are scattered back."""
-    T = deco.frame.t_values(np.atleast_2d(points) - deco.cube.center)
-    pos = np.empty((len(deco.edges), len(T)), dtype=np.intp)
+def argsort_locate(deco, points):
+    """(n, chi, valid) of `Decomposition.locate_points` by a sorted
+    search: each axis is searched in sorted order and the positions are
+    scattered back."""
+    points = np.atleast_2d(points)
+    T = deco.frame.t_values(points - deco.cube.center)
+    pos = np.empty(T.shape, dtype=np.intp)
     for i, e in enumerate(deco.edges):
         order = np.argsort(T[:, i])
-        pos[i, order] = np.searchsorted(e, T[order, i], side="left")
-    return T, pos
+        pos[order, i] = np.searchsorted(e, T[order, i], side="left")
+    last = np.array([len(e) - 1 for e in deco.edges])
+    valid = deco.cube.contains(points) & np.all((pos >= 1) & (pos <= last), axis=1)
+    k = np.clip(pos, 1, last) - 1
+    return k // 2, k % 2 == 0, valid
 
 
 class TestDecomposition:
@@ -368,9 +373,10 @@ class TestDecomposition:
         rng = np.random.default_rng(4)
         scattered = cube.center + rng.uniform(-0.6 * cube.side, 0.6 * cube.side, (5000, 3))
         for points in (grid_ordered, scattered):
-            T, pos = deco._search(points)
-            want_T, want_pos = argsort_search(deco, points)
-            assert np.array_equal(T, want_T) and np.array_equal(pos, want_pos)
+            n, chi, valid, _ = deco.locate_points(points)
+            want_n, want_chi, want_valid = argsort_locate(deco, points)
+            assert np.array_equal(n, want_n) and np.array_equal(chi, want_chi)
+            assert np.array_equal(valid, want_valid) and valid.any()
 
     def test_full_buffer_cell_volume_bound(self):
         deco, _ = self.build()
