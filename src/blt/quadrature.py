@@ -7,8 +7,11 @@ coordinate projections one factor per map on its own midpoint sub-grid.
 For piecewise-constant lattice inputs read by rows that each read one
 axis, `grid_product_integral` computes the same integral exactly: the
 one grid integral of the package, behind the induction step's cube
-integrals and the convolution report's ratios.  Also hosts the discrete
-product-projection inequality, exact parallelepiped extremizers, and the
+integrals and the convolution report's ratios.  Every product sum of
+tables (that integral, the separable midpoint rule, the discrete
+product-projection inequality and the induction step's main sum) runs
+one kernel, `weighted_product_sum`, a fixed plan of pairwise BLAS
+contractions.  Also hosts exact parallelepiped extremizers and the
 convolution self-similarity report.
 """
 
@@ -104,7 +107,8 @@ class QuadratureSpec:
         Monte Carlo draws and multiplies the factors exactly as `integrate`
         does with `_product_integrand`.  The midpoint rule evaluates each
         factor once on its own sub-grid of midpoints and sums the product
-        in one einsum, at the resolution and, for the error, at half of it.
+        by `weighted_product_sum`, at the resolution and, for the error, at
+        half of it.
         """
         if self.mode == "monte-carlo":
             return self.integrate(_product_integrand(factors), lo, hi)
@@ -208,18 +212,18 @@ def midpoint_axes(lo: np.ndarray, hi: np.ndarray, count: int) -> tuple[list[np.n
 def _separable_midpoint(factors, lo: np.ndarray, hi: np.ndarray, count: int) -> float:
     """Tensor midpoint rule for prod_k g_k(B_k x) on the box [lo, hi], each
     B_k a scaled coordinate projection: each factor is evaluated on the
-    midpoints of its own axes, each times its row's entry, and axes no
-    factor reads contribute their cell count."""
-    axes, cell = midpoint_axes(lo, hi, count)
-    operands, read = [], set()
+    midpoints of its own axes, each times its row's entry, and the tables
+    are summed against the cell widths by `weighted_product_sum`."""
+    axes, _ = midpoint_axes(lo, hi, count)
+    tables, subs = [], []
     for g, B in factors:
         sub = [int(a) for a in np.argmax(B != 0.0, axis=1)]
         entries = B[np.arange(len(sub)), sub]
         points = grid_points([b * axes[a] for b, a in zip(entries, sub)])
-        operands += [g(points).reshape((count,) * len(sub)), sub]
-        read.update(sub)
-    free = lo.size - len(read)
-    return float(np.einsum(*operands, []) * count**free * cell)
+        tables.append(g(points).reshape((count,) * len(sub)))
+        subs.append(sub)
+    widths = [np.full(count, (hi[a] - lo[a]) / count) for a in range(lo.size)]
+    return float(weighted_product_sum(tables, subs, widths))
 
 
 def _midpoint_integral(integrand, lo, hi, resolution: int, d: int):
@@ -244,34 +248,6 @@ def _midpoint_integral(integrand, lo, hi, resolution: int, d: int):
     return total * cell if np.ndim(total) else float(total * cell)
 
 
-def lattice_product_sum(blocks, exponents, d: int) -> float:
-    """Sum of prod_j values_j^{p_j} over the intersection of the blocks'
-    lattice boxes (0 when it is empty), as one einsum over the d axes.
-
-    Block j is (values, axes, offset): values[i] sits at lattice index
-    offset + i along the listed axes.  einsum's default unoptimised
-    contraction is deliberate: optimize=True searches for a path on
-    every call, which costs more than it saves at these sizes.
-    """
-    lo = np.full(d, np.iinfo(np.int64).min, dtype=np.int64)
-    hi = np.full(d, np.iinfo(np.int64).max, dtype=np.int64)
-    for values, axes, offset in blocks:
-        for pos, k in enumerate(axes):
-            lo[k] = max(lo[k], offset[pos])
-            hi[k] = min(hi[k], offset[pos] + values.shape[pos])
-    if lo.min() == np.iinfo(np.int64).min:
-        raise ValueError("every lattice axis must be spanned by some block")
-    if np.any(hi <= lo):
-        return 0.0
-    operands = []
-    for (values, axes, offset), p in zip(blocks, exponents):
-        window = tuple(
-            slice(int(lo[k] - offset[pos]), int(hi[k] - offset[pos])) for pos, k in enumerate(axes)
-        )
-        operands += [np.power(values[window], p), axes]
-    return float(np.einsum(*operands, []))
-
-
 def pulled_back_lines(y0: float, slope: float, origin: float, spacing: float, size: int,
                       y_lo: float, y_hi: float) -> np.ndarray:
     """The u at which y0 + slope u crosses a line origin + k spacing
@@ -282,28 +258,116 @@ def pulled_back_lines(y0: float, slope: float, origin: float, spacing: float, si
     return (origin + np.arange(float(k_lo), k_hi + 1.0) * spacing - y0) / slope
 
 
-def _weighted_contraction(tables, subs, widths) -> np.ndarray:
-    """Sum over the refined cells of the product of the tables times the
-    product of the axes' widths, with widths[a] of shape (..., n_a): the
-    leading dimensions are batch axes, one sum each.  Each axis' widths
-    are folded into the first table that reads it, an axis no table reads
-    contributes its width sum, and the product is one einsum with the
-    default unoptimised contraction (a path search, or a BLAS route with
-    its buffers, costs more than it saves at these sizes)."""
-    operands, folded = [], set()
-    for table, sub in zip(tables, subs):
+def weighted_product_sum(tables, subs, widths) -> np.ndarray:
+    """Sum over the cells of the product of the tables times the product
+    of the axes' widths: the one product-sum kernel of the package.
+
+    Table j has shape (..., *[n_a for a in subs[j]]) and widths[a] shape
+    (..., n_a); the leading dimensions are batch axes, broadcast across
+    the operands, one sum each.  The plan is fixed:
+    1. each axis' widths are folded into the first table that reads it,
+       and an axis no table reads contributes its width sum;
+    2. an axis one table reads is summed inside it;
+    3. tables are taken two at a time, the first pair whose product per
+       batch row is no larger than the larger of the two, and summed over
+       the axes they share that no other table reads by one `np.matmul`
+       (an elementwise product when there are none), with the batch axes
+       and the shared axes another table still reads as batch axes;
+    4. one einsum sums what remains: Loomis-Whitney R^4 -> R^3 leaves its
+       four tables, where every pair spans all four axes.
+    So no buffer exceeds the largest table times the batch.  Each matmul
+    operand is copied so that every batch row's matrix starts on a
+    64-byte boundary, as a single call's does: through step 3 each batch
+    row then takes the steps of its own call, also under BLAS kernels
+    that peel a misaligned start.  The BLAS products round the sum apart
+    from a plain loop by a few ulps, and by an ulp or so with the BLAS
+    thread count.
+    """
+    tables, subs, folded = list(tables), [list(sub) for sub in subs], set()
+    for j, sub in enumerate(subs):
         for pos, a in enumerate(sub):
             if a not in folded:
                 folded.add(a)
                 w = widths[a]
-                table = table * w.reshape(w.shape[:-1] + (1,) * pos + (-1,)
-                                          + (1,) * (len(sub) - pos - 1))
-        operands += [table, [Ellipsis, *sub]]
-    total = np.einsum(*operands, [Ellipsis])
+                tables[j] = tables[j] * w.reshape(w.shape[:-1] + (1,) * pos + (-1,)
+                                                  + (1,) * (len(sub) - pos - 1))
+    batch = max(t.ndim - len(sub) for t, sub in zip(tables, subs))
+    for j, sub in enumerate(subs):
+        tables[j] = tables[j].reshape((1,) * (batch + len(sub) - tables[j].ndim) + tables[j].shape)
+        read = [a for a in sub if any(a in other for other in subs[:j] + subs[j + 1:])]
+        if len(read) < len(sub):
+            lone = [a for a in sub if a not in read]
+            tables[j] = _grouped(tables[j], sub, [[a] for a in read] + [lone], batch).sum(axis=-1)
+            subs[j] = read
+    while (pair := _next_pair(tables, subs, batch)) is not None:
+        i, j, sub = pair
+        tables[i] = _product(tables[i], subs[i], tables[j], subs[j], sub, batch)
+        subs[i] = sub
+        del tables[j], subs[j]
+    total = np.einsum(*[x for t, sub in zip(tables, subs) for x in (t, [Ellipsis, *sub])],
+                      [Ellipsis])
     for a, w in enumerate(widths):
         if a not in folded:
             total = total * w.sum(axis=-1)
     return total
+
+
+def _grouped(table, sub, groups, batch: int) -> np.ndarray:
+    """table, whose axes after the batch are sub, with those axes in the
+    order of groups (lists of axes of sub) and each group merged into one."""
+    sizes = dict(zip(sub, table.shape[batch:]))
+    order = [batch + sub.index(a) for group in groups for a in group]
+    return table.transpose(list(range(batch)) + order).reshape(
+        table.shape[:batch] + tuple(math.prod(sizes[a] for a in group) for group in groups))
+
+
+def _next_pair(tables, subs, batch: int):
+    """The first pair (i, j) of tables whose product, summed over the axes
+    they share that no other table reads, is per batch row no larger
+    than the larger of the two, with the axes of that product: the
+    shared axes another table reads, then those of i alone, then those of
+    j alone; None when no pair qualifies."""
+    for i, j in ((i, j) for j in range(len(subs)) for i in range(j)):
+        rest = {a for k, sub in enumerate(subs) if k not in (i, j) for a in sub}
+        sizes = dict(zip(subs[i], tables[i].shape[batch:])) | dict(zip(subs[j], tables[j].shape[batch:]))
+        sub = ([a for a in subs[i] if a in subs[j] and a in rest] + [a for a in subs[i] if a not in subs[j]]
+               + [a for a in subs[j] if a not in subs[i]])
+        if math.prod(sizes[a] for a in sub) <= max(math.prod(tables[k].shape[batch:]) for k in (i, j)):
+            return i, j, sub
+    return None
+
+
+def _product(left, left_sub, right, right_sub, sub, batch: int) -> np.ndarray:
+    """Sum of left * right over their shared axes outside sub, by one
+    np.matmul whose batch axes are the leading batch axes and the shared
+    axes in sub; the result's axes after the batch are sub."""
+    sizes = dict(zip(left_sub, left.shape[batch:])) | dict(zip(right_sub, right.shape[batch:]))
+    kept = [a for a in sub if a in left_sub and a in right_sub]
+    rows = [a for a in sub if a in left_sub and a not in kept]
+    cols = [a for a in sub if a in right_sub and a not in kept]
+    summed = [a for a in left_sub if a in right_sub and a not in kept]
+    left = _grouped(left, left_sub, [[a] for a in kept] + [rows, summed], batch)
+    right = _grouped(right, right_sub, [[a] for a in kept] + [summed, cols], batch)
+    if summed:
+        product = np.matmul(_aligned_rows(left), _aligned_rows(right))
+    else:
+        product = left * right
+    return product.reshape(product.shape[:batch] + tuple(sizes[a] for a in sub))
+
+
+def _aligned_rows(array: np.ndarray) -> np.ndarray:
+    """A copy of array whose matrices (its last two axes, C order) each
+    start on a 64-byte boundary: BLAS kernels that peel a misaligned
+    start (OpenBLAS's kernels for pre-AVX x86 cores, for one) sum in another
+    order, so a batch row at another alignment would round apart from
+    its own call."""
+    rows, size = math.prod(array.shape[:-2]), math.prod(array.shape[-2:])
+    stride = -(-size // 8) * 8
+    buffer = np.empty(rows * stride + 8)
+    start = (-buffer.ctypes.data // 8) % 8
+    out = buffer[start:start + rows * stride].reshape(rows, stride)[:, :size].reshape(array.shape)
+    out[...] = array
+    return out
 
 
 def lattice_box(reads, grids, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -372,10 +436,10 @@ def grid_product_integral(reads, grids, exponents, box, cuts=None, weights=None)
             source = _zero_padded(values, rank)
             cells = [_padded_cell(c, size) for c, size in zip(cells, shape)]
         index = [c.astype(np.intp).reshape((-1,) + (1,) * (rank - 1 - r)) for r, c in enumerate(cells)]
-        # C order: einsum sums in memory order, so a batch row then takes
-        # the same steps as its own call
+        # C order: a gathered batch may be laid out batch-innermost, and a
+        # batch row then takes the same steps as its own call
         tables.append(np.power(source[(Ellipsis, *index)], p, order="C"))
-    return _weighted_contraction(tables, [[a for a, _, _ in own] for own in reads], widths)
+    return weighted_product_sum(tables, [[a for a, _, _ in own] for own in reads], widths)
 
 
 def discrete_finner(
@@ -384,8 +448,8 @@ def discrete_finner(
     """Both sides of the discrete product-projection inequality.
 
     lhs sums prod_j f_j(Pi_j n)^{1/(m-1)} over the common lattice box,
-    rhs is prod_j (sum f_j)^{1/(m-1)}.  lhs <= rhs always holds; the
-    summation here is the brute-force oracle itself.
+    by `weighted_product_sum` with unit widths; rhs is
+    prod_j (sum f_j)^{1/(m-1)}.  lhs <= rhs always holds.
     """
     m = scheme.m
     if m < 2:
@@ -399,10 +463,13 @@ def discrete_finner(
         if f.ndim != scheme.d - scheme.block_sizes[j]:
             raise ValueError(f"input {j} has rank {f.ndim}, expected {scheme.d - scheme.block_sizes[j]}")
     p = 1.0 / (m - 1)
-    blocks = [
-        (f, scheme.complement(j), np.zeros(f.ndim, dtype=np.int64)) for j, f in enumerate(arrays)
-    ]
-    lhs = lattice_product_sum(blocks, [p] * m, scheme.d)
+    # the common lattice box starts at 0 on every axis; every axis lies
+    # outside some block, so some array spans it
+    subs = [scheme.complement(j) for j in range(m)]
+    sizes = [min(f.shape[sub.index(a)] for f, sub in zip(arrays, subs) if a in sub)
+             for a in range(scheme.d)]
+    tables = [np.power(f[tuple(slice(sizes[a]) for a in sub)], p) for f, sub in zip(arrays, subs)]
+    lhs = float(weighted_product_sum(tables, subs, [np.ones(n) for n in sizes]))
     rhs = float(np.prod([f.sum() ** p for f in arrays]))
     return lhs, rhs
 
@@ -491,12 +558,16 @@ def ball_inequality_report(
             rows = [[GridFunction(o, h, row) for row in v] for v, o, h in grids]
             return np.array([bl_ratio(datum, list(x), None, value_only)[0] for x in zip(*rows)])
 
-    def ratio(inputs: list[GridFunction]) -> float:
-        grids = [(g.values[None], g.origin, g.spacing) for g in inputs]
-        return float(ratios(grids, [np.array([g.integral()]) for g in inputs])[0])
+    def ratio_rows(rows: list[list[GridFunction]]) -> list[float]:
+        # rows on one lattice per map; each row's ratio is that of its own call
+        grids = [(np.stack([g.values for g in gs]), gs[0].origin, gs[0].spacing) for gs in zip(*rows)]
+        return ratios(grids, [np.array([g.integral() for g in gs]) for gs in zip(*rows)]).tolist()
 
-    bl_f = ratio(f)
-    bl_fp = ratio(fprime)
+    if all(np.array_equal(g.origin, gp.origin) and g.spacing == gp.spacing
+           and g.values.shape == gp.values.shape for g, gp in zip(f, fprime)):
+        bl_f, bl_fp = ratio_rows([f, fprime])
+    else:
+        (bl_f,), (bl_fp,) = ratio_rows([f]), ratio_rows([fprime])
     lhs = bl_f * bl_fp
     if lhs == 0.0:
         raise ZeroMassError("R(f) R(f') is 0: the composite support of f or f' has no volume")

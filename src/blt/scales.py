@@ -29,8 +29,8 @@ from .quadrature import (
     _midpoint_integral,
     grid_product_integral,
     is_scaled_projection,
-    lattice_product_sum,
     pulled_back_lines,
+    weighted_product_sum,
 )
 
 
@@ -959,10 +959,9 @@ def verify_induction_step(
         halfplanes = _tube_halfplanes(funcs, intervals, drift)
         tube_arrays.append(grid_polygon_mass(fW.values, fW.origin, fW.spacing, halfplanes))
     # main sum through the discrete inequality on the tube masses
-    zero = np.zeros(d, dtype=np.int64)
-    main_sum = lattice_product_sum(
-        [(F, scheme.complement(j), zero) for j, F in enumerate(tube_arrays)], [p] * m, d
-    )
+    main_sum = float(weighted_product_sum(
+        [np.power(F, p) for F in tube_arrays], [scheme.complement(j) for j in range(m)],
+        [np.ones(deco.main_count(i)) for i in range(d)]))
     tube_norms = {j: float(tube_arrays[j].sum()) for j in range(m)}
     finner_rhs = float(np.prod([tube_norms[j] ** p for j in range(m)]))
     input_rhs = float(np.prod([mass**p for mass in masses]))

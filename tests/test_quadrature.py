@@ -1,5 +1,6 @@
 """Quadrature layer: masses, ratios, discrete inequality, convolution report."""
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from blt.quadrature import (
     _localised_products,
     _map_factors,
     _product_integrand,
+    _separable_midpoint,
     _support_region,
     ball_inequality_report,
     bl_ratio,
@@ -29,10 +31,15 @@ from blt.quadrature import (
     discrete_finner,
     grid_product_integral,
     lattice_box,
-    lattice_product_sum,
+    weighted_product_sum,
 )
 from blt.geometry import grid_points
 from tests.conftest import loomis_whitney_maps, random_class_c_datum
+from tests.product_sum_oracle import (
+    einsum_product_sum,
+    einsum_separable_midpoint,
+    lattice_product_sum,
+)
 from tests.polytope_oracle import box_preimage_volume
 
 
@@ -145,6 +152,18 @@ class TestIntegrateProduct:
             # the value, so it is held to rel 1e-12 of the value it estimates
             assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12 * want[0])
 
+    @pytest.mark.parametrize("resolution", [1, 7, 16, 33])
+    def test_midpoint_matches_the_einsum_sum(self, lw_datum, resolution):
+        lo, hi = np.full(3, -1.5), np.full(3, 1.7)
+        positive = 0
+        for datum, inputs in self.product_cases(lw_datum):
+            factors = _map_factors(datum, inputs)
+            want = einsum_separable_midpoint(factors, lo, hi, resolution)
+            assert _separable_midpoint(factors, lo, hi, resolution) == pytest.approx(want, rel=1e-12,
+                                                                                    abs=0)
+            positive += want > 0
+        assert positive >= 3
+
     def test_monte_carlo_draws_and_multiplies_as_integrate(self, lw_datum):
         lo, hi = np.full(3, -1.5), np.full(3, 1.7)
         spec = QuadratureSpec("monte-carlo", samples=3000, seed=4)
@@ -198,7 +217,8 @@ class TestScaledProjections:
 
     def test_only_scaled_projections_take_the_exact_grid_integral(self, monkeypatch):
         # a row on two axes sends every ratio to bl_ratio; scaled rows send
-        # R(f), R(f') and the sweep's one block to the exact grid integral
+        # R(f) and R(f'), in one call as they share lattices, and the
+        # sweep's one block to the exact grid integral
         from blt import quadrature
 
         calls = []
@@ -216,7 +236,28 @@ class TestScaledProjections:
         assert not calls
         doubled = BLDatum(3, [2.0 * B for B in loomis_whitney_maps()], np.full(3, 0.5))
         ball_inequality_report(doubled, f, f, x_grid / 2.0, spec)
-        assert len(calls) == 3
+        assert len(calls) == 2
+        ball_inequality_report(doubled, f, [replace(g, origin=g.origin + 1.0) for g in f],
+                               x_grid / 2.0, spec)
+        assert len(calls) == 2 + 3
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_ratios_of_f_and_fprime_keep_their_own_bits(self, lw_datum, shift):
+        # R(f) and R(f') in one batched call (shared lattices) or in two
+        # calls (f' shifted) are the bits of each ratio's own call
+        rng = np.random.default_rng(15)
+        f, fp = [[GridFunction(np.full(2, s), 1.0, rng.uniform(0.5, 1.5, (3, 4))) for _ in range(3)]
+                 for s in (0.0, shift)]
+        report = ball_inequality_report(lw_datum, f, fp, lattice_x_grid([0.0] * 3, [3.0] * 3, 1.0),
+                                        QuadratureSpec(resolution=8))
+        reads = datum_reads(lw_datum)
+        want = []
+        for inputs in (f, fp):
+            grids = [(g.values, g.origin, g.spacing) for g in inputs]
+            numerator = grid_product_integral(reads, grids, lw_datum.p, lattice_box(reads, grids, 3))
+            want.append(float(numerator) / math.prod(g.integral() ** 0.5 for g in inputs))
+        assert [report.details["ratio_f"], report.details["ratio_fprime"]] == want
+        assert report.lhs == want[0] * want[1]
 
     def test_ball_check_on_doubled_maps(self):
         # doubled maps: every R is 1/8 of the unit-map value at the halved x
@@ -558,6 +599,92 @@ class TestGridProductIntegral:
             assert got[i] == grid_product_integral(reads, single, [0.5] * 3, box)
 
 
+def random_pattern(rng, d, batch):
+    """Tables of ranks 1-3 on random axes of R^d, some axes read by no
+    table, lengths from 0 to 5 (mostly 2-5), and widths; batch "tables"
+    gives the tables a (3, 1) batch, "widths" the widths a (2,) batch,
+    "both" both, so the batch broadcasts to (3, 2)."""
+    lengths = rng.choice([0, 1, 2, 3, 4, 5], d, p=[0.05, 0.15, 0.2, 0.2, 0.2, 0.2])
+    subs = [rng.choice(d, size=rng.integers(1, min(d, 3) + 1), replace=False).tolist()
+            for _ in range(rng.integers(1, 5))]
+    table_batch = (3, 1) if batch in ("tables", "both") else ()
+    width_batch = (2,) if batch in ("widths", "both") else ()
+    tables = [rng.uniform(0.1, 2.0, table_batch + tuple(lengths[a] for a in sub)) for sub in subs]
+    widths = [rng.uniform(0.1, 1.0, width_batch + (n,)) for n in lengths]
+    return tables, subs, widths
+
+
+def recording_matmul(monkeypatch):
+    """np.matmul, wrapped to record the sizes of its operands and result."""
+    calls, matmul = [], np.matmul
+
+    def recording(a, b):
+        out = matmul(a, b)
+        calls.append((a.size, b.size, out.size))
+        return out
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return calls
+
+
+class TestWeightedProductSum:
+    @pytest.mark.parametrize("batch", ["none", "tables", "widths", "both"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_the_einsum_oracle(self, d, batch, monkeypatch):
+        # every matmul buffer stays within the largest table times the batch
+        rng = np.random.default_rng(1000 * d + len(batch))
+        calls, taken = recording_matmul(monkeypatch), 0
+        for _ in range(60):
+            tables, subs, widths = random_pattern(rng, d, batch)
+            got = weighted_product_sum(tables, subs, widths)
+            want = einsum_product_sum(tables, subs, widths)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            rows = math.prod(np.broadcast_shapes(*[t.shape[:t.ndim - len(sub)]
+                                                  for t, sub in zip(tables, subs)],
+                                                 *[w.shape[:-1] for w in widths]))
+            largest = max(math.prod(t.shape[t.ndim - len(sub):]) for t, sub in zip(tables, subs))
+            assert all(size <= largest * rows for call in calls for size in call)
+            taken += len(calls)
+            calls.clear()
+        assert taken > 0
+
+    def test_triangle_takes_matmuls(self, monkeypatch):
+        # the flagship's cube integral: a (2,)-batch of widths on three
+        # rank-2 tables contracts by one matrix product and one dot
+        rng = np.random.default_rng(5)
+        subs = [[1, 2], [0, 2], [0, 1]]
+        lengths = [30, 28, 29]
+        tables = [rng.uniform(0.1, 2.0, [lengths[a] for a in sub]) for sub in subs]
+        widths = [rng.uniform(0.1, 1.0, (2, n)) for n in lengths]
+        calls = recording_matmul(monkeypatch)
+        got = weighted_product_sum(tables, subs, widths)
+        assert len(calls) == 2 and got.shape == (2,)
+        np.testing.assert_allclose(got, einsum_product_sum(tables, subs, widths), rtol=1e-12, atol=0)
+
+    def test_loomis_whitney_r4_takes_no_matmul(self, monkeypatch):
+        # four rank-3 tables on R^4: every pair spans all four axes
+        rng = np.random.default_rng(6)
+        subs = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+        widths = [rng.uniform(0.1, 1.0, n) for n in (5, 4, 5, 3)]
+        tables = [rng.uniform(0.1, 2.0, [len(widths[a]) for a in sub]) for sub in subs]
+        calls = recording_matmul(monkeypatch)
+        got = weighted_product_sum(tables, subs, widths)
+        assert not calls
+        assert float(got) == pytest.approx(float(einsum_product_sum(tables, subs, widths)),
+                                           rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_batch_rows_are_their_single_calls(self, d):
+        rng = np.random.default_rng(20 + d)
+        for _ in range(40):
+            tables, subs, widths = random_pattern(rng, d, "both")
+            got = weighted_product_sum(tables, subs, widths)
+            for i, k in np.ndindex(3, 2):
+                single = weighted_product_sum([t[i, 0] for t in tables], subs, [w[k] for w in widths])
+                assert got[i, k] == single
+
+
 class TestDiscreteFinner:
     def test_constant_inputs_equality(self):
         lhs, rhs = discrete_finner([np.ones((2, 2))] * 3, lw_scheme())
@@ -606,6 +733,23 @@ class TestDiscreteFinner:
         # m = 2: exponent 1, direct product structure gives equality
         assert lhs == pytest.approx(f2.sum() * f1.sum(), rel=1e-12)
         assert lhs <= rhs * (1 + 1e-12)
+
+    @pytest.mark.parametrize("sizes", [[1, 1, 1], [1, 2], [2, 1, 1], [1, 1, 1, 1]])
+    def test_matches_the_einsum_lattice_sum(self, sizes):
+        # shapes differ between arrays on a shared axis, so the common box
+        # crops them, and some axes have length 0 or 1
+        scheme = ProjectionScheme(sum(sizes), sizes)
+        rng = np.random.default_rng(sum(sizes) * 10 + len(sizes))
+        for _ in range(40):
+            arrays = [rng.uniform(0.0, 2.0, rng.choice([0, 1, 2, 3, 5], len(scheme.complement(j)),
+                                                       p=[0.03, 0.17, 0.2, 0.3, 0.3]))
+                      for j in range(scheme.m)]
+            lhs, _ = discrete_finner(arrays, scheme)
+            zero = [np.zeros(f.ndim, dtype=np.int64) for f in arrays]
+            want = lattice_product_sum([(f, scheme.complement(j), z) for j, (f, z) in
+                                        enumerate(zip(arrays, zero))], [1.0 / (scheme.m - 1)] * scheme.m,
+                                       scheme.d)
+            assert lhs == pytest.approx(want, rel=1e-12, abs=0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -734,6 +878,16 @@ def lattice_ratio(datum, grids):
               for B, g in zip(datum.maps, grids)]
     numerator = lattice_product_sum(blocks, datum.p, datum.d) * h**datum.d
     return numerator / np.prod([np.power(g.integral(), pj) for g, pj in zip(grids, datum.p)])
+
+
+def kernel_ratio(datum, grids):
+    """R for scaled coordinate projections by one grid_product_integral
+    call over the box every lattice pulls back to: the ratio the sweep
+    takes for each of its batch rows."""
+    reads = datum_reads(datum)
+    lattices = [(g.values, g.origin, g.spacing) for g in grids]
+    numerator = grid_product_integral(reads, lattices, datum.p, lattice_box(reads, lattices, datum.d))
+    return float(numerator) / np.prod([np.power(g.integral(), pj) for g, pj in zip(grids, datum.p)])
 
 
 def brute_integral(reads, grids, exponents, box):
@@ -873,17 +1027,23 @@ class TestSupSweep:
         ["random", "excluded", "off-lattice", "single-cell", "non-coordinate", "mixed-spacing"],
     )
     def test_matches_per_x_loop(self, lw_datum, name):
-        # unit projections on one lattice keep the bits of the lattice sum;
-        # the other scaled projections are held to the brute-force integral
+        # unit projections on one lattice keep the bits of one grid
+        # integral per x (each batch row of the sweep is its own call), and
+        # the einsum lattice sum holds them to rel 1e-12 (the BLAS products
+        # round apart from it); the other scaled projections are held to
+        # the brute-force integral
         datum, f, fp, x_grid = sweep_case(name, lw_datum)
         spec = QuadratureSpec("tensor-midpoint", resolution=8)
         report = ball_inequality_report(datum, f, fp, x_grid, spec)
         aligned = name not in ("non-coordinate", "mixed-spacing")
-        ratio = lattice_ratio if aligned else brute_ratio
+        ratio = kernel_ratio if aligned else brute_ratio
         lhs, sup_term, sup_argmax, excluded = loop_sup(datum, f, fp, x_grid, ratio)
         if aligned:
             assert report.sup_term == sup_term
             assert report.lhs == lhs > 0
+            lattice_lhs, lattice_sup, _, _ = loop_sup(datum, f, fp, x_grid, lattice_ratio)
+            assert lattice_sup == pytest.approx(sup_term, rel=1e-12, abs=0)
+            assert lattice_lhs == pytest.approx(lhs, rel=1e-12, abs=0)
         else:
             assert report.sup_term == pytest.approx(sup_term, rel=1e-12, abs=0)
             assert report.lhs == pytest.approx(lhs, rel=1e-12, abs=0) and lhs > 0

@@ -35,6 +35,7 @@ from tests.conftest import (
     perturbed_lw_maps,
     perturbed_projection,
 )
+from tests.product_sum_oracle import lattice_product_sum
 
 
 def linear_lw_families():
@@ -624,14 +625,16 @@ class TestInductionStep:
         for chi, info in report.buffer_totals.items():
             assert info["total"] == pytest.approx(per_axis[info["axis"]], rel=1e-12, abs=0), chi
 
-    def test_flagship_step_keeps_the_clipping_route_numbers(self):
-        # recorded from the Sutherland-Hodgman tube masses; lhs and
-        # main_fraction are the bits of the exact linearised cube integrals,
-        # which read no midpoint and no main-cell mask
+    def test_flagship_box_tubes_keep_the_polygon_clip_numbers(self):
+        # tube norms and buffer totals recorded from the Sutherland-Hodgman
+        # polygon clip, which the flagship's axis-box tubes (no longer
+        # clipped) reproduce; lhs and main_fraction are those of the exact
+        # linearised cube integrals, whose BLAS products may round by an
+        # ulp differently with the thread count
         maps, params, cube, inputs = flagship_scale_setup(seed=1)
         report = verify_induction_step(maps, cube, inputs, params, 32, seed=5)
-        assert report.lhs == 1.0083988383256987e-18
-        assert report.main_fraction == 0.9505417418996239
+        assert report.lhs == pytest.approx(1.0083988383256987e-18, rel=1e-12, abs=0)
+        assert report.main_fraction == pytest.approx(0.9505417418996239, rel=1e-12, abs=0)
         assert report.main_sum == pytest.approx(1.093184198506739e-18, rel=1e-12, abs=0)
         norms = [1.06729163184171e-12, 1.0490457929176051e-12, 1.073577703957454e-12]
         for j, value in enumerate(norms):
@@ -649,6 +652,28 @@ class TestInductionStep:
         for chi, value in totals.items():
             assert report.buffer_totals[chi]["total"] == pytest.approx(value, rel=1e-12, abs=0)
 
+
+    @pytest.mark.parametrize("setup", [flagship_scale_setup, rank_one_d2_setup,
+                                       lw_d4_rank3_setup],
+                             ids=["flagship", "rank-one-d2", "lw-d4-rank3"])
+    def test_main_sum_is_the_lattice_sum_of_the_tube_masses(self, setup, monkeypatch):
+        # the BLAS product sum against the einsum lattice sum: a triangle of
+        # matmuls, two lone axes, and four tables no pair of which contracts
+        maps, params, cube, inputs = setup()
+        tubes = []
+
+        def recording(*args):
+            tubes.append(grid_polygon_mass(*args))
+            return tubes[-1]
+
+        monkeypatch.setattr(scales, "grid_polygon_mass", recording)
+        report = verify_induction_step(maps, cube, inputs, params, 8, seed=1)
+        scheme = decompose(maps, cube, inputs, params).frame.scheme
+        zero = np.zeros(cube.d, dtype=np.int64)
+        p = 1.0 / (len(maps) - 1)
+        want = lattice_product_sum([(F, scheme.complement(j), zero) for j, F in enumerate(tubes)],
+                                   [p] * len(maps), cube.d)
+        assert report.main_sum == pytest.approx(want, rel=1e-12, abs=0) and want > 0
 
     @pytest.mark.parametrize("setup", [flagship_scale_setup, rank_one_d2_setup,
                                        lw_d4_rank3_setup],
